@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
-import json
+import os
 import sys
 import traceback
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import stats as statsmod
+from .core import dump_json
 from .dataset_io import (
     DatasetError,
     RecordingFileSet,
@@ -36,6 +37,7 @@ from .maneuvers import write_episodes_csv, write_episodes_json
 from .pipeline import (
     ExtractResult,
     PipelineConfig,
+    events_recording_files,
     extract_recording_files,
     load_pipeline_config,
     track_stage,
@@ -63,8 +65,7 @@ def _issue_dict(issue) -> Dict:
 
 def _report_errors(errors: List[Dict]) -> None:
     if errors:
-        json.dump({"errors": errors}, sys.stderr, indent=2)
-        sys.stderr.write("\n")
+        dump_json({"errors": errors}, sys.stderr)
 
 
 def _exception_error(exc: Exception) -> Dict:
@@ -98,26 +99,35 @@ def _track_one(item: Tuple[Path, Path, PipelineConfig, Path]):
 
 
 def _extract_one(item: Tuple[RecordingFileSet, PipelineConfig, Path, bool]):
+    """``extract`` fits lane changes and writes the per-recording files;
+    ``stats`` (no ``write_files``) needs only the episodes and cut-ins."""
     paths, cfg, output_dir, write_files = item
     try:
+        if not write_files:
+            return None, events_recording_files(paths, cfg)
         result = extract_recording_files(paths, cfg)
-        if write_files:
-            rid = result.recording_id
-            write_episodes_csv(result.episodes, rid, output_dir / f"{rid:02d}_episodes.csv")
-            write_episodes_json(result.episodes, rid, output_dir / f"{rid:02d}_episodes.json")
-            write_fits_csv(result.fits, rid, output_dir / f"{rid:02d}_laneChangeFits.csv")
-            write_cut_ins_csv(result.cut_ins, rid, output_dir / f"{rid:02d}_cutIns.csv")
-            write_cut_ins_json(result.cut_ins, rid, output_dir / f"{rid:02d}_cutIns.json")
+        rid = result.recording_id
+        write_episodes_csv(result.episodes, rid, output_dir / f"{rid:02d}_episodes.csv")
+        write_episodes_json(result.episodes, rid, output_dir / f"{rid:02d}_episodes.json")
+        write_fits_csv(result.fits, rid, output_dir / f"{rid:02d}_laneChangeFits.csv")
+        write_cut_ins_csv(result.cut_ins, rid, output_dir / f"{rid:02d}_cutIns.csv")
+        write_cut_ins_json(result.cut_ins, rid, output_dir / f"{rid:02d}_cutIns.json")
         return None, result
     except Exception as exc:
         return _exception_error(exc), None
 
 
+def _worker_count(jobs: int, n_items: int) -> int:
+    """Processes worth starting: no more than the items or the CPUs."""
+    return min(jobs, n_items, os.cpu_count() or 1)
+
+
 def _run_parallel(worker, items: Sequence, jobs: int) -> List:
     """Map worker over items, preserving input order."""
-    if jobs <= 1 or len(items) <= 1:
+    workers = _worker_count(jobs, len(items))
+    if workers <= 1:
         return [worker(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items))
 
 
@@ -203,7 +213,7 @@ def _write_corpus_stats(
     statsmod.write_histogram_csv(hist, output_dir / "meanSpeedHistogram.csv")
     for result in results:
         series = statsmod.truck_ratio_over_time(
-            result.tracks, cfg.stats.truck_ratio_window
+            result.tracks, cfg.stats.truck_ratio_window, result.frame_rate
         )
         statsmod.write_truck_ratio_csv(
             series, output_dir / f"{result.recording_id:02d}_truckRatio.csv"
@@ -246,12 +256,13 @@ def _run_extract(args, write_per_recording: bool) -> int:
             results.append(result)
     if results:
         _write_corpus_stats(results, cfg, output_dir)
-        total_fits = sum(len(r.fits) for r in results)
-        total_failures = sum(r.fit_failures for r in results)
+        fits = ""
+        if write_per_recording:
+            fits = (f"{sum(len(r.fits) for r in results)} lane-change fits "
+                    f"({sum(r.fit_failures for r in results)} skipped), ")
         print(
             f"{len(results)} recording(s): "
-            f"{sum(len(r.episodes) for r in results)} episodes, "
-            f"{total_fits} lane-change fits ({total_failures} skipped), "
+            f"{sum(len(r.episodes) for r in results)} episodes, {fits}"
             f"{sum(len(r.cut_ins) for r in results)} cut-ins"
         )
     _report_errors(errors)
@@ -275,8 +286,7 @@ def cmd_validate(args) -> int:
     for paths in filesets:
         report = validate(paths)
         issues.extend(_issue_dict(issue) for issue in report.issues)
-    json.dump({"issues": issues}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    dump_json({"issues": issues}, sys.stdout)
     return 0 if not issues else 1
 
 
@@ -296,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--output", type=Path, required=True)
         p.add_argument("--jobs", type=int, default=None,
                        help="parallel recordings (default from config, 1)")
-        p.add_argument("--seed-override", type=int, default=None, dest="seed_override")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic scene from a script")
     p_synth.add_argument("--script", type=Path, required=True)

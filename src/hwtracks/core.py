@@ -7,16 +7,20 @@ carriageway travel toward decreasing x, vehicles on the lower carriageway
 toward increasing x.
 
 Every type here is an immutable value; instances can be shared freely
-between workers.
+between workers. The canonical number format and the one CSV and one JSON
+writer that every output file goes through live here as well.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
 
 #: In-memory sentinel for a lane without a posted speed limit.
 UNLIMITED_SPEED = math.inf
@@ -182,6 +186,13 @@ def ahead_of(a: KinematicState, b: KinematicState, direction: DrivingDirection) 
     return (a.x - b.x) * direction.travel_sign > 0
 
 
+def bumper_gap(
+    a: KinematicState, a_length: float, b: KinematicState, b_length: float
+) -> float:
+    """Bumper-to-bumper distance of two same-frame vehicles, clamped at zero."""
+    return max(abs(a.x - b.x) - (a_length + b_length) / 2.0, 0.0)
+
+
 def compute_mean_speed(states: Sequence[KinematicState]) -> float:
     """Mean of per-frame longitudinal speed magnitudes."""
     if not states:
@@ -258,3 +269,53 @@ class Detection:
         for name in ("cx", "cy", "length", "width"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+
+
+# ---------------------------------------------------------------------------
+# Canonical file format
+
+
+def format_float(value: float) -> str:
+    """Canonical 6-significant-digit decimal form, stable under re-parsing."""
+    if value == 0.0:
+        value = 0.0  # normalize -0.0
+    return format(value, ".6g")
+
+
+def canonical_float(value: float) -> float:
+    """The float a reader gets back from ``format_float(value)``."""
+    return float(format_float(value))
+
+
+def csv_cells(record: Mapping[str, Any]) -> List:
+    """A JSON-ready record as CSV cells: None is empty, bools are 1/0 and
+    floats take the canonical form."""
+    cells: List = []
+    for value in record.values():
+        if value is None:
+            value = ""
+        elif isinstance(value, bool):
+            value = int(value)
+        elif isinstance(value, float):
+            value = format_float(value)
+        cells.append(value)
+    return cells
+
+
+def write_table(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """CSV table in UTF-8 with "\\n" line ends: the header, then ``rows`` as given."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def dump_json(payload: Any, fh: TextIO) -> None:
+    """``payload`` as JSON indented by 2, followed by a newline."""
+    json.dump(payload, fh, indent=2)
+    fh.write("\n")
+
+
+def write_json(path: Path, payload: Any) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_json(payload, fh)

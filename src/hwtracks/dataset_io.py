@@ -31,8 +31,11 @@ from .core import (
     Track,
     UNLIMITED_SPEED,
     VehicleClass,
+    canonical_float,
     compute_mean_speed,
+    format_float,
     nearest_lane_id,
+    write_table,
 )
 from .surround import NO_VEHICLE, UNDEFINED, SurroundFrame
 
@@ -157,13 +160,6 @@ class Recording:
     surround: Mapping[int, Tuple[SurroundFrame, ...]]
 
 
-def format_float(value: float) -> str:
-    """Canonical 6-significant-digit decimal form, stable under re-parsing."""
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return format(value, ".6g")
-
-
 def _format_list(values: Sequence[float]) -> str:
     return ";".join(format_float(v) for v in values)
 
@@ -181,23 +177,18 @@ def _parse_limit(value: float) -> float:
 
 
 def write_recording_meta(meta: RecordingMeta, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORDING_META_COLUMNS)
-        limits = [_format_limit(v) for v in meta.upper_speed_limits] + [
-            _format_limit(v) for v in meta.lower_speed_limits
-        ]
-        writer.writerow(
-            [
-                meta.recording_id,
-                meta.location_id,
-                format_float(meta.frame_rate),
-                format_float(meta.duration),
-                _format_list(meta.upper_lane_boundaries),
-                _format_list(meta.lower_lane_boundaries),
-                _format_list(limits),
-            ]
-        )
+    limits = [_format_limit(v) for v in meta.upper_speed_limits] + [
+        _format_limit(v) for v in meta.lower_speed_limits
+    ]
+    write_table(path, RECORDING_META_COLUMNS, [[
+        meta.recording_id,
+        meta.location_id,
+        format_float(meta.frame_rate),
+        format_float(meta.duration),
+        _format_list(meta.upper_lane_boundaries),
+        _format_list(meta.lower_lane_boundaries),
+        _format_list(limits),
+    ]])
 
 
 def write_recording(
@@ -232,63 +223,55 @@ def write_recording(
     # tracksMeta lane-change count must count transitions of those same ids.
     written_lanes: Dict[int, List[int]] = {
         track.track_id: [
-            nearest_lane_id(float(format_float(s.y)), meta, track.direction)
+            nearest_lane_id(canonical_float(s.y), meta, track.direction)
             for s in track.states
         ]
         for track in ordered
     }
 
-    with open(paths.tracks_meta_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACKS_META_COLUMNS)
-        for track in ordered:
-            lanes = written_lanes[track.track_id]
-            writer.writerow(
-                [
-                    track.track_id,
-                    format_float(track.length),
-                    format_float(track.width),
-                    track.vehicle_class.value,
-                    track.direction.value,
-                    format_float(track.mean_speed),
-                    track.num_frames,
-                    track.initial_frame,
-                    track.final_frame,
-                    sum(1 for a, b in zip(lanes, lanes[1:]) if a != b),
-                ]
-            )
+    def meta_row(track: Track) -> List:
+        lanes = written_lanes[track.track_id]
+        return [
+            track.track_id,
+            format_float(track.length),
+            format_float(track.width),
+            track.vehicle_class.value,
+            track.direction.value,
+            format_float(track.mean_speed),
+            track.num_frames,
+            track.initial_frame,
+            track.final_frame,
+            sum(1 for a, b in zip(lanes, lanes[1:]) if a != b),
+        ]
 
-    with open(paths.tracks_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACKS_COLUMNS)
-        for track in ordered:
-            lanes = written_lanes[track.track_id]
-            for state, sf, lane in zip(track.states, surround[track.track_id],
-                                       lanes):
-                writer.writerow(
-                    [
-                        state.frame,
-                        track.track_id,
-                        format_float(state.x),
-                        format_float(state.y),
-                        format_float(state.vx),
-                        format_float(state.vy),
-                        format_float(state.ax),
-                        format_float(state.ay),
-                        lane,
-                        sf.preceding_id,
-                        sf.following_id,
-                        sf.left_preceding_id,
-                        sf.left_alongside_id,
-                        sf.left_following_id,
-                        sf.right_preceding_id,
-                        sf.right_alongside_id,
-                        sf.right_following_id,
-                        format_float(sf.dhw),
-                        format_float(sf.thw),
-                        format_float(sf.ttc),
-                    ]
-                )
+    write_table(paths.tracks_meta_path, TRACKS_META_COLUMNS, map(meta_row, ordered))
+    write_table(paths.tracks_path, TRACKS_COLUMNS, (
+        [
+            state.frame,
+            track.track_id,
+            format_float(state.x),
+            format_float(state.y),
+            format_float(state.vx),
+            format_float(state.vy),
+            format_float(state.ax),
+            format_float(state.ay),
+            lane,
+            sf.preceding_id,
+            sf.following_id,
+            sf.left_preceding_id,
+            sf.left_alongside_id,
+            sf.left_following_id,
+            sf.right_preceding_id,
+            sf.right_alongside_id,
+            sf.right_following_id,
+            format_float(sf.dhw),
+            format_float(sf.thw),
+            format_float(sf.ttc),
+        ]
+        for track in ordered
+        for state, sf, lane in zip(track.states, surround[track.track_id],
+                                   written_lanes[track.track_id])
+    ))
     return paths
 
 

@@ -20,8 +20,6 @@ golden-section refinement one variable at a time).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,7 +28,17 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ContractViolation, RecordingMeta, Track
+from .core import (
+    ContractViolation,
+    RecordingMeta,
+    Track,
+    bumper_gap,
+    canonical_float,
+    csv_cells,
+    format_float,
+    write_json,
+    write_table,
+)
 from .maneuvers import ManeuverEpisode, ManeuverKind
 from .surround import (
     NO_VEHICLE,
@@ -167,12 +175,20 @@ class LaneChangeFitResult:
     objective_trace: Tuple[float, ...] = ()
 
 
+_EYE3 = np.eye(3)
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
 class _SeparableObjective:
     """Weighted SSE of the model over samples, for a fixed placement (t0, T).
 
     Outside [t0, t0 + T] the model extends steadily: constant lateral offset
     and constant longitudinal speed, which is how a settled vehicle moves.
-    Both inner problems are linear and solved in closed form per evaluation.
+    For a fixed placement both inner problems are linear: the lateral offset
+    r = alpha (1 - q) + beta q, with alpha = -sign*d_start and
+    beta = sign*d_end, and the position x = x0 + v_start*phi1 + v_end*phi2
+    on a piecewise basis. ``_solve`` solves both in closed form for a whole
+    grid of t0 at once; a single placement is a grid of one.
     """
 
     def __init__(self, times, xs, ys, marking_y, cfg: FitConfig) -> None:
@@ -182,111 +198,88 @@ class _SeparableObjective:
         self.w = cfg.longitudinal_weight
 
     def __call__(self, t0: float, T: float) -> Tuple[float, Optional[Dict]]:
-        """(objective, solution); solution None when the inner solve is singular."""
-        u = self.t - t0
-        s = np.clip(u / T, 0.0, 1.0)
-        q = shape(s)
+        """(objective, solution) at one placement; solution None when singular.
 
-        # Lateral: r = alpha (1 - q) + beta q, alpha = -sign*d_start, beta = sign*d_end.
-        b1 = 1.0 - q
-        a11 = float(b1 @ b1)
-        a12 = float(b1 @ q)
-        a22 = float(q @ q)
-        det = a11 * a22 - a12 * a12
-        if det <= 1e-12 * max(a11 * a22, 1e-300):
+        The residual sums come from the explicit residual vectors, so the
+        reported RMSEs are not quadratic forms.
+        """
+        valid, (lat_basis, _, _, lat_coeff), (lon_basis, _, _, lon_coeff) = self._solve(
+            np.array([t0]), T
+        )
+        if not valid[0]:
             return math.inf, None
-        r1 = float(b1 @ self.r)
-        r2 = float(q @ self.r)
-        alpha = (a22 * r1 - a12 * r2) / det
-        beta = (a11 * r2 - a12 * r1) / det
-        lat_res = self.r - alpha * b1 - beta * q
-
-        # Longitudinal: x = x0 + v_start*phi1 + v_end*phi2 (piecewise basis).
-        after = u > T
-        phi1 = np.where(u < 0.0, u, np.where(after, T / 2.0, u - u * u / (2.0 * T)))
-        phi2 = np.where(u < 0.0, 0.0, np.where(after, u - T / 2.0, u * u / (2.0 * T)))
-        design = np.column_stack([np.ones_like(u), phi1, phi2])
-        gram = design.T @ design
-        rhs = design.T @ self.x
-        try:
-            x0, v_start, v_end = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            return math.inf, None
-        lon_res = self.x - design @ np.array([x0, v_start, v_end])
-
-        objective = float(lat_res @ lat_res) + self.w * float(lon_res @ lon_res)
+        lat_res = self.r - lat_coeff[0] @ lat_basis[0]
+        lon_res = self.x - lon_coeff[0] @ lon_basis[0]
+        lateral_sse = float(lat_res @ lat_res)
+        longitudinal_sse = float(lon_res @ lon_res)
         solution = {
-            "alpha": float(alpha),
-            "beta": float(beta),
-            "v_start": float(v_start),
-            "v_end": float(v_end),
-            "lateral_sse": float(lat_res @ lat_res),
-            "longitudinal_sse": float(lon_res @ lon_res),
+            "alpha": float(lat_coeff[0, 0]),
+            "beta": float(lat_coeff[0, 1]),
+            "v_start": float(lon_coeff[0, 1]),
+            "v_end": float(lon_coeff[0, 2]),
+            "lateral_sse": lateral_sse,
+            "longitudinal_sse": longitudinal_sse,
         }
-        return objective, solution
+        return lateral_sse + self.w * longitudinal_sse, solution
 
     def grid_minimum(self, t0_grid: np.ndarray, T: float) -> Tuple[float, Optional[float]]:
         """(best objective, best t0) over all t0 candidates for one duration.
 
-        Vectorizes the two inner linear solves across the whole t0 grid;
-        the residual sums come from the quadratic form, so no per-candidate
-        residual vectors are materialized. Ties keep the earliest t0.
+        Each residual sum |y|^2 - c.(2h - A c) comes from the normal
+        equations A c = h, so no per-candidate residual vectors are
+        materialized. Ties keep the earliest t0.
         """
-        u = self.t[None, :] - t0_grid[:, None]
-        s = np.clip(u / T, 0.0, 1.0)
-        q = shape(s)
-        b1 = 1.0 - q
-
-        a11 = np.einsum("ij,ij->i", b1, b1)
-        a12 = np.einsum("ij,ij->i", b1, q)
-        a22 = np.einsum("ij,ij->i", q, q)
-        det = a11 * a22 - a12 * a12
-        valid = det > 1e-12 * np.maximum(a11 * a22, 1e-300)
-        safe_det = np.where(valid, det, 1.0)
-        r1 = b1 @ self.r
-        r2 = q @ self.r
-        alpha = (a22 * r1 - a12 * r2) / safe_det
-        beta = (a11 * r2 - a12 * r1) / safe_det
-        rr = float(self.r @ self.r)
-        lat_sse = (
-            rr - 2 * (alpha * r1 + beta * r2)
-            + alpha * alpha * a11 + 2 * alpha * beta * a12 + beta * beta * a22
-        )
-
-        after = u > T
-        phi1 = np.where(u < 0.0, u, np.where(after, T / 2.0, u - u * u / (2.0 * T)))
-        phi2 = np.where(u < 0.0, 0.0, np.where(after, u - T / 2.0, u * u / (2.0 * T)))
-        n = float(len(self.t))
-        g12 = phi1.sum(axis=1)
-        g13 = phi2.sum(axis=1)
-        g22 = np.einsum("ij,ij->i", phi1, phi1)
-        g23 = np.einsum("ij,ij->i", phi1, phi2)
-        g33 = np.einsum("ij,ij->i", phi2, phi2)
-        h1 = np.full(len(t0_grid), float(self.x.sum()))
-        h2 = phi1 @ self.x
-        h3 = phi2 @ self.x
-        gram = np.empty((len(t0_grid), 3, 3))
-        gram[:, 0, 0] = n
-        gram[:, 0, 1] = gram[:, 1, 0] = g12
-        gram[:, 0, 2] = gram[:, 2, 0] = g13
-        gram[:, 1, 1] = g22
-        gram[:, 1, 2] = gram[:, 2, 1] = g23
-        gram[:, 2, 2] = g33
-        rhs = np.stack([h1, h2, h3], axis=1)
-        lon_valid = np.abs(np.linalg.det(gram)) > 1e-12
-        valid = valid & lon_valid
+        valid, lateral, longitudinal = self._solve(t0_grid, T)
         if not valid.any():
             return math.inf, None
-        coeff = np.zeros_like(rhs)
-        coeff[valid] = np.linalg.solve(gram[valid], rhs[valid][:, :, None])[:, :, 0]
-        xx = float(self.x @ self.x)
-        lon_sse = (
-            xx - 2 * np.einsum("ij,ij->i", coeff, rhs)
-            + np.einsum("ij,ijk,ik->i", coeff, gram, coeff)
+        lat_sse, lon_sse = (
+            float(y @ y) - np.einsum("gi,gi->g", coeff,
+                                     2.0 * rhs - np.einsum("gij,gj->gi", normal, coeff))
+            for (_, normal, rhs, coeff), y in ((lateral, self.r), (longitudinal, self.x))
         )
         objective = np.where(valid, lat_sse + self.w * lon_sse, math.inf)
         best = int(np.argmin(objective))
         return float(objective[best]), float(t0_grid[best])
+
+    def _solve(self, t0_grid: np.ndarray, T: float):
+        """Both inner least-squares solves, vectorized over the t0 grid.
+
+        Returns (valid, lateral, longitudinal): whether both solves are
+        regular, then each problem as (basis, normal, rhs, coeff), one row per
+        t0, where coeff solves the normal equations normal @ coeff = rhs.
+        The lateral basis is [1 - q, q] with coefficients [alpha, beta], the
+        longitudinal one [1, phi1, phi2] with [x0, v_start, v_end].
+        """
+        u = self.t[None, :] - t0_grid[:, None]
+        before, after = u < 0.0, u > T
+        half_sq = u * u / (2.0 * T)
+        lat_basis = np.empty((len(t0_grid), 2, len(self.t)))
+        lat_basis[:, 1] = q = shape(np.clip(u / T, 0.0, 1.0))
+        lat_basis[:, 0] = 1.0 - q
+        lon_basis = np.empty((len(t0_grid), 3, len(self.t)))
+        lon_basis[:, 0] = 1.0
+        lon_basis[:, 1] = np.where(before, u, np.where(after, T / 2.0, u - half_sq))
+        lon_basis[:, 2] = np.where(before, 0.0, np.where(after, u - T / 2.0, half_sq))
+        lat_normal = np.vecdot(lat_basis[:, :, None], lat_basis[:, None])
+        lon_normal = np.vecdot(lon_basis[:, :, None], lon_basis[:, None])
+        lat_rhs = np.vecdot(lat_basis, self.r)
+        lon_rhs = np.vecdot(lon_basis, self.x)
+
+        # Lateral 2x2 by its adjugate [[a22, -a12], [-a12, a11]] (cheaper
+        # than a batched LU), the longitudinal 3x3 by LU; singular rows solve
+        # a stand-in system and stay invalid.
+        a11, a12, a22 = lat_normal[:, 0, 0], lat_normal[:, 0, 1], lat_normal[:, 1, 1]
+        det = a11 * a22 - a12 * a12
+        valid = (det > 1e-12 * np.maximum(a11 * a22, 1e-300)) & (
+            np.abs(np.linalg.det(lon_normal)) > 1e-12
+        )
+        adjugate = lat_normal[:, ::-1, ::-1] * _ADJUGATE_SIGNS
+        lat_coeff = np.vecdot(adjugate, lat_rhs[:, None]) / np.where(valid, det, 1.0)[:, None]
+        lon_coeff = np.linalg.solve(
+            np.where(valid[:, None, None], lon_normal, _EYE3), lon_rhs[:, :, None]
+        )[:, :, 0]
+        return (valid, (lat_basis, lat_normal, lat_rhs, lat_coeff),
+                (lon_basis, lon_normal, lon_rhs, lon_coeff))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -517,41 +510,25 @@ def extract_cut_ins(
         tail_state = tail.state_at(episode.crossing_frame)
         changer_state = changer.state_at(episode.crossing_frame)
 
-        gap = max(
-            abs(changer_state.x - tail_state.x) - (changer.length + tail.length) / 2.0,
-            0.0,
-        )
+        gap = bumper_gap(changer_state, changer.length, tail_state, tail.length)
         tail_speed = abs(tail_state.vx)
         entry_thw = gap / tail_speed if tail_speed > SPEED_FLOOR else UNDEFINED
 
-        min_dhw = min_thw = min_ttc = UNDEFINED
-        for tail_sf in surround[tailing_id]:
-            if not episode.start_frame <= tail_sf.frame <= episode.end_frame:
-                continue
-            if tail_sf.preceding_id != episode.track_id:
-                continue
-            for name, value in (("dhw", tail_sf.dhw), ("thw", tail_sf.thw),
-                                ("ttc", tail_sf.ttc)):
-                if value == UNDEFINED:
-                    continue
-                current = {"dhw": min_dhw, "thw": min_thw, "ttc": min_ttc}[name]
-                if current == UNDEFINED or value < current:
-                    if name == "dhw":
-                        min_dhw = value
-                    elif name == "thw":
-                        min_thw = value
-                    else:
-                        min_ttc = value
+        behind = [
+            f for f in surround[tailing_id]
+            if episode.start_frame <= f.frame <= episode.end_frame
+            and f.preceding_id == episode.track_id
+        ]
+        min_dhw = min((f.dhw for f in behind if f.dhw != UNDEFINED), default=UNDEFINED)
+        min_thw = min((f.thw for f in behind if f.thw != UNDEFINED), default=UNDEFINED)
+        min_ttc = min((f.ttc for f in behind if f.ttc != UNDEFINED), default=UNDEFINED)
 
         preceding_id = sf.preceding_id
         gap_between = UNDEFINED
         if preceding_id != NO_VEHICLE:
             lead = by_id[preceding_id]
-            lead_state = lead.state_at(episode.crossing_frame)
-            gap_between = max(
-                abs(lead_state.x - tail_state.x) - (lead.length + tail.length) / 2.0,
-                0.0,
-            )
+            gap_between = bumper_gap(lead.state_at(episode.crossing_frame), lead.length,
+                                     tail_state, tail.length)
 
         side = (
             CutInSide.FROM_LEFT
@@ -617,85 +594,59 @@ def write_fits_csv(
     recording_id: int,
     path: Path,
 ) -> None:
-    from .dataset_io import format_float
+    write_table(path, FIT_COLUMNS, (
+        [
+            recording_id,
+            episode.track_id,
+            episode.crossing_frame,
+            format_float(fit.t0),
+            format_float(fit.params.duration),
+            format_float(fit.params.d_start),
+            format_float(fit.params.d_end),
+            format_float(fit.params.v_start),
+            format_float(fit.params.v_end),
+            fit.params.side.value,
+            format_float(fit.lateral_rmse),
+            format_float(fit.longitudinal_rmse),
+            1 if fit.converged else 0,
+            fit.iterations,
+        ]
+        for episode, fit in fits
+    ))
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FIT_COLUMNS)
-        for episode, fit in fits:
-            p = fit.params
-            writer.writerow(
-                [
-                    recording_id,
-                    episode.track_id,
-                    episode.crossing_frame,
-                    format_float(fit.t0),
-                    format_float(p.duration),
-                    format_float(p.d_start),
-                    format_float(p.d_end),
-                    format_float(p.v_start),
-                    format_float(p.v_end),
-                    p.side.value,
-                    format_float(fit.lateral_rmse),
-                    format_float(fit.longitudinal_rmse),
-                    1 if fit.converged else 0,
-                    fit.iterations,
-                ]
-            )
+
+def _cut_in_records(
+    scenarios: Sequence[CutInScenario], recording_id: int
+) -> List[Dict]:
+    """One JSON-ready record per scenario, keyed by CUT_IN_COLUMNS, with the
+    metrics in canonical precision."""
+    return [
+        dict(zip(CUT_IN_COLUMNS, (
+            recording_id,
+            s.track_id,
+            s.tailing_id,
+            s.preceding_id,
+            s.crossing_frame,
+            canonical_float(s.entry_thw),
+            canonical_float(s.tail_speed_at_entry),
+            canonical_float(s.min_dhw),
+            canonical_float(s.min_thw),
+            canonical_float(s.min_ttc),
+            canonical_float(s.gap_size),
+            s.side.value,
+        )))
+        for s in scenarios
+    ]
 
 
 def write_cut_ins_csv(
     scenarios: Sequence[CutInScenario], recording_id: int, path: Path
 ) -> None:
-    from .dataset_io import format_float
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CUT_IN_COLUMNS)
-        for s in scenarios:
-            writer.writerow(
-                [
-                    recording_id,
-                    s.track_id,
-                    s.tailing_id,
-                    s.preceding_id,
-                    s.crossing_frame,
-                    format_float(s.entry_thw),
-                    format_float(s.tail_speed_at_entry),
-                    format_float(s.min_dhw),
-                    format_float(s.min_thw),
-                    format_float(s.min_ttc),
-                    format_float(s.gap_size),
-                    s.side.value,
-                ]
-            )
+    write_table(path, CUT_IN_COLUMNS,
+                map(csv_cells, _cut_in_records(scenarios, recording_id)))
 
 
 def write_cut_ins_json(
     scenarios: Sequence[CutInScenario], recording_id: int, path: Path
 ) -> None:
-    from .dataset_io import format_float
-
-    def canon(x: float) -> float:
-        return float(format_float(x))
-
-    items = [
-        {
-            "recordingId": recording_id,
-            "trackId": s.track_id,
-            "tailingId": s.tailing_id,
-            "precedingId": s.preceding_id,
-            "crossingFrame": s.crossing_frame,
-            "entryThw": canon(s.entry_thw),
-            "tailSpeedAtEntry": canon(s.tail_speed_at_entry),
-            "minDhw": canon(s.min_dhw),
-            "minThw": canon(s.min_thw),
-            "minTtc": canon(s.min_ttc),
-            "gapSize": canon(s.gap_size),
-            "side": s.side.value,
-        }
-        for s in scenarios
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(items, fh, indent=2)
-        fh.write("\n")
+    write_json(path, _cut_in_records(scenarios, recording_id))

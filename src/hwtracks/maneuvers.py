@@ -10,14 +10,19 @@ crossing, which also defines whether a lane change counts as complete.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .core import ContractViolation, RecordingMeta, Track
+from .core import (
+    ContractViolation,
+    RecordingMeta,
+    Track,
+    csv_cells,
+    write_json,
+    write_table,
+)
 from .surround import NO_VEHICLE, UNDEFINED, SurroundFrame
 
 
@@ -269,50 +274,36 @@ EPISODE_COLUMNS = [
 ]
 
 
-def _episode_cells(recording_id: int, ep: ManeuverEpisode) -> List:
-    is_lc = ep.kind is ManeuverKind.LANE_CHANGE
-    return [
-        recording_id,
-        ep.track_id,
-        ep.kind.value,
-        ep.start_frame,
-        ep.end_frame,
-        ep.from_lane if is_lc else "",
-        ep.to_lane if is_lc else "",
-        ep.crossing_frame if is_lc else "",
-        (1 if ep.complete else 0) if is_lc else "",
-    ]
+def _episode_records(
+    episodes: Sequence[ManeuverEpisode], recording_id: int
+) -> List[Dict]:
+    """One JSON-ready record per episode, keyed by EPISODE_COLUMNS; the
+    lane-change fields are None for other kinds."""
+    records = []
+    for ep in episodes:
+        is_lc = ep.kind is ManeuverKind.LANE_CHANGE
+        records.append(dict(zip(EPISODE_COLUMNS, (
+            recording_id,
+            ep.track_id,
+            ep.kind.value,
+            ep.start_frame,
+            ep.end_frame,
+            ep.from_lane if is_lc else None,
+            ep.to_lane if is_lc else None,
+            ep.crossing_frame if is_lc else None,
+            ep.complete if is_lc else None,
+        ))))
+    return records
 
 
 def write_episodes_csv(
     episodes: Sequence[ManeuverEpisode], recording_id: int, path: Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EPISODE_COLUMNS)
-        for ep in episodes:
-            writer.writerow(_episode_cells(recording_id, ep))
+    write_table(path, EPISODE_COLUMNS,
+                map(csv_cells, _episode_records(episodes, recording_id)))
 
 
 def write_episodes_json(
     episodes: Sequence[ManeuverEpisode], recording_id: int, path: Path
 ) -> None:
-    items = []
-    for ep in episodes:
-        is_lc = ep.kind is ManeuverKind.LANE_CHANGE
-        items.append(
-            {
-                "recordingId": recording_id,
-                "trackId": ep.track_id,
-                "kind": ep.kind.value,
-                "startFrame": ep.start_frame,
-                "endFrame": ep.end_frame,
-                "fromLane": ep.from_lane if is_lc else None,
-                "toLane": ep.to_lane if is_lc else None,
-                "crossingFrame": ep.crossing_frame if is_lc else None,
-                "complete": ep.complete if is_lc else None,
-            }
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(items, fh, indent=2)
-        fh.write("\n")
+    write_json(path, _episode_records(episodes, recording_id))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .core import Track
+from .core import Track, write_json
 from .dataset_io import (
     Recording,
     RecordingFileSet,
@@ -132,7 +132,7 @@ def track_stage(
     health).
     """
     meta = read_recording_meta(meta_path)
-    detections = read_detections(detections_path)
+    detections = read_detections(detections_path, meta.max_frame)
     tracker_cfg = dataclasses.replace(cfg.tracker, frame_rate=meta.frame_rate)
     smoother_cfg = dataclasses.replace(cfg.smoother, dt=1.0 / meta.frame_rate)
     raw_tracks = build_tracks(detections, tracker_cfg)
@@ -152,16 +152,15 @@ def track_stage(
         )
     surround = compute_surround(tracks, meta)
     paths = write_recording(meta, tracks, surround, output_dir)
-    report_path = output_dir / f"{meta.recording_id:02d}_smoothingReport.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump({"recordingId": meta.recording_id, "tracks": report}, fh, indent=2)
-        fh.write("\n")
+    write_json(output_dir / f"{meta.recording_id:02d}_smoothingReport.json",
+               {"recordingId": meta.recording_id, "tracks": report})
     return paths
 
 
 @dataclass(frozen=True)
 class ExtractResult:
     recording_id: int
+    frame_rate: float
     tracks: Tuple[Track, ...]
     episodes: Tuple[ManeuverEpisode, ...]
     fits: Tuple[Tuple[ManeuverEpisode, LaneChangeFitResult], ...]
@@ -169,8 +168,8 @@ class ExtractResult:
     fit_failures: int
 
 
-def extract_stage(recording: Recording, cfg: PipelineConfig) -> ExtractResult:
-    """Episodes, lane-change fits and cut-ins for one loaded recording."""
+def events_stage(recording: Recording, cfg: PipelineConfig) -> ExtractResult:
+    """Episodes and cut-ins for one loaded recording, without lane-change fits."""
     episodes: List[ManeuverEpisode] = []
     for track in recording.tracks:
         episodes.extend(
@@ -182,11 +181,26 @@ def extract_stage(recording: Recording, cfg: PipelineConfig) -> ExtractResult:
             )
         )
     episodes.sort(key=lambda e: (e.track_id, e.kind.value, e.start_frame))
+    cut_ins = extract_cut_ins(episodes, recording.tracks, recording.surround,
+                              recording.meta)
+    return ExtractResult(
+        recording_id=recording.meta.recording_id,
+        frame_rate=recording.meta.frame_rate,
+        tracks=recording.tracks,
+        episodes=tuple(episodes),
+        fits=(),
+        cut_ins=tuple(cut_ins),
+        fit_failures=0,
+    )
 
+
+def extract_stage(recording: Recording, cfg: PipelineConfig) -> ExtractResult:
+    """Episodes, lane-change fits and cut-ins for one loaded recording."""
+    result = events_stage(recording, cfg)
     by_id = {t.track_id: t for t in recording.tracks}
     fits = []
     failures = 0
-    for episode in episodes:
+    for episode in result.episodes:
         if episode.kind is not ManeuverKind.LANE_CHANGE:
             continue
         try:
@@ -196,19 +210,16 @@ def extract_stage(recording: Recording, cfg: PipelineConfig) -> ExtractResult:
             )
         except (InsufficientData, DegenerateEpisode):
             failures += 1
-    cut_ins = extract_cut_ins(episodes, recording.tracks, recording.surround,
-                              recording.meta)
-    return ExtractResult(
-        recording_id=recording.meta.recording_id,
-        tracks=recording.tracks,
-        episodes=tuple(episodes),
-        fits=tuple(fits),
-        cut_ins=tuple(cut_ins),
-        fit_failures=failures,
-    )
+    return dataclasses.replace(result, fits=tuple(fits), fit_failures=failures)
 
 
 def extract_recording_files(
     paths: RecordingFileSet, cfg: PipelineConfig
 ) -> ExtractResult:
     return extract_stage(read_recording(paths), cfg)
+
+
+def events_recording_files(
+    paths: RecordingFileSet, cfg: PipelineConfig
+) -> ExtractResult:
+    return events_stage(read_recording(paths), cfg)

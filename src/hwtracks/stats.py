@@ -8,8 +8,6 @@ median and the last is the bin maximum.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Track, VehicleClass
+from .core import Track, VehicleClass, format_float, write_json, write_table
 from .lane_change import CutInScenario
 from .maneuvers import ManeuverEpisode, ManeuverKind
 from .surround import UNDEFINED
@@ -94,12 +92,13 @@ class TruckRatioSeries:
 
 
 def truck_ratio_over_time(
-    tracks: Sequence[Track], window: float, frame_rate: float = 25.0
+    tracks: Sequence[Track], window: float, frame_rate: float
 ) -> TruckRatioSeries:
     """Truck ratio per time window, counting each vehicle once at its entry.
 
     A vehicle belongs to the window containing its first frame, so the
-    per-window entry counts partition the vehicles.
+    per-window entry counts partition the vehicles. ``frame_rate`` is the
+    recording's, which turns entry frames into seconds.
     """
     if not window > 0:
         raise ValueError("window must be positive")
@@ -230,66 +229,40 @@ def cut_in_thw_stats(
 
 
 def write_histogram_csv(histogram: Histogram, path: Path) -> None:
-    from .dataset_io import format_float
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["binStart", "binEnd", "count"])
-        for i, count in enumerate(histogram.counts):
-            writer.writerow(
-                [
-                    format_float(histogram.bin_edges[i]),
-                    format_float(histogram.bin_edges[i + 1]),
-                    count,
-                ]
-            )
+    edges = histogram.bin_edges
+    write_table(path, ["binStart", "binEnd", "count"], (
+        [format_float(edges[i]), format_float(edges[i + 1]), count]
+        for i, count in enumerate(histogram.counts)
+    ))
 
 
 def write_truck_ratio_csv(series: TruckRatioSeries, path: Path) -> None:
-    from .dataset_io import format_float
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["windowStart", "entries", "truckRatio"])
+    write_table(path, ["windowStart", "entries", "truckRatio"], (
+        [format_float(start), entries, "" if math.isnan(ratio) else format_float(ratio)]
         for start, entries, ratio in zip(series.window_starts, series.entries,
-                                         series.ratios):
-            writer.writerow(
-                [
-                    format_float(start),
-                    entries,
-                    "" if math.isnan(ratio) else format_float(ratio),
-                ]
-            )
+                                         series.ratios)
+    ))
 
 
 def write_decile_band_csv(band: DecileBand, path: Path) -> None:
-    from .dataset_io import format_float
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["binCenter", "count", "sparse"] + [f"d{k + 1}" for k in range(10)]
-        )
+    columns = ["binCenter", "count", "sparse"] + [f"d{k + 1}" for k in range(10)]
+    write_table(path, columns, (
+        [format_float(center), count, 1 if is_sparse else 0]
+        + [format_float(d) for d in deciles]
         for center, count, is_sparse, deciles in zip(
             band.x_bin_centers, band.counts, band.sparse, band.deciles
-        ):
-            writer.writerow(
-                [format_float(center), count, 1 if is_sparse else 0]
-                + [format_float(d) for d in deciles]
-            )
+        )
+    ))
 
 
 def write_summary_json(
     summary: ManeuverSummary, cut_in_count: int, path: Path
 ) -> None:
-    payload = {
+    write_json(path, {
         "episodeCounts": summary.episode_counts,
         "laneChangesComplete": summary.lane_changes_complete,
         "laneChangesPartial": summary.lane_changes_partial,
         "vehicleCount": summary.vehicle_count,
         "laneChangeRate": summary.lane_change_rate,
         "cutInCount": cut_in_count,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })

@@ -19,6 +19,7 @@ from .core import (
     RecordingMeta,
     Track,
     ahead_of,
+    bumper_gap,
 )
 
 #: Neighbor-id sentinel: no vehicle in that slot.
@@ -78,7 +79,7 @@ def headway_metrics(
         raise ContractViolation(
             f"lead (track at x={lead.x}) is not ahead of ego (x={ego.x})"
         )
-    dhw = max(abs(lead.x - ego.x) - (lead_length + ego_length) / 2.0, 0.0)
+    dhw = bumper_gap(lead, lead_length, ego, ego_length)
     v_ego = abs(ego.vx)
     v_lead = abs(lead.vx)
     thw = dhw / v_ego if v_ego > SPEED_FLOOR else UNDEFINED
@@ -99,7 +100,7 @@ def gap_size(
         raise ContractViolation(
             f"lead (x={lead.x}) is not ahead of tail (x={tail.x})"
         )
-    return max(abs(lead.x - tail.x) - (lead_length + tail_length) / 2.0, 0.0)
+    return bumper_gap(lead, lead_length, tail, tail_length)
 
 
 class _LaneColumn:

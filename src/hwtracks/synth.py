@@ -33,6 +33,7 @@ from .core import (
     Track,
     UNLIMITED_SPEED,
     VehicleClass,
+    bumper_gap,
     compute_mean_speed,
     lane_id_of,
 )
@@ -530,10 +531,7 @@ def _truth_cut_ins(
         tail = by_id[tailing_id]
         tail_state = tail.state_at(f)
         changer_state = changer.state_at(f)
-        gap = max(
-            abs(changer_state.x - tail_state.x) - (changer.length + tail.length) / 2.0,
-            0.0,
-        )
+        gap = bumper_gap(changer_state, changer.length, tail_state, tail.length)
         tail_speed = abs(tail_state.vx)
         entry_thw = gap / tail_speed if tail_speed > SPEED_FLOOR else UNDEFINED
 
@@ -547,7 +545,7 @@ def _truth_cut_ins(
             cs = changer.state_at(frame)
             if cs is None:
                 continue
-            dhw = max(abs(cs.x - ts.x) - (changer.length + tail.length) / 2.0, 0.0)
+            dhw = bumper_gap(cs, changer.length, ts, tail.length)
             v_tail, v_changer = abs(ts.vx), abs(cs.vx)
             thw = dhw / v_tail if v_tail > SPEED_FLOOR else UNDEFINED
             closing = v_tail - v_changer
@@ -563,11 +561,7 @@ def _truth_cut_ins(
         gap_between = UNDEFINED
         if preceding_id != NO_VEHICLE:
             lead = by_id[preceding_id]
-            lead_state = lead.state_at(f)
-            gap_between = max(
-                abs(lead_state.x - tail_state.x) - (lead.length + tail.length) / 2.0,
-                0.0,
-            )
+            gap_between = bumper_gap(lead.state_at(f), lead.length, tail_state, tail.length)
         side = (
             CutInSide.FROM_LEFT
             if lc.from_lane == left_lane_id(lc.to_lane, tail.direction)

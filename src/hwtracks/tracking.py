@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import ContractViolation, Detection, VehicleClass
+from .core import ContractViolation, Detection, VehicleClass, format_float, write_table
 from .dataset_io import (
+    INVARIANT_VIOLATION,
     MISSING_COLUMN,
     TYPE_MISMATCH,
     DatasetError,
     ValidationIssue,
-    format_float,
 )
 
 DETECTIONS_COLUMNS = ["frame", "cx", "cy", "length", "width", "class"]
@@ -251,25 +251,26 @@ def build_tracks(
 def write_detections(
     frames: Sequence[Sequence[Detection]], path: Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DETECTIONS_COLUMNS)
-        for detections in frames:
-            for det in detections:
-                writer.writerow(
-                    [
-                        det.frame,
-                        format_float(det.cx),
-                        format_float(det.cy),
-                        format_float(det.length),
-                        format_float(det.width),
-                        det.class_hint.value if det.class_hint is not None else "",
-                    ]
-                )
+    write_table(path, DETECTIONS_COLUMNS, (
+        [
+            det.frame,
+            format_float(det.cx),
+            format_float(det.cy),
+            format_float(det.length),
+            format_float(det.width),
+            det.class_hint.value if det.class_hint is not None else "",
+        ]
+        for detections in frames
+        for det in detections
+    ))
 
 
-def read_detections(path: Path) -> List[List[Detection]]:
-    """Detections grouped by frame, index 0..max frame (gaps are empty lists)."""
+def read_detections(path: Path, max_frame: float) -> List[List[Detection]]:
+    """Detections grouped by frame, index 0..max frame (gaps are empty lists).
+
+    Frames outside [0, ``max_frame``] (the recording meta's) are rejected
+    before anything is grouped, so the frame lists stay within the recording.
+    """
     path = Path(path)
 
     def fail(kind: str, message: str, row: Optional[int] = None,
@@ -293,6 +294,10 @@ def read_detections(path: Path) -> List[List[Detection]]:
                 frame = int(frame_text)
             except ValueError:
                 fail(TYPE_MISMATCH, f"expected integer frame, got {frame_text!r}",
+                     row=i, column="frame")
+            if not 0 <= frame <= max_frame:
+                fail(INVARIANT_VIOLATION,
+                     f"frame {frame} outside [0, {format_float(max_frame)}]",
                      row=i, column="frame")
             try:
                 values = [float(v) for v in (cx, cy, length, width)]

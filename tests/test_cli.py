@@ -141,6 +141,28 @@ class TestTrackCommand:
         assert entry["row"] == 3
         assert "01_detections.csv" in entry["file"]
 
+    def test_frame_beyond_recording_named_in_error(self, tmp_path, capsys):
+        out = run_synth(tmp_path, duration=20.0)  # 25 fps: last frame 500
+        det = out / "detections" / "01_detections.csv"
+        lines = det.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[0] = "900"
+        lines[3] = ",".join(cells)
+        det.write_text("\n".join(lines) + "\n")
+        assert main(["track", "--input", str(out / "detections"),
+                     "--output", str(tmp_path / "o")]) == 1
+        entry = json.loads(capsys.readouterr().err)["errors"][0]
+        assert entry["kind"] == "InvariantViolation"
+        assert (entry["row"], entry["column"]) == (3, "frame")
+        assert "01_detections.csv" in entry["file"]
+
+    @pytest.mark.parametrize("command", ["track", "extract", "stats"])
+    def test_seed_override_only_on_synth(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(tmp_path), "--output", str(tmp_path / "o"),
+                  "--seed-override", "7"])
+        assert exc.value.code == 2
+
 
 class TestExtractCommand:
     def test_outputs(self, tmp_path, capsys):
@@ -272,6 +294,57 @@ class TestStatsCommand:
         assert (stats_dir / "summary.json").is_file()
         assert not (stats_dir / "01_episodes.csv").exists()
 
+    def test_stats_does_not_fit_lane_changes(self, tmp_path, capsys, monkeypatch):
+        import hwtracks.pipeline
+
+        def no_fit(*args):
+            raise AssertionError("stats must not fit lane changes")
+
+        monkeypatch.setattr(hwtracks.pipeline, "fit_episode", no_fit)
+        out = run_synth(tmp_path)
+        capsys.readouterr()
+        assert main(["stats", "--input", str(out / "truth"),
+                     "--output", str(tmp_path / "stats")]) == 0
+        assert "lane-change fits" not in capsys.readouterr().out
+
+    def test_truck_ratio_uses_recording_frame_rate(self, tmp_path):
+        # 50 fps: the truck enters at frame 75, i.e. 1.5 s, inside the first
+        # 2 s window (at an assumed 25 fps it would land in [2 s, 4 s))
+        script = tmp_path / "scene.json"
+        script.write_text(json.dumps({
+            "seed": 3, "duration": 6.0, "frame_rate": 50.0, "recording_id": 1,
+            "vehicles": [
+                {"direction": "lower", "entry_lane": 1, "entry_x": 0.0,
+                 "initial_speed": 25.0},
+                {"class": "Truck", "direction": "lower", "entry_lane": 2,
+                 "entry_x": 0.0, "entry_time": 1.5, "initial_speed": 22.0},
+            ],
+        }))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stats": {"truck_ratio_window": 2.0}}))
+        out = tmp_path / "synth"
+        assert main(["synth", "--script", str(script), "--output", str(out)]) == 0
+        stats_dir = tmp_path / "stats"
+        assert main(["stats", "--config", str(cfg), "--input", str(out / "truth"),
+                     "--output", str(stats_dir)]) == 0
+        rows = (stats_dir / "01_truckRatio.csv").read_text().splitlines()
+        assert rows == ["windowStart,entries,truckRatio", "0,2,0.5"]
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("jobs, items, cpus, want", [
+        (1, 8, 2, 1),
+        (8, 1, 2, 1),
+        (8, 3, 16, 3),
+        (64, 8, 2, 2),
+        (2, 8, None, 1),
+    ])
+    def test_clamped_to_items_and_cpus(self, monkeypatch, jobs, items, cpus, want):
+        import hwtracks.cli
+
+        monkeypatch.setattr(hwtracks.cli.os, "cpu_count", lambda: cpus)
+        assert hwtracks.cli._worker_count(jobs, items) == want
+
 
 class TestConfigFile:
     def test_config_sections_and_flag_override(self, tmp_path):
@@ -325,6 +398,41 @@ class TestBundledDemoScript:
             "9659d2accd9ccab1beb2494b9e304fec3fabf3adecefcdd6a1e40ecfa63fca10",
     }
 
+    # extract and stats outputs of synth -> track -> extract / stats on the
+    # same scene
+    GOLDEN_DERIVED_SHA256 = {
+        "extract/01_cutIns.csv":
+            "28dc02fd032ed5871214a1cdb746f254887b73776146c7f944721a07a2912f90",
+        "extract/01_cutIns.json":
+            "3a7e49307d80822ade662854220a9dcac1595049b2d2e9ec1d5343c657a127a4",
+        "extract/01_episodes.csv":
+            "ebd9970e83b26c30135d52b4f5b0ab4a6e4d1b9b9c4d24c6a73aa4084327cc1c",
+        "extract/01_episodes.json":
+            "90eb55edf272c468391f2056747cbcb6c3e7114970917b0605af7e0d20c7b6c7",
+        "extract/01_laneChangeFits.csv":
+            "93d748dece8b5126f03e6042b54e6653747ebf59bbf8589f45751e9aa046e608",
+        "extract/01_truckRatio.csv":
+            "be9642643fbafd6d80312e1b2f5c376654ebc6197ff383dd364b4bf504e42f8b",
+        "extract/cutInThwBand.csv":
+            "d60a7ae4c51821060f1ab06a719fc37a879f6ffa2eb85e8c2789583a21e6076f",
+        "extract/cutInThwHistogram.csv":
+            "22cb16dda11a4e80fbe2011f53e14fa06f40ce98bb836329a54fc5a18e6e87ee",
+        "extract/meanSpeedHistogram.csv":
+            "02c6c0137db47c35de6b858ba3e51cf731e5f8d9cb0086c96eece3276191acc8",
+        "extract/summary.json":
+            "7f96c135ac675c640b0a75ca7de2e465ed463f9cc3131f3e3f24af2a846aa1b1",
+        "stats/01_truckRatio.csv":
+            "be9642643fbafd6d80312e1b2f5c376654ebc6197ff383dd364b4bf504e42f8b",
+        "stats/cutInThwBand.csv":
+            "d60a7ae4c51821060f1ab06a719fc37a879f6ffa2eb85e8c2789583a21e6076f",
+        "stats/cutInThwHistogram.csv":
+            "22cb16dda11a4e80fbe2011f53e14fa06f40ce98bb836329a54fc5a18e6e87ee",
+        "stats/meanSpeedHistogram.csv":
+            "02c6c0137db47c35de6b858ba3e51cf731e5f8d9cb0086c96eece3276191acc8",
+        "stats/summary.json":
+            "7f96c135ac675c640b0a75ca7de2e465ed463f9cc3131f3e3f24af2a846aa1b1",
+    }
+
     def test_golden_output(self, tmp_path):
         # seed-pinned scene: the synthesized bytes are frozen from the first
         # verified run and must never drift
@@ -335,6 +443,26 @@ class TestBundledDemoScript:
         out = tmp_path / "golden"
         assert main(["synth", "--script", str(script), "--output", str(out)]) == 0
         for rel, want in self.GOLDEN_SHA256.items():
+            got = hashlib.sha256((out / rel).read_bytes()).hexdigest()
+            assert got == want, f"{rel}: digest drifted"
+
+    def test_golden_extract_and_stats_output(self, tmp_path):
+        import hashlib
+        from pathlib import Path
+
+        script = Path(__file__).resolve().parent.parent / "demos" / "demo_scene.json"
+        out = tmp_path / "golden"
+        assert main(["synth", "--script", str(script), "--output", str(out / "synth")]) == 0
+        assert main(["track", "--input", str(out / "synth" / "detections"),
+                     "--output", str(out / "rec")]) == 0
+        for command in ("extract", "stats"):
+            assert main([command, "--input", str(out / "rec"),
+                         "--output", str(out / command)]) == 0
+        written = sorted(p.relative_to(out).as_posix()
+                         for command in ("extract", "stats")
+                         for p in (out / command).iterdir())
+        assert written == sorted(self.GOLDEN_DERIVED_SHA256)
+        for rel, want in self.GOLDEN_DERIVED_SHA256.items():
             got = hashlib.sha256((out / rel).read_bytes()).hexdigest()
             assert got == want, f"{rel}: digest drifted"
 

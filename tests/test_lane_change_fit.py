@@ -18,7 +18,13 @@ from hwtracks import (
     extract_cut_ins,
     fit_lane_change,
 )
-from hwtracks.lane_change import CutInSide, SHAPE_COEFFICIENTS, shape
+from hwtracks.lane_change import (
+    CutInSide,
+    FitConfig,
+    SHAPE_COEFFICIENTS,
+    _SeparableObjective,
+    shape,
+)
 from hwtracks.surround import NO_VEHICLE, UNDEFINED, left_lane_id
 
 DT = 0.04
@@ -145,6 +151,61 @@ def synth_episode(p, t0=2.0, pad=1.0, marking_y=15.7, noise=0.0, rng=None,
     if noise > 0:
         ys = ys + rng.normal(0, noise, len(ys))
     return times, xs, ys
+
+
+def reference_objective(t, x, r, t0, T, weight):
+    """Weighted SSE at one placement from two explicit least-squares solves."""
+    u = t - t0
+    q = shape(np.clip(u / T, 0.0, 1.0))
+    phi1 = np.where(u < 0, u, np.where(u > T, T / 2, u - u * u / (2 * T)))
+    phi2 = np.where(u < 0, 0.0, np.where(u > T, u - T / 2, u * u / (2 * T)))
+    lateral = np.column_stack([1 - q, q])
+    longitudinal = np.column_stack([np.ones_like(u), phi1, phi2])
+    c_lat = np.linalg.lstsq(lateral, r, rcond=None)[0]
+    c_lon = np.linalg.lstsq(longitudinal, x, rcond=None)[0]
+    lat_res = r - lateral @ c_lat
+    lon_res = x - longitudinal @ c_lon
+    return lat_res @ lat_res + weight * (lon_res @ lon_res), c_lat, c_lon
+
+
+class TestSeparableObjective:
+    """The batched inner solve against per-placement least squares."""
+
+    @pytest.fixture
+    def episode(self):
+        rng = np.random.default_rng(3)
+        times, xs, ys = synth_episode(params(), noise=0.05, rng=rng)
+        return np.asarray(times), np.asarray(xs), np.asarray(ys)
+
+    def test_single_placement_matches_reference(self, episode):
+        t, x, y = episode
+        cfg = FitConfig()
+        objective = _SeparableObjective(t, x, y, 15.7, cfg)
+        for t0, T in ((1.0, 4.0), (2.0, 5.0), (3.5, 2.5)):
+            value, solution = objective(t0, T)
+            want, c_lat, c_lon = reference_objective(
+                t, x, y - 15.7, t0, T, cfg.longitudinal_weight)
+            assert value == pytest.approx(want, rel=1e-9)
+            assert value == pytest.approx(solution["lateral_sse"] + cfg.longitudinal_weight
+                                          * solution["longitudinal_sse"], rel=1e-12)
+            assert (solution["alpha"], solution["beta"]) == pytest.approx(tuple(c_lat), rel=1e-9)
+            assert (solution["v_start"], solution["v_end"]) == pytest.approx(
+                tuple(c_lon[1:]), rel=1e-9)
+
+    def test_grid_minimum_is_the_best_single_placement(self, episode):
+        t, x, y = episode
+        objective = _SeparableObjective(t, x, y, 15.7, FitConfig())
+        grid = t[::7]
+        values = [objective(t0, 5.0)[0] for t0 in grid]
+        best, best_t0 = objective.grid_minimum(grid, 5.0)
+        assert best == pytest.approx(min(values), rel=1e-7)
+        assert best_t0 == grid[int(np.argmin(values))]
+
+    def test_placement_after_the_samples_is_singular(self, episode):
+        t, x, y = episode
+        objective = _SeparableObjective(t, x, y, 15.7, FitConfig())
+        assert objective(float(t[-1]) + 1.0, 3.0) == (np.inf, None)
+        assert objective.grid_minimum(t[-1] + np.array([1.0, 2.0]), 3.0) == (np.inf, None)
 
 
 class TestFitLaneChange:

@@ -83,7 +83,7 @@ class TestTruckRatio:
     def test_all_cars_zero(self):
         tracks = [straight_track(track_id=i + 1, n_frames=10,
                                  first_frame=100 * i) for i in range(5)]
-        series = truck_ratio_over_time(tracks, window=2.0)
+        series = truck_ratio_over_time(tracks, window=2.0, frame_rate=25.0)
         defined = [r for r in series.ratios if not math.isnan(r)]
         assert all(r == 0.0 for r in defined)
 
@@ -94,7 +94,7 @@ class TestTruckRatio:
                                           VehicleClass.CAR))
             for i in range(4)
         ]
-        series = truck_ratio_over_time(tracks, window=60.0)
+        series = truck_ratio_over_time(tracks, window=60.0, frame_rate=25.0)
         assert series.ratios == (0.5,)
         assert series.entries == (4,)
 
@@ -119,7 +119,7 @@ class TestTruckRatio:
     def test_vehicle_counted_once_at_entry(self):
         # spans 3 windows but belongs to the first
         track = straight_track(track_id=1, n_frames=2000)
-        series = truck_ratio_over_time([track], window=10.0)
+        series = truck_ratio_over_time([track], window=10.0, frame_rate=25.0)
         assert series.entries == (1,)
 
     def test_empty_window_undefined(self):
@@ -127,7 +127,7 @@ class TestTruckRatio:
             straight_track(track_id=1, n_frames=3, first_frame=0),
             straight_track(track_id=2, n_frames=3, first_frame=30 * 25),
         ]
-        series = truck_ratio_over_time(tracks, window=10.0)
+        series = truck_ratio_over_time(tracks, window=10.0, frame_rate=25.0)
         assert len(series.ratios) == 4
         assert math.isnan(series.ratios[1])
         assert math.isnan(series.ratios[2])
@@ -141,10 +141,10 @@ class TestTruckRatio:
             )
             for i in range(50)
         ]
-        a = truck_ratio_over_time(tracks, window=7.0)
+        a = truck_ratio_over_time(tracks, window=7.0, frame_rate=25.0)
         shuffled = tracks[:]
         rng.shuffle(shuffled)
-        b = truck_ratio_over_time(shuffled, window=7.0)
+        b = truck_ratio_over_time(shuffled, window=7.0, frame_rate=25.0)
         assert a.entries == b.entries
         assert all(
             (math.isnan(x) and math.isnan(y)) or x == y

@@ -207,7 +207,7 @@ class TestDetectionsCsv:
         frames[2] = []  # empty frame must survive
         path = tmp_path / "01_detections.csv"
         write_detections(frames, path)
-        back = read_detections(path)
+        back = read_detections(path, max_frame=4)
         assert len(back) == 5
         assert back[2] == []
         assert back[0][0].cx == 0.0
@@ -219,7 +219,7 @@ class TestDetectionsCsv:
         from hwtracks import DatasetError
 
         with pytest.raises(DatasetError):
-            read_detections(path)
+            read_detections(path, max_frame=100)
 
     def test_bad_cell_names_location(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -227,5 +227,25 @@ class TestDetectionsCsv:
         from hwtracks import DatasetError
 
         with pytest.raises(DatasetError) as err:
-            read_detections(path)
+            read_detections(path, max_frame=100)
         assert err.value.issue.row == 1
+
+    @pytest.mark.parametrize("frame", [5000, -3])
+    def test_frame_outside_recording_names_location(self, tmp_path, frame):
+        # a frame past the recording's end is rejected before any per-frame
+        # list is allocated for it
+        path = tmp_path / "01_detections.csv"
+        path.write_text("frame,cx,cy,length,width,class\n"
+                        f"0,1,2,4,2,Car\n1,1,2,4,2,Car\n{frame},1,2,4,2,Car\n")
+        from hwtracks import DatasetError
+
+        with pytest.raises(DatasetError) as err:
+            read_detections(path, max_frame=750)
+        issue = err.value.issue
+        assert (issue.kind, issue.row, issue.column) == ("InvariantViolation", 3, "frame")
+        assert issue.file == str(path)
+
+    def test_last_frame_of_recording_accepted(self, tmp_path):
+        path = tmp_path / "01_detections.csv"
+        path.write_text("frame,cx,cy,length,width,class\n0,1,2,4,2,Car\n750,1,2,4,2,Car\n")
+        assert len(read_detections(path, max_frame=750)) == 751
