@@ -20,7 +20,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
+from typing import (
+    Any, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple,
+)
 
 #: In-memory sentinel for a lane without a posted speed limit.
 UNLIMITED_SPEED = math.inf
@@ -248,6 +250,25 @@ class Track:
         return sum(
             1 for a, b in zip(self.states, self.states[1:]) if a.lane_id != b.lane_id
         )
+
+
+def sweep_frames(
+    tracks: Sequence[Track],
+) -> Iterator[Tuple[int, List[Tuple[Track, KinematicState]]]]:
+    """Yield ``(frame, [(track, state), ...])`` for every frame from 0 to the
+    last frame of any track, pairing each track present at that frame with
+    its state there, in track-id order. Frames without tracks yield ``[]``.
+    """
+    by_entry = sorted(tracks, key=lambda t: (t.initial_frame, t.track_id))
+    last = max((t.final_frame for t in tracks), default=-1)
+    active: List[Track] = []
+    next_in = 0
+    for frame in range(last + 1):
+        while next_in < len(by_entry) and by_entry[next_in].initial_frame == frame:
+            bisect.insort(active, by_entry[next_in], key=lambda t: t.track_id)
+            next_in += 1
+        active = [t for t in active if t.final_frame >= frame]
+        yield frame, [(t, t.states[frame - t.initial_frame]) for t in active]
 
 
 @dataclass(frozen=True, slots=True)

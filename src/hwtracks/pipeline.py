@@ -53,8 +53,8 @@ class StatsConfig:
 class PipelineConfig:
     """Union of all stage configs; a fully defaulted instance is valid.
 
-    Per-recording quantities (tracker frame rate, smoother time step) are
-    overridden from each recording's meta at run time.
+    The smoother time step is a per-recording quantity: it is overridden
+    from each recording's meta at run time.
     """
 
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
@@ -133,9 +133,8 @@ def track_stage(
     """
     meta = read_recording_meta(meta_path)
     detections = read_detections(detections_path, meta.max_frame)
-    tracker_cfg = dataclasses.replace(cfg.tracker, frame_rate=meta.frame_rate)
     smoother_cfg = dataclasses.replace(cfg.smoother, dt=1.0 / meta.frame_rate)
-    raw_tracks = build_tracks(detections, tracker_cfg)
+    raw_tracks = build_tracks(detections, cfg.tracker)
     tracks = []
     report = []
     for raw in raw_tracks:

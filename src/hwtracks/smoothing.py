@@ -1,9 +1,11 @@
 """Forward Kalman filtering and Rauch-Tung-Striebel smoothing of tracks.
 
-The motion model is constant acceleration with white jerk driving noise.
-The x and y axes carry no coupling in this model, so each track is smoothed
-as two independent 3-state chains (position, velocity, acceleration); this
-halves the cost and gives the same result as a joint 6-state filter.
+The motion model is constant acceleration with white jerk driving noise,
+with no coupling between the x and y axes. The covariances, the Kalman gains
+and the smoother gains depend only on the time step, the noise model and
+which frames were measured, so both axes share them: each track runs one
+3-state (position, velocity, acceleration) recursion whose state carries the
+two axes as columns. This gives the same result as a joint 6-state filter.
 
 Frames flagged as predicted (coasted by the tracker) contribute no
 measurement: the filter runs predict-only across them, and the backward
@@ -33,11 +35,24 @@ PSD_TOLERANCE = 1e-9
 
 
 class NumericalFailure(Exception):
-    """Covariance lost positive semi-definiteness beyond tolerance."""
+    """Covariance lost positive semi-definiteness beyond tolerance.
 
-    def __init__(self, frame: int, message: str) -> None:
+    ``index`` is the failing position in the filtered series. Raised by
+    ``smooth_track_with_diagnostics``, the error also names the track and
+    the recording ``frame`` at that position.
+    """
+
+    def __init__(
+        self, index: int, detail: str,
+        track_id: Optional[int] = None, frame: Optional[int] = None,
+    ) -> None:
+        self.index = index
+        self.detail = detail
+        self.track_id = track_id
         self.frame = frame
-        super().__init__(f"frame {frame}: {message}")
+        where = (f"index {index}" if track_id is None
+                 else f"track {track_id}, frame {frame}")
+        super().__init__(f"{where}: {detail}")
 
 
 @dataclass(frozen=True)
@@ -61,10 +76,6 @@ class SmootherConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
-    @classmethod
-    def for_frame_rate(cls, frame_rate: float, **kwargs) -> "SmootherConfig":
-        return cls(dt=1.0 / frame_rate, **kwargs)
-
 
 def transition_matrix(dt: float) -> np.ndarray:
     return np.array([[1.0, dt, dt * dt / 2.0], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
@@ -77,19 +88,18 @@ def process_noise(dt: float, jerk_sigma: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AxisSeries:
-    """Per-frame filtered and one-step-predicted moments of one axis."""
-
-    means: np.ndarray       # (N, 3) filtered [pos, vel, acc]
-    covs: np.ndarray        # (N, 3, 3) filtered covariances
-    pred_means: np.ndarray  # (N, 3) predicted prior to the update
-    pred_covs: np.ndarray   # (N, 3, 3)
-
-
-@dataclass(frozen=True)
 class FilteredSeries:
-    x: AxisSeries
-    y: AxisSeries
+    """Per-frame filtered and one-step-predicted moments of a track.
+
+    The state of a frame is a (3, 2) array whose rows are position,
+    velocity and acceleration and whose columns are the x and y axes; the
+    covariance is shared by both columns.
+    """
+
+    means: np.ndarray       # (N, 3, 2) filtered
+    covs: np.ndarray        # (N, 3, 3) filtered covariances
+    pred_means: np.ndarray  # (N, 3, 2) predicted prior to the update
+    pred_covs: np.ndarray   # (N, 3, 3)
     dt: float
 
 
@@ -98,7 +108,7 @@ class SmoothedSeries:
     """Smoothed 6-vector states (x, vx, ax, y, vy, ay) and covariances."""
 
     states: np.ndarray       # (N, 6)
-    covariances: np.ndarray  # (N, 6, 6), block diagonal over the two axes
+    covariances: np.ndarray  # (N, 3, 3), shared by the x and y axes
     used_pinv: bool = False
 
     def positions(self) -> np.ndarray:
@@ -117,49 +127,10 @@ def _check_psd(covs: np.ndarray, what: str) -> None:
     worst = eigvals.min(axis=-1)
     bad = np.nonzero(worst < -PSD_TOLERANCE)[0]
     if bad.size:
-        frame = int(bad[0])
+        index = int(bad[0])
         raise NumericalFailure(
-            frame, f"{what} covariance eigenvalue {worst[frame]:.3e} < -{PSD_TOLERANCE}"
+            index, f"{what} covariance eigenvalue {worst[index]:.3e} < -{PSD_TOLERANCE}"
         )
-
-
-def _filter_axis(
-    z: np.ndarray, predicted: np.ndarray, cfg: SmootherConfig
-) -> AxisSeries:
-    n = len(z)
-    F = transition_matrix(cfg.dt)
-    Q = process_noise(cfg.dt, cfg.jerk_sigma)
-    R = cfg.measurement_sigma**2
-    I = np.eye(3)
-
-    means = np.empty((n, 3))
-    covs = np.empty((n, 3, 3))
-    pred_means = np.empty((n, 3))
-    pred_covs = np.empty((n, 3, 3))
-
-    x = np.array([z[0], 0.0, 0.0])
-    P = np.diag(
-        [cfg.measurement_sigma**2, cfg.initial_velocity_sigma**2,
-         cfg.initial_accel_sigma**2]
-    )
-    means[0], covs[0] = x, P
-    pred_means[0], pred_covs[0] = x, P
-
-    for k in range(1, n):
-        x = F @ x
-        P = F @ P @ F.T + Q
-        pred_means[k], pred_covs[k] = x, P
-        if not predicted[k]:
-            # Scalar measurement of the position component; Joseph-form update.
-            S = P[0, 0] + R
-            K = P[:, 0] / S
-            x = x + K * (z[k] - x[0])
-            A = I - np.outer(K, [1.0, 0.0, 0.0])
-            P = A @ P @ A.T + R * np.outer(K, K)
-        means[k], covs[k] = x, P
-
-    _check_psd(covs, "filtered")
-    return AxisSeries(means=means, covs=covs, pred_means=pred_means, pred_covs=pred_covs)
 
 
 def forward_filter(
@@ -175,61 +146,82 @@ def forward_filter(
     The state initializes at the first observation with zero velocity and
     acceleration under the configured prior sigmas.
     """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
+    z = np.asarray(positions, dtype=float)
+    if z.ndim != 2 or z.shape[1] != 2 or z.shape[0] < 1:
         raise ValueError("positions must be a non-empty sequence of (x, y)")
+    n = len(z)
     if predicted is None:
-        flags = np.zeros(len(pos), dtype=bool)
+        flags = np.zeros(n, dtype=bool)
     else:
         flags = np.asarray(predicted, dtype=bool)
-        if flags.shape != (len(pos),):
+        if flags.shape != (n,):
             raise ValueError("predicted flags must align with positions")
+    F = transition_matrix(cfg.dt)
+    Q = process_noise(cfg.dt, cfg.jerk_sigma)
+    R = cfg.measurement_sigma**2
+    I = np.eye(3)
+
+    means = np.empty((n, 3, 2))
+    covs = np.empty((n, 3, 3))
+    pred_means = np.empty((n, 3, 2))
+    pred_covs = np.empty((n, 3, 3))
+
+    x = np.zeros((3, 2))
+    x[0] = z[0]
+    P = np.diag(
+        [cfg.measurement_sigma**2, cfg.initial_velocity_sigma**2,
+         cfg.initial_accel_sigma**2]
+    )
+    means[0], covs[0] = x, P
+    pred_means[0], pred_covs[0] = x, P
+
+    for k in range(1, n):
+        x = F @ x
+        P = F @ P @ F.T + Q
+        pred_means[k], pred_covs[k] = x, P
+        if not flags[k]:
+            # Scalar measurement of the position row; Joseph-form update.
+            S = P[0, 0] + R
+            K = P[:, 0] / S
+            x = x + np.outer(K, z[k] - x[0])
+            A = I - np.outer(K, [1.0, 0.0, 0.0])
+            P = A @ P @ A.T + R * np.outer(K, K)
+        means[k], covs[k] = x, P
+
+    _check_psd(covs, "filtered")
     return FilteredSeries(
-        x=_filter_axis(pos[:, 0], flags, cfg),
-        y=_filter_axis(pos[:, 1], flags, cfg),
+        means=means, covs=covs, pred_means=pred_means, pred_covs=pred_covs,
         dt=cfg.dt,
     )
-
-
-def _smooth_axis(axis: AxisSeries, F: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
-    n = len(axis.means)
-    xs = axis.means.copy()
-    ps = axis.covs.copy()
-    used_pinv = False
-    for k in range(n - 2, -1, -1):
-        pp = axis.pred_covs[k + 1]
-        a = axis.covs[k] @ F.T
-        try:
-            gain = np.linalg.solve(pp, a.T).T
-        except np.linalg.LinAlgError:
-            gain = a @ np.linalg.pinv(pp)
-            used_pinv = True
-        xs[k] = axis.means[k] + gain @ (xs[k + 1] - axis.pred_means[k + 1])
-        cov = axis.covs[k] + gain @ (ps[k + 1] - pp) @ gain.T
-        ps[k] = (cov + cov.T) / 2.0
-    return xs, ps, used_pinv
 
 
 def rts_smooth(filtered: FilteredSeries, cfg: SmootherConfig) -> SmoothedSeries:
     """Backward RTS pass over a filtered series.
 
     The last frame's smoothed state equals the last filtered state; earlier
-    frames are corrected with the standard smoother gain. A singular
-    predicted covariance falls back to the pseudo-inverse and is flagged via
-    ``used_pinv``.
+    frames are corrected with the standard smoother gain, which both axes
+    share. A singular predicted covariance falls back to the pseudo-inverse
+    and is flagged via ``used_pinv``.
     """
     F = transition_matrix(cfg.dt)
-    xs_x, ps_x, pinv_x = _smooth_axis(filtered.x, F)
-    xs_y, ps_y, pinv_y = _smooth_axis(filtered.y, F)
-    n = len(xs_x)
-    states = np.hstack([xs_x, xs_y])
-    covariances = np.zeros((n, 6, 6))
-    covariances[:, :3, :3] = ps_x
-    covariances[:, 3:, 3:] = ps_y
-    _check_psd(covariances, "smoothed")
-    return SmoothedSeries(
-        states=states, covariances=covariances, used_pinv=pinv_x or pinv_y
-    )
+    n = len(filtered.means)
+    xs = filtered.means.copy()
+    ps = filtered.covs.copy()
+    used_pinv = False
+    for k in range(n - 2, -1, -1):
+        pp = filtered.pred_covs[k + 1]
+        a = filtered.covs[k] @ F.T
+        try:
+            gain = np.linalg.solve(pp, a.T).T
+        except np.linalg.LinAlgError:
+            gain = a @ np.linalg.pinv(pp)
+            used_pinv = True
+        xs[k] = filtered.means[k] + gain @ (xs[k + 1] - filtered.pred_means[k + 1])
+        cov = filtered.covs[k] + gain @ (ps[k + 1] - pp) @ gain.T
+        ps[k] = (cov + cov.T) / 2.0
+    _check_psd(ps, "smoothed")
+    states = xs.transpose(0, 2, 1).reshape(n, 6)
+    return SmoothedSeries(states=states, covariances=ps, used_pinv=used_pinv)
 
 
 def carriageway_of(y_values: Sequence[float], meta: RecordingMeta) -> DrivingDirection:
@@ -269,13 +261,18 @@ def smooth_track_with_diagnostics(
 ) -> Tuple[Track, SmoothingDiagnostics]:
     """Smooth a confirmed raw track into a Track with full kinematic states.
 
-    Runs the forward filter and the RTS pass per axis, derives the lane id
+    Runs the forward filter and the RTS pass, derives the lane id
     of every frame from the smoothed lateral position (off-span positions
     clamp to the nearest edge lane), and recomputes the mean speed.
     """
     positions = [(obs.x, obs.y) for obs in raw.observations]
     flags = [not obs.measured for obs in raw.observations]
-    smoothed = rts_smooth(forward_filter(positions, flags, cfg), cfg)
+    try:
+        smoothed = rts_smooth(forward_filter(positions, flags, cfg), cfg)
+    except NumericalFailure as exc:
+        raise NumericalFailure(
+            exc.index, exc.detail, raw.track_id, raw.observations[exc.index].frame
+        ) from None
 
     direction = carriageway_of(smoothed.states[:, 3], meta)
     states = []

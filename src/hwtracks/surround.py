@@ -20,6 +20,7 @@ from .core import (
     Track,
     ahead_of,
     bumper_gap,
+    sweep_frames,
 )
 
 #: Neighbor-id sentinel: no vehicle in that slot.
@@ -246,21 +247,8 @@ def compute_surround(
     tracks: Sequence[Track], meta: RecordingMeta
 ) -> Dict[int, List[SurroundFrame]]:
     """SurroundFrames for every track, aligned with each track's states."""
-    if not tracks:
-        return {}
     result: Dict[int, List[SurroundFrame]] = {t.track_id: [] for t in tracks}
-    by_entry = sorted(tracks, key=lambda t: (t.initial_frame, t.track_id))
-    first = min(t.initial_frame for t in tracks)
-    last = max(t.final_frame for t in tracks)
-    active: List[Track] = []
-    next_in = 0
-    for frame in range(first, last + 1):
-        while next_in < len(by_entry) and by_entry[next_in].initial_frame == frame:
-            active.append(by_entry[next_in])
-            next_in += 1
-        active = [t for t in active if t.final_frame >= frame]
-        present = sorted(active, key=lambda t: t.track_id)
-        pairs = [(t, t.states[frame - t.initial_frame]) for t in present]
-        for sf in assign_neighbors(pairs, meta):
+    for _, present in sweep_frames(tracks):
+        for sf in assign_neighbors(present, meta):
             result[sf.track_id].append(sf)
     return result

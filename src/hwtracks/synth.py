@@ -36,6 +36,7 @@ from .core import (
     bumper_gap,
     compute_mean_speed,
     lane_id_of,
+    sweep_frames,
 )
 from .lane_change import (
     CutInScenario,
@@ -461,15 +462,8 @@ def _validate_no_overlap(tracks: Sequence[Track], meta: RecordingMeta) -> None:
     if not tracks:
         return
     max_length = max(t.length for t in tracks)
-    first = min(t.initial_frame for t in tracks)
-    last = max(t.final_frame for t in tracks)
-    for frame in range(first, last + 1):
-        boxes = []
-        for t in tracks:
-            s = t.state_at(frame)
-            if s is not None:
-                boxes.append((s.x, s.y, t.length, t.width, t.track_id))
-        boxes.sort()
+    for frame, present in sweep_frames(tracks):
+        boxes = sorted((s.x, s.y, t.length, t.width, t.track_id) for t, s in present)
         for i, (x1, y1, l1, w1, id1) in enumerate(boxes):
             for x2, y2, l2, w2, id2 in boxes[i + 1 :]:
                 if x2 - x1 >= (l1 + max_length) / 2.0:
@@ -641,18 +635,11 @@ def corrupt(
         raise ValueError("false positives need `meta` for the road geometry")
     rng = np.random.default_rng(seed)
     scripted = scripted_dropouts or {}
-    ordered = sorted(tracks, key=lambda t: t.track_id)
-    if not ordered:
-        return []
-    n_frames = max(t.final_frame for t in ordered) + 1
-    burst_left: Dict[int, int] = {t.track_id: 0 for t in ordered}
+    burst_left: Dict[int, int] = {t.track_id: 0 for t in tracks}
     frames: List[List[Detection]] = []
-    for frame in range(n_frames):
+    for frame, present in sweep_frames(tracks):
         dets: List[Detection] = []
-        for track in ordered:
-            state = track.state_at(frame)
-            if state is None:
-                continue
+        for track, state in present:
             if any(a <= frame <= b for a, b in scripted.get(track.track_id, ())):
                 continue
             if burst_left[track.track_id] > 0:

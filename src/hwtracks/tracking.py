@@ -35,7 +35,6 @@ class TrackerConfig:
     gate_radius: float = 2.5
     min_hits_to_confirm: int = 5
     max_coast: int = 12
-    frame_rate: float = 25.0
 
     def __post_init__(self) -> None:
         if not self.gate_radius > 0:
@@ -44,8 +43,6 @@ class TrackerConfig:
             raise ValueError("min_hits_to_confirm must be >= 1")
         if self.max_coast < 0:
             raise ValueError("max_coast must be >= 0")
-        if not self.frame_rate > 0:
-            raise ValueError("frame_rate must be > 0")
 
 
 @dataclass(frozen=True, slots=True)

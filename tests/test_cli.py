@@ -365,11 +365,14 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"tracker": {"gait_radius": 3.0}}))
         from hwtracks.pipeline import load_pipeline_config
 
-        with pytest.raises(ValueError):
-            load_pipeline_config(cfg_path)
+        # the tracker has no frame rate of its own: it steps frame by frame
+        for section in ({"tracker": {"gait_radius": 3.0}},
+                        {"tracker": {"frame_rate": 25.0}}):
+            cfg_path.write_text(json.dumps(section))
+            with pytest.raises(ValueError):
+                load_pipeline_config(cfg_path)
 
     def test_defaults_valid(self):
         from hwtracks.pipeline import PipelineConfig
@@ -398,9 +401,17 @@ class TestBundledDemoScript:
             "9659d2accd9ccab1beb2494b9e304fec3fabf3adecefcdd6a1e40ecfa63fca10",
     }
 
-    # extract and stats outputs of synth -> track -> extract / stats on the
-    # same scene
+    # track, extract and stats outputs of synth -> track -> extract / stats
+    # on the same scene
     GOLDEN_DERIVED_SHA256 = {
+        "rec/01_recordingMeta.csv":
+            "3a73b7f2966c264c09a1b5b1912d90c675dfcabec8b3f5be35acee28e0c5747b",
+        "rec/01_smoothingReport.json":
+            "473d9bf75a3b7d2bdb4e8b42eb6f6c00b83a171ddcf3f403685d27b831813400",
+        "rec/01_tracks.csv":
+            "558dddba579089d27f57411fb3b0fac3480e49ee05c0656eb60e8b4dcee5d774",
+        "rec/01_tracksMeta.csv":
+            "6a52a25f2b105404b32563c631b32a673bfd098be92742ceab1b047cc3fd93ed",
         "extract/01_cutIns.csv":
             "28dc02fd032ed5871214a1cdb746f254887b73776146c7f944721a07a2912f90",
         "extract/01_cutIns.json":
@@ -459,7 +470,7 @@ class TestBundledDemoScript:
             assert main([command, "--input", str(out / "rec"),
                          "--output", str(out / command)]) == 0
         written = sorted(p.relative_to(out).as_posix()
-                         for command in ("extract", "stats")
+                         for command in ("rec", "extract", "stats")
                          for p in (out / command).iterdir())
         assert written == sorted(self.GOLDEN_DERIVED_SHA256)
         for rel, want in self.GOLDEN_DERIVED_SHA256.items():
@@ -481,6 +492,32 @@ class TestSmoothingReport:
             assert 0.0 < entry["rmsDeviation"] < 0.2
             assert entry["usedPinv"] is False
 
+
+    def test_numerical_failure_names_track_and_recording_frame(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import hwtracks.smoothing
+        from hwtracks import Detection
+        from hwtracks.tracking import write_detections
+
+        out = run_synth(tmp_path)
+        # A lone false positive takes track id 1; the vehicle that follows
+        # is track 2 and starts at recording frame 30.
+        frames = [[] for _ in range(30)] + [
+            [Detection(frame=f, cx=100.0 + f, cy=13.85, length=4.5, width=2.0)]
+            for f in range(30, 90)
+        ]
+        frames[2] = [Detection(frame=2, cx=50.0, cy=5.0, length=4.5, width=2.0)]
+        write_detections(frames, out / "detections" / "01_detections.csv")
+        monkeypatch.setattr(hwtracks.smoothing, "PSD_TOLERANCE", -1e12)
+        capsys.readouterr()
+        assert main(["track", "--input", str(out / "detections"),
+                     "--output", str(tmp_path / "tracked")]) == 1
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert [e["kind"] for e in errors] == ["NumericalFailure"]
+        assert errors[0]["message"].startswith(
+            "track 2, frame 30: filtered covariance eigenvalue"
+        )
 
 class TestInvalidLaneLayout:
     def test_schema_error_exit_1(self, tmp_path, capsys):

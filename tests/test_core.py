@@ -14,6 +14,7 @@ from hwtracks import (
     lane_id_of,
     nearest_lane_id,
 )
+from hwtracks.core import sweep_frames
 from conftest import make_meta, make_state, straight_track
 
 
@@ -176,3 +177,21 @@ class TestTypes:
             mean_speed=25.0,
         )
         assert track.lane_change_count() == 1
+
+
+class TestSweepFrames:
+    def test_matches_state_at_on_every_frame(self):
+        tracks = [
+            straight_track(track_id=7, first_frame=3, n_frames=4),
+            straight_track(track_id=2, first_frame=5, n_frames=6, x0=50.0),
+            straight_track(track_id=4, first_frame=3, n_frames=1, x0=90.0),
+        ]
+        swept = list(sweep_frames(tracks))
+        assert [frame for frame, _ in swept] == list(range(11))
+        by_id = sorted(tracks, key=lambda t: t.track_id)
+        for frame, present in swept:
+            assert present == [(t, t.state_at(frame)) for t in by_id
+                               if t.state_at(frame) is not None]
+
+    def test_no_tracks_no_frames(self):
+        assert list(sweep_frames([])) == []
