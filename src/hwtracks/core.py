@@ -90,15 +90,12 @@ class RecordingMeta:
     lower_lane_boundaries: Tuple[float, ...]
     upper_speed_limits: Tuple[float, ...]
     lower_speed_limits: Tuple[float, ...]
-    pixel_size: float = 0.10
 
     def __post_init__(self) -> None:
         if not self.frame_rate > 0:
             raise ValueError(f"frame_rate must be > 0, got {self.frame_rate}")
         if not self.duration > 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
-        if not self.pixel_size > 0:
-            raise ValueError(f"pixel_size must be > 0, got {self.pixel_size}")
         _check_boundaries("upper_lane_boundaries", self.upper_lane_boundaries)
         _check_boundaries("lower_lane_boundaries", self.lower_lane_boundaries)
         for limits, boundaries, name in (

@@ -1,7 +1,6 @@
 """Reader, writer and validator for the recording file set.
 
-A recording is stored as three CSV tables plus an optional aerial photo
-carried as an opaque path:
+A recording is stored as three CSV tables:
 
 * ``*_recordingMeta.csv`` - one row: site geometry and recording parameters.
 * ``*_tracksMeta.csv``    - one row per vehicle: dimensions, class,
@@ -14,6 +13,26 @@ separator, floats at 6 significant digits, LF line endings, UTF-8) so that
 write -> read -> write is byte identical. List-valued recordingMeta cells
 (lane markings, speed limits) are semicolon separated. Sentinels: neighbor
 id 0 = none; dhw/thw/ttc -1 = undefined; speed limit -1 = unlimited.
+
+Reading is one columnar scan, shared by ``read_recording`` (which raises the
+first issue) and ``validate`` (which lists them all). Each table, and the
+tracker's detections table, is read once by ``_read_table`` and parsed into
+one int64, float64 or class column per field; a column that fails to parse
+is gone through cell by cell, so each bad cell is named by row and column.
+Checks are row masks. Issues come by file (recordingMeta, tracksMeta,
+tracks); within the tracks table, each stage below runs only if the ones
+before it found nothing:
+
+1. header and cell-count problems;
+2. type errors, by row and then by column;
+3. cross-references: track ids missing from either table and frame gaps,
+   per track in order of first appearance;
+4. per-row checks, by row: the frame bound, laneId against y, the neighbor
+   ids, the DHW/THW/TTC sentinels;
+5. per-track summaries against tracksMeta, by track id.
+
+The tracksMeta duplicate-id and extent checks are reported with its type
+errors, by row.
 """
 
 from __future__ import annotations
@@ -22,7 +41,9 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import (
     DrivingDirection,
@@ -136,18 +157,15 @@ class RecordingFileSet:
     recording_meta_path: Path
     tracks_meta_path: Path
     tracks_path: Path
-    background_image_path: Optional[Path] = None
 
     @classmethod
     def for_recording(cls, directory: Path, recording_id: int) -> "RecordingFileSet":
         directory = Path(directory)
         prefix = f"{recording_id:02d}_"
-        background = directory / f"{prefix}highway.png"
         return cls(
             recording_meta_path=directory / f"{prefix}recordingMeta.csv",
             tracks_meta_path=directory / f"{prefix}tracksMeta.csv",
             tracks_path=directory / f"{prefix}tracks.csv",
-            background_image_path=background if background.exists() else None,
         )
 
 
@@ -282,6 +300,14 @@ def write_recording(
 # empty report" and "read_recording succeeds" are the same predicate by
 # construction. In strict mode the scanner raises at the first issue.
 
+#: A row check: the rows it flags, the issue kind and column, and the
+#: message for a flagged row (0-based index).
+Check = Tuple[np.ndarray, str, Optional[str], Callable[[int], str]]
+#: A column parser: the cells' values plus a message per cell that is not one.
+Parser = Callable[[Sequence[str]], Tuple[Any, Dict[int, str]]]
+
+_INT64 = np.iinfo(np.int64)
+
 
 class _Scanner:
     def __init__(self, strict: bool) -> None:
@@ -304,8 +330,9 @@ class _Scanner:
 
 def _read_table(
     scanner: _Scanner, path: Path, columns: Sequence[str]
-) -> Optional[List[List[str]]]:
-    """Rows of a CSV table after header verification; None when unusable."""
+) -> Optional[List[Tuple[str, ...]]]:
+    """The cells of a CSV table column by column, after header and cell-count
+    checks; None when unusable."""
     if not Path(path).is_file():
         scanner.issue(MISSING_FILE, path, "file does not exist")
         return None
@@ -339,83 +366,156 @@ def _read_table(
                 TYPE_MISMATCH, path, f"expected {len(columns)} cells, got {len(r)}", row=i
             )
             return None
-    return rows
+    return list(zip(*rows)) if rows else [()] * len(columns)
 
 
-class _Row:
-    """Typed cell access for one CSV row with issue reporting."""
-
-    def __init__(self, scanner: _Scanner, path: Path, columns: Sequence[str],
-                 cells: Sequence[str], row_index: int) -> None:
-        self._scanner = scanner
-        self._path = path
-        self._index = {c: i for i, c in enumerate(columns)}
-        self._cells = cells
-        self.row = row_index
-        self.ok = True
-
-    def _fail(self, column: str, message: str) -> None:
-        self.ok = False
-        self._scanner.issue(TYPE_MISMATCH, self._path, message, row=self.row, column=column)
-
-    def int_(self, column: str) -> int:
-        text = self._cells[self._index[column]]
+def _ints(texts: Sequence[str]) -> Tuple[np.ndarray, Dict[int, str]]:
+    try:
+        return np.fromiter(map(int, texts), np.int64, len(texts)), {}
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(len(texts), np.int64)
+    bad: Dict[int, str] = {}
+    for i, text in enumerate(texts):
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
-            self._fail(column, f"expected integer, got {text!r}")
-            return 0
+            bad[i] = f"expected integer, got {text!r}"
+            continue
+        if _INT64.min <= value <= _INT64.max:
+            values[i] = value
+        else:
+            bad[i] = f"integer {text!r} does not fit in 64 bits"
+    return values, bad
 
-    def float_(self, column: str) -> float:
-        text = self._cells[self._index[column]]
-        try:
-            value = float(text)
-        except ValueError:
-            self._fail(column, f"expected number, got {text!r}")
-            return 0.0
-        if not math.isfinite(value):
-            self._fail(column, f"expected finite number, got {text!r}")
-            return 0.0
-        return value
 
-    def float_list(self, column: str) -> List[float]:
-        text = self._cells[self._index[column]]
-        out: List[float] = []
+def _floats(texts: Sequence[str]) -> Tuple[np.ndarray, Dict[int, str]]:
+    bad: Dict[int, str] = {}
+    try:
+        values = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        values = np.zeros(len(texts))
+        for i, text in enumerate(texts):
+            try:
+                values[i] = float(text)
+            except ValueError:
+                bad[i] = f"expected number, got {text!r}"
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        bad[i] = f"expected finite number, got {texts[i]!r}"
+    return values, bad
+
+
+def _float_lists(texts: Sequence[str]) -> Tuple[List[Tuple[float, ...]], Dict[int, str]]:
+    values: List[Tuple[float, ...]] = []
+    bad: Dict[int, str] = {}
+    for i, text in enumerate(texts):
+        items: List[float] = []
         for part in text.split(";"):
             try:
                 value = float(part)
             except ValueError:
-                self._fail(column, f"expected ';'-separated numbers, got {text!r}")
-                return []
+                bad[i] = f"expected ';'-separated numbers, got {text!r}"
+                break
             if not math.isfinite(value):
-                self._fail(column, f"expected finite numbers, got {text!r}")
-                return []
-            out.append(value)
-        return out
+                bad[i] = f"expected finite numbers, got {text!r}"
+                break
+            items.append(value)
+        values.append(tuple(items))
+    return values, bad
 
-    def text(self, column: str) -> str:
-        return self._cells[self._index[column]]
+
+def _directions(texts: Sequence[str]) -> Tuple[np.ndarray, Dict[int, str]]:
+    values, bad = _ints(texts)
+    for i in np.flatnonzero((values != 1) & (values != 2)).tolist():
+        try:
+            DrivingDirection.parse(int(values[i]))
+        except ValueError as exc:
+            bad.setdefault(i, str(exc))  # an unparsed cell keeps its first message
+    return values, bad
+
+
+def _classes(texts: Sequence[str], optional: bool = False) -> Tuple[List, Dict[int, str]]:
+    """VehicleClass per cell; an empty cell is None where the class is optional."""
+    known: Dict[str, Any] = {"": None} if optional else {}
+    for text in set(texts) - known.keys():
+        try:
+            known[text] = VehicleClass.parse(text)
+        except ValueError as exc:
+            known[text] = exc
+    values = [known[text] for text in texts]
+    bad = {i: str(v) for i, v in enumerate(values) if isinstance(v, ValueError)}
+    return values, bad
+
+
+def _parse_table(
+    scanner: _Scanner, path: Path, columns: Sequence[str], parsers: Mapping[str, Parser]
+) -> Optional[Tuple[Dict[str, Any], List[Check]]]:
+    """The typed columns of a table and one type check per column, in the
+    order of ``parsers``; None when the file is unusable. Nothing is issued
+    for the type checks: the caller reports them, with its own checks."""
+    texts = _read_table(scanner, path, columns)
+    if texts is None:
+        return None
+    cells = dict(zip(columns, texts))
+    values: Dict[str, Any] = {}
+    checks: List[Check] = []
+    for column, parse in parsers.items():
+        values[column], bad = parse(cells[column])
+        flagged = np.zeros(len(cells[column]), bool)
+        flagged[list(bad)] = True
+        checks.append((flagged, TYPE_MISMATCH, column, bad.__getitem__))
+    return values, checks
+
+
+def _parsed(type_checks: Sequence[Check]) -> np.ndarray:
+    """Rows in which every cell parsed."""
+    return ~np.any([check[0] for check in type_checks], axis=0)
+
+
+def _report(scanner: _Scanner, path: Path, checks: Sequence[Check]) -> bool:
+    """Issue every flagged row, by row and then in the order of ``checks``;
+    True when no row is flagged."""
+    hits = sorted(
+        (row, k) for k, check in enumerate(checks)
+        for row in np.flatnonzero(check[0]).tolist()
+    )
+    for row, k in hits:
+        _, kind, column, message = checks[k]
+        scanner.issue(kind, path, message(row), row=row + 1, column=column)
+    return not hits
+
+
+def _frames_outside(frames: np.ndarray, max_frame: float) -> np.ndarray:
+    """Frames outside [0, max_frame], compared exactly: an int64 compared
+    with a float is rounded above 2**53."""
+    last = _INT64.max if max_frame >= _INT64.max else math.floor(max_frame)
+    return (frames < 0) | (frames > last)
+
+
+_RECORDING_META_PARSERS: Dict[str, Parser] = {
+    "id": _ints, "locationId": _ints, "frameRate": _floats, "duration": _floats,
+    "upperLaneMarkings": _float_lists, "lowerLaneMarkings": _float_lists,
+    "speedLimits": _float_lists,
+}
 
 
 def _scan_recording_meta(scanner: _Scanner, path: Path) -> Optional[RecordingMeta]:
-    rows = _read_table(scanner, path, RECORDING_META_COLUMNS)
-    if rows is None:
+    parsed = _parse_table(scanner, path, RECORDING_META_COLUMNS, _RECORDING_META_PARSERS)
+    if parsed is None:
         return None
-    if len(rows) != 1:
+    values, checks = parsed
+    if len(values["id"]) != 1:
         scanner.issue(
-            INVARIANT_VIOLATION, path, f"expected exactly one data row, got {len(rows)}"
+            INVARIANT_VIOLATION, path,
+            f"expected exactly one data row, got {len(values['id'])}",
         )
         return None
-    row = _Row(scanner, path, RECORDING_META_COLUMNS, rows[0], 1)
-    recording_id = row.int_("id")
-    location_id = row.int_("locationId")
-    frame_rate = row.float_("frameRate")
-    duration = row.float_("duration")
-    upper = row.float_list("upperLaneMarkings")
-    lower = row.float_list("lowerLaneMarkings")
-    limits = row.float_list("speedLimits")
-    if not row.ok:
+    if not _report(scanner, path, checks):
         return None
+    row = {column: column_values[0] for column, column_values in values.items()}
+    upper, lower, limits = (
+        row["upperLaneMarkings"], row["lowerLaneMarkings"], row["speedLimits"]
+    )
     n_upper, n_lower = len(upper) - 1, len(lower) - 1
     if len(limits) != n_upper + n_lower:
         scanner.issue(
@@ -429,12 +529,12 @@ def _scan_recording_meta(scanner: _Scanner, path: Path) -> Optional[RecordingMet
         return None
     try:
         return RecordingMeta(
-            recording_id=recording_id,
-            location_id=location_id,
-            frame_rate=frame_rate,
-            duration=duration,
-            upper_lane_boundaries=tuple(upper),
-            lower_lane_boundaries=tuple(lower),
+            recording_id=int(row["id"]),
+            location_id=int(row["locationId"]),
+            frame_rate=float(row["frameRate"]),
+            duration=float(row["duration"]),
+            upper_lane_boundaries=upper,
+            lower_lane_boundaries=lower,
             upper_speed_limits=tuple(_parse_limit(v) for v in limits[:n_upper]),
             lower_speed_limits=tuple(_parse_limit(v) for v in limits[n_upper:]),
         )
@@ -443,301 +543,213 @@ def _scan_recording_meta(scanner: _Scanner, path: Path) -> Optional[RecordingMet
         return None
 
 
-@dataclass
-class _TrackMetaRow:
-    row: int
-    track_id: int
-    length: float
-    width: float
-    vehicle_class: VehicleClass
-    direction: DrivingDirection
-    mean_speed: float
-    num_frames: int
-    initial_frame: int
-    final_frame: int
-    num_lane_changes: int
+_TRACKS_META_PARSERS: Dict[str, Parser] = {
+    "id": _ints, "length": _floats, "width": _floats, "class": _classes,
+    "drivingDirection": _directions, "meanSpeed": _floats, "numFrames": _ints,
+    "initialFrame": _ints, "finalFrame": _ints, "numLaneChanges": _ints,
+}
 
 
-def _scan_tracks_meta(scanner: _Scanner, path: Path) -> Optional[Dict[int, _TrackMetaRow]]:
-    rows = _read_table(scanner, path, TRACKS_META_COLUMNS)
-    if rows is None:
+def _scan_tracks_meta(scanner: _Scanner, path: Path) -> Optional[Dict[str, Any]]:
+    """The tracksMeta columns; None unless every row parses, no id repeats
+    and every extent is positive."""
+    parsed = _parse_table(scanner, path, TRACKS_META_COLUMNS, _TRACKS_META_PARSERS)
+    if parsed is None:
         return None
-    metas: Dict[int, _TrackMetaRow] = {}
-    usable = True
-    for i, cells in enumerate(rows, start=1):
-        row = _Row(scanner, path, TRACKS_META_COLUMNS, cells, i)
-        track_id = row.int_("id")
-        length = row.float_("length")
-        width = row.float_("width")
-        class_text = row.text("class")
-        try:
-            vehicle_class = VehicleClass.parse(class_text)
-        except ValueError as exc:
-            row._fail("class", str(exc))
-            vehicle_class = VehicleClass.CAR
-        direction_value = row.int_("drivingDirection")
-        try:
-            direction = DrivingDirection.parse(direction_value)
-        except ValueError as exc:
-            row._fail("drivingDirection", str(exc))
-            direction = DrivingDirection.LOWER
-        mean_speed = row.float_("meanSpeed")
-        num_frames = row.int_("numFrames")
-        initial_frame = row.int_("initialFrame")
-        final_frame = row.int_("finalFrame")
-        num_lane_changes = row.int_("numLaneChanges")
-        if not row.ok:
-            usable = False
-            continue
-        if track_id in metas:
-            scanner.issue(
-                DUPLICATE_ID, path, f"track id {track_id} appears more than once",
-                row=i, column="id",
-            )
-            usable = False
-            continue
-        if length <= 0 or width <= 0:
-            scanner.issue(
-                INVARIANT_VIOLATION, path,
-                f"track {track_id}: extents must be positive", row=i,
-            )
-            usable = False
-            continue
-        metas[track_id] = _TrackMetaRow(
-            i, track_id, length, width, vehicle_class, direction, mean_speed,
-            num_frames, initial_frame, final_frame, num_lane_changes,
-        )
-    return metas if usable else None
+    values, checks = parsed
+    ids = values["id"]
+    typed = _parsed(checks)
+    kept = typed & (values["length"] > 0) & (values["width"] > 0)
+    # A parsed row repeats an id that an earlier kept row holds.
+    keys, key_of_row = np.unique(ids, return_inverse=True)
+    first_kept = np.full(len(keys), len(ids))
+    np.minimum.at(first_kept, key_of_row[kept], np.flatnonzero(kept))
+    repeated = typed & (first_kept[key_of_row] < np.arange(len(ids)))
+    checks += [
+        (repeated, DUPLICATE_ID, "id",
+         lambda i: f"track id {ids[i]} appears more than once"),
+        (typed & ~repeated & ~kept, INVARIANT_VIOLATION, None,
+         lambda i: f"track {ids[i]}: extents must be positive"),
+    ]
+    return values if _report(scanner, path, checks) else None
 
 
 _NEIGHBOR_COLUMNS = [
-    "precedingId",
-    "followingId",
-    "leftPrecedingId",
-    "leftAlongsideId",
-    "leftFollowingId",
-    "rightPrecedingId",
-    "rightAlongsideId",
-    "rightFollowingId",
+    "precedingId", "followingId", "leftPrecedingId", "leftAlongsideId",
+    "leftFollowingId", "rightPrecedingId", "rightAlongsideId", "rightFollowingId",
 ]
+_SENTINEL_COLUMNS = ("dhw", "thw", "ttc")
+_TRACKS_PARSERS: Dict[str, Parser] = {
+    **{c: _ints for c in ("frame", "id", "laneId", *_NEIGHBOR_COLUMNS)},
+    **{c: _floats for c in ("x", "y", "xVelocity", "yVelocity", "xAcceleration",
+                            "yAcceleration", *_SENTINEL_COLUMNS)},
+}
 
 
 def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Recording]]:
     scanner = _Scanner(strict)
     meta = _scan_recording_meta(scanner, paths.recording_meta_path)
     metas = _scan_tracks_meta(scanner, paths.tracks_meta_path)
-    rows = _read_table(scanner, paths.tracks_path, TRACKS_COLUMNS)
-    if meta is None or metas is None or rows is None:
+    parsed = _parse_table(scanner, paths.tracks_path, TRACKS_COLUMNS, _TRACKS_PARSERS)
+    if meta is None or metas is None or parsed is None:
+        return scanner, None
+    tracks_path, tracks_meta_path = paths.tracks_path, paths.tracks_meta_path
+    cols, checks = parsed
+    if not _report(scanner, tracks_path, checks):
         return scanner, None
 
-    tracks_path = paths.tracks_path
-    per_track_rows: Dict[int, List[int]] = {}
-    parsed: List[Tuple[_Row, Dict[str, float], Dict[str, int]]] = []
+    # Cross-references: ids both ways and consecutive frames per track.
+    # Rows are grouped by track id in file order; group g spans
+    # order[begins[g]:ends[g]].
+    ids, frames = cols["id"], cols["frame"]
+    track_ids, first_rows, counts = np.unique(ids, return_index=True, return_counts=True)
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    order = np.argsort(ids, kind="stable")
+    ids_sorted, frames_sorted = ids[order], frames[order]
+    prev, cur = frames_sorted[:-1], frames_sorted[1:]
+    gap = (ids_sorted[1:] == ids_sorted[:-1]) & ~((cur > prev) & (cur - prev == 1))
+    breaks = np.append(np.flatnonzero(gap) + 1, len(ids))
+    first_break = breaks[np.searchsorted(breaks, begins)]
+    meta_ids = metas["id"]
+    known = np.isin(track_ids, meta_ids)
     usable = True
-    for i, cells in enumerate(rows, start=1):
-        row = _Row(scanner, tracks_path, TRACKS_COLUMNS, cells, i)
-        ints = {c: row.int_(c) for c in ["frame", "id", "laneId", *_NEIGHBOR_COLUMNS]}
-        floats = {
-            c: row.float_(c)
-            for c in ["x", "y", "xVelocity", "yVelocity", "xAcceleration",
-                      "yAcceleration", "dhw", "thw", "ttc"]
-        }
-        if not row.ok:
-            usable = False
-            continue
-        parsed.append((row, floats, ints))
-        per_track_rows.setdefault(ints["id"], []).append(len(parsed) - 1)
-    if not usable:
-        return scanner, None
-
-    # Cross-reference checks: ids both ways, frame ranges, aliveness index.
-    alive: Dict[int, Tuple[int, int]] = {}
-    for track_id, indices in per_track_rows.items():
-        if track_id not in metas:
-            row_no = parsed[indices[0]][0].row
+    for g in np.argsort(first_rows).tolist():  # tracks in order of appearance
+        if not known[g]:
             scanner.issue(
                 DANGLING_REFERENCE, tracks_path,
-                f"track id {track_id} has no tracksMeta entry", row=row_no, column="id",
+                f"track id {track_ids[g]} has no tracksMeta entry",
+                row=int(first_rows[g]) + 1, column="id",
             )
             usable = False
-            continue
-        frames = [parsed[k][2]["frame"] for k in indices]
-        for prev, cur, k in zip(frames, frames[1:], indices[1:]):
-            if cur != prev + 1:
-                scanner.issue(
-                    NON_MONOTONE_FRAMES, tracks_path,
-                    f"track {track_id}: frame {cur} follows {prev} "
-                    "(frames must be consecutive)",
-                    row=parsed[k][0].row, column="frame",
-                )
-                usable = False
-                break
-        else:
-            alive[track_id] = (frames[0], frames[-1])
-    for track_id, meta_row in metas.items():
-        if track_id not in per_track_rows:
+        elif first_break[g] < ends[g]:
+            k = first_break[g]
             scanner.issue(
-                DANGLING_REFERENCE, paths.tracks_meta_path,
-                f"track id {track_id} has no rows in the tracks table",
-                row=meta_row.row, column="id",
+                NON_MONOTONE_FRAMES, tracks_path,
+                f"track {track_ids[g]}: frame {frames_sorted[k]} follows "
+                f"{frames_sorted[k - 1]} (frames must be consecutive)",
+                row=int(order[k]) + 1, column="frame",
             )
             usable = False
+    usable &= _report(scanner, tracks_meta_path, [(
+        ~np.isin(meta_ids, track_ids), DANGLING_REFERENCE, "id",
+        lambda i: f"track id {meta_ids[i]} has no rows in the tracks table",
+    )])
     if not usable:
         return scanner, None
 
-    for row, floats, ints in parsed:
-        track_id = ints["id"]
-        frame = ints["frame"]
-        if not (0 <= frame <= meta.max_frame):
-            scanner.issue(
-                INVARIANT_VIOLATION, tracks_path,
-                f"frame {frame} outside [0, {format_float(meta.max_frame)}]",
-                row=row.row, column="frame",
-            )
-            usable = False
-        direction = metas[track_id].direction
-        expected_lane = nearest_lane_id(floats["y"], meta, direction)
-        if ints["laneId"] != expected_lane:
-            scanner.issue(
-                INVARIANT_VIOLATION, tracks_path,
-                f"laneId {ints['laneId']} inconsistent with y={format_float(floats['y'])} "
-                f"(expected {expected_lane})",
-                row=row.row, column="laneId",
-            )
-            usable = False
-        for column in _NEIGHBOR_COLUMNS:
-            neighbor = ints[column]
-            if neighbor == NO_VEHICLE:
-                continue
-            if neighbor == track_id:
-                scanner.issue(
-                    INVARIANT_VIOLATION, tracks_path,
-                    f"{column} equals the row's own track id {track_id}",
-                    row=row.row, column=column,
-                )
-                usable = False
-                continue
-            span = alive.get(neighbor)
-            if span is None:
-                scanner.issue(
-                    DANGLING_REFERENCE, tracks_path,
-                    f"{column}={neighbor} refers to an unknown track",
-                    row=row.row, column=column,
-                )
-                usable = False
-            elif not (span[0] <= frame <= span[1]):
-                scanner.issue(
-                    DANGLING_REFERENCE, tracks_path,
-                    f"{column}={neighbor} is not alive at frame {frame}",
-                    row=row.row, column=column,
-                )
-                usable = False
-        for column in ("dhw", "thw", "ttc"):
-            value = floats[column]
-            if value != UNDEFINED and value < 0:
-                scanner.issue(
-                    INVARIANT_VIOLATION, tracks_path,
-                    f"{column} must be >= 0 or the -1 sentinel, got {format_float(value)}",
-                    row=row.row, column=column,
-                )
-                usable = False
-        if ints["precedingId"] == NO_VEHICLE:
-            for column in ("dhw", "thw", "ttc"):
-                if floats[column] != UNDEFINED:
-                    scanner.issue(
-                        INVARIANT_VIOLATION, tracks_path,
-                        f"{column} defined without a preceding vehicle",
-                        row=row.row, column=column,
-                    )
-                    usable = False
-    if not usable:
+    # Per-row checks; every track id now has one tracksMeta row.
+    by_id = np.argsort(meta_ids)
+    meta_rows = by_id[np.searchsorted(meta_ids, track_ids, sorter=by_id)]
+    group = np.searchsorted(track_ids, ids)
+    directions = metas["drivingDirection"][meta_rows][group]
+    y, lanes = cols["y"], cols["laneId"]
+    expected_lane = np.zeros(len(ids), np.int64)
+    for direction in DrivingDirection:  # nearest_lane_id on every row
+        bounds = meta.boundaries(direction)
+        rows = directions == direction.value
+        expected_lane[rows] = np.clip(
+            np.searchsorted(bounds, y[rows], side="right"), 1, len(bounds) - 1
+        )
+    first_frame, last_frame = frames_sorted[begins], frames_sorted[ends - 1]
+    checks = [
+        (_frames_outside(frames, meta.max_frame), INVARIANT_VIOLATION, "frame",
+         lambda i: f"frame {frames[i]} outside [0, {format_float(meta.max_frame)}]"),
+        (lanes != expected_lane, INVARIANT_VIOLATION, "laneId",
+         lambda i: f"laneId {lanes[i]} inconsistent with y={format_float(y[i])} "
+                   f"(expected {expected_lane[i]})"),
+    ]
+    for column in _NEIGHBOR_COLUMNS:
+        neighbor = cols[column]
+        at = np.minimum(np.searchsorted(track_ids, neighbor), len(track_ids) - 1)
+        present = track_ids[at] == neighbor
+        alive = present & (first_frame[at] <= frames) & (frames <= last_frame[at])
+        other = (neighbor != NO_VEHICLE) & (neighbor != ids)
+        checks += [
+            ((neighbor != NO_VEHICLE) & (neighbor == ids), INVARIANT_VIOLATION, column,
+             lambda i, c=column: f"{c} equals the row's own track id {ids[i]}"),
+            (other & ~present, DANGLING_REFERENCE, column,
+             lambda i, c=column, n=neighbor: f"{c}={n[i]} refers to an unknown track"),
+            (other & present & ~alive, DANGLING_REFERENCE, column,
+             lambda i, c=column, n=neighbor:
+                 f"{c}={n[i]} is not alive at frame {frames[i]}"),
+        ]
+    for column in _SENTINEL_COLUMNS:
+        value = cols[column]
+        checks.append((
+            (value != UNDEFINED) & (value < 0), INVARIANT_VIOLATION, column,
+            lambda i, c=column, v=value:
+                f"{c} must be >= 0 or the -1 sentinel, got {format_float(v[i])}",
+        ))
+    no_leader = cols["precedingId"] == NO_VEHICLE
+    for column in _SENTINEL_COLUMNS:
+        checks.append((
+            no_leader & (cols[column] != UNDEFINED), INVARIANT_VIOLATION, column,
+            lambda i, c=column: f"{c} defined without a preceding vehicle",
+        ))
+    if not _report(scanner, tracks_path, checks):
         return scanner, None
 
+    # Per-track summaries against tracksMeta, building the tracks in id order.
+    cells = {c: cols[c][order].tolist() for c in TRACKS_COLUMNS}
+    state_cells = [cells[c] for c in ("frame", "x", "y", "xVelocity", "yVelocity",
+                                      "xAcceleration", "yAcceleration", "laneId")]
+    surround_cells = [cells[c] for c in ("frame", "id", *_NEIGHBOR_COLUMNS,
+                                         *_SENTINEL_COLUMNS)]
+    meta_cells = {c: metas[c].tolist() for c in TRACKS_META_COLUMNS if c != "class"}
     tracks: List[Track] = []
     surround: Dict[int, Tuple[SurroundFrame, ...]] = {}
-    for track_id in sorted(per_track_rows):
-        meta_row = metas[track_id]
-        states = []
-        frames = []
-        for k in per_track_rows[track_id]:
-            row, floats, ints = parsed[k]
-            states.append(
-                KinematicState(
-                    frame=ints["frame"],
-                    x=floats["x"],
-                    y=floats["y"],
-                    vx=floats["xVelocity"],
-                    vy=floats["yVelocity"],
-                    ax=floats["xAcceleration"],
-                    ay=floats["yAcceleration"],
-                    lane_id=ints["laneId"],
-                )
-            )
-            frames.append(
-                SurroundFrame(
-                    frame=ints["frame"],
-                    track_id=track_id,
-                    preceding_id=ints["precedingId"],
-                    following_id=ints["followingId"],
-                    left_preceding_id=ints["leftPrecedingId"],
-                    left_alongside_id=ints["leftAlongsideId"],
-                    left_following_id=ints["leftFollowingId"],
-                    right_preceding_id=ints["rightPrecedingId"],
-                    right_alongside_id=ints["rightAlongsideId"],
-                    right_following_id=ints["rightFollowingId"],
-                    dhw=floats["dhw"],
-                    thw=floats["thw"],
-                    ttc=floats["ttc"],
-                )
-            )
+    for track_id, m, a, b in zip(track_ids.tolist(), meta_rows.tolist(),
+                                 begins.tolist(), ends.tolist()):
+        states = tuple(map(KinematicState, *(c[a:b] for c in state_cells)))
         recomputed = compute_mean_speed(states)
-        stored = meta_row.mean_speed
+        stored = meta_cells["meanSpeed"][m]
         scale = max(abs(stored), abs(recomputed), 1e-12)
         if abs(stored - recomputed) / scale > MEAN_SPEED_REL_TOL:
             scanner.issue(
-                INVARIANT_VIOLATION, paths.tracks_meta_path,
+                INVARIANT_VIOLATION, tracks_meta_path,
                 f"track {track_id}: meanSpeed {format_float(stored)} does not match "
                 f"recomputed {format_float(recomputed)}",
-                row=meta_row.row, column="meanSpeed",
+                row=m + 1, column="meanSpeed",
             )
             usable = False
             continue
         summary = {
-            "numFrames": (meta_row.num_frames, len(states)),
-            "initialFrame": (meta_row.initial_frame, states[0].frame),
-            "finalFrame": (meta_row.final_frame, states[-1].frame),
+            "numFrames": len(states),
+            "initialFrame": states[0].frame,
+            "finalFrame": states[-1].frame,
         }
-        for column, (stored_value, actual) in summary.items():
-            if stored_value != actual:
+        for column, actual in summary.items():
+            if meta_cells[column][m] != actual:
                 scanner.issue(
-                    INVARIANT_VIOLATION, paths.tracks_meta_path,
-                    f"track {track_id}: {column}={stored_value} does not match "
+                    INVARIANT_VIOLATION, tracks_meta_path,
+                    f"track {track_id}: {column}={meta_cells[column][m]} does not match "
                     f"the tracks table ({actual})",
-                    row=meta_row.row, column=column,
+                    row=m + 1, column=column,
                 )
                 usable = False
         if not usable:
             continue
         track = Track(
             track_id=track_id,
-            vehicle_class=meta_row.vehicle_class,
-            direction=meta_row.direction,
-            length=meta_row.length,
-            width=meta_row.width,
-            states=tuple(states),
+            vehicle_class=metas["class"][m],
+            direction=DrivingDirection(meta_cells["drivingDirection"][m]),
+            length=meta_cells["length"][m],
+            width=meta_cells["width"][m],
+            states=states,
             mean_speed=stored,
         )
-        if meta_row.num_lane_changes != track.lane_change_count():
+        if meta_cells["numLaneChanges"][m] != track.lane_change_count():
             scanner.issue(
-                INVARIANT_VIOLATION, paths.tracks_meta_path,
-                f"track {track_id}: numLaneChanges={meta_row.num_lane_changes} does not "
-                f"match the tracks table ({track.lane_change_count()})",
-                row=meta_row.row, column="numLaneChanges",
+                INVARIANT_VIOLATION, tracks_meta_path,
+                f"track {track_id}: numLaneChanges={meta_cells['numLaneChanges'][m]} "
+                f"does not match the tracks table ({track.lane_change_count()})",
+                row=m + 1, column="numLaneChanges",
             )
             usable = False
             continue
         tracks.append(track)
-        surround[track_id] = tuple(frames)
+        surround[track_id] = tuple(map(SurroundFrame, *(c[a:b] for c in surround_cells)))
     if not usable:
         return scanner, None
     return scanner, Recording(meta=meta, tracks=tuple(tracks), surround=surround)

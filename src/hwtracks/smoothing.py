@@ -111,15 +111,6 @@ class SmoothedSeries:
     covariances: np.ndarray  # (N, 3, 3), shared by the x and y axes
     used_pinv: bool = False
 
-    def positions(self) -> np.ndarray:
-        return self.states[:, [0, 3]]
-
-    def velocities(self) -> np.ndarray:
-        return self.states[:, [1, 4]]
-
-    def accelerations(self) -> np.ndarray:
-        return self.states[:, [2, 5]]
-
 
 def _check_psd(covs: np.ndarray, what: str) -> None:
     sym = (covs + np.swapaxes(covs, -1, -2)) / 2.0

@@ -10,21 +10,28 @@ terminated at their last measured frame.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .core import ContractViolation, Detection, VehicleClass, format_float, write_table
 from .dataset_io import (
     INVARIANT_VIOLATION,
-    MISSING_COLUMN,
     TYPE_MISMATCH,
-    DatasetError,
-    ValidationIssue,
+    _classes,
+    _floats,
+    _frames_outside,
+    _ints,
+    _parse_table,
+    _parsed,
+    _report,
+    _Scanner,
 )
 
 DETECTIONS_COLUMNS = ["frame", "cx", "cy", "length", "width", "class"]
@@ -262,58 +269,45 @@ def write_detections(
     ))
 
 
+_DETECTIONS_PARSERS = {
+    "frame": _ints, "cx": _floats, "cy": _floats, "length": _floats,
+    "width": _floats, "class": partial(_classes, optional=True),
+}
+
+
 def read_detections(path: Path, max_frame: float) -> List[List[Detection]]:
     """Detections grouped by frame, index 0..max frame (gaps are empty lists).
 
     Frames outside [0, ``max_frame``] (the recording meta's) are rejected
     before anything is grouped, so the frame lists stay within the recording.
+    The first problem raises a DatasetError naming the row and column.
     """
     path = Path(path)
-
-    def fail(kind: str, message: str, row: Optional[int] = None,
-             column: Optional[str] = None):
-        raise DatasetError(ValidationIssue(kind, str(path), message, row, column))
-
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            fail(MISSING_COLUMN, "empty file, header row required")
-        if header != DETECTIONS_COLUMNS:
-            fail(MISSING_COLUMN, f"header must be {DETECTIONS_COLUMNS}", row=0)
-        by_frame: Dict[int, List[Detection]] = {}
-        for i, cells in enumerate(reader, start=1):
-            if len(cells) != len(DETECTIONS_COLUMNS):
-                fail(TYPE_MISMATCH, f"expected {len(DETECTIONS_COLUMNS)} cells", row=i)
-            frame_text, cx, cy, length, width, class_text = cells
-            try:
-                frame = int(frame_text)
-            except ValueError:
-                fail(TYPE_MISMATCH, f"expected integer frame, got {frame_text!r}",
-                     row=i, column="frame")
-            if not 0 <= frame <= max_frame:
-                fail(INVARIANT_VIOLATION,
-                     f"frame {frame} outside [0, {format_float(max_frame)}]",
-                     row=i, column="frame")
-            try:
-                values = [float(v) for v in (cx, cy, length, width)]
-            except ValueError:
-                fail(TYPE_MISMATCH, "expected numeric cx, cy, length, width", row=i)
-            if not all(math.isfinite(v) for v in values):
-                fail(TYPE_MISMATCH, "values must be finite", row=i)
-            hint: Optional[VehicleClass] = None
-            if class_text:
-                try:
-                    hint = VehicleClass.parse(class_text)
-                except ValueError as exc:
-                    fail(TYPE_MISMATCH, str(exc), row=i, column="class")
-            try:
-                det = Detection(frame, values[0], values[1], values[2], values[3], hint)
-            except ValueError as exc:
-                fail(TYPE_MISMATCH, str(exc), row=i)
-            by_frame.setdefault(frame, []).append(det)
-    if not by_frame:
+    scanner = _Scanner(strict=True)
+    parsed = _parse_table(scanner, path, DETECTIONS_COLUMNS, _DETECTIONS_PARSERS)
+    assert parsed is not None  # a strict scanner raises instead
+    cols, checks = parsed
+    frames = cols["frame"]
+    typed = _parsed(checks)
+    unparsed_frames = checks[0][0]
+    checks.insert(1, (  # a parsed frame's bound right after its type
+        ~unparsed_frames & _frames_outside(frames, max_frame), INVARIANT_VIOLATION,
+        "frame", lambda i: f"frame {frames[i]} outside [0, {format_float(max_frame)}]",
+    ))
+    for column in ("length", "width"):
+        checks.append((
+            typed & (cols[column] <= 0), TYPE_MISMATCH, column,
+            lambda i, c=column: f"{c} must be positive, got {format_float(cols[c][i])}",
+        ))
+    _report(scanner, path, checks)
+    if not len(frames):
         return []
-    n_frames = max(by_frame) + 1
-    return [by_frame.get(f, []) for f in range(n_frames)]
+    order = np.argsort(frames, kind="stable")
+    hints = cols["class"]
+    detections = list(map(
+        Detection,
+        *(cols[c][order].tolist() for c in ("frame", "cx", "cy", "length", "width")),
+        [hints[i] for i in order.tolist()],
+    ))
+    ends = np.cumsum(np.bincount(frames)).tolist()
+    return [detections[a:b] for a, b in zip([0, *ends], ends)]

@@ -1,5 +1,6 @@
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +185,21 @@ def _patch_cell(path, row, column_index, value, delimiter=","):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _patch_cells(path, edits):
+    """Set ``(row, column name, text)`` cells of a table; text None deletes
+    the cell."""
+    lines = path.read_text().splitlines()
+    columns = lines[0].split(",")
+    for row, column, text in edits:
+        cells = lines[row].split(",")
+        if text is None:
+            del cells[columns.index(column)]
+        else:
+            cells[columns.index(column)] = text
+        lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestErrors:
     @pytest.fixture
     def written(self, tmp_path):
@@ -303,3 +319,176 @@ class TestThroughput:
         for paths in (small, large):
             read_recording(paths)  # warm lazy imports and caches
         assert calls(large) <= 1.2 * size_ratio * calls(small)
+
+
+# Cells a mutation may write: malformed numbers, sentinels, small ids,
+# class names and an integer beyond 64 bits.
+MUTANT_CELLS = ["", "x", "nan", "inf", "-1", "0", "1", "2", "3", "99", "-2.5",
+                "1e3", " 7", "1_0", "Car", "Truck", "Bus", str(10**20)]
+
+
+def mutate_recording(paths, rng, n_edits):
+    """Apply ``n_edits`` random edits to a written recording: a cell replaced
+    (by a mutant cell, the same column of another row, or an integer moved by
+    one), a data row deleted or a data row duplicated. Returns the edits as
+    (file name, action, row, column, value) tuples."""
+    files = [paths.recording_meta_path, paths.tracks_meta_path, paths.tracks_path]
+    edits = []
+    for _ in range(n_edits):
+        path = rng.choice(files + [paths.tracks_path])  # tracks twice as often
+        lines = path.read_text().splitlines()
+        if len(lines) < 2:
+            continue
+        action = rng.choice(["cell", "cell", "cell", "delete", "duplicate"])
+        row = rng.randrange(1, len(lines))
+        column = value = None
+        if action == "cell":
+            cells = lines[row].split(",")
+            column = rng.randrange(len(cells))
+            source = rng.randrange(3)
+            if source == 0:
+                value = rng.choice(MUTANT_CELLS)
+            elif source == 1:
+                value = lines[rng.randrange(1, len(lines))].split(",")[column]
+            elif cells[column].lstrip("-").isdigit():
+                value = str(int(cells[column]) + rng.choice([-1, 1]))
+            else:
+                value = cells[column] + "0"
+            cells[column] = value
+            lines[row] = ",".join(cells)
+            column = lines[0].split(",")[column]
+        elif action == "delete":
+            del lines[row]
+        else:
+            lines.insert(rng.randrange(1, len(lines) + 1), lines[row])
+        path.write_text("\n".join(lines) + "\n")
+        edits.append((path.name, action, row, column, value))
+    return edits
+
+
+def mutant_case(seed, directory):
+    """Recording ``seed`` of the mutation corpus, written to ``directory``."""
+    rng = random.Random(seed)
+    meta, tracks, surround = random_recording(seed, n_tracks=rng.randint(1, 5))
+    paths = write_recording(meta, tracks, surround, directory)
+    return paths, mutate_recording(paths, rng, rng.choice([1, 1, 1, 2, 3]))
+
+
+def _issue_tuples(issues, directory):
+    return [(i.kind, Path(i.file).relative_to(directory).as_posix(), i.message,
+             i.row, i.column) for i in issues]
+
+
+class TestMutationCorpus:
+    def test_validate_and_read_agree_on_every_mutant(self, tmp_path):
+        for seed in range(150):
+            paths, edits = mutant_case(seed, tmp_path / str(seed))
+            issues = validate(paths).issues
+            try:
+                read_recording(paths)
+            except DatasetError as exc:
+                assert issues, (seed, edits)
+                assert exc.issue == issues[0], (seed, edits)
+            else:
+                assert not issues, (seed, edits, issues)
+
+    # Both reports below were captured from the per-row reader that the
+    # columnar one replaced.
+
+    def test_multi_defect_report_across_files(self, tmp_path):
+        meta, tracks, surround = random_recording(seed=7, n_tracks=3)
+        paths = write_recording(meta, tracks, surround, tmp_path)
+        _patch_cells(paths.recording_meta_path, [(1, "speedLimits", "-1;x")])
+        with open(paths.tracks_meta_path, "a") as fh:
+            fh.write(paths.tracks_meta_path.read_text().splitlines()[3] + "\n")
+        _patch_cells(paths.tracks_meta_path, [(1, "length", "-3"), (2, "class", "Bus")])
+        _patch_cells(paths.tracks_path, [(10, "ttc", None)])
+        assert _issue_tuples(validate(paths).issues, tmp_path) == [
+            ("TypeMismatch", "01_recordingMeta.csv",
+             "expected ';'-separated numbers, got '-1;x'", 1, "speedLimits"),
+            ("InvariantViolation", "01_tracksMeta.csv",
+             "track 1: extents must be positive", 1, None),
+            ("TypeMismatch", "01_tracksMeta.csv",
+             "unknown vehicle class 'Bus' (expected 'Car' or 'Truck')", 2, "class"),
+            ("DuplicateId", "01_tracksMeta.csv",
+             "track id 3 appears more than once", 4, "id"),
+            ("TypeMismatch", "01_tracks.csv", "expected 20 cells, got 19", 10, None),
+        ]
+
+    def test_multi_defect_report_of_per_row_checks(self, tmp_path):
+        meta, tracks, surround = random_recording(seed=7, n_tracks=3)
+        paths = write_recording(meta, tracks, surround, tmp_path)
+        # rows 1-25 are track 1 (frames 137-161, lower lane 1, no neighbors);
+        # track 2 is alive from frame 141 and track 3 from frame 142
+        _patch_cells(paths.tracks_path, [
+            (2, "precedingId", "99"), (2, "leftFollowingId", "3"),
+            (3, "followingId", "1"),
+            (4, "dhw", "-2"), (4, "laneId", "7"),
+            (5, "leftFollowingId", "2"),
+            (6, "ttc", "0.5"),
+        ])
+        assert _issue_tuples(validate(paths).issues, tmp_path) == [
+            ("DanglingReference", "01_tracks.csv",
+             "precedingId=99 refers to an unknown track", 2, "precedingId"),
+            ("DanglingReference", "01_tracks.csv",
+             "leftFollowingId=3 is not alive at frame 138", 2, "leftFollowingId"),
+            ("InvariantViolation", "01_tracks.csv",
+             "followingId equals the row's own track id 1", 3, "followingId"),
+            ("InvariantViolation", "01_tracks.csv",
+             "laneId 7 inconsistent with y=13.6817 (expected 1)", 4, "laneId"),
+            ("InvariantViolation", "01_tracks.csv",
+             "dhw must be >= 0 or the -1 sentinel, got -2", 4, "dhw"),
+            ("InvariantViolation", "01_tracks.csv",
+             "dhw defined without a preceding vehicle", 4, "dhw"),
+            ("InvariantViolation", "01_tracks.csv",
+             "ttc defined without a preceding vehicle", 6, "ttc"),
+        ]
+
+
+class TestCellRanges:
+    def test_malformed_driving_direction_reported_once(self, tmp_path):
+        meta, tracks, surround = random_recording(seed=7, n_tracks=3)
+        paths = write_recording(meta, tracks, surround, tmp_path)
+        _patch_cells(paths.tracks_meta_path, [(2, "drivingDirection", "x")])
+        assert _issue_tuples(validate(paths).issues, tmp_path) == [
+            ("TypeMismatch", "01_tracksMeta.csv", "expected integer, got 'x'", 2,
+             "drivingDirection"),
+        ]
+
+    @pytest.mark.parametrize("table, row, column", [
+        ("recording_meta_path", 1, "id"),
+        ("tracks_meta_path", 2, "numFrames"),
+        ("tracks_path", 3, "frame"),
+        ("tracks_path", 3, "precedingId"),
+    ])
+    def test_integer_beyond_64_bits_is_a_type_mismatch(self, tmp_path, table, row,
+                                                       column):
+        meta, tracks, surround = random_recording(seed=7, n_tracks=3)
+        paths = write_recording(meta, tracks, surround, tmp_path)
+        path = getattr(paths, table)
+        _patch_cells(path, [(row, column, str(10**20))])
+        issues = validate(paths).issues
+        assert [(i.kind, i.file, i.row, i.column) for i in issues] == [
+            ("TypeMismatch", str(path), row, column)
+        ]
+        with pytest.raises(DatasetError) as err:
+            read_recording(paths)
+        assert err.value.issue == issues[0]
+
+    def test_frame_bound_is_exact_beyond_float_precision(self, tmp_path):
+        # max frame 1.15292e18 is a float; frame 1152920000000000001 lies one
+        # past it, although it rounds to the same float
+        meta, tracks, surround = random_recording(seed=3, n_tracks=1)
+        one = Track(
+            track_id=1, vehicle_class=VehicleClass.CAR, direction=tracks[0].direction,
+            length=4.5, width=2.0, states=tracks[0].states[:1],
+            mean_speed=tracks[0].mean_speed,
+        )
+        paths = write_recording(meta, [one], compute_surround([one], meta), tmp_path)
+        _patch_cells(paths.recording_meta_path,
+                                 [(1, "frameRate", "1"), (1, "duration", "1.15292e+18")])
+        _patch_cells(paths.tracks_path, [(1, "frame", "1152920000000000001")])
+        assert _issue_tuples(validate(paths).issues, tmp_path) == [
+            ("InvariantViolation", "01_tracks.csv",
+             "frame 1152920000000000001 outside [0, 1.15292e+18]", 1, "frame"),
+        ]

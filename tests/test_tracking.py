@@ -245,6 +245,43 @@ class TestDetectionsCsv:
         assert (issue.kind, issue.row, issue.column) == ("InvariantViolation", 3, "frame")
         assert issue.file == str(path)
 
+    @pytest.mark.parametrize("row, kind, column", [
+        ("0,oops,2,4,2,Car", "TypeMismatch", "cx"),
+        ("0,1,inf,4,2,Car", "TypeMismatch", "cy"),
+        ("0,1,2,4,2,Bus", "TypeMismatch", "class"),
+        ("0,1,2,0,2,Car", "TypeMismatch", "length"),
+        ("0,1,2,4,-2,", "TypeMismatch", "width"),
+        ("1.5,1,2,4,2,Car", "TypeMismatch", "frame"),
+        (f"{10**20},1,2,4,2,Car", "TypeMismatch", "frame"),
+    ])
+    def test_bad_cell_names_column(self, tmp_path, row, kind, column):
+        path = tmp_path / "01_detections.csv"
+        path.write_text(f"frame,cx,cy,length,width,class\n0,1,2,4,2,Car\n{row}\n")
+        from hwtracks import DatasetError
+
+        with pytest.raises(DatasetError) as err:
+            read_detections(path, max_frame=100)
+        issue = err.value.issue
+        assert (issue.kind, issue.row, issue.column) == (kind, 2, column)
+
+    def test_missing_file_is_a_dataset_error(self, tmp_path):
+        from hwtracks import DatasetError
+
+        with pytest.raises(DatasetError) as err:
+            read_detections(tmp_path / "01_detections.csv", max_frame=100)
+        assert err.value.issue.kind == "MissingFile"
+
+    def test_frame_bound_is_exact_beyond_float_precision(self, tmp_path):
+        path = tmp_path / "01_detections.csv"
+        path.write_text("frame,cx,cy,length,width,class\n"
+                        "1152920000000000001,1,2,4,2,Car\n")
+        from hwtracks import DatasetError
+
+        with pytest.raises(DatasetError) as err:
+            read_detections(path, max_frame=1.15292e18)
+        issue = err.value.issue
+        assert (issue.kind, issue.row, issue.column) == ("InvariantViolation", 1, "frame")
+
     def test_last_frame_of_recording_accepted(self, tmp_path):
         path = tmp_path / "01_detections.csv"
         path.write_text("frame,cx,cy,length,width,class\n0,1,2,4,2,Car\n750,1,2,4,2,Car\n")
