@@ -16,7 +16,6 @@ from .core import (
     Track,
     UNLIMITED_SPEED,
     VehicleClass,
-    ahead_of,
     compute_mean_speed,
     lane_id_of,
     nearest_lane_id,
@@ -84,8 +83,6 @@ from .surround import (
     UNDEFINED,
     assign_neighbors,
     compute_surround,
-    gap_size,
-    headway_metrics,
 )
 from .synth import (
     GroundTruth,

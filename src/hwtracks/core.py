@@ -24,6 +24,8 @@ from typing import (
     Any, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple,
 )
 
+import numpy as np
+
 #: In-memory sentinel for a lane without a posted speed limit.
 UNLIMITED_SPEED = math.inf
 
@@ -175,21 +177,11 @@ class KinematicState:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-def ahead_of(a: KinematicState, b: KinematicState, direction: DrivingDirection) -> bool:
-    """True iff ``a`` is strictly ahead of ``b`` along the travel direction.
-
-    Both states must belong to the same frame.
-    """
-    if a.frame != b.frame:
-        raise ContractViolation(f"frame mismatch: {a.frame} vs {b.frame}")
-    return (a.x - b.x) * direction.travel_sign > 0
-
-
-def bumper_gap(
-    a: KinematicState, a_length: float, b: KinematicState, b_length: float
-) -> float:
-    """Bumper-to-bumper distance of two same-frame vehicles, clamped at zero."""
-    return max(abs(a.x - b.x) - (a_length + b_length) / 2.0, 0.0)
+def bumper_gap(x_a, length_a, x_b, length_b):
+    """Bumper-to-bumper distance of two same-frame vehicles with centres
+    ``x_a``, ``x_b`` and lengths ``length_a``, ``length_b``, clamped at zero.
+    Takes floats or equal-shape arrays and returns an array."""
+    return np.maximum(abs(x_a - x_b) - (length_a + length_b) / 2.0, 0.0)
 
 
 def compute_mean_speed(states: Sequence[KinematicState]) -> float:

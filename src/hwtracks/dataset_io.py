@@ -719,16 +719,17 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
             "initialFrame": states[0].frame,
             "finalFrame": states[-1].frame,
         }
-        for column, actual in summary.items():
-            if meta_cells[column][m] != actual:
-                scanner.issue(
-                    INVARIANT_VIOLATION, tracks_meta_path,
-                    f"track {track_id}: {column}={meta_cells[column][m]} does not match "
-                    f"the tracks table ({actual})",
-                    row=m + 1, column=column,
-                )
-                usable = False
-        if not usable:
+        mismatched = [(c, actual) for c, actual in summary.items()
+                      if meta_cells[c][m] != actual]
+        for column, actual in mismatched:
+            scanner.issue(
+                INVARIANT_VIOLATION, tracks_meta_path,
+                f"track {track_id}: {column}={meta_cells[column][m]} does not match "
+                f"the tracks table ({actual})",
+                row=m + 1, column=column,
+            )
+        if mismatched:
+            usable = False
             continue
         track = Track(
             track_id=track_id,

@@ -42,10 +42,10 @@ from .core import (
 from .maneuvers import ManeuverEpisode, ManeuverKind
 from .surround import (
     NO_VEHICLE,
-    SPEED_FLOOR,
     UNDEFINED,
     SurroundFrame,
     left_lane_id,
+    thw_ttc,
 )
 
 #: Quintic shape coefficients for s^3, s^4, s^5.
@@ -510,9 +510,9 @@ def extract_cut_ins(
         tail_state = tail.state_at(episode.crossing_frame)
         changer_state = changer.state_at(episode.crossing_frame)
 
-        gap = bumper_gap(changer_state, changer.length, tail_state, tail.length)
+        gap = bumper_gap(changer_state.x, changer.length, tail_state.x, tail.length)
         tail_speed = abs(tail_state.vx)
-        entry_thw = gap / tail_speed if tail_speed > SPEED_FLOOR else UNDEFINED
+        entry_thw = float(thw_ttc(gap, tail_state.vx, changer_state.vx)[0])
 
         behind = [
             f for f in surround[tailing_id]
@@ -527,8 +527,8 @@ def extract_cut_ins(
         gap_between = UNDEFINED
         if preceding_id != NO_VEHICLE:
             lead = by_id[preceding_id]
-            gap_between = bumper_gap(lead.state_at(episode.crossing_frame), lead.length,
-                                     tail_state, tail.length)
+            gap_between = float(bumper_gap(lead.state_at(episode.crossing_frame).x,
+                                           lead.length, tail_state.x, tail.length))
 
         side = (
             CutInSide.FROM_LEFT

@@ -1,16 +1,31 @@
-"""Per-frame neighbor assignment and headway metrics (DHW, THW, TTC, gap).
+"""Neighbor assignment and headway metrics (DHW, THW, TTC) per vehicle and frame.
 
 Neighbor slots follow the driver's view: "left"/"right" are defined in the
 vehicle's own travel direction, so their mapping to +y/-y flips between the
 carriageways. DHW is measured bumper to bumper, so dhw == 0 coincides with
 contact and TTC keeps collision semantics.
+
+One sorted search serves one frame and a whole recording alike: the rows are
+sorted once by (frame, direction, lane, x, id), and every slot is found with
+``searchsorted`` in that order. Only vehicles of the same frame and
+carriageway interact. Ties resolve as follows:
+
+- preceding and following are the nearest vehicles strictly ahead and
+  strictly behind in x, so a vehicle at the ego's own x is neither; of
+  vehicles at equal distance the lower id wins;
+- a side lane's alongside vehicle is one whose extent overlaps the ego's,
+  |dx| <= (its length + the ego's length) / 2; of several the nearest centre
+  wins, then the lower id;
+- the side preceding and following are found as in the own lane, skipping
+  the alongside vehicle.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .core import (
     ContractViolation,
@@ -18,9 +33,7 @@ from .core import (
     KinematicState,
     RecordingMeta,
     Track,
-    ahead_of,
     bumper_gap,
-    sweep_frames,
 )
 
 #: Neighbor-id sentinel: no vehicle in that slot.
@@ -62,110 +75,126 @@ def right_lane_id(lane_id: int, direction: DrivingDirection) -> int:
     return lane_id - 1 if direction is DrivingDirection.LOWER else lane_id + 1
 
 
-def headway_metrics(
-    ego: KinematicState,
-    ego_length: float,
-    lead: KinematicState,
-    lead_length: float,
-    direction: DrivingDirection,
-) -> Tuple[float, float, float]:
-    """(dhw, thw, ttc) of ego with respect to a preceding vehicle.
+def thw_ttc(dhw, v_ego, v_lead):
+    """(thw, ttc) of an ego at bumper gap ``dhw`` behind a lead vehicle.
 
-    dhw is the bumper gap |x_lead - x_ego| - (len_lead + len_ego)/2 clamped
-    at zero; thw = dhw / |v_ego|; ttc = dhw / (|v_ego| - |v_lead|). Speeds
-    are magnitudes of the longitudinal component projected on the travel
-    direction. A metric whose divisor is below SPEED_FLOOR is UNDEFINED.
+    thw = dhw / |v_ego| and ttc = dhw / (|v_ego| - |v_lead|), with speeds the
+    magnitudes of the longitudinal velocities. A metric whose divisor is not
+    above SPEED_FLOOR is UNDEFINED. Takes floats or equal-shape arrays and
+    returns arrays.
     """
-    if not ahead_of(lead, ego, direction):
-        raise ContractViolation(
-            f"lead (track at x={lead.x}) is not ahead of ego (x={ego.x})"
-        )
-    dhw = bumper_gap(lead, lead_length, ego, ego_length)
-    v_ego = abs(ego.vx)
-    v_lead = abs(lead.vx)
-    thw = dhw / v_ego if v_ego > SPEED_FLOOR else UNDEFINED
-    closing = v_ego - v_lead
-    ttc = dhw / closing if closing > SPEED_FLOOR else UNDEFINED
-    return dhw, thw, ttc
+    speed = np.abs(v_ego)
+    closing = speed - np.abs(v_lead)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.where(speed > SPEED_FLOOR, dhw / speed, UNDEFINED),
+                np.where(closing > SPEED_FLOOR, dhw / closing, UNDEFINED))
 
 
-def gap_size(
-    tail: KinematicState,
-    tail_length: float,
-    lead: KinematicState,
-    lead_length: float,
-    direction: DrivingDirection,
-) -> float:
-    """Bumper-to-bumper distance between a tail vehicle and a vehicle ahead of it."""
-    if not ahead_of(lead, tail, direction):
-        raise ContractViolation(
-            f"lead (x={lead.x}) is not ahead of tail (x={tail.x})"
-        )
-    return bumper_gap(lead, lead_length, tail, tail_length)
+def _search(frame, ids, direction, lane, x, vx, length, lane_count):
+    """Neighbor slots and headway metrics of every row, in row order.
+
+    All arguments are equal-length numpy columns; ``direction`` holds the
+    DrivingDirection values and ``lane_count`` the number of lanes of each
+    row's carriageway. Returns the eight neighbor-id columns in SurroundFrame
+    order (NO_VEHICLE for an empty slot), then dhw, thw and ttc.
+    """
+    n = len(x)
+    xs, x_rank = np.unique(x, return_inverse=True)
+    nx = len(xs)
+    span = int(lane.max()) + 2  # lanes 0 .. max + 1 of one (frame, direction)
+    group = (np.unique(frame, return_inverse=True)[1] * 2 + direction) * span + lane
+    # One sort by (frame, direction, lane, x, id); the key packs all but id.
+    key = group * nx + x_rank
+    order = np.lexsort((ids, key))
+    key = key[order]
+    reach = (length.max() + length) / 2.0
+    sign = np.where(direction == DrivingDirection.LOWER.value, 1, -1)
+
+    def lane_slots(k):
+        """Sorted indices (ahead, alongside, behind) of each row's neighbors in
+        the lane ``k`` to the driver's left (0: own lane, -1: right), -1 where
+        the slot is empty."""
+        step = k * sign
+        valid = (k == 0) | ((lane + step >= 1) & (lane + step <= lane_count))
+        low = (group + step) * nx  # keys of the searched lane are [low, low + nx)
+
+        def in_lane(i):
+            """``i`` where it indexes a row of the searched lane, else -1."""
+            j = np.clip(i, 0, n - 1)
+            return np.where((i >= 0) & (i < n) & (key[j] >= low) & (key[j] < low + nx), i, -1)
+
+        def run_start(i):
+            """First index of the equal-x run that holds ``i`` (-1 stays -1)."""
+            return np.where(i >= 0, np.searchsorted(key, key[np.maximum(i, 0)]), -1)
+
+        alongside = np.full(n, -1)
+        if k != 0:
+            lo = np.searchsorted(key, low + np.searchsorted(xs, x - reach, "left"))
+            hi = np.searchsorted(key, low + np.searchsorted(xs, x + reach, "right"))
+            counts = np.where(valid, hi - lo, 0)
+            # Every (ego, candidate) pair of the windows [lo, hi), flattened.
+            ego = np.repeat(np.arange(n), counts)
+            cand = np.arange(len(ego)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            other = order[cand]
+            dist = np.abs(x[other] - x[ego])
+            hit = dist <= (length[other] + length[ego]) / 2.0
+            ego, cand = ego[hit], cand[hit]
+            best = np.lexsort((ids[other[hit]], dist[hit], ego))
+            ego, cand = ego[best], cand[best]
+            first = np.diff(ego, prepend=-1) != 0
+            alongside[ego[first]] = cand[first]
+
+        # In scan order the nearest vehicle is the first candidate or, when
+        # that one is alongside, the second. Equal-x runs scan by ascending id.
+        def nearest(c1, c2):
+            return np.where(c1 == alongside, c2, c1)
+
+        at = low + x_rank  # the row's own x in the searched lane
+        above = np.searchsorted(key, at, "right")
+        larger = nearest(in_lane(above), in_lane(above + 1))
+        below = in_lane(np.searchsorted(key, at, "left") - 1)
+        start = run_start(below)
+        smaller = nearest(start, np.where(start < below, start + 1,
+                                          run_start(in_lane(start - 1))))
+        ahead = np.where(sign > 0, larger, smaller)
+        behind = np.where(sign > 0, smaller, larger)
+        return [np.where(valid, i, -1) for i in (ahead, alongside, behind)]
+
+    own, left, right = lane_slots(0), lane_slots(1), lane_slots(-1)
+    dhw, thw, ttc = np.full((3, n), UNDEFINED)
+    has = own[0] >= 0
+    lead = order[own[0][has]]
+    dhw[has] = bumper_gap(x[lead], length[lead], x[has], length[has])
+    thw[has], ttc[has] = thw_ttc(dhw[has], vx[has], vx[lead])
+    sorted_ids = ids[order]
+    return (
+        *(np.where(i >= 0, sorted_ids[i], NO_VEHICLE)
+          for i in (own[0], own[2], *left, *right)),
+        dhw, thw, ttc,
+    )
 
 
-class _LaneColumn:
-    """Vehicles of one (direction, lane) at one frame, sorted by x."""
-
-    __slots__ = ("xs", "entries", "max_length")
-
-    def __init__(self, entries: List[Tuple[float, int, Track, KinematicState]]) -> None:
-        entries.sort(key=lambda e: (e[0], e[1]))
-        self.entries = entries
-        self.xs = [e[0] for e in entries]
-        self.max_length = max(e[2].length for e in entries)
-
-    def nearest_ahead(
-        self, ego: KinematicState, direction: DrivingDirection, exclude: Tuple[int, ...]
-    ) -> int:
-        """Id of the nearest vehicle strictly ahead of ego; ties by lower id."""
-        return self._nearest(ego, direction, exclude, ahead=True)
-
-    def nearest_behind(
-        self, ego: KinematicState, direction: DrivingDirection, exclude: Tuple[int, ...]
-    ) -> int:
-        return self._nearest(ego, direction, exclude, ahead=False)
-
-    def _nearest(self, ego, direction, exclude, ahead):
-        # "ahead" is +x on the lower carriageway, -x on the upper one.
-        # Entries are sorted by (x, id), so equal-distance ties resolve to
-        # the lower id by scanning each equal-x run in storage order.
-        want_larger_x = (direction.travel_sign > 0) == ahead
-        if want_larger_x:
-            start = bisect.bisect_right(self.xs, ego.x)
-            for j in range(start, len(self.entries)):
-                tid = self.entries[j][1]
-                if tid not in exclude:
-                    return tid
-            return NO_VEHICLE
-        j = bisect.bisect_left(self.xs, ego.x) - 1
-        while j >= 0:
-            run_start = bisect.bisect_left(self.xs, self.xs[j])
-            for m in range(run_start, j + 1):
-                tid = self.entries[m][1]
-                if tid not in exclude:
-                    return tid
-            j = run_start - 1
-        return NO_VEHICLE
-
-    def alongside(self, ego: KinematicState, ego_length: float, ego_id: int) -> int:
-        """Vehicle whose longitudinal extent overlaps the ego's (>= 0 m overlap).
-
-        Among overlapping vehicles the nearest center wins, ties by lower id.
-        """
-        reach = (self.max_length + ego_length) / 2.0
-        lo = bisect.bisect_left(self.xs, ego.x - reach)
-        hi = bisect.bisect_right(self.xs, ego.x + reach)
-        best: Optional[Tuple[float, int]] = None
-        for j in range(lo, hi):
-            x, tid, track, _ = self.entries[j]
-            if tid == ego_id:
-                continue
-            if abs(x - ego.x) <= (track.length + ego_length) / 2.0:
-                cand = (abs(x - ego.x), tid)
-                if best is None or cand < best:
-                    best = cand
-        return best[1] if best is not None else NO_VEHICLE
+def _surround_frames(
+    tracks: Sequence[Track], states: Sequence[KinematicState], meta: RecordingMeta
+) -> List[SurroundFrame]:
+    """SurroundFrames of the rows ``tracks[i]`` at ``states[i]``, in row order,
+    from one search."""
+    if not states:
+        return []
+    frames = [s.frame for s in states]
+    ids = [t.track_id for t in tracks]
+    direction = np.array([t.direction.value for t in tracks])
+    lanes_of = np.array([0, meta.lane_count(DrivingDirection.UPPER),
+                         meta.lane_count(DrivingDirection.LOWER)])
+    columns = _search(
+        np.array(frames), np.array(ids), direction,
+        np.array([s.lane_id for s in states]),
+        np.array([s.x for s in states]),
+        np.array([s.vx for s in states]),
+        np.array([t.length for t in tracks]),
+        lanes_of[direction],
+    )
+    return list(map(SurroundFrame, frames, ids, *(c.tolist() for c in columns)))
 
 
 def assign_neighbors(
@@ -177,78 +206,21 @@ def assign_neighbors(
     vehicles of the same carriageway interact. Returns one SurroundFrame per
     input vehicle, in input order.
     """
-    if not vehicles:
-        return []
-    frame = vehicles[0][1].frame
-    columns: Dict[Tuple[DrivingDirection, int], List] = {}
-    state_by_id: Dict[int, Tuple[Track, KinematicState]] = {}
-    for track, state in vehicles:
-        if state.frame != frame:
-            raise ContractViolation(
-                f"states must share one frame: {state.frame} vs {frame}"
-            )
-        columns.setdefault((track.direction, state.lane_id), []).append(
-            (state.x, track.track_id, track, state)
-        )
-        state_by_id[track.track_id] = (track, state)
-    lanes = {key: _LaneColumn(entries) for key, entries in columns.items()}
-
-    out: List[SurroundFrame] = []
-    for track, state in vehicles:
-        direction = track.direction
-        own = lanes[(direction, state.lane_id)]
-        preceding = own.nearest_ahead(state, direction, exclude=(track.track_id,))
-        following = own.nearest_behind(state, direction, exclude=(track.track_id,))
-
-        sides = {}
-        for side_name, lane in (
-            ("left", left_lane_id(state.lane_id, direction)),
-            ("right", right_lane_id(state.lane_id, direction)),
-        ):
-            column = lanes.get((direction, lane))
-            if column is None or not (1 <= lane <= meta.lane_count(direction)):
-                sides[side_name] = (NO_VEHICLE, NO_VEHICLE, NO_VEHICLE)
-                continue
-            alongside = column.alongside(state, track.length, track.track_id)
-            exclude = (track.track_id, alongside)
-            sides[side_name] = (
-                column.nearest_ahead(state, direction, exclude),
-                alongside,
-                column.nearest_behind(state, direction, exclude),
-            )
-
-        dhw = thw = ttc = UNDEFINED
-        if preceding != NO_VEHICLE:
-            lead_track, lead_state = state_by_id[preceding]
-            dhw, thw, ttc = headway_metrics(
-                state, track.length, lead_state, lead_track.length, direction
-            )
-        out.append(
-            SurroundFrame(
-                frame=frame,
-                track_id=track.track_id,
-                preceding_id=preceding,
-                following_id=following,
-                left_preceding_id=sides["left"][0],
-                left_alongside_id=sides["left"][1],
-                left_following_id=sides["left"][2],
-                right_preceding_id=sides["right"][0],
-                right_alongside_id=sides["right"][1],
-                right_following_id=sides["right"][2],
-                dhw=dhw,
-                thw=thw,
-                ttc=ttc,
-            )
-        )
-    return out
+    frames = sorted({state.frame for _, state in vehicles})
+    if len(frames) > 1:
+        raise ContractViolation(f"states must share one frame, got frames {frames}")
+    return _surround_frames([t for t, _ in vehicles], [s for _, s in vehicles], meta)
 
 
 def compute_surround(
     tracks: Sequence[Track], meta: RecordingMeta
 ) -> Dict[int, List[SurroundFrame]]:
     """SurroundFrames for every track, aligned with each track's states."""
-    result: Dict[int, List[SurroundFrame]] = {t.track_id: [] for t in tracks}
-    for _, present in sweep_frames(tracks):
-        for sf in assign_neighbors(present, meta):
-            result[sf.track_id].append(sf)
+    frames = _surround_frames([t for t in tracks for _ in t.states],
+                              [s for t in tracks for s in t.states], meta)
+    result: Dict[int, List[SurroundFrame]] = {}
+    start = 0
+    for track in tracks:
+        result[track.track_id] = frames[start:start + track.num_frames]
+        start += track.num_frames
     return result

@@ -46,7 +46,7 @@ from .lane_change import (
     evaluate_model,
 )
 from .maneuvers import ManeuverEpisode, ManeuverKind
-from .surround import NO_VEHICLE, SPEED_FLOOR, UNDEFINED, left_lane_id
+from .surround import NO_VEHICLE, UNDEFINED, left_lane_id, thw_ttc
 
 DEFAULT_UPPER_BOUNDARIES = (0.0, 3.7, 7.4)
 DEFAULT_LOWER_BOUNDARIES = (12.0, 15.7, 19.4)
@@ -525,9 +525,9 @@ def _truth_cut_ins(
         tail = by_id[tailing_id]
         tail_state = tail.state_at(f)
         changer_state = changer.state_at(f)
-        gap = bumper_gap(changer_state, changer.length, tail_state, tail.length)
+        gap = bumper_gap(changer_state.x, changer.length, tail_state.x, tail.length)
         tail_speed = abs(tail_state.vx)
-        entry_thw = gap / tail_speed if tail_speed > SPEED_FLOOR else UNDEFINED
+        entry_thw = float(thw_ttc(gap, tail_state.vx, changer_state.vx)[0])
 
         min_dhw = min_thw = min_ttc = UNDEFINED
         lo = max(lc.start_frame, tail.initial_frame)
@@ -539,11 +539,8 @@ def _truth_cut_ins(
             cs = changer.state_at(frame)
             if cs is None:
                 continue
-            dhw = bumper_gap(cs, changer.length, ts, tail.length)
-            v_tail, v_changer = abs(ts.vx), abs(cs.vx)
-            thw = dhw / v_tail if v_tail > SPEED_FLOOR else UNDEFINED
-            closing = v_tail - v_changer
-            ttc = dhw / closing if closing > SPEED_FLOOR else UNDEFINED
+            dhw = float(bumper_gap(cs.x, changer.length, ts.x, tail.length))
+            thw, ttc = map(float, thw_ttc(dhw, ts.vx, cs.vx))
             if min_dhw == UNDEFINED or dhw < min_dhw:
                 min_dhw = dhw
             if thw != UNDEFINED and (min_thw == UNDEFINED or thw < min_thw):
@@ -555,7 +552,8 @@ def _truth_cut_ins(
         gap_between = UNDEFINED
         if preceding_id != NO_VEHICLE:
             lead = by_id[preceding_id]
-            gap_between = bumper_gap(lead.state_at(f), lead.length, tail_state, tail.length)
+            gap_between = float(bumper_gap(lead.state_at(f).x, lead.length,
+                                           tail_state.x, tail.length))
         side = (
             CutInSide.FROM_LEFT
             if lc.from_lane == left_lane_id(lc.to_lane, tail.direction)

@@ -9,13 +9,15 @@ from hwtracks import (
     DrivingDirection,
     Track,
     VehicleClass,
-    ahead_of,
+    assign_neighbors,
     compute_mean_speed,
     lane_id_of,
     nearest_lane_id,
 )
 from hwtracks.core import sweep_frames
+from hwtracks.surround import NO_VEHICLE, UNDEFINED
 from conftest import make_meta, make_state, straight_track
+from test_surround import vehicle_at
 
 
 def boundaries_meta(boundaries):
@@ -60,43 +62,32 @@ class TestLaneIdOf:
 
 
 class TestAheadOf:
+    """Which vehicle is ahead along the travel direction, as the preceding and
+    following slots of assign_neighbors see it."""
+
+    def pair(self, direction, x_a, x_b, frame_b=0):
+        a = vehicle_at(1, direction, 1, x_a)
+        b = vehicle_at(2, direction, 1, x_b, frame=frame_b)
+        return assign_neighbors([a, b], make_meta())
+
     def test_lower_carriageway_larger_x_is_ahead(self):
-        a = make_state(x=100.0)
-        b = make_state(x=90.0)
-        assert ahead_of(a, b, DrivingDirection.LOWER) is True
+        a, b = self.pair(DrivingDirection.LOWER, 100.0, 90.0)
+        assert (b.preceding_id, a.following_id) == (1, 2)
+        assert (a.preceding_id, b.following_id) == (NO_VEHICLE, NO_VEHICLE)
 
     def test_upper_carriageway_sign_flips(self):
-        a = make_state(x=100.0)
-        b = make_state(x=90.0)
-        assert ahead_of(a, b, DrivingDirection.UPPER) is False
-        assert ahead_of(b, a, DrivingDirection.UPPER) is True
+        a, b = self.pair(DrivingDirection.UPPER, 100.0, 90.0)
+        assert (a.preceding_id, b.following_id) == (2, 1)
+        assert (b.preceding_id, a.following_id) == (NO_VEHICLE, NO_VEHICLE)
 
     def test_equal_x_strict(self):
-        a = make_state(x=100.0)
-        b = make_state(x=100.0)
-        assert ahead_of(a, b, DrivingDirection.LOWER) is False
-        assert ahead_of(b, a, DrivingDirection.LOWER) is False
+        for sf in self.pair(DrivingDirection.LOWER, 100.0, 100.0):
+            assert sf.preceding_id == sf.following_id == NO_VEHICLE
+            assert sf.dhw == UNDEFINED
 
     def test_frame_mismatch_is_contract_violation(self):
-        a = make_state(frame=0)
-        b = make_state(frame=1)
         with pytest.raises(ContractViolation):
-            ahead_of(a, b, DrivingDirection.LOWER)
-
-    @given(
-        st.lists(st.floats(min_value=-1000, max_value=1000,
-                           allow_nan=False), min_size=3, max_size=3, unique=True),
-        st.sampled_from([DrivingDirection.UPPER, DrivingDirection.LOWER]),
-    )
-    def test_strict_total_order(self, xs, direction):
-        a, b, c = (make_state(x=x) for x in xs)
-        # irreflexive
-        assert not ahead_of(a, a, direction)
-        # antisymmetric
-        assert ahead_of(a, b, direction) != ahead_of(b, a, direction)
-        # transitive
-        if ahead_of(a, b, direction) and ahead_of(b, c, direction):
-            assert ahead_of(a, c, direction)
+            self.pair(DrivingDirection.LOWER, 100.0, 90.0, frame_b=1)
 
 
 class TestTypes:

@@ -415,6 +415,30 @@ class TestMutationCorpus:
             ("TypeMismatch", "01_tracks.csv", "expected 20 cells, got 19", 10, None),
         ]
 
+    def test_summary_issues_of_one_track_skip_only_its_own_later_checks(self, tmp_path):
+        meta, tracks, surround = random_recording(seed=7, n_tracks=3)
+        paths = write_recording(meta, tracks, surround, tmp_path)
+        # a numFrames or meanSpeed issue hides the rest of its own track's
+        # summary checks, but not the numLaneChanges check of a later track
+        _patch_cells(paths.tracks_meta_path, [
+            (1, "numFrames", "26"), (1, "numLaneChanges", "1"),
+            (2, "numLaneChanges", "4"),
+            (3, "meanSpeed", "1"), (3, "initialFrame", "0"),
+        ])
+        issues = validate(paths).issues
+        assert _issue_tuples(issues, tmp_path) == [
+            ("InvariantViolation", "01_tracksMeta.csv",
+             "track 1: numFrames=26 does not match the tracks table (25)", 1, "numFrames"),
+            ("InvariantViolation", "01_tracksMeta.csv",
+             "track 2: numLaneChanges=4 does not match the tracks table (0)", 2,
+             "numLaneChanges"),
+            ("InvariantViolation", "01_tracksMeta.csv",
+             "track 3: meanSpeed 1 does not match recomputed 20.527", 3, "meanSpeed"),
+        ]
+        with pytest.raises(DatasetError) as err:
+            read_recording(paths)
+        assert err.value.issue == issues[0]
+
     def test_multi_defect_report_of_per_row_checks(self, tmp_path):
         meta, tracks, surround = random_recording(seed=7, n_tracks=3)
         paths = write_recording(meta, tracks, surround, tmp_path)

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hwtracks import (
-    ContractViolation,
     DrivingDirection,
     Track,
     VehicleClass,
     assign_neighbors,
     compute_surround,
-    gap_size,
-    headway_metrics,
 )
+from hwtracks.core import sweep_frames
 from hwtracks.surround import NO_VEHICLE, UNDEFINED, left_lane_id, right_lane_id
 from conftest import LOWER, UPPER, make_meta, make_state, straight_track
 
@@ -98,6 +96,33 @@ def brute_force_neighbors(vehicles, meta):
     return out
 
 
+def oracle_mismatches(frames, vehicles, meta):
+    """Track ids whose SurroundFrame differs from the oracle in any slot or
+    metric (exact comparison); ``frames`` must cover ``vehicles``."""
+    want = brute_force_neighbors(vehicles, meta)
+    assert sorted(sf.track_id for sf in frames) == sorted(want)
+    return [
+        sf.track_id for sf in frames
+        if (sf.preceding_id, sf.following_id,
+            (sf.left_preceding_id, sf.left_alongside_id, sf.left_following_id),
+            (sf.right_preceding_id, sf.right_alongside_id, sf.right_following_id),
+            sf.dhw, sf.thw, sf.ttc)
+        != tuple(want[sf.track_id][k] for k in ("preceding", "following", "left",
+                                                "right", "dhw", "thw", "ttc"))
+    ]
+
+
+def tie_scene(rng, n_vehicles, frame=0):
+    """A random scene with x on a 2.5 m grid and few lengths and speeds, so
+    that equal distances, equal x and exact overlaps are common."""
+    return [
+        vehicle_at(track_id, rng.choice(list(DrivingDirection)), rng.randint(1, 2),
+                   2.5 * rng.randint(0, 40), rng.choice([20.0, 25.0, 30.0]),
+                   rng.choice([4.5, 5.0, 10.0]), frame)
+        for track_id in range(1, n_vehicles + 1)
+    ]
+
+
 def random_scene(rng, n_vehicles, frame=0):
     vehicles = []
     for track_id in range(1, n_vehicles + 1):
@@ -110,40 +135,40 @@ def random_scene(rng, n_vehicles, frame=0):
     return vehicles
 
 
-class TestHeadwayMetrics:
-    def lead_ego(self, gap, v_ego, v_lead, len_ego=4.5, len_lead=4.5):
-        ego = make_state(x=100.0, vx=v_ego)
-        lead = make_state(x=100.0 + gap + (len_ego + len_lead) / 2, vx=v_lead)
-        return ego, lead, len_ego, len_lead
+def headway_pair(gap, v_ego, v_lead, len_ego=4.5, len_lead=4.5,
+                 direction=DrivingDirection.LOWER, x_ego=100.0):
+    """(dhw, thw, ttc) that assign_neighbors gives an ego with a lead vehicle
+    ``gap`` metres ahead, bumper to bumper, in the same lane."""
+    x_lead = x_ego + direction.travel_sign * (gap + (len_ego + len_lead) / 2)
+    ego = vehicle_at(1, direction, 1, x_ego, v_ego, len_ego)
+    lead = vehicle_at(2, direction, 1, x_lead, v_lead, len_lead)
+    sf = assign_neighbors([ego, lead], make_meta())[0]
+    assert sf.preceding_id == 2
+    return sf.dhw, sf.thw, sf.ttc
 
+
+class TestHeadwayMetrics:
     def test_equal_speeds_thw_defined_ttc_not(self):
-        ego, lead, le, ll = self.lead_ego(50.0, 25.0, 25.0)
-        dhw, thw, ttc = headway_metrics(ego, le, lead, ll, DrivingDirection.LOWER)
+        dhw, thw, ttc = headway_pair(50.0, 25.0, 25.0)
         assert dhw == pytest.approx(50.0)
         assert thw == pytest.approx(2.0)
         assert ttc == UNDEFINED
 
     def test_closing_gives_ttc(self):
-        ego, lead, le, ll = self.lead_ego(30.0, 30.0, 20.0)
-        dhw, thw, ttc = headway_metrics(ego, le, lead, ll, DrivingDirection.LOWER)
+        _, _, ttc = headway_pair(30.0, 30.0, 20.0)
         assert ttc == pytest.approx(3.0)
 
-    def test_bumper_to_bumper_definition(self):
-        ego = make_state(x=100.0, vx=20.0)
-        lead = make_state(x=120.0, vx=20.0)
-        dhw, _, _ = headway_metrics(ego, 5.0, lead, 15.0, DrivingDirection.LOWER)
-        assert dhw == pytest.approx(20.0 - 10.0)
-
-    def test_lead_not_ahead_is_contract_violation(self):
-        ego = make_state(x=100.0)
-        lead = make_state(x=90.0)
-        with pytest.raises(ContractViolation):
-            headway_metrics(ego, 4.5, lead, 4.5, DrivingDirection.LOWER)
+    def test_bumper_to_bumper_definition(self, meta):
+        ego = vehicle_at(1, DrivingDirection.LOWER, 1, 100.0, 20.0, length=5.0)
+        lead = vehicle_at(2, DrivingDirection.LOWER, 1, 120.0, 20.0, length=15.0)
+        sf = assign_neighbors([ego, lead], meta)[0]
+        assert sf.dhw == pytest.approx(20.0 - 10.0)
 
     def test_slow_ego_thw_undefined(self):
-        ego, lead, le, ll = self.lead_ego(10.0, 0.05, 0.0)
-        _, thw, _ = headway_metrics(ego, le, lead, ll, DrivingDirection.LOWER)
-        assert thw == UNDEFINED
+        # below the speed floor both THW and TTC (closing 0.05 m/s) are undefined
+        dhw, thw, ttc = headway_pair(10.0, 0.05, 0.0)
+        assert dhw == pytest.approx(10.0)
+        assert thw == ttc == UNDEFINED
 
     @given(
         gap=st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
@@ -151,49 +176,43 @@ class TestHeadwayMetrics:
         shift=st.floats(min_value=-500, max_value=500, allow_nan=False),
     )
     def test_thw_times_speed_is_dhw_and_translation_invariance(self, gap, v_ego, shift):
-        ego = make_state(x=10.0, vx=v_ego)
-        lead = make_state(x=10.0 + gap + 4.5, vx=v_ego)
-        dhw, thw, _ = headway_metrics(ego, 4.5, lead, 4.5, DrivingDirection.LOWER)
-        assert abs(thw * abs(ego.vx) - dhw) <= 1e-9 * max(dhw, 1.0)
-        ego2 = make_state(x=10.0 + shift, vx=v_ego)
-        lead2 = make_state(x=10.0 + shift + gap + 4.5, vx=v_ego)
-        dhw2, _, _ = headway_metrics(ego2, 4.5, lead2, 4.5, DrivingDirection.LOWER)
+        dhw, thw, _ = headway_pair(gap, v_ego, v_ego, x_ego=10.0)
+        assert abs(thw * v_ego - dhw) <= 1e-9 * max(dhw, 1.0)
+        dhw2, _, _ = headway_pair(gap, v_ego, v_ego, x_ego=10.0 + shift)
         assert dhw2 == pytest.approx(dhw, abs=1e-9)
 
     def test_mirror_invariance_across_carriageways(self):
-        # same geometry mirrored to the upper carriageway (x reversed)
-        ego_l = make_state(x=100.0, vx=30.0)
-        lead_l = make_state(x=140.0, vx=20.0)
-        low = headway_metrics(ego_l, 4.5, lead_l, 4.5, DrivingDirection.LOWER)
-        ego_u = make_state(x=-100.0, vx=-30.0, y=1.85)
-        lead_u = make_state(x=-140.0, vx=-20.0, y=1.85)
-        up = headway_metrics(ego_u, 4.5, lead_u, 4.5, DrivingDirection.UPPER)
+        # the same geometry mirrored to the upper carriageway (x reversed)
+        low = headway_pair(35.5, 30.0, 20.0)
+        up = headway_pair(35.5, 30.0, 20.0, direction=DrivingDirection.UPPER,
+                          x_ego=-100.0)
         assert low == pytest.approx(up)
+        assert low[2] == pytest.approx(35.5 / 10.0)
 
 
 class TestGapSize:
     def test_simple_gap(self):
-        tail = make_state(x=100.0)
-        lead = make_state(x=150.0)
         # lead rear at 150 - l/2, tail front at 100 + l/2
-        assert gap_size(tail, 10.0, lead, 10.0, DrivingDirection.LOWER) == 40.0
+        dhw, _, _ = headway_pair(40.0, 25.0, 25.0, len_ego=10.0, len_lead=10.0)
+        assert dhw == 40.0
 
-    def test_bumper_to_bumper_zero(self):
-        tail = make_state(x=100.0)
-        lead = make_state(x=104.5)
-        assert gap_size(tail, 4.5, lead, 4.5, DrivingDirection.LOWER) == 0.0
+    def test_bumper_to_bumper_zero(self, meta):
+        tail = vehicle_at(1, DrivingDirection.LOWER, 1, 100.0)
+        lead = vehicle_at(2, DrivingDirection.LOWER, 1, 104.5)
+        sf = assign_neighbors([tail, lead], meta)[0]
+        assert sf.preceding_id == 2
+        assert sf.dhw == 0.0
 
-    def test_randomized_matches_direct_formula(self):
+    def test_randomized_matches_direct_formula(self, meta):
         rng = random.Random(4)
         for _ in range(200):
             x_tail = rng.uniform(0, 300)
             lt, ll = rng.uniform(3, 16), rng.uniform(3, 16)
-            gap = rng.uniform(0, 80)
-            x_lead = x_tail + gap + (lt + ll) / 2
-            tail = make_state(x=x_tail)
-            lead = make_state(x=x_lead)
-            got = gap_size(tail, lt, lead, ll, DrivingDirection.LOWER)
-            assert got == pytest.approx(abs(x_lead - x_tail) - (lt + ll) / 2)
+            x_lead = x_tail + rng.uniform(0, 80) + (lt + ll) / 2
+            tail = vehicle_at(1, DrivingDirection.LOWER, 1, x_tail, length=lt)
+            lead = vehicle_at(2, DrivingDirection.LOWER, 1, x_lead, length=ll)
+            sf = assign_neighbors([tail, lead], meta)[0]
+            assert sf.dhw == pytest.approx(abs(x_lead - x_tail) - (lt + ll) / 2)
 
 
 class TestAssignNeighbors:
@@ -288,6 +307,9 @@ class TestAssignNeighbors:
             assert sf.dhw == pytest.approx(w["dhw"])
             assert sf.thw == pytest.approx(w["thw"])
             assert sf.ttc == pytest.approx(w["ttc"])
+        # a tie-heavy scene, compared exactly
+        ties = tie_scene(rng, rng.randint(2, 40))
+        assert oracle_mismatches(assign_neighbors(ties, meta), ties, meta) == []
 
     def test_preceding_following_symmetry(self, meta):
         rng = random.Random(99)
@@ -302,6 +324,43 @@ class TestAssignNeighbors:
 
 
 class TestComputeSurround:
+    def test_no_tracks(self, meta):
+        assert compute_surround([], meta) == {}
+
+    def test_every_frame_matches_oracle(self):
+        # Both carriageways with three lanes each share lane numbers and x
+        # values, so any leak between frames or carriageways shows.
+        meta3 = make_meta(
+            upper_lane_boundaries=(0.0, 3.7, 7.4, 11.1),
+            lower_lane_boundaries=(16.0, 19.7, 23.4, 27.1),
+            upper_speed_limits=(math.inf,) * 3, lower_speed_limits=(math.inf,) * 3,
+        )
+        rng = random.Random(2024)
+        tracks = []
+        for track_id in range(1, 61):
+            direction = rng.choice(list(DrivingDirection))
+            lane = rng.randint(1, 3)
+            to_lane = rng.choice([k for k in (lane - 1, lane + 1) if 1 <= k <= 3])
+            change_at = rng.randint(0, 40)
+            x0, step = 2.5 * rng.randint(0, 40), rng.choice([0.0, 0.5, 1.0])
+            sign = direction.travel_sign
+            states = tuple(
+                make_state(frame=frame, x=x0 + sign * step * i, vx=sign * step * 25,
+                           lane_id=lane if i < change_at else to_lane)
+                for i, frame in enumerate(range(rng.randint(0, 30), rng.randint(35, 70)))
+            )
+            tracks.append(Track(
+                track_id=track_id, vehicle_class=VehicleClass.CAR, direction=direction,
+                length=rng.choice([4.5, 5.0, 10.0]), width=2.0, states=states,
+                mean_speed=step * 25,
+            ))
+        surround = compute_surround(tracks, meta3)
+        assert list(surround) == [t.track_id for t in tracks]
+        for frame, present in sweep_frames(tracks):
+            got = [surround[t.track_id][frame - t.initial_frame] for t, _ in present]
+            assert [sf.frame for sf in got] == [frame] * len(present)
+            assert oracle_mismatches(got, present, meta3) == [], frame
+
     def test_aligned_with_states(self, meta):
         a = straight_track(track_id=1, x0=0.0, n_frames=50)
         b = straight_track(track_id=2, x0=30.0, n_frames=80, first_frame=10)
