@@ -9,6 +9,8 @@ against the smoothed error per track.
 
 import math
 
+import numpy as np
+
 from hwtracks import (
     DrivingDirection,
     NoiseSpec,
@@ -58,15 +60,16 @@ cfg = SmootherConfig(dt=1.0 / truth.meta.frame_rate)
 print("\n track   frames  coasted   raw RMSE   smoothed RMSE")
 for raw, want in zip(raw_tracks, truth.tracks):
     track = smooth_track(raw, cfg, truth.meta)
-    raw_err = []
-    smooth_err = []
-    for obs, got in zip(raw.observations, track.states):
-        exp = want.state_at(obs.frame)
-        raw_err.append((obs.x - exp.x) ** 2 + (obs.y - exp.y) ** 2)
-        smooth_err.append((got.x - exp.x) ** 2 + (got.y - exp.y) ** 2)
+    # Track rows are consecutive frames, so the truth rows of the same
+    # frames are one slice of its columns.
+    rows = slice(track.initial_frame - want.initial_frame,
+                 track.final_frame - want.initial_frame + 1)
+    exp_x, exp_y = want.x[rows], want.y[rows]
+    raw_x = np.array([o.x for o in raw.observations])
+    raw_y = np.array([o.y for o in raw.observations])
     coasted = sum(1 for o in raw.observations if not o.measured)
-    raw_rmse = math.sqrt(sum(raw_err) / len(raw_err))
-    smooth_rmse = math.sqrt(sum(smooth_err) / len(smooth_err))
+    raw_rmse = math.sqrt(np.mean((raw_x - exp_x) ** 2 + (raw_y - exp_y) ** 2))
+    smooth_rmse = math.sqrt(np.mean((track.x - exp_x) ** 2 + (track.y - exp_y) ** 2))
     print(f"  {track.track_id:>4}  {track.num_frames:>7}  {coasted:>7}"
           f"  {raw_rmse:>8.3f} m  {smooth_rmse:>10.3f} m")
 print("\nsmoothing cuts the positioning error well below the pixel size")

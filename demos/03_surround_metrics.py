@@ -5,6 +5,8 @@ cruises alongside on the left. The per-frame surround data shows how the
 neighbor slots fill and how the headway metrics evolve as the gap closes.
 """
 
+import numpy as np
+
 from hwtracks import (
     DrivingDirection,
     ScenarioScript,
@@ -33,24 +35,26 @@ truth = generate_truth(script)
 surround = compute_surround(truth.tracks, truth.meta)
 
 ego = truth.tracks[0]
-frames = surround[ego.track_id]
+columns = surround[ego.track_id]  # one row per frame of the ego track
+times = ego.frames / truth.meta.frame_rate
 print("ego car (track 1) closing on the truck (track 2), "
       "car 3 running alongside on the left\n")
 print(" time   preceding  leftAlongside      DHW       THW       TTC")
-for sf in frames[:: 2 * int(truth.meta.frame_rate)]:  # every 2 s
-    t = sf.frame / truth.meta.frame_rate
 
-    def fmt(value, unit):
-        return f"{value:7.2f} {unit}" if value >= 0 else "      n/a"
 
-    print(f"{t:5.1f}s  {sf.preceding_id:>9}  {sf.left_alongside_id:>13}  "
-          f"{fmt(sf.dhw, 'm')}  {fmt(sf.thw, 's')}  {fmt(sf.ttc, 's')}")
+def fmt(value, unit):
+    return f"{value:7.2f} {unit}" if value >= 0 else "      n/a"
 
-closing = [sf for sf in frames if 0 < sf.ttc]
-if closing:
-    worst = min(closing, key=lambda sf: sf.ttc)
-    print(f"\nminimum TTC {worst.ttc:.2f} s at "
-          f"t={worst.frame / truth.meta.frame_rate:.1f} s "
-          f"(DHW {worst.dhw:.1f} m)")
+
+for i in range(0, ego.num_frames, 2 * int(truth.meta.frame_rate)):  # every 2 s
+    print(f"{times[i]:5.1f}s  {columns.preceding_id[i]:>9}  "
+          f"{columns.left_alongside_id[i]:>13}  {fmt(columns.dhw[i], 'm')}  "
+          f"{fmt(columns.thw[i], 's')}  {fmt(columns.ttc[i], 's')}")
+
+closing = np.flatnonzero(columns.ttc > 0)
+if closing.size:
+    worst = closing[np.argmin(columns.ttc[closing])]
+    print(f"\nminimum TTC {columns.ttc[worst]:.2f} s at t={times[worst]:.1f} s "
+          f"(DHW {columns.dhw[worst]:.1f} m)")
 print("THW = bumper gap / ego speed; TTC = bumper gap / closing speed; "
       "-1 marks undefined values")

@@ -17,6 +17,7 @@ from .core import (
     UNLIMITED_SPEED,
     VehicleClass,
     compute_mean_speed,
+    lane_change_count,
     lane_id_of,
     nearest_lane_id,
 )
@@ -79,7 +80,7 @@ from .stats import (
 )
 from .surround import (
     NO_VEHICLE,
-    SurroundFrame,
+    Surround,
     UNDEFINED,
     assign_neighbors,
     compute_surround,

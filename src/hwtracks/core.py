@@ -17,12 +17,12 @@ import bisect
 import csv
 import json
 import math
+import operator
+from collections import abc
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import (
-    Any, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple,
-)
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -145,18 +145,26 @@ def lane_id_of(y: float, meta: RecordingMeta, direction: DrivingDirection) -> Op
     return bisect.bisect_right(b, y)
 
 
-def nearest_lane_id(y: float, meta: RecordingMeta, direction: DrivingDirection) -> int:
-    """Like lane_id_of but total: off-road offsets clamp to the edge lane."""
-    lane = lane_id_of(y, meta, direction)
-    if lane is not None:
-        return lane
+def nearest_lane_id(y, meta: RecordingMeta, direction: DrivingDirection):
+    """Like lane_id_of but total: off-road offsets clamp to the edge lane.
+
+    ``y`` is a float or an array of floats; the result is an int64 scalar or
+    array, lane k for boundary[k-1] <= y < boundary[k].
+    """
     b = meta.boundaries(direction)
-    return 1 if y < b[0] else len(b) - 1
+    return np.clip(np.searchsorted(b, y, side="right"), 1, len(b) - 1)
+
+
+def lane_change_count(lanes) -> int:
+    """Number of frame-to-frame changes in a column of lane ids."""
+    return int(np.count_nonzero(np.diff(lanes)))
 
 
 @dataclass(frozen=True, slots=True)
 class KinematicState:
-    """One vehicle's state at one frame (box center, road-aligned frame)."""
+    """One vehicle's state at one frame (box center, road-aligned frame): a
+    row of a Track as ``Track.states`` yields it. A plain record; the Track
+    checked its columns."""
 
     frame: int
     x: float
@@ -167,15 +175,6 @@ class KinematicState:
     ay: float
     lane_id: int
 
-    def __post_init__(self) -> None:
-        if self.frame < 0:
-            raise ValueError(f"frame must be >= 0, got {self.frame}")
-        if self.lane_id < 1:
-            raise ValueError(f"lane_id must be >= 1, got {self.lane_id}")
-        for name in ("x", "y", "vx", "vy", "ax", "ay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-
 
 def bumper_gap(x_a, length_a, x_b, length_b):
     """Bumper-to-bumper distance of two same-frame vehicles with centres
@@ -184,80 +183,112 @@ def bumper_gap(x_a, length_a, x_b, length_b):
     return np.maximum(abs(x_a - x_b) - (length_a + length_b) / 2.0, 0.0)
 
 
-def compute_mean_speed(states: Sequence[KinematicState]) -> float:
-    """Mean of per-frame longitudinal speed magnitudes."""
-    if not states:
+def compute_mean_speed(vx) -> float:
+    """Mean of per-frame longitudinal speed magnitudes, summed left to right."""
+    if not len(vx):
         raise ValueError("mean speed of an empty state list is undefined")
-    return sum(abs(s.vx) for s in states) / len(states)
+    return sum(map(abs, np.asarray(vx, dtype=float).tolist())) / len(vx)
 
 
-@dataclass(frozen=True)
+#: The float64 columns of a Track, in file order; ``lane`` is the int64 one.
+KINEMATIC_COLUMNS = ("x", "y", "vx", "vy", "ax", "ay")
+
+
+@dataclass(frozen=True, eq=False)
 class Track:
-    """One vehicle: per-frame kinematic states plus vehicle-level summary."""
+    """One vehicle: its summary plus one column per kinematic quantity.
+
+    Row i of every column is frame ``initial_frame + i``, so the frames are
+    consecutive by construction. ``x`` .. ``ay`` become read-only float64
+    and ``lane`` a read-only int64 column; all must be finite, non-empty
+    and of one length, with lanes >= 1. ``mean_speed`` is stored as given.
+    """
 
     track_id: int
     vehicle_class: VehicleClass
     direction: DrivingDirection
     length: float
     width: float
-    states: Tuple[KinematicState, ...]
     mean_speed: float
+    initial_frame: int
+    x: np.ndarray
+    y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    lane: np.ndarray
 
     def __post_init__(self) -> None:
+        where = f"track {self.track_id}"
+        object.__setattr__(self, "initial_frame", operator.index(self.initial_frame))
         if not self.length > 0 or not self.width > 0:
-            raise ValueError(f"track {self.track_id}: extents must be positive")
-        if not self.states:
-            raise ValueError(f"track {self.track_id}: needs at least one state")
-        frames = [s.frame for s in self.states]
-        for prev, cur in zip(frames, frames[1:]):
-            if cur != prev + 1:
-                raise ValueError(
-                    f"track {self.track_id}: frames must be consecutive, "
-                    f"got {prev} followed by {cur}"
-                )
+            raise ValueError(f"{where}: extents must be positive")
+        if self.initial_frame < 0:
+            raise ValueError(f"{where}: frame must be >= 0, got {self.initial_frame}")
+        n = len(self.lane)
+        if n == 0:
+            raise ValueError(f"{where}: needs at least one state")
+        for name in (*KINEMATIC_COLUMNS, "lane"):
+            column = np.asarray(getattr(self, name),
+                                np.int64 if name == "lane" else np.float64).view()
+            if column.shape != (n,):
+                raise ValueError(f"{where}: column {name} has shape {column.shape}, "
+                                 f"expected ({n},)")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.lane.min() < 1:
+            raise ValueError(f"{where}: lane must be >= 1, got {self.lane.min()}")
+        for name in KINEMATIC_COLUMNS:
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{where}: {name} must be finite")
 
-    @property
-    def initial_frame(self) -> int:
-        return self.states[0].frame
-
-    @property
-    def final_frame(self) -> int:
-        return self.states[-1].frame
+    def __setstate__(self, state) -> None:
+        # An unpickled copy (say, from a worker process) is checked and
+        # made read-only again.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def num_frames(self) -> int:
-        return len(self.states)
+        return len(self.lane)
 
-    def state_at(self, frame: int) -> Optional[KinematicState]:
-        idx = frame - self.initial_frame
-        if 0 <= idx < len(self.states):
-            return self.states[idx]
-        return None
+    @property
+    def final_frame(self) -> int:
+        return self.initial_frame + self.num_frames - 1
 
-    def lane_change_count(self) -> int:
-        """Number of frame-to-frame lane_id transitions."""
-        return sum(
-            1 for a, b in zip(self.states, self.states[1:]) if a.lane_id != b.lane_id
-        )
+    @property
+    def frames(self) -> np.ndarray:
+        return np.arange(self.initial_frame, self.final_frame + 1)
+
+    @property
+    def states(self) -> "TrackStates":
+        return TrackStates(self)
 
 
-def sweep_frames(
-    tracks: Sequence[Track],
-) -> Iterator[Tuple[int, List[Tuple[Track, KinematicState]]]]:
-    """Yield ``(frame, [(track, state), ...])`` for every frame from 0 to the
-    last frame of any track, pairing each track present at that frame with
-    its state there, in track-id order. Frames without tracks yield ``[]``.
-    """
-    by_entry = sorted(tracks, key=lambda t: (t.initial_frame, t.track_id))
-    last = max((t.final_frame for t in tracks), default=-1)
-    active: List[Track] = []
-    next_in = 0
-    for frame in range(last + 1):
-        while next_in < len(by_entry) and by_entry[next_in].initial_frame == frame:
-            bisect.insort(active, by_entry[next_in], key=lambda t: t.track_id)
-            next_in += 1
-        active = [t for t in active if t.final_frame >= frame]
-        yield frame, [(t, t.states[frame - t.initial_frame]) for t in active]
+class TrackStates(abc.Sequence):
+    """Sized, indexable, read-only view of a Track's rows as KinematicState
+    records, each built when it is read."""
+
+    def __init__(self, track: Track) -> None:
+        self._track = track
+
+    def __len__(self) -> int:
+        return self._track.num_frames
+
+    def __iter__(self):
+        t = self._track
+        return map(KinematicState, t.frames.tolist(),
+                   *(getattr(t, c).tolist() for c in KINEMATIC_COLUMNS), t.lane.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        t = self._track
+        i = range(len(self))[index]
+        return KinematicState(t.initial_frame + i,
+                              *(getattr(t, c)[i].item() for c in KINEMATIC_COLUMNS),
+                              t.lane[i].item())
 
 
 @dataclass(frozen=True, slots=True)

@@ -40,25 +40,26 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
+    KINEMATIC_COLUMNS,
     DrivingDirection,
-    KinematicState,
     RecordingMeta,
     Track,
     UNLIMITED_SPEED,
     VehicleClass,
-    canonical_float,
     compute_mean_speed,
     format_float,
+    lane_change_count,
     nearest_lane_id,
     write_table,
 )
-from .surround import NO_VEHICLE, UNDEFINED, SurroundFrame
+from .surround import NO_VEHICLE, UNDEFINED, Surround, check_rows
 
 RECORDING_META_COLUMNS = [
     "id",
@@ -175,7 +176,7 @@ class Recording:
 
     meta: RecordingMeta
     tracks: Tuple[Track, ...]
-    surround: Mapping[int, Tuple[SurroundFrame, ...]]
+    surround: Mapping[int, Surround]
 
 
 def _format_list(values: Sequence[float]) -> str:
@@ -212,13 +213,13 @@ def write_recording_meta(meta: RecordingMeta, path: Path) -> None:
 def write_recording(
     meta: RecordingMeta,
     tracks: Sequence[Track],
-    surround: Mapping[int, Sequence[SurroundFrame]],
+    surround: Mapping[int, Surround],
     directory: Path,
 ) -> RecordingFileSet:
     """Write one recording in canonical form; returns the created file set.
 
-    ``surround`` maps each track id to SurroundFrames aligned one-to-one
-    with the track's states. The stored laneId is derived from the
+    ``surround`` maps each track id to its surround columns, one row per
+    frame of the track. The stored laneId is derived from the
     6-significant-digit y actually written, so the file is self-consistent
     even when quantization nudges a position across a lane marking.
     """
@@ -227,29 +228,19 @@ def write_recording(
     paths = RecordingFileSet.for_recording(directory, meta.recording_id)
     ordered = sorted(tracks, key=lambda t: t.track_id)
     for track in ordered:
-        frames = surround.get(track.track_id)
-        if frames is None or len(frames) != len(track.states) or any(
-            sf.frame != st.frame for sf, st in zip(frames, track.states)
-        ):
-            raise ValueError(
-                f"track {track.track_id}: surround frames not aligned with states"
-            )
+        check_rows(track, surround[track.track_id])
 
     write_recording_meta(meta, paths.recording_meta_path)
 
     # Lane ids are derived from the quantized y of each written row; the
     # tracksMeta lane-change count must count transitions of those same ids.
-    written_lanes: Dict[int, List[int]] = {
-        track.track_id: [
-            nearest_lane_id(canonical_float(s.y), meta, track.direction)
-            for s in track.states
-        ]
-        for track in ordered
-    }
-
-    def meta_row(track: Track) -> List:
-        lanes = written_lanes[track.track_id]
-        return [
+    written_y = [list(map(format_float, t.y.tolist())) for t in ordered]
+    written_lanes = [
+        nearest_lane_id(np.fromiter(map(float, y), np.float64, len(y)), meta, t.direction)
+        for t, y in zip(ordered, written_y)
+    ]
+    write_table(paths.tracks_meta_path, TRACKS_META_COLUMNS, (
+        [
             track.track_id,
             format_float(track.length),
             format_float(track.width),
@@ -259,36 +250,26 @@ def write_recording(
             track.num_frames,
             track.initial_frame,
             track.final_frame,
-            sum(1 for a, b in zip(lanes, lanes[1:]) if a != b),
+            lane_change_count(lanes),
         ]
+        for track, lanes in zip(ordered, written_lanes)
+    ))
 
-    write_table(paths.tracks_meta_path, TRACKS_META_COLUMNS, map(meta_row, ordered))
-    write_table(paths.tracks_path, TRACKS_COLUMNS, (
-        [
-            state.frame,
-            track.track_id,
-            format_float(state.x),
-            format_float(state.y),
-            format_float(state.vx),
-            format_float(state.vy),
-            format_float(state.ax),
-            format_float(state.ay),
-            lane,
-            sf.preceding_id,
-            sf.following_id,
-            sf.left_preceding_id,
-            sf.left_alongside_id,
-            sf.left_following_id,
-            sf.right_preceding_id,
-            sf.right_alongside_id,
-            sf.right_following_id,
-            format_float(sf.dhw),
-            format_float(sf.thw),
-            format_float(sf.ttc),
-        ]
-        for track in ordered
-        for state, sf, lane in zip(track.states, surround[track.track_id],
-                                   written_lanes[track.track_id])
+    def rows(track: Track, y: List[str], lanes: np.ndarray):
+        *ids, dhw, thw, ttc = surround[track.track_id]
+
+        def text(column: np.ndarray):
+            return map(format_float, column.tolist())
+
+        return zip(
+            range(track.initial_frame, track.final_frame + 1), repeat(track.track_id),
+            text(track.x), y, text(track.vx), text(track.vy), text(track.ax),
+            text(track.ay), lanes.tolist(), *(column.tolist() for column in ids),
+            text(dhw), text(thw), text(ttc),
+        )
+
+    write_table(paths.tracks_path, TRACKS_COLUMNS, chain.from_iterable(
+        map(rows, ordered, written_y, written_lanes)
     ))
     return paths
 
@@ -579,6 +560,11 @@ _NEIGHBOR_COLUMNS = [
     "leftFollowingId", "rightPrecedingId", "rightAlongsideId", "rightFollowingId",
 ]
 _SENTINEL_COLUMNS = ("dhw", "thw", "ttc")
+#: The tracks-table column of each Track column.
+_TABLE_COLUMN_OF = dict(zip(
+    (*KINEMATIC_COLUMNS, "lane"),
+    ("x", "y", "xVelocity", "yVelocity", "xAcceleration", "yAcceleration", "laneId"),
+))
 _TRACKS_PARSERS: Dict[str, Parser] = {
     **{c: _ints for c in ("frame", "id", "laneId", *_NEIGHBOR_COLUMNS)},
     **{c: _floats for c in ("x", "y", "xVelocity", "yVelocity", "xAcceleration",
@@ -645,12 +631,9 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
     directions = metas["drivingDirection"][meta_rows][group]
     y, lanes = cols["y"], cols["laneId"]
     expected_lane = np.zeros(len(ids), np.int64)
-    for direction in DrivingDirection:  # nearest_lane_id on every row
-        bounds = meta.boundaries(direction)
+    for direction in DrivingDirection:
         rows = directions == direction.value
-        expected_lane[rows] = np.clip(
-            np.searchsorted(bounds, y[rows], side="right"), 1, len(bounds) - 1
-        )
+        expected_lane[rows] = nearest_lane_id(y[rows], meta, direction)
     first_frame, last_frame = frames_sorted[begins], frames_sorted[ends - 1]
     checks = [
         (_frames_outside(frames, meta.max_frame), INVARIANT_VIOLATION, "frame",
@@ -690,19 +673,18 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
     if not _report(scanner, tracks_path, checks):
         return scanner, None
 
-    # Per-track summaries against tracksMeta, building the tracks in id order.
-    cells = {c: cols[c][order].tolist() for c in TRACKS_COLUMNS}
-    state_cells = [cells[c] for c in ("frame", "x", "y", "xVelocity", "yVelocity",
-                                      "xAcceleration", "yAcceleration", "laneId")]
-    surround_cells = [cells[c] for c in ("frame", "id", *_NEIGHBOR_COLUMNS,
-                                         *_SENTINEL_COLUMNS)]
+    # Per-track summaries against tracksMeta, building the tracks in id order
+    # from the sorted columns: track g is rows begins[g]:ends[g].
+    kinematics = {name: cols[c][order] for name, c in _TABLE_COLUMN_OF.items()}
+    surround_cols = Surround.read_only(
+        [cols[c][order] for c in (*_NEIGHBOR_COLUMNS, *_SENTINEL_COLUMNS)]
+    )
     meta_cells = {c: metas[c].tolist() for c in TRACKS_META_COLUMNS if c != "class"}
     tracks: List[Track] = []
-    surround: Dict[int, Tuple[SurroundFrame, ...]] = {}
+    surround: Dict[int, Surround] = {}
     for track_id, m, a, b in zip(track_ids.tolist(), meta_rows.tolist(),
                                  begins.tolist(), ends.tolist()):
-        states = tuple(map(KinematicState, *(c[a:b] for c in state_cells)))
-        recomputed = compute_mean_speed(states)
+        recomputed = compute_mean_speed(kinematics["vx"][a:b])
         stored = meta_cells["meanSpeed"][m]
         scale = max(abs(stored), abs(recomputed), 1e-12)
         if abs(stored - recomputed) / scale > MEAN_SPEED_REL_TOL:
@@ -715,9 +697,9 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
             usable = False
             continue
         summary = {
-            "numFrames": len(states),
-            "initialFrame": states[0].frame,
-            "finalFrame": states[-1].frame,
+            "numFrames": b - a,
+            "initialFrame": int(frames_sorted[a]),
+            "finalFrame": int(frames_sorted[b - 1]),
         }
         mismatched = [(c, actual) for c, actual in summary.items()
                       if meta_cells[c][m] != actual]
@@ -731,26 +713,27 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
         if mismatched:
             usable = False
             continue
-        track = Track(
+        changes = lane_change_count(kinematics["lane"][a:b])
+        if meta_cells["numLaneChanges"][m] != changes:
+            scanner.issue(
+                INVARIANT_VIOLATION, tracks_meta_path,
+                f"track {track_id}: numLaneChanges={meta_cells['numLaneChanges'][m]} "
+                f"does not match the tracks table ({changes})",
+                row=m + 1, column="numLaneChanges",
+            )
+            usable = False
+            continue
+        tracks.append(Track(
             track_id=track_id,
             vehicle_class=metas["class"][m],
             direction=DrivingDirection(meta_cells["drivingDirection"][m]),
             length=meta_cells["length"][m],
             width=meta_cells["width"][m],
-            states=states,
             mean_speed=stored,
-        )
-        if meta_cells["numLaneChanges"][m] != track.lane_change_count():
-            scanner.issue(
-                INVARIANT_VIOLATION, tracks_meta_path,
-                f"track {track_id}: numLaneChanges={meta_cells['numLaneChanges'][m]} "
-                f"does not match the tracks table ({track.lane_change_count()})",
-                row=m + 1, column="numLaneChanges",
-            )
-            usable = False
-            continue
-        tracks.append(track)
-        surround[track_id] = tuple(map(SurroundFrame, *(c[a:b] for c in surround_cells)))
+            initial_frame=summary["initialFrame"],
+            **{c: column[a:b] for c, column in kinematics.items()},
+        ))
+        surround[track_id] = surround_cols.rows(a, b)
     if not usable:
         return scanner, None
     return scanner, Recording(meta=meta, tracks=tuple(tracks), surround=surround)

@@ -40,13 +40,7 @@ from .core import (
     write_table,
 )
 from .maneuvers import ManeuverEpisode, ManeuverKind
-from .surround import (
-    NO_VEHICLE,
-    UNDEFINED,
-    SurroundFrame,
-    left_lane_id,
-    thw_ttc,
-)
+from .surround import NO_VEHICLE, UNDEFINED, Surround, left_lane_id, thw_ttc
 
 #: Quintic shape coefficients for s^3, s^4, s^5.
 SHAPE_COEFFICIENTS = (10.0, -15.0, 6.0)
@@ -449,14 +443,11 @@ def fit_episode(
     marking_index = max(episode.from_lane, episode.to_lane) - 1
     marking_y = boundaries[marking_index]
     dt = 1.0 / meta.frame_rate
-    i0 = episode.start_frame - track.initial_frame
-    i1 = episode.end_frame - track.initial_frame
-    states = track.states[i0 : i1 + 1]
-    sign = track.direction.travel_sign
-    times = [s.frame * dt for s in states]
-    xs = [s.x * sign for s in states]
-    ys = [s.y for s in states]
-    return fit_lane_change(times, xs, ys, marking_y, cfg)
+    rows = slice(episode.start_frame - track.initial_frame,
+                 episode.end_frame - track.initial_frame + 1)
+    return fit_lane_change(track.frames[rows] * dt,
+                           track.x[rows] * track.direction.travel_sign,
+                           track.y[rows], marking_y, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +471,16 @@ class CutInScenario:
     side: CutInSide
 
 
+def _min_defined(values: np.ndarray) -> float:
+    """Smallest value other than UNDEFINED, or UNDEFINED when there is none."""
+    defined = values[values != UNDEFINED]
+    return float(defined.min()) if defined.size else UNDEFINED
+
+
 def extract_cut_ins(
     episodes: Sequence[ManeuverEpisode],
     tracks: Sequence[Track],
-    surround: Mapping[int, Sequence[SurroundFrame]],
+    surround: Mapping[int, Surround],
     meta: RecordingMeta,
 ) -> List[CutInScenario]:
     """One scenario per lane change with a tailing vehicle on the new lane.
@@ -501,34 +498,35 @@ def extract_cut_ins(
         if episode.kind is not ManeuverKind.LANE_CHANGE:
             continue
         changer = by_id[episode.track_id]
-        frames = surround[episode.track_id]
-        sf = frames[episode.crossing_frame - changer.initial_frame]
-        tailing_id = sf.following_id
+        crossing = episode.crossing_frame
+        at = surround[episode.track_id]
+        i = crossing - changer.initial_frame
+        tailing_id = int(at.following_id[i])
         if tailing_id == NO_VEHICLE:
             continue
         tail = by_id[tailing_id]
-        tail_state = tail.state_at(episode.crossing_frame)
-        changer_state = changer.state_at(episode.crossing_frame)
+        tail_x = float(tail.x[crossing - tail.initial_frame])
+        tail_vx = float(tail.vx[crossing - tail.initial_frame])
+        changer_x, changer_vx = float(changer.x[i]), float(changer.vx[i])
 
-        gap = bumper_gap(changer_state.x, changer.length, tail_state.x, tail.length)
-        tail_speed = abs(tail_state.vx)
-        entry_thw = float(thw_ttc(gap, tail_state.vx, changer_state.vx)[0])
+        gap = bumper_gap(changer_x, changer.length, tail_x, tail.length)
+        tail_speed = abs(tail_vx)
+        entry_thw = float(thw_ttc(gap, tail_vx, changer_vx)[0])
 
-        behind = [
-            f for f in surround[tailing_id]
-            if episode.start_frame <= f.frame <= episode.end_frame
-            and f.preceding_id == episode.track_id
-        ]
-        min_dhw = min((f.dhw for f in behind if f.dhw != UNDEFINED), default=UNDEFINED)
-        min_thw = min((f.thw for f in behind if f.thw != UNDEFINED), default=UNDEFINED)
-        min_ttc = min((f.ttc for f in behind if f.ttc != UNDEFINED), default=UNDEFINED)
+        behind = surround[tailing_id].rows(
+            max(episode.start_frame - tail.initial_frame, 0),
+            max(episode.end_frame - tail.initial_frame + 1, 0),
+        )
+        led = behind.preceding_id == episode.track_id
+        min_dhw, min_thw, min_ttc = (_min_defined(metric[led])
+                                     for metric in (behind.dhw, behind.thw, behind.ttc))
 
-        preceding_id = sf.preceding_id
+        preceding_id = int(at.preceding_id[i])
         gap_between = UNDEFINED
         if preceding_id != NO_VEHICLE:
             lead = by_id[preceding_id]
-            gap_between = float(bumper_gap(lead.state_at(episode.crossing_frame).x,
-                                           lead.length, tail_state.x, tail.length))
+            gap_between = float(bumper_gap(lead.x[crossing - lead.initial_frame],
+                                           lead.length, tail_x, tail.length))
 
         side = (
             CutInSide.FROM_LEFT
@@ -540,7 +538,7 @@ def extract_cut_ins(
                 track_id=episode.track_id,
                 tailing_id=tailing_id,
                 preceding_id=preceding_id,
-                crossing_frame=episode.crossing_frame,
+                crossing_frame=crossing,
                 entry_thw=entry_thw,
                 tail_speed_at_entry=tail_speed,
                 min_dhw=min_dhw,

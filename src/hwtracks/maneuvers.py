@@ -15,15 +15,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .core import (
-    ContractViolation,
-    RecordingMeta,
-    Track,
-    csv_cells,
-    write_json,
-    write_table,
-)
-from .surround import NO_VEHICLE, UNDEFINED, SurroundFrame
+import numpy as np
+
+from .core import RecordingMeta, Track, csv_cells, write_json, write_table
+from .surround import NO_VEHICLE, UNDEFINED, Surround, check_rows
 
 
 class ManeuverKind(Enum):
@@ -74,17 +69,8 @@ class ManeuverEpisode:
                 raise ValueError("lane change must change the lane")
 
 
-def _check_alignment(track: Track, surround_frames: Sequence[SurroundFrame]) -> None:
-    if len(surround_frames) != len(track.states) or any(
-        sf.frame != st.frame for sf, st in zip(surround_frames, track.states)
-    ):
-        raise ContractViolation(
-            f"track {track.track_id}: surround frames not aligned with states"
-        )
-
-
 def label_longitudinal(
-    track: Track, surround_frames: Sequence[SurroundFrame], cfg: ManeuverConfig
+    track: Track, surround: Surround, cfg: ManeuverConfig
 ) -> List[ManeuverKind]:
     """FreeDriving / VehicleFollowing label for every frame of the track.
 
@@ -94,16 +80,16 @@ def label_longitudinal(
     becomes undefined. The hysteresis keeps the label from chattering when
     the THW rides the threshold.
     """
-    _check_alignment(track, surround_frames)
+    check_rows(track, surround)
     labels: List[ManeuverKind] = []
     following = False
-    for sf in surround_frames:
-        if sf.preceding_id == NO_VEHICLE or sf.thw == UNDEFINED:
+    for preceding, thw in zip(surround.preceding_id.tolist(), surround.thw.tolist()):
+        if preceding == NO_VEHICLE or thw == UNDEFINED:
             following = False
         elif not following:
-            following = sf.thw < cfg.following_thw_max
+            following = thw < cfg.following_thw_max
         else:
-            following = not sf.thw > cfg.following_thw_max + cfg.following_hysteresis
+            following = not thw > cfg.following_thw_max + cfg.following_hysteresis
         labels.append(
             ManeuverKind.VEHICLE_FOLLOWING if following else ManeuverKind.FREE_DRIVING
         )
@@ -111,10 +97,11 @@ def label_longitudinal(
 
 
 def longitudinal_episodes(
-    track: Track, surround_frames: Sequence[SurroundFrame], cfg: ManeuverConfig
+    track: Track, surround: Surround, cfg: ManeuverConfig
 ) -> List[ManeuverEpisode]:
     """Maximal runs of the two longitudinal labels as episodes."""
-    labels = label_longitudinal(track, surround_frames, cfg)
+    labels = label_longitudinal(track, surround, cfg)
+    first = track.initial_frame
     episodes: List[ManeuverEpisode] = []
     start = 0
     for i in range(1, len(labels) + 1):
@@ -123,8 +110,8 @@ def longitudinal_episodes(
                 ManeuverEpisode(
                     track_id=track.track_id,
                     kind=labels[start],
-                    start_frame=track.states[start].frame,
-                    end_frame=track.states[i - 1].frame,
+                    start_frame=first + start,
+                    end_frame=first + i - 1,
                 )
             )
             start = i
@@ -132,39 +119,25 @@ def longitudinal_episodes(
 
 
 def detect_critical(
-    track: Track, surround_frames: Sequence[SurroundFrame], cfg: ManeuverConfig
+    track: Track, surround: Surround, cfg: ManeuverConfig
 ) -> List[ManeuverEpisode]:
     """Maximal runs of frames with low TTC or low THW to the preceding vehicle."""
-    _check_alignment(track, surround_frames)
-    critical = [
-        (0.0 < sf.ttc < cfg.critical_ttc_max) or (0.0 < sf.thw < cfg.critical_thw_max)
-        for sf in surround_frames
-    ]
-    episodes: List[ManeuverEpisode] = []
-    start: Optional[int] = None
-    for i, flag in enumerate(critical):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            episodes.append(
-                ManeuverEpisode(
-                    track_id=track.track_id,
-                    kind=ManeuverKind.CRITICAL,
-                    start_frame=track.states[start].frame,
-                    end_frame=track.states[i - 1].frame,
-                )
-            )
-            start = None
-    if start is not None:
-        episodes.append(
-            ManeuverEpisode(
-                track_id=track.track_id,
-                kind=ManeuverKind.CRITICAL,
-                start_frame=track.states[start].frame,
-                end_frame=track.states[-1].frame,
-            )
+    check_rows(track, surround)
+    ttc, thw = surround.ttc, surround.thw
+    critical = (((0.0 < ttc) & (ttc < cfg.critical_ttc_max))
+                | ((0.0 < thw) & (thw < cfg.critical_thw_max)))
+    # Runs of True start and end where the padded flags change.
+    edges = np.flatnonzero(np.diff(critical, prepend=False, append=False))
+    first = track.initial_frame
+    return [
+        ManeuverEpisode(
+            track_id=track.track_id,
+            kind=ManeuverKind.CRITICAL,
+            start_frame=first + start,
+            end_frame=first + stop - 1,
         )
-    return episodes
+        for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist())
+    ]
 
 
 def detect_lane_changes(
@@ -184,10 +157,9 @@ def detect_lane_changes(
     overlap (a double lane change), they are split at the frame of minimal
     |vy| between the crossings.
     """
-    states = track.states
-    n = len(states)
-    lanes = [s.lane_id for s in states]
-    vy = [s.vy for s in states]
+    n = track.num_frames
+    lanes = track.lane.tolist()
+    vy = track.vy.tolist()
 
     confirmed: List[int] = []
     settled_lane = lanes[0]
@@ -229,15 +201,16 @@ def detect_lane_changes(
             prev["end"] = split
             cur["start"] = min(split + 1, cur["crossing"])
 
+    first = track.initial_frame
     return [
         ManeuverEpisode(
             track_id=track.track_id,
             kind=ManeuverKind.LANE_CHANGE,
-            start_frame=states[ep["start"]].frame,
-            end_frame=states[ep["end"]].frame,
+            start_frame=first + ep["start"],
+            end_frame=first + ep["end"],
             from_lane=lanes[ep["crossing"] - 1],
             to_lane=lanes[ep["crossing"]],
-            crossing_frame=states[ep["crossing"]].frame,
+            crossing_frame=first + ep["crossing"],
             complete=ep["complete"],
         )
         for ep in raw
@@ -246,13 +219,13 @@ def detect_lane_changes(
 
 def detect_all(
     track: Track,
-    surround_frames: Sequence[SurroundFrame],
+    surround: Surround,
     meta: RecordingMeta,
     cfg: ManeuverConfig,
 ) -> List[ManeuverEpisode]:
     """All episodes of one track, ordered by kind then start frame."""
-    episodes = longitudinal_episodes(track, surround_frames, cfg)
-    episodes += detect_critical(track, surround_frames, cfg)
+    episodes = longitudinal_episodes(track, surround, cfg)
+    episodes += detect_critical(track, surround, cfg)
     episodes += detect_lane_changes(track, meta, cfg)
     episodes.sort(key=lambda e: (e.kind.value, e.start_frame))
     return episodes

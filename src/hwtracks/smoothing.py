@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     DrivingDirection,
-    KinematicState,
     RecordingMeta,
     Track,
     compute_mean_speed,
@@ -250,7 +249,7 @@ def smooth_track(
 def smooth_track_with_diagnostics(
     raw: RawTrack, cfg: SmootherConfig, meta: RecordingMeta
 ) -> Tuple[Track, SmoothingDiagnostics]:
-    """Smooth a confirmed raw track into a Track with full kinematic states.
+    """Smooth a confirmed raw track into a Track with full kinematic columns.
 
     Runs the forward filter and the RTS pass, derives the lane id
     of every frame from the smoothed lateral position (off-span positions
@@ -266,15 +265,7 @@ def smooth_track_with_diagnostics(
         ) from None
 
     direction = carriageway_of(smoothed.states[:, 3], meta)
-    states = []
-    for obs, row in zip(raw.observations, smoothed.states):
-        x, vx, ax, y, vy, ay = (float(v) for v in row)
-        states.append(
-            KinematicState(
-                frame=obs.frame, x=x, y=y, vx=vx, vy=vy, ax=ax, ay=ay,
-                lane_id=nearest_lane_id(y, meta, direction),
-            )
-        )
+    x, vx, ax, y, vy, ay = smoothed.states.T
     length, width = raw.extent()
     track = Track(
         track_id=raw.track_id,
@@ -282,17 +273,19 @@ def smooth_track_with_diagnostics(
         direction=direction,
         length=length,
         width=width,
-        states=tuple(states),
-        mean_speed=compute_mean_speed(states),
+        mean_speed=compute_mean_speed(vx),
+        initial_frame=raw.observations[0].frame,
+        x=x, y=y, vx=vx, vy=vy, ax=ax, ay=ay,
+        lane=nearest_lane_id(y, meta, direction),
     )
     deviations = [
-        (obs.x - s.x) ** 2 + (obs.y - s.y) ** 2
-        for obs, s in zip(raw.observations, states)
+        (obs.x - sx) ** 2 + (obs.y - sy) ** 2
+        for obs, sx, sy in zip(raw.observations, x.tolist(), y.tolist())
         if obs.measured
     ]
     diagnostics = SmoothingDiagnostics(
         track_id=raw.track_id,
-        frames=len(states),
+        frames=track.num_frames,
         measured=raw.measured_count,
         rms_deviation=float(np.sqrt(np.mean(deviations))) if deviations else 0.0,
         used_pinv=smoothed.used_pinv,

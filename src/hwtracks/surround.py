@@ -22,19 +22,11 @@ carriageway interact. Ties resolve as follows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    ContractViolation,
-    DrivingDirection,
-    KinematicState,
-    RecordingMeta,
-    Track,
-    bumper_gap,
-)
+from .core import ContractViolation, DrivingDirection, RecordingMeta, Track, bumper_gap
 
 #: Neighbor-id sentinel: no vehicle in that slot.
 NO_VEHICLE = 0
@@ -46,23 +38,43 @@ UNDEFINED = -1.0
 SPEED_FLOOR = 0.1
 
 
-@dataclass(frozen=True, slots=True)
-class SurroundFrame:
-    """Neighbor ids and headway metrics for one vehicle at one frame."""
+class Surround(NamedTuple):
+    """Neighbor ids and headway metrics as columns, one row per vehicle row:
+    per track, row i is the track's frame ``initial_frame + i``. The ids
+    are read-only int64 and the metrics read-only float64 arrays."""
 
-    frame: int
-    track_id: int
-    preceding_id: int = NO_VEHICLE
-    following_id: int = NO_VEHICLE
-    left_preceding_id: int = NO_VEHICLE
-    left_alongside_id: int = NO_VEHICLE
-    left_following_id: int = NO_VEHICLE
-    right_preceding_id: int = NO_VEHICLE
-    right_alongside_id: int = NO_VEHICLE
-    right_following_id: int = NO_VEHICLE
-    dhw: float = UNDEFINED
-    thw: float = UNDEFINED
-    ttc: float = UNDEFINED
+    preceding_id: np.ndarray
+    following_id: np.ndarray
+    left_preceding_id: np.ndarray
+    left_alongside_id: np.ndarray
+    left_following_id: np.ndarray
+    right_preceding_id: np.ndarray
+    right_alongside_id: np.ndarray
+    right_following_id: np.ndarray
+    dhw: np.ndarray
+    thw: np.ndarray
+    ttc: np.ndarray
+
+    @classmethod
+    def read_only(cls, columns: Sequence[np.ndarray]) -> "Surround":
+        """Surround over ``columns``, which are made read-only."""
+        for column in columns:
+            column.flags.writeable = False
+        return cls(*columns)
+
+    def rows(self, start: int, stop: int) -> "Surround":
+        """Rows ``start`` to ``stop`` (exclusive) of every column."""
+        return Surround(*(column[start:stop] for column in self))
+
+
+def check_rows(track: Track, surround: Surround) -> None:
+    """Raise ContractViolation unless ``surround`` has one row per frame of
+    ``track``."""
+    if len(surround.dhw) != track.num_frames:
+        raise ContractViolation(
+            f"track {track.track_id}: {len(surround.dhw)} surround rows for "
+            f"{track.num_frames} frames"
+        )
 
 
 def left_lane_id(lane_id: int, direction: DrivingDirection) -> int:
@@ -95,19 +107,19 @@ def _search(frame, ids, direction, lane, x, vx, length, lane_count):
 
     All arguments are equal-length numpy columns; ``direction`` holds the
     DrivingDirection values and ``lane_count`` the number of lanes of each
-    row's carriageway. Returns the eight neighbor-id columns in SurroundFrame
-    order (NO_VEHICLE for an empty slot), then dhw, thw and ttc.
+    row's carriageway. Returns the columns of every row, an empty slot
+    holding NO_VEHICLE.
     """
     n = len(x)
     xs, x_rank = np.unique(x, return_inverse=True)
     nx = len(xs)
-    span = int(lane.max()) + 2  # lanes 0 .. max + 1 of one (frame, direction)
+    span = int(lane.max(initial=0)) + 2  # lanes 0 .. max + 1 of one (frame, direction)
     group = (np.unique(frame, return_inverse=True)[1] * 2 + direction) * span + lane
     # One sort by (frame, direction, lane, x, id); the key packs all but id.
     key = group * nx + x_rank
     order = np.lexsort((ids, key))
     key = key[order]
-    reach = (length.max() + length) / 2.0
+    reach = (length.max(initial=0.0) + length) / 2.0
     sign = np.where(direction == DrivingDirection.LOWER.value, 1, -1)
 
     def lane_slots(k):
@@ -167,60 +179,56 @@ def _search(frame, ids, direction, lane, x, vx, length, lane_count):
     dhw[has] = bumper_gap(x[lead], length[lead], x[has], length[has])
     thw[has], ttc[has] = thw_ttc(dhw[has], vx[has], vx[lead])
     sorted_ids = ids[order]
-    return (
-        *(np.where(i >= 0, sorted_ids[i], NO_VEHICLE)
-          for i in (own[0], own[2], *left, *right)),
-        dhw, thw, ttc,
-    )
+    return Surround.read_only([*(np.where(i >= 0, sorted_ids[i], NO_VEHICLE)
+                                 for i in (own[0], own[2], *left, *right)),
+                               dhw, thw, ttc])
 
 
-def _surround_frames(
-    tracks: Sequence[Track], states: Sequence[KinematicState], meta: RecordingMeta
-) -> List[SurroundFrame]:
-    """SurroundFrames of the rows ``tracks[i]`` at ``states[i]``, in row order,
-    from one search."""
-    if not states:
-        return []
-    frames = [s.frame for s in states]
-    ids = [t.track_id for t in tracks]
-    direction = np.array([t.direction.value for t in tracks])
+def _search_tracks(tracks: Sequence[Track], counts, frame, lane, x, vx,
+                   meta: RecordingMeta) -> Surround:
+    """``_search`` over rows given as columns, ``counts[i]`` of them from
+    ``tracks[i]``, in track order."""
+    def per_row(values, dtype):
+        return np.repeat(np.array(values, dtype), counts)
+
+    direction = per_row([t.direction.value for t in tracks], np.int64)
     lanes_of = np.array([0, meta.lane_count(DrivingDirection.UPPER),
                          meta.lane_count(DrivingDirection.LOWER)])
-    columns = _search(
-        np.array(frames), np.array(ids), direction,
-        np.array([s.lane_id for s in states]),
-        np.array([s.x for s in states]),
-        np.array([s.vx for s in states]),
-        np.array([t.length for t in tracks]),
-        lanes_of[direction],
-    )
-    return list(map(SurroundFrame, frames, ids, *(c.tolist() for c in columns)))
+    return _search(frame, per_row([t.track_id for t in tracks], np.int64), direction,
+                   lane, x, vx, per_row([t.length for t in tracks], np.float64),
+                   lanes_of[direction])
 
 
 def assign_neighbors(
-    vehicles: Sequence[Tuple[Track, KinematicState]], meta: RecordingMeta
-) -> List[SurroundFrame]:
-    """Neighbor set and headway metrics for every vehicle at one frame.
+    tracks: Sequence[Track], frame: int, meta: RecordingMeta
+) -> Surround:
+    """Neighbor set and headway metrics of every track at one frame.
 
-    ``vehicles`` pairs each track with its state at a common frame. Only
-    vehicles of the same carriageway interact. Returns one SurroundFrame per
-    input vehicle, in input order.
+    Every track must be alive at ``frame``. Only vehicles of the same
+    carriageway interact. Returns one row per track, in input order.
     """
-    frames = sorted({state.frame for _, state in vehicles})
-    if len(frames) > 1:
-        raise ContractViolation(f"states must share one frame, got frames {frames}")
-    return _surround_frames([t for t, _ in vehicles], [s for _, s in vehicles], meta)
+    rows = [frame - t.initial_frame for t in tracks]
+    for track, i in zip(tracks, rows):
+        if not 0 <= i < track.num_frames:
+            raise ContractViolation(f"track {track.track_id} is not alive at frame {frame}")
+    return _search_tracks(
+        tracks, 1, np.full(len(tracks), frame),
+        np.array([t.lane[i] for t, i in zip(tracks, rows)], np.int64),
+        np.array([t.x[i] for t, i in zip(tracks, rows)], np.float64),
+        np.array([t.vx[i] for t, i in zip(tracks, rows)], np.float64), meta,
+    )
 
 
-def compute_surround(
-    tracks: Sequence[Track], meta: RecordingMeta
-) -> Dict[int, List[SurroundFrame]]:
-    """SurroundFrames for every track, aligned with each track's states."""
-    frames = _surround_frames([t for t in tracks for _ in t.states],
-                              [s for t in tracks for s in t.states], meta)
-    result: Dict[int, List[SurroundFrame]] = {}
-    start = 0
-    for track in tracks:
-        result[track.track_id] = frames[start:start + track.num_frames]
-        start += track.num_frames
-    return result
+def compute_surround(tracks: Sequence[Track], meta: RecordingMeta) -> Dict[int, Surround]:
+    """Surround columns of every track, aligned with its rows, from one
+    search over the whole recording."""
+    if not tracks:
+        return {}
+    counts = [t.num_frames for t in tracks]
+    columns = _search_tracks(
+        tracks, counts, *(np.concatenate([getattr(t, name) for t in tracks])
+                          for name in ("frames", "lane", "x", "vx")), meta,
+    )
+    ends = np.cumsum(counts).tolist()
+    return {t.track_id: columns.rows(a, b)
+            for t, a, b in zip(tracks, [0, *ends], ends)}

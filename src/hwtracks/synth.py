@@ -21,14 +21,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
     Detection,
     DrivingDirection,
-    KinematicState,
     RecordingMeta,
     Track,
     UNLIMITED_SPEED,
@@ -36,7 +35,6 @@ from .core import (
     bumper_gap,
     compute_mean_speed,
     lane_id_of,
-    sweep_frames,
 )
 from .lane_change import (
     CutInScenario,
@@ -273,12 +271,10 @@ class _VehicleTimeline:
 
         self.lanes: List[int] = []
         meta = script.meta()
-        for i in range(n):
-            lane = lane_id_of(float(self.y[i]), meta, spec.direction)
+        for i, y in enumerate(self.y.tolist()):
+            lane = lane_id_of(y, meta, spec.direction)
             if lane is None:
-                raise ScriptError(
-                    f"{name}: off-road at frame {first + i} (y={self.y[i]:.3f})"
-                )
+                raise ScriptError(f"{name}: off-road at frame {first + i} (y={y:.3f})")
             self.lanes.append(lane)
 
     def _plan_lane_changes(self, name: str, boundaries: Sequence[float]) -> List[Dict]:
@@ -373,27 +369,16 @@ class _VehicleTimeline:
         return v_start, v_end
 
     def track(self, track_id: int) -> Track:
-        states = tuple(
-            KinematicState(
-                frame=self.first + i,
-                x=float(self.x[i]),
-                y=float(self.y[i]),
-                vx=float(self.vx[i]),
-                vy=float(self.vy[i]),
-                ax=float(self.ax[i]),
-                ay=float(self.ay[i]),
-                lane_id=self.lanes[i],
-            )
-            for i in range(len(self.x))
-        )
         return Track(
             track_id=track_id,
             vehicle_class=self.spec.vehicle_class,
             direction=self.spec.direction,
             length=self.spec.length,
             width=self.spec.width,
-            states=states,
-            mean_speed=compute_mean_speed(states),
+            mean_speed=compute_mean_speed(self.vx),
+            initial_frame=self.first,
+            x=self.x, y=self.y, vx=self.vx, vy=self.vy, ax=self.ax, ay=self.ay,
+            lane=self.lanes,
         )
 
 
@@ -401,7 +386,7 @@ def _truth_lane_changes(
     timeline: _VehicleTimeline, track: Track, settle_speed: float
 ) -> List[LaneChangeTruth]:
     out: List[LaneChangeTruth] = []
-    n = len(track.states)
+    n = track.num_frames
     vy = timeline.vy
     lanes = timeline.lanes
     fps = 1.0 / timeline.dt
@@ -458,12 +443,30 @@ def _truth_lane_changes(
     return out
 
 
-def _validate_no_overlap(tracks: Sequence[Track], meta: RecordingMeta) -> None:
+def _frame_rows(
+    tracks: Sequence[Track],
+) -> Iterator[Tuple[int, List[Tuple[Track, float, float]]]]:
+    """Yield ``(frame, [(track, x, y), ...])`` for every frame from 0 to the
+    last frame of any track, with the tracks present at that frame in
+    track-id order: one walk over all rows sorted by (frame, track id)."""
+    if not tracks:
+        return
+    owner = np.repeat(np.arange(len(tracks)), [t.num_frames for t in tracks])
+    frame = np.concatenate([t.frames for t in tracks])
+    order = np.lexsort((np.array([t.track_id for t in tracks])[owner], frame))
+    frame, owner = frame[order], owner[order].tolist()
+    x, y = (np.concatenate([getattr(t, c) for t in tracks])[order].tolist() for c in "xy")
+    bounds = np.searchsorted(frame, np.arange(frame[-1] + 2)).tolist()
+    for f, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        yield f, [(tracks[owner[k]], x[k], y[k]) for k in range(a, b)]
+
+
+def _validate_no_overlap(tracks: Sequence[Track]) -> None:
     if not tracks:
         return
     max_length = max(t.length for t in tracks)
-    for frame, present in sweep_frames(tracks):
-        boxes = sorted((s.x, s.y, t.length, t.width, t.track_id) for t, s in present)
+    for frame, present in _frame_rows(tracks):
+        boxes = sorted((x, y, t.length, t.width, t.track_id) for t, x, y in present)
         for i, (x1, y1, l1, w1, id1) in enumerate(boxes):
             for x2, y2, l2, w2, id2 in boxes[i + 1 :]:
                 if x2 - x1 >= (l1 + max_length) / 2.0:
@@ -480,26 +483,27 @@ class _FrameIndex:
     def __init__(self, tracks: Sequence[Track]) -> None:
         self.cells: Dict[Tuple[int, DrivingDirection, int], List[Tuple[float, int]]] = {}
         for t in tracks:
-            for s in t.states:
-                self.cells.setdefault((s.frame, t.direction, s.lane_id), []).append(
-                    (s.x, t.track_id)
+            for frame, x, lane in zip(t.frames.tolist(), t.x.tolist(), t.lane.tolist()):
+                self.cells.setdefault((frame, t.direction, lane), []).append(
+                    (x, t.track_id)
                 )
         for entries in self.cells.values():
             entries.sort()
 
     def nearest(self, track: Track, frame: int, ahead: bool) -> int:
-        state = track.state_at(frame)
-        if state is None:
+        i = frame - track.initial_frame
+        if not 0 <= i < track.num_frames:
             return NO_VEHICLE
-        entries = self.cells.get((frame, track.direction, state.lane_id), [])
+        x = float(track.x[i])
+        entries = self.cells.get((frame, track.direction, int(track.lane[i])), [])
         xs = [e[0] for e in entries]
         want_larger_x = (track.direction.travel_sign > 0) == ahead
         if want_larger_x:
-            for j in range(bisect.bisect_right(xs, state.x), len(entries)):
+            for j in range(bisect.bisect_right(xs, x), len(entries)):
                 if entries[j][1] != track.track_id:
                     return entries[j][1]
             return NO_VEHICLE
-        j = bisect.bisect_left(xs, state.x) - 1
+        j = bisect.bisect_left(xs, x) - 1
         while j >= 0:
             run_start = bisect.bisect_left(xs, xs[j])
             for m in range(run_start, j + 1):
@@ -512,9 +516,15 @@ class _FrameIndex:
 def _truth_cut_ins(
     lane_changes: Sequence[LaneChangeTruth], tracks: Sequence[Track]
 ) -> List[CutInScenario]:
-    """Cut-in scenarios recomputed geometrically from the exact states."""
+    """Cut-in scenarios recomputed geometrically from the exact columns."""
     by_id = {t.track_id: t for t in tracks}
     index = _FrameIndex(tracks)
+
+    def at(track: Track, frame: int) -> Tuple[float, float]:
+        """(x, vx) of a track at a frame it is alive in."""
+        i = frame - track.initial_frame
+        return float(track.x[i]), float(track.vx[i])
+
     scenarios: List[CutInScenario] = []
     for lc in lane_changes:
         changer = by_id[lc.track_id]
@@ -523,11 +533,11 @@ def _truth_cut_ins(
         if tailing_id == NO_VEHICLE:
             continue
         tail = by_id[tailing_id]
-        tail_state = tail.state_at(f)
-        changer_state = changer.state_at(f)
-        gap = bumper_gap(changer_state.x, changer.length, tail_state.x, tail.length)
-        tail_speed = abs(tail_state.vx)
-        entry_thw = float(thw_ttc(gap, tail_state.vx, changer_state.vx)[0])
+        tail_x, tail_vx = at(tail, f)
+        changer_x, changer_vx = at(changer, f)
+        gap = bumper_gap(changer_x, changer.length, tail_x, tail.length)
+        tail_speed = abs(tail_vx)
+        entry_thw = float(thw_ttc(gap, tail_vx, changer_vx)[0])
 
         min_dhw = min_thw = min_ttc = UNDEFINED
         lo = max(lc.start_frame, tail.initial_frame)
@@ -535,12 +545,9 @@ def _truth_cut_ins(
         for frame in range(lo, hi + 1):
             if index.nearest(tail, frame, ahead=True) != lc.track_id:
                 continue
-            ts = tail.state_at(frame)
-            cs = changer.state_at(frame)
-            if cs is None:
-                continue
-            dhw = float(bumper_gap(cs.x, changer.length, ts.x, tail.length))
-            thw, ttc = map(float, thw_ttc(dhw, ts.vx, cs.vx))
+            (tx, tvx), (cx, cvx) = at(tail, frame), at(changer, frame)
+            dhw = float(bumper_gap(cx, changer.length, tx, tail.length))
+            thw, ttc = map(float, thw_ttc(dhw, tvx, cvx))
             if min_dhw == UNDEFINED or dhw < min_dhw:
                 min_dhw = dhw
             if thw != UNDEFINED and (min_thw == UNDEFINED or thw < min_thw):
@@ -552,8 +559,8 @@ def _truth_cut_ins(
         gap_between = UNDEFINED
         if preceding_id != NO_VEHICLE:
             lead = by_id[preceding_id]
-            gap_between = float(bumper_gap(lead.state_at(f).x, lead.length,
-                                           tail_state.x, tail.length))
+            gap_between = float(bumper_gap(at(lead, f)[0], lead.length,
+                                           tail_x, tail.length))
         side = (
             CutInSide.FROM_LEFT
             if lc.from_lane == left_lane_id(lc.to_lane, tail.direction)
@@ -598,7 +605,7 @@ def generate_truth(script: ScenarioScript, settle_speed: float = 0.1) -> GroundT
             dropouts[track.track_id] = tuple(
                 (int(a), int(b)) for a, b in spec.dropout_windows
             )
-    _validate_no_overlap(tracks, meta)
+    _validate_no_overlap(tracks)
     lane_changes.sort(key=lambda lc: (lc.track_id, lc.crossing_frame))
     cut_ins = _truth_cut_ins(lane_changes, tracks)
     return GroundTruth(
@@ -635,9 +642,9 @@ def corrupt(
     scripted = scripted_dropouts or {}
     burst_left: Dict[int, int] = {t.track_id: 0 for t in tracks}
     frames: List[List[Detection]] = []
-    for frame, present in sweep_frames(tracks):
+    for frame, present in _frame_rows(tracks):
         dets: List[Detection] = []
-        for track, state in present:
+        for track, cx, cy in present:
             if any(a <= frame <= b for a, b in scripted.get(track.track_id, ())):
                 continue
             if burst_left[track.track_id] > 0:
@@ -646,7 +653,6 @@ def corrupt(
             if noise.dropout_probability > 0 and rng.random() < noise.dropout_probability:
                 burst_left[track.track_id] = noise.dropout_burst_length - 1
                 continue
-            cx, cy = state.x, state.y
             if noise.position_sigma > 0:
                 cx += rng.normal(0.0, noise.position_sigma)
                 cy += rng.normal(0.0, noise.position_sigma)

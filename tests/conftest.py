@@ -1,6 +1,7 @@
 """Shared builders for tests."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from hwtracks import (
     VehicleClass,
     compute_mean_speed,
 )
+from hwtracks.core import KINEMATIC_COLUMNS
 
 UPPER = (0.0, 3.7, 7.4)
 LOWER = (12.0, 15.7, 19.4)
@@ -37,6 +39,38 @@ def make_state(frame=0, x=0.0, y=13.85, vx=25.0, vy=0.0, ax=0.0, ay=0.0, lane_id
                           lane_id=lane_id)
 
 
+def track_from_states(states, track_id=1, direction=DrivingDirection.LOWER,
+                      length=4.5, width=2.0, vehicle_class=VehicleClass.CAR,
+                      mean_speed=None):
+    """A Track whose rows are ``states`` (records of consecutive frames)."""
+    frames = [s.frame for s in states]
+    assert frames == list(range(frames[0], frames[0] + len(frames))), frames
+    columns = {name: [getattr(s, name) for s in states] for name in KINEMATIC_COLUMNS}
+    return Track(
+        track_id=track_id,
+        vehicle_class=vehicle_class,
+        direction=direction,
+        length=length,
+        width=width,
+        mean_speed=compute_mean_speed(columns["vx"]) if mean_speed is None else mean_speed,
+        initial_frame=frames[0],
+        lane=[s.lane_id for s in states],
+        **columns,
+    )
+
+
+def row_at(track, frame):
+    """The track's row at ``frame`` as a record, None where it is not alive."""
+    i = frame - track.initial_frame
+    return track.states[i] if 0 <= i < track.num_frames else None
+
+
+def surround_rows(surround, track_ids):
+    """Surround columns as one record per row, with the row's ``track_id``."""
+    return [SimpleNamespace(track_id=track_id, **dict(zip(surround._fields, row)))
+            for track_id, row in zip(track_ids, zip(*(c.tolist() for c in surround)))]
+
+
 def straight_track(
     track_id=1,
     direction=DrivingDirection.LOWER,
@@ -52,24 +86,19 @@ def straight_track(
     dt=0.04,
 ):
     sign = direction.travel_sign
-    states = tuple(
-        make_state(
-            frame=first_frame + i,
-            x=x0 + sign * speed * i * dt,
-            y=y,
-            vx=sign * speed,
-            lane_id=lane_id,
-        )
-        for i in range(n_frames)
-    )
-    return Track(
-        track_id=track_id,
+    return track_from_states(
+        [
+            make_state(
+                frame=first_frame + i,
+                x=x0 + sign * speed * i * dt,
+                y=y,
+                vx=sign * speed,
+                lane_id=lane_id,
+            )
+            for i in range(n_frames)
+        ],
+        track_id=track_id, direction=direction, length=length, width=width,
         vehicle_class=vehicle_class,
-        direction=direction,
-        length=length,
-        width=width,
-        states=states,
-        mean_speed=compute_mean_speed(states),
     )
 
 

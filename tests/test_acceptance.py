@@ -25,7 +25,6 @@ from hwtracks import (
     TrackerConfig,
     VehicleClass,
     VehicleSpec,
-    assign_neighbors,
     build_tracks,
     compute_surround,
     corrupt,
@@ -44,10 +43,10 @@ from hwtracks.cli import main
 from hwtracks.lane_change import SHAPE_COEFFICIENTS
 from hwtracks.surround import UNDEFINED
 
-from conftest import make_meta
+from conftest import make_meta, row_at
 from test_dataset_io import random_recording
 from test_maneuvers import hysteresis_oracle, critical_oracle
-from test_surround import brute_force_neighbors, random_scene
+from test_surround import brute_force_neighbors, neighbors, random_scene
 
 
 def criterion(number, description, limit_seconds=None):
@@ -175,7 +174,7 @@ def test_criterion_3_false_positive_elimination():
         for want in truth_by_id.values():
             ok = True
             for obs in raw.observations:
-                state = want.state_at(obs.frame)
+                state = row_at(want, obs.frame)
                 if state is None or math.hypot(obs.x - state.x,
                                                obs.y - state.y) > 1.0:
                     ok = False
@@ -342,8 +341,8 @@ def _corpus_script(n_vehicles=1000):
 
 def _brute_force_lane_changes(track, cfg):
     """Single-pass frame-scan labeler re-implementing the published rule."""
-    lanes = [s.lane_id for s in track.states]
-    vy = [s.vy for s in track.states]
+    lanes = track.lane.tolist()
+    vy = track.vy.tolist()
     n = len(lanes)
     confirmed = []
     settled = lanes[0]
@@ -450,7 +449,7 @@ def test_criterion_7_surround_oracle():
     rng = random.Random(777)
     for frame_index in range(1000):
         vehicles = random_scene(rng, rng.randint(1, 50), frame=0)
-        got = assign_neighbors(vehicles, meta)
+        got = neighbors(vehicles, meta)
         want = brute_force_neighbors(vehicles, meta)
         for sf in got:
             w = want[sf.track_id]

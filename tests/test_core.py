@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,15 +10,15 @@ from hwtracks import (
     DrivingDirection,
     Track,
     VehicleClass,
-    assign_neighbors,
     compute_mean_speed,
+    lane_change_count,
     lane_id_of,
     nearest_lane_id,
 )
-from hwtracks.core import sweep_frames
 from hwtracks.surround import NO_VEHICLE, UNDEFINED
-from conftest import make_meta, make_state, straight_track
-from test_surround import vehicle_at
+from hwtracks.synth import _frame_rows
+from conftest import make_meta, row_at, straight_track
+from test_surround import neighbors, vehicle_at
 
 
 def boundaries_meta(boundaries):
@@ -26,6 +27,18 @@ def boundaries_meta(boundaries):
         lower_lane_boundaries=tuple(boundaries),
         lower_speed_limits=tuple(math.inf for _ in range(lanes)),
     )
+
+
+def columns_track(**fields):
+    """A valid three-row Track, with ``fields`` replacing its arguments."""
+    args = dict(
+        track_id=1, vehicle_class=VehicleClass.CAR, direction=DrivingDirection.LOWER,
+        length=4.5, width=2.0, mean_speed=25.0, initial_frame=0,
+        x=[0.0, 1.0, 2.0], y=[13.85] * 3, vx=[25.0] * 3, vy=[0.0] * 3,
+        ax=[0.0] * 3, ay=[0.0] * 3, lane=[1] * 3,
+    )
+    args.update(fields)
+    return Track(**args)
 
 
 class TestLaneIdOf:
@@ -53,12 +66,20 @@ class TestLaneIdOf:
             if boundaries[k] <= y < boundaries[k + 1]:
                 expected = k + 1
         assert lane_id_of(y, meta, DrivingDirection.LOWER) == expected
+        nearest = expected or (1 if y < boundaries[0] else len(boundaries) - 1)
+        assert nearest_lane_id(y, meta, DrivingDirection.LOWER) == nearest
+        ys = np.array([y, boundaries[1], y])
+        assert nearest_lane_id(ys, meta, DrivingDirection.LOWER).tolist() == [
+            nearest, 2, nearest]
 
     def test_nearest_lane_clamps(self):
         meta = boundaries_meta([0.0, 3.5, 7.0])
         assert nearest_lane_id(-1.0, meta, DrivingDirection.LOWER) == 1
         assert nearest_lane_id(9.0, meta, DrivingDirection.LOWER) == 2
         assert nearest_lane_id(1.0, meta, DrivingDirection.LOWER) == 1
+        ys = np.array([-1.0, 0.0, 1.0, 3.5, 6.99, 7.0, 9.0])
+        assert nearest_lane_id(ys, meta, DrivingDirection.LOWER).tolist() == [
+            1, 1, 1, 2, 2, 2, 2]
 
 
 class TestAheadOf:
@@ -68,7 +89,7 @@ class TestAheadOf:
     def pair(self, direction, x_a, x_b, frame_b=0):
         a = vehicle_at(1, direction, 1, x_a)
         b = vehicle_at(2, direction, 1, x_b, frame=frame_b)
-        return assign_neighbors([a, b], make_meta())
+        return neighbors([a, b], make_meta())
 
     def test_lower_carriageway_larger_x_is_ahead(self):
         a, b = self.pair(DrivingDirection.LOWER, 100.0, 90.0)
@@ -102,23 +123,26 @@ class TestTypes:
         assert DrivingDirection.LOWER.travel_sign == 1
 
     def test_state_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            make_state(x=math.nan)
-        with pytest.raises(ValueError):
-            make_state(vy=math.inf)
+        with pytest.raises(ValueError, match="x must be finite"):
+            columns_track(x=[0.0, math.nan, 2.0])
+        with pytest.raises(ValueError, match="vy must be finite"):
+            columns_track(vy=[0.0, math.inf, 0.0])
 
-    def test_track_requires_consecutive_frames(self):
-        states = (make_state(frame=0), make_state(frame=2, x=1.0))
+    def test_track_rejects_bad_columns(self):
+        track = columns_track()
+        assert track.frames.tolist() == [0, 1, 2]  # consecutive by construction
         with pytest.raises(ValueError):
-            Track(
-                track_id=1,
-                vehicle_class=VehicleClass.CAR,
-                direction=DrivingDirection.LOWER,
-                length=4.5,
-                width=2.0,
-                states=states,
-                mean_speed=25.0,
-            )
+            track.x[0] = 1.0  # the columns are read-only
+        for bad, message in (
+            (dict(lane=[1, 0, 1]), "lane must be >= 1"),
+            (dict(initial_frame=-1), "frame must be >= 0"),
+            (dict(y=[13.85, 13.85]), "column y has shape"),
+            ({name: [] for name in ("x", "y", "vx", "vy", "ax", "ay", "lane")},
+             "needs at least one state"),
+            (dict(width=0.0), "extents must be positive"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                columns_track(**bad)
 
     def test_track_requires_positive_extent(self):
         with pytest.raises(ValueError):
@@ -140,49 +164,44 @@ class TestTypes:
 
     def test_mean_speed_recomputation(self):
         track = straight_track(speed=31.25, n_frames=200)
-        recomputed = compute_mean_speed(track.states)
+        recomputed = compute_mean_speed(track.vx)
         assert abs(recomputed - track.mean_speed) <= 1e-9 * abs(track.mean_speed)
 
     def test_mean_speed_uses_magnitudes(self):
         track = straight_track(direction=DrivingDirection.UPPER, x0=400.0,
                                y=1.85, speed=20.0)
         assert track.mean_speed == pytest.approx(20.0)
-        assert all(s.vx < 0 for s in track.states)
+        assert (track.vx < 0).all()
 
     def test_lane_consistency_of_builders(self):
         meta = make_meta()
         track = straight_track()
-        for s in track.states:
-            assert lane_id_of(s.y, meta, track.direction) == s.lane_id
+        for y, lane in zip(track.y.tolist(), track.lane.tolist()):
+            assert lane_id_of(y, meta, track.direction) == lane
 
     def test_lane_change_count(self):
-        states = [make_state(frame=i) for i in range(3)]
-        states += [make_state(frame=3, y=17.5, lane_id=2)]
-        track = Track(
-            track_id=1,
-            vehicle_class=VehicleClass.CAR,
-            direction=DrivingDirection.LOWER,
-            length=4.5,
-            width=2.0,
-            states=tuple(states),
-            mean_speed=25.0,
-        )
-        assert track.lane_change_count() == 1
+        assert lane_change_count(straight_track().lane) == 0
+        assert lane_change_count(np.array([1, 1, 1, 2])) == 1
+        assert lane_change_count(np.array([1, 2, 2, 1, 2])) == 3
+        assert lane_change_count(np.array([2])) == 0
 
 
 class TestSweepFrames:
+    """The (frame, track id)-sorted walk that synth's corruption and overlap
+    check share."""
+
     def test_matches_state_at_on_every_frame(self):
         tracks = [
             straight_track(track_id=7, first_frame=3, n_frames=4),
             straight_track(track_id=2, first_frame=5, n_frames=6, x0=50.0),
             straight_track(track_id=4, first_frame=3, n_frames=1, x0=90.0),
         ]
-        swept = list(sweep_frames(tracks))
+        swept = list(_frame_rows(tracks))
         assert [frame for frame, _ in swept] == list(range(11))
         by_id = sorted(tracks, key=lambda t: t.track_id)
         for frame, present in swept:
-            assert present == [(t, t.state_at(frame)) for t in by_id
-                               if t.state_at(frame) is not None]
+            assert present == [(t, row_at(t, frame).x, row_at(t, frame).y)
+                               for t in by_id if row_at(t, frame) is not None]
 
     def test_no_tracks_no_frames(self):
-        assert list(sweep_frames([])) == []
+        assert list(_frame_rows([])) == []

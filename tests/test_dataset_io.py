@@ -8,7 +8,6 @@ from hwtracks import (
     DatasetError,
     DrivingDirection,
     KinematicState,
-    Track,
     VehicleClass,
     compute_mean_speed,
     compute_surround,
@@ -25,7 +24,7 @@ from hwtracks.dataset_io import (
     NON_MONOTONE_FRAMES,
     format_float,
 )
-from conftest import LOWER, UPPER, make_meta
+from conftest import LOWER, UPPER, make_meta, track_from_states
 
 Q = lambda x: float(format_float(x))
 
@@ -59,14 +58,14 @@ def random_recording(seed, n_tracks=6, recording_id=1):
             for i in range(n)
         )
         tracks.append(
-            Track(
+            track_from_states(
+                states,
                 track_id=track_id,
                 vehicle_class=rng.choice([VehicleClass.CAR, VehicleClass.TRUCK]),
                 direction=direction,
                 length=Q(rng.uniform(3.5, 16.0)),
                 width=Q(rng.uniform(1.8, 2.6)),
-                states=states,
-                mean_speed=Q(compute_mean_speed(states)),
+                mean_speed=Q(compute_mean_speed([s.vx for s in states])),
             )
         )
     surround = compute_surround(tracks, meta)
@@ -108,16 +107,16 @@ def assert_recordings_equal(recording, meta, tracks, surround):
             assert sg.lane_id == sw.lane_id
             for name in ("x", "y", "vx", "vy", "ax", "ay"):
                 feq(getattr(sg, name), getattr(sw, name))
-        for fg, fw in zip(recording.surround[got.track_id], surround[got.track_id]):
-            assert fg.frame == fw.frame
-            for name in (
-                "preceding_id", "following_id", "left_preceding_id",
-                "left_alongside_id", "left_following_id", "right_preceding_id",
-                "right_alongside_id", "right_following_id",
-            ):
-                assert getattr(fg, name) == getattr(fw, name)
-            for name in ("dhw", "thw", "ttc"):
-                feq(getattr(fg, name), getattr(fw, name))
+        got_surround, want_surround = recording.surround[got.track_id], surround[got.track_id]
+        for name in got_surround._fields:
+            g = getattr(got_surround, name).tolist()
+            w = getattr(want_surround, name).tolist()
+            assert len(g) == len(w) == got.num_frames
+            if name in ("dhw", "thw", "ttc"):
+                for a, b in zip(g, w):
+                    feq(a, b)
+            else:
+                assert g == w
 
 
 class TestRoundTrip:
@@ -151,14 +150,14 @@ class TestRoundTrip:
     def test_single_frame_track(self, tmp_path):
         meta, tracks, surround = random_recording(seed=3, n_tracks=1)
         track = tracks[0]
-        single = Track(
+        single = track_from_states(
+            track.states[:1],
             track_id=track.track_id,
             vehicle_class=track.vehicle_class,
             direction=track.direction,
             length=track.length,
             width=track.width,
-            states=track.states[:1],
-            mean_speed=Q(compute_mean_speed(track.states[:1])),
+            mean_speed=Q(compute_mean_speed(track.vx[:1])),
         )
         surround = compute_surround([single], meta)
         paths = write_recording(meta, [single], surround, tmp_path)
@@ -503,11 +502,8 @@ class TestCellRanges:
         # max frame 1.15292e18 is a float; frame 1152920000000000001 lies one
         # past it, although it rounds to the same float
         meta, tracks, surround = random_recording(seed=3, n_tracks=1)
-        one = Track(
-            track_id=1, vehicle_class=VehicleClass.CAR, direction=tracks[0].direction,
-            length=4.5, width=2.0, states=tracks[0].states[:1],
-            mean_speed=tracks[0].mean_speed,
-        )
+        one = track_from_states(tracks[0].states[:1], direction=tracks[0].direction,
+                                mean_speed=tracks[0].mean_speed)
         paths = write_recording(meta, [one], compute_surround([one], meta), tmp_path)
         _patch_cells(paths.recording_meta_path,
                                  [(1, "frameRate", "1"), (1, "duration", "1.15292e+18")])

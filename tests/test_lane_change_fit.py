@@ -4,15 +4,12 @@ import pytest
 from hwtracks import (
     ContractViolation,
     DegenerateEpisode,
-    DrivingDirection,
     InsufficientData,
     KinematicState,
     LaneChangeParams,
     ManeuverEpisode,
     ManeuverKind,
     Side,
-    Track,
-    VehicleClass,
     compute_surround,
     evaluate_model,
     extract_cut_ins,
@@ -26,6 +23,7 @@ from hwtracks.lane_change import (
     shape,
 )
 from hwtracks.surround import NO_VEHICLE, UNDEFINED, left_lane_id
+from conftest import row_at, track_from_states
 
 DT = 0.04
 
@@ -302,9 +300,7 @@ def lane_switch_track(track_id, switch_frame, n, x0, speed, y_from, y_to,
                 lane_id=lane_from if before else lane_to,
             )
         )
-    return Track(track_id=track_id, vehicle_class=VehicleClass.CAR,
-                 direction=DrivingDirection.LOWER, length=length, width=2.0,
-                 states=tuple(states), mean_speed=speed)
+    return track_from_states(states, track_id=track_id, length=length, mean_speed=speed)
 
 
 class TestExtractCutIns:
@@ -388,12 +384,12 @@ def cut_in_oracle(episode, tracks, meta):
     changer = by_id[episode.track_id]
 
     def nearest(ego, frame, ahead):
-        es = ego.state_at(frame)
+        es = row_at(ego, frame)
         best = None
         for other in tracks:
             if other.track_id == ego.track_id or other.direction is not ego.direction:
                 continue
-            os = other.state_at(frame)
+            os = row_at(other, frame)
             if os is None or os.lane_id != es.lane_id:
                 continue
             delta = (os.x - es.x) * ego.direction.travel_sign
@@ -409,18 +405,18 @@ def cut_in_oracle(episode, tracks, meta):
     if tailing_id == NO_VEHICLE:
         return None
     tail = by_id[tailing_id]
-    ts, cs = tail.state_at(f), changer.state_at(f)
+    ts, cs = row_at(tail, f), row_at(changer, f)
     gap = max(abs(cs.x - ts.x) - (changer.length + tail.length) / 2, 0.0)
     v_tail = abs(ts.vx)
     entry_thw = gap / v_tail if v_tail > 0.1 else UNDEFINED
 
     min_dhw = min_thw = min_ttc = UNDEFINED
     for frame in range(episode.start_frame, episode.end_frame + 1):
-        if tail.state_at(frame) is None or changer.state_at(frame) is None:
+        if row_at(tail, frame) is None or row_at(changer, frame) is None:
             continue
         if nearest(tail, frame, ahead=True) != changer.track_id:
             continue
-        ts2, cs2 = tail.state_at(frame), changer.state_at(frame)
+        ts2, cs2 = row_at(tail, frame), row_at(changer, frame)
         dhw = max(abs(cs2.x - ts2.x) - (changer.length + tail.length) / 2, 0.0)
         vt, vc = abs(ts2.vx), abs(cs2.vx)
         thw = dhw / vt if vt > 0.1 else UNDEFINED
@@ -436,7 +432,7 @@ def cut_in_oracle(episode, tracks, meta):
     gap_size = UNDEFINED
     if preceding_id != NO_VEHICLE:
         lead = by_id[preceding_id]
-        ls = lead.state_at(f)
+        ls = row_at(lead, f)
         gap_size = max(abs(ls.x - ts.x) - (lead.length + tail.length) / 2, 0.0)
     side = (
         CutInSide.FROM_LEFT

@@ -12,18 +12,17 @@ from hwtracks import (
     ManeuverEpisode,
     ManeuverKind,
     Side,
-    SurroundFrame,
-    Track,
-    VehicleClass,
+    Surround,
     detect_critical,
     detect_lane_changes,
     evaluate_model,
     label_longitudinal,
+    lane_change_count,
     longitudinal_episodes,
     lane_id_of,
 )
 from hwtracks.surround import NO_VEHICLE, UNDEFINED
-from conftest import make_meta
+from conftest import make_meta, track_from_states
 
 DT = 0.04
 
@@ -37,47 +36,41 @@ def track_from_y(ys, vys, meta, direction=DrivingDirection.LOWER, track_id=1):
             KinematicState(frame=i, x=25.0 * i * DT, y=y, vx=25.0, vy=vy,
                            ax=0.0, ay=0.0, lane_id=lane)
         )
-    return Track(track_id=track_id, vehicle_class=VehicleClass.CAR,
-                 direction=direction, length=4.5, width=2.0,
-                 states=tuple(states), mean_speed=25.0)
+    return track_from_states(states, track_id=track_id, direction=direction,
+                             mean_speed=25.0)
 
 
 def surround_with_thw(track, thws, ttcs=None):
-    """SurroundFrames for a track with scripted thw/ttc toward track 99."""
+    """Surround columns, one row per entry of ``thws``, with scripted thw/ttc
+    toward track 99 (no preceding vehicle where the thw is None)."""
     ttcs = ttcs if ttcs is not None else [UNDEFINED] * len(thws)
-    frames = []
-    for state, thw, ttc in zip(track.states, thws, ttcs):
-        preceding = NO_VEHICLE if thw is None else 99
-        frames.append(
-            SurroundFrame(
-                frame=state.frame,
-                track_id=track.track_id,
-                preceding_id=preceding,
-                dhw=UNDEFINED if thw in (None, UNDEFINED) else thw * 25.0,
-                thw=UNDEFINED if thw is None else thw,
-                ttc=UNDEFINED if ttc is None else ttc,
-            )
-        )
-    return frames
+    empty = np.full(len(thws), NO_VEHICLE)
+    return Surround(
+        np.array([NO_VEHICLE if thw is None else 99 for thw in thws]),
+        *[empty] * 7,
+        np.array([UNDEFINED if thw in (None, UNDEFINED) else thw * 25.0 for thw in thws]),
+        np.array([UNDEFINED if thw is None else thw for thw in thws], dtype=float),
+        np.array([UNDEFINED if ttc is None else ttc for ttc in ttcs], dtype=float),
+    )
 
 
 def constant_track(n, meta, y=13.85):
     return track_from_y([y] * n, [0.0] * n, meta)
 
 
-def hysteresis_oracle(frames, cfg):
+def hysteresis_oracle(surround, cfg):
     """Independent two-state automaton, written straight from the rule."""
     labels = []
     following = False
-    for sf in frames:
-        has_thw = sf.preceding_id != NO_VEHICLE and sf.thw != UNDEFINED
+    for preceding_id, thw in zip(surround.preceding_id.tolist(), surround.thw.tolist()):
+        has_thw = preceding_id != NO_VEHICLE and thw != UNDEFINED
         if not has_thw:
             following = False
         elif following:
-            if sf.thw > cfg.following_thw_max + cfg.following_hysteresis:
+            if thw > cfg.following_thw_max + cfg.following_hysteresis:
                 following = False
         else:
-            if sf.thw < cfg.following_thw_max:
+            if thw < cfg.following_thw_max:
                 following = True
         labels.append(
             ManeuverKind.VEHICLE_FOLLOWING if following else ManeuverKind.FREE_DRIVING
@@ -144,15 +137,15 @@ class TestLabelLongitudinal:
 
     def test_misaligned_surround_rejected(self, meta):
         track = constant_track(10, meta)
-        frames = surround_with_thw(track, [None] * 10)[:-1]
+        frames = surround_with_thw(track, [None] * 9)
         with pytest.raises(ContractViolation):
             label_longitudinal(track, frames, ManeuverConfig())
 
 
-def critical_oracle(frames, cfg):
+def critical_oracle(surround, cfg):
     flags = [
-        (0.0 < sf.ttc < cfg.critical_ttc_max) or (0.0 < sf.thw < cfg.critical_thw_max)
-        for sf in frames
+        (0.0 < ttc < cfg.critical_ttc_max) or (0.0 < thw < cfg.critical_thw_max)
+        for ttc, thw in zip(surround.ttc.tolist(), surround.thw.tolist())
     ]
     episodes = []
     start = None
@@ -314,7 +307,7 @@ class TestDetectLaneChanges:
                 current = 3 - current
             track = track_from_y(ys, [0.0] * len(ys), meta)
             episodes = detect_lane_changes(track, meta, cfg)
-            transitions = track.lane_change_count()
+            transitions = lane_change_count(track.lane)
             # every stay exceeds the dwell, so all transitions are confirmed
             assert len(episodes) == transitions
 

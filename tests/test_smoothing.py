@@ -166,12 +166,11 @@ class TestSmoothTrack:
         ]
         raw = self.tracked(frames)[0]
         track = smooth_track(raw, cfg(), meta)
-        vx = np.array([s.vx for s in track.states])
-        ax = np.array([s.ax for s in track.states])
+        vx, ax = track.vx, track.ax
         assert np.abs(vx[10:] - 25.0).max() < 1e-6
         assert np.abs(ax[10:]).max() < 1e-6
         assert track.direction is DrivingDirection.LOWER
-        assert all(s.lane_id == 1 for s in track.states)
+        assert (track.lane == 1).all()
         assert track.mean_speed == pytest.approx(np.abs(vx).mean())
 
     def test_upper_carriageway_direction(self, meta):
@@ -182,7 +181,7 @@ class TestSmoothTrack:
         raw = self.tracked(frames)[0]
         track = smooth_track(raw, cfg(), meta)
         assert track.direction is DrivingDirection.UPPER
-        assert track.states[50].vx < 0
+        assert track.vx[50] < 0
 
     def test_gap_frames_carry_smoothed_positions(self, meta):
         truth_x = {f: f * 1.0 for f in range(120)}
@@ -200,11 +199,9 @@ class TestSmoothTrack:
             for f in range(120)
         ]
         reference = smooth_track(self.tracked(full)[0], cfg(), meta)
-        for s, r in zip(track.states, reference.states):
-            assert abs(s.x - r.x) < 1e-6
+        assert np.abs(track.x - reference.x).max() < 1e-6
         # no velocity discontinuity across the gap
-        vx = [s.vx for s in track.states]
-        jumps = np.abs(np.diff(vx))
+        jumps = np.abs(np.diff(track.vx))
         assert jumps.max() < 0.5
 
     def test_lane_change_lateral_velocity_peak(self, meta):
@@ -239,5 +236,5 @@ class TestSmoothTrack:
         ]
         raw = self.tracked(frames)[0]
         track = smooth_track(raw, cfg(), meta)
-        peak = max(abs(s.vy) for s in track.states)
+        peak = np.abs(track.vy).max()
         assert peak == pytest.approx(analytic_peak, rel=0.10)

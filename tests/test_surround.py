@@ -6,31 +6,33 @@ from hypothesis import given, strategies as st
 
 from hwtracks import (
     DrivingDirection,
-    Track,
-    VehicleClass,
     assign_neighbors,
     compute_surround,
 )
-from hwtracks.core import sweep_frames
 from hwtracks.surround import NO_VEHICLE, UNDEFINED, left_lane_id, right_lane_id
-from conftest import LOWER, UPPER, make_meta, make_state, straight_track
+from conftest import (
+    LOWER, UPPER, make_meta, make_state, row_at, straight_track, surround_rows,
+    track_from_states,
+)
 
 
 def vehicle_at(track_id, direction, lane, x, vx=25.0, length=4.5, frame=0):
+    """A one-frame track and its state."""
     boundaries = UPPER if direction is DrivingDirection.UPPER else LOWER
     y = (boundaries[lane - 1] + boundaries[lane]) / 2
     state = make_state(frame=frame, x=x, y=y, vx=vx * direction.travel_sign,
                        lane_id=lane)
-    track = Track(
-        track_id=track_id,
-        vehicle_class=VehicleClass.CAR,
-        direction=direction,
-        length=length,
-        width=2.0,
-        states=(state,),
-        mean_speed=abs(vx),
-    )
+    track = track_from_states([state], track_id=track_id, direction=direction,
+                              length=length, mean_speed=abs(vx))
     return track, state
+
+
+def neighbors(vehicles, meta, frame=0):
+    """assign_neighbors over the tracks of ``(track, state)`` pairs at
+    ``frame``, as one record per vehicle in input order."""
+    tracks = [t for t, _ in vehicles]
+    return surround_rows(assign_neighbors(tracks, frame, meta),
+                         [t.track_id for t in tracks])
 
 
 def brute_force_neighbors(vehicles, meta):
@@ -97,7 +99,7 @@ def brute_force_neighbors(vehicles, meta):
 
 
 def oracle_mismatches(frames, vehicles, meta):
-    """Track ids whose SurroundFrame differs from the oracle in any slot or
+    """Track ids whose surround record differs from the oracle in any slot or
     metric (exact comparison); ``frames`` must cover ``vehicles``."""
     want = brute_force_neighbors(vehicles, meta)
     assert sorted(sf.track_id for sf in frames) == sorted(want)
@@ -142,7 +144,7 @@ def headway_pair(gap, v_ego, v_lead, len_ego=4.5, len_lead=4.5,
     x_lead = x_ego + direction.travel_sign * (gap + (len_ego + len_lead) / 2)
     ego = vehicle_at(1, direction, 1, x_ego, v_ego, len_ego)
     lead = vehicle_at(2, direction, 1, x_lead, v_lead, len_lead)
-    sf = assign_neighbors([ego, lead], make_meta())[0]
+    sf = neighbors([ego, lead], make_meta())[0]
     assert sf.preceding_id == 2
     return sf.dhw, sf.thw, sf.ttc
 
@@ -161,7 +163,7 @@ class TestHeadwayMetrics:
     def test_bumper_to_bumper_definition(self, meta):
         ego = vehicle_at(1, DrivingDirection.LOWER, 1, 100.0, 20.0, length=5.0)
         lead = vehicle_at(2, DrivingDirection.LOWER, 1, 120.0, 20.0, length=15.0)
-        sf = assign_neighbors([ego, lead], meta)[0]
+        sf = neighbors([ego, lead], meta)[0]
         assert sf.dhw == pytest.approx(20.0 - 10.0)
 
     def test_slow_ego_thw_undefined(self):
@@ -199,7 +201,7 @@ class TestGapSize:
     def test_bumper_to_bumper_zero(self, meta):
         tail = vehicle_at(1, DrivingDirection.LOWER, 1, 100.0)
         lead = vehicle_at(2, DrivingDirection.LOWER, 1, 104.5)
-        sf = assign_neighbors([tail, lead], meta)[0]
+        sf = neighbors([tail, lead], meta)[0]
         assert sf.preceding_id == 2
         assert sf.dhw == 0.0
 
@@ -211,14 +213,14 @@ class TestGapSize:
             x_lead = x_tail + rng.uniform(0, 80) + (lt + ll) / 2
             tail = vehicle_at(1, DrivingDirection.LOWER, 1, x_tail, length=lt)
             lead = vehicle_at(2, DrivingDirection.LOWER, 1, x_lead, length=ll)
-            sf = assign_neighbors([tail, lead], meta)[0]
+            sf = neighbors([tail, lead], meta)[0]
             assert sf.dhw == pytest.approx(abs(x_lead - x_tail) - (lt + ll) / 2)
 
 
 class TestAssignNeighbors:
     def test_single_vehicle_empty_scene(self, meta):
         vehicles = [vehicle_at(1, DrivingDirection.LOWER, 1, 100.0)]
-        [sf] = assign_neighbors(vehicles, meta)
+        [sf] = neighbors(vehicles, meta)
         assert sf.preceding_id == sf.following_id == NO_VEHICLE
         assert sf.left_alongside_id == sf.right_alongside_id == NO_VEHICLE
         assert sf.dhw == sf.thw == sf.ttc == UNDEFINED
@@ -226,7 +228,7 @@ class TestAssignNeighbors:
     def test_two_vehicles_same_lane(self, meta):
         a = vehicle_at(1, DrivingDirection.LOWER, 1, 130.0)
         b = vehicle_at(2, DrivingDirection.LOWER, 1, 100.0)
-        sfs = {sf.track_id: sf for sf in assign_neighbors([a, b], meta)}
+        sfs = {sf.track_id: sf for sf in neighbors([a, b], meta)}
         assert sfs[2].preceding_id == 1
         assert sfs[1].following_id == 2
         assert sfs[1].preceding_id == NO_VEHICLE
@@ -241,21 +243,21 @@ class TestAssignNeighbors:
 
         ego = vehicle_at(1, DrivingDirection.LOWER, 1, 100.0)
         other = vehicle_at(2, DrivingDirection.LOWER, 2, 130.0)
-        sfs = {sf.track_id: sf for sf in assign_neighbors([ego, other], meta)}
+        sfs = {sf.track_id: sf for sf in neighbors([ego, other], meta)}
         assert sfs[1].left_preceding_id == 2
 
         ego_u = vehicle_at(1, DrivingDirection.UPPER, 1, 100.0)
         other_u = vehicle_at(2, DrivingDirection.UPPER, 2, 70.0)
-        sfs = {sf.track_id: sf for sf in assign_neighbors([ego_u, other_u], meta)}
+        sfs = {sf.track_id: sf for sf in neighbors([ego_u, other_u], meta)}
         assert sfs[1].right_preceding_id == 2
 
     def test_alongside_requires_overlap(self, meta):
         ego = vehicle_at(1, DrivingDirection.LOWER, 1, 100.0, length=4.5)
         beside = vehicle_at(2, DrivingDirection.LOWER, 2, 103.0, length=4.5)
-        sfs = {sf.track_id: sf for sf in assign_neighbors([ego, beside], meta)}
+        sfs = {sf.track_id: sf for sf in neighbors([ego, beside], meta)}
         assert sfs[1].left_alongside_id == 2  # |dx|=3 <= 4.5
         far = vehicle_at(2, DrivingDirection.LOWER, 2, 106.0, length=4.5)
-        sfs = {sf.track_id: sf for sf in assign_neighbors([ego, far], meta)}
+        sfs = {sf.track_id: sf for sf in neighbors([ego, far], meta)}
         assert sfs[1].left_alongside_id == NO_VEHICLE
         assert sfs[1].left_preceding_id == 2
 
@@ -269,19 +271,14 @@ class TestAssignNeighbors:
             boundaries = (12.0, 15.7, 19.4, 23.1)
             y = (boundaries[lane - 1] + boundaries[lane]) / 2
             state = make_state(x=x, y=y, lane_id=lane)
-            return (
-                Track(track_id=track_id, vehicle_class=VehicleClass.CAR,
-                      direction=DrivingDirection.LOWER, length=4.5, width=2.0,
-                      states=(state,), mean_speed=25.0),
-                state,
-            )
+            return track_from_states([state], track_id=track_id, mean_speed=25.0), state
         vehicles = [
             at(1, 2, 100.0),          # ego
             at(2, 2, 140.0), at(3, 2, 60.0),
             at(4, 3, 101.0),          # left alongside
             at(5, 3, 150.0), at(6, 1, 80.0),
         ]
-        got = {sf.track_id: sf for sf in assign_neighbors(vehicles, meta3)}
+        got = {sf.track_id: sf for sf in neighbors(vehicles, meta3)}
         want = brute_force_neighbors(vehicles, meta3)
         for tid, sf in got.items():
             w = want[tid]
@@ -293,7 +290,7 @@ class TestAssignNeighbors:
     def test_random_scenes_match_oracle(self, meta, seed):
         rng = random.Random(seed)
         vehicles = random_scene(rng, rng.randint(1, 50))
-        got = {sf.track_id: sf for sf in assign_neighbors(vehicles, meta)}
+        got = {sf.track_id: sf for sf in neighbors(vehicles, meta)}
         want = brute_force_neighbors(vehicles, meta)
         assert set(got) == set(want)
         for tid, sf in got.items():
@@ -309,12 +306,12 @@ class TestAssignNeighbors:
             assert sf.ttc == pytest.approx(w["ttc"])
         # a tie-heavy scene, compared exactly
         ties = tie_scene(rng, rng.randint(2, 40))
-        assert oracle_mismatches(assign_neighbors(ties, meta), ties, meta) == []
+        assert oracle_mismatches(neighbors(ties, meta), ties, meta) == []
 
     def test_preceding_following_symmetry(self, meta):
         rng = random.Random(99)
         vehicles = random_scene(rng, 30)
-        sfs = {sf.track_id: sf for sf in assign_neighbors(vehicles, meta)}
+        sfs = {sf.track_id: sf for sf in neighbors(vehicles, meta)}
         for tid, sf in sfs.items():
             if sf.preceding_id != NO_VEHICLE:
                 lead = sfs[sf.preceding_id]
@@ -344,21 +341,24 @@ class TestComputeSurround:
             change_at = rng.randint(0, 40)
             x0, step = 2.5 * rng.randint(0, 40), rng.choice([0.0, 0.5, 1.0])
             sign = direction.travel_sign
-            states = tuple(
+            states = [
                 make_state(frame=frame, x=x0 + sign * step * i, vx=sign * step * 25,
                            lane_id=lane if i < change_at else to_lane)
                 for i, frame in enumerate(range(rng.randint(0, 30), rng.randint(35, 70)))
-            )
-            tracks.append(Track(
-                track_id=track_id, vehicle_class=VehicleClass.CAR, direction=direction,
-                length=rng.choice([4.5, 5.0, 10.0]), width=2.0, states=states,
-                mean_speed=step * 25,
+            ]
+            tracks.append(track_from_states(
+                states, track_id=track_id, direction=direction,
+                length=rng.choice([4.5, 5.0, 10.0]), mean_speed=step * 25,
             ))
         surround = compute_surround(tracks, meta3)
         assert list(surround) == [t.track_id for t in tracks]
-        for frame, present in sweep_frames(tracks):
-            got = [surround[t.track_id][frame - t.initial_frame] for t, _ in present]
-            assert [sf.frame for sf in got] == [frame] * len(present)
+        rows = {t.track_id: surround_rows(surround[t.track_id], [t.track_id] * t.num_frames)
+                for t in tracks}
+        by_id = sorted(tracks, key=lambda t: t.track_id)
+        for frame in range(max(t.final_frame for t in tracks) + 1):
+            present = [(t, row_at(t, frame)) for t in by_id
+                       if row_at(t, frame) is not None]
+            got = [rows[t.track_id][frame - t.initial_frame] for t, _ in present]
             assert oracle_mismatches(got, present, meta3) == [], frame
 
     def test_aligned_with_states(self, meta):
@@ -366,16 +366,15 @@ class TestComputeSurround:
         b = straight_track(track_id=2, x0=30.0, n_frames=80, first_frame=10)
         surround = compute_surround([a, b], meta)
         for track in (a, b):
-            frames = surround[track.track_id]
-            assert [sf.frame for sf in frames] == [s.frame for s in track.states]
+            assert [len(column) for column in surround[track.track_id]] == [
+                track.num_frames] * 11
         # while both alive: 2 follows... b is ahead (larger x, lower carriageway)
-        sf = surround[1][20]
-        assert sf.frame == 20
-        assert sf.preceding_id == 2
+        assert surround[1].preceding_id[20] == 2
+        assert surround[2].following_id[20 - b.initial_frame] == 1
 
     def test_neighbors_only_while_alive(self, meta):
         a = straight_track(track_id=1, x0=0.0, n_frames=100)
         b = straight_track(track_id=2, x0=30.0, n_frames=20)
         surround = compute_surround([a, b], meta)
-        assert surround[1][10].preceding_id == 2
-        assert surround[1][50].preceding_id == NO_VEHICLE
+        assert surround[1].preceding_id[10] == 2
+        assert surround[1].preceding_id[50] == NO_VEHICLE

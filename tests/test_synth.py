@@ -21,6 +21,7 @@ from hwtracks import (
     smooth_track,
 )
 from hwtracks.synth import script_from_dict
+from conftest import row_at
 
 
 def car(**kwargs):
@@ -40,7 +41,7 @@ class TestGenerateTruth:
         truth = generate_truth(script)
         [track] = truth.tracks
         assert track.num_frames == 250
-        xs = [s.x for s in track.states]
+        xs = track.x.tolist()
         diffs = {round(b - a, 9) for a, b in zip(xs, xs[1:])}
         assert diffs == {1.0}  # 25 m/s at 25 Hz
 
@@ -63,8 +64,8 @@ class TestGenerateTruth:
         assert lc.t0 == 6.0
         # crossing where the trajectory passes the marking
         track = truth.tracks[0]
-        state = track.state_at(lc.crossing_frame)
-        previous = track.state_at(lc.crossing_frame - 1)
+        state = row_at(track, lc.crossing_frame)
+        previous = row_at(track, lc.crossing_frame - 1)
         assert state.lane_id == 2 and previous.lane_id == 1
 
     def test_speed_profile_segments(self):
@@ -77,7 +78,7 @@ class TestGenerateTruth:
             )),),
         )
         [track] = generate_truth(script).tracks
-        vx = [s.vx for s in track.states]
+        vx = track.vx
         assert vx[0] == pytest.approx(20.0)
         assert vx[100] == pytest.approx(24.0)   # after 4 s at +1
         assert vx[200] == pytest.approx(24.0)   # constant segment
@@ -183,7 +184,7 @@ class TestCorrupt:
             assert len(dets) == 2
             for det, track in zip(sorted(dets, key=lambda d: d.cy),
                                   truth.tracks):
-                state = track.state_at(f)
+                state = row_at(track, f)
                 assert det.cx == state.x and det.cy == state.y
                 assert det.length == track.length
 
@@ -207,7 +208,7 @@ class TestCorrupt:
         for f, dets in enumerate(frames):
             for det, track in zip(sorted(dets, key=lambda d: d.cy),
                                   truth.tracks):
-                state = track.state_at(f)
+                state = row_at(track, f)
                 offsets.extend([det.cx - state.x, det.cy - state.y])
         offsets = np.asarray(offsets)
         assert len(offsets) >= 10_000
