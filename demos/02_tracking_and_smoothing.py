@@ -48,9 +48,10 @@ noise = NoiseSpec(
     false_positive_rate=0.3,    # spurious single-frame detections
 )
 detections = corrupt(truth.tracks, noise, seed=script.seed, meta=truth.meta)
-n_det = sum(len(d) for d in detections)
-print(f"{len(detections)} frames, {n_det} detections "
-      f"(~{n_det / len(detections):.2f} per frame, four real vehicles)")
+n_frames = max(t.final_frame for t in truth.tracks) + 1
+n_det = len(detections)
+print(f"{n_frames} frames, {n_det} detections "
+      f"(~{n_det / n_frames:.2f} per frame, four real vehicles)")
 
 raw_tracks = build_tracks(detections, TrackerConfig())
 print(f"tracker produced {len(raw_tracks)} confirmed tracks "
@@ -65,9 +66,8 @@ for raw, want in zip(raw_tracks, truth.tracks):
     rows = slice(track.initial_frame - want.initial_frame,
                  track.final_frame - want.initial_frame + 1)
     exp_x, exp_y = want.x[rows], want.y[rows]
-    raw_x = np.array([o.x for o in raw.observations])
-    raw_y = np.array([o.y for o in raw.observations])
-    coasted = sum(1 for o in raw.observations if not o.measured)
+    raw_x, raw_y = np.array(raw.x), np.array(raw.y)
+    coasted = raw.measured.count(False)
     raw_rmse = math.sqrt(np.mean((raw_x - exp_x) ** 2 + (raw_y - exp_y) ** 2))
     smooth_rmse = math.sqrt(np.mean((track.x - exp_x) ** 2 + (track.y - exp_y) ** 2))
     print(f"  {track.track_id:>4}  {track.num_frames:>7}  {coasted:>7}"

@@ -9,7 +9,7 @@ exact ground truth backs every stage's tests.
 
 from .core import (
     ContractViolation,
-    Detection,
+    DetectionTable,
     DrivingDirection,
     KinematicState,
     RecordingMeta,

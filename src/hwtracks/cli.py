@@ -77,12 +77,9 @@ def _exception_error(exc: Exception) -> Dict:
 
 
 def _load_config(args) -> PipelineConfig:
-    overrides = {}
-    if getattr(args, "jobs", None) is not None:
-        overrides["jobs"] = args.jobs
-    if getattr(args, "seed_override", None) is not None:
-        overrides["seed_override"] = args.seed_override
-    return load_pipeline_config(getattr(args, "config", None), **overrides)
+    return load_pipeline_config(getattr(args, "config", None),
+                                jobs=getattr(args, "jobs", None),
+                                seed_override=getattr(args, "seed_override", None))
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,19 @@ def compute_mean_speed(vx) -> float:
 KINEMATIC_COLUMNS = ("x", "y", "vx", "vy", "ax", "ay")
 
 
+def _store_columns(obj, where: str, n: int, floats: Sequence[str], integer: str) -> None:
+    """Replace the named fields of a frozen ``obj`` by read-only arrays of
+    length ``n``: float64 for ``floats``, int64 for ``integer``."""
+    for name in (*floats, integer):
+        column = np.asarray(getattr(obj, name),
+                            np.int64 if name == integer else np.float64).view()
+        if column.shape != (n,):
+            raise ValueError(f"{where}: column {name} has shape {column.shape}, "
+                             f"expected ({n},)")
+        column.flags.writeable = False
+        object.__setattr__(obj, name, column)
+
+
 @dataclass(frozen=True, eq=False)
 class Track:
     """One vehicle: its summary plus one column per kinematic quantity.
@@ -229,14 +242,7 @@ class Track:
         n = len(self.lane)
         if n == 0:
             raise ValueError(f"{where}: needs at least one state")
-        for name in (*KINEMATIC_COLUMNS, "lane"):
-            column = np.asarray(getattr(self, name),
-                                np.int64 if name == "lane" else np.float64).view()
-            if column.shape != (n,):
-                raise ValueError(f"{where}: column {name} has shape {column.shape}, "
-                                 f"expected ({n},)")
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        _store_columns(self, where, n, KINEMATIC_COLUMNS, "lane")
         if self.lane.min() < 1:
             raise ValueError(f"{where}: lane must be >= 1, got {self.lane.min()}")
         for name in KINEMATIC_COLUMNS:
@@ -291,25 +297,48 @@ class TrackStates(abc.Sequence):
                               t.lane[i].item())
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """A single-frame observation handed over by the per-frame detector."""
+#: The float64 columns of a DetectionTable, in file order.
+DETECTION_COLUMNS = ("cx", "cy", "length", "width")
 
-    frame: int
-    cx: float
-    cy: float
-    length: float
-    width: float
-    class_hint: Optional[VehicleClass] = None
+
+@dataclass(frozen=True, eq=False)
+class DetectionTable:
+    """Per-frame detector output: one row per detection, sorted by frame.
+
+    ``frame`` becomes a read-only int64 column, ``cx`` .. ``width`` read-only
+    float64 columns (box centre and extents), and ``class_hint`` a tuple with
+    one optional VehicleClass per row. Frames are >= 0 and ascending, values
+    finite, extents positive and all columns of one length.
+    """
+
+    frame: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    length: np.ndarray
+    width: np.ndarray
+    class_hint: Tuple[Optional[VehicleClass], ...]
 
     def __post_init__(self) -> None:
-        if self.frame < 0:
-            raise ValueError(f"frame must be >= 0, got {self.frame}")
-        if not self.length > 0 or not self.width > 0:
-            raise ValueError("detection extents must be positive")
-        for name in ("cx", "cy", "length", "width"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "class_hint", tuple(self.class_hint))
+        _store_columns(self, "detections", len(self), DETECTION_COLUMNS, "frame")
+        if len(self) and self.frame[0] < 0:
+            raise ValueError(f"detections: frame must be >= 0, got {self.frame[0]}")
+        if (np.diff(self.frame) < 0).any():
+            raise ValueError("detections: frames must be in ascending order")
+        if not np.isfinite(np.stack([getattr(self, c) for c in DETECTION_COLUMNS])).all():
+            raise ValueError("detections: cx, cy, length and width must be finite")
+        if not ((self.length > 0) & (self.width > 0)).all():
+            raise ValueError("detections: extents must be positive")
+
+    def __len__(self) -> int:
+        return len(self.class_hint)
+
+    def rows(self, start: int, stop: int) -> "DetectionTable":
+        """Rows ``start`` .. ``stop - 1`` as a table of views, not checked again."""
+        part = object.__new__(DetectionTable)
+        for name in ("frame", *DETECTION_COLUMNS, "class_hint"):
+            object.__setattr__(part, name, getattr(self, name)[start:stop])
+        return part
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +347,14 @@ class Detection:
 
 def format_float(value: float) -> str:
     """Canonical 6-significant-digit decimal form, stable under re-parsing."""
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return format(value, ".6g")
+    return "%.6g" % (value + 0.0)  # + 0.0 turns -0.0 into 0.0
+
+
+def format_floats(column) -> List[str]:
+    """``format_float`` of every value of a float column, formatted with one
+    ``%`` over a template of one field per value."""
+    values = (np.asarray(column, np.float64) + 0.0).tolist()
+    return ("%.6g\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
 def canonical_float(value: float) -> float:

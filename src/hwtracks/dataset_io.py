@@ -55,6 +55,7 @@ from .core import (
     VehicleClass,
     compute_mean_speed,
     format_float,
+    format_floats,
     lane_change_count,
     nearest_lane_id,
     write_table,
@@ -234,7 +235,7 @@ def write_recording(
 
     # Lane ids are derived from the quantized y of each written row; the
     # tracksMeta lane-change count must count transitions of those same ids.
-    written_y = [list(map(format_float, t.y.tolist())) for t in ordered]
+    written_y = [format_floats(t.y) for t in ordered]
     written_lanes = [
         nearest_lane_id(np.fromiter(map(float, y), np.float64, len(y)), meta, t.direction)
         for t, y in zip(ordered, written_y)
@@ -257,15 +258,12 @@ def write_recording(
 
     def rows(track: Track, y: List[str], lanes: np.ndarray):
         *ids, dhw, thw, ttc = surround[track.track_id]
-
-        def text(column: np.ndarray):
-            return map(format_float, column.tolist())
-
         return zip(
             range(track.initial_frame, track.final_frame + 1), repeat(track.track_id),
-            text(track.x), y, text(track.vx), text(track.vy), text(track.ax),
-            text(track.ay), lanes.tolist(), *(column.tolist() for column in ids),
-            text(dhw), text(thw), text(ttc),
+            format_floats(track.x), y, format_floats(track.vx), format_floats(track.vy),
+            format_floats(track.ax), format_floats(track.ay), lanes.tolist(),
+            *(column.tolist() for column in ids),
+            format_floats(dhw), format_floats(thw), format_floats(ttc),
         )
 
     write_table(paths.tracks_path, TRACKS_COLUMNS, chain.from_iterable(

@@ -11,7 +11,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .core import Track, write_json
 from .dataset_io import (
@@ -70,12 +70,26 @@ class PipelineConfig:
             raise ValueError("jobs must be >= 1")
 
 
-def _merge_section(cls, defaults, data: Dict, where: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+def _merge(defaults, data, prefix: str = ""):
+    """``defaults`` with the keys of the JSON object ``data`` replaced. A key
+    that holds a section merges key by key, and an ``int`` field takes an int
+    only, not a bool or a float. Errors name the key as ``section.key``."""
+    where = f"config section {prefix[:-1]!r}" if prefix else "config root"
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    types = {f.name: f.type for f in dataclasses.fields(defaults)}
+    unknown = set(data) - types.keys()
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}")
-    return dataclasses.replace(defaults, **data)
+    changes = {}
+    for key, value in data.items():
+        if dataclasses.is_dataclass(getattr(defaults, key)):
+            value = _merge(getattr(defaults, key), value, f"{prefix}{key}.")
+        elif types[key] in ("int", "Optional[int]") and value is not None \
+                and type(value) is not int:
+            raise ValueError(f"{prefix}{key} must be an integer, got {value!r}")
+        changes[key] = value
+    return dataclasses.replace(defaults, **changes)
 
 
 def load_pipeline_config(path: Optional[Path] = None, **overrides) -> PipelineConfig:
@@ -83,39 +97,13 @@ def load_pipeline_config(path: Optional[Path] = None, **overrides) -> PipelineCo
 
     The file may set any subset of the sections ``tracker``, ``smoother``,
     ``maneuvers``, ``fit``, ``stats`` and the scalars ``jobs`` and
-    ``seed_override``; flags passed as keyword overrides win over the file.
+    ``seed_override``; overrides that are not None win over the file.
     """
     cfg = PipelineConfig()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config root must be a JSON object")
-        sections = {
-            "tracker": (TrackerConfig, "tracker"),
-            "smoother": (SmootherConfig, "smoother"),
-            "maneuvers": (ManeuverConfig, "maneuvers"),
-            "fit": (FitConfig, "fit"),
-            "stats": (StatsConfig, "stats"),
-        }
-        kwargs = {}
-        for key, value in data.items():
-            if key in sections:
-                cls, attr = sections[key]
-                if not isinstance(value, dict):
-                    raise ValueError(f"config section {key!r} must be an object")
-                kwargs[attr] = _merge_section(cls, getattr(cfg, attr), value, key)
-            elif key in ("jobs", "seed_override"):
-                kwargs[key] = value
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-        cfg = dataclasses.replace(cfg, **kwargs)
-    valid = {f.name for f in dataclasses.fields(PipelineConfig)}
-    cleaned = {k: v for k, v in overrides.items() if v is not None}
-    unknown = set(cleaned) - valid
-    if unknown:
-        raise ValueError(f"unknown override(s) {sorted(unknown)}")
-    return dataclasses.replace(cfg, **cleaned)
+            cfg = _merge(cfg, json.load(fh))
+    return _merge(cfg, {k: v for k, v in overrides.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -255,13 +255,12 @@ def smooth_track_with_diagnostics(
     of every frame from the smoothed lateral position (off-span positions
     clamp to the nearest edge lane), and recomputes the mean speed.
     """
-    positions = [(obs.x, obs.y) for obs in raw.observations]
-    flags = [not obs.measured for obs in raw.observations]
+    positions = np.column_stack((raw.x, raw.y))
     try:
-        smoothed = rts_smooth(forward_filter(positions, flags, cfg), cfg)
+        smoothed = rts_smooth(forward_filter(positions, np.logical_not(raw.measured), cfg), cfg)
     except NumericalFailure as exc:
         raise NumericalFailure(
-            exc.index, exc.detail, raw.track_id, raw.observations[exc.index].frame
+            exc.index, exc.detail, raw.track_id, raw.first_frame + exc.index
         ) from None
 
     direction = carriageway_of(smoothed.states[:, 3], meta)
@@ -274,15 +273,14 @@ def smooth_track_with_diagnostics(
         length=length,
         width=width,
         mean_speed=compute_mean_speed(vx),
-        initial_frame=raw.observations[0].frame,
+        initial_frame=raw.first_frame,
         x=x, y=y, vx=vx, vy=vy, ax=ax, ay=ay,
         lane=nearest_lane_id(y, meta, direction),
     )
-    deviations = [
-        (obs.x - sx) ** 2 + (obs.y - sy) ** 2
-        for obs, sx, sy in zip(raw.observations, x.tolist(), y.tolist())
-        if obs.measured
-    ]
+    # Python's ``**`` is libm pow, which numpy's square does not match in
+    # the last bit on every value; the reported RMS is pinned to the former.
+    deviations = [(ox - sx) ** 2 + (oy - sy) ** 2 for ox, oy, sx, sy, measured
+                  in zip(raw.x, raw.y, x.tolist(), y.tolist(), raw.measured) if measured]
     diagnostics = SmoothingDiagnostics(
         track_id=raw.track_id,
         frames=track.num_frames,

@@ -8,7 +8,7 @@ lane-change model for the lateral motion. The generator derives trajectories,
 lane-change episodes and cut-in scenarios analytically from the script; the
 maneuver detectors are never involved.
 
-``corrupt`` turns truth tracks into per-frame detection streams by adding
+``corrupt`` turns truth tracks into a detection table by adding
 Gaussian position noise, dropping detections (randomly, in bursts, or in
 scripted windows) and injecting single-frame false positives uniformly over
 the road. Everything is a pure function of (script, seed).
@@ -19,14 +19,14 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
-    Detection,
+    DetectionTable,
     DrivingDirection,
     RecordingMeta,
     Track,
@@ -626,8 +626,8 @@ def corrupt(
     meta: Optional[RecordingMeta] = None,
     road_length: float = 420.0,
     scripted_dropouts: Optional[Mapping[int, Sequence[Tuple[int, int]]]] = None,
-) -> List[List[Detection]]:
-    """Corrupt truth tracks into per-frame detection lists.
+) -> DetectionTable:
+    """Corrupt truth tracks into a detection table.
 
     Per frame, vehicles are visited in track-id order: a vehicle inside a
     scripted dropout window or an active random burst emits nothing; others
@@ -641,9 +641,13 @@ def corrupt(
     rng = np.random.default_rng(seed)
     scripted = scripted_dropouts or {}
     burst_left: Dict[int, int] = {t.track_id: 0 for t in tracks}
-    frames: List[List[Detection]] = []
+    columns: List[list] = [[] for _ in fields(DetectionTable)]
+
+    def emit(*row) -> None:  # frame, cx, cy, length, width, class hint
+        for column, value in zip(columns, row):
+            column.append(value)
+
     for frame, present in _frame_rows(tracks):
-        dets: List[Detection] = []
         for track, cx, cy in present:
             if any(a <= frame <= b for a, b in scripted.get(track.track_id, ())):
                 continue
@@ -656,16 +660,7 @@ def corrupt(
             if noise.position_sigma > 0:
                 cx += rng.normal(0.0, noise.position_sigma)
                 cy += rng.normal(0.0, noise.position_sigma)
-            dets.append(
-                Detection(
-                    frame=frame,
-                    cx=cx,
-                    cy=cy,
-                    length=track.length,
-                    width=track.width,
-                    class_hint=track.vehicle_class,
-                )
-            )
+            emit(frame, cx, cy, track.length, track.width, track.vehicle_class)
         if noise.false_positive_rate > 0:
             upper = meta.upper_lane_boundaries
             lower = meta.lower_lane_boundaries
@@ -675,14 +670,8 @@ def corrupt(
                 x = rng.uniform(0.0, road_length)
                 r = rng.uniform(0.0, width_upper + width_lower)
                 y = upper[0] + r if r < width_upper else lower[0] + (r - width_upper)
-                dets.append(
-                    Detection(
-                        frame=frame, cx=x, cy=y, length=4.5, width=2.0,
-                        class_hint=VehicleClass.CAR,
-                    )
-                )
-        frames.append(dets)
-    return frames
+                emit(frame, x, y, 4.5, 2.0, VehicleClass.CAR)
+    return DetectionTable(*columns)
 
 
 # ---------------------------------------------------------------------------

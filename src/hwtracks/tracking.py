@@ -16,11 +16,19 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ContractViolation, Detection, VehicleClass, format_float, write_table
+from .core import (
+    DETECTION_COLUMNS,
+    ContractViolation,
+    DetectionTable,
+    VehicleClass,
+    format_float,
+    format_floats,
+    write_table,
+)
 from .dataset_io import (
     INVARIANT_VIOLATION,
     TYPE_MISMATCH,
@@ -34,7 +42,7 @@ from .dataset_io import (
     _Scanner,
 )
 
-DETECTIONS_COLUMNS = ["frame", "cx", "cy", "length", "width", "class"]
+DETECTIONS_COLUMNS = ["frame", *DETECTION_COLUMNS, "class"]
 
 
 @dataclass(frozen=True)
@@ -52,74 +60,69 @@ class TrackerConfig:
             raise ValueError("max_coast must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class TrackObservation:
-    frame: int
-    x: float
-    y: float
-    measured: bool
-
-
 class RawTrack:
-    """A track under construction: observations plus class/extent tallies.
+    """A track under construction: positions per frame plus class/extent tallies.
 
-    Single-owner object; the tracker mutates it frame by frame. Positions of
-    coasted frames are constant-velocity predictions and carry
-    ``measured=False``.
+    Single-owner object; the tracker mutates it frame by frame. ``x``, ``y``
+    and ``measured`` hold one entry per frame from ``first_frame`` on.
+    Positions of coasted frames are constant-velocity predictions and carry
+    ``measured`` False.
     """
 
-    __slots__ = ("track_id", "observations", "class_votes", "_lengths", "_widths",
-                 "measured_count")
+    __slots__ = ("track_id", "first_frame", "x", "y", "measured", "class_votes",
+                 "_lengths", "_widths", "measured_count")
 
-    def __init__(self, track_id: int, detection: Detection) -> None:
+    def __init__(self, track_id: int, frame: int, cx: float, cy: float, length: float,
+                 width: float, class_hint: Optional[VehicleClass] = None) -> None:
         self.track_id = track_id
-        self.observations: List[TrackObservation] = []
+        self.first_frame = frame
+        self.x: List[float] = []
+        self.y: List[float] = []
+        self.measured: List[bool] = []
         self.class_votes: Counter = Counter()
         self._lengths: List[float] = []
         self._widths: List[float] = []
         self.measured_count = 0
-        self.add_measurement(detection)
+        self.add_measurement(cx, cy, length, width, class_hint)
 
     @property
     def next_frame(self) -> int:
-        return self.observations[-1].frame + 1
+        return self.first_frame + len(self.x)
 
     def predicted_position(self) -> Tuple[float, float]:
-        """Constant-velocity extrapolation from the last two observations.
+        """Constant-velocity extrapolation from the last two positions.
 
-        With a single observation the prediction is the last position.
+        With a single position the prediction is that position.
         """
-        obs = self.observations
-        if len(obs) == 1:
-            return obs[0].x, obs[0].y
-        a, b = obs[-2], obs[-1]
-        return 2 * b.x - a.x, 2 * b.y - a.y
+        x, y = self.x, self.y
+        if len(x) == 1:
+            return x[0], y[0]
+        return 2 * x[-1] - x[-2], 2 * y[-1] - y[-2]
 
-    def add_measurement(self, detection: Detection) -> None:
-        self.observations.append(
-            TrackObservation(detection.frame, detection.cx, detection.cy, True)
-        )
+    def add_measurement(self, cx: float, cy: float, length: float, width: float,
+                        class_hint: Optional[VehicleClass] = None) -> None:
+        """Record a detection at ``next_frame``."""
+        self.x.append(cx)
+        self.y.append(cy)
+        self.measured.append(True)
         self.measured_count += 1
-        self._lengths.append(detection.length)
-        self._widths.append(detection.width)
-        if detection.class_hint is not None:
-            self.class_votes[detection.class_hint] += 1
+        self._lengths.append(length)
+        self._widths.append(width)
+        if class_hint is not None:
+            self.class_votes[class_hint] += 1
 
     def add_prediction(self) -> None:
         x, y = self.predicted_position()
-        self.observations.append(TrackObservation(self.next_frame, x, y, False))
+        self.x.append(x)
+        self.y.append(y)
+        self.measured.append(False)
 
     def trailing_predicted(self) -> int:
-        n = 0
-        for obs in reversed(self.observations):
-            if obs.measured:
-                break
-            n += 1
-        return n
+        return next(i for i, measured in enumerate(reversed(self.measured)) if measured)
 
     def trim_predicted_tail(self) -> None:
-        while self.observations and not self.observations[-1].measured:
-            self.observations.pop()
+        keep = len(self.x) - self.trailing_predicted()
+        del self.x[keep:], self.y[keep:], self.measured[keep:]
 
     def extent(self) -> Tuple[float, float]:
         """Running median of the detected length and width."""
@@ -138,8 +141,8 @@ class RawTrack:
 class Assignment:
     """Result of matching one frame's detections against the active tracks.
 
-    ``matches`` pairs indices into the active-track list with indices into
-    the detection list.
+    ``matches`` pairs indices into the active-track list with row indices
+    into the frame's detections.
     """
 
     matches: Tuple[Tuple[int, int], ...]
@@ -148,37 +151,39 @@ class Assignment:
 
 
 def associate_frame(
-    active: Sequence[RawTrack], detections: Sequence[Detection], cfg: TrackerConfig
+    active: Sequence[RawTrack], detections: DetectionTable, cfg: TrackerConfig
 ) -> Assignment:
-    """Greedy min-distance matching of detections to predicted track centers.
+    """Greedy min-distance matching of one frame's detections to predicted
+    track centers.
 
-    A pair is feasible iff the Euclidean distance between the track's
-    predicted center and the detection center is at most ``gate_radius``.
-    Feasible pairs are claimed in ascending (distance, track_id, detection
-    index) order, each track and detection at most once.
+    A pair is feasible iff the Euclidean distance (``math.hypot``) between
+    the track's predicted center and the detection center is at most
+    ``gate_radius``. Feasible pairs are claimed in ascending (distance,
+    track_id, detection index) order, each track and detection at most once.
     """
-    if detections:
-        frame = detections[0].frame
-        for det in detections:
-            if det.frame != frame:
-                raise ContractViolation(
-                    f"detections must share one frame: {det.frame} vs {frame}"
-                )
+    candidates = []
+    if len(detections):
+        frame = detections.frame[0]
+        if detections.frame[-1] != frame:
+            raise ContractViolation(f"detections span frames {frame} to {detections.frame[-1]}")
         for track in active:
             if track.next_frame != frame:
-                raise ContractViolation(
-                    f"track {track.track_id} expects frame {track.next_frame}, "
-                    f"detections are for frame {frame}"
-                )
-
-    candidates = []
-    for ti, track in enumerate(active):
-        px, py = track.predicted_position()
-        for di, det in enumerate(detections):
-            dist = math.hypot(det.cx - px, det.cy - py)
-            if dist <= cfg.gate_radius:
-                candidates.append((dist, track.track_id, di, ti))
-    candidates.sort()
+                raise ContractViolation(f"track {track.track_id} expects frame "
+                                        f"{track.next_frame}, detections are for frame {frame}")
+        # The box |dx|, |dy| <= gate holds every pair within the gate, so
+        # only the pairs inside it are scored; math.hypot alone decides the
+        # gate and the order (np.hypot can differ from it in the last bit).
+        px, py = np.array([t.predicted_position() for t in active]).reshape(-1, 2).T
+        dx = detections.cx - px[:, None]
+        dy = detections.cy - py[:, None]
+        gate = cfg.gate_radius
+        ti, di = np.nonzero((np.abs(dx) <= gate) & (np.abs(dy) <= gate))
+        for t, d, ex, ey in zip(ti.tolist(), di.tolist(), dx[ti, di].tolist(),
+                                dy[ti, di].tolist()):
+            dist = math.hypot(ex, ey)
+            if dist <= gate:
+                candidates.append((dist, active[t].track_id, d, t))
+        candidates.sort()
 
     matches: List[Tuple[int, int]] = []
     used_tracks = set()
@@ -198,12 +203,10 @@ def associate_frame(
     )
 
 
-def build_tracks(
-    frames: Sequence[Sequence[Detection]], cfg: TrackerConfig
-) -> List[RawTrack]:
-    """Assemble confirmed tracks from per-frame detection lists.
+def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrack]:
+    """Assemble confirmed tracks from a detection table.
 
-    ``frames[i]`` holds the detections of frame i. Tracks that never reach
+    The table is walked frame by frame. Tracks that never reach
     ``min_hits_to_confirm`` measured observations are dropped, detection
     gaps up to ``max_coast`` frames are filled with constant-velocity
     predictions, and a track coasting longer than that is terminated at its
@@ -219,15 +222,18 @@ def build_tracks(
         if track.measured_count >= cfg.min_hits_to_confirm:
             finished.append(track)
 
-    for frame_index, detections in enumerate(frames):
-        for det in detections:
-            if det.frame != frame_index:
-                raise ContractViolation(
-                    f"detection frame {det.frame} at list index {frame_index}"
-                )
-        assignment = associate_frame(active, detections, cfg)
+    frames = detections.frame
+    cx, cy, length, width = (getattr(detections, c).tolist() for c in DETECTION_COLUMNS)
+    hints = detections.class_hint
+    start, frame = 0, 0
+    while start < len(frames):
+        if not active:  # nothing coasts: go straight to the next detection
+            frame = int(frames[start])
+        stop = int(np.searchsorted(frames, frame, side="right"))
+        assignment = associate_frame(active, detections.rows(start, stop), cfg)
         for ti, di in assignment.matches:
-            active[ti].add_measurement(detections[di])
+            r = start + di
+            active[ti].add_measurement(cx[r], cy[r], length[r], width[r], hints[r])
         still_active: List[RawTrack] = [active[ti] for ti, _ in assignment.matches]
         for ti in assignment.unmatched_tracks:
             track = active[ti]
@@ -237,10 +243,14 @@ def build_tracks(
             else:
                 still_active.append(track)
         for di in assignment.unmatched_detections:
-            still_active.append(RawTrack(next_id, detections[di]))
+            r = start + di
+            still_active.append(
+                RawTrack(next_id, frame, cx[r], cy[r], length[r], width[r], hints[r])
+            )
             next_id += 1
         still_active.sort(key=lambda t: t.track_id)
         active = still_active
+        start, frame = stop, frame + 1
 
     for track in active:
         finalize(track)
@@ -252,20 +262,11 @@ def build_tracks(
 # Detection CSV interface (same formatting rules as the recording tables)
 
 
-def write_detections(
-    frames: Sequence[Sequence[Detection]], path: Path
-) -> None:
-    write_table(path, DETECTIONS_COLUMNS, (
-        [
-            det.frame,
-            format_float(det.cx),
-            format_float(det.cy),
-            format_float(det.length),
-            format_float(det.width),
-            det.class_hint.value if det.class_hint is not None else "",
-        ]
-        for detections in frames
-        for det in detections
+def write_detections(detections: DetectionTable, path: Path) -> None:
+    write_table(path, DETECTIONS_COLUMNS, zip(
+        detections.frame.tolist(),
+        *(format_floats(getattr(detections, c)) for c in DETECTION_COLUMNS),
+        ("" if hint is None else hint.value for hint in detections.class_hint),
     ))
 
 
@@ -275,11 +276,11 @@ _DETECTIONS_PARSERS = {
 }
 
 
-def read_detections(path: Path, max_frame: float) -> List[List[Detection]]:
-    """Detections grouped by frame, index 0..max frame (gaps are empty lists).
+def read_detections(path: Path, max_frame: float) -> DetectionTable:
+    """The detections of a file as a table sorted by frame (stable, so rows
+    of one frame keep their file order).
 
-    Frames outside [0, ``max_frame``] (the recording meta's) are rejected
-    before anything is grouped, so the frame lists stay within the recording.
+    Frames outside [0, ``max_frame``] (the recording meta's) are rejected.
     The first problem raises a DatasetError naming the row and column.
     """
     path = Path(path)
@@ -300,14 +301,7 @@ def read_detections(path: Path, max_frame: float) -> List[List[Detection]]:
             lambda i, c=column: f"{c} must be positive, got {format_float(cols[c][i])}",
         ))
     _report(scanner, path, checks)
-    if not len(frames):
-        return []
     order = np.argsort(frames, kind="stable")
     hints = cols["class"]
-    detections = list(map(
-        Detection,
-        *(cols[c][order].tolist() for c in ("frame", "cx", "cy", "length", "width")),
-        [hints[i] for i in order.tolist()],
-    ))
-    ends = np.cumsum(np.bincount(frames)).tolist()
-    return [detections[a:b] for a, b in zip([0, *ends], ends)]
+    return DetectionTable(frames[order], *(cols[c][order] for c in DETECTION_COLUMNS),
+                          [hints[i] for i in order.tolist()])

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from hwtracks import (
+    DetectionTable,
     DrivingDirection,
     KinematicState,
     RecordingMeta,
@@ -57,6 +58,16 @@ def track_from_states(states, track_id=1, direction=DrivingDirection.LOWER,
         lane=[s.lane_id for s in states],
         **columns,
     )
+
+
+def det(frame, cx, cy, length=4.5, width=2.0, hint=None):
+    """One detection row for ``detection_table``."""
+    return frame, cx, cy, length, width, hint
+
+
+def detection_table(rows):
+    """A DetectionTable of ``det`` rows, sorted by frame (stable)."""
+    return DetectionTable(*(list(zip(*sorted(rows, key=lambda r: r[0]))) or [()] * 6))
 
 
 def row_at(track, frame):

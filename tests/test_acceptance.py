@@ -112,9 +112,9 @@ def test_criterion_1_smoothing_accuracy():
         want = truth.tracks[0]
         err2 = []
         raw2 = []
-        for obs, got, exp in zip(raw.observations, track.states, want.states):
+        for x, y, got, exp in zip(raw.x, raw.y, track.states, want.states):
             err2.append((got.x - exp.x) ** 2 + (got.y - exp.y) ** 2)
-            raw2.append((obs.x - exp.x) ** 2 + (obs.y - exp.y) ** 2)
+            raw2.append((x - exp.x) ** 2 + (y - exp.y) ** 2)
         rmse = math.sqrt(sum(err2) / len(err2))
         raw_rmse = math.sqrt(sum(raw2) / len(raw2))
         assert rmse < 0.10, f"trial {trial}: smoothed RMSE {rmse:.4f}"
@@ -166,17 +166,17 @@ def test_criterion_3_false_positive_elimination():
         truth.tracks, NoiseSpec(false_positive_rate=0.5), seed=77,
         meta=truth.meta, road_length=420.0,
     )
-    assert len(detections) == n_frames
+    assert max(t.final_frame for t in truth.tracks) + 1 == n_frames
+    assert detections.frame[-1] < n_frames
     tracks = build_tracks(detections, TrackerConfig())
     truth_by_id = {t.track_id: t for t in truth.tracks}
 
     def matches_some_vehicle(raw):
         for want in truth_by_id.values():
             ok = True
-            for obs in raw.observations:
-                state = row_at(want, obs.frame)
-                if state is None or math.hypot(obs.x - state.x,
-                                               obs.y - state.y) > 1.0:
+            for frame, x, y in zip(range(raw.first_frame, raw.next_frame), raw.x, raw.y):
+                state = row_at(want, frame)
+                if state is None or math.hypot(x - state.x, y - state.y) > 1.0:
                     ok = False
                     break
             if ok:

@@ -374,6 +374,36 @@ class TestConfigFile:
             with pytest.raises(ValueError):
                 load_pipeline_config(cfg_path)
 
+    @pytest.mark.parametrize("data, key", [
+        ({"jobs": 1.5}, "jobs"),
+        ({"jobs": True}, "jobs"),
+        ({"seed_override": 2.0}, "seed_override"),
+        ({"tracker": {"min_hits_to_confirm": True}}, "tracker.min_hits_to_confirm"),
+        ({"tracker": {"max_coast": 2.5}}, "tracker.max_coast"),
+        ({"maneuvers": {"lane_change_min_dwell": 25.0}},
+         "maneuvers.lane_change_min_dwell"),
+        ({"fit": {"max_refine_iterations": 200.5}}, "fit.max_refine_iterations"),
+        ({"fit": {"min_samples": True}}, "fit.min_samples"),
+    ])
+    def test_non_integer_rejected(self, tmp_path, data, key):
+        from hwtracks.pipeline import load_pipeline_config
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            load_pipeline_config(cfg_path)
+
+    def test_non_integer_jobs_is_a_reported_error(self, tmp_path, capsys):
+        out = run_synth(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"jobs": 1.5}))
+        capsys.readouterr()
+        assert main(["track", "--config", str(cfg_path), "--input",
+                     str(out / "detections"), "--output", str(tmp_path / "t")]) == 1
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert [(e["kind"], e["message"]) for e in errors] == [
+            ("ValueError", "jobs must be an integer, got 1.5")]
+
     def test_defaults_valid(self):
         from hwtracks.pipeline import PipelineConfig
 
@@ -497,18 +527,15 @@ class TestSmoothingReport:
         self, tmp_path, monkeypatch, capsys
     ):
         import hwtracks.smoothing
-        from hwtracks import Detection
         from hwtracks.tracking import write_detections
+        from conftest import det, detection_table
 
         out = run_synth(tmp_path)
         # A lone false positive takes track id 1; the vehicle that follows
         # is track 2 and starts at recording frame 30.
-        frames = [[] for _ in range(30)] + [
-            [Detection(frame=f, cx=100.0 + f, cy=13.85, length=4.5, width=2.0)]
-            for f in range(30, 90)
-        ]
-        frames[2] = [Detection(frame=2, cx=50.0, cy=5.0, length=4.5, width=2.0)]
-        write_detections(frames, out / "detections" / "01_detections.csv")
+        table = detection_table([det(2, 50.0, 5.0)]
+                                + [det(f, 100.0 + f, 13.85) for f in range(30, 90)])
+        write_detections(table, out / "detections" / "01_detections.csv")
         monkeypatch.setattr(hwtracks.smoothing, "PSD_TOLERANCE", -1e12)
         capsys.readouterr()
         assert main(["track", "--input", str(out / "detections"),

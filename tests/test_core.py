@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from hwtracks import (
     ContractViolation,
-    Detection,
+    DetectionTable,
     DrivingDirection,
     Track,
     VehicleClass,
@@ -15,6 +15,7 @@ from hwtracks import (
     lane_id_of,
     nearest_lane_id,
 )
+from hwtracks.core import format_float, format_floats
 from hwtracks.surround import NO_VEHICLE, UNDEFINED
 from hwtracks.synth import _frame_rows
 from conftest import make_meta, row_at, straight_track
@@ -149,10 +150,33 @@ class TestTypes:
             straight_track(length=0.0)
 
     def test_detection_validation(self):
+        columns = dict(frame=[0, 1], cx=[0.0, 1.0], cy=[0.0, 0.0], length=[4.0, 4.0],
+                       width=[2.0, 2.0], class_hint=[None, VehicleClass.CAR])
+        DetectionTable(**columns)  # the unchanged columns are valid
+        for bad, message in (
+            (dict(frame=[-1, 0]), "frame must be >= 0"),
+            (dict(frame=[1, 0]), "ascending"),
+            (dict(length=[4.0, 0.0]), "extents must be positive"),
+            (dict(width=[-2.0, 2.0]), "extents must be positive"),
+            (dict(cx=[math.nan, 0.0]), "finite"),
+            (dict(cx=[0.0, math.inf]), "finite"),
+            (dict(cy=[0.0, -math.inf]), "finite"),
+            (dict(width=[2.0]), "shape"),
+            (dict(class_hint=[None]), "shape"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                DetectionTable(**{**columns, **bad})
+
+    def test_detection_table_columns_are_read_only(self):
+        table = DetectionTable([0, 0, 3], [1.0, 2.0, 3.0], [0.0] * 3, [4.0] * 3,
+                               [2.0] * 3, [None] * 3)
+        assert table.frame.dtype == np.int64 and table.cx.dtype == np.float64
+        assert len(table) == 3
         with pytest.raises(ValueError):
-            Detection(frame=-1, cx=0, cy=0, length=4, width=2)
-        with pytest.raises(ValueError):
-            Detection(frame=0, cx=0, cy=0, length=0, width=2)
+            table.cx[0] = 5.0
+        part = table.rows(1, 3)
+        assert part.frame.tolist() == [0, 3] and part.cx.tolist() == [2.0, 3.0]
+        assert part.class_hint == (None, None)
 
     def test_meta_boundary_validation(self):
         with pytest.raises(ValueError):
@@ -205,3 +229,18 @@ class TestSweepFrames:
 
     def test_no_tracks_no_frames(self):
         assert list(_frame_rows([])) == []
+
+
+class TestCanonicalFormat:
+    def test_column_form_matches_per_value_format(self):
+        # Reference: the built-in ".6g" format of each value, -0.0 as 0.0.
+        rng = np.random.default_rng(5)
+        values = np.concatenate([
+            rng.normal(0.0, 1.0, 2000) * 10.0 ** rng.integers(-12, 12, 2000),
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e308, 123456.5,
+             1234567.0, 0.0001, 1e-5, 2.5, -2.5],
+        ])
+        want = [format(0.0 if v == 0.0 else v, ".6g") for v in values.tolist()]
+        assert format_floats(values) == want
+        assert [format_float(v) for v in values.tolist()] == want
+        assert format_floats(np.empty(0)) == []

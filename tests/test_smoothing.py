@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hwtracks import (
-    Detection,
     SmootherConfig,
     TrackerConfig,
     build_tracks,
@@ -11,6 +10,7 @@ from hwtracks import (
     smooth_track,
 )
 from hwtracks.core import DrivingDirection
+from conftest import det, detection_table
 
 DT = 0.04
 
@@ -156,15 +156,11 @@ class TestRtsSmooth:
 
 
 class TestSmoothTrack:
-    def tracked(self, frames, **tracker_kwargs):
-        return build_tracks(frames, TrackerConfig(**tracker_kwargs))
+    def tracked(self, rows, **tracker_kwargs):
+        return build_tracks(detection_table(rows), TrackerConfig(**tracker_kwargs))
 
     def test_constant_velocity_raw_track(self, meta):
-        frames = [
-            [Detection(frame=f, cx=f * 1.0, cy=13.85, length=4.5, width=2.0)]
-            for f in range(200)
-        ]
-        raw = self.tracked(frames)[0]
+        raw = self.tracked([det(f, f * 1.0, 13.85) for f in range(200)])[0]
         track = smooth_track(raw, cfg(), meta)
         vx, ax = track.vx, track.ax
         assert np.abs(vx[10:] - 25.0).max() < 1e-6
@@ -174,11 +170,7 @@ class TestSmoothTrack:
         assert track.mean_speed == pytest.approx(np.abs(vx).mean())
 
     def test_upper_carriageway_direction(self, meta):
-        frames = [
-            [Detection(frame=f, cx=400 - f * 1.0, cy=1.85, length=4.5, width=2.0)]
-            for f in range(100)
-        ]
-        raw = self.tracked(frames)[0]
+        raw = self.tracked([det(f, 400 - f * 1.0, 1.85) for f in range(100)])[0]
         track = smooth_track(raw, cfg(), meta)
         assert track.direction is DrivingDirection.UPPER
         assert track.vx[50] < 0
@@ -186,18 +178,10 @@ class TestSmoothTrack:
     def test_gap_frames_carry_smoothed_positions(self, meta):
         truth_x = {f: f * 1.0 for f in range(120)}
         gap = set(range(50, 60))
-        frames = [
-            [] if f in gap
-            else [Detection(frame=f, cx=truth_x[f], cy=13.85, length=4.5, width=2.0)]
-            for f in range(120)
-        ]
-        raw = self.tracked(frames)[0]
+        raw = self.tracked([det(f, truth_x[f], 13.85) for f in range(120) if f not in gap])[0]
         track = smooth_track(raw, cfg(), meta)
         # Compare against the same scene without dropout.
-        full = [
-            [Detection(frame=f, cx=truth_x[f], cy=13.85, length=4.5, width=2.0)]
-            for f in range(120)
-        ]
+        full = [det(f, truth_x[f], 13.85) for f in range(120)]
         reference = smooth_track(self.tracked(full)[0], cfg(), meta)
         assert np.abs(track.x - reference.x).max() < 1e-6
         # no velocity discontinuity across the gap
@@ -229,12 +213,8 @@ class TestSmoothTrack:
             np.full(lead_in, 13.85 + span),
         ])
         xs = 30.0 * DT * np.arange(len(ys))
-        frames = [
-            [Detection(frame=f, cx=xs[f], cy=ys[f] + rng.normal(0, 0.05),
-                       length=4.5, width=2.0)]
-            for f in range(len(ys))
-        ]
-        raw = self.tracked(frames)[0]
+        rows = [det(f, xs[f], ys[f] + rng.normal(0, 0.05)) for f in range(len(ys))]
+        raw = self.tracked(rows)[0]
         track = smooth_track(raw, cfg(), meta)
         peak = np.abs(track.vy).max()
         assert peak == pytest.approx(analytic_peak, rel=0.10)

@@ -168,6 +168,21 @@ class TestGenerateTruth:
         assert track.mean_speed == pytest.approx(25.0)
 
 
+def per_frame(table, truth):
+    """The (cx, cy, length) rows of each frame from 0 to the truth's last,
+    checking that the table has no rows outside them."""
+    n_frames = max(t.final_frame for t in truth.tracks) + 1
+    bounds = np.searchsorted(table.frame, np.arange(n_frames + 1)).tolist()
+    assert bounds[-1] == len(table)
+    rows = list(zip(table.cx.tolist(), table.cy.tolist(), table.length.tolist()))
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def columns(table):
+    return (table.frame.tolist(), table.cx.tolist(), table.cy.tolist(),
+            table.length.tolist(), table.width.tolist(), table.class_hint)
+
+
 class TestCorrupt:
     def two_vehicle_truth(self):
         script = ScenarioScript(
@@ -178,21 +193,23 @@ class TestCorrupt:
 
     def test_identity_corruption(self):
         truth = self.two_vehicle_truth()
-        frames = corrupt(truth.tracks, NoiseSpec(), seed=1, meta=truth.meta)
+        table = corrupt(truth.tracks, NoiseSpec(), seed=1, meta=truth.meta)
+        frames = per_frame(table, truth)
         assert len(frames) == 250
         for f, dets in enumerate(frames):
             assert len(dets) == 2
-            for det, track in zip(sorted(dets, key=lambda d: d.cy),
-                                  truth.tracks):
+            for (cx, cy, length), track in zip(sorted(dets, key=lambda d: d[1]),
+                                               truth.tracks):
                 state = row_at(track, f)
-                assert det.cx == state.x and det.cy == state.y
-                assert det.length == track.length
+                assert cx == state.x and cy == state.y
+                assert length == track.length
+        assert set(table.class_hint) == {VehicleClass.CAR}
 
     def test_full_dropout(self):
         truth = self.two_vehicle_truth()
-        frames = corrupt(truth.tracks, NoiseSpec(dropout_probability=1.0),
-                         seed=1, meta=truth.meta)
-        assert all(dets == [] for dets in frames)
+        table = corrupt(truth.tracks, NoiseSpec(dropout_probability=1.0),
+                        seed=1, meta=truth.meta)
+        assert len(table) == 0
 
     def test_noise_sigma_statistics(self):
         script = ScenarioScript(
@@ -201,15 +218,15 @@ class TestCorrupt:
         )
         truth = generate_truth(script)
         sigma = 0.10
-        frames = corrupt(truth.tracks, NoiseSpec(position_sigma=sigma), seed=7,
-                         meta=truth.meta)
+        frames = per_frame(corrupt(truth.tracks, NoiseSpec(position_sigma=sigma),
+                                   seed=7, meta=truth.meta), truth)
         offsets = []
         # lanes stay well separated, so pairing by y is unambiguous
         for f, dets in enumerate(frames):
-            for det, track in zip(sorted(dets, key=lambda d: d.cy),
-                                  truth.tracks):
+            for (cx, cy, _), track in zip(sorted(dets, key=lambda d: d[1]),
+                                          truth.tracks):
                 state = row_at(track, f)
-                offsets.extend([det.cx - state.x, det.cy - state.y])
+                offsets.extend([cx - state.x, cy - state.y])
         offsets = np.asarray(offsets)
         assert len(offsets) >= 10_000
         assert np.std(offsets) == pytest.approx(sigma, rel=0.03)
@@ -218,11 +235,11 @@ class TestCorrupt:
         script = ScenarioScript(seed=5, duration=40.0, vehicles=(car(),))
         truth = generate_truth(script)
         burst = 4
-        frames = corrupt(
+        frames = per_frame(corrupt(
             truth.tracks,
             NoiseSpec(dropout_probability=0.02, dropout_burst_length=burst),
             seed=11, meta=truth.meta,
-        )
+        ), truth)
         missing = [f for f, dets in enumerate(frames) if not dets]
         assert missing, "expected some dropouts"
         runs = []
@@ -243,10 +260,10 @@ class TestCorrupt:
             vehicles=(car(dropout_windows=((10, 12),)),),
         )
         truth = generate_truth(script)
-        frames = corrupt(
+        frames = per_frame(corrupt(
             truth.tracks, NoiseSpec(), seed=1, meta=truth.meta,
             scripted_dropouts=truth.scripted_dropouts,
-        )
+        ), truth)
         for f in range(len(frames)):
             assert bool(frames[f]) == (f not in (10, 11, 12))
 
@@ -254,10 +271,10 @@ class TestCorrupt:
         script = ScenarioScript(seed=5, duration=100.0, vehicles=(car(),))
         truth = generate_truth(script)
         rate = 0.5
-        frames = corrupt(
+        frames = per_frame(corrupt(
             truth.tracks, NoiseSpec(false_positive_rate=rate), seed=13,
             meta=truth.meta, road_length=420.0,
-        )
+        ), truth)
         n_fp = sum(len(dets) - 1 for dets in frames)
         expected = rate * len(frames)
         assert n_fp == pytest.approx(expected, rel=0.1)
@@ -266,10 +283,10 @@ class TestCorrupt:
         truth = self.two_vehicle_truth()
         spec = NoiseSpec(position_sigma=0.1, dropout_probability=0.05,
                          false_positive_rate=0.2)
-        a = corrupt(truth.tracks, spec, seed=99, meta=truth.meta)
-        b = corrupt(truth.tracks, spec, seed=99, meta=truth.meta)
+        a = columns(corrupt(truth.tracks, spec, seed=99, meta=truth.meta))
+        b = columns(corrupt(truth.tracks, spec, seed=99, meta=truth.meta))
         assert a == b
-        c = corrupt(truth.tracks, spec, seed=100, meta=truth.meta)
+        c = columns(corrupt(truth.tracks, spec, seed=100, meta=truth.meta))
         assert a != c
 
 

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from hwtracks import (
+    Assignment,
     ContractViolation,
-    Detection,
     TrackerConfig,
     VehicleClass,
     associate_frame,
@@ -13,21 +14,54 @@ from hwtracks import (
     write_detections,
 )
 from hwtracks.tracking import RawTrack
-
-
-def det(frame, cx, cy, length=4.5, width=2.0, hint=None):
-    return Detection(frame=frame, cx=cx, cy=cy, length=length, width=width,
-                     class_hint=hint)
+from conftest import det, detection_table
 
 
 def seeded_track(track_id, positions):
-    """RawTrack that has already observed the given (frame, x, y) sequence."""
-    frames = iter(positions)
-    first = next(frames)
-    track = RawTrack(track_id, det(*first))
-    for frame, x, y in frames:
-        track.add_measurement(det(frame, x, y))
+    """RawTrack that has already observed the given (frame, x, y) sequence
+    of consecutive frames."""
+    (frame, x, y), *rest = positions
+    track = RawTrack(track_id, frame, x, y, 4.5, 2.0)
+    for frame, x, y in rest:
+        assert frame == track.next_frame
+        track.add_measurement(x, y, 4.5, 2.0)
     return track
+
+
+def positions(track):
+    """The track's (frame, x, y, measured) rows."""
+    return list(zip(range(track.first_frame, track.next_frame), track.x, track.y,
+                    track.measured))
+
+
+def brute_force_assignment(active, detections, cfg):
+    """Reference matcher: scores every (track, detection) pair with
+    math.hypot and claims feasible pairs in (distance, track_id, detection
+    index) order."""
+    candidates = []
+    for ti, track in enumerate(active):
+        px, py = track.predicted_position()
+        for di, (cx, cy) in enumerate(zip(detections.cx.tolist(), detections.cy.tolist())):
+            dist = math.hypot(cx - px, cy - py)
+            if dist <= cfg.gate_radius:
+                candidates.append((dist, track.track_id, di, ti))
+    candidates.sort()
+    matches = []
+    used_tracks = set()
+    used_detections = set()
+    for _, _, di, ti in candidates:
+        if ti in used_tracks or di in used_detections:
+            continue
+        used_tracks.add(ti)
+        used_detections.add(di)
+        matches.append((ti, di))
+    return Assignment(
+        matches=tuple(matches),
+        unmatched_tracks=tuple(i for i in range(len(active)) if i not in used_tracks),
+        unmatched_detections=tuple(
+            i for i in range(len(detections)) if i not in used_detections
+        ),
+    )
 
 
 class TestAssociateFrame:
@@ -35,12 +69,14 @@ class TestAssociateFrame:
         track = seeded_track(1, [(0, 99.0, 4.0), (1, 99.5, 4.0)])
         # predicted position at frame 2 is (100, 4)
         assert track.predicted_position() == (100.0, 4.0)
-        a = associate_frame([track], [det(2, 100.4, 4.0)], TrackerConfig())
+        a = associate_frame([track], detection_table([det(2, 100.4, 4.0)]),
+                            TrackerConfig())
         assert a.matches == ((0, 0),)
 
     def test_detection_outside_gate_spawns(self):
         track = seeded_track(1, [(0, 99.0, 4.0), (1, 99.5, 4.0)])
-        a = associate_frame([track], [det(2, 103.0, 4.0)], TrackerConfig())
+        a = associate_frame([track], detection_table([det(2, 103.0, 4.0)]),
+                            TrackerConfig())
         assert a.matches == ()
         assert a.unmatched_tracks == (0,)
         assert a.unmatched_detections == (0,)
@@ -49,15 +85,15 @@ class TestAssociateFrame:
         # Two single-observation tracks predict at their positions.
         t1 = seeded_track(1, [(0, 100.0, 4.0)])
         t2 = seeded_track(2, [(0, 101.0, 4.0)])
-        detection = det(1, 100.4, 4.0)
-        a = associate_frame([t1, t2], [detection], TrackerConfig())
+        detection = detection_table([det(1, 100.4, 4.0)])
+        a = associate_frame([t1, t2], detection, TrackerConfig())
 
         # Oracle: enumerate every one-to-at-most-one assignment and replay
         # the greedy rule by hand - the feasible pair with the smallest
         # distance must be chosen.
         def dist(track):
             px, py = track.predicted_position()
-            return math.hypot(detection.cx - px, detection.cy - py)
+            return math.hypot(detection.cx[0] - px, detection.cy[0] - py)
 
         candidates = [
             (dist(t), t.track_id, ti) for ti, t in enumerate([t1, t2])
@@ -69,7 +105,7 @@ class TestAssociateFrame:
     def test_greedy_order_is_distance_then_ids(self):
         # One track equidistant to two detections: lower detection index wins.
         t = seeded_track(1, [(0, 100.0, 4.0)])
-        a = associate_frame([t], [det(1, 100.5, 4.0), det(1, 99.5, 4.0)],
+        a = associate_frame([t], detection_table([det(1, 100.5, 4.0), det(1, 99.5, 4.0)]),
                             TrackerConfig())
         assert a.matches == ((0, 0),)
         assert a.unmatched_detections == (1,)
@@ -77,111 +113,145 @@ class TestAssociateFrame:
     def test_frame_skew_is_contract_violation(self):
         t = seeded_track(1, [(0, 100.0, 4.0)])
         with pytest.raises(ContractViolation):
-            associate_frame([t], [det(5, 100.0, 4.0)], TrackerConfig())
+            associate_frame([t], detection_table([det(5, 100.0, 4.0)]), TrackerConfig())
         with pytest.raises(ContractViolation):
-            associate_frame([], [det(1, 0.0, 0.0), det(2, 1.0, 1.0)],
+            associate_frame([], detection_table([det(1, 0.0, 0.0), det(2, 1.0, 1.0)]),
                             TrackerConfig())
 
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("grid", [0.5, None])
+    def test_matches_brute_force_on_dense_frames(self, seed, grid):
+        # Tracks and detections crowd a 20 m x 8 m patch, so most of them
+        # compete for several partners. On the 0.5 m grid many distances tie
+        # and many pairs lie exactly at the gate (offsets such as (2.5, 0)
+        # and (1.5, 2.0) have distance 2.5 exactly).
+        rng = np.random.default_rng(seed)
+        cfg = TrackerConfig(gate_radius=2.5)
 
-def constant_velocity_frames(n, x0=0.0, y=4.0, v=1.0, drop=(), hint=None):
-    frames = []
-    for f in range(n):
-        frames.append([] if f in drop else [det(f, x0 + v * f, y, hint=hint)])
-    return frames
+        def point():
+            x, y = rng.uniform(0.0, 20.0), rng.uniform(0.0, 8.0)
+            return (round(x / grid) * grid, round(y / grid) * grid) if grid else (x, y)
+
+        ids = rng.permutation(100)[: rng.integers(1, 25)] + 1
+        active = []
+        for track_id in ids.tolist():
+            x, y = point()
+            if rng.random() < 0.5:  # predicts its position
+                active.append(seeded_track(track_id, [(9, x, y)]))
+            else:  # predicts 2 * (x, y) - (x0, y0) from two positions
+                x0, y0 = point()
+                active.append(seeded_track(track_id, [(8, x0, y0), (9, (x + x0) / 2,
+                                                                    (y + y0) / 2)]))
+        detections = detection_table([det(10, *point()) for _ in range(rng.integers(0, 25))])
+        got = associate_frame(active, detections, cfg)
+        assert got == brute_force_assignment(active, detections, cfg)
+
+    def test_pairs_exactly_at_the_gate_are_feasible(self):
+        t = seeded_track(7, [(0, 10.0, 4.0)])
+        cfg = TrackerConfig(gate_radius=2.5)
+        for offset in [(2.5, 0.0), (0.0, -2.5), (1.5, 2.0), (-2.0, -1.5)]:
+            table = detection_table([det(1, 10.0 + offset[0], 4.0 + offset[1])])
+            assert associate_frame([t], table, cfg).matches == ((0, 0),)
+        table = detection_table([det(1, 12.5000001, 4.0), det(1, 11.5, 6.0000001)])
+        assert associate_frame([t], table, cfg).matches == ()
+
+
+def constant_velocity_rows(n, x0=0.0, y=4.0, v=1.0, drop=(), hint=None):
+    return [det(f, x0 + v * f, y, hint=hint) for f in range(n) if f not in drop]
 
 
 class TestBuildTracks:
     def test_confirmation_filter_drops_short_tracks(self):
-        frames = [[det(0, 10.0, 4.0)], [det(1, 11.0, 4.0)], [], [], [], [], [],
-                  [], [], [], [], [], [], [], []]
+        table = detection_table([det(0, 10.0, 4.0), det(1, 11.0, 4.0)])
         cfg = TrackerConfig(min_hits_to_confirm=5)
-        assert build_tracks(frames, cfg) == []
+        assert build_tracks(table, cfg) == []
 
     def test_coasting_fills_gap_on_the_line(self):
         cfg = TrackerConfig(max_coast=12)
-        frames = constant_velocity_frames(30, drop={10, 11, 12})
-        tracks = build_tracks(frames, cfg)
+        table = detection_table(constant_velocity_rows(30, drop={10, 11, 12}))
+        tracks = build_tracks(table, cfg)
         assert len(tracks) == 1
-        track = tracks[0]
-        assert [o.frame for o in track.observations] == list(range(30))
-        for obs in track.observations:
-            measured_expected = obs.frame not in (10, 11, 12)
-            assert obs.measured == measured_expected
+        rows = positions(tracks[0])
+        assert [frame for frame, *_ in rows] == list(range(30))
+        for frame, x, y, measured in rows:
+            assert measured == (frame not in (10, 11, 12))
             # analytic constant-velocity fill: x = frame * 1.0
-            assert obs.x == pytest.approx(obs.frame * 1.0, abs=1e-9)
-            assert obs.y == pytest.approx(4.0, abs=1e-12)
+            assert x == pytest.approx(frame * 1.0, abs=1e-9)
+            assert y == pytest.approx(4.0, abs=1e-12)
 
     def test_track_terminates_after_max_coast(self):
         cfg = TrackerConfig(max_coast=3, min_hits_to_confirm=2)
-        frames = constant_velocity_frames(20, drop=set(range(8, 20)))
-        tracks = build_tracks(frames, cfg)
+        table = detection_table(constant_velocity_rows(20, drop=set(range(8, 20))))
+        tracks = build_tracks(table, cfg)
         assert len(tracks) == 1
         # terminated at the last measured frame, predicted tail trimmed
-        assert tracks[0].observations[-1].frame == 7
-        assert all(o.measured for o in tracks[0].observations)
+        assert tracks[0].next_frame - 1 == 7
+        assert all(tracks[0].measured)
+
+    def test_walk_skips_frames_without_tracks_or_detections(self):
+        rows = constant_velocity_rows(30)[20:] + constant_velocity_rows(510)[500:]
+        tracks = build_tracks(detection_table(rows), TrackerConfig())
+        assert [(t.first_frame, t.next_frame, t.x[0]) for t in tracks] == [
+            (20, 30, 20.0), (500, 510, 500.0)]
 
     def test_two_parallel_vehicles_no_identity_switch(self):
-        frames = []
+        rows = []
         for f in range(100):
-            frames.append(
-                [det(f, 0.0 + f * 1.2, 4.0), det(f, 20.0 + f * 1.2, 4.0)]
-            )
-        tracks = build_tracks(frames, TrackerConfig())
+            rows += [det(f, 0.0 + f * 1.2, 4.0), det(f, 20.0 + f * 1.2, 4.0)]
+        tracks = build_tracks(detection_table(rows), TrackerConfig())
         assert len(tracks) == 2
         # Oracle: brute-force bookkeeping - every frame, each track's
         # measured position must equal its own vehicle's ground truth.
-        starts = {t.observations[0].x: t for t in tracks}
+        starts = {t.x[0]: t for t in tracks}
         assert set(starts) == {0.0, 20.0}
         for x0, track in starts.items():
-            for obs in track.observations:
-                assert obs.x == pytest.approx(x0 + obs.frame * 1.2)
+            for frame, x, _, _ in positions(track):
+                assert x == pytest.approx(x0 + frame * 1.2)
 
     def test_single_frame_false_positives_removed(self):
-        frames = constant_velocity_frames(40)
-        frames[7].append(det(7, 200.0, 4.0))
-        frames[23].append(det(23, 150.0, 6.5))
-        tracks = build_tracks(frames, TrackerConfig())
+        rows = constant_velocity_rows(40)
+        rows.append(det(7, 200.0, 4.0))
+        rows.append(det(23, 150.0, 6.5))
+        tracks = build_tracks(detection_table(rows), TrackerConfig())
         assert len(tracks) == 1
-        assert tracks[0].observations[0].x == 0.0
+        assert tracks[0].x[0] == 0.0
 
     def test_no_detection_shared_between_tracks(self):
         # Two vehicles converging but separated beyond the gate.
-        frames = []
+        rows = []
         for f in range(60):
-            frames.append([det(f, f * 1.0, 4.0), det(f, 200 - f * 1.0, 4.0)])
-        tracks = build_tracks(frames, TrackerConfig())
+            rows += [det(f, f * 1.0, 4.0), det(f, 200 - f * 1.0, 4.0)]
+        tracks = build_tracks(detection_table(rows), TrackerConfig())
         seen = set()
         for t in tracks:
-            for obs in t.observations:
-                if obs.measured:
-                    key = (obs.frame, obs.x, obs.y)
+            for frame, x, y, measured in positions(t):
+                if measured:
+                    key = (frame, x, y)
                     assert key not in seen
                     seen.add(key)
 
     def test_min_hits_respected(self):
-        frames = constant_velocity_frames(30)
+        table = detection_table(constant_velocity_rows(30))
         for cfg_hits in (1, 5, 10):
-            tracks = build_tracks(frames, TrackerConfig(min_hits_to_confirm=cfg_hits))
+            tracks = build_tracks(table, TrackerConfig(min_hits_to_confirm=cfg_hits))
             for t in tracks:
                 assert t.measured_count >= cfg_hits
 
     def test_determinism(self):
-        frames = constant_velocity_frames(50, drop={11, 12})
-        frames[5].append(det(5, 300.0, 2.0))
-        a = build_tracks(frames, TrackerConfig())
-        b = build_tracks(frames, TrackerConfig())
-        assert [(t.track_id, [(o.frame, o.x, o.y, o.measured) for o in t.observations])
-                for t in a] == [
-            (t.track_id, [(o.frame, o.x, o.y, o.measured) for o in t.observations])
-            for t in b
+        rows = constant_velocity_rows(50, drop={11, 12})
+        rows.append(det(5, 300.0, 2.0))
+        a = build_tracks(detection_table(rows), TrackerConfig())
+        b = build_tracks(detection_table(rows), TrackerConfig())
+        assert [(t.track_id, positions(t)) for t in a] == [
+            (t.track_id, positions(t)) for t in b
         ]
 
     def test_class_majority_vote(self):
-        frames = []
+        rows = []
         for f in range(10):
             hint = VehicleClass.TRUCK if f % 3 else VehicleClass.CAR
-            frames.append([det(f, f * 1.0, 4.0, length=12.0, width=2.5, hint=hint)])
-        tracks = build_tracks(frames, TrackerConfig())
+            rows.append(det(f, f * 1.0, 4.0, length=12.0, width=2.5, hint=hint))
+        tracks = build_tracks(detection_table(rows), TrackerConfig())
         assert tracks[0].decide_class() is VehicleClass.TRUCK
 
     def test_class_tie_goes_to_car(self):
@@ -192,26 +262,39 @@ class TestBuildTracks:
         assert track.decide_class() is VehicleClass.CAR
 
     def test_extent_is_running_median(self):
-        frames = []
         lengths = [4.0, 4.2, 4.4, 12.0, 4.1]
-        for f, L in enumerate(lengths):
-            frames.append([det(f, f * 1.0, 4.0, length=L)])
-        tracks = build_tracks(frames, TrackerConfig(min_hits_to_confirm=3))
+        rows = [det(f, f * 1.0, 4.0, length=L) for f, L in enumerate(lengths)]
+        tracks = build_tracks(detection_table(rows), TrackerConfig(min_hits_to_confirm=3))
         length, width = tracks[0].extent()
         assert length == pytest.approx(4.2)  # median robust to the 12.0 outlier
 
 
 class TestDetectionsCsv:
     def test_round_trip(self, tmp_path):
-        frames = constant_velocity_frames(5, hint=VehicleClass.CAR)
-        frames[2] = []  # empty frame must survive
+        rows = constant_velocity_rows(5, drop={2}, hint=VehicleClass.CAR)
+        rows.append(det(3, 7.25, -1.5, length=12.0, width=2.5))
         path = tmp_path / "01_detections.csv"
-        write_detections(frames, path)
+        write_detections(detection_table(rows), path)
         back = read_detections(path, max_frame=4)
-        assert len(back) == 5
-        assert back[2] == []
-        assert back[0][0].cx == 0.0
-        assert back[0][0].class_hint is VehicleClass.CAR
+        assert back.frame.tolist() == [0, 1, 3, 3, 4]
+        assert back.cx.tolist() == [0.0, 1.0, 3.0, 7.25, 4.0]
+        assert back.cy.tolist() == [4.0, 4.0, 4.0, -1.5, 4.0]
+        assert back.length.tolist() == [4.5, 4.5, 4.5, 12.0, 4.5]
+        assert back.width.tolist() == [2.0, 2.0, 2.0, 2.5, 2.0]
+        assert back.class_hint == (VehicleClass.CAR,) * 3 + (None, VehicleClass.CAR)
+        again = tmp_path / "02_detections.csv"
+        write_detections(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_rows_sorted_by_frame_keeping_file_order(self, tmp_path):
+        path = tmp_path / "01_detections.csv"
+        path.write_text("frame,cx,cy,length,width,class\n"
+                        "2,1,0,4,2,Car\n0,2,0,4,2,\n2,3,0,4,2,Truck\n0,4,0,4,2,Car\n")
+        back = read_detections(path, max_frame=100)
+        assert back.frame.tolist() == [0, 0, 2, 2]
+        assert back.cx.tolist() == [2.0, 4.0, 1.0, 3.0]
+        assert back.class_hint == (None, VehicleClass.CAR, VehicleClass.CAR,
+                                   VehicleClass.TRUCK)
 
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -232,8 +315,7 @@ class TestDetectionsCsv:
 
     @pytest.mark.parametrize("frame", [5000, -3])
     def test_frame_outside_recording_names_location(self, tmp_path, frame):
-        # a frame past the recording's end is rejected before any per-frame
-        # list is allocated for it
+        # a frame past the recording's end is rejected
         path = tmp_path / "01_detections.csv"
         path.write_text("frame,cx,cy,length,width,class\n"
                         f"0,1,2,4,2,Car\n1,1,2,4,2,Car\n{frame},1,2,4,2,Car\n")
@@ -285,4 +367,4 @@ class TestDetectionsCsv:
     def test_last_frame_of_recording_accepted(self, tmp_path):
         path = tmp_path / "01_detections.csv"
         path.write_text("frame,cx,cy,length,width,class\n0,1,2,4,2,Car\n750,1,2,4,2,Car\n")
-        assert len(read_detections(path, max_frame=750)) == 751
+        assert read_detections(path, max_frame=750).frame.tolist() == [0, 750]
