@@ -115,7 +115,7 @@ cut_ins = extract_cut_ins(episodes, truth.tracks, surround, truth.meta)
 print(f"corpus: {len(truth.tracks)} vehicles, {len(episodes)} episodes, "
       f"{len(cut_ins)} cut-ins\n")
 
-hist = mean_speed_histogram(truth.tracks, bin_width=2.0)
+hist = mean_speed_histogram([t.mean_speed for t in truth.tracks], bin_width=2.0)
 print("mean track speed histogram (m/s):")
 peak = max(hist.counts)
 for i, count in enumerate(hist.counts):
@@ -132,7 +132,7 @@ for start, entries, ratio in zip(series.window_starts, series.entries,
     shown = "n/a" if math.isnan(ratio) else f"{100 * ratio:4.0f} %"
     print(f"  t = {start:5.0f} s: {shown}  ({entries} vehicles)")
 
-summary = maneuver_summary(episodes, truth.tracks)
+summary = maneuver_summary(episodes, len(truth.tracks))
 print("\nmaneuver summary:")
 for kind, count in summary.episode_counts.items():
     print(f"  {kind:<17} {count:>5}")

@@ -96,8 +96,8 @@ def _track_one(item: Tuple[Path, Path, PipelineConfig, Path]):
 
 
 def _extract_one(item: Tuple[RecordingFileSet, PipelineConfig, Path, bool]):
-    """``extract`` fits lane changes and writes the per-recording files;
-    ``stats`` (no ``write_files``) needs only the episodes and cut-ins."""
+    """``extract`` fits lane changes and writes the per-recording files,
+    ``stats`` (no ``write_files``) does neither; both return the summary."""
     paths, cfg, output_dir, write_files = item
     try:
         if not write_files:
@@ -202,45 +202,35 @@ def cmd_track(args) -> int:
 def _write_corpus_stats(
     results: Sequence[ExtractResult], cfg: PipelineConfig, output_dir: Path
 ) -> None:
-    all_tracks = [t for r in results for t in r.tracks]
     all_episodes = [e for r in results for e in r.episodes]
     all_cut_ins = [c for r in results for c in r.cut_ins]
+    mean_speeds = [v for r in results for v in r.mean_speeds]
 
-    hist = statsmod.mean_speed_histogram(all_tracks, cfg.stats.mean_speed_bin)
+    hist = statsmod.mean_speed_histogram(mean_speeds, cfg.stats.mean_speed_bin)
     statsmod.write_histogram_csv(hist, output_dir / "meanSpeedHistogram.csv")
     for result in results:
-        series = statsmod.truck_ratio_over_time(
-            result.tracks, cfg.stats.truck_ratio_window, result.frame_rate
-        )
         statsmod.write_truck_ratio_csv(
-            series, output_dir / f"{result.recording_id:02d}_truckRatio.csv"
+            result.truck_ratio, output_dir / f"{result.recording_id:02d}_truckRatio.csv"
         )
-    thw_stats = statsmod.cut_in_thw_stats(
-        all_cut_ins, cfg.stats.speed_bin, cfg.stats.thw_bin
-    )
-    statsmod.write_histogram_csv(
-        thw_stats.histogram, output_dir / "cutInThwHistogram.csv"
-    )
-    statsmod.write_decile_band_csv(
-        thw_stats.band, output_dir / "cutInThwBand.csv"
-    )
-    summary = statsmod.maneuver_summary(all_episodes, all_tracks)
-    statsmod.write_summary_json(
-        summary, len(all_cut_ins), output_dir / "summary.json"
-    )
+    thw_stats = statsmod.cut_in_thw_stats(all_cut_ins, cfg.stats.speed_bin,
+                                          cfg.stats.thw_bin)
+    statsmod.write_histogram_csv(thw_stats.histogram, output_dir / "cutInThwHistogram.csv")
+    statsmod.write_decile_band_csv(thw_stats.band, output_dir / "cutInThwBand.csv")
+    summary = statsmod.maneuver_summary(all_episodes, len(mean_speeds))
+    statsmod.write_summary_json(summary, len(all_cut_ins), output_dir / "summary.json")
 
 
 def _run_extract(args, write_per_recording: bool) -> int:
     errors: List[Dict] = []
+    input_dir = Path(args.input)
+    output_dir = Path(args.output)
     try:
         cfg = _load_config(args)
+        filesets = discover_recordings(input_dir)
     except Exception as exc:
         _report_errors([_exception_error(exc)])
         return 1
-    input_dir = Path(args.input)
-    output_dir = Path(args.output)
     output_dir.mkdir(parents=True, exist_ok=True)
-    filesets = discover_recordings(input_dir)
     if not filesets:
         _report_errors([_error_dict("EmptyInput", f"no recordings in {input_dir}")])
         return 1
@@ -276,7 +266,11 @@ def cmd_stats(args) -> int:
 
 def cmd_validate(args) -> int:
     input_dir = Path(args.input)
-    filesets = discover_recordings(input_dir)
+    try:
+        filesets = discover_recordings(input_dir)
+    except DatasetError as exc:
+        dump_json({"issues": [_issue_dict(exc.issue)]}, sys.stdout)
+        return 1
     issues = []
     if not filesets:
         issues.append(_error_dict("EmptyInput", f"no recordings in {input_dir}"))

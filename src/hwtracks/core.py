@@ -249,12 +249,6 @@ class Track:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{where}: {name} must be finite")
 
-    def __setstate__(self, state) -> None:
-        # An unpickled copy (say, from a worker process) is checked and
-        # made read-only again.
-        self.__dict__.update(state)
-        self.__post_init__()
-
     @property
     def num_frames(self) -> int:
         return len(self.lane)

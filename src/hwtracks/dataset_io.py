@@ -162,12 +162,15 @@ class RecordingFileSet:
 
     @classmethod
     def for_recording(cls, directory: Path, recording_id: int) -> "RecordingFileSet":
+        return cls.for_prefix(directory, f"{recording_id:02d}")
+
+    @classmethod
+    def for_prefix(cls, directory: Path, prefix: str) -> "RecordingFileSet":
         directory = Path(directory)
-        prefix = f"{recording_id:02d}_"
         return cls(
-            recording_meta_path=directory / f"{prefix}recordingMeta.csv",
-            tracks_meta_path=directory / f"{prefix}tracksMeta.csv",
-            tracks_path=directory / f"{prefix}tracks.csv",
+            recording_meta_path=directory / f"{prefix}_recordingMeta.csv",
+            tracks_meta_path=directory / f"{prefix}_tracksMeta.csv",
+            tracks_path=directory / f"{prefix}_tracks.csv",
         )
 
 
@@ -759,11 +762,20 @@ def validate(paths: RecordingFileSet) -> ValidationReport:
 
 
 def discover_recordings(directory: Path) -> List[RecordingFileSet]:
-    """File sets for every ``*_recordingMeta.csv`` in a directory, sorted by id."""
+    """File sets for every ``<id>_recordingMeta.csv`` in a directory, sorted
+    by id. Each set keeps the prefix its meta file has (``1_``, ``01_``);
+    two prefixes of one id raise a ``DuplicateId`` error naming both files."""
     directory = Path(directory)
-    out = []
+    prefixes: Dict[int, str] = {}
     for path in sorted(directory.glob("*_recordingMeta.csv")):
-        rid = path.name.split("_")[0]
-        if rid.isdigit():
-            out.append(RecordingFileSet.for_recording(directory, int(rid)))
-    return out
+        prefix = path.name.split("_")[0]
+        if not (prefix.isascii() and prefix.isdigit()):
+            continue
+        rid = int(prefix)
+        if rid in prefixes:
+            raise DatasetError(ValidationIssue(
+                DUPLICATE_ID, str(path), f"recording id {rid} has two meta files: "
+                f"{prefixes[rid]}_recordingMeta.csv and {path.name}"))
+        prefixes[rid] = prefix
+    return [RecordingFileSet.for_prefix(directory, prefixes[rid])
+            for rid in sorted(prefixes)]

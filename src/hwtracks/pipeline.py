@@ -11,9 +11,10 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from .core import Track, write_json
+from . import stats as statsmod
+from .core import write_json
 from .dataset_io import (
     Recording,
     RecordingFileSet,
@@ -72,8 +73,9 @@ class PipelineConfig:
 
 def _merge(defaults, data, prefix: str = ""):
     """``defaults`` with the keys of the JSON object ``data`` replaced. A key
-    that holds a section merges key by key, and an ``int`` field takes an int
-    only, not a bool or a float. Errors name the key as ``section.key``."""
+    that holds a section merges key by key, an ``int`` field takes an int
+    only, not a bool or a float, and a ``float`` field takes an int or a
+    float, not a bool. Errors name the key as ``section.key``."""
     where = f"config section {prefix[:-1]!r}" if prefix else "config root"
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object")
@@ -88,6 +90,9 @@ def _merge(defaults, data, prefix: str = ""):
         elif types[key] in ("int", "Optional[int]") and value is not None \
                 and type(value) is not int:
             raise ValueError(f"{prefix}{key} must be an integer, got {value!r}")
+        elif types[key] == "float" and (type(value) is bool
+                                        or not isinstance(value, (int, float))):
+            raise ValueError(f"{prefix}{key} must be a number, got {value!r}")
         changes[key] = value
     return dataclasses.replace(defaults, **changes)
 
@@ -146,9 +151,12 @@ def track_stage(
 
 @dataclass(frozen=True)
 class ExtractResult:
+    """What the corpus statistics need of one recording; no per-row data, so
+    it stays small when it crosses a process boundary."""
+
     recording_id: int
-    frame_rate: float
-    tracks: Tuple[Track, ...]
+    mean_speeds: Tuple[float, ...]  # one per track, in track order
+    truck_ratio: statsmod.TruckRatioSeries
     episodes: Tuple[ManeuverEpisode, ...]
     fits: Tuple[Tuple[ManeuverEpisode, LaneChangeFitResult], ...]
     cut_ins: Tuple[CutInScenario, ...]
@@ -156,24 +164,19 @@ class ExtractResult:
 
 
 def events_stage(recording: Recording, cfg: PipelineConfig) -> ExtractResult:
-    """Episodes and cut-ins for one loaded recording, without lane-change fits."""
-    episodes: List[ManeuverEpisode] = []
-    for track in recording.tracks:
-        episodes.extend(
-            detect_all(
-                track,
-                recording.surround[track.track_id],
-                recording.meta,
-                cfg.maneuvers,
-            )
-        )
+    """Episodes, cut-ins and the per-recording statistics for one loaded
+    recording, without lane-change fits."""
+    episodes = [e for track in recording.tracks
+                for e in detect_all(track, recording.surround[track.track_id],
+                                    recording.meta, cfg.maneuvers)]
     episodes.sort(key=lambda e: (e.track_id, e.kind.value, e.start_frame))
     cut_ins = extract_cut_ins(episodes, recording.tracks, recording.surround,
                               recording.meta)
     return ExtractResult(
         recording_id=recording.meta.recording_id,
-        frame_rate=recording.meta.frame_rate,
-        tracks=recording.tracks,
+        mean_speeds=tuple(float(t.mean_speed) for t in recording.tracks),
+        truck_ratio=statsmod.truck_ratio_over_time(
+            recording.tracks, cfg.stats.truck_ratio_window, recording.meta.frame_rate),
         episodes=tuple(episodes),
         fits=(),
         cut_ins=tuple(cut_ins),

@@ -65,21 +65,27 @@ def build_histogram(values: Sequence[float], bin_edges: Sequence[float]) -> Hist
     )
 
 
-def _span_edges(values: np.ndarray, bin_width: float) -> Tuple[float, ...]:
-    """Edges k*w .. (k+1)*w covering all values (empty input gives no edges)."""
-    if values.size == 0:
-        return ()
-    k_min = math.floor(float(values.min()) / bin_width)
-    k_max = math.floor(float(values.max()) / bin_width)
-    return tuple(k * bin_width for k in range(k_min, k_max + 2))
+def _width_histogram(values: Sequence[float], bin_width: float) -> Histogram:
+    """Histogram of values in bins [k*w, (k+1)*w) spanning them all.
 
-
-def mean_speed_histogram(tracks: Sequence[Track], bin_width: float) -> Histogram:
-    """Histogram of per-track mean speeds in bins [k*w, (k+1)*w)."""
+    A value counts in bin ``floor(v / w)``, the key that also chose its
+    edges, so no value falls out of range when ``k * w`` rounds."""
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
-    speeds = np.asarray([t.mean_speed for t in tracks], dtype=float)
-    return build_histogram(speeds, _span_edges(speeds, bin_width))
+    keys = np.floor(np.asarray(values, dtype=float) / bin_width).astype(np.int64)
+    if keys.size == 0:
+        return Histogram(bin_edges=(), counts=())
+    k_min = int(keys.min())
+    counts = np.bincount(keys - k_min)
+    return Histogram(
+        bin_edges=tuple(k * bin_width for k in range(k_min, k_min + counts.size + 1)),
+        counts=tuple(int(c) for c in counts),
+    )
+
+
+def mean_speed_histogram(mean_speeds: Sequence[float], bin_width: float) -> Histogram:
+    """Histogram of per-track mean speeds in bins [k*w, (k+1)*w)."""
+    return _width_histogram(mean_speeds, bin_width)
 
 
 @dataclass(frozen=True)
@@ -102,24 +108,17 @@ def truck_ratio_over_time(
     """
     if not window > 0:
         raise ValueError("window must be positive")
-    if not tracks:
-        return TruckRatioSeries((), (), ())
-    entry_times = [t.initial_frame / frame_rate for t in tracks]
-    n_windows = int(max(entry_times) // window) + 1
-    vehicles = [0] * n_windows
-    trucks = [0] * n_windows
-    for track, entry in zip(tracks, entry_times):
-        k = int(entry // window)
-        vehicles[k] += 1
-        if track.vehicle_class is VehicleClass.TRUCK:
-            trucks[k] += 1
-    ratios = tuple(
-        trucks[k] / vehicles[k] if vehicles[k] else math.nan for k in range(n_windows)
-    )
+    keys = np.array([int(t.initial_frame / frame_rate // window) for t in tracks],
+                    dtype=np.int64)
+    vehicles = np.bincount(keys)
+    trucks = np.bincount(keys, [t.vehicle_class is VehicleClass.TRUCK for t in tracks],
+                         minlength=vehicles.size)
+    ratios = np.divide(trucks, vehicles, out=np.full(vehicles.size, math.nan),
+                       where=vehicles > 0)
     return TruckRatioSeries(
-        window_starts=tuple(k * window for k in range(n_windows)),
-        ratios=ratios,
-        entries=tuple(vehicles),
+        window_starts=tuple(k * window for k in range(vehicles.size)),
+        ratios=tuple(ratios.tolist()),
+        entries=tuple(vehicles.tolist()),
     )
 
 
@@ -133,7 +132,7 @@ class ManeuverSummary:
 
 
 def maneuver_summary(
-    episodes: Sequence[ManeuverEpisode], tracks: Sequence[Track]
+    episodes: Sequence[ManeuverEpisode], vehicle_count: int
 ) -> ManeuverSummary:
     counts = {kind.value: 0 for kind in ManeuverKind}
     complete = partial = 0
@@ -144,13 +143,12 @@ def maneuver_summary(
                 complete += 1
             else:
                 partial += 1
-    n_vehicles = len(tracks)
     return ManeuverSummary(
         episode_counts=counts,
         lane_changes_complete=complete,
         lane_changes_partial=partial,
-        vehicle_count=n_vehicles,
-        lane_change_rate=complete / n_vehicles if n_vehicles else None,
+        vehicle_count=vehicle_count,
+        lane_change_rate=complete / vehicle_count if vehicle_count else None,
     )
 
 
@@ -213,13 +211,11 @@ def cut_in_thw_stats(
 
     Only scenarios with a defined entry THW contribute.
     """
-    if not speed_bin > 0 or not thw_bin > 0:
-        raise ValueError("bin widths must be positive")
     defined = [s for s in scenarios if s.entry_thw != UNDEFINED]
-    thw = np.asarray([s.entry_thw for s in defined], dtype=float)
-    speed = np.asarray([s.tail_speed_at_entry for s in defined], dtype=float)
+    thw = [s.entry_thw for s in defined]
+    speed = [s.tail_speed_at_entry for s in defined]
     return CutInThwStats(
-        histogram=build_histogram(thw, _span_edges(thw, thw_bin)),
+        histogram=_width_histogram(thw, thw_bin),
         band=build_decile_band(speed, thw, speed_bin),
     )
 

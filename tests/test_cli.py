@@ -1,10 +1,16 @@
+import io
 import json
+import pickle
+from pathlib import Path
 
 import pytest
 
-from hwtracks import read_recording
-from hwtracks.cli import main
+from hwtracks import Track, read_recording
+from hwtracks.cli import _extract_one, main
 from hwtracks.dataset_io import RecordingFileSet
+from hwtracks.pipeline import PipelineConfig
+
+DEMO_SCENE = Path(__file__).resolve().parent.parent / "demos" / "demo_scene.json"
 
 
 def write_script(path, recording_id=1, duration=20.0, seed=5, noise=None,
@@ -331,6 +337,81 @@ class TestStatsCommand:
         assert rows == ["windowStart,entries,truckRatio", "0,2,0.5"]
 
 
+def copy_recording(src, dst, prefix):
+    """The three tables of recording 01 in ``src`` under ``prefix`` in ``dst``."""
+    dst.mkdir(parents=True, exist_ok=True)
+    for f in src.glob("01_*"):
+        if f.name.endswith(("_recordingMeta.csv", "_tracksMeta.csv", "_tracks.csv")):
+            (dst / f.name.replace("01_", prefix, 1)).write_bytes(f.read_bytes())
+
+
+class TestRecordingDiscovery:
+    def test_unpadded_prefix_read_as_found(self, tmp_path, capsys):
+        out = run_synth(tmp_path)
+        recordings = tmp_path / "recordings"
+        copy_recording(out / "truth", recordings, "1_")
+        for command in ("extract", "stats"):
+            assert main([command, "--input", str(recordings),
+                         "--output", str(tmp_path / command)]) == 0
+            summary = json.loads((tmp_path / command / "summary.json").read_text())
+            assert summary["vehicleCount"] == 3
+        assert (tmp_path / "extract" / "01_episodes.csv").is_file()
+        capsys.readouterr()
+        assert main(["validate", "--input", str(recordings)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"issues": []}
+
+    def test_two_prefixes_of_one_id_is_one_error(self, tmp_path, capsys):
+        out = run_synth(tmp_path)
+        recordings = tmp_path / "recordings"
+        copy_recording(out / "truth", recordings, "01_")
+        copy_recording(out / "truth", recordings, "001_")
+        capsys.readouterr()
+        reported = []
+        for command in ("extract", "stats"):
+            assert main([command, "--input", str(recordings),
+                         "--output", str(tmp_path / command)]) == 1
+            reported.append(json.loads(capsys.readouterr().err)["errors"])
+            assert not (tmp_path / command / "summary.json").exists()
+        assert main(["validate", "--input", str(recordings)]) == 1
+        reported.append(json.loads(capsys.readouterr().out)["issues"])
+        for errors in reported:
+            assert errors == [{
+                "kind": "DuplicateId",
+                "message": "recording id 1 has two meta files: "
+                           "001_recordingMeta.csv and 01_recordingMeta.csv",
+                "file": str(recordings / "01_recordingMeta.csv"),
+            }]
+
+
+class _TypeRecorder(pickle.Pickler):
+    """Pickles into memory, noting the type of every object it reduces."""
+
+    def __init__(self):
+        self.sink = io.BytesIO()
+        super().__init__(self.sink)
+        self.types = set()
+
+    def reducer_override(self, obj):
+        self.types.add(type(obj))
+        return NotImplemented
+
+
+class TestWorkerResult:
+    @pytest.mark.parametrize("write_files", [True, False], ids=["extract", "stats"])
+    def test_result_is_a_summary_not_tracks(self, tmp_path, write_files):
+        out = tmp_path / "synth"
+        assert main(["synth", "--script", str(DEMO_SCENE), "--output", str(out)]) == 0
+        paths = RecordingFileSet.for_recording(out / "truth", 1)
+        error, result = _extract_one((paths, PipelineConfig(), tmp_path, write_files))
+        assert error is None
+        assert len(result.mean_speeds) == len(read_recording(paths).tracks)
+        recorder = _TypeRecorder()
+        recorder.dump(result)
+        assert Track not in recorder.types
+        tracks_bytes = len(pickle.dumps(read_recording(paths).tracks))
+        assert len(recorder.sink.getvalue()) < tracks_bytes / 10
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("jobs, items, cpus, want", [
         (1, 8, 2, 1),
@@ -392,6 +473,27 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=f"^{key} must be an integer"):
             load_pipeline_config(cfg_path)
+
+    @pytest.mark.parametrize("data, key", [
+        ({"stats": {"mean_speed_bin": True}}, "stats.mean_speed_bin"),
+        ({"tracker": {"gate_radius": "2"}}, "tracker.gate_radius"),
+        ({"tracker": {"gate_radius": None}}, "tracker.gate_radius"),
+        ({"tracker": {"gate_radius": [1]}}, "tracker.gate_radius"),
+    ])
+    def test_non_number_rejected(self, tmp_path, data, key):
+        from hwtracks.pipeline import load_pipeline_config
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{key} must be a number"):
+            load_pipeline_config(cfg_path)
+
+    def test_integer_accepted_as_number(self, tmp_path):
+        from hwtracks.pipeline import load_pipeline_config
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"tracker": {"gate_radius": 3}}))
+        assert load_pipeline_config(cfg_path).tracker.gate_radius == 3
 
     def test_non_integer_jobs_is_a_reported_error(self, tmp_path, capsys):
         out = run_synth(tmp_path)

@@ -38,7 +38,7 @@ class TestHistogram:
             straight_track(track_id=2, speed=33.3),
             straight_track(track_id=3, speed=33.4),
         ]
-        hist = mean_speed_histogram(tracks, bin_width=5.0)
+        hist = mean_speed_histogram([t.mean_speed for t in tracks], bin_width=5.0)
         by_bin = {
             (hist.bin_edges[i], hist.bin_edges[i + 1]): c
             for i, c in enumerate(hist.counts)
@@ -59,7 +59,7 @@ class TestHistogram:
             straight_track(track_id=i + 1, speed=rng.uniform(5, 50), n_frames=2)
             for i in range(10_000)
         ]
-        hist = mean_speed_histogram(tracks, bin_width=2.0)
+        hist = mean_speed_histogram([t.mean_speed for t in tracks], bin_width=2.0)
         assert hist.total == 10_000
         assert sum(hist.counts) == 10_000  # edges span the data: no under/overflow
 
@@ -72,6 +72,21 @@ class TestHistogram:
         edges = [k * width for k in range(-5, 6)]
         hist = build_histogram(values, edges)
         assert hist.total == len(values)
+
+    @pytest.mark.parametrize("histogram", [
+        lambda values: mean_speed_histogram(values, bin_width=0.1),
+        lambda values: cut_in_thw_stats([scenario(v, 20.0) for v in values],
+                                        speed_bin=2.0, thw_bin=0.1).histogram,
+    ], ids=["mean_speed", "cut_in_thw"])
+    def test_width_not_a_power_of_two_keeps_every_sample(self, histogram):
+        # k * 0.1 rounds: 31.2 once got edges (31.200000000000003, 31.3)
+        values = [31.2, 35.4, 4.3]
+        hist = histogram(values)
+        assert sum(hist.counts) == len(values)
+        assert (hist.underflow, hist.overflow) == (0, 0)
+        for v in values:
+            i = int(math.floor(v / 0.1)) - int(math.floor(4.3 / 0.1))
+            assert hist.counts[i] == 1
 
     def test_half_open_bins(self):
         hist = build_histogram([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
@@ -164,13 +179,13 @@ class TestManeuverSummary:
         # 100 vehicles, 10 complete lane changes -> rate 0.10 per vehicle
         tracks = [straight_track(track_id=i + 1, n_frames=2) for i in range(100)]
         episodes = [self.lane_change(i + 1, True) for i in range(10)]
-        summary = maneuver_summary(episodes, tracks)
+        summary = maneuver_summary(episodes, len(tracks))
         assert summary.lane_change_rate == pytest.approx(0.10)
         assert summary.lane_changes_complete == 10
 
     def test_no_episodes_all_zero(self):
         tracks = [straight_track(track_id=1, n_frames=2)]
-        summary = maneuver_summary([], tracks)
+        summary = maneuver_summary([], len(tracks))
         assert all(v == 0 for v in summary.episode_counts.values())
         assert summary.lane_changes_complete == 0
         assert summary.lane_change_rate == 0.0
@@ -185,7 +200,7 @@ class TestManeuverSummary:
             ManeuverEpisode(track_id=4, kind=ManeuverKind.FREE_DRIVING,
                             start_frame=0, end_frame=5),
         ]
-        summary = maneuver_summary(episodes, tracks)
+        summary = maneuver_summary(episodes, len(tracks))
         assert summary.episode_counts[ManeuverKind.LANE_CHANGE.value] == 2
         assert summary.episode_counts[ManeuverKind.CRITICAL.value] == 1
         assert summary.lane_changes_complete == 1
