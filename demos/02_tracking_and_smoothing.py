@@ -57,7 +57,7 @@ raw_tracks = build_tracks(detections, TrackerConfig())
 print(f"tracker produced {len(raw_tracks)} confirmed tracks "
       f"(false positives never reach the confirmation threshold)")
 
-cfg = SmootherConfig(dt=1.0 / truth.meta.frame_rate)
+cfg = SmootherConfig()
 print("\n track   frames  coasted   raw RMSE   smoothed RMSE")
 for raw, want in zip(raw_tracks, truth.tracks):
     track = smooth_track(raw, cfg, truth.meta)

@@ -48,7 +48,7 @@ truth = generate_truth(script)
 detections = corrupt(truth.tracks, NoiseSpec(position_sigma=0.10),
                      seed=script.seed, meta=truth.meta)
 raw_tracks = build_tracks(detections, TrackerConfig())
-smoother = SmootherConfig(dt=1.0 / truth.meta.frame_rate)
+smoother = SmootherConfig()
 tracks = [smooth_track(raw, smoother, truth.meta) for raw in raw_tracks]
 surround = compute_surround(tracks, truth.meta)
 

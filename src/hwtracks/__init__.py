@@ -18,7 +18,6 @@ from .core import (
     VehicleClass,
     compute_mean_speed,
     lane_change_count,
-    lane_id_of,
     nearest_lane_id,
 )
 from .dataset_io import (

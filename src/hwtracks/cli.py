@@ -28,6 +28,7 @@ from .dataset_io import (
     DatasetError,
     RecordingFileSet,
     discover_recordings,
+    recording_prefixes,
     validate,
     write_recording,
     write_recording_meta,
@@ -175,23 +176,21 @@ def cmd_synth(args) -> int:
 
 def cmd_track(args) -> int:
     errors: List[Dict] = []
+    input_dir = Path(args.input)
+    output_dir = Path(args.output)
     try:
         cfg = _load_config(args)
+        prefixes = recording_prefixes(input_dir, "detections.csv")
     except Exception as exc:
         _report_errors([_exception_error(exc)])
         return 1
-    input_dir = Path(args.input)
-    output_dir = Path(args.output)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    detection_files = sorted(input_dir.glob("*_detections.csv"))
-    if not detection_files:
+    if not prefixes:
         _report_errors([_error_dict("EmptyInput", f"no *_detections.csv in {input_dir}")])
         return 1
-    items = []
-    for det_path in detection_files:
-        rid_text = det_path.name.split("_")[0]
-        meta_path = input_dir / f"{rid_text}_recordingMeta.csv"
-        items.append((det_path, meta_path, cfg, output_dir))
+    output_dir.mkdir(parents=True, exist_ok=True)
+    items = [(input_dir / f"{prefix}_detections.csv",
+              input_dir / f"{prefix}_recordingMeta.csv", cfg, output_dir)
+             for prefix in prefixes]
     for outcome in _run_parallel(_track_one, items, cfg.jobs):
         if outcome is not None:
             errors.append(outcome)

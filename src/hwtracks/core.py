@@ -13,7 +13,6 @@ writer that every output file goes through live here as well.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import math
@@ -118,11 +117,6 @@ class RecordingMeta:
             return self.upper_lane_boundaries
         return self.lower_lane_boundaries
 
-    def speed_limits(self, direction: DrivingDirection) -> Tuple[float, ...]:
-        if direction is DrivingDirection.UPPER:
-            return self.upper_speed_limits
-        return self.lower_speed_limits
-
     def lane_count(self, direction: DrivingDirection) -> int:
         return len(self.boundaries(direction)) - 1
 
@@ -132,24 +126,13 @@ class RecordingMeta:
         return self.duration * self.frame_rate
 
 
-def lane_id_of(y: float, meta: RecordingMeta, direction: DrivingDirection) -> Optional[int]:
-    """1-based lane containing lateral offset ``y``, or None when off-road.
-
-    Lane intervals are half-open with the lower edge inclusive:
-    boundary[k-1] <= y < boundary[k] maps to lane k. Returning None (off
-    road) is a value, not an error.
-    """
-    b = meta.boundaries(direction)
-    if y < b[0] or y >= b[-1]:
-        return None
-    return bisect.bisect_right(b, y)
-
-
 def nearest_lane_id(y, meta: RecordingMeta, direction: DrivingDirection):
-    """Like lane_id_of but total: off-road offsets clamp to the edge lane.
+    """1-based lane containing lateral offset ``y``: lane k for
+    boundary[k-1] <= y < boundary[k], the lower edge inclusive. Off-road
+    offsets clamp to the nearest edge lane.
 
     ``y`` is a float or an array of floats; the result is an int64 scalar or
-    array, lane k for boundary[k-1] <= y < boundary[k].
+    array.
     """
     b = meta.boundaries(direction)
     return np.clip(np.searchsorted(b, y, side="right"), 1, len(b) - 1)

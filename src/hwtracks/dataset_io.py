@@ -761,21 +761,26 @@ def validate(paths: RecordingFileSet) -> ValidationReport:
     return ValidationReport(issues=scanner.issues)
 
 
-def discover_recordings(directory: Path) -> List[RecordingFileSet]:
-    """File sets for every ``<id>_recordingMeta.csv`` in a directory, sorted
-    by id. Each set keeps the prefix its meta file has (``1_``, ``01_``);
-    two prefixes of one id raise a ``DuplicateId`` error naming both files."""
-    directory = Path(directory)
+def recording_prefixes(directory: Path, suffix: str) -> List[str]:
+    """Prefixes (``1``, ``01``) of every ``<id>_<suffix>`` file in a
+    directory, sorted by id; a prefix is ASCII digits. Two prefixes of one id
+    raise a ``DuplicateId`` error naming both files."""
     prefixes: Dict[int, str] = {}
-    for path in sorted(directory.glob("*_recordingMeta.csv")):
+    for path in sorted(Path(directory).glob(f"*_{suffix}")):
         prefix = path.name.split("_")[0]
         if not (prefix.isascii() and prefix.isdigit()):
             continue
         rid = int(prefix)
         if rid in prefixes:
             raise DatasetError(ValidationIssue(
-                DUPLICATE_ID, str(path), f"recording id {rid} has two meta files: "
-                f"{prefixes[rid]}_recordingMeta.csv and {path.name}"))
+                DUPLICATE_ID, str(path), f"recording id {rid} has two files: "
+                f"{prefixes[rid]}_{suffix} and {path.name}"))
         prefixes[rid] = prefix
-    return [RecordingFileSet.for_prefix(directory, prefixes[rid])
-            for rid in sorted(prefixes)]
+    return [prefixes[rid] for rid in sorted(prefixes)]
+
+
+def discover_recordings(directory: Path) -> List[RecordingFileSet]:
+    """File sets for every ``<id>_recordingMeta.csv`` in a directory, sorted
+    by id. Each set keeps the prefix its meta file has (``1_``, ``01_``)."""
+    return [RecordingFileSet.for_prefix(directory, prefix)
+            for prefix in recording_prefixes(directory, "recordingMeta.csv")]

@@ -52,14 +52,10 @@ class StatsConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Union of all stage configs; a fully defaulted instance is valid.
-
-    The smoother time step is a per-recording quantity: it is overridden
-    from each recording's meta at run time.
-    """
+    """Union of all stage configs; a fully defaulted instance is valid."""
 
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    smoother: SmootherConfig = field(default_factory=lambda: SmootherConfig(dt=0.04))
+    smoother: SmootherConfig = field(default_factory=SmootherConfig)
     maneuvers: ManeuverConfig = field(default_factory=ManeuverConfig)
     fit: FitConfig = field(default_factory=FitConfig)
     stats: StatsConfig = field(default_factory=StatsConfig)
@@ -126,12 +122,11 @@ def track_stage(
     """
     meta = read_recording_meta(meta_path)
     detections = read_detections(detections_path, meta.max_frame)
-    smoother_cfg = dataclasses.replace(cfg.smoother, dt=1.0 / meta.frame_rate)
     raw_tracks = build_tracks(detections, cfg.tracker)
     tracks = []
     report = []
     for raw in raw_tracks:
-        track, diag = smooth_track_with_diagnostics(raw, smoother_cfg, meta)
+        track, diag = smooth_track_with_diagnostics(raw, cfg.smoother, meta)
         tracks.append(track)
         report.append(
             {

@@ -63,14 +63,13 @@ class SmootherConfig:
     that the first measurements dominate within a few frames.
     """
 
-    dt: float
     measurement_sigma: float = 0.10
     jerk_sigma: float = 2.0
     initial_velocity_sigma: float = 10000.0
     initial_accel_sigma: float = 1000.0
 
     def __post_init__(self) -> None:
-        for name in ("dt", "measurement_sigma", "jerk_sigma",
+        for name in ("measurement_sigma", "jerk_sigma",
                      "initial_velocity_sigma", "initial_accel_sigma"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -127,11 +126,12 @@ def forward_filter(
     positions: Sequence[Tuple[float, float]],
     predicted: Optional[Sequence[bool]],
     cfg: SmootherConfig,
+    dt: float,
 ) -> FilteredSeries:
     """Run the constant-acceleration Kalman filter over both axes.
 
     ``positions`` are the per-frame (x, y) observations at a fixed frame
-    interval ``cfg.dt``; ``predicted`` flags frames whose value is a tracker
+    interval ``dt``; ``predicted`` flags frames whose value is a tracker
     prediction rather than a measurement (those frames skip the update).
     The state initializes at the first observation with zero velocity and
     acceleration under the configured prior sigmas.
@@ -146,8 +146,8 @@ def forward_filter(
         flags = np.asarray(predicted, dtype=bool)
         if flags.shape != (n,):
             raise ValueError("predicted flags must align with positions")
-    F = transition_matrix(cfg.dt)
-    Q = process_noise(cfg.dt, cfg.jerk_sigma)
+    F = transition_matrix(dt)
+    Q = process_noise(dt, cfg.jerk_sigma)
     R = cfg.measurement_sigma**2
     I = np.eye(3)
 
@@ -180,12 +180,11 @@ def forward_filter(
 
     _check_psd(covs, "filtered")
     return FilteredSeries(
-        means=means, covs=covs, pred_means=pred_means, pred_covs=pred_covs,
-        dt=cfg.dt,
+        means=means, covs=covs, pred_means=pred_means, pred_covs=pred_covs, dt=dt,
     )
 
 
-def rts_smooth(filtered: FilteredSeries, cfg: SmootherConfig) -> SmoothedSeries:
+def rts_smooth(filtered: FilteredSeries) -> SmoothedSeries:
     """Backward RTS pass over a filtered series.
 
     The last frame's smoothed state equals the last filtered state; earlier
@@ -193,7 +192,7 @@ def rts_smooth(filtered: FilteredSeries, cfg: SmootherConfig) -> SmoothedSeries:
     share. A singular predicted covariance falls back to the pseudo-inverse
     and is flagged via ``used_pinv``.
     """
-    F = transition_matrix(cfg.dt)
+    F = transition_matrix(filtered.dt)
     n = len(filtered.means)
     xs = filtered.means.copy()
     ps = filtered.covs.copy()
@@ -251,13 +250,15 @@ def smooth_track_with_diagnostics(
 ) -> Tuple[Track, SmoothingDiagnostics]:
     """Smooth a confirmed raw track into a Track with full kinematic columns.
 
-    Runs the forward filter and the RTS pass, derives the lane id
+    Runs the forward filter at the recording's frame interval
+    (``1 / meta.frame_rate``) and the RTS pass, derives the lane id
     of every frame from the smoothed lateral position (off-span positions
     clamp to the nearest edge lane), and recomputes the mean speed.
     """
     positions = np.column_stack((raw.x, raw.y))
     try:
-        smoothed = rts_smooth(forward_filter(positions, np.logical_not(raw.measured), cfg), cfg)
+        smoothed = rts_smooth(forward_filter(
+            positions, np.logical_not(raw.measured), cfg, 1.0 / meta.frame_rate))
     except NumericalFailure as exc:
         raise NumericalFailure(
             exc.index, exc.detail, raw.track_id, raw.first_frame + exc.index

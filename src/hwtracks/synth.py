@@ -34,7 +34,6 @@ from .core import (
     VehicleClass,
     bumper_gap,
     compute_mean_speed,
-    lane_id_of,
 )
 from .lane_change import (
     CutInScenario,
@@ -179,7 +178,7 @@ def _lane_center(boundaries: Sequence[float], lane: int) -> float:
 
 
 class _VehicleTimeline:
-    """Exact per-frame kinematics of one scripted vehicle."""
+    """Exact kinematics of one scripted vehicle as per-frame columns."""
 
     def __init__(self, index: int, spec: VehicleSpec, script: ScenarioScript) -> None:
         self.spec = spec
@@ -207,8 +206,9 @@ class _VehicleTimeline:
         self.first, self.last = first, last
         n = last - first + 1
 
-        # Longitudinal: exact per-frame stepping; constant acceleration within
-        # each step because segment boundaries snap to the frame grid.
+        # Longitudinal: constant acceleration within each step because segment
+        # boundaries snap to the frame grid. ``cumsum`` adds left to right, so
+        # the columns equal frame-by-frame stepping bit for bit.
         accel = np.zeros(n)
         cursor = 0
         for k, seg in enumerate(spec.speed_segments):
@@ -217,10 +217,7 @@ class _VehicleTimeline:
                 raise ScriptError(f"{name}.speed_segments[{k}]: negative duration")
             accel[cursor : min(cursor + seg_frames, n)] = seg.acceleration
             cursor += seg_frames
-        speed = np.empty(n)
-        speed[0] = spec.initial_speed
-        for i in range(1, n):
-            speed[i] = speed[i - 1] + accel[i - 1] * dt
+        speed = np.cumsum(np.concatenate(([spec.initial_speed], accel[:-1] * dt)))
         if np.any(speed < 0):
             raise ScriptError(f"{name}: speed profile goes negative")
         self._speed, self._accel = speed, accel
@@ -229,53 +226,39 @@ class _VehicleTimeline:
         x0 = spec.entry_x if spec.entry_x is not None else (
             0.0 if sign > 0 else script.road_length
         )
-        x = np.empty(n)
-        x[0] = x0
-        for i in range(1, n):
-            x[i] = x[i - 1] + sign * (speed[i - 1] * dt + accel[i - 1] * dt * dt / 2.0)
-        self.x = x
+        step = sign * (speed[:-1] * dt + accel[:-1] * dt * dt / 2.0)
+        self.x = np.cumsum(np.concatenate(([x0], step)))
         self.vx = sign * speed
         self.ax = sign * accel
 
         self.maneuvers = self._plan_lane_changes(name, boundaries)
 
-        # Lateral timeline: quintic inside maneuver windows, settled otherwise.
+        # Lateral: the quintic over each maneuver's frames (t0 <= t <= t0 + T,
+        # a frame on a shared end belonging to the earlier one), the settled
+        # offset elsewhere.
+        t = (first + np.arange(n)) * dt
         self.y = np.empty(n)
         self.vy = np.zeros(n)
         self.ay = np.zeros(n)
-        settled = (
-            self.maneuvers[0]["settled_before"]
-            if self.maneuvers
-            else _lane_center(boundaries, spec.entry_lane)
-        )
-        m_idx = 0
-        for i in range(n):
-            t = (first + i) * dt
-            while m_idx < len(self.maneuvers):
-                m = self.maneuvers[m_idx]
-                if t <= m["t0"] + m["params"].duration:
-                    break
-                settled = m["marking"] + m["params"].side.y_sign * m["params"].d_end
-                m_idx += 1
-            if m_idx < len(self.maneuvers) and t >= self.maneuvers[m_idx]["t0"]:
-                m = self.maneuvers[m_idx]
-                tau = min(t - m["t0"], m["params"].duration)
-                _, y_rel, _, vy, _, ay = evaluate_model(m["params"], tau)
-                self.y[i] = m["marking"] + y_rel
-                self.vy[i] = vy
-                self.ay[i] = ay
-            else:
-                self.y[i] = settled
-                self.vy[i] = 0.0
-                self.ay[i] = 0.0
+        settled = _lane_center(boundaries, spec.entry_lane)
+        done = 0  # frames before this one are filled
+        for m in self.maneuvers:
+            params, t0 = m["params"], m["t0"]
+            lo = max(int(np.searchsorted(t, t0, "left")), done)
+            hi = int(np.searchsorted(t, t0 + params.duration, "right"))
+            self.y[done:lo] = settled
+            tau = np.minimum(t[lo:hi] - t0, params.duration)
+            _, y_rel, _, self.vy[lo:hi], _, self.ay[lo:hi] = evaluate_model(params, tau)
+            self.y[lo:hi] = m["marking"] + y_rel
+            settled = m["marking"] + params.side.y_sign * params.d_end
+            done = hi
+        self.y[done:] = settled
 
-        self.lanes: List[int] = []
-        meta = script.meta()
-        for i, y in enumerate(self.y.tolist()):
-            lane = lane_id_of(y, meta, spec.direction)
-            if lane is None:
-                raise ScriptError(f"{name}: off-road at frame {first + i} (y={y:.3f})")
-            self.lanes.append(lane)
+        self.lanes = np.searchsorted(boundaries, self.y, "right")
+        off_road = np.flatnonzero((self.lanes == 0) | (self.lanes == len(boundaries)))
+        if off_road.size:
+            i = int(off_road[0])
+            raise ScriptError(f"{name}: off-road at frame {first + i} (y={self.y[i]:.3f})")
 
     def _plan_lane_changes(self, name: str, boundaries: Sequence[float]) -> List[Dict]:
         spec = self.spec
@@ -338,7 +321,6 @@ class _VehicleTimeline:
                     "marking": marking,
                     "from_lane": current_lane,
                     "to_lane": lc.to_lane,
-                    "settled_before": settled_y,
                 }
             )
             settled_y = marking + lane_sign * d_end
@@ -387,7 +369,8 @@ def _truth_lane_changes(
 ) -> List[LaneChangeTruth]:
     out: List[LaneChangeTruth] = []
     n = track.num_frames
-    vy = timeline.vy
+    speed_y = np.abs(timeline.vy)
+    settled_frames = np.flatnonzero(speed_y < settle_speed)
     lanes = timeline.lanes
     fps = 1.0 / timeline.dt
     pending: List[Dict] = []
@@ -395,24 +378,17 @@ def _truth_lane_changes(
         t0, T = m["t0"], m["params"].duration
         lo = max(int(math.floor(t0 * fps)) - timeline.first - 1, 1)
         hi = min(int(math.ceil((t0 + T) * fps)) - timeline.first + 1, n - 1)
-        crossing = None
-        for i in range(lo, hi + 1):
-            if lanes[i] == m["to_lane"] and lanes[i - 1] != m["to_lane"]:
-                crossing = i
-                break
-        if crossing is None:
+        enters = (lanes[lo : hi + 1] == m["to_lane"]) & (lanes[lo - 1 : hi] != m["to_lane"])
+        if not enters.any():
             continue  # truncated before the marking: no lane change observed
-        start, found_start = 0, False
-        for j in range(crossing, -1, -1):
-            if abs(vy[j]) < settle_speed:
-                start, found_start = j, True
-                break
-        end, found_end = n - 1, False
-        for j in range(crossing, n):
-            if abs(vy[j]) < settle_speed:
-                end, found_end = j, True
-                break
-        complete = found_start and found_end and start > 0 and end < n - 1
+        crossing = lo + int(np.argmax(enters))
+        # the last settled frame up to the crossing and the first from it on;
+        # without one, the episode runs to the track's end and is incomplete
+        before = settled_frames[settled_frames <= crossing]
+        after = settled_frames[settled_frames >= crossing]
+        start = int(before[-1]) if before.size else 0
+        end = int(after[0]) if after.size else n - 1
+        complete = start > 0 and end < n - 1
         pending.append(
             {"m": m, "crossing": crossing, "start": start, "end": end,
              "complete": complete}
@@ -420,7 +396,7 @@ def _truth_lane_changes(
     for prev, cur in zip(pending, pending[1:]):
         if prev["end"] >= cur["start"]:
             lo, hi = prev["crossing"], cur["crossing"]
-            split = min(range(lo, hi), key=lambda j: (abs(vy[j]), j))
+            split = lo + int(np.argmin(speed_y[lo:hi]))
             prev["end"] = split
             cur["start"] = min(split + 1, cur["crossing"])
     first = track.initial_frame

@@ -88,7 +88,7 @@ def car(**kwargs):
 def test_criterion_1_smoothing_accuracy():
     sigma = 0.10
     tracker_cfg = TrackerConfig()
-    smoother_cfg = SmootherConfig(dt=0.04)
+    smoother_cfg = SmootherConfig()
     for trial in range(100):
         with_lc = trial % 2 == 1
         lane_changes = (
@@ -140,7 +140,7 @@ def test_criterion_2_noise_free_exactness():
     detections = corrupt(truth.tracks, NoiseSpec(), seed=1, meta=truth.meta)
     raw_tracks = build_tracks(detections, TrackerConfig())
     assert len(raw_tracks) == len(truth.tracks)
-    cfg = SmootherConfig(dt=1.0 / truth.meta.frame_rate)
+    cfg = SmootherConfig()
     for raw, want in zip(raw_tracks, truth.tracks):
         got = smooth_track(raw, cfg, truth.meta)
         for a, b in zip(got.states[10:], want.states[10:]):

@@ -377,10 +377,26 @@ class TestRecordingDiscovery:
         for errors in reported:
             assert errors == [{
                 "kind": "DuplicateId",
-                "message": "recording id 1 has two meta files: "
+                "message": "recording id 1 has two files: "
                            "001_recordingMeta.csv and 01_recordingMeta.csv",
                 "file": str(recordings / "01_recordingMeta.csv"),
             }]
+
+    def test_two_detection_prefixes_of_one_id_is_one_error(self, tmp_path, capsys):
+        detections = run_synth(tmp_path) / "detections"
+        for name in ("detections.csv", "recordingMeta.csv"):
+            (detections / f"001_{name}").write_bytes((detections / f"01_{name}").read_bytes())
+        capsys.readouterr()
+        tracked = tmp_path / "tracked"
+        assert main(["track", "--input", str(detections), "--output", str(tracked),
+                     "--jobs", "2"]) == 1
+        assert json.loads(capsys.readouterr().err)["errors"] == [{
+            "kind": "DuplicateId",
+            "message": "recording id 1 has two files: "
+                       "001_detections.csv and 01_detections.csv",
+            "file": str(detections / "01_detections.csv"),
+        }]
+        assert not tracked.exists()
 
 
 class _TypeRecorder(pickle.Pickler):
@@ -454,6 +470,15 @@ class TestConfigFile:
             cfg_path.write_text(json.dumps(section))
             with pytest.raises(ValueError):
                 load_pipeline_config(cfg_path)
+
+    def test_smoother_time_step_is_not_a_key(self, tmp_path):
+        # the smoother steps at each recording's frame interval
+        from hwtracks.pipeline import load_pipeline_config
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"smoother": {"dt": 0.5}}))
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['dt'\]"):
+            load_pipeline_config(cfg_path)
 
     @pytest.mark.parametrize("data, key", [
         ({"jobs": 1.5}, "jobs"),

@@ -12,7 +12,6 @@ from hwtracks import (
     VehicleClass,
     compute_mean_speed,
     lane_change_count,
-    lane_id_of,
     nearest_lane_id,
 )
 from hwtracks.core import format_float, format_floats
@@ -45,17 +44,11 @@ def columns_track(**fields):
 class TestLaneIdOf:
     def test_interval_membership(self):
         meta = boundaries_meta([0.0, 3.5, 7.0])
-        assert lane_id_of(1.0, meta, DrivingDirection.LOWER) == 1
+        assert nearest_lane_id(1.0, meta, DrivingDirection.LOWER) == 1
 
     def test_lower_edge_inclusive(self):
         meta = boundaries_meta([0.0, 3.5, 7.0])
-        assert lane_id_of(3.5, meta, DrivingDirection.LOWER) == 2
-
-    def test_outside_span_is_off_road(self):
-        meta = boundaries_meta([0.0, 3.5, 7.0])
-        assert lane_id_of(8.0, meta, DrivingDirection.LOWER) is None
-        assert lane_id_of(-0.1, meta, DrivingDirection.LOWER) is None
-        assert lane_id_of(7.0, meta, DrivingDirection.LOWER) is None
+        assert nearest_lane_id(3.5, meta, DrivingDirection.LOWER) == 2
 
     @given(st.floats(min_value=-5.0, max_value=12.0,
                      allow_nan=False, allow_infinity=False))
@@ -66,7 +59,6 @@ class TestLaneIdOf:
         for k in range(len(boundaries) - 1):
             if boundaries[k] <= y < boundaries[k + 1]:
                 expected = k + 1
-        assert lane_id_of(y, meta, DrivingDirection.LOWER) == expected
         nearest = expected or (1 if y < boundaries[0] else len(boundaries) - 1)
         assert nearest_lane_id(y, meta, DrivingDirection.LOWER) == nearest
         ys = np.array([y, boundaries[1], y])
@@ -201,7 +193,7 @@ class TestTypes:
         meta = make_meta()
         track = straight_track()
         for y, lane in zip(track.y.tolist(), track.lane.tolist()):
-            assert lane_id_of(y, meta, track.direction) == lane
+            assert nearest_lane_id(y, meta, track.direction) == lane
 
     def test_lane_change_count(self):
         assert lane_change_count(straight_track().lane) == 0

@@ -19,7 +19,7 @@ from hwtracks import (
     label_longitudinal,
     lane_change_count,
     longitudinal_episodes,
-    lane_id_of,
+    nearest_lane_id,
 )
 from hwtracks.surround import NO_VEHICLE, UNDEFINED
 from conftest import make_meta, track_from_states
@@ -29,9 +29,10 @@ DT = 0.04
 
 def track_from_y(ys, vys, meta, direction=DrivingDirection.LOWER, track_id=1):
     states = []
+    road = meta.boundaries(direction)
     for i, (y, vy) in enumerate(zip(ys, vys)):
-        lane = lane_id_of(y, meta, direction)
-        assert lane is not None
+        assert road[0] <= y < road[-1]
+        lane = int(nearest_lane_id(y, meta, direction))
         states.append(
             KinematicState(frame=i, x=25.0 * i * DT, y=y, vx=25.0, vy=vy,
                            ax=0.0, ay=0.0, lane_id=lane)

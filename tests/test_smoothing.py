@@ -16,17 +16,17 @@ DT = 0.04
 
 
 def cfg(**kwargs):
-    return SmootherConfig(dt=DT, **kwargs)
+    return SmootherConfig(**kwargs)
 
 
 def filter_smooth(positions, predicted=None, **kwargs):
     c = cfg(**kwargs)
-    return rts_smooth(forward_filter(positions, predicted, c), c)
+    return rts_smooth(forward_filter(positions, predicted, c, DT))
 
 
 class TestForwardFilter:
     def test_single_observation_initialization(self):
-        series = forward_filter([(12.5, -3.0)], None, cfg())
+        series = forward_filter([(12.5, -3.0)], None, cfg(), DT)
         assert series.means[0, :, 0] == pytest.approx([12.5, 0.0, 0.0])
         assert series.means[0, :, 1] == pytest.approx([-3.0, 0.0, 0.0])
 
@@ -35,7 +35,7 @@ class TestForwardFilter:
         # position must approach the constant (steady state of this model).
         n = 200
         positions = [(5.0, 7.0)] * n
-        series = forward_filter(positions, None, cfg())
+        series = forward_filter(positions, None, cfg(), DT)
         assert abs(series.means[-1, 0, 0] - 5.0) < 1e-6
         assert abs(series.means[-1, 0, 1] - 7.0) < 1e-6
 
@@ -43,7 +43,7 @@ class TestForwardFilter:
         n = 30
         positions = [(10.0, 2.0)] * n
         predicted = [False] + [True] * (n - 1)
-        series = forward_filter(positions, predicted, cfg())
+        series = forward_filter(positions, predicted, cfg(), DT)
         # position never moves, covariance trace strictly grows
         assert series.means[-1, 0, 0] == pytest.approx(10.0)
         traces = [np.trace(P) for P in series.covs]
@@ -75,8 +75,8 @@ class TestRtsSmooth:
         t = np.arange(n) * DT
         positions = np.column_stack([10 + 20 * t, np.full(n, 4.0)])
         c = cfg()
-        filtered = forward_filter(positions, None, c)
-        smoothed = rts_smooth(filtered, c)
+        filtered = forward_filter(positions, None, c, DT)
+        smoothed = rts_smooth(filtered)
         assert smoothed.states[-1, :3] == pytest.approx(filtered.means[-1, :, 0])
 
     def test_monotone_trace_improvement(self):
@@ -86,8 +86,8 @@ class TestRtsSmooth:
         x = 30 * t + rng.normal(0, 0.1, n)
         y = 14.0 + rng.normal(0, 0.1, n)
         c = cfg()
-        filtered = forward_filter(np.column_stack([x, y]), None, c)
-        smoothed = rts_smooth(filtered, c)
+        filtered = forward_filter(np.column_stack([x, y]), None, c, DT)
+        smoothed = rts_smooth(filtered)
         for k in range(n):
             t_filt = np.trace(filtered.covs[k])
             t_smooth = np.trace(smoothed.covariances[k])
@@ -106,14 +106,14 @@ class TestRtsSmooth:
         predicted = np.zeros(n, dtype=bool)
         predicted[30:36] = True
         c = cfg(initial_velocity_sigma=10.0, initial_accel_sigma=1.0)
-        filtered = forward_filter(positions, predicted, c)
-        reference = rts_smooth(filtered, c)
+        filtered = forward_filter(positions, predicted, c, DT)
+        reference = rts_smooth(filtered)
 
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        fallback = rts_smooth(filtered, c)
+        fallback = rts_smooth(filtered)
         assert not reference.used_pinv
         assert fallback.used_pinv
         assert np.abs(fallback.states - reference.states).max() < 1e-9

@@ -1,3 +1,4 @@
+import bisect
 import json
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 
 from hwtracks import (
     DrivingDirection,
+    LaneChangeParams,
     NoiseSpec,
     ScenarioScript,
     ScriptError,
     ScriptedLaneChange,
+    Side,
     SmootherConfig,
     SpeedSegment,
     TrackerConfig,
@@ -16,6 +19,7 @@ from hwtracks import (
     VehicleSpec,
     build_tracks,
     corrupt,
+    evaluate_model,
     generate_truth,
     load_script,
     smooth_track,
@@ -167,6 +171,109 @@ class TestGenerateTruth:
         [track] = generate_truth(script).tracks
         assert track.mean_speed == pytest.approx(25.0)
 
+    def test_columns_match_frame_stepping(self):
+        # two vehicles, each with speed segments; the lower one changes lane
+        # twice, the second maneuver starting on the frame the first ends
+        script = ScenarioScript(
+            seed=1, duration=20.0,
+            vehicles=(
+                car(entry_time=1.0, entry_x=20.0, initial_speed=22.0, speed_segments=(
+                    SpeedSegment(duration=3.0, acceleration=0.8),
+                    SpeedSegment(duration=11.0, acceleration=0.0),
+                    SpeedSegment(duration=4.0, acceleration=-0.6),
+                ), lane_changes=(
+                    ScriptedLaneChange(start_time=5.0, duration=4.0, to_lane=2),
+                    ScriptedLaneChange(start_time=9.0, duration=3.5, to_lane=1),
+                )),
+                car(direction=DrivingDirection.UPPER, entry_lane=2, entry_x=400.0,
+                    exit_time=17.0, speed_segments=(
+                        SpeedSegment(duration=6.0, acceleration=-0.5),
+                        SpeedSegment(duration=10.0, acceleration=0.3),
+                    ), lane_changes=(
+                        ScriptedLaneChange(start_time=7.0, duration=5.0, to_lane=1),
+                    )),
+            ),
+        )
+        truth = generate_truth(script)
+        assert len(truth.lane_changes) == 3
+        for spec, track in zip(script.vehicles, truth.tracks):
+            lane_changes = [lc for lc in truth.lane_changes
+                            if lc.track_id == track.track_id]
+            want = stepped_reference(script, spec, lane_changes)
+            for column in ("x", "vx", "ax", "vy", "ay", "lane"):
+                np.testing.assert_array_equal(getattr(track, column), want[column],
+                                              err_msg=column)
+            # the quintic's s**3 over an array is not libm pow in the last bit
+            np.testing.assert_array_max_ulp(track.y, want["y"], maxulp=4)
+
+    def test_off_road_names_first_frame(self):
+        # lane 1 -> 2 of the lower carriageway (marking 15.7), ending 5 m past
+        # the marking: beyond the carriageway edge at 19.4
+        script = ScenarioScript(
+            seed=1, duration=12.0,
+            vehicles=(car(lane_changes=(
+                ScriptedLaneChange(start_time=2.0, duration=4.0, to_lane=2, d_end=5.0),
+            )),),
+        )
+        params = LaneChangeParams(d_start=1.85, d_end=5.0, v_start=25.0, v_end=25.0,
+                                  duration=4.0, side=Side.TO_LEFT)
+        frame = next(f for f in range(50, 150)
+                     if 15.7 + evaluate_model(params, f / 25.0 - 2.0)[1] >= 19.4)
+        with pytest.raises(ScriptError, match=rf"vehicles\[0\]: off-road at frame {frame} "
+                                              r"\(y=19\.4"):
+            generate_truth(script)
+
+
+def stepped_reference(script, spec, lane_changes):
+    """The frame-by-frame stepping that the truth columns replace: speed and
+    x from per-frame increments, the lateral offset with one model
+    evaluation per maneuver frame, the lane by bisection."""
+    fps = script.frame_rate
+    dt = 1.0 / fps
+    first = int(round(spec.entry_time * fps))
+    exit_time = script.duration if spec.exit_time is None else spec.exit_time
+    n = int(round(exit_time * fps)) - first
+    accel = np.zeros(n)
+    cursor = 0
+    for seg in spec.speed_segments:
+        frames = int(round(seg.duration * fps))
+        accel[cursor : cursor + frames] = seg.acceleration
+        cursor += frames
+    speed = np.empty(n)
+    speed[0] = spec.initial_speed
+    for i in range(1, n):
+        speed[i] = speed[i - 1] + accel[i - 1] * dt
+    sign = spec.direction.travel_sign
+    x = np.empty(n)
+    x[0] = spec.entry_x
+    for i in range(1, n):
+        x[i] = x[i - 1] + sign * (speed[i - 1] * dt + accel[i - 1] * dt * dt / 2.0)
+
+    boundaries = script.meta().boundaries(spec.direction)
+    settled = (boundaries[spec.entry_lane - 1] + boundaries[spec.entry_lane]) / 2.0
+    y, vy, ay, lane = [], [], [], []
+    m = 0
+    for i in range(n):
+        t = (first + i) * dt
+        while m < len(lane_changes) and t > lane_changes[m].t0 + lane_changes[m].params.duration:
+            p = lane_changes[m].params
+            settled = lane_changes[m].marking_y + p.side.y_sign * p.d_end
+            m += 1
+        if m < len(lane_changes) and t >= lane_changes[m].t0:
+            lc = lane_changes[m]
+            tau = min(t - lc.t0, lc.params.duration)
+            _, y_rel, _, vy_i, _, ay_i = evaluate_model(lc.params, tau)
+            y.append(lc.marking_y + y_rel)
+            vy.append(vy_i)
+            ay.append(ay_i)
+        else:
+            y.append(settled)
+            vy.append(0.0)
+            ay.append(0.0)
+        lane.append(bisect.bisect_right(boundaries, y[-1]))
+    return {"x": x, "vx": sign * speed, "ax": sign * accel, "y": np.array(y),
+            "vy": np.array(vy), "ay": np.array(ay), "lane": np.array(lane)}
+
 
 def per_frame(table, truth):
     """The (cx, cy, length) rows of each frame from 0 to the truth's last,
@@ -308,7 +415,7 @@ class TestPipelineClosure:
         detections = corrupt(truth.tracks, NoiseSpec(), seed=1, meta=truth.meta)
         raw = build_tracks(detections, TrackerConfig())
         assert len(raw) == len(truth.tracks)
-        cfg = SmootherConfig(dt=1.0 / truth.meta.frame_rate)
+        cfg = SmootherConfig()
         for raw_track, want in zip(raw, truth.tracks):
             got = smooth_track(raw_track, cfg, truth.meta)
             for a, b in zip(got.states[10:], want.states[10:]):
