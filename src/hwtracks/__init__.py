@@ -64,6 +64,7 @@ from .smoothing import (
     SmoothingDiagnostics,
     forward_filter,
     rts_smooth,
+    smooth_series,
     smooth_track,
     smooth_track_with_diagnostics,
 )

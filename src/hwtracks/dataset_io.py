@@ -763,11 +763,13 @@ def validate(paths: RecordingFileSet) -> ValidationReport:
 
 def recording_prefixes(directory: Path, suffix: str) -> List[str]:
     """Prefixes (``1``, ``01``) of every ``<id>_<suffix>`` file in a
-    directory, sorted by id; a prefix is ASCII digits. Two prefixes of one id
-    raise a ``DuplicateId`` error naming both files."""
+    directory, sorted by id. A prefix is the whole name before
+    ``_<suffix>``; files whose prefix is not all ASCII digits (``01_v2_``)
+    are skipped. Two prefixes of one id raise a ``DuplicateId`` error naming
+    both files."""
     prefixes: Dict[int, str] = {}
     for path in sorted(Path(directory).glob(f"*_{suffix}")):
-        prefix = path.name.split("_")[0]
+        prefix = path.name[:-len(suffix) - 1]
         if not (prefix.isascii() and prefix.isdigit()):
             continue
         rid = int(prefix)

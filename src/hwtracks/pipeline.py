@@ -32,7 +32,7 @@ from .lane_change import (
     fit_episode,
 )
 from .maneuvers import ManeuverConfig, ManeuverEpisode, ManeuverKind, detect_all
-from .smoothing import SmootherConfig, smooth_track_with_diagnostics
+from .smoothing import SmootherConfig, smooth_series, smooth_track_with_diagnostics
 from .surround import compute_surround
 from .tracking import TrackerConfig, build_tracks, read_detections
 
@@ -123,20 +123,22 @@ def track_stage(
     meta = read_recording_meta(meta_path)
     detections = read_detections(detections_path, meta.max_frame)
     raw_tracks = build_tracks(detections, cfg.tracker)
-    tracks = []
-    report = []
-    for raw in raw_tracks:
-        track, diag = smooth_track_with_diagnostics(raw, cfg.smoother, meta)
-        tracks.append(track)
-        report.append(
-            {
-                "trackId": diag.track_id,
-                "frames": diag.frames,
-                "measured": diag.measured,
-                "rmsDeviation": round(diag.rms_deviation, 6),
-                "usedPinv": diag.used_pinv,
-            }
-        )
+    # The smoothed series, covariances included, are dropped with the
+    # comprehension, before surround and writing.
+    assembled = [smooth_track_with_diagnostics(raw, smoothed, meta)
+                 for raw, smoothed in zip(raw_tracks, smooth_series(
+                     raw_tracks, cfg.smoother, 1.0 / meta.frame_rate))]
+    tracks = [track for track, _ in assembled]
+    report = [
+        {
+            "trackId": diag.track_id,
+            "frames": diag.frames,
+            "measured": diag.measured,
+            "rmsDeviation": round(diag.rms_deviation, 6),
+            "usedPinv": diag.used_pinv,
+        }
+        for _, diag in assembled
+    ]
     surround = compute_surround(tracks, meta)
     paths = write_recording(meta, tracks, surround, output_dir)
     write_json(output_dir / f"{meta.recording_id:02d}_smoothingReport.json",

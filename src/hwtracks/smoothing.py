@@ -10,12 +10,21 @@ two axes as columns. This gives the same result as a joint 6-state filter.
 Frames flagged as predicted (coasted by the tracker) contribute no
 measurement: the filter runs predict-only across them, and the backward
 pass fills them with smoothed estimates informed by both sides of the gap.
+
+All tracks of a recording run in lockstep (``smooth_series``): step k of
+the forward and of the backward pass updates frame k of every track that
+has one, as stacked (m, 3, 2) means and (m, 3, 3) covariances. Stacked
+matrix products and solves run the same kernel per item as a single
+track's would, so every track gets the same bits as when it runs alone.
+``smooth_track_with_diagnostics(raw, smoothed, meta)`` then turns one
+track's series into a ``Track``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +45,9 @@ PSD_TOLERANCE = 1e-9
 class NumericalFailure(Exception):
     """Covariance lost positive semi-definiteness beyond tolerance.
 
-    ``index`` is the failing position in the filtered series. Raised by
-    ``smooth_track_with_diagnostics``, the error also names the track and
-    the recording ``frame`` at that position.
+    ``index`` is the failing position in the track's series. Raised by
+    ``smooth_series``, the error also names the track and the recording
+    ``frame`` at that position.
     """
 
     def __init__(
@@ -87,7 +96,8 @@ def process_noise(dt: float, jerk_sigma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilteredSeries:
-    """Per-frame filtered and one-step-predicted moments of a track.
+    """Per-frame filtered and one-step-predicted moments of a track, or of
+    several tracks in the packed layout of ``_schedule``.
 
     The state of a frame is a (3, 2) array whose rows are position,
     velocity and acceleration and whose columns are the x and y axes; the
@@ -110,16 +120,129 @@ class SmoothedSeries:
     used_pinv: bool = False
 
 
-def _check_psd(covs: np.ndarray, what: str) -> None:
+def _worst_eigenvalues(covs: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the symmetric part of every covariance."""
     sym = (covs + np.swapaxes(covs, -1, -2)) / 2.0
-    eigvals = np.linalg.eigvalsh(sym)
-    worst = eigvals.min(axis=-1)
-    bad = np.nonzero(worst < -PSD_TOLERANCE)[0]
+    return np.linalg.eigvalsh(sym).min(axis=-1)
+
+
+def _check_psd(worst: np.ndarray, what: str, raw: Optional[RawTrack] = None) -> None:
+    """Raise at the first frame whose smallest eigenvalue ``worst`` is below
+    tolerance, naming ``raw``'s track and recording frame if given."""
+    bad = np.flatnonzero(worst < -PSD_TOLERANCE)
     if bad.size:
         index = int(bad[0])
-        raise NumericalFailure(
-            index, f"{what} covariance eigenvalue {worst[index]:.3e} < -{PSD_TOLERANCE}"
-        )
+        detail = f"{what} covariance eigenvalue {worst[index]:.3e} < -{PSD_TOLERANCE}"
+        if raw is None:
+            raise NumericalFailure(index, detail)
+        raise NumericalFailure(index, detail, raw.track_id, raw.first_frame + index)
+
+
+def _schedule(lengths: np.ndarray) -> Tuple[np.ndarray, List[int], List[int]]:
+    """Lockstep layout of tracks with the given frame counts.
+
+    The tracks are ranked by decreasing length (ties in input order), so
+    the ones that have a frame k are the first ``counts[k]`` of the ranking,
+    and frame k of all of them occupies the packed rows ``offsets[k]`` to
+    ``offsets[k] + counts[k]`` in rank order. Returns the packed row of
+    every frame of every track, tracks in input order, with the two lists.
+    """
+    rank = np.empty(len(lengths), dtype=np.intp)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(len(lengths))
+    counts = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]
+    offsets = np.cumsum(counts) - counts
+    starts = np.cumsum(lengths) - lengths
+    frame = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+    rows = offsets[frame] + np.repeat(rank, lengths)
+    return rows, counts.tolist(), offsets.tolist()
+
+
+def _forward(
+    z: np.ndarray, measured: np.ndarray, counts: List[int], offsets: List[int],
+    cfg: SmootherConfig, dt: float,
+) -> FilteredSeries:
+    """Kalman filter over packed rows (``_schedule``), one step per frame
+    index for all tracks at once. Each track starts at its first
+    observation with zero velocity and acceleration under the prior sigmas;
+    unmeasured frames keep their prediction."""
+    F = transition_matrix(dt)
+    Q = process_noise(dt, cfg.jerk_sigma)
+    R = cfg.measurement_sigma**2
+    I = np.eye(3)
+    n = len(z)
+    means = np.empty((n, 3, 2))
+    covs = np.empty((n, 3, 3))
+    pred_means = np.empty((n, 3, 2))
+    pred_covs = np.empty((n, 3, 3))
+
+    head = slice(0, counts[0])
+    means[head] = 0.0
+    means[head, 0] = z[head]
+    covs[head] = np.diag(
+        [cfg.measurement_sigma**2, cfg.initial_velocity_sigma**2,
+         cfg.initial_accel_sigma**2]
+    )
+    pred_means[head], pred_covs[head] = means[head], covs[head]
+
+    for k in range(1, len(counts)):
+        prev = slice(offsets[k - 1], offsets[k - 1] + counts[k])
+        cur = slice(offsets[k], offsets[k] + counts[k])
+        x = F @ means[prev]
+        P = F @ covs[prev] @ F.T + Q
+        pred_means[cur], pred_covs[cur] = x, P
+        # Scalar measurement of the position row; Joseph-form update, kept
+        # on the measured rows only.
+        K = P[:, :, 0] / (P[:, 0, 0] + R)[:, None]
+        A = I - K[:, :, None] * [1.0, 0.0, 0.0]
+        update = measured[cur, None, None]
+        means[cur] = np.where(
+            update, x + K[:, :, None] * (z[cur] - x[:, 0])[:, None, :], x)
+        covs[cur] = np.where(
+            update, A @ P @ A.swapaxes(1, 2) + R * (K[:, :, None] * K[:, None, :]), P)
+
+    return FilteredSeries(
+        means=means, covs=covs, pred_means=pred_means, pred_covs=pred_covs, dt=dt,
+    )
+
+
+def _transposed_gains(
+    pred_covs: np.ndarray, a: np.ndarray, used_pinv: np.ndarray
+) -> np.ndarray:
+    """``pred_covs⁻¹ aᵀ`` per row, the transposed RTS smoother gains. When
+    the batched solve meets a singular matrix, every row solves alone and a
+    singular row falls back to the pseudo-inverse, flagged in ``used_pinv``."""
+    try:
+        return np.linalg.solve(pred_covs, a.swapaxes(1, 2))
+    except np.linalg.LinAlgError:
+        pass
+    gains_t = np.empty_like(a)
+    for i, (pp, ai) in enumerate(zip(pred_covs, a)):
+        try:
+            gains_t[i] = np.linalg.solve(pp, ai.T)
+        except np.linalg.LinAlgError:
+            gains_t[i] = (ai @ np.linalg.pinv(pp)).T
+            used_pinv[i] = True
+    return gains_t
+
+
+def _backward(filtered: FilteredSeries, counts: List[int], offsets: List[int]) -> np.ndarray:
+    """RTS pass in place over ``filtered``'s means and covs, laid out as in
+    ``_forward``; returns ``used_pinv`` per track rank.
+
+    The last frame of a track keeps its filtered state; earlier frames are
+    corrected with the smoother gain, which both axes share."""
+    F = transition_matrix(filtered.dt)
+    xs, ps = filtered.means, filtered.covs
+    used_pinv = np.zeros(counts[0], dtype=bool)
+    for k in range(len(counts) - 2, -1, -1):
+        cur = slice(offsets[k], offsets[k] + counts[k + 1])
+        nxt = slice(offsets[k + 1], offsets[k + 1] + counts[k + 1])
+        pp = filtered.pred_covs[nxt]
+        gain = _transposed_gains(pp, ps[cur] @ F.T, used_pinv).swapaxes(1, 2)
+        xs[cur] += gain @ (xs[nxt] - filtered.pred_means[nxt])
+        cov = ps[cur] + gain @ (ps[nxt] - pp) @ gain.swapaxes(1, 2)
+        ps[cur] = (cov + cov.swapaxes(1, 2)) / 2.0
+    return used_pinv
 
 
 def forward_filter(
@@ -146,71 +269,67 @@ def forward_filter(
         flags = np.asarray(predicted, dtype=bool)
         if flags.shape != (n,):
             raise ValueError("predicted flags must align with positions")
-    F = transition_matrix(dt)
-    Q = process_noise(dt, cfg.jerk_sigma)
-    R = cfg.measurement_sigma**2
-    I = np.eye(3)
-
-    means = np.empty((n, 3, 2))
-    covs = np.empty((n, 3, 3))
-    pred_means = np.empty((n, 3, 2))
-    pred_covs = np.empty((n, 3, 3))
-
-    x = np.zeros((3, 2))
-    x[0] = z[0]
-    P = np.diag(
-        [cfg.measurement_sigma**2, cfg.initial_velocity_sigma**2,
-         cfg.initial_accel_sigma**2]
-    )
-    means[0], covs[0] = x, P
-    pred_means[0], pred_covs[0] = x, P
-
-    for k in range(1, n):
-        x = F @ x
-        P = F @ P @ F.T + Q
-        pred_means[k], pred_covs[k] = x, P
-        if not flags[k]:
-            # Scalar measurement of the position row; Joseph-form update.
-            S = P[0, 0] + R
-            K = P[:, 0] / S
-            x = x + np.outer(K, z[k] - x[0])
-            A = I - np.outer(K, [1.0, 0.0, 0.0])
-            P = A @ P @ A.T + R * np.outer(K, K)
-        means[k], covs[k] = x, P
-
-    _check_psd(covs, "filtered")
-    return FilteredSeries(
-        means=means, covs=covs, pred_means=pred_means, pred_covs=pred_covs, dt=dt,
-    )
+    _, counts, offsets = _schedule(np.array([n]))
+    filtered = _forward(z, ~flags, counts, offsets, cfg, dt)
+    _check_psd(_worst_eigenvalues(filtered.covs), "filtered")
+    return filtered
 
 
 def rts_smooth(filtered: FilteredSeries) -> SmoothedSeries:
-    """Backward RTS pass over a filtered series.
+    """Backward RTS pass over a filtered series, which stays unchanged.
 
-    The last frame's smoothed state equals the last filtered state; earlier
-    frames are corrected with the standard smoother gain, which both axes
-    share. A singular predicted covariance falls back to the pseudo-inverse
-    and is flagged via ``used_pinv``.
+    A singular predicted covariance falls back to the pseudo-inverse and is
+    flagged via ``used_pinv``.
     """
-    F = transition_matrix(filtered.dt)
     n = len(filtered.means)
-    xs = filtered.means.copy()
-    ps = filtered.covs.copy()
-    used_pinv = False
-    for k in range(n - 2, -1, -1):
-        pp = filtered.pred_covs[k + 1]
-        a = filtered.covs[k] @ F.T
-        try:
-            gain = np.linalg.solve(pp, a.T).T
-        except np.linalg.LinAlgError:
-            gain = a @ np.linalg.pinv(pp)
-            used_pinv = True
-        xs[k] = filtered.means[k] + gain @ (xs[k + 1] - filtered.pred_means[k + 1])
-        cov = filtered.covs[k] + gain @ (ps[k + 1] - pp) @ gain.T
-        ps[k] = (cov + cov.T) / 2.0
-    _check_psd(ps, "smoothed")
-    states = xs.transpose(0, 2, 1).reshape(n, 6)
-    return SmoothedSeries(states=states, covariances=ps, used_pinv=used_pinv)
+    smoothed = replace(filtered, means=filtered.means.copy(), covs=filtered.covs.copy())
+    _, counts, offsets = _schedule(np.array([n]))
+    used_pinv = _backward(smoothed, counts, offsets)
+    _check_psd(_worst_eigenvalues(smoothed.covs), "smoothed")
+    return SmoothedSeries(states=smoothed.means.transpose(0, 2, 1).reshape(n, 6),
+                          covariances=smoothed.covs, used_pinv=bool(used_pinv[0]))
+
+
+def smooth_series(
+    raws: Sequence[RawTrack], cfg: SmootherConfig, dt: float
+) -> List[SmoothedSeries]:
+    """Forward filter and RTS pass of every raw track, all in lockstep.
+
+    Gives each track the series that ``rts_smooth(forward_filter(...))``
+    gives it alone, bit for bit. A covariance that loses positive
+    semi-definiteness raises ``NumericalFailure`` for the first failing
+    track in ``raws`` order, at its first failing frame, its filtered
+    series checked before its smoothed one.
+    """
+    if not raws:
+        return []
+    lengths = np.array([len(raw.x) for raw in raws], dtype=np.intp)
+    rows, counts, offsets = _schedule(lengths)
+    n = len(rows)
+    z = np.empty((n, 2))
+    z[rows, 0] = np.fromiter(chain.from_iterable(raw.x for raw in raws), float, n)
+    z[rows, 1] = np.fromiter(chain.from_iterable(raw.y for raw in raws), float, n)
+    measured = np.empty(n, dtype=bool)
+    measured[rows] = np.fromiter(
+        chain.from_iterable(raw.measured for raw in raws), bool, n)
+
+    series = _forward(z, measured, counts, offsets, cfg, dt)
+    worst = [_worst_eigenvalues(series.covs)[rows]]
+    used_pinv = _backward(series, counts, offsets)
+    means, covs = series.means, series.covs
+    del series  # frees the predicted moments
+    worst.append(_worst_eigenvalues(covs)[rows])
+    ends = np.cumsum(lengths).tolist()
+    for raw, lo, hi in zip(raws, [0] + ends, ends):
+        for what, w in zip(("filtered", "smoothed"), worst):
+            _check_psd(w[lo:hi], what, raw)
+
+    states = means.transpose(0, 2, 1)[rows].reshape(n, 6)
+    del means
+    covs = covs[rows]
+    return [SmoothedSeries(states=states[lo:hi], covariances=covs[lo:hi],
+                           used_pinv=bool(used_pinv[rows[lo]]))
+            for lo, hi in zip([0] + ends, ends)]
 
 
 def carriageway_of(y_values: Sequence[float], meta: RecordingMeta) -> DrivingDirection:
@@ -241,29 +360,21 @@ class SmoothingDiagnostics:
 def smooth_track(
     raw: RawTrack, cfg: SmootherConfig, meta: RecordingMeta
 ) -> Track:
-    track, _ = smooth_track_with_diagnostics(raw, cfg, meta)
+    """Smooth one confirmed raw track at the recording's frame interval."""
+    smoothed, = smooth_series([raw], cfg, 1.0 / meta.frame_rate)
+    track, _ = smooth_track_with_diagnostics(raw, smoothed, meta)
     return track
 
 
 def smooth_track_with_diagnostics(
-    raw: RawTrack, cfg: SmootherConfig, meta: RecordingMeta
+    raw: RawTrack, smoothed: SmoothedSeries, meta: RecordingMeta
 ) -> Tuple[Track, SmoothingDiagnostics]:
-    """Smooth a confirmed raw track into a Track with full kinematic columns.
+    """The Track of a confirmed raw track, given its ``smooth_series`` result.
 
-    Runs the forward filter at the recording's frame interval
-    (``1 / meta.frame_rate``) and the RTS pass, derives the lane id
-    of every frame from the smoothed lateral position (off-span positions
-    clamp to the nearest edge lane), and recomputes the mean speed.
+    Derives the lane id of every frame from the smoothed lateral position
+    (off-span positions clamp to the nearest edge lane) and recomputes the
+    mean speed.
     """
-    positions = np.column_stack((raw.x, raw.y))
-    try:
-        smoothed = rts_smooth(forward_filter(
-            positions, np.logical_not(raw.measured), cfg, 1.0 / meta.frame_rate))
-    except NumericalFailure as exc:
-        raise NumericalFailure(
-            exc.index, exc.detail, raw.track_id, raw.first_frame + exc.index
-        ) from None
-
     direction = carriageway_of(smoothed.states[:, 3], meta)
     x, vx, ax, y, vy, ay = smoothed.states.T
     length, width = raw.extent()

@@ -382,6 +382,26 @@ class TestRecordingDiscovery:
                 "file": str(recordings / "01_recordingMeta.csv"),
             }]
 
+    def test_prefix_is_the_whole_name_before_the_suffix(self, tmp_path, capsys):
+        # ``01_v2_recordingMeta.csv`` has prefix ``01_v2``, not ``01``: the
+        # set is skipped, and it is no second file set of recording 1.
+        out = run_synth(tmp_path)
+        alone = tmp_path / "alone"
+        copy_recording(out / "truth", alone, "01_v2_")
+        capsys.readouterr()
+        assert main(["validate", "--input", str(alone)]) == 1
+        assert [issue["kind"] for issue in json.loads(capsys.readouterr().out)["issues"]] \
+            == ["EmptyInput"]
+        beside = tmp_path / "beside"
+        copy_recording(out / "truth", beside, "01_")
+        copy_recording(out / "truth", beside, "01_v2_")
+        assert main(["validate", "--input", str(beside)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"issues": []}
+        assert main(["stats", "--input", str(beside),
+                     "--output", str(tmp_path / "stats")]) == 0
+        summary = json.loads((tmp_path / "stats" / "summary.json").read_text())
+        assert summary["vehicleCount"] == 3
+
     def test_two_detection_prefixes_of_one_id_is_one_error(self, tmp_path, capsys):
         detections = run_synth(tmp_path) / "detections"
         for name in ("detections.csv", "recordingMeta.csv"):
@@ -672,6 +692,37 @@ class TestSmoothingReport:
         assert errors[0]["message"].startswith(
             "track 2, frame 30: filtered covariance eigenvalue"
         )
+
+class TestTrackStageCalls:
+    def test_one_smoothing_batch_per_recording_one_assembly_per_track(
+        self, tmp_path, monkeypatch
+    ):
+        # perfbench traces the smoother through these two names in
+        # ``hwtracks.pipeline`` and counts the second once per track.
+        import hwtracks.pipeline as pipeline
+
+        detections = run_synth(tmp_path / "a", noise={"position_sigma": 0.1}) / "detections"
+        second = run_synth(tmp_path / "b", recording_id=2, with_lane_change=False)
+        for name in ("02_detections.csv", "02_recordingMeta.csv"):
+            (detections / name).write_bytes((second / "detections" / name).read_bytes())
+        calls = {"smooth_series": [], "smooth_track_with_diagnostics": []}
+        for name, log in calls.items():
+            def counted(*args, _fn=getattr(pipeline, name), _log=log, **kwargs):
+                _log.append(args)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+
+        tracked = tmp_path / "tracked"
+        assert main(["track", "--input", str(detections), "--output", str(tracked),
+                     "--jobs", "1"]) == 0
+        track_ids = [[entry["trackId"] for entry in json.loads(
+            (tracked / f"{rid:02d}_smoothingReport.json").read_text())["tracks"]]
+            for rid in (1, 2)]
+        assert [[raw.track_id for raw in args[0]] for args in calls["smooth_series"]] \
+            == track_ids
+        assert [args[0].track_id for args in calls["smooth_track_with_diagnostics"]] \
+            == track_ids[0] + track_ids[1]
+
 
 class TestInvalidLaneLayout:
     def test_schema_error_exit_1(self, tmp_path, capsys):

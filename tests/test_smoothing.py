@@ -1,15 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hwtracks import (
+    NumericalFailure,
     SmootherConfig,
     TrackerConfig,
     build_tracks,
     forward_filter,
     rts_smooth,
+    smooth_series,
     smooth_track,
 )
 from hwtracks.core import DrivingDirection
+from hwtracks.smoothing import process_noise, transition_matrix
+from hwtracks.tracking import RawTrack
 from conftest import det, detection_table
 
 DT = 0.04
@@ -218,3 +224,168 @@ class TestSmoothTrack:
         track = smooth_track(raw, cfg(), meta)
         peak = np.abs(track.vy).max()
         assert peak == pytest.approx(analytic_peak, rel=0.10)
+
+
+def reference_smooth(raw, c, dt):
+    """Forward Kalman filter, then the RTS pass, of one track, frame by
+    frame: the recursion that ``smooth_series`` runs for all tracks at once."""
+    z = np.column_stack((raw.x, raw.y))
+    n = len(z)
+    F = transition_matrix(dt)
+    Q = process_noise(dt, c.jerk_sigma)
+    R = c.measurement_sigma**2
+    I = np.eye(3)
+    means = np.empty((n, 3, 2))
+    covs = np.empty((n, 3, 3))
+    pred_means = np.empty((n, 3, 2))
+    pred_covs = np.empty((n, 3, 3))
+    x = np.zeros((3, 2))
+    x[0] = z[0]
+    P = np.diag([c.measurement_sigma**2, c.initial_velocity_sigma**2,
+                 c.initial_accel_sigma**2])
+    means[0], covs[0] = x, P
+    pred_means[0], pred_covs[0] = x, P
+    for k in range(1, n):
+        x = F @ x
+        P = F @ P @ F.T + Q
+        pred_means[k], pred_covs[k] = x, P
+        if raw.measured[k]:
+            S = P[0, 0] + R
+            K = P[:, 0] / S
+            x = x + np.outer(K, z[k] - x[0])
+            A = I - np.outer(K, [1.0, 0.0, 0.0])
+            P = A @ P @ A.T + R * np.outer(K, K)
+        means[k], covs[k] = x, P
+
+    xs = means.copy()
+    ps = covs.copy()
+    used_pinv = False
+    for k in range(n - 2, -1, -1):
+        pp = pred_covs[k + 1]
+        a = covs[k] @ F.T
+        try:
+            gain = np.linalg.solve(pp, a.T).T
+        except np.linalg.LinAlgError:
+            gain = a @ np.linalg.pinv(pp)
+            used_pinv = True
+        xs[k] = means[k] + gain @ (xs[k + 1] - pred_means[k + 1])
+        cov = covs[k] + gain @ (ps[k + 1] - pp) @ gain.T
+        ps[k] = (cov + cov.T) / 2.0
+    return SimpleNamespace(filtered_covs=covs, pred_covs=pred_covs,
+                           states=xs.transpose(0, 2, 1).reshape(n, 6),
+                           covariances=ps, used_pinv=used_pinv)
+
+
+def raw_track(track_id, first_frame, length, coasts=()):
+    """A noisy, slightly weaving raw track; frames in the ``coasts`` ranges
+    are unmeasured."""
+    rng = np.random.default_rng(track_id)
+    t = np.arange(length) * DT
+    x = 10.0 * track_id + 28.0 * t + rng.normal(0, 0.1, length)
+    y = 13.85 + 0.3 * np.sin(t) + rng.normal(0, 0.1, length)
+    measured = np.ones(length, dtype=bool)
+    for start, stop in coasts:
+        measured[start:stop] = False
+    raw = RawTrack(track_id, first_frame, x[0], y[0], 4.5, 2.0)
+    raw.x, raw.y, raw.measured = x.tolist(), y.tolist(), measured.tolist()
+    raw.measured_count = int(measured.sum())
+    return raw
+
+
+# (first frame, length, coast runs): lengths 1, 2 and ~200; coasts at the
+# head, the middle and the tail; tracks 6 and 7 share one measured mask.
+BATCH = [
+    (0, 1, ()),
+    (3, 2, ()),
+    (5, 2, ((1, 2),)),
+    (0, 200, ()),
+    (7, 199, ((1, 6),)),
+    (2, 201, ((80, 95),)),
+    (9, 201, ((80, 95),)),
+    (4, 180, ((170, 180),)),
+    (1, 150, ((1, 4), (60, 70), (140, 150))),
+    (6, 1, ()),
+]
+
+
+def batch_tracks():
+    return [raw_track(i + 1, *spec) for i, spec in enumerate(BATCH)]
+
+
+class TestSmoothSeries:
+    def test_bit_identical_to_per_track_recursion(self):
+        raws = batch_tracks()
+        got = smooth_series(raws, cfg(), DT)
+        assert len(got) == len(raws)
+        for raw, series in zip(raws, got):
+            want = reference_smooth(raw, cfg(), DT)
+            assert np.array_equal(series.states, want.states), raw.track_id
+            assert np.array_equal(series.covariances, want.covariances), raw.track_id
+            assert series.used_pinv is want.used_pinv is False
+
+    def test_pinv_fallback_flags_only_the_singular_track(self, monkeypatch):
+        raws = batch_tracks()
+        chosen = raws[8]
+        # A predicted covariance inside the chosen track's middle coast run;
+        # no other track has its measured mask, so no other track has it.
+        singular_cov = reference_smooth(chosen, cfg(), DT).pred_covs[65]
+        real_solve = np.linalg.solve
+        batch_sizes = []
+
+        def solve(a, b):
+            stack = np.reshape(a, (-1, 3, 3))
+            if (stack == singular_cov).all(axis=(1, 2)).any():
+                batch_sizes.append(len(stack))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        batch = smooth_series(raws, cfg(), DT)
+        alone = [smooth_series([raw], cfg(), DT)[0] for raw in raws]
+        assert max(batch_sizes) > 1
+        assert [s.used_pinv for s in batch] == [raw is chosen for raw in raws]
+        assert [s.used_pinv for s in alone] == [raw is chosen for raw in raws]
+        for b, a in zip(batch, alone):
+            assert np.abs(b.states - a.states).max() < 1e-9
+
+    def test_failure_names_first_track_filtered_before_smoothed(self, monkeypatch):
+        # Tracks in build order; the check fails only on chosen covariances.
+        raws = [raw_track(1, 0, 60), raw_track(2, 10, 80, ((20, 26),)),
+                raw_track(3, 0, 200, ((1, 4),)), raw_track(4, 5, 100, ((50, 60),))]
+        ref = {raw.track_id: reference_smooth(raw, cfg(), DT) for raw in raws}
+
+        def sym(P):
+            return (P + P.T) / 2.0
+
+        failing = {
+            # track 2: smoothed at recording frame 25, filtered at 36
+            "2s": sym(ref[2].covariances[15]), "2f": sym(ref[2].filtered_covs[26]),
+            # track 3, the longest, first in lockstep: filtered at frame 5
+            "3f": sym(ref[3].filtered_covs[5]),
+            # track 4: smoothed at recording frame 50
+            "4s": sym(ref[4].covariances[45]),
+        }
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def failure(chosen, tracks):
+            def eigvalsh(a):
+                w = real_eigvalsh(a)
+                bad = np.stack([failing[key] for key in chosen])
+                w[(a[:, None] == bad).all(axis=(2, 3)).any(axis=1), 0] = -1.0
+                return w
+
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigvalsh", eigvalsh)
+                with pytest.raises(NumericalFailure) as info:
+                    smooth_series(tracks, cfg(), DT)
+            exc = info.value
+            return exc.track_id, exc.frame, exc.index, str(exc).split(":")[1].split()[0]
+
+        smooth_series(raws, cfg(), DT)
+        assert failure(failing, raws) == (2, 36, 26, "filtered")
+        assert failure(["2s", "3f", "4s"], raws) == (2, 25, 15, "smoothed")
+        assert failure(failing, [raws[0], raws[2], raws[3]]) == (3, 5, 5, "filtered")
+        assert failure(["4s"], raws) == (4, 50, 45, "smoothed")
+
+    def test_no_tracks(self):
+        assert smooth_series([], cfg(), DT) == []
