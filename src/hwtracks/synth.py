@@ -4,9 +4,10 @@ A scenario script fully determines a scene: lane layout, per-vehicle entry,
 a piecewise-constant-acceleration speed profile (segment boundaries snap to
 the frame grid so the sampled trajectory is exactly realizable by the
 smoother's motion model) and scripted lane changes that reuse the quintic
-lane-change model for the lateral motion. The generator derives trajectories,
-lane-change episodes and cut-in scenarios analytically from the script; the
-maneuver detectors are never involved.
+lane-change model for the lateral motion. The generator derives trajectories
+and lane-change episodes analytically from the script; the cut-in scenarios
+come from ``extract_cut_ins`` over the exact tracks, their surround and the
+truth episodes, so the maneuver detectors are never involved.
 
 ``corrupt`` turns truth tracks into a detection table by adding
 Gaussian position noise, dropping detections (randomly, in bursts, or in
@@ -16,7 +17,6 @@ the road. Everything is a pure function of (script, seed).
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, fields
@@ -32,18 +32,17 @@ from .core import (
     Track,
     UNLIMITED_SPEED,
     VehicleClass,
-    bumper_gap,
     compute_mean_speed,
 )
 from .lane_change import (
     CutInScenario,
-    CutInSide,
     LaneChangeParams,
     Side,
     evaluate_model,
+    extract_cut_ins,
 )
 from .maneuvers import ManeuverEpisode, ManeuverKind
-from .surround import NO_VEHICLE, UNDEFINED, left_lane_id, thw_ttc
+from .surround import compute_surround
 
 DEFAULT_UPPER_BOUNDARIES = (0.0, 3.7, 7.4)
 DEFAULT_LOWER_BOUNDARIES = (12.0, 15.7, 19.4)
@@ -453,113 +452,6 @@ def _validate_no_overlap(tracks: Sequence[Track]) -> None:
                     )
 
 
-class _FrameIndex:
-    """Per-frame, per-(direction, lane) vehicles sorted by x."""
-
-    def __init__(self, tracks: Sequence[Track]) -> None:
-        self.cells: Dict[Tuple[int, DrivingDirection, int], List[Tuple[float, int]]] = {}
-        for t in tracks:
-            for frame, x, lane in zip(t.frames.tolist(), t.x.tolist(), t.lane.tolist()):
-                self.cells.setdefault((frame, t.direction, lane), []).append(
-                    (x, t.track_id)
-                )
-        for entries in self.cells.values():
-            entries.sort()
-
-    def nearest(self, track: Track, frame: int, ahead: bool) -> int:
-        i = frame - track.initial_frame
-        if not 0 <= i < track.num_frames:
-            return NO_VEHICLE
-        x = float(track.x[i])
-        entries = self.cells.get((frame, track.direction, int(track.lane[i])), [])
-        xs = [e[0] for e in entries]
-        want_larger_x = (track.direction.travel_sign > 0) == ahead
-        if want_larger_x:
-            for j in range(bisect.bisect_right(xs, x), len(entries)):
-                if entries[j][1] != track.track_id:
-                    return entries[j][1]
-            return NO_VEHICLE
-        j = bisect.bisect_left(xs, x) - 1
-        while j >= 0:
-            run_start = bisect.bisect_left(xs, xs[j])
-            for m in range(run_start, j + 1):
-                if entries[m][1] != track.track_id:
-                    return entries[m][1]
-            j = run_start - 1
-        return NO_VEHICLE
-
-
-def _truth_cut_ins(
-    lane_changes: Sequence[LaneChangeTruth], tracks: Sequence[Track]
-) -> List[CutInScenario]:
-    """Cut-in scenarios recomputed geometrically from the exact columns."""
-    by_id = {t.track_id: t for t in tracks}
-    index = _FrameIndex(tracks)
-
-    def at(track: Track, frame: int) -> Tuple[float, float]:
-        """(x, vx) of a track at a frame it is alive in."""
-        i = frame - track.initial_frame
-        return float(track.x[i]), float(track.vx[i])
-
-    scenarios: List[CutInScenario] = []
-    for lc in lane_changes:
-        changer = by_id[lc.track_id]
-        f = lc.crossing_frame
-        tailing_id = index.nearest(changer, f, ahead=False)
-        if tailing_id == NO_VEHICLE:
-            continue
-        tail = by_id[tailing_id]
-        tail_x, tail_vx = at(tail, f)
-        changer_x, changer_vx = at(changer, f)
-        gap = bumper_gap(changer_x, changer.length, tail_x, tail.length)
-        tail_speed = abs(tail_vx)
-        entry_thw = float(thw_ttc(gap, tail_vx, changer_vx)[0])
-
-        min_dhw = min_thw = min_ttc = UNDEFINED
-        lo = max(lc.start_frame, tail.initial_frame)
-        hi = min(lc.end_frame, tail.final_frame)
-        for frame in range(lo, hi + 1):
-            if index.nearest(tail, frame, ahead=True) != lc.track_id:
-                continue
-            (tx, tvx), (cx, cvx) = at(tail, frame), at(changer, frame)
-            dhw = float(bumper_gap(cx, changer.length, tx, tail.length))
-            thw, ttc = map(float, thw_ttc(dhw, tvx, cvx))
-            if min_dhw == UNDEFINED or dhw < min_dhw:
-                min_dhw = dhw
-            if thw != UNDEFINED and (min_thw == UNDEFINED or thw < min_thw):
-                min_thw = thw
-            if ttc != UNDEFINED and (min_ttc == UNDEFINED or ttc < min_ttc):
-                min_ttc = ttc
-
-        preceding_id = index.nearest(changer, f, ahead=True)
-        gap_between = UNDEFINED
-        if preceding_id != NO_VEHICLE:
-            lead = by_id[preceding_id]
-            gap_between = float(bumper_gap(at(lead, f)[0], lead.length,
-                                           tail_x, tail.length))
-        side = (
-            CutInSide.FROM_LEFT
-            if lc.from_lane == left_lane_id(lc.to_lane, tail.direction)
-            else CutInSide.FROM_RIGHT
-        )
-        scenarios.append(
-            CutInScenario(
-                track_id=lc.track_id,
-                tailing_id=tailing_id,
-                preceding_id=preceding_id,
-                crossing_frame=f,
-                entry_thw=entry_thw,
-                tail_speed_at_entry=tail_speed,
-                min_dhw=min_dhw,
-                min_thw=min_thw,
-                min_ttc=min_ttc,
-                gap_size=gap_between,
-                side=side,
-            )
-        )
-    return scenarios
-
-
 def generate_truth(script: ScenarioScript, settle_speed: float = 0.1) -> GroundTruth:
     """Exact tracks, lane-change episodes and cut-ins for a scenario script.
 
@@ -578,17 +470,16 @@ def generate_truth(script: ScenarioScript, settle_speed: float = 0.1) -> GroundT
         tracks.append(track)
         lane_changes.extend(_truth_lane_changes(timeline, track, settle_speed))
         if spec.dropout_windows:
-            dropouts[track.track_id] = tuple(
-                (int(a), int(b)) for a, b in spec.dropout_windows
-            )
+            dropouts[track.track_id] = spec.dropout_windows
     _validate_no_overlap(tracks)
     lane_changes.sort(key=lambda lc: (lc.track_id, lc.crossing_frame))
-    cut_ins = _truth_cut_ins(lane_changes, tracks)
+    episodes = tuple(lc.episode() for lc in lane_changes)
+    cut_ins = extract_cut_ins(episodes, tracks, compute_surround(tracks, meta), meta)
     return GroundTruth(
         meta=meta,
         tracks=tuple(tracks),
         lane_changes=tuple(lane_changes),
-        episodes=tuple(lc.episode() for lc in lane_changes),
+        episodes=episodes,
         cut_ins=tuple(cut_ins),
         scripted_dropouts=dropouts,
         road_length=script.road_length,
@@ -654,114 +545,132 @@ def corrupt(
 # Script files (JSON)
 
 
-def _require(mapping: Mapping, key: str, where: str):
-    if key not in mapping:
-        raise ScriptError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+_REQUIRED = object()
+
+
+def _number(value, name: str, positive: bool = False) -> float:
+    """A finite JSON number, not a bool; ``positive`` also rejects <= 0."""
+    if (type(value) is bool or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (positive and value <= 0)):
+        raise ScriptError(f"{name} must be a finite{' positive' * positive} number, got {value!r}")
+    return float(value)
+
+
+class _Fields:
+    """Typed reads from one JSON object of a script: an int key takes a JSON
+    integer only, a number key a finite int or float, neither takes a bool."""
+
+    def __init__(self, data, prefix: str = "") -> None:
+        if not isinstance(data, Mapping):
+            raise ScriptError(f"{prefix[:-1] or 'script root'} must be an object")
+        self.data, self.prefix = data, prefix
+
+    def value(self, key: str, default=_REQUIRED):
+        if key not in self.data and default is _REQUIRED:
+            raise ScriptError(f"missing required key {self.prefix}{key}")
+        return self.data.get(key, default)
+
+    def integer(self, key: str, default=_REQUIRED) -> int:
+        value = self.value(key, default)
+        if type(value) is not int:
+            raise ScriptError(f"{self.prefix}{key} must be an integer, got {value!r}")
+        return value
+
+    def number(self, key: str, default=_REQUIRED, positive: bool = False):
+        """A float; None for null or absent where the default is None."""
+        value = self.value(key, default)
+        if value is None and default is None:
+            return None
+        return _number(value, self.prefix + key, positive)
+
+    def items(self, key: str, default=()) -> List[Tuple[str, object]]:
+        """``(name, entry)`` per entry of a list key; null is an empty list."""
+        value = self.value(key, default)
+        if not isinstance(value, (list, tuple, type(None))):
+            raise ScriptError(f"{self.prefix}{key} must be a list, got {value!r}")
+        return [(f"{self.prefix}{key}[{k}]", entry) for k, entry in enumerate(value or ())]
+
+    def objects(self, key: str) -> List["_Fields"]:
+        return [_Fields(entry, name + ".") for name, entry in self.items(key)]
+
+    def numbers(self, key: str, default=()) -> Tuple[float, ...]:
+        return tuple(_number(entry, name) for name, entry in self.items(key, default))
+
+    def speed_limits(self, key: str) -> Optional[Tuple[float, ...]]:
+        """-1 stands for no limit; none given, for no limit on any lane."""
+        return tuple(UNLIMITED_SPEED if v == -1.0 else v for v in self.numbers(key)) or None
+
+
+def _window(name: str, pair) -> Tuple[int, int]:
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(frame) is int for frame in pair)) or pair[0] > pair[1]:
+        raise ScriptError(f"{name} must be a [first, last] pair of integer frames with "
+                          f"first <= last, got {pair!r}")
+    return pair[0], pair[1]
+
+
+def _vehicle_spec(v: _Fields) -> VehicleSpec:
+    direction = str(v.value("direction")).upper()
+    if direction not in ("UPPER", "LOWER"):
+        raise ScriptError(f"{v.prefix}direction must be 'upper' or 'lower'")
+    try:
+        vehicle_class = VehicleClass.parse(str(v.value("class", "Car")))
+    except ValueError as exc:
+        raise ScriptError(f"{v.prefix}class: {exc}") from exc
+    return VehicleSpec(
+        vehicle_class=vehicle_class,
+        direction=DrivingDirection[direction],
+        entry_lane=v.integer("entry_lane"),
+        entry_time=v.number("entry_time", 0.0),
+        exit_time=v.number("exit_time", None),
+        entry_x=v.number("entry_x", None),
+        initial_speed=v.number("initial_speed", 25.0),
+        length=v.number("length", 4.5, positive=True),
+        width=v.number("width", 2.0, positive=True),
+        speed_segments=tuple(
+            SpeedSegment(duration=s.number("duration"), acceleration=s.number("acceleration"))
+            for s in v.objects("speed_segments")
+        ),
+        lane_changes=tuple(
+            ScriptedLaneChange(
+                start_time=lc.number("start_time"),
+                duration=lc.number("duration"),
+                to_lane=lc.integer("to_lane"),
+                d_start=lc.number("d_start", None),
+                d_end=lc.number("d_end", None),
+            )
+            for lc in v.objects("lane_changes")
+        ),
+        dropout_windows=tuple(_window(*item) for item in v.items("dropout_windows")),
+    )
 
 
 def script_from_dict(data: Mapping) -> ScenarioScript:
-    if not isinstance(data, Mapping):
-        raise ScriptError("script root must be an object")
+    root = _Fields(data)
+    noise = _Fields(root.value("noise", {}), "noise.")
     try:
-        noise_data = data.get("noise", {})
-        noise = NoiseSpec(
-            position_sigma=float(noise_data.get("position_sigma", 0.0)),
-            dropout_probability=float(noise_data.get("dropout_probability", 0.0)),
-            dropout_burst_length=int(noise_data.get("dropout_burst_length", 1)),
-            false_positive_rate=float(noise_data.get("false_positive_rate", 0.0)),
+        noise_spec = NoiseSpec(
+            position_sigma=noise.number("position_sigma", 0.0),
+            dropout_probability=noise.number("dropout_probability", 0.0),
+            dropout_burst_length=noise.integer("dropout_burst_length", 1),
+            false_positive_rate=noise.number("false_positive_rate", 0.0),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScriptError(f"noise: {exc}") from exc
-    vehicles: List[VehicleSpec] = []
-    for i, v in enumerate(data.get("vehicles", [])):
-        where = f"vehicles[{i}]"
-        try:
-            direction_text = str(_require(v, "direction", where)).lower()
-            if direction_text not in ("upper", "lower"):
-                raise ScriptError(f"{where}: direction must be 'upper' or 'lower'")
-            lane_changes = tuple(
-                ScriptedLaneChange(
-                    start_time=float(_require(lc, "start_time", f"{where}.lane_changes[{j}]")),
-                    duration=float(_require(lc, "duration", f"{where}.lane_changes[{j}]")),
-                    to_lane=int(_require(lc, "to_lane", f"{where}.lane_changes[{j}]")),
-                    d_start=None if lc.get("d_start") is None else float(lc["d_start"]),
-                    d_end=None if lc.get("d_end") is None else float(lc["d_end"]),
-                )
-                for j, lc in enumerate(v.get("lane_changes", []))
-            )
-            segments = tuple(
-                SpeedSegment(
-                    duration=float(_require(s, "duration", f"{where}.speed_segments[{j}]")),
-                    acceleration=float(
-                        _require(s, "acceleration", f"{where}.speed_segments[{j}]")
-                    ),
-                )
-                for j, s in enumerate(v.get("speed_segments", []))
-            )
-            vehicles.append(
-                VehicleSpec(
-                    vehicle_class=VehicleClass.parse(str(v.get("class", "Car"))),
-                    direction=(
-                        DrivingDirection.UPPER
-                        if direction_text == "upper"
-                        else DrivingDirection.LOWER
-                    ),
-                    entry_lane=int(_require(v, "entry_lane", where)),
-                    entry_time=float(v.get("entry_time", 0.0)),
-                    exit_time=None if v.get("exit_time") is None else float(v["exit_time"]),
-                    entry_x=None if v.get("entry_x") is None else float(v["entry_x"]),
-                    initial_speed=float(v.get("initial_speed", 25.0)),
-                    length=float(v.get("length", 4.5)),
-                    width=float(v.get("width", 2.0)),
-                    speed_segments=segments,
-                    lane_changes=lane_changes,
-                    dropout_windows=tuple(
-                        (int(a), int(b)) for a, b in v.get("dropout_windows", [])
-                    ),
-                )
-            )
-        except ScriptError:
-            raise
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ScriptError(f"{where}: {exc}") from exc
-    try:
-        script = ScenarioScript(
-            seed=int(_require(data, "seed", "script")),
-            duration=float(_require(data, "duration", "script")),
-            frame_rate=float(data.get("frame_rate", 25.0)),
-            road_length=float(data.get("road_length", 420.0)),
-            recording_id=int(data.get("recording_id", 1)),
-            location_id=int(data.get("location_id", 1)),
-            upper_lane_boundaries=tuple(
-                float(b) for b in data.get("upper_lane_boundaries", DEFAULT_UPPER_BOUNDARIES)
-            ),
-            lower_lane_boundaries=tuple(
-                float(b) for b in data.get("lower_lane_boundaries", DEFAULT_LOWER_BOUNDARIES)
-            ),
-            upper_speed_limits=(
-                None
-                if data.get("upper_speed_limits") is None
-                else tuple(
-                    UNLIMITED_SPEED if float(v) == -1.0 else float(v)
-                    for v in data["upper_speed_limits"]
-                )
-            ),
-            lower_speed_limits=(
-                None
-                if data.get("lower_speed_limits") is None
-                else tuple(
-                    UNLIMITED_SPEED if float(v) == -1.0 else float(v)
-                    for v in data["lower_speed_limits"]
-                )
-            ),
-            vehicles=tuple(vehicles),
-            noise=noise,
-        )
-    except ScriptError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScriptError(f"script: {exc}") from exc
+    script = ScenarioScript(
+        seed=root.integer("seed"),
+        duration=root.number("duration"),
+        frame_rate=root.number("frame_rate", 25.0),
+        road_length=root.number("road_length", 420.0, positive=True),
+        recording_id=root.integer("recording_id", 1),
+        location_id=root.integer("location_id", 1),
+        upper_lane_boundaries=root.numbers("upper_lane_boundaries", DEFAULT_UPPER_BOUNDARIES),
+        lower_lane_boundaries=root.numbers("lower_lane_boundaries", DEFAULT_LOWER_BOUNDARIES),
+        upper_speed_limits=root.speed_limits("upper_speed_limits"),
+        lower_speed_limits=root.speed_limits("lower_speed_limits"),
+        vehicles=tuple(_vehicle_spec(v) for v in root.objects("vehicles")),
+        noise=noise_spec,
+    )
     try:
         script.meta()  # lane layout and speed limits must form a valid site
     except ValueError as exc:

@@ -15,6 +15,8 @@ from hwtracks import (
     compute_mean_speed,
 )
 from hwtracks.core import KINEMATIC_COLUMNS
+from hwtracks.lane_change import CutInSide
+from hwtracks.surround import NO_VEHICLE, UNDEFINED, left_lane_id
 
 UPPER = (0.0, 3.7, 7.4)
 LOWER = (12.0, 15.7, 19.4)
@@ -74,6 +76,74 @@ def row_at(track, frame):
     """The track's row at ``frame`` as a record, None where it is not alive."""
     i = frame - track.initial_frame
     return track.states[i] if 0 <= i < track.num_frames else None
+
+
+def cut_in_oracle(episode, tracks, meta):
+    """Frame-scan recomputation of every CutInScenario field from states."""
+    by_id = {t.track_id: t for t in tracks}
+    changer = by_id[episode.track_id]
+
+    def nearest(ego, frame, ahead):
+        es = row_at(ego, frame)
+        best = None
+        for other in tracks:
+            if other.track_id == ego.track_id or other.direction is not ego.direction:
+                continue
+            os = row_at(other, frame)
+            if os is None or os.lane_id != es.lane_id:
+                continue
+            delta = (os.x - es.x) * ego.direction.travel_sign
+            if delta == 0 or (delta > 0) != ahead:
+                continue
+            key = (abs(os.x - es.x), other.track_id)
+            if best is None or key < best:
+                best = key
+        return best[1] if best else NO_VEHICLE
+
+    f = episode.crossing_frame
+    tailing_id = nearest(changer, f, ahead=False)
+    if tailing_id == NO_VEHICLE:
+        return None
+    tail = by_id[tailing_id]
+    ts, cs = row_at(tail, f), row_at(changer, f)
+    gap = max(abs(cs.x - ts.x) - (changer.length + tail.length) / 2, 0.0)
+    v_tail = abs(ts.vx)
+    entry_thw = gap / v_tail if v_tail > 0.1 else UNDEFINED
+
+    min_dhw = min_thw = min_ttc = UNDEFINED
+    for frame in range(episode.start_frame, episode.end_frame + 1):
+        if row_at(tail, frame) is None or row_at(changer, frame) is None:
+            continue
+        if nearest(tail, frame, ahead=True) != changer.track_id:
+            continue
+        ts2, cs2 = row_at(tail, frame), row_at(changer, frame)
+        dhw = max(abs(cs2.x - ts2.x) - (changer.length + tail.length) / 2, 0.0)
+        vt, vc = abs(ts2.vx), abs(cs2.vx)
+        thw = dhw / vt if vt > 0.1 else UNDEFINED
+        ttc = dhw / (vt - vc) if (vt - vc) > 0.1 else UNDEFINED
+        if min_dhw == UNDEFINED or dhw < min_dhw:
+            min_dhw = dhw
+        if thw != UNDEFINED and (min_thw == UNDEFINED or thw < min_thw):
+            min_thw = thw
+        if ttc != UNDEFINED and (min_ttc == UNDEFINED or ttc < min_ttc):
+            min_ttc = ttc
+
+    preceding_id = nearest(changer, f, ahead=True)
+    gap_size = UNDEFINED
+    if preceding_id != NO_VEHICLE:
+        lead = by_id[preceding_id]
+        ls = row_at(lead, f)
+        gap_size = max(abs(ls.x - ts.x) - (lead.length + tail.length) / 2, 0.0)
+    side = (
+        CutInSide.FROM_LEFT
+        if episode.from_lane == left_lane_id(episode.to_lane, tail.direction)
+        else CutInSide.FROM_RIGHT
+    )
+    return dict(
+        tailing_id=tailing_id, preceding_id=preceding_id, crossing_frame=f,
+        entry_thw=entry_thw, tail_speed_at_entry=v_tail, min_dhw=min_dhw,
+        min_thw=min_thw, min_ttc=min_ttc, gap_size=gap_size, side=side,
+    )
 
 
 def surround_rows(surround, track_ids):

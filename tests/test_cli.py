@@ -737,3 +737,45 @@ class TestInvalidLaneLayout:
         err = json.loads(capsys.readouterr().err)
         assert err["errors"][0]["kind"] == "ScriptError"
         assert "increasing" in err["errors"][0]["message"]
+
+
+def vehicle(**keys):
+    return {"direction": "lower", "entry_lane": 1, "entry_x": 100.0, **keys}
+
+
+class TestScriptValueErrors:
+    """Bad script values exit 1 with one ScriptError that names the key."""
+
+    @pytest.mark.parametrize("script, message", [
+        ({"noise": 3}, "noise must be an object"),
+        ({"noise": []}, "noise must be an object"),
+        ({"vehicles": [vehicle(length=0)]},
+         "vehicles[0].length must be a finite positive number, got 0"),
+        ({"vehicles": [vehicle(length=float("nan"))]},
+         "vehicles[0].length must be a finite positive number, got nan"),
+        ({"vehicles": [vehicle(initial_speed=float("nan"))]},
+         "vehicles[0].initial_speed must be a finite number, got nan"),
+        ({"vehicles": [vehicle(entry_x=float("inf"))]},
+         "vehicles[0].entry_x must be a finite number, got inf"),
+        ({"vehicles": [vehicle(speed_segments=[{"duration": float("nan"),
+                                                "acceleration": 0.0}])]},
+         "vehicles[0].speed_segments[0].duration must be a finite number, got nan"),
+        ({"road_length": -1}, "road_length must be a finite positive number, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"noise": {"dropout_burst_length": 2.7}},
+         "noise.dropout_burst_length must be an integer, got 2.7"),
+        ({"vehicles": [vehicle(entry_lane=1.0)]},
+         "vehicles[0].entry_lane must be an integer, got 1.0"),
+        ({"vehicles": [vehicle(dropout_windows=[[50, 10]])]},
+         "vehicles[0].dropout_windows[0] must be a [first, last] pair of integer "
+         "frames with first <= last, got [50, 10]"),
+    ], ids=["noise-int", "noise-list", "length-zero", "length-nan", "speed-nan",
+            "entry-x-inf", "segment-duration-nan", "road-length-negative", "seed-float",
+            "seed-bool", "burst-float", "entry-lane-float", "window-reversed"])
+    def test_exit_1_with_script_error(self, tmp_path, capsys, script, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"seed": 1, "duration": 10.0, **script}))
+        assert main(["synth", "--script", str(path), "--output", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "errors": [{"kind": "ScriptError", "message": message}]}

@@ -24,8 +24,9 @@ from hwtracks import (
     load_script,
     smooth_track,
 )
+from hwtracks.lane_change import CutInScenario
 from hwtracks.synth import script_from_dict
-from conftest import row_at
+from conftest import cut_in_oracle, row_at
 
 
 def car(**kwargs):
@@ -37,6 +38,37 @@ def car(**kwargs):
     )
     defaults.update(kwargs)
     return VehicleSpec(**defaults)
+
+
+def dense_lane_change_script():
+    """Two carriageways of three lanes, 93 s. On each, a 28 m/s platoon of
+    short-lived vehicles in lane 3 and, half a headway behind each member, a
+    lane-2 vehicle that changes into the gap ahead of the next member. The
+    lane changers drive 1.5 m/s slower, as fast or faster than the platoon,
+    so the gap to the tailing vehicle closes, holds or opens."""
+    vehicles = []
+    headway, lifetime, speed = 2.4, 8.0, 28.0
+    for direction, entry_x in (("lower", 0.0), ("upper", 420.0)):
+        t, k = 0.0, 0
+        while t + headway / 2 + lifetime < 93.0:
+            entry = round(t + headway / 2, 2)
+            for lane, start, v, lane_changes in (
+                (3, round(t, 2), speed, []),
+                (2, entry, speed + 1.5 * (k % 3 - 1),
+                 [{"start_time": round(entry + 2.0, 2), "duration": 3.5, "to_lane": 3}]),
+            ):
+                vehicles.append({
+                    "direction": direction, "entry_lane": lane, "entry_time": start,
+                    "exit_time": round(start + lifetime, 2), "entry_x": entry_x,
+                    "initial_speed": v, "lane_changes": lane_changes,
+                })
+            t, k = t + headway, k + 1
+    return {
+        "seed": 1, "duration": 93.0, "road_length": 420.0,
+        "upper_lane_boundaries": [0.0, 3.7, 7.4, 11.1],
+        "lower_lane_boundaries": [16.0, 19.7, 23.4, 27.1],
+        "vehicles": vehicles,
+    }
 
 
 class TestGenerateTruth:
@@ -162,6 +194,19 @@ class TestGenerateTruth:
         # lower carriageway, from lane 1 to 2: the changer comes from the
         # tailing driver's right
         assert cut.side.value == "fromRight"
+
+    def test_cut_ins_match_frame_scan_oracle(self):
+        # The truth cut-ins come from the pipeline's extract_cut_ins; the
+        # oracle rescans every frame of every episode without the surround.
+        truth = generate_truth(script_from_dict(dense_lane_change_script()))
+        want = [
+            CutInScenario(track_id=episode.track_id, **fields)
+            for episode in truth.episodes
+            for fields in [cut_in_oracle(episode, truth.tracks, truth.meta)]
+            if fields is not None
+        ]
+        assert len(truth.episodes) == 70 and len(want) == 68
+        assert list(truth.cut_ins) == want
 
     def test_mean_speed_matches_definition(self):
         script = ScenarioScript(
