@@ -13,13 +13,13 @@ writer that every output file goes through live here as well.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
 from collections import abc
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
 
@@ -354,12 +354,32 @@ def csv_cells(record: Mapping[str, Any]) -> List:
     return cells
 
 
-def write_table(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """CSV table in UTF-8 with "\\n" line ends: the header, then ``rows`` as given."""
+#: Per column kind of ``write_table``: its row-template field and its cells.
+_KINDS = {
+    "d": ("%d", lambda column: np.asarray(column, np.int64).tolist()),
+    "g": ("%.6g", lambda column: (np.asarray(column, np.float64) + 0.0).tolist()),  # 0, not -0
+    "s": ("%s", list),
+}
+#: Rows that ``write_table`` formats with one ``%``; bounds the cells held at once.
+_BLOCK_ROWS = 4096
+
+
+def write_table(
+    path: Path, columns: Sequence[str], kinds: str, blocks: Iterable[Sequence[Sequence]]
+) -> None:
+    """CSV table in UTF-8 with "\\n" line ends: the header, then the rows of
+    each block, a block being one equally long sequence per column.
+    ``kinds`` has one letter per column: ``d`` an integer, ``g`` a float in
+    the canonical form, ``s`` text that needs no CSV quoting. Rows are
+    formatted with one ``%`` over a row template per ``_BLOCK_ROWS`` rows."""
+    template = ",".join(_KINDS[kind][0] for kind in kinds) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        fh.write(",".join(columns) + "\n")
+        for block in blocks:
+            for start in range(0, len(block[0]) if block else 0, _BLOCK_ROWS):
+                cells = [_KINDS[kind][1](column[start:start + _BLOCK_ROWS])
+                         for column, kind in zip(block, kinds)]
+                fh.write(template * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
 def dump_json(payload: Any, fh: TextIO) -> None:

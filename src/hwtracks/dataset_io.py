@@ -15,10 +15,16 @@ write -> read -> write is byte identical. List-valued recordingMeta cells
 id 0 = none; dhw/thw/ttc -1 = undefined; speed limit -1 = unlimited.
 
 Reading is one columnar scan, shared by ``read_recording`` (which raises the
-first issue) and ``validate`` (which lists them all). Each table, and the
-tracker's detections table, is read once by ``_read_table`` and parsed into
-one int64, float64 or class column per field; a column that fails to parse
-is gone through cell by cell, so each bad cell is named by row and column.
+first issue) and ``validate`` (which lists them all). ``_parse_table`` checks
+a table's header in Python and reads the body of tracksMeta, tracks and the
+tracker's detections with one C-parsed ``np.loadtxt``: one int64, float64 or
+class column per field. That fast path stands only where it reads what the
+per-cell parsers would: every line one row (no blank line, no lone CR), no
+NUL, no class longer than its text field, and no cell a parser would flag
+(a non-finite float, an unknown class or direction). Otherwise, and for the
+one-row recordingMeta with its ';' lists, ``csv`` reads the table again and
+every cell is parsed on its own, so the accepted cells and the issues are
+always those of the per-cell parsers, each bad cell named by row and column.
 Checks are row masks. Issues come by file (recordingMeta, tracksMeta,
 tracks); within the tracks table, each stage below runs only if the ones
 before it found nothing:
@@ -40,7 +46,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -203,14 +208,14 @@ def write_recording_meta(meta: RecordingMeta, path: Path) -> None:
     limits = [_format_limit(v) for v in meta.upper_speed_limits] + [
         _format_limit(v) for v in meta.lower_speed_limits
     ]
-    write_table(path, RECORDING_META_COLUMNS, [[
-        meta.recording_id,
-        meta.location_id,
-        format_float(meta.frame_rate),
-        format_float(meta.duration),
-        _format_list(meta.upper_lane_boundaries),
-        _format_list(meta.lower_lane_boundaries),
-        _format_list(limits),
+    write_table(path, RECORDING_META_COLUMNS, "ddggsss", [[
+        [meta.recording_id],
+        [meta.location_id],
+        [meta.frame_rate],
+        [meta.duration],
+        [_format_list(meta.upper_lane_boundaries)],
+        [_format_list(meta.lower_lane_boundaries)],
+        [_format_list(limits)],
     ]])
 
 
@@ -238,40 +243,36 @@ def write_recording(
 
     # Lane ids are derived from the quantized y of each written row; the
     # tracksMeta lane-change count must count transitions of those same ids.
-    written_y = [format_floats(t.y) for t in ordered]
     written_lanes = [
-        nearest_lane_id(np.fromiter(map(float, y), np.float64, len(y)), meta, t.direction)
-        for t, y in zip(ordered, written_y)
+        nearest_lane_id(np.array(format_floats(t.y), np.float64), meta, t.direction)
+        for t in ordered
     ]
-    write_table(paths.tracks_meta_path, TRACKS_META_COLUMNS, (
-        [
+    write_table(paths.tracks_meta_path, TRACKS_META_COLUMNS, "dggsdgdddd", [list(zip(*(
+        (
             track.track_id,
-            format_float(track.length),
-            format_float(track.width),
+            track.length,
+            track.width,
             track.vehicle_class.value,
             track.direction.value,
-            format_float(track.mean_speed),
+            track.mean_speed,
             track.num_frames,
             track.initial_frame,
             track.final_frame,
             lane_change_count(lanes),
-        ]
+        )
         for track, lanes in zip(ordered, written_lanes)
-    ))
+    )))])
 
-    def rows(track: Track, y: List[str], lanes: np.ndarray):
-        *ids, dhw, thw, ttc = surround[track.track_id]
-        return zip(
-            range(track.initial_frame, track.final_frame + 1), repeat(track.track_id),
-            format_floats(track.x), y, format_floats(track.vx), format_floats(track.vy),
-            format_floats(track.ax), format_floats(track.ay), lanes.tolist(),
-            *(column.tolist() for column in ids),
-            format_floats(dhw), format_floats(thw), format_floats(ttc),
+    def block(track: Track, lanes: np.ndarray) -> Tuple:
+        return (
+            range(track.initial_frame, track.final_frame + 1),
+            [track.track_id] * track.num_frames,
+            *(getattr(track, c) for c in KINEMATIC_COLUMNS), lanes,
+            *surround[track.track_id],
         )
 
-    write_table(paths.tracks_path, TRACKS_COLUMNS, chain.from_iterable(
-        map(rows, ordered, written_y, written_lanes)
-    ))
+    write_table(paths.tracks_path, TRACKS_COLUMNS, "dd" + "g" * 6 + "d" * 9 + "ggg",
+                map(block, ordered, written_lanes))
     return paths
 
 
@@ -310,52 +311,7 @@ class _Scanner:
         self.issues.append(item)
 
 
-def _read_table(
-    scanner: _Scanner, path: Path, columns: Sequence[str]
-) -> Optional[List[Tuple[str, ...]]]:
-    """The cells of a CSV table column by column, after header and cell-count
-    checks; None when unusable."""
-    if not Path(path).is_file():
-        scanner.issue(MISSING_FILE, path, "file does not exist")
-        return None
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            scanner.issue(MISSING_COLUMN, path, "empty file, header row required")
-            return None
-        rows = list(reader)
-    if header != list(columns):
-        missing = [c for c in columns if c not in header]
-        extra = [c for c in header if c not in columns]
-        if missing:
-            scanner.issue(
-                MISSING_COLUMN, path, f"missing column(s) {missing}", row=0,
-                column=missing[0],
-            )
-        elif extra:
-            scanner.issue(
-                MISSING_COLUMN, path, f"unexpected column(s) {extra}", row=0,
-                column=extra[0],
-            )
-        else:
-            scanner.issue(MISSING_COLUMN, path, f"column order must be {list(columns)}", row=0)
-        return None
-    for i, r in enumerate(rows, start=1):
-        if len(r) != len(columns):
-            scanner.issue(
-                TYPE_MISMATCH, path, f"expected {len(columns)} cells, got {len(r)}", row=i
-            )
-            return None
-    return list(zip(*rows)) if rows else [()] * len(columns)
-
-
 def _ints(texts: Sequence[str]) -> Tuple[np.ndarray, Dict[int, str]]:
-    try:
-        return np.fromiter(map(int, texts), np.int64, len(texts)), {}
-    except (ValueError, OverflowError):
-        pass
     values = np.zeros(len(texts), np.int64)
     bad: Dict[int, str] = {}
     for i, text in enumerate(texts):
@@ -372,16 +328,13 @@ def _ints(texts: Sequence[str]) -> Tuple[np.ndarray, Dict[int, str]]:
 
 
 def _floats(texts: Sequence[str]) -> Tuple[np.ndarray, Dict[int, str]]:
+    values = np.zeros(len(texts))
     bad: Dict[int, str] = {}
-    try:
-        values = np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
-        values = np.zeros(len(texts))
-        for i, text in enumerate(texts):
-            try:
-                values[i] = float(text)
-            except ValueError:
-                bad[i] = f"expected number, got {text!r}"
+    for i, text in enumerate(texts):
+        try:
+            values[i] = float(text)
+        except ValueError:
+            bad[i] = f"expected number, got {text!r}"
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         bad[i] = f"expected finite number, got {texts[i]!r}"
     return values, bad
@@ -429,21 +382,103 @@ def _classes(texts: Sequence[str], optional: bool = False) -> Tuple[List, Dict[i
     return values, bad
 
 
+#: Characters of the ``np.loadtxt`` text field of a class column.
+_CLASS_CHARS = 8
+#: The ``np.loadtxt`` field of each column parser that has one.
+_FIELD_OF_PARSER: Dict[Parser, Any] = {
+    _ints: np.int64, _directions: np.int64, _floats: np.float64,
+    _classes: f"U{_CLASS_CHARS}",
+}
+
+
+def _loaded_values(parse: Parser, column: np.ndarray) -> Optional[Any]:
+    """A column read by ``np.loadtxt`` as ``parse`` gives it; None where
+    ``parse`` would flag a cell or the text field may have cut a class."""
+    kind = getattr(parse, "func", parse)
+    if kind is _classes:
+        texts, rows = np.unique(column, return_inverse=True)
+        classes, bad = parse(texts.tolist())
+        if bad or (np.char.str_len(texts) >= _CLASS_CHARS).any():
+            return None
+        return [classes[i] for i in rows.tolist()]
+    if kind is _floats and not np.isfinite(column).all():
+        return None
+    if kind is _directions and not ((column == 1) | (column == 2)).all():
+        return None
+    return column
+
+
+def _load_table(
+    path: Path, columns: Sequence[str], parsers: Mapping[str, Parser]
+) -> Optional[Dict[str, Any]]:
+    """The typed columns of a table from one C-parsed ``np.loadtxt``; None
+    unless it reads every line as one row and no cell would be flagged, in
+    which case the per-cell parsers give the same values."""
+    fields = {c: _FIELD_OF_PARSER.get(getattr(p, "func", p)) for c, p in parsers.items()}
+    data = Path(path).read_bytes()
+    # loadtxt skips blank lines, reads a lone CR as a line end and drops the
+    # NULs that end a text field; csv does none of these.
+    rows = data.count(b"\n") + (not data.endswith(b"\n")) - 1
+    if (None in fields.values() or rows < 1 or b"\0" in data
+            or data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    del data
+    try:
+        table = np.loadtxt(
+            path, dtype=[(c, fields[c]) for c in columns], delimiter=",",
+            comments=None, quotechar='"', encoding="utf-8", skiprows=1, ndmin=1,
+        )
+    except ValueError:
+        return None
+    if len(table) != rows:
+        return None
+    values = {c: _loaded_values(parse, table[c]) for c, parse in parsers.items()}
+    return None if any(v is None for v in values.values()) else values
+
+
 def _parse_table(
     scanner: _Scanner, path: Path, columns: Sequence[str], parsers: Mapping[str, Parser]
 ) -> Optional[Tuple[Dict[str, Any], List[Check]]]:
     """The typed columns of a table and one type check per column, in the
     order of ``parsers``; None when the file is unusable. Nothing is issued
-    for the type checks: the caller reports them, with its own checks."""
-    texts = _read_table(scanner, path, columns)
-    if texts is None:
+    for the type checks: the caller reports them, with its own checks. The
+    body comes from ``_load_table`` where it can, else from each cell's parse."""
+    if not Path(path).is_file():
+        scanner.issue(MISSING_FILE, path, "file does not exist")
         return None
-    cells = dict(zip(columns, texts))
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            scanner.issue(MISSING_COLUMN, path, "empty file, header row required")
+            return None
+        if header != list(columns):
+            missing = [c for c in columns if c not in header]
+            extra = [c for c in header if c not in columns]
+            if missing or extra:
+                word, names = ("missing", missing) if missing else ("unexpected", extra)
+                scanner.issue(MISSING_COLUMN, path, f"{word} column(s) {names}", row=0,
+                              column=names[0])
+            else:
+                scanner.issue(MISSING_COLUMN, path, f"column order must be {list(columns)}",
+                              row=0)
+            return None
+        loaded = _load_table(path, columns, parsers)
+        if loaded is not None:
+            parsed = {c: (values, {}) for c, values in loaded.items()}
+        else:
+            rows = list(reader)
+            for i, r in enumerate(rows, start=1):
+                if len(r) != len(columns):
+                    scanner.issue(TYPE_MISMATCH, path,
+                                  f"expected {len(columns)} cells, got {len(r)}", row=i)
+                    return None
+            cells = dict(zip(columns, zip(*rows) if rows else [()] * len(columns)))
+            parsed = {c: parse(cells[c]) for c, parse in parsers.items()}
     values: Dict[str, Any] = {}
     checks: List[Check] = []
-    for column, parse in parsers.items():
-        values[column], bad = parse(cells[column])
-        flagged = np.zeros(len(cells[column]), bool)
+    for column, (values[column], bad) in parsed.items():
+        flagged = np.zeros(len(values[column]), bool)
         flagged[list(bad)] = True
         checks.append((flagged, TYPE_MISMATCH, column, bad.__getitem__))
     return values, checks

@@ -35,7 +35,6 @@ from .core import (
     bumper_gap,
     canonical_float,
     csv_cells,
-    format_float,
     write_json,
     write_table,
 )
@@ -592,25 +591,25 @@ def write_fits_csv(
     recording_id: int,
     path: Path,
 ) -> None:
-    write_table(path, FIT_COLUMNS, (
-        [
+    write_table(path, FIT_COLUMNS, "dddggggggsggdd", [list(zip(*(
+        (
             recording_id,
             episode.track_id,
             episode.crossing_frame,
-            format_float(fit.t0),
-            format_float(fit.params.duration),
-            format_float(fit.params.d_start),
-            format_float(fit.params.d_end),
-            format_float(fit.params.v_start),
-            format_float(fit.params.v_end),
+            fit.t0,
+            fit.params.duration,
+            fit.params.d_start,
+            fit.params.d_end,
+            fit.params.v_start,
+            fit.params.v_end,
             fit.params.side.value,
-            format_float(fit.lateral_rmse),
-            format_float(fit.longitudinal_rmse),
-            1 if fit.converged else 0,
+            fit.lateral_rmse,
+            fit.longitudinal_rmse,
+            fit.converged,
             fit.iterations,
-        ]
+        )
         for episode, fit in fits
-    ))
+    )))])
 
 
 def _cut_in_records(
@@ -640,8 +639,8 @@ def _cut_in_records(
 def write_cut_ins_csv(
     scenarios: Sequence[CutInScenario], recording_id: int, path: Path
 ) -> None:
-    write_table(path, CUT_IN_COLUMNS,
-                map(csv_cells, _cut_in_records(scenarios, recording_id)))
+    write_table(path, CUT_IN_COLUMNS, "s" * len(CUT_IN_COLUMNS),
+                [list(zip(*map(csv_cells, _cut_in_records(scenarios, recording_id))))])
 
 
 def write_cut_ins_json(

@@ -272,8 +272,8 @@ def _episode_records(
 def write_episodes_csv(
     episodes: Sequence[ManeuverEpisode], recording_id: int, path: Path
 ) -> None:
-    write_table(path, EPISODE_COLUMNS,
-                map(csv_cells, _episode_records(episodes, recording_id)))
+    write_table(path, EPISODE_COLUMNS, "s" * len(EPISODE_COLUMNS),
+                [list(zip(*map(csv_cells, _episode_records(episodes, recording_id))))])
 
 
 def write_episodes_json(

@@ -226,29 +226,25 @@ def cut_in_thw_stats(
 
 def write_histogram_csv(histogram: Histogram, path: Path) -> None:
     edges = histogram.bin_edges
-    write_table(path, ["binStart", "binEnd", "count"], (
-        [format_float(edges[i]), format_float(edges[i + 1]), count]
-        for i, count in enumerate(histogram.counts)
-    ))
+    write_table(path, ["binStart", "binEnd", "count"], "ggd",
+                [(edges[:-1], edges[1:], histogram.counts)])
 
 
 def write_truck_ratio_csv(series: TruckRatioSeries, path: Path) -> None:
-    write_table(path, ["windowStart", "entries", "truckRatio"], (
-        [format_float(start), entries, "" if math.isnan(ratio) else format_float(ratio)]
-        for start, entries, ratio in zip(series.window_starts, series.entries,
-                                         series.ratios)
-    ))
+    write_table(path, ["windowStart", "entries", "truckRatio"], "gds", [(
+        series.window_starts, series.entries,
+        ["" if math.isnan(ratio) else format_float(ratio) for ratio in series.ratios],
+    )])
 
 
 def write_decile_band_csv(band: DecileBand, path: Path) -> None:
     columns = ["binCenter", "count", "sparse"] + [f"d{k + 1}" for k in range(10)]
-    write_table(path, columns, (
-        [format_float(center), count, 1 if is_sparse else 0]
-        + [format_float(d) for d in deciles]
+    write_table(path, columns, "gdd" + "g" * 10, [list(zip(*(
+        (center, count, is_sparse, *deciles)
         for center, count, is_sparse, deciles in zip(
             band.x_bin_centers, band.counts, band.sparse, band.deciles
         )
-    ))
+    )))])
 
 
 def write_summary_json(

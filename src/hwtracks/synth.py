@@ -176,6 +176,14 @@ def _lane_center(boundaries: Sequence[float], lane: int) -> float:
     return (boundaries[lane - 1] + boundaries[lane]) / 2.0
 
 
+def _frames(seconds: float, fps: float, key: str) -> int:
+    """``seconds`` as a whole number of frames; a ScriptError naming ``key``
+    beyond 2**53 frames, where frame arithmetic in floats stops being exact."""
+    if not abs(seconds * fps) <= 2.0**53:
+        raise ScriptError(f"{key} must be at most 2**53 frames, got {seconds!r} s at {fps!r} fps")
+    return int(round(seconds * fps))
+
+
 class _VehicleTimeline:
     """Exact kinematics of one scripted vehicle as per-frame columns."""
 
@@ -184,7 +192,7 @@ class _VehicleTimeline:
         fps = script.frame_rate
         dt = 1.0 / fps
         self.dt = dt
-        total_frames = int(round(script.duration * fps))
+        total_frames = _frames(script.duration, fps, "duration")
         name = f"vehicles[{index}]"
 
         boundaries = (
@@ -195,9 +203,9 @@ class _VehicleTimeline:
         if not 1 <= spec.entry_lane <= len(boundaries) - 1:
             raise ScriptError(f"{name}: entry_lane {spec.entry_lane} does not exist")
 
-        first = int(round(spec.entry_time * fps))
+        first = _frames(spec.entry_time, fps, f"{name}.entry_time")
         exit_time = script.duration if spec.exit_time is None else spec.exit_time
-        last = min(int(round(exit_time * fps)) - 1, total_frames - 1)
+        last = min(_frames(exit_time, fps, f"{name}.exit_time"), total_frames) - 1
         if first < 0 or last < first:
             raise ScriptError(
                 f"{name}: empty lifetime (entry {spec.entry_time}s, exit {exit_time}s)"
@@ -211,7 +219,7 @@ class _VehicleTimeline:
         accel = np.zeros(n)
         cursor = 0
         for k, seg in enumerate(spec.speed_segments):
-            seg_frames = int(round(seg.duration * fps))
+            seg_frames = _frames(seg.duration, fps, f"{name}.speed_segments[{k}].duration")
             if seg_frames < 0:
                 raise ScriptError(f"{name}.speed_segments[{k}]: negative duration")
             accel[cursor : min(cursor + seg_frames, n)] = seg.acceleration
@@ -271,6 +279,7 @@ class _VehicleTimeline:
             lc_name = f"{name}.lane_changes[{k}]"
             if lc.duration <= 0:
                 raise ScriptError(f"{lc_name}: duration must be positive")
+            _frames(lc.duration, 1.0 / self.dt, f"{lc_name}.duration")
             if lc.start_time < previous_end:
                 raise ScriptError(f"{lc_name}: overlaps the previous lane change")
             if not first_t - 1e-9 <= lc.start_time <= last_t:

@@ -26,7 +26,6 @@ from .core import (
     DetectionTable,
     VehicleClass,
     format_float,
-    format_floats,
     write_table,
 )
 from .dataset_io import (
@@ -263,11 +262,11 @@ def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrac
 
 
 def write_detections(detections: DetectionTable, path: Path) -> None:
-    write_table(path, DETECTIONS_COLUMNS, zip(
-        detections.frame.tolist(),
-        *(format_floats(getattr(detections, c)) for c in DETECTION_COLUMNS),
-        ("" if hint is None else hint.value for hint in detections.class_hint),
-    ))
+    write_table(path, DETECTIONS_COLUMNS, "dggggs", [(
+        detections.frame,
+        *(getattr(detections, c) for c in DETECTION_COLUMNS),
+        ["" if hint is None else hint.value for hint in detections.class_hint],
+    )])
 
 
 _DETECTIONS_PARSERS = {

@@ -1,6 +1,8 @@
 """Shared builders for tests."""
 
 import math
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +19,10 @@ from hwtracks import (
 from hwtracks.core import KINEMATIC_COLUMNS
 from hwtracks.lane_change import CutInSide
 from hwtracks.surround import NO_VEHICLE, UNDEFINED, left_lane_id
+
+# The benchmark scenes and the tools import from the repository root.
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
 
 UPPER = (0.0, 3.7, 7.4)
 LOWER = (12.0, 15.7, 19.4)
@@ -186,3 +192,29 @@ def straight_track(
 @pytest.fixture
 def meta():
     return make_meta()
+
+
+# Edits of a CSV table's text, for the cases the C parser must leave to the
+# per-cell one.
+
+def set_cell(row, column, text):
+    """An edit setting the cell of ``column`` in line ``row`` to ``text``."""
+    def edit(table):
+        lines = table.split("\n")
+        cells = lines[row].split(",")
+        cells[lines[0].split(",").index(column)] = text
+        lines[row] = ",".join(cells)
+        return "\n".join(lines)
+    return edit
+
+
+def insert_line(k, line=""):
+    """An edit inserting ``line`` before line ``k``."""
+    def edit(table):
+        lines = table.split("\n")
+        return "\n".join(lines[:k] + [line] + lines[k:])
+    return edit
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+FULLWIDTH_DIGITS = str.maketrans("0123456789", "０１２３４５６７８９")

@@ -4,7 +4,9 @@ Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or in
 the captured output) and enforces the stated tolerances and runtime limits.
 """
 
+import dataclasses
 import functools
+import json
 import math
 import random
 import time
@@ -41,6 +43,7 @@ from hwtracks import (
 )
 from hwtracks.cli import main
 from hwtracks.lane_change import SHAPE_COEFFICIENTS
+from hwtracks.synth import script_from_dict
 from hwtracks.surround import UNDEFINED
 
 from conftest import make_meta, row_at
@@ -337,6 +340,15 @@ def _corpus_script(n_vehicles=1000):
         upper_lane_boundaries=upper, lower_lane_boundaries=lower,
         vehicles=tuple(vehicles),
     )
+
+
+def test_corpus_225k_tool_writes_this_corpus_with_the_readme_noise():
+    from tools.corpus_225k import script
+
+    want = dataclasses.replace(_corpus_script(300), noise=NoiseSpec(
+        position_sigma=0.1, dropout_probability=0.01, dropout_burst_length=3,
+        false_positive_rate=0.2))
+    assert script_from_dict(json.loads(json.dumps(script()))) == want
 
 
 def _brute_force_lane_changes(track, cfg):

@@ -770,9 +770,24 @@ class TestScriptValueErrors:
         ({"vehicles": [vehicle(dropout_windows=[[50, 10]])]},
          "vehicles[0].dropout_windows[0] must be a [first, last] pair of integer "
          "frames with first <= last, got [50, 10]"),
+        ({"duration": 1e308, "vehicles": [vehicle()]},
+         "duration must be at most 2**53 frames, got 1e+308 s at 25.0 fps"),
+        ({"vehicles": [vehicle(entry_time=1e308)]},
+         "vehicles[0].entry_time must be at most 2**53 frames, got 1e+308 s at 25.0 fps"),
+        ({"vehicles": [vehicle(exit_time=-1e308)]},
+         "vehicles[0].exit_time must be at most 2**53 frames, got -1e+308 s at 25.0 fps"),
+        ({"vehicles": [vehicle(speed_segments=[{"duration": 1e308, "acceleration": 0.0}])]},
+         "vehicles[0].speed_segments[0].duration must be at most 2**53 frames, "
+         "got 1e+308 s at 25.0 fps"),
+        ({"vehicles": [vehicle(lane_changes=[{"start_time": 1, "duration": 1e308,
+                                              "to_lane": 2}])]},
+         "vehicles[0].lane_changes[0].duration must be at most 2**53 frames, "
+         "got 1e+308 s at 25.0 fps"),
     ], ids=["noise-int", "noise-list", "length-zero", "length-nan", "speed-nan",
             "entry-x-inf", "segment-duration-nan", "road-length-negative", "seed-float",
-            "seed-bool", "burst-float", "entry-lane-float", "window-reversed"])
+            "seed-bool", "burst-float", "entry-lane-float", "window-reversed",
+            "duration-huge", "entry-time-huge", "exit-time-huge", "segment-duration-huge",
+            "lane-change-duration-huge"])
     def test_exit_1_with_script_error(self, tmp_path, capsys, script, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"seed": 1, "duration": 10.0, **script}))

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -13,11 +15,12 @@ from hwtracks import (
     compute_mean_speed,
     lane_change_count,
     nearest_lane_id,
+    write_detections,
 )
-from hwtracks.core import format_float, format_floats
+from hwtracks.core import format_float, format_floats, write_table
 from hwtracks.surround import NO_VEHICLE, UNDEFINED
 from hwtracks.synth import _frame_rows
-from conftest import make_meta, row_at, straight_track
+from conftest import det, detection_table, make_meta, row_at, straight_track
 from test_surround import neighbors, vehicle_at
 
 
@@ -236,3 +239,48 @@ class TestCanonicalFormat:
         assert format_floats(values) == want
         assert [format_float(v) for v in values.tolist()] == want
         assert format_floats(np.empty(0)) == []
+
+
+def csv_writer_bytes(columns, rows):
+    """A table as ``csv.writer`` writes the canonical cells: the writer that
+    ``write_table`` replaced."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestWriteTable:
+    EDGE_FLOATS = [-0.0, 1e-07, 1234567.0, 1e21, -1.0, 0.0, 2.5, -2.5, 5e-324]
+
+    def test_edge_values_as_csv_writer_wrote_them(self, tmp_path):
+        n = len(self.EDGE_FLOATS)
+        ints = [2**63 - 1, -1, 0, 1, -(2**63)] + [7] * (n - 5)
+        texts = ["Car", "", "toLeft", "Truck"] + ["x"] * (n - 4)
+        path = tmp_path / "t.csv"
+        write_table(path, ["f", "i", "s"], "gds", [(np.array(self.EDGE_FLOATS), ints, texts)])
+        assert path.read_bytes() == csv_writer_bytes(
+            ["f", "i", "s"], zip(map(format_float, self.EDGE_FLOATS), ints, texts))
+        assert path.read_text().splitlines()[1:5] == [
+            "0,9223372036854775807,Car", "1e-07,-1,", "1.23457e+06,0,toLeft",
+            "1e+21,1,Truck"]
+
+    def test_rows_across_blocks_as_csv_writer_wrote_them(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.normal(0.0, 1.0, 9000) * 10.0 ** rng.integers(-9, 9, 9000)
+        ids = rng.integers(-5, 10**12, 9000)
+        path = tmp_path / "t.csv"
+        blocks = [(ids[:10], values[:10]), (ids[10:], values[10:]), ([], [])]
+        write_table(path, ["id", "v"], "dg", blocks)
+        assert path.read_bytes() == csv_writer_bytes(
+            ["id", "v"], zip(ids.tolist(), format_floats(values)))
+
+    def test_detections_with_an_empty_class_hint(self, tmp_path):
+        table = detection_table([det(0, -0.0, 1e-07, hint=VehicleClass.TRUCK),
+                                 det(3, 1234567.0, -1.0)])
+        path = tmp_path / "01_detections.csv"
+        write_detections(table, path)
+        assert path.read_bytes() == csv_writer_bytes(
+            ["frame", "cx", "cy", "length", "width", "class"],
+            [[0, "0", "1e-07", "4.5", "2", "Truck"], [3, "1.23457e+06", "-1", "4.5", "2", ""]])

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hwtracks import (
     VehicleClass,
     compute_mean_speed,
     compute_surround,
+    generate_truth,
     read_recording,
     validate,
     write_recording,
@@ -24,7 +26,17 @@ from hwtracks.dataset_io import (
     NON_MONOTONE_FRAMES,
     format_float,
 )
-from conftest import LOWER, UPPER, make_meta, track_from_states
+from hwtracks.synth import script_from_dict
+from conftest import (
+    ARABIC_INDIC_DIGITS,
+    FULLWIDTH_DIGITS,
+    LOWER,
+    UPPER,
+    insert_line,
+    make_meta,
+    set_cell,
+    track_from_states,
+)
 
 Q = lambda x: float(format_float(x))
 
@@ -138,6 +150,19 @@ class TestRoundTrip:
             (first.tracks_meta_path, second.tracks_meta_path),
             (first.tracks_path, second.tracks_path),
         ):
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_lanechange_dense_scene_round_trips_byte_for_byte(self, tmp_path):
+        from perfbench.scenes import lanechange_script
+
+        truth = generate_truth(script_from_dict(lanechange_script(1)))
+        surround = compute_surround(truth.tracks, truth.meta)
+        first = write_recording(truth.meta, truth.tracks, surround, tmp_path / "a")
+        recording = read_recording(first)
+        second = write_recording(
+            recording.meta, recording.tracks, recording.surround, tmp_path / "b"
+        )
+        for a, b in zip(astuple(first), astuple(second)):
             assert a.read_bytes() == b.read_bytes()
 
     def test_empty_track_list(self, tmp_path):
@@ -512,3 +537,56 @@ class TestCellRanges:
             ("InvariantViolation", "01_tracks.csv",
              "frame 1152920000000000001 outside [0, 1.15292e+18]", 1, "frame"),
         ]
+
+
+#: Tables that ``np.loadtxt`` reads otherwise than the per-cell parser, or
+#: not at all, as edits of the seed-7 recording: the table, the edit, and
+#: the report of the reader before the C-parsed path was added (none: the
+#: recording reads as written).
+LOADTXT_GUARD_CASES = {
+    "blank-line-middle": ("tracks_path", insert_line(3), [
+        ("TypeMismatch", "01_tracks.csv", "expected 20 cells, got 0", 3, None)]),
+    "blank-line-end": ("tracks_path", lambda table: table + "\n", [
+        ("TypeMismatch", "01_tracks.csv", "expected 20 cells, got 0", 170, None)]),
+    "nul-in-class": ("tracks_meta_path", set_cell(2, "class", "Truck\0"), [
+        ("TypeMismatch", "01_tracksMeta.csv",
+         "unknown vehicle class 'Truck\\x00' (expected 'Car' or 'Truck')", 2, "class")]),
+    "class-longer-than-field": ("tracks_meta_path", set_cell(2, "class", "Truck" * 3), [
+        ("TypeMismatch", "01_tracksMeta.csv",
+         "unknown vehicle class 'TruckTruckTruck' (expected 'Car' or 'Truck')", 2,
+         "class")]),
+    "underscore-digits": ("tracks_path", set_cell(3, "x", "1_147.57"), None),
+    "arabic-indic-digits": ("tracks_path",
+                            set_cell(1, "frame", "137".translate(ARABIC_INDIC_DIGITS)), None),
+    "fullwidth-digits": ("tracks_path",
+                         set_cell(1, "frame", "137".translate(FULLWIDTH_DIGITS)), None),
+    "int-beyond-int64": ("tracks_path", set_cell(3, "precedingId", str(2**63)), [
+        ("TypeMismatch", "01_tracks.csv",
+         "integer '9223372036854775808' does not fit in 64 bits", 3, "precedingId")]),
+    "inf": ("tracks_path", set_cell(3, "x", "inf"), [
+        ("TypeMismatch", "01_tracks.csv", "expected finite number, got 'inf'", 3, "x")]),
+    "nan": ("tracks_meta_path", set_cell(2, "length", "nan"), [
+        ("TypeMismatch", "01_tracksMeta.csv", "expected finite number, got 'nan'", 2,
+         "length")]),
+    "cr-line-ends": ("tracks_path", lambda table: table.replace("\n", "\r"), None),
+    "quoted-newline": ("tracks_path", set_cell(3, "x", '"1147.57\n"'), None),
+    "no-final-newline": ("tracks_path", lambda table: table[:-1], None),
+}
+
+
+class TestLoadtxtGuards:
+    @pytest.mark.parametrize("table, edit, want", LOADTXT_GUARD_CASES.values(),
+                             ids=list(LOADTXT_GUARD_CASES))
+    def test_report_is_the_per_cell_parsers(self, tmp_path, table, edit, want):
+        meta, tracks, surround = random_recording(seed=7, n_tracks=3)
+        paths = write_recording(meta, tracks, surround, tmp_path)
+        path = getattr(paths, table)
+        path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
+        issues = validate(paths).issues
+        assert _issue_tuples(issues, tmp_path) == (want or [])
+        if want:
+            with pytest.raises(DatasetError) as err:
+                read_recording(paths)
+            assert err.value.issue == issues[0]
+        else:
+            assert_recordings_equal(read_recording(paths), meta, tracks, surround)

@@ -14,7 +14,14 @@ from hwtracks import (
     write_detections,
 )
 from hwtracks.tracking import RawTrack
-from conftest import det, detection_table
+from conftest import (
+    ARABIC_INDIC_DIGITS,
+    FULLWIDTH_DIGITS,
+    det,
+    detection_table,
+    insert_line,
+    set_cell,
+)
 
 
 def seeded_track(track_id, positions):
@@ -368,3 +375,60 @@ class TestDetectionsCsv:
         path = tmp_path / "01_detections.csv"
         path.write_text("frame,cx,cy,length,width,class\n0,1,2,4,2,Car\n750,1,2,4,2,Car\n")
         assert read_detections(path, max_frame=750).frame.tolist() == [0, 750]
+
+
+DETECTIONS_CSV = ("frame,cx,cy,length,width,class\n"
+                  "0,1,2,4,2,Car\n1,1.5,2,4,2,\n1000,2.5,2,4,2,Truck\n")
+
+#: Detection tables that ``np.loadtxt`` reads otherwise than the per-cell
+#: parser, or not at all, as edits of ``DETECTIONS_CSV``: the edit and the
+#: issue of the reader before the C-parsed path was added (none: the table
+#: reads as ``DETECTIONS_CSV`` does).
+LOADTXT_GUARD_CASES = {
+    "blank-line-middle": (insert_line(2), ("TypeMismatch", "expected 6 cells, got 0", 2, None)),
+    "blank-line-end": (lambda table: table + "\n",
+                       ("TypeMismatch", "expected 6 cells, got 0", 4, None)),
+    "nul-in-class": (set_cell(1, "class", "Truck\0"), (
+        "TypeMismatch", "unknown vehicle class 'Truck\\x00' (expected 'Car' or 'Truck')",
+        1, "class")),
+    "class-longer-than-field": (set_cell(1, "class", "Truck" * 3), (
+        "TypeMismatch",
+        "unknown vehicle class 'TruckTruckTruck' (expected 'Car' or 'Truck')", 1, "class")),
+    "underscore-digits": (set_cell(3, "frame", "1_000"), None),
+    "arabic-indic-digits": (set_cell(3, "frame", "1000".translate(ARABIC_INDIC_DIGITS)),
+                            None),
+    "fullwidth-digits": (set_cell(3, "frame", "1000".translate(FULLWIDTH_DIGITS)), None),
+    "int-beyond-int64": (set_cell(3, "frame", str(2**63)), (
+        "TypeMismatch", "integer '9223372036854775808' does not fit in 64 bits", 3,
+        "frame")),
+    "inf": (set_cell(2, "cx", "inf"),
+            ("TypeMismatch", "expected finite number, got 'inf'", 2, "cx")),
+    "nan": (set_cell(2, "cy", "nan"),
+            ("TypeMismatch", "expected finite number, got 'nan'", 2, "cy")),
+    "cr-line-ends": (lambda table: table.replace("\n", "\r"), None),
+    "quoted-newline": (set_cell(2, "cx", '"1.5\n"'), None),
+    "no-final-newline": (lambda table: table[:-1], None),
+}
+
+
+def read_outcome(path):
+    """The issue read_detections raises, or the columns it reads."""
+    from hwtracks import DatasetError
+
+    try:
+        table = read_detections(path, max_frame=1000)
+    except DatasetError as err:
+        return err.issue.kind, err.issue.message, err.issue.row, err.issue.column
+    return ([getattr(table, c).tolist() for c in ("frame", "cx", "cy", "length", "width")]
+            + [table.class_hint])
+
+
+class TestLoadtxtGuards:
+    @pytest.mark.parametrize("edit, want", LOADTXT_GUARD_CASES.values(),
+                             ids=list(LOADTXT_GUARD_CASES))
+    def test_outcome_is_the_per_cell_parsers(self, tmp_path, edit, want):
+        path = tmp_path / "01_detections.csv"
+        path.write_bytes(DETECTIONS_CSV.encode("utf-8"))
+        unedited = read_outcome(path)
+        path.write_bytes(edit(DETECTIONS_CSV).encode("utf-8"))
+        assert read_outcome(path) == (want or unedited)

@@ -1,0 +1,111 @@
+"""The highD-sized corpus end to end: byte manifest, wall time and peak RSS.
+
+Usage: ``python3 tools/corpus_225k.py OUT``
+
+Writes ``OUT/script.json``: the 300-vehicle ``_corpus_script`` of
+``tests/test_acceptance.py`` with the README noise block (position sigma
+0.1 m, 1 % dropout in bursts of 3, 0.2 false positives per frame), which
+``synth`` turns into 224,887 detection rows. Then runs ``synth -> track ->
+extract -> stats -> validate`` on it, each as a child process at
+``--jobs 1``, and prints a table of each subcommand's wall time, its peak
+RSS (from ``os.wait4``) and that RSS over the size of its input files.
+``OUT/MANIFEST.sha256`` lists every file below ``OUT`` as
+``tools/output_digests.py`` does, so the manifests of two checkouts compare
+with ``diff``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "src"), str(ROOT / "tests")]
+
+from tools.output_digests import write_manifest  # noqa: E402
+
+VEHICLES = 300
+NOISE = {"position_sigma": 0.1, "dropout_probability": 0.01,
+         "dropout_burst_length": 3, "false_positive_rate": 0.2}
+#: Each subcommand, its arguments and the directory of its input files.
+STEPS = (
+    ("synth", ("--script", "script.json", "--output", "synth"), None),
+    ("track", ("--input", "synth/detections", "--output", "rec", "--jobs", "1"),
+     "synth/detections"),
+    ("extract", ("--input", "rec", "--output", "ext", "--jobs", "1"), "rec"),
+    ("stats", ("--input", "rec", "--output", "st", "--jobs", "1"), "rec"),
+    ("validate", ("--input", "rec"), "rec"),
+)
+
+
+def script() -> dict:
+    """The corpus as the JSON script ``hwtracks synth --script`` reads."""
+    from test_acceptance import _corpus_script
+
+    corpus = _corpus_script(VEHICLES)
+    vehicles = [{
+        "class": v.vehicle_class.value, "direction": v.direction.name.lower(),
+        "entry_lane": v.entry_lane, "entry_time": v.entry_time, "exit_time": v.exit_time,
+        "entry_x": v.entry_x, "initial_speed": v.initial_speed,
+        "length": v.length, "width": v.width,
+        "speed_segments": [dataclasses.asdict(s) for s in v.speed_segments],
+        "lane_changes": [dataclasses.asdict(lc) for lc in v.lane_changes],
+        "dropout_windows": [list(window) for window in v.dropout_windows],
+    } for v in corpus.vehicles]
+    return {
+        "seed": corpus.seed, "duration": corpus.duration, "frame_rate": corpus.frame_rate,
+        "road_length": corpus.road_length, "recording_id": corpus.recording_id,
+        "location_id": corpus.location_id,
+        "upper_lane_boundaries": list(corpus.upper_lane_boundaries),
+        "lower_lane_boundaries": list(corpus.lower_lane_boundaries),
+        "noise": NOISE, "vehicles": vehicles,
+    }
+
+
+def _run(out: Path, command: str, args) -> tuple:
+    """One CLI call in ``out``, its stdout kept as ``<command>.stdout``:
+    its wall time in seconds and its peak RSS in MB."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    with open(out / f"{command}.stdout", "w", encoding="utf-8") as stdout:
+        start = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "hwtracks", command, *args],
+                                 cwd=out, env=env, stdout=stdout)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        raise SystemExit(f"hwtracks {command} exited {child.returncode}")
+    return wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "script.json").write_text(json.dumps(script()), encoding="utf-8")
+    print("| subcommand | wall | peak RSS | RSS ÷ input |\n|---|---|---|---|")
+    for command, args, inputs in STEPS:
+        wall, rss = _run(out, command, args)
+        ratio = "—"
+        if inputs is not None:
+            size = sum(p.stat().st_size for p in (out / inputs).glob("*.csv"))
+            ratio = f"{rss * 2**20 / size:.1f}×"
+        print(f"| `{command}` | {wall:.2f} s | {rss:.0f} MB | {ratio} |", flush=True)
+    manifest = write_manifest(out)
+    print(f"{sum(1 for _ in manifest.open(encoding='utf-8'))} files in {manifest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
