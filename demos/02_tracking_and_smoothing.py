@@ -66,9 +66,8 @@ for raw, want in zip(raw_tracks, truth.tracks):
     rows = slice(track.initial_frame - want.initial_frame,
                  track.final_frame - want.initial_frame + 1)
     exp_x, exp_y = want.x[rows], want.y[rows]
-    raw_x, raw_y = np.array(raw.x), np.array(raw.y)
-    coasted = raw.measured.count(False)
-    raw_rmse = math.sqrt(np.mean((raw_x - exp_x) ** 2 + (raw_y - exp_y) ** 2))
+    coasted = len(raw.x) - raw.measured_count
+    raw_rmse = math.sqrt(np.mean((raw.x - exp_x) ** 2 + (raw.y - exp_y) ** 2))
     smooth_rmse = math.sqrt(np.mean((track.x - exp_x) ** 2 + (track.y - exp_y) ** 2))
     print(f"  {track.track_id:>4}  {track.num_frames:>7}  {coasted:>7}"
           f"  {raw_rmse:>8.3f} m  {smooth_rmse:>10.3f} m")

@@ -98,7 +98,6 @@ from .synth import (
     load_script,
 )
 from .tracking import (
-    Assignment,
     RawTrack,
     TrackerConfig,
     associate_frame,

@@ -310,13 +310,6 @@ class DetectionTable:
     def __len__(self) -> int:
         return len(self.class_hint)
 
-    def rows(self, start: int, stop: int) -> "DetectionTable":
-        """Rows ``start`` .. ``stop - 1`` as a table of views, not checked again."""
-        part = object.__new__(DetectionTable)
-        for name in ("frame", *DETECTION_COLUMNS, "class_hint"):
-            object.__setattr__(part, name, getattr(self, name)[start:stop])
-        return part
-
 
 # ---------------------------------------------------------------------------
 # Canonical file format

@@ -241,12 +241,24 @@ def write_recording(
 
     write_recording_meta(meta, paths.recording_meta_path)
 
-    # Lane ids are derived from the quantized y of each written row; the
-    # tracksMeta lane-change count must count transitions of those same ids.
-    written_lanes = [
-        nearest_lane_id(np.array(format_floats(t.y), np.float64), meta, t.direction)
-        for t in ordered
-    ]
+    # Lane ids come from the quantized y of each written row, formatted once
+    # per track; the tracksMeta lane-change count, written after the tracks
+    # table, counts transitions of those same ids.
+    lane_changes: List[int] = []
+
+    def block(track: Track) -> Tuple:
+        y = format_floats(track.y)
+        lanes = nearest_lane_id(np.array(y, np.float64), meta, track.direction)
+        lane_changes.append(lane_change_count(lanes))
+        return (
+            range(track.initial_frame, track.final_frame + 1),
+            [track.track_id] * track.num_frames,
+            track.x, y, track.vx, track.vy, track.ax, track.ay, lanes,
+            *surround[track.track_id],
+        )
+
+    write_table(paths.tracks_path, TRACKS_COLUMNS, "ddgs" + "g" * 4 + "d" * 9 + "ggg",
+                map(block, ordered))
     write_table(paths.tracks_meta_path, TRACKS_META_COLUMNS, "dggsdgdddd", [list(zip(*(
         (
             track.track_id,
@@ -258,21 +270,10 @@ def write_recording(
             track.num_frames,
             track.initial_frame,
             track.final_frame,
-            lane_change_count(lanes),
+            changes,
         )
-        for track, lanes in zip(ordered, written_lanes)
+        for track, changes in zip(ordered, lane_changes)
     )))])
-
-    def block(track: Track, lanes: np.ndarray) -> Tuple:
-        return (
-            range(track.initial_frame, track.final_frame + 1),
-            [track.track_id] * track.num_frames,
-            *(getattr(track, c) for c in KINEMATIC_COLUMNS), lanes,
-            *surround[track.track_id],
-        )
-
-    write_table(paths.tracks_path, TRACKS_COLUMNS, "dd" + "g" * 6 + "d" * 9 + "ggg",
-                map(block, ordered, written_lanes))
     return paths
 
 

@@ -23,7 +23,6 @@ track's series into a ``Track``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -307,11 +306,10 @@ def smooth_series(
     rows, counts, offsets = _schedule(lengths)
     n = len(rows)
     z = np.empty((n, 2))
-    z[rows, 0] = np.fromiter(chain.from_iterable(raw.x for raw in raws), float, n)
-    z[rows, 1] = np.fromiter(chain.from_iterable(raw.y for raw in raws), float, n)
+    z[rows, 0] = np.concatenate([raw.x for raw in raws])
+    z[rows, 1] = np.concatenate([raw.y for raw in raws])
     measured = np.empty(n, dtype=bool)
-    measured[rows] = np.fromiter(
-        chain.from_iterable(raw.measured for raw in raws), bool, n)
+    measured[rows] = np.concatenate([raw.measured for raw in raws])
 
     series = _forward(z, measured, counts, offsets, cfg, dt)
     worst = [_worst_eigenvalues(series.covs)[rows]]
@@ -377,13 +375,12 @@ def smooth_track_with_diagnostics(
     """
     direction = carriageway_of(smoothed.states[:, 3], meta)
     x, vx, ax, y, vy, ay = smoothed.states.T
-    length, width = raw.extent()
     track = Track(
         track_id=raw.track_id,
-        vehicle_class=raw.decide_class(),
+        vehicle_class=raw.vehicle_class,
         direction=direction,
-        length=length,
-        width=width,
+        length=raw.length,
+        width=raw.width,
         mean_speed=compute_mean_speed(vx),
         initial_frame=raw.first_frame,
         x=x, y=y, vx=vx, vy=vy, ax=ax, ay=ay,
@@ -392,7 +389,8 @@ def smooth_track_with_diagnostics(
     # Python's ``**`` is libm pow, which numpy's square does not match in
     # the last bit on every value; the reported RMS is pinned to the former.
     deviations = [(ox - sx) ** 2 + (oy - sy) ** 2 for ox, oy, sx, sy, measured
-                  in zip(raw.x, raw.y, x.tolist(), y.tolist(), raw.measured) if measured]
+                  in zip(raw.x.tolist(), raw.y.tolist(), x.tolist(), y.tolist(),
+                         raw.measured.tolist()) if measured]
     diagnostics = SmoothingDiagnostics(
         track_id=raw.track_id,
         frames=track.num_frames,

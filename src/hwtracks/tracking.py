@@ -6,23 +6,26 @@ collect a minimum number of measured hits before they count as confirmed
 (this removes single-frame false positives); unmatched tracks coast on a
 constant-velocity prediction for a bounded number of frames before they are
 terminated at their last measured frame.
+
+The frame walk keeps each active track's last two positions and coast count
+and logs one (track id, x, y, detection row) entry per active track and
+frame; the log is then grouped by track once for confirmation, the trim of
+coasted tails, class votes and extents.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
     DETECTION_COLUMNS,
-    ContractViolation,
     DetectionTable,
     VehicleClass,
     format_float,
@@ -59,147 +62,66 @@ class TrackerConfig:
             raise ValueError("max_coast must be >= 0")
 
 
+@dataclass(frozen=True, eq=False)
 class RawTrack:
-    """A track under construction: positions per frame plus class/extent tallies.
+    """A confirmed track before smoothing.
 
-    Single-owner object; the tracker mutates it frame by frame. ``x``, ``y``
-    and ``measured`` hold one entry per frame from ``first_frame`` on.
-    Positions of coasted frames are constant-velocity predictions and carry
-    ``measured`` False.
+    ``x``, ``y`` and ``measured`` are read-only arrays with one entry per
+    frame from ``first_frame`` on, the first and last frames measured.
+    Coasted frames hold constant-velocity predictions and ``measured``
+    False. ``length`` and ``width`` are the medians of the detected extents
+    and ``vehicle_class`` the majority of the class hints (a tie or no hint
+    gives Car).
     """
 
-    __slots__ = ("track_id", "first_frame", "x", "y", "measured", "class_votes",
-                 "_lengths", "_widths", "measured_count")
-
-    def __init__(self, track_id: int, frame: int, cx: float, cy: float, length: float,
-                 width: float, class_hint: Optional[VehicleClass] = None) -> None:
-        self.track_id = track_id
-        self.first_frame = frame
-        self.x: List[float] = []
-        self.y: List[float] = []
-        self.measured: List[bool] = []
-        self.class_votes: Counter = Counter()
-        self._lengths: List[float] = []
-        self._widths: List[float] = []
-        self.measured_count = 0
-        self.add_measurement(cx, cy, length, width, class_hint)
-
-    @property
-    def next_frame(self) -> int:
-        return self.first_frame + len(self.x)
-
-    def predicted_position(self) -> Tuple[float, float]:
-        """Constant-velocity extrapolation from the last two positions.
-
-        With a single position the prediction is that position.
-        """
-        x, y = self.x, self.y
-        if len(x) == 1:
-            return x[0], y[0]
-        return 2 * x[-1] - x[-2], 2 * y[-1] - y[-2]
-
-    def add_measurement(self, cx: float, cy: float, length: float, width: float,
-                        class_hint: Optional[VehicleClass] = None) -> None:
-        """Record a detection at ``next_frame``."""
-        self.x.append(cx)
-        self.y.append(cy)
-        self.measured.append(True)
-        self.measured_count += 1
-        self._lengths.append(length)
-        self._widths.append(width)
-        if class_hint is not None:
-            self.class_votes[class_hint] += 1
-
-    def add_prediction(self) -> None:
-        x, y = self.predicted_position()
-        self.x.append(x)
-        self.y.append(y)
-        self.measured.append(False)
-
-    def trailing_predicted(self) -> int:
-        return next(i for i, measured in enumerate(reversed(self.measured)) if measured)
-
-    def trim_predicted_tail(self) -> None:
-        keep = len(self.x) - self.trailing_predicted()
-        del self.x[keep:], self.y[keep:], self.measured[keep:]
-
-    def extent(self) -> Tuple[float, float]:
-        """Running median of the detected length and width."""
-        return statistics.median(self._lengths), statistics.median(self._widths)
-
-    def decide_class(self) -> VehicleClass:
-        """Majority vote over detection hints; ties and no votes give Car."""
-        if not self.class_votes:
-            return VehicleClass.CAR
-        top = max(self.class_votes.values())
-        leaders = [c for c, n in self.class_votes.items() if n == top]
-        return leaders[0] if len(leaders) == 1 else VehicleClass.CAR
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Result of matching one frame's detections against the active tracks.
-
-    ``matches`` pairs indices into the active-track list with row indices
-    into the frame's detections.
-    """
-
-    matches: Tuple[Tuple[int, int], ...]
-    unmatched_tracks: Tuple[int, ...]
-    unmatched_detections: Tuple[int, ...]
+    track_id: int
+    first_frame: int
+    x: np.ndarray
+    y: np.ndarray
+    measured: np.ndarray
+    length: float
+    width: float
+    vehicle_class: VehicleClass
+    measured_count: int
 
 
 def associate_frame(
-    active: Sequence[RawTrack], detections: DetectionTable, cfg: TrackerConfig
-) -> Assignment:
-    """Greedy min-distance matching of one frame's detections to predicted
-    track centers.
+    predicted: Sequence[Tuple[float, float]], track_ids: Sequence[int],
+    cx: Sequence[float], cy: Sequence[float], gate: float,
+) -> List[Tuple[int, int]]:
+    """Greedy min-distance matching of one frame's detection centres
+    (``cx``, ``cy``) to the tracks' predicted centres.
 
     A pair is feasible iff the Euclidean distance (``math.hypot``) between
-    the track's predicted center and the detection center is at most
-    ``gate_radius``. Feasible pairs are claimed in ascending (distance,
-    track_id, detection index) order, each track and detection at most once.
+    the predicted centre and the detection centre is at most ``gate``.
+    Feasible pairs are claimed in ascending (distance, track id, detection
+    index) order, each track and detection at most once. Returns the
+    claimed (track index, detection index) pairs.
     """
+    order = sorted(range(len(cx)), key=cx.__getitem__)
+    xs = [cx[d] for d in order]
     candidates = []
-    if len(detections):
-        frame = detections.frame[0]
-        if detections.frame[-1] != frame:
-            raise ContractViolation(f"detections span frames {frame} to {detections.frame[-1]}")
-        for track in active:
-            if track.next_frame != frame:
-                raise ContractViolation(f"track {track.track_id} expects frame "
-                                        f"{track.next_frame}, detections are for frame {frame}")
-        # The box |dx|, |dy| <= gate holds every pair within the gate, so
-        # only the pairs inside it are scored; math.hypot alone decides the
-        # gate and the order (np.hypot can differ from it in the last bit).
-        px, py = np.array([t.predicted_position() for t in active]).reshape(-1, 2).T
-        dx = detections.cx - px[:, None]
-        dy = detections.cy - py[:, None]
-        gate = cfg.gate_radius
-        ti, di = np.nonzero((np.abs(dx) <= gate) & (np.abs(dy) <= gate))
-        for t, d, ex, ey in zip(ti.tolist(), di.tolist(), dx[ti, di].tolist(),
-                                dy[ti, di].tolist()):
-            dist = math.hypot(ex, ey)
+    for t, (px, py) in enumerate(predicted):
+        # The window only skips pairs; math.hypot alone decides the gate.
+        # It is wide enough that no rounding of its bounds drops a pair.
+        w = 2 * gate + abs(px) * 2**-50
+        for d in order[bisect_left(xs, px - w):bisect_right(xs, px + w)]:
+            dist = math.hypot(cx[d] - px, cy[d] - py)
             if dist <= gate:
-                candidates.append((dist, active[t].track_id, d, t))
-        candidates.sort()
-
+                candidates.append((dist, track_ids[t], d, t))
+    candidates.sort()
     matches: List[Tuple[int, int]] = []
     used_tracks = set()
     used_detections = set()
-    for _, _, di, ti in candidates:
-        if ti in used_tracks or di in used_detections:
-            continue
-        used_tracks.add(ti)
-        used_detections.add(di)
-        matches.append((ti, di))
-    return Assignment(
-        matches=tuple(matches),
-        unmatched_tracks=tuple(i for i in range(len(active)) if i not in used_tracks),
-        unmatched_detections=tuple(
-            i for i in range(len(detections)) if i not in used_detections
-        ),
-    )
+    for _, _, d, t in candidates:
+        if t not in used_tracks and d not in used_detections:
+            used_tracks.add(t)
+            used_detections.add(d)
+            matches.append((t, d))
+    return matches
+
+
+_VOTES = {VehicleClass.TRUCK: 1, VehicleClass.CAR: -1, None: 0}
 
 
 def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrack]:
@@ -212,49 +134,85 @@ def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrac
     last measured frame. Output is sorted by track id; identical input
     yields identical output.
     """
-    active: List[RawTrack] = []
-    finished: List[RawTrack] = []
-    next_id = 1
-
-    def finalize(track: RawTrack) -> None:
-        track.trim_predicted_tail()
-        if track.measured_count >= cfg.min_hits_to_confirm:
-            finished.append(track)
-
-    frames = detections.frame
-    cx, cy, length, width = (getattr(detections, c).tolist() for c in DETECTION_COLUMNS)
-    hints = detections.class_hint
-    start, frame = 0, 0
-    while start < len(frames):
+    if not len(detections):
+        return []
+    frame_values, starts = np.unique(detections.frame, return_index=True)
+    frame_values = frame_values.tolist()
+    bounds = [*starts.tolist(), len(detections)]
+    cx, cy = detections.cx.tolist(), detections.cy.tolist()
+    # (id, x, y, previous x, previous y, coasted frames) per active track in
+    # id order; the previous position is None while a track has one frame.
+    active: List[tuple] = []
+    log_id: List[int] = []
+    log_x: List[float] = []
+    log_y: List[float] = []
+    log_row: List[int] = []  # the detection row, -1 for a coasted frame
+    next_id, k, frame = 1, 0, 0
+    while k < len(frame_values):
         if not active:  # nothing coasts: go straight to the next detection
-            frame = int(frames[start])
-        stop = int(np.searchsorted(frames, frame, side="right"))
-        assignment = associate_frame(active, detections.rows(start, stop), cfg)
-        for ti, di in assignment.matches:
-            r = start + di
-            active[ti].add_measurement(cx[r], cy[r], length[r], width[r], hints[r])
-        still_active: List[RawTrack] = [active[ti] for ti, _ in assignment.matches]
-        for ti in assignment.unmatched_tracks:
-            track = active[ti]
-            track.add_prediction()
-            if track.trailing_predicted() > cfg.max_coast:
-                finalize(track)
+            frame = frame_values[k]
+        start = stop = bounds[k]
+        if frame_values[k] == frame:
+            stop = bounds[k + 1]
+            k += 1
+        # One position predicts itself: 2 * x - x is not exact near overflow.
+        predicted = [(x, y) if ox is None else (2 * x - ox, 2 * y - oy)
+                     for _, x, y, ox, oy, _ in active]
+        rows = [-1] * len(active)
+        for t, d in associate_frame(predicted, [a[0] for a in active], cx[start:stop],
+                                    cy[start:stop], cfg.gate_radius):
+            rows[t] = start + d
+        still_active = []
+        for (track_id, x, y, _, _, coast), (px, py), r in zip(active, predicted, rows):
+            if r < 0:
+                coast += 1
             else:
-                still_active.append(track)
-        for di in assignment.unmatched_detections:
-            r = start + di
-            still_active.append(
-                RawTrack(next_id, frame, cx[r], cy[r], length[r], width[r], hints[r])
-            )
+                px, py, coast = cx[r], cy[r], 0
+            if coast <= cfg.max_coast:
+                still_active.append((track_id, px, py, x, y, coast))
+            log_id.append(track_id)
+            log_x.append(px)
+            log_y.append(py)
+        claimed = set(rows)
+        spawned = [r for r in range(start, stop) if r not in claimed]
+        for r in spawned:
+            still_active.append((next_id, cx[r], cy[r], None, None, 0))
+            log_id.append(next_id)
+            log_x.append(cx[r])
+            log_y.append(cy[r])
             next_id += 1
-        still_active.sort(key=lambda t: t.track_id)
+        log_row += rows + spawned
         active = still_active
-        start, frame = stop, frame + 1
+        frame += 1
 
-    for track in active:
-        finalize(track)
-    finished.sort(key=lambda t: t.track_id)
-    return finished
+    # Group the log by track id; each group is one track's frames in order.
+    ids = np.array(log_id)
+    order = np.argsort(ids, kind="stable")
+    row = np.array(log_row)[order]
+    x, y = np.array(log_x)[order], np.array(log_y)[order]
+    measured = row >= 0
+    for column in (x, y, measured):
+        column.flags.writeable = False
+    begins = np.cumsum(np.bincount(ids)[:-1])  # ids run from 1 to next_id - 1
+    hits = np.add.reduceat(measured, begins)
+    # Coasted tails are dropped: each track ends at its last measured row.
+    ends = np.maximum.reduceat(np.where(measured, np.arange(len(row)), -1), begins) + 1
+    # +1 per Truck hint, -1 per Car hint: Truck needs a strict majority.
+    votes = np.array([_VOTES[hint] for hint in detections.class_hint])
+    tracks = []
+    for i in np.flatnonzero(hits >= cfg.min_hits_to_confirm).tolist():
+        b, e = int(begins[i]), int(ends[i])
+        own = row[b:e][measured[b:e]]
+        tracks.append(RawTrack(
+            track_id=i + 1, first_frame=int(detections.frame[own[0]]),
+            x=x[b:e], y=y[b:e], measured=measured[b:e],
+            # the medians are statistics.median's: (a + b) / 2 for an even count
+            length=float(np.median(detections.length[own])),
+            width=float(np.median(detections.width[own])),
+            vehicle_class=VehicleClass.TRUCK if votes[own].sum() > 0 else VehicleClass.CAR,
+            measured_count=int(hits[i]),
+        ))
+    return tracks
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hwtracks import (
@@ -151,6 +153,41 @@ def cut_in_oracle(episode, tracks, meta):
         min_thw=min_thw, min_ttc=min_ttc, gap_size=gap_size, side=side,
     )
 
+
+def track_identity_oracle(tracks, vehicles, radius=2.0):
+    """Identity counts of output tracks against truth vehicles, in the
+    manner of the CLEAR-MOT matching (Bernardin & Stiefelhagen, 2008).
+
+    Each track is assigned to the vehicle within ``radius`` metres of it in
+    most (more than half) of its frames, the one with the most such frames
+    (the first in ``vehicles`` order on a tie) if several are; a track with no such vehicle is
+    spurious. A vehicle with no track is missed and one with several is
+    fragmented: each of its tracks after the first is extra.
+    """
+    owner = {}
+    for track in tracks:
+        best = None
+        for vehicle in vehicles:
+            lo = max(track.initial_frame, vehicle.initial_frame)
+            hi = min(track.final_frame, vehicle.final_frame) + 1
+            if hi <= lo:
+                continue
+            a = slice(lo - track.initial_frame, hi - track.initial_frame)
+            b = slice(lo - vehicle.initial_frame, hi - vehicle.initial_frame)
+            near = int((np.hypot(track.x[a] - vehicle.x[b],
+                                 track.y[a] - vehicle.y[b]) <= radius).sum())
+            if 2 * near > track.num_frames and (best is None or near > best[0]):
+                best = (near, vehicle.track_id)
+        if best is not None:
+            owner[track.track_id] = best[1]
+    per_vehicle = Counter(owner.values())
+    return dict(
+        tracks=len(tracks), vehicles=len(vehicles),
+        fragmented=sum(n > 1 for n in per_vehicle.values()),
+        extra=sum(n - 1 for n in per_vehicle.values()),
+        spurious=len(tracks) - len(owner),
+        missed=len(vehicles) - len(per_vehicle),
+    )
 
 def surround_rows(surround, track_ids):
     """Surround columns as one record per row, with the row's ``track_id``."""

@@ -46,7 +46,7 @@ from hwtracks.lane_change import SHAPE_COEFFICIENTS
 from hwtracks.synth import script_from_dict
 from hwtracks.surround import UNDEFINED
 
-from conftest import make_meta, row_at
+from conftest import make_meta, row_at, track_identity_oracle
 from test_dataset_io import random_recording
 from test_maneuvers import hysteresis_oracle, critical_oracle
 from test_surround import brute_force_neighbors, neighbors, random_scene
@@ -177,7 +177,8 @@ def test_criterion_3_false_positive_elimination():
     def matches_some_vehicle(raw):
         for want in truth_by_id.values():
             ok = True
-            for frame, x, y in zip(range(raw.first_frame, raw.next_frame), raw.x, raw.y):
+            for frame, x, y in zip(range(raw.first_frame, raw.first_frame + len(raw.x)),
+                                   raw.x, raw.y):
                 state = row_at(want, frame)
                 if state is None or math.hypot(x - state.x, y - state.y) > 1.0:
                     ok = False
@@ -350,6 +351,23 @@ def test_corpus_225k_tool_writes_this_corpus_with_the_readme_noise():
         false_positive_rate=0.2))
     assert script_from_dict(json.loads(json.dumps(script()))) == want
 
+
+def test_track_identity_on_the_corpus():
+    """Identity counts of the tracked 120-vehicle corpus with the README
+    noise block. Six vehicles are split in two tracks each; no track is
+    spurious and no vehicle is missed. ``tracks_per_vehicle`` (126 / 120)
+    shows the splits only as a ratio."""
+    script = dataclasses.replace(_corpus_script(120), noise=NoiseSpec(
+        position_sigma=0.1, dropout_probability=0.01, dropout_burst_length=3,
+        false_positive_rate=0.2))
+    truth = generate_truth(script)
+    detections = corrupt(truth.tracks, script.noise, script.seed, meta=truth.meta,
+                         road_length=truth.road_length,
+                         scripted_dropouts=truth.scripted_dropouts)
+    tracks = [smooth_track(raw, SmootherConfig(), truth.meta)
+              for raw in build_tracks(detections, TrackerConfig())]
+    assert track_identity_oracle(tracks, truth.tracks) == dict(
+        tracks=126, vehicles=120, fragmented=6, extra=6, spurious=0, missed=0)
 
 def _brute_force_lane_changes(track, cfg):
     """Single-pass frame-scan labeler re-implementing the published rule."""

@@ -169,9 +169,6 @@ class TestTypes:
         assert len(table) == 3
         with pytest.raises(ValueError):
             table.cx[0] = 5.0
-        part = table.rows(1, 3)
-        assert part.frame.tolist() == [0, 3] and part.cx.tolist() == [2.0, 3.0]
-        assert part.class_hint == (None, None)
 
     def test_meta_boundary_validation(self):
         with pytest.raises(ValueError):

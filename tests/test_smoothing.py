@@ -13,7 +13,7 @@ from hwtracks import (
     smooth_series,
     smooth_track,
 )
-from hwtracks.core import DrivingDirection
+from hwtracks.core import DrivingDirection, VehicleClass
 from hwtracks.smoothing import process_noise, transition_matrix
 from hwtracks.tracking import RawTrack
 from conftest import det, detection_table
@@ -286,10 +286,8 @@ def raw_track(track_id, first_frame, length, coasts=()):
     measured = np.ones(length, dtype=bool)
     for start, stop in coasts:
         measured[start:stop] = False
-    raw = RawTrack(track_id, first_frame, x[0], y[0], 4.5, 2.0)
-    raw.x, raw.y, raw.measured = x.tolist(), y.tolist(), measured.tolist()
-    raw.measured_count = int(measured.sum())
-    return raw
+    return RawTrack(track_id, first_frame, x, y, measured, 4.5, 2.0, VehicleClass.CAR,
+                    int(measured.sum()))
 
 
 # (first frame, length, coast runs): lengths 1, 2 and ~200; coasts at the

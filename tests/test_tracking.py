@@ -1,11 +1,12 @@
 import math
+import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hwtracks import (
-    Assignment,
-    ContractViolation,
     TrackerConfig,
     VehicleClass,
     associate_frame,
@@ -13,7 +14,6 @@ from hwtracks import (
     read_detections,
     write_detections,
 )
-from hwtracks.tracking import RawTrack
 from conftest import (
     ARABIC_INDIC_DIGITS,
     FULLWIDTH_DIGITS,
@@ -24,34 +24,31 @@ from conftest import (
 )
 
 
-def seeded_track(track_id, positions):
-    """RawTrack that has already observed the given (frame, x, y) sequence
-    of consecutive frames."""
-    (frame, x, y), *rest = positions
-    track = RawTrack(track_id, frame, x, y, 4.5, 2.0)
-    for frame, x, y in rest:
-        assert frame == track.next_frame
-        track.add_measurement(x, y, 4.5, 2.0)
-    return track
+def predict(positions):
+    """Constant-velocity prediction from a track's (x, y) positions."""
+    if len(positions) == 1:
+        return positions[0]
+    (x0, y0), (x1, y1) = positions[-2:]
+    return 2 * x1 - x0, 2 * y1 - y0
 
 
-def positions(track):
-    """The track's (frame, x, y, measured) rows."""
-    return list(zip(range(track.first_frame, track.next_frame), track.x, track.y,
-                    track.measured))
+def associate(tracks, detections, gate=2.5):
+    """``associate_frame`` of (track id, predicted centre) pairs and (cx, cy)
+    detection centres."""
+    return associate_frame([p for _, p in tracks], [i for i, _ in tracks],
+                           [cx for cx, _ in detections], [cy for _, cy in detections], gate)
 
 
-def brute_force_assignment(active, detections, cfg):
+def brute_force_matches(tracks, detections, gate):
     """Reference matcher: scores every (track, detection) pair with
     math.hypot and claims feasible pairs in (distance, track_id, detection
     index) order."""
     candidates = []
-    for ti, track in enumerate(active):
-        px, py = track.predicted_position()
-        for di, (cx, cy) in enumerate(zip(detections.cx.tolist(), detections.cy.tolist())):
+    for ti, (track_id, (px, py)) in enumerate(tracks):
+        for di, (cx, cy) in enumerate(detections):
             dist = math.hypot(cx - px, cy - py)
-            if dist <= cfg.gate_radius:
-                candidates.append((dist, track.track_id, di, ti))
+            if dist <= gate:
+                candidates.append((dist, track_id, di, ti))
     candidates.sort()
     matches = []
     used_tracks = set()
@@ -62,68 +59,48 @@ def brute_force_assignment(active, detections, cfg):
         used_tracks.add(ti)
         used_detections.add(di)
         matches.append((ti, di))
-    return Assignment(
-        matches=tuple(matches),
-        unmatched_tracks=tuple(i for i in range(len(active)) if i not in used_tracks),
-        unmatched_detections=tuple(
-            i for i in range(len(detections)) if i not in used_detections
-        ),
-    )
+    return matches
+
+
+def positions(track):
+    """The track's (frame, x, y, measured) rows."""
+    return list(zip(range(track.first_frame, track.first_frame + len(track.x)),
+                    track.x.tolist(), track.y.tolist(), track.measured.tolist()))
 
 
 class TestAssociateFrame:
     def test_detection_inside_gate_matches(self):
-        track = seeded_track(1, [(0, 99.0, 4.0), (1, 99.5, 4.0)])
-        # predicted position at frame 2 is (100, 4)
-        assert track.predicted_position() == (100.0, 4.0)
-        a = associate_frame([track], detection_table([det(2, 100.4, 4.0)]),
-                            TrackerConfig())
-        assert a.matches == ((0, 0),)
+        predicted = predict([(99.0, 4.0), (99.5, 4.0)])
+        assert predicted == (100.0, 4.0)
+        assert associate([(1, predicted)], [(100.4, 4.0)]) == [(0, 0)]
 
     def test_detection_outside_gate_spawns(self):
-        track = seeded_track(1, [(0, 99.0, 4.0), (1, 99.5, 4.0)])
-        a = associate_frame([track], detection_table([det(2, 103.0, 4.0)]),
-                            TrackerConfig())
-        assert a.matches == ()
-        assert a.unmatched_tracks == (0,)
-        assert a.unmatched_detections == (0,)
+        assert associate([(1, predict([(99.0, 4.0), (99.5, 4.0)]))], [(103.0, 4.0)]) == []
+        rows = [det(f, 99.0 + 0.5 * f, 4.0) for f in range(8)] + [det(2, 103.0, 4.0)]
+        tracks = build_tracks(detection_table(rows), TrackerConfig(min_hits_to_confirm=1))
+        assert [(t.track_id, t.first_frame, t.x[0]) for t in tracks] == [
+            (1, 0, 99.0), (2, 2, 103.0)]
 
     def test_nearest_track_wins(self):
         # Two single-observation tracks predict at their positions.
-        t1 = seeded_track(1, [(0, 100.0, 4.0)])
-        t2 = seeded_track(2, [(0, 101.0, 4.0)])
-        detection = detection_table([det(1, 100.4, 4.0)])
-        a = associate_frame([t1, t2], detection, TrackerConfig())
+        tracks = [(1, predict([(100.0, 4.0)])), (2, predict([(101.0, 4.0)]))]
+        detection = (100.4, 4.0)
+        got = associate(tracks, [detection])
 
-        # Oracle: enumerate every one-to-at-most-one assignment and replay
-        # the greedy rule by hand - the feasible pair with the smallest
-        # distance must be chosen.
-        def dist(track):
-            px, py = track.predicted_position()
-            return math.hypot(detection.cx[0] - px, detection.cy[0] - py)
+        # Oracle: replay the greedy rule by hand - the feasible pair with
+        # the smallest distance must be chosen.
+        def dist(predicted):
+            return math.hypot(detection[0] - predicted[0], detection[1] - predicted[1])
 
-        candidates = [
-            (dist(t), t.track_id, ti) for ti, t in enumerate([t1, t2])
-            if dist(t) <= 2.5
-        ]
-        expected_ti = min(candidates)[2]
-        assert a.matches == ((expected_ti, 0),)
+        candidates = [(dist(p), track_id, ti) for ti, (track_id, p) in enumerate(tracks)
+                      if dist(p) <= 2.5]
+        assert got == [(min(candidates)[2], 0)]
 
     def test_greedy_order_is_distance_then_ids(self):
         # One track equidistant to two detections: lower detection index wins.
-        t = seeded_track(1, [(0, 100.0, 4.0)])
-        a = associate_frame([t], detection_table([det(1, 100.5, 4.0), det(1, 99.5, 4.0)]),
-                            TrackerConfig())
-        assert a.matches == ((0, 0),)
-        assert a.unmatched_detections == (1,)
-
-    def test_frame_skew_is_contract_violation(self):
-        t = seeded_track(1, [(0, 100.0, 4.0)])
-        with pytest.raises(ContractViolation):
-            associate_frame([t], detection_table([det(5, 100.0, 4.0)]), TrackerConfig())
-        with pytest.raises(ContractViolation):
-            associate_frame([], detection_table([det(1, 0.0, 0.0), det(2, 1.0, 1.0)]),
-                            TrackerConfig())
+        assert associate([(1, (100.0, 4.0))], [(100.5, 4.0), (99.5, 4.0)]) == [(0, 0)]
+        # Two tracks equidistant to one detection: lower track id wins.
+        assert associate([(9, (99.5, 4.0)), (3, (100.5, 4.0))], [(100.0, 4.0)]) == [(1, 0)]
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("grid", [0.5, None])
@@ -133,34 +110,41 @@ class TestAssociateFrame:
         # and many pairs lie exactly at the gate (offsets such as (2.5, 0)
         # and (1.5, 2.0) have distance 2.5 exactly).
         rng = np.random.default_rng(seed)
-        cfg = TrackerConfig(gate_radius=2.5)
 
         def point():
             x, y = rng.uniform(0.0, 20.0), rng.uniform(0.0, 8.0)
             return (round(x / grid) * grid, round(y / grid) * grid) if grid else (x, y)
 
         ids = rng.permutation(100)[: rng.integers(1, 25)] + 1
-        active = []
+        tracks = []
         for track_id in ids.tolist():
             x, y = point()
             if rng.random() < 0.5:  # predicts its position
-                active.append(seeded_track(track_id, [(9, x, y)]))
+                tracks.append((track_id, predict([(x, y)])))
             else:  # predicts 2 * (x, y) - (x0, y0) from two positions
                 x0, y0 = point()
-                active.append(seeded_track(track_id, [(8, x0, y0), (9, (x + x0) / 2,
-                                                                    (y + y0) / 2)]))
-        detections = detection_table([det(10, *point()) for _ in range(rng.integers(0, 25))])
-        got = associate_frame(active, detections, cfg)
-        assert got == brute_force_assignment(active, detections, cfg)
+                tracks.append((track_id, predict([(x0, y0), ((x + x0) / 2, (y + y0) / 2)])))
+        detections = [point() for _ in range(rng.integers(0, 25))]
+        assert associate(tracks, detections) == brute_force_matches(tracks, detections, 2.5)
 
     def test_pairs_exactly_at_the_gate_are_feasible(self):
-        t = seeded_track(7, [(0, 10.0, 4.0)])
-        cfg = TrackerConfig(gate_radius=2.5)
+        track = [(7, (10.0, 4.0))]
         for offset in [(2.5, 0.0), (0.0, -2.5), (1.5, 2.0), (-2.0, -1.5)]:
-            table = detection_table([det(1, 10.0 + offset[0], 4.0 + offset[1])])
-            assert associate_frame([t], table, cfg).matches == ((0, 0),)
-        table = detection_table([det(1, 12.5000001, 4.0), det(1, 11.5, 6.0000001)])
-        assert associate_frame([t], table, cfg).matches == ()
+            assert associate(track, [(10.0 + offset[0], 4.0 + offset[1])]) == [(0, 0)]
+        assert associate(track, [(12.5000001, 4.0), (11.5, 6.0000001)]) == []
+
+    def test_window_bounds_do_not_round_away_a_pair(self):
+        # px + gate is exactly 2**-51 here, but cx - px rounds to the gate
+        # for a cx just above it; far from the origin one float step is
+        # wider than the gate, so only the same x is within it.
+        px = -(2.5 - 2.0**-51)
+        cx = 2.0**-51 * (1 + 2.0**-52)
+        assert cx > px + 2.5 and cx - px == 2.5
+        assert associate([(1, (px, 0.0))], [(cx, 0.0)]) == [(0, 0)]
+        far = 1e17
+        assert associate([(1, (far, 0.0))], [(math.nextafter(far, 0.0), 0.0), (far, 0.0)]) \
+            == [(0, 1)]
+        assert associate([(1, (math.inf, 0.0))], [(far, 0.0)]) == []
 
 
 def constant_velocity_rows(n, x0=0.0, y=4.0, v=1.0, drop=(), hint=None):
@@ -192,13 +176,13 @@ class TestBuildTracks:
         tracks = build_tracks(table, cfg)
         assert len(tracks) == 1
         # terminated at the last measured frame, predicted tail trimmed
-        assert tracks[0].next_frame - 1 == 7
-        assert all(tracks[0].measured)
+        assert tracks[0].first_frame + len(tracks[0].x) - 1 == 7
+        assert tracks[0].measured.all()
 
     def test_walk_skips_frames_without_tracks_or_detections(self):
         rows = constant_velocity_rows(30)[20:] + constant_velocity_rows(510)[500:]
         tracks = build_tracks(detection_table(rows), TrackerConfig())
-        assert [(t.first_frame, t.next_frame, t.x[0]) for t in tracks] == [
+        assert [(t.first_frame, t.first_frame + len(t.x), t.x[0]) for t in tracks] == [
             (20, 30, 20.0), (500, 510, 500.0)]
 
     def test_two_parallel_vehicles_no_identity_switch(self):
@@ -259,21 +243,93 @@ class TestBuildTracks:
             hint = VehicleClass.TRUCK if f % 3 else VehicleClass.CAR
             rows.append(det(f, f * 1.0, 4.0, length=12.0, width=2.5, hint=hint))
         tracks = build_tracks(detection_table(rows), TrackerConfig())
-        assert tracks[0].decide_class() is VehicleClass.TRUCK
+        assert tracks[0].vehicle_class is VehicleClass.TRUCK
 
     def test_class_tie_goes_to_car(self):
-        track = seeded_track(1, [(0, 0.0, 0.0)])
-        track.class_votes.clear()
-        track.class_votes[VehicleClass.CAR] = 2
-        track.class_votes[VehicleClass.TRUCK] = 2
-        assert track.decide_class() is VehicleClass.CAR
+        cfg = TrackerConfig(min_hits_to_confirm=4)
+        car, truck = VehicleClass.CAR, VehicleClass.TRUCK
+        for hints in ([truck, car, truck, car], [car, truck, None, truck, car]):
+            rows = [det(f, f * 1.0, 4.0, hint=h) for f, h in enumerate(hints)]
+            assert [t.vehicle_class for t in build_tracks(detection_table(rows), cfg)] == [car]
 
     def test_extent_is_running_median(self):
         lengths = [4.0, 4.2, 4.4, 12.0, 4.1]
         rows = [det(f, f * 1.0, 4.0, length=L) for f, L in enumerate(lengths)]
         tracks = build_tracks(detection_table(rows), TrackerConfig(min_hits_to_confirm=3))
-        length, width = tracks[0].extent()
-        assert length == pytest.approx(4.2)  # median robust to the 12.0 outlier
+        assert tracks[0].length == pytest.approx(4.2)  # median robust to the 12.0 outlier
+
+    def test_raw_track_columns_are_read_only(self):
+        track, = build_tracks(detection_table(constant_velocity_rows(6)), TrackerConfig())
+        for column in (track.x, track.y, track.measured):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+
+@st.composite
+def detection_scenes(draw):
+    """Small detection rows: a few vehicles on straight lines with dropped
+    frames, plus false positives, with random extents and class hints. No
+    two rows share a frame and a centre, so each measured position names
+    one detection."""
+    n_frames = draw(st.integers(1, 40))
+    centres = {}
+    for _ in range(draw(st.integers(0, 4))):
+        first = draw(st.integers(0, n_frames - 1))
+        x0, y0 = draw(st.integers(0, 60)) * 0.5, draw(st.integers(0, 12)) * 0.5
+        vx = draw(st.sampled_from([-1.5, -1.0, 0.0, 0.5, 1.0, 1.25]))
+        for f in range(first, n_frames):
+            if draw(st.integers(0, 9)) >= 2:  # else a dropout
+                centres.setdefault((f, x0 + vx * (f - first), y0), None)
+    for _ in range(draw(st.integers(0, 12))):  # false positives
+        centres.setdefault((draw(st.integers(0, n_frames - 1)),
+                            draw(st.integers(0, 60)) * 0.5, draw(st.integers(0, 12)) * 0.5),
+                           None)
+    hints = st.sampled_from([None, VehicleClass.CAR, VehicleClass.TRUCK])
+    extents = st.sampled_from([2.0, 4.0, 4.5, 5.0, 12.0])
+    return [det(f, x, y, length=draw(extents), width=draw(extents), hint=draw(hints))
+            for f, x, y in centres]
+
+
+def majority_class(hints):
+    """The most frequent hint; a tie or no hint gives Car."""
+    votes = Counter(h for h in hints if h is not None).most_common()
+    if not votes or (len(votes) > 1 and votes[0][1] == votes[1][1]):
+        return VehicleClass.CAR
+    return votes[0][0]
+
+
+class TestTrackerProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(detection_scenes(), st.integers(1, 4), st.integers(0, 3))
+    def test_invariants(self, rows, min_hits, max_coast):
+        table = detection_table(rows)
+        cfg = TrackerConfig(min_hits_to_confirm=min_hits, max_coast=max_coast)
+        row_of = {(f, x, y): r for r, (f, x, y) in enumerate(zip(
+            table.frame.tolist(), table.cx.tolist(), table.cy.tolist()))}
+        used = []
+        tracks = build_tracks(table, cfg)
+        assert [t.track_id for t in tracks] == sorted({t.track_id for t in tracks})
+        for t in tracks:
+            track_rows = positions(t)
+            assert track_rows[0][3] and track_rows[-1][3]
+            assert t.measured_count == sum(m for *_, m in track_rows) >= min_hits
+            mine = []
+            coast = 0
+            for k, (frame, x, y, measured) in enumerate(track_rows):
+                if measured:
+                    mine.append(row_of[frame, x, y])
+                    coast = 0
+                    continue
+                coast += 1
+                assert coast <= max_coast
+                last = track_rows[k - 1][1:3]
+                previous = track_rows[k - 2][1:3] if k >= 2 else last
+                assert (x, y) == (2 * last[0] - previous[0], 2 * last[1] - previous[1])
+            used += mine
+            assert t.length == statistics.median(table.length[mine].tolist())
+            assert t.width == statistics.median(table.width[mine].tolist())
+            assert t.vehicle_class is majority_class(table.class_hint[r] for r in mine)
+        assert len(used) == len(set(used))
 
 
 class TestDetectionsCsv:
