@@ -55,7 +55,7 @@ surround = compute_surround(tracks, truth.meta)
 cfg = ManeuverConfig()
 episodes = []
 for track in tracks:
-    episodes.extend(detect_all(track, surround[track.track_id], truth.meta, cfg))
+    episodes.extend(detect_all(track, surround[track.track_id], cfg))
 
 print("detected maneuver episodes:")
 for ep in episodes:

@@ -109,7 +109,7 @@ surround = compute_surround(truth.tracks, truth.meta)
 cfg = ManeuverConfig()
 episodes = []
 for track in truth.tracks:
-    episodes.extend(detect_all(track, surround[track.track_id], truth.meta, cfg))
+    episodes.extend(detect_all(track, surround[track.track_id], cfg))
 cut_ins = extract_cut_ins(episodes, truth.tracks, surround, truth.meta)
 
 print(f"corpus: {len(truth.tracks)} vehicles, {len(episodes)} episodes, "

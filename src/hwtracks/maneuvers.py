@@ -3,9 +3,9 @@
 Four maneuver kinds are mined from each track: free driving and vehicle
 following (mutually exclusive, decided by a THW threshold with hysteresis),
 critical maneuvers (low TTC or THW to the preceding vehicle), and lane
-changes (a lane-id crossing that sticks on the new lane). Episode extents of
-lane changes run between the lateral-speed settle points around the
-crossing, which also defines whether a lane change counts as complete.
+changes (a lane-id crossing that sticks on the new lane). The extents of a
+lane-change episode, and whether it counts as complete, follow one rule,
+``lane_change_extents``, which the synthetic ground truth uses as well.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import RecordingMeta, Track, csv_cells, write_json, write_table
+from .core import Track, csv_cells, write_json, write_table
 from .surround import NO_VEHICLE, UNDEFINED, Surround, check_rows
 
 
@@ -101,21 +101,19 @@ def longitudinal_episodes(
 ) -> List[ManeuverEpisode]:
     """Maximal runs of the two longitudinal labels as episodes."""
     labels = label_longitudinal(track, surround, cfg)
+    following = np.array([label is ManeuverKind.VEHICLE_FOLLOWING for label in labels])
+    # Runs start at 0 and wherever the label changes.
+    bounds = [0, *(np.flatnonzero(np.diff(following)) + 1).tolist(), len(labels)]
     first = track.initial_frame
-    episodes: List[ManeuverEpisode] = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] is not labels[start]:
-            episodes.append(
-                ManeuverEpisode(
-                    track_id=track.track_id,
-                    kind=labels[start],
-                    start_frame=first + start,
-                    end_frame=first + i - 1,
-                )
-            )
-            start = i
-    return episodes
+    return [
+        ManeuverEpisode(
+            track_id=track.track_id,
+            kind=labels[start],
+            start_frame=first + start,
+            end_frame=first + stop - 1,
+        )
+        for start, stop in zip(bounds, bounds[1:])
+    ]
 
 
 def detect_critical(
@@ -140,93 +138,72 @@ def detect_critical(
     ]
 
 
-def detect_lane_changes(
-    track: Track, meta: RecordingMeta, cfg: ManeuverConfig
-) -> List[ManeuverEpisode]:
-    """Lane-change episodes of one track.
-
-    A crossing is a frame whose lane id differs from the previous frame's;
-    it becomes a lane change only when the new lane persists for at least
-    ``lane_change_min_dwell`` frames (shorter stays are discarded bounces,
-    and the return crossing of a bounce - back to the last lane the vehicle
-    actually stayed on - is not a lane change either). The episode expands
-    from the crossing to the nearest frames where the lateral speed settles
-    below ``lateral_settle_speed`` (clamped at the track ends); the change
-    is complete iff both settle points were found strictly inside the
-    observed window. When the episodes of consecutive crossings would
-    overlap (a double lane change), they are split at the frame of minimal
-    |vy| between the crossings.
+def lane_change_extents(
+    vy: np.ndarray, crossings: Sequence[int], settle: float
+) -> List[Tuple[int, int, bool]]:
+    """``(start, end, complete)`` rows of the lane-change episode at each
+    crossing row, crossings increasing. An episode runs from the last row at
+    or before its crossing with |vy| below ``settle`` (else the first row)
+    to the first such row at or after it (else the last row), and is
+    complete iff both lie strictly inside the rows. Where an end reaches the
+    next start (a double lane change), the two split at the first |vy|
+    minimum from the crossing up to the next one: the earlier episode ends
+    there, the later starts on the next row but no later than its crossing.
+    Completeness is decided before the split.
     """
-    n = track.num_frames
+    speed = np.abs(vy)
+    n = len(speed)
+    settled = np.flatnonzero(speed < settle)
+    bounds = np.concatenate(([0], settled, [n - 1]))  # the clamps around the settled rows
+    starts = bounds[np.searchsorted(settled, crossings, "right")].tolist()
+    ends = bounds[np.searchsorted(settled, crossings, "left") + 1].tolist()
+    complete = [0 < start and end < n - 1 for start, end in zip(starts, ends)]
+    for k in range(1, len(crossings)):
+        if ends[k - 1] >= starts[k]:
+            lo, hi = crossings[k - 1], crossings[k]
+            split = lo + int(np.argmin(speed[lo:hi]))
+            ends[k - 1] = split
+            starts[k] = min(split + 1, hi)
+    return list(zip(starts, ends, complete))
+
+
+def detect_lane_changes(track: Track, cfg: ManeuverConfig) -> List[ManeuverEpisode]:
+    """Lane-change episodes of one track. A stay is a lane run after the
+    first that lasts at least ``lane_change_min_dwell`` rows (shorter runs
+    are discarded bounces). A stay whose lane differs from the previous
+    stay's (the first row's, for the first stay) is a lane change, so the
+    return of a bounce is none. Its first row is the crossing, and
+    ``lane_change_extents`` at ``lateral_settle_speed`` gives the extents.
+    """
     lanes = track.lane.tolist()
-    vy = track.vy.tolist()
-
-    confirmed: List[int] = []
-    settled_lane = lanes[0]
-    for i in range(1, n):
-        if lanes[i] == lanes[i - 1]:
-            continue
-        dwell = 0
-        for j in range(i, n):
-            if lanes[j] != lanes[i]:
-                break
-            dwell += 1
-        if dwell < cfg.lane_change_min_dwell:
-            continue
-        if lanes[i] == settled_lane:
-            continue  # return half of a bounce: never left the settled lane
-        confirmed.append(i)
-        settled_lane = lanes[i]
-
-    settle = cfg.lateral_settle_speed
-    raw: List[Dict] = []
-    for i in confirmed:
-        start, found_start = 0, False
-        for j in range(i, -1, -1):
-            if abs(vy[j]) < settle:
-                start, found_start = j, True
-                break
-        end, found_end = n - 1, False
-        for j in range(i, n):
-            if abs(vy[j]) < settle:
-                end, found_end = j, True
-                break
-        complete = found_start and found_end and start > 0 and end < n - 1
-        raw.append({"crossing": i, "start": start, "end": end, "complete": complete})
-
-    for prev, cur in zip(raw, raw[1:]):
-        if prev["end"] >= cur["start"]:
-            lo, hi = prev["crossing"], cur["crossing"]
-            split = min(range(lo, hi), key=lambda j: (abs(vy[j]), j))
-            prev["end"] = split
-            cur["start"] = min(split + 1, cur["crossing"])
-
+    runs = np.flatnonzero(np.diff(track.lane)) + 1
+    stays = runs[np.diff(runs, append=track.num_frames) >= cfg.lane_change_min_dwell]
+    stay_lanes = track.lane[stays]
+    crossings = stays[stay_lanes != np.append(track.lane[0], stay_lanes[:-1])].tolist()
     first = track.initial_frame
     return [
         ManeuverEpisode(
             track_id=track.track_id,
             kind=ManeuverKind.LANE_CHANGE,
-            start_frame=first + ep["start"],
-            end_frame=first + ep["end"],
-            from_lane=lanes[ep["crossing"] - 1],
-            to_lane=lanes[ep["crossing"]],
-            crossing_frame=first + ep["crossing"],
-            complete=ep["complete"],
+            start_frame=first + start,
+            end_frame=first + end,
+            from_lane=lanes[crossing - 1],
+            to_lane=lanes[crossing],
+            crossing_frame=first + crossing,
+            complete=complete,
         )
-        for ep in raw
+        for crossing, (start, end, complete) in zip(
+            crossings, lane_change_extents(track.vy, crossings, cfg.lateral_settle_speed))
     ]
 
 
 def detect_all(
-    track: Track,
-    surround: Surround,
-    meta: RecordingMeta,
-    cfg: ManeuverConfig,
+    track: Track, surround: Surround, cfg: ManeuverConfig
 ) -> List[ManeuverEpisode]:
     """All episodes of one track, ordered by kind then start frame."""
     episodes = longitudinal_episodes(track, surround, cfg)
     episodes += detect_critical(track, surround, cfg)
-    episodes += detect_lane_changes(track, meta, cfg)
+    episodes += detect_lane_changes(track, cfg)
     episodes.sort(key=lambda e: (e.kind.value, e.start_frame))
     return episodes
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
@@ -71,7 +72,7 @@ def _merge(defaults, data, prefix: str = ""):
     """``defaults`` with the keys of the JSON object ``data`` replaced. A key
     that holds a section merges key by key, an ``int`` field takes an int
     only, not a bool or a float, and a ``float`` field takes an int or a
-    float, not a bool. Errors name the key as ``section.key``."""
+    finite float, not a bool. Errors name the key as ``section.key``."""
     where = f"config section {prefix[:-1]!r}" if prefix else "config root"
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object")
@@ -89,6 +90,8 @@ def _merge(defaults, data, prefix: str = ""):
         elif types[key] == "float" and (type(value) is bool
                                         or not isinstance(value, (int, float))):
             raise ValueError(f"{prefix}{key} must be a number, got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{prefix}{key} must be finite, got {value!r}")
         changes[key] = value
     return dataclasses.replace(defaults, **changes)
 
@@ -164,8 +167,7 @@ def events_stage(recording: Recording, cfg: PipelineConfig) -> ExtractResult:
     """Episodes, cut-ins and the per-recording statistics for one loaded
     recording, without lane-change fits."""
     episodes = [e for track in recording.tracks
-                for e in detect_all(track, recording.surround[track.track_id],
-                                    recording.meta, cfg.maneuvers)]
+                for e in detect_all(track, recording.surround[track.track_id], cfg.maneuvers)]
     episodes.sort(key=lambda e: (e.track_id, e.kind.value, e.start_frame))
     cut_ins = extract_cut_ins(episodes, recording.tracks, recording.surround,
                               recording.meta)

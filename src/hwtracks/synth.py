@@ -5,9 +5,11 @@ a piecewise-constant-acceleration speed profile (segment boundaries snap to
 the frame grid so the sampled trajectory is exactly realizable by the
 smoother's motion model) and scripted lane changes that reuse the quintic
 lane-change model for the lateral motion. The generator derives trajectories
-and lane-change episodes analytically from the script; the cut-in scenarios
-come from ``extract_cut_ins`` over the exact tracks, their surround and the
-truth episodes, so the maneuver detectors are never involved.
+analytically from the script, and each lane change's crossing frame and
+lanes from its scripted maneuver. The episode extents come from the
+detector's rule, ``maneuvers.lane_change_extents``, at ``ManeuverConfig``'s
+default settle speed; the cut-in scenarios come from ``extract_cut_ins``
+over the exact tracks, their surround and the truth episodes.
 
 ``corrupt`` turns truth tracks into a detection table by adding
 Gaussian position noise, dropping detections (randomly, in bursts, or in
@@ -41,7 +43,7 @@ from .lane_change import (
     evaluate_model,
     extract_cut_ins,
 )
-from .maneuvers import ManeuverEpisode, ManeuverKind
+from .maneuvers import ManeuverConfig, ManeuverEpisode, ManeuverKind, lane_change_extents
 from .surround import compute_surround
 
 DEFAULT_UPPER_BOUNDARIES = (0.0, 3.7, 7.4)
@@ -372,59 +374,38 @@ class _VehicleTimeline:
         )
 
 
-def _truth_lane_changes(
-    timeline: _VehicleTimeline, track: Track, settle_speed: float
-) -> List[LaneChangeTruth]:
-    out: List[LaneChangeTruth] = []
-    n = track.num_frames
-    speed_y = np.abs(timeline.vy)
-    settled_frames = np.flatnonzero(speed_y < settle_speed)
+def _truth_lane_changes(timeline: _VehicleTimeline, track: Track) -> List[LaneChangeTruth]:
+    """One truth lane change per scripted maneuver that crosses into its
+    target lane; the crossing is the first frame in that lane inside the
+    maneuver's window, and the extents are ``lane_change_extents``."""
     lanes = timeline.lanes
     fps = 1.0 / timeline.dt
-    pending: List[Dict] = []
+    observed: List[Tuple[Dict, int]] = []
     for m in timeline.maneuvers:
         t0, T = m["t0"], m["params"].duration
         lo = max(int(math.floor(t0 * fps)) - timeline.first - 1, 1)
-        hi = min(int(math.ceil((t0 + T) * fps)) - timeline.first + 1, n - 1)
+        hi = min(int(math.ceil((t0 + T) * fps)) - timeline.first + 1, track.num_frames - 1)
         enters = (lanes[lo : hi + 1] == m["to_lane"]) & (lanes[lo - 1 : hi] != m["to_lane"])
-        if not enters.any():
-            continue  # truncated before the marking: no lane change observed
-        crossing = lo + int(np.argmax(enters))
-        # the last settled frame up to the crossing and the first from it on;
-        # without one, the episode runs to the track's end and is incomplete
-        before = settled_frames[settled_frames <= crossing]
-        after = settled_frames[settled_frames >= crossing]
-        start = int(before[-1]) if before.size else 0
-        end = int(after[0]) if after.size else n - 1
-        complete = start > 0 and end < n - 1
-        pending.append(
-            {"m": m, "crossing": crossing, "start": start, "end": end,
-             "complete": complete}
-        )
-    for prev, cur in zip(pending, pending[1:]):
-        if prev["end"] >= cur["start"]:
-            lo, hi = prev["crossing"], cur["crossing"]
-            split = lo + int(np.argmin(speed_y[lo:hi]))
-            prev["end"] = split
-            cur["start"] = min(split + 1, cur["crossing"])
+        if enters.any():  # else truncated before the marking: no lane change observed
+            observed.append((m, lo + int(np.argmax(enters))))
+    crossings = [crossing for _, crossing in observed]
+    extents = lane_change_extents(track.vy, crossings, ManeuverConfig().lateral_settle_speed)
     first = track.initial_frame
-    for item in pending:
-        m = item["m"]
-        out.append(
-            LaneChangeTruth(
-                track_id=track.track_id,
-                params=m["params"],
-                t0=m["t0"],
-                marking_y=m["marking"],
-                from_lane=m["from_lane"],
-                to_lane=m["to_lane"],
-                crossing_frame=first + item["crossing"],
-                start_frame=first + item["start"],
-                end_frame=first + item["end"],
-                complete=item["complete"],
-            )
+    return [
+        LaneChangeTruth(
+            track_id=track.track_id,
+            params=m["params"],
+            t0=m["t0"],
+            marking_y=m["marking"],
+            from_lane=m["from_lane"],
+            to_lane=m["to_lane"],
+            crossing_frame=first + crossing,
+            start_frame=first + start,
+            end_frame=first + end,
+            complete=complete,
         )
-    return out
+        for (m, crossing), (start, end, complete) in zip(observed, extents)
+    ]
 
 
 def _frame_rows(
@@ -461,13 +442,13 @@ def _validate_no_overlap(tracks: Sequence[Track]) -> None:
                     )
 
 
-def generate_truth(script: ScenarioScript, settle_speed: float = 0.1) -> GroundTruth:
+def generate_truth(script: ScenarioScript) -> GroundTruth:
     """Exact tracks, lane-change episodes and cut-ins for a scenario script.
 
-    ``settle_speed`` is the |vy| threshold delimiting lane-change episode
-    extents (it matches the maneuver detector's default so clean pipelines
-    agree with the truth). Raises ScriptError when the script is
-    inconsistent or makes vehicles overlap.
+    The crossings and lanes of the lane changes come from the script; their
+    extents come from the detector's rule, ``maneuvers.lane_change_extents``,
+    at ``ManeuverConfig``'s default ``lateral_settle_speed``. Raises
+    ScriptError when the script is inconsistent or makes vehicles overlap.
     """
     meta = script.meta()
     tracks: List[Track] = []
@@ -477,7 +458,7 @@ def generate_truth(script: ScenarioScript, settle_speed: float = 0.1) -> GroundT
         timeline = _VehicleTimeline(index, spec, script)
         track = timeline.track(track_id=index + 1)
         tracks.append(track)
-        lane_changes.extend(_truth_lane_changes(timeline, track, settle_speed))
+        lane_changes.extend(_truth_lane_changes(timeline, track))
         if spec.dropout_windows:
             dropouts[track.track_id] = spec.dropout_windows
     _validate_no_overlap(tracks)

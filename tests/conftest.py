@@ -154,6 +154,70 @@ def cut_in_oracle(episode, tracks, meta):
     )
 
 
+def confirmed_crossings_oracle(lanes, min_dwell):
+    """Row indices of the lane-id changes whose new lane lasts at least
+    ``min_dwell`` rows and differs from the last lane stayed on."""
+    confirmed = []
+    settled = lanes[0]
+    for i in range(1, len(lanes)):
+        if lanes[i] == lanes[i - 1]:
+            continue
+        j = i
+        while j < len(lanes) and lanes[j] == lanes[i]:
+            j += 1
+        if j - i < min_dwell or lanes[i] == settled:
+            continue
+        confirmed.append(i)
+        settled = lanes[i]
+    return confirmed
+
+
+def settle_extents_oracle(vy, crossings, settle):
+    """Frame-scan ``(start, end, complete)`` of the episode at each crossing:
+    scan out from the crossing to the nearest rows with |vy| < settle, then
+    split overlapping neighbours at the first |vy| minimum between them."""
+    vy = list(vy)
+    n = len(vy)
+    raw = []
+    for i in crossings:
+        start, found_start = 0, False
+        for j in range(i, -1, -1):
+            if abs(vy[j]) < settle:
+                start, found_start = j, True
+                break
+        end, found_end = n - 1, False
+        for j in range(i, n):
+            if abs(vy[j]) < settle:
+                end, found_end = j, True
+                break
+        raw.append({
+            "crossing": i, "start": start, "end": end,
+            "complete": found_start and found_end and 0 < start and end < n - 1,
+        })
+    for a, b in zip(raw, raw[1:]):
+        if a["end"] >= b["start"]:
+            split = min(range(a["crossing"], b["crossing"]),
+                        key=lambda j: (abs(vy[j]), j))
+            a["end"] = split
+            b["start"] = min(split + 1, b["crossing"])
+    return [(r["start"], r["end"], r["complete"]) for r in raw]
+
+
+def lane_change_oracle(track, cfg):
+    """Single-pass frame-scan labeler re-implementing the published rule:
+    ``(track_id, start, end, from_lane, to_lane, crossing, complete)`` per
+    lane change, in frames."""
+    lanes = track.lane.tolist()
+    crossings = confirmed_crossings_oracle(lanes, cfg.lane_change_min_dwell)
+    extents = settle_extents_oracle(track.vy.tolist(), crossings, cfg.lateral_settle_speed)
+    first = track.initial_frame
+    return [
+        (track.track_id, first + start, first + end, lanes[i - 1], lanes[i],
+         first + i, complete)
+        for i, (start, end, complete) in zip(crossings, extents)
+    ]
+
+
 def track_identity_oracle(tracks, vehicles, radius=2.0):
     """Identity counts of output tracks against truth vehicles, in the
     manner of the CLEAR-MOT matching (Bernardin & Stiefelhagen, 2008).

@@ -46,7 +46,7 @@ from hwtracks.lane_change import SHAPE_COEFFICIENTS
 from hwtracks.synth import script_from_dict
 from hwtracks.surround import UNDEFINED
 
-from conftest import make_meta, row_at, track_identity_oracle
+from conftest import lane_change_oracle, make_meta, row_at, track_identity_oracle
 from test_dataset_io import random_recording
 from test_maneuvers import hysteresis_oracle, critical_oracle
 from test_surround import brute_force_neighbors, neighbors, random_scene
@@ -369,53 +369,6 @@ def test_track_identity_on_the_corpus():
     assert track_identity_oracle(tracks, truth.tracks) == dict(
         tracks=126, vehicles=120, fragmented=6, extra=6, spurious=0, missed=0)
 
-def _brute_force_lane_changes(track, cfg):
-    """Single-pass frame-scan labeler re-implementing the published rule."""
-    lanes = track.lane.tolist()
-    vy = track.vy.tolist()
-    n = len(lanes)
-    confirmed = []
-    settled = lanes[0]
-    for i in range(1, n):
-        if lanes[i] == lanes[i - 1]:
-            continue
-        j = i
-        while j < n and lanes[j] == lanes[i]:
-            j += 1
-        if j - i < cfg.lane_change_min_dwell or lanes[i] == settled:
-            continue
-        confirmed.append(i)
-        settled = lanes[i]
-    raw = []
-    for i in confirmed:
-        start, found_start = 0, False
-        for j in range(i, -1, -1):
-            if abs(vy[j]) < cfg.lateral_settle_speed:
-                start, found_start = j, True
-                break
-        end, found_end = n - 1, False
-        for j in range(i, n):
-            if abs(vy[j]) < cfg.lateral_settle_speed:
-                end, found_end = j, True
-                break
-        raw.append({
-            "crossing": i, "start": start, "end": end,
-            "complete": found_start and found_end and 0 < start and end < n - 1,
-        })
-    for a, b in zip(raw, raw[1:]):
-        if a["end"] >= b["start"]:
-            split = min(range(a["crossing"], b["crossing"]),
-                        key=lambda j: (abs(vy[j]), j))
-            a["end"] = split
-            b["start"] = min(split + 1, b["crossing"])
-    first = track.initial_frame
-    return [
-        (track.track_id, first + r["start"], first + r["end"],
-         lanes[r["crossing"] - 1], lanes[r["crossing"]],
-         first + r["crossing"], r["complete"])
-        for r in raw
-    ]
-
 
 @criterion(6, "maneuver episodes equal the brute-force labeler on a "
               "1000-vehicle corpus", limit_seconds=60.0)
@@ -448,9 +401,9 @@ def test_criterion_6_maneuver_oracle_equivalence():
         got_lc = [
             (e.track_id, e.start_frame, e.end_frame, e.from_lane, e.to_lane,
              e.crossing_frame, e.complete)
-            for e in detect_lane_changes(track, truth.meta, cfg)
+            for e in detect_lane_changes(track, cfg)
         ]
-        assert got_lc == _brute_force_lane_changes(track, cfg), (
+        assert got_lc == lane_change_oracle(track, cfg), (
             f"lane changes differ on track {track.track_id}"
         )
         total_lc += len(got_lc)
@@ -467,7 +420,7 @@ def test_criterion_6_maneuver_oracle_equivalence():
     }
     detected = set()
     for track in truth.tracks:
-        for e in detect_lane_changes(track, truth.meta, cfg):
+        for e in detect_lane_changes(track, cfg):
             detected.add((e.track_id, e.start_frame, e.end_frame, e.from_lane,
                           e.to_lane, e.crossing_frame, e.complete))
     assert detected == truth_lc

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import pickle
 from pathlib import Path
 
@@ -533,6 +534,24 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"^{key} must be a number"):
             load_pipeline_config(cfg_path)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("section, key", [
+        ("tracker", "gate_radius"),
+        ("smoother", "jerk_sigma"),
+        ("stats", "mean_speed_bin"),
+        ("fit", "duration_max"),
+        ("maneuvers", "lateral_settle_speed"),
+    ])
+    def test_non_finite_rejected(self, tmp_path, section, key, value):
+        # json writes and reads Infinity, -Infinity and NaN
+        from hwtracks.pipeline import load_pipeline_config
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ValueError,
+                           match=f"^{section}.{key} must be finite, got {value!r}$"):
+            load_pipeline_config(cfg_path)
+
     def test_integer_accepted_as_number(self, tmp_path):
         from hwtracks.pipeline import load_pipeline_config
 
@@ -550,6 +569,17 @@ class TestConfigFile:
         errors = json.loads(capsys.readouterr().err)["errors"]
         assert [(e["kind"], e["message"]) for e in errors] == [
             ("ValueError", "jobs must be an integer, got 1.5")]
+
+    def test_non_finite_config_is_one_reported_error(self, tmp_path, capsys):
+        out = run_synth(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"smoother": {"jerk_sigma": Infinity}}')
+        capsys.readouterr()
+        assert main(["track", "--config", str(cfg_path), "--input",
+                     str(out / "detections"), "--output", str(tmp_path / "t")]) == 1
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert [(e["kind"], e["message"]) for e in errors] == [
+            ("ValueError", "smoother.jerk_sigma must be finite, got inf")]
 
     def test_defaults_valid(self):
         from hwtracks.pipeline import PipelineConfig

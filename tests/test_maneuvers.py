@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hwtracks import (
     ContractViolation,
@@ -13,6 +14,8 @@ from hwtracks import (
     ManeuverKind,
     Side,
     Surround,
+    Track,
+    VehicleClass,
     detect_critical,
     detect_lane_changes,
     evaluate_model,
@@ -21,8 +24,10 @@ from hwtracks import (
     longitudinal_episodes,
     nearest_lane_id,
 )
+from hwtracks.maneuvers import lane_change_extents
 from hwtracks.surround import NO_VEHICLE, UNDEFINED
-from conftest import make_meta, track_from_states
+from conftest import (lane_change_oracle, make_meta, settle_extents_oracle,
+                      track_from_states)
 
 DT = 0.04
 
@@ -229,12 +234,12 @@ def lane_change_ys(meta, lead_in=100, lead_out=100, T=5.0, d_start=1.85,
 class TestDetectLaneChanges:
     def test_straight_track_no_episodes(self, meta):
         track = constant_track(200, meta)
-        assert detect_lane_changes(track, meta, ManeuverConfig()) == []
+        assert detect_lane_changes(track, ManeuverConfig()) == []
 
     def test_model_lane_change_detected_complete(self, meta):
         ys, vys = lane_change_ys(meta)
         track = track_from_y(ys, vys, meta)
-        [ep] = detect_lane_changes(track, meta, ManeuverConfig())
+        [ep] = detect_lane_changes(track, ManeuverConfig())
         assert ep.kind is ManeuverKind.LANE_CHANGE
         assert (ep.from_lane, ep.to_lane) == (1, 2)
         assert ep.complete is True
@@ -248,7 +253,7 @@ class TestDetectLaneChanges:
         # cut the tail: the maneuver never settles inside the window
         cut = 30
         track = track_from_y(ys[:-cut], vys[:-cut], meta)
-        [ep] = detect_lane_changes(track, meta, ManeuverConfig())
+        [ep] = detect_lane_changes(track, ManeuverConfig())
         assert ep.complete is False
         assert ep.end_frame == track.final_frame
 
@@ -259,13 +264,13 @@ class TestDetectLaneChanges:
         ys = base + bounce + [13.85] * 60
         vys = [0.0] * len(ys)
         track = track_from_y(ys, vys, meta)
-        assert detect_lane_changes(track, meta, ManeuverConfig()) == []
+        assert detect_lane_changes(track, ManeuverConfig()) == []
 
     def test_dwell_exactly_at_threshold_counts(self, meta):
         cfg = ManeuverConfig(lane_change_min_dwell=10)
         ys = [13.85] * 60 + [15.8] * 10 + [13.85] * 60
         track = track_from_y(ys, [0.0] * len(ys), meta)
-        episodes = detect_lane_changes(track, meta, cfg)
+        episodes = detect_lane_changes(track, cfg)
         # the 10-frame stay now counts, and the return is its own change
         assert len(episodes) == 2
 
@@ -287,7 +292,7 @@ class TestDetectLaneChanges:
         ys = ys1 + [ys1[-1]] * pause + list(19.4 + y_rel2) + [19.4 + y_rel2[-1]] * 80
         vys = vys1 + [0.0] * pause + list(vy2) + [0.0] * 80
         track = track_from_y(ys, vys, meta3)
-        episodes = detect_lane_changes(track, meta3, ManeuverConfig())
+        episodes = detect_lane_changes(track, ManeuverConfig())
         assert len(episodes) == 2
         first, second = episodes
         assert (first.from_lane, first.to_lane) == (1, 2)
@@ -307,10 +312,52 @@ class TestDetectLaneChanges:
                 ys += [lane_y[current]] * stay
                 current = 3 - current
             track = track_from_y(ys, [0.0] * len(ys), meta)
-            episodes = detect_lane_changes(track, meta, cfg)
+            episodes = detect_lane_changes(track, cfg)
             transitions = lane_change_count(track.lane)
             # every stay exceeds the dwell, so all transitions are confirmed
             assert len(episodes) == transitions
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 40)), min_size=1, max_size=8),
+           st.integers(1, 30), st.data())
+    def test_matches_frame_scan_oracle(self, runs, min_dwell, data):
+        # lane runs of any length, bounces and returns included
+        lane = [lane for lane, length in runs for _ in range(length)]
+        vy = data.draw(st.lists(st.sampled_from([0.0, 0.05, -0.3, 0.3]),
+                                min_size=len(lane), max_size=len(lane)))
+        zeros = [0.0] * len(lane)
+        track = Track(track_id=3, vehicle_class=VehicleClass.CAR,
+                      direction=DrivingDirection.LOWER, length=4.5, width=2.0,
+                      mean_speed=25.0, initial_frame=7, x=zeros, y=zeros, vx=zeros,
+                      vy=vy, ax=zeros, ay=zeros, lane=lane)
+        cfg = ManeuverConfig(lane_change_min_dwell=min_dwell)
+        got = [(e.track_id, e.start_frame, e.end_frame, e.from_lane, e.to_lane,
+                e.crossing_frame, e.complete) for e in detect_lane_changes(track, cfg)]
+        assert got == lane_change_oracle(track, cfg)
+
+
+class TestLaneChangeExtents:
+    # Few distinct values, exact zeros of both signs and values on the settle
+    # thresholds: |vy| minima tie, rows settle on the first and last row,
+    # and some series never settle.
+    VY = st.sampled_from([0.0, -0.0, 0.05, -0.05, 0.1, -0.1, 0.3, -0.3, 1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_frame_scan_oracle(self, data):
+        vy = data.draw(st.lists(self.VY, min_size=2, max_size=40))
+        crossings = sorted(set(data.draw(
+            st.lists(st.integers(1, len(vy) - 1), max_size=6))))
+        settle = data.draw(st.sampled_from([0.05, 0.1, 0.3, 2.0]))
+        got = lane_change_extents(np.array(vy), crossings, settle)
+        assert got == settle_extents_oracle(vy, crossings, settle)
+
+    def test_split_at_first_minimum_before_the_next_crossing(self):
+        # never settled: both episodes would span the whole track, so they
+        # split at the first of the tied minima between the crossings
+        vy = [0.5, 0.5, 0.3, 0.2, 0.2, 0.4, 0.5, 0.5]
+        assert lane_change_extents(np.array(vy), [2, 6], 0.1) == [
+            (0, 3, False), (4, 7, False)]
 
 
 class TestEpisodeType:

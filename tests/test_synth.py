@@ -7,6 +7,7 @@ import pytest
 from hwtracks import (
     DrivingDirection,
     LaneChangeParams,
+    ManeuverConfig,
     NoiseSpec,
     ScenarioScript,
     ScriptError,
@@ -26,7 +27,7 @@ from hwtracks import (
 )
 from hwtracks.lane_change import CutInScenario
 from hwtracks.synth import script_from_dict
-from conftest import cut_in_oracle, row_at
+from conftest import cut_in_oracle, row_at, settle_extents_oracle
 
 
 def car(**kwargs):
@@ -207,6 +208,23 @@ class TestGenerateTruth:
         ]
         assert len(truth.episodes) == 70 and len(want) == 68
         assert list(truth.cut_ins) == want
+
+    def test_lane_changes_match_frame_scan_oracle(self):
+        # The truth crossings come from the script; the oracle rescans each
+        # truth track's vy from them for the settle points and the splits.
+        truth = generate_truth(script_from_dict(dense_lane_change_script()))
+        by_id = {track.track_id: track for track in truth.tracks}
+        settle = ManeuverConfig().lateral_settle_speed
+        for track_id in sorted({lc.track_id for lc in truth.lane_changes}):
+            track = by_id[track_id]
+            first = track.initial_frame
+            mine = [lc for lc in truth.lane_changes if lc.track_id == track_id]
+            want = settle_extents_oracle(
+                track.vy.tolist(), [lc.crossing_frame - first for lc in mine], settle)
+            got = [(lc.start_frame - first, lc.end_frame - first, lc.complete)
+                   for lc in mine]
+            assert got == want, f"track {track_id}"
+        assert len(truth.lane_changes) == 70
 
     def test_mean_speed_matches_definition(self):
         script = ScenarioScript(
