@@ -12,10 +12,13 @@ The model splits the maneuver into two polynomials over its duration T:
   degrees of freedom win and the endpoint condition binds laterally only.)
 
 That leaves five free parameters: d_start, d_end, v_start, v_end and the
-duration. Fitting exploits the structure: for a fixed placement (t0, T) both
-polynomials are linear in their remaining parameters and solve in closed
-form, so the search is only two-dimensional (coarse grid, then
-golden-section refinement one variable at a time).
+duration. Fitting exploits the structure (variable projection, Golub &
+Pereyra 1973): for a fixed placement (t0, T) both polynomials are linear in
+their remaining parameters and solve in closed form, so the search is only
+two-dimensional (coarse grid, then golden-section refinement one variable
+at a time). One evaluator scores every placement, for the grid, the
+refinement and the reported fit alike, by the sum of squares of its
+explicit residuals, which is never negative.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -95,7 +98,7 @@ class LaneChangeParams:
 def shape(s):
     """Normalized lateral progress q(s) = 10 s^3 - 15 s^4 + 6 s^5 on [0, 1]."""
     c3, c4, c5 = SHAPE_COEFFICIENTS
-    return s**3 * (c3 + s * (c4 + s * c5))
+    return s * s * s * (c3 + s * (c4 + s * c5))
 
 
 def shape_rate(s):
@@ -173,15 +176,15 @@ _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class _SeparableObjective:
-    """Weighted SSE of the model over samples, for a fixed placement (t0, T).
+    """Weighted SSE of the model over samples, for placements (t0, T).
 
     Outside [t0, t0 + T] the model extends steadily: constant lateral offset
     and constant longitudinal speed, which is how a settled vehicle moves.
     For a fixed placement both inner problems are linear: the lateral offset
     r = alpha (1 - q) + beta q, with alpha = -sign*d_start and
     beta = sign*d_end, and the position x = x0 + v_start*phi1 + v_end*phi2
-    on a piecewise basis. ``_solve`` solves both in closed form for a whole
-    grid of t0 at once; a single placement is a grid of one.
+    on a piecewise basis. Both solve in closed form for a whole grid of t0
+    at once; a single placement is a grid of one.
     """
 
     def __init__(self, times, xs, ys, marking_y, cfg: FitConfig) -> None:
@@ -190,58 +193,14 @@ class _SeparableObjective:
         self.r = np.asarray(ys, dtype=float) - marking_y
         self.w = cfg.longitudinal_weight
 
-    def __call__(self, t0: float, T: float) -> Tuple[float, Optional[Dict]]:
-        """(objective, solution) at one placement; solution None when singular.
+    def __call__(self, t0_grid: np.ndarray, T: float):
+        """(objective, lateral_sse, longitudinal_sse, lat_coeff, lon_coeff),
+        one row per t0 of the grid.
 
-        The residual sums come from the explicit residual vectors, so the
-        reported RMSEs are not quadratic forms.
-        """
-        valid, (lat_basis, _, _, lat_coeff), (lon_basis, _, _, lon_coeff) = self._solve(
-            np.array([t0]), T
-        )
-        if not valid[0]:
-            return math.inf, None
-        lat_res = self.r - lat_coeff[0] @ lat_basis[0]
-        lon_res = self.x - lon_coeff[0] @ lon_basis[0]
-        lateral_sse = float(lat_res @ lat_res)
-        longitudinal_sse = float(lon_res @ lon_res)
-        solution = {
-            "alpha": float(lat_coeff[0, 0]),
-            "beta": float(lat_coeff[0, 1]),
-            "v_start": float(lon_coeff[0, 1]),
-            "v_end": float(lon_coeff[0, 2]),
-            "lateral_sse": lateral_sse,
-            "longitudinal_sse": longitudinal_sse,
-        }
-        return lateral_sse + self.w * longitudinal_sse, solution
-
-    def grid_minimum(self, t0_grid: np.ndarray, T: float) -> Tuple[float, Optional[float]]:
-        """(best objective, best t0) over all t0 candidates for one duration.
-
-        Each residual sum |y|^2 - c.(2h - A c) comes from the normal
-        equations A c = h, so no per-candidate residual vectors are
-        materialized. Ties keep the earliest t0.
-        """
-        valid, lateral, longitudinal = self._solve(t0_grid, T)
-        if not valid.any():
-            return math.inf, None
-        lat_sse, lon_sse = (
-            float(y @ y) - np.einsum("gi,gi->g", coeff,
-                                     2.0 * rhs - np.einsum("gij,gj->gi", normal, coeff))
-            for (_, normal, rhs, coeff), y in ((lateral, self.r), (longitudinal, self.x))
-        )
-        objective = np.where(valid, lat_sse + self.w * lon_sse, math.inf)
-        best = int(np.argmin(objective))
-        return float(objective[best]), float(t0_grid[best])
-
-    def _solve(self, t0_grid: np.ndarray, T: float):
-        """Both inner least-squares solves, vectorized over the t0 grid.
-
-        Returns (valid, lateral, longitudinal): whether both solves are
-        regular, then each problem as (basis, normal, rhs, coeff), one row per
-        t0, where coeff solves the normal equations normal @ coeff = rhs.
-        The lateral basis is [1 - q, q] with coefficients [alpha, beta], the
-        longitudinal one [1, phi1, phi2] with [x0, v_start, v_end].
+        ``lat_coeff`` is [alpha, beta] and ``lon_coeff`` [x0, v_start, v_end].
+        Both sums of squares come from the explicit residual vectors, so they
+        are never negative. The objective is ``inf`` where either normal
+        matrix is singular; such rows solve a stand-in system.
         """
         u = self.t[None, :] - t0_grid[:, None]
         before, after = u < 0.0, u > T
@@ -255,24 +214,27 @@ class _SeparableObjective:
         lon_basis[:, 2] = np.where(before, 0.0, np.where(after, u - T / 2.0, half_sq))
         lat_normal = np.vecdot(lat_basis[:, :, None], lat_basis[:, None])
         lon_normal = np.vecdot(lon_basis[:, :, None], lon_basis[:, None])
-        lat_rhs = np.vecdot(lat_basis, self.r)
-        lon_rhs = np.vecdot(lon_basis, self.x)
 
         # Lateral 2x2 by its adjugate [[a22, -a12], [-a12, a11]] (cheaper
-        # than a batched LU), the longitudinal 3x3 by LU; singular rows solve
-        # a stand-in system and stay invalid.
+        # than a batched LU), the longitudinal 3x3 by LU.
         a11, a12, a22 = lat_normal[:, 0, 0], lat_normal[:, 0, 1], lat_normal[:, 1, 1]
         det = a11 * a22 - a12 * a12
         valid = (det > 1e-12 * np.maximum(a11 * a22, 1e-300)) & (
             np.abs(np.linalg.det(lon_normal)) > 1e-12
         )
         adjugate = lat_normal[:, ::-1, ::-1] * _ADJUGATE_SIGNS
-        lat_coeff = np.vecdot(adjugate, lat_rhs[:, None]) / np.where(valid, det, 1.0)[:, None]
+        lat_coeff = (np.vecdot(adjugate, np.vecdot(lat_basis, self.r)[:, None])
+                     / np.where(valid, det, 1.0)[:, None])
         lon_coeff = np.linalg.solve(
-            np.where(valid[:, None, None], lon_normal, _EYE3), lon_rhs[:, :, None]
+            np.where(valid[:, None, None], lon_normal, _EYE3),
+            np.vecdot(lon_basis, self.x)[:, :, None],
         )[:, :, 0]
-        return (valid, (lat_basis, lat_normal, lat_rhs, lat_coeff),
-                (lon_basis, lon_normal, lon_rhs, lon_coeff))
+        lat_res = self.r - (lat_coeff[:, None] @ lat_basis)[:, 0]
+        lon_res = self.x - (lon_coeff[:, None] @ lon_basis)[:, 0]
+        lateral_sse = np.vecdot(lat_res, lat_res)
+        longitudinal_sse = np.vecdot(lon_res, lon_res)
+        objective = np.where(valid, lateral_sse + self.w * longitudinal_sse, math.inf)
+        return objective, lateral_sse, longitudinal_sse, lat_coeff, lon_coeff
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -326,100 +288,90 @@ def fit_lane_change(
         raise InsufficientData(f"need >= {cfg.min_samples} samples, got {t.size}")
     objective = _SeparableObjective(t, xs, ys, marking_y, cfg)
 
+    def at(mid: float, T: float):
+        """The evaluator's one row at midpoint ``mid`` and duration ``T``."""
+        return [column[0] for column in objective(np.array([mid - T / 2.0]), T)]
+
+    # Grid: every sample time as t0 for each duration; argmin over the
+    # (duration, t0) table keeps the first duration, then the earliest t0.
     durations = np.arange(
         cfg.duration_min, cfg.duration_max + cfg.duration_step / 2, cfg.duration_step
     )
-    best: Optional[Tuple[float, float, float]] = None  # (J, t0, T)
-    for T in durations:
-        value, t0_best_for_T = objective.grid_minimum(t, float(T))
-        if t0_best_for_T is not None and (best is None or value < best[0]):
-            best = (value, t0_best_for_T, float(T))
-    if best is None:
+    grid = np.array([objective(t, float(T))[0] for T in durations])
+    best_T, best_t0 = np.unravel_index(np.argmin(grid), grid.shape)
+    j_best = float(grid[best_T, best_t0])
+    if j_best == math.inf:
         raise DegenerateEpisode("inner least squares singular over the whole grid")
 
     # Refinement in (midpoint, duration) coordinates: stretching T around a
     # fixed maneuver midpoint leaves the crossing in place, so the two
     # variables decouple and coordinate-wise golden-section search converges
-    # in a few passes (in (t0, T) the valley is strongly correlated).
-    trace = [best[0]]
-    j_best, t0_best, T_best = best
-    mid_best = t0_best + T_best / 2.0
+    # in a few passes (in (t0, T) the valley is strongly correlated). A pass
+    # searches each coordinate within ``duration_step`` of its best value;
+    # passes stop once neither moves by ``refine_tolerance``, or mid-pass
+    # when the iteration budget is spent.
+    T_best = float(durations[best_T])
+    placement = [float(t[best_t0]) + T_best / 2.0, T_best]
+    limits = ((float(t[0]), float(t[-1])), (cfg.duration_min, cfg.duration_max))
+    trace = [j_best]
     iterations = 0
     converged_by_tol = True
-    window_lo, window_hi = float(t[0]), float(t[-1])
     for _ in range(8):
-        budget = cfg.max_refine_iterations - iterations
-        if budget <= 0:
+        changes = []
+        for axis, (lo, hi) in enumerate(limits):
+            budget = cfg.max_refine_iterations - iterations
+            if budget <= 0:
+                break
+
+            def along(v: float, axis: int = axis) -> float:
+                return float(at(*(placement[:axis] + [v] + placement[axis + 1:]))[0])
+
+            value, j, used, hit = _golden_section(
+                along,
+                max(lo, placement[axis] - cfg.duration_step),
+                min(hi, placement[axis] + cfg.duration_step),
+                cfg.refine_tolerance,
+                budget,
+            )
+            iterations += used
+            converged_by_tol &= not hit
+            changes.append(abs(value - placement[axis]))
+            if j < j_best:
+                j_best, placement[axis] = j, value
+        if len(changes) < len(limits):
             converged_by_tol = False
             break
-        mid_new, j0, used, hit = _golden_section(
-            lambda v: objective(v - T_best / 2.0, T_best)[0],
-            max(window_lo, mid_best - cfg.duration_step),
-            min(window_hi, mid_best + cfg.duration_step),
-            cfg.refine_tolerance,
-            budget,
-        )
-        iterations += used
-        if hit:
-            converged_by_tol = False
-        mid_change = abs(mid_new - mid_best)
-        if j0 < j_best:
-            j_best, mid_best = j0, mid_new
-        budget = cfg.max_refine_iterations - iterations
-        if budget <= 0:
-            converged_by_tol = False
-            break
-        T_new, j1, used, hit = _golden_section(
-            lambda v: objective(mid_best - v / 2.0, v)[0],
-            max(cfg.duration_min, T_best - cfg.duration_step),
-            min(cfg.duration_max, T_best + cfg.duration_step),
-            cfg.refine_tolerance,
-            budget,
-        )
-        iterations += used
-        if hit:
-            converged_by_tol = False
-        T_change = abs(T_new - T_best)
-        if j1 < j_best:
-            j_best, T_best = j1, T_new
         trace.append(j_best)
-        if mid_change < cfg.refine_tolerance and T_change < cfg.refine_tolerance:
+        if max(changes) < cfg.refine_tolerance:
             break
+    mid_best, T_best = placement
     t0_best = mid_best - T_best / 2.0
 
-    value, solution = objective(t0_best, T_best)
-    if solution is None:
+    value, lateral_sse, longitudinal_sse, lat_coeff, lon_coeff = at(mid_best, T_best)
+    if value == math.inf:
         raise DegenerateEpisode("refined placement became singular")
-    alpha, beta = solution["alpha"], solution["beta"]
+    alpha, beta = map(float, lat_coeff)
+    v_start, v_end = map(float, lon_coeff[1:])
     amplitude = beta - alpha  # signed lateral span
     sign = 1 if amplitude >= 0 else -1
     d_start = -alpha * sign
     d_end = beta * sign
-    v_start, v_end = solution["v_start"], solution["v_end"]
     if d_start <= 0 or d_end <= 0 or v_start <= 0 or v_end <= 0:
         raise DegenerateEpisode(
             "fitted parameters outside the model domain "
             f"(d_start={d_start:.3g}, d_end={d_end:.3g}, "
             f"v_start={v_start:.3g}, v_end={v_end:.3g})"
         )
-    params = LaneChangeParams(
-        d_start=d_start,
-        d_end=d_end,
-        v_start=v_start,
-        v_end=v_end,
-        duration=T_best,
-        side=Side.TO_LEFT if sign > 0 else Side.TO_RIGHT,
-    )
-    n = t.size
-    converged = converged_by_tol and abs(amplitude) >= cfg.min_amplitude
+    params = LaneChangeParams(d_start=d_start, d_end=d_end, v_start=v_start, v_end=v_end,
+                              duration=T_best, side=Side.TO_LEFT if sign > 0 else Side.TO_RIGHT)
     return LaneChangeFitResult(
         params=params,
         t0=t0_best,
-        lateral_rmse=math.sqrt(solution["lateral_sse"] / n),
-        longitudinal_rmse=math.sqrt(solution["longitudinal_sse"] / n),
-        converged=converged,
+        lateral_rmse=math.sqrt(lateral_sse / t.size),
+        longitudinal_rmse=math.sqrt(longitudinal_sse / t.size),
+        converged=converged_by_tol and abs(amplitude) >= cfg.min_amplitude,
         iterations=iterations,
-        objective=value,
+        objective=float(value),
         objective_trace=tuple(trace),
     )
 

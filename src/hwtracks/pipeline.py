@@ -72,7 +72,8 @@ def _merge(defaults, data, prefix: str = ""):
     """``defaults`` with the keys of the JSON object ``data`` replaced. A key
     that holds a section merges key by key, an ``int`` field takes an int
     only, not a bool or a float, and a ``float`` field takes an int or a
-    finite float, not a bool. Errors name the key as ``section.key``."""
+    float, not a bool, whose float value is finite, and stores that float.
+    Errors name the key as ``section.key``."""
     where = f"config section {prefix[:-1]!r}" if prefix else "config root"
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object")
@@ -87,11 +88,16 @@ def _merge(defaults, data, prefix: str = ""):
         elif types[key] in ("int", "Optional[int]") and value is not None \
                 and type(value) is not int:
             raise ValueError(f"{prefix}{key} must be an integer, got {value!r}")
-        elif types[key] == "float" and (type(value) is bool
-                                        or not isinstance(value, (int, float))):
-            raise ValueError(f"{prefix}{key} must be a number, got {value!r}")
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{prefix}{key} must be finite, got {value!r}")
+        elif types[key] == "float":
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise ValueError(f"{prefix}{key} must be a number, got {value!r}")
+            try:
+                number = float(value)
+            except OverflowError:  # an int beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise ValueError(f"{prefix}{key} must be finite, got {value!r}")
+            value = number
         changes[key] = value
     return dataclasses.replace(defaults, **changes)
 

@@ -534,7 +534,9 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"^{key} must be a number"):
             load_pipeline_config(cfg_path)
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                       pytest.param(10**400, id="10**400"),
+                                       pytest.param(-10**401, id="-10**401")])
     @pytest.mark.parametrize("section, key", [
         ("tracker", "gate_radius"),
         ("smoother", "jerk_sigma"),
@@ -543,7 +545,8 @@ class TestConfigFile:
         ("maneuvers", "lateral_settle_speed"),
     ])
     def test_non_finite_rejected(self, tmp_path, section, key, value):
-        # json writes and reads Infinity, -Infinity and NaN
+        # json writes and reads Infinity, -Infinity and NaN, and integers
+        # that have no float
         from hwtracks.pipeline import load_pipeline_config
 
         cfg_path = tmp_path / "cfg.json"
@@ -556,8 +559,11 @@ class TestConfigFile:
         from hwtracks.pipeline import load_pipeline_config
 
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"tracker": {"gate_radius": 3}}))
-        assert load_pipeline_config(cfg_path).tracker.gate_radius == 3
+        cfg_path.write_text(json.dumps({"tracker": {"gate_radius": 3},
+                                        "fit": {"duration_max": 10**300}}))
+        cfg = load_pipeline_config(cfg_path)
+        assert (cfg.tracker.gate_radius, cfg.fit.duration_max) == (3.0, 1e300)
+        assert type(cfg.tracker.gate_radius) is type(cfg.fit.duration_max) is float
 
     def test_non_integer_jobs_is_a_reported_error(self, tmp_path, capsys):
         out = run_synth(tmp_path)

@@ -180,30 +180,40 @@ class TestSeparableObjective:
         cfg = FitConfig()
         objective = _SeparableObjective(t, x, y, 15.7, cfg)
         for t0, T in ((1.0, 4.0), (2.0, 5.0), (3.5, 2.5)):
-            value, solution = objective(t0, T)
+            value, lat_sse, lon_sse, lat_coeff, lon_coeff = objective(np.array([t0]), T)
             want, c_lat, c_lon = reference_objective(
                 t, x, y - 15.7, t0, T, cfg.longitudinal_weight)
-            assert value == pytest.approx(want, rel=1e-9)
-            assert value == pytest.approx(solution["lateral_sse"] + cfg.longitudinal_weight
-                                          * solution["longitudinal_sse"], rel=1e-12)
-            assert (solution["alpha"], solution["beta"]) == pytest.approx(tuple(c_lat), rel=1e-9)
-            assert (solution["v_start"], solution["v_end"]) == pytest.approx(
-                tuple(c_lon[1:]), rel=1e-9)
+            assert value[0] == pytest.approx(want, rel=1e-9)
+            assert value[0] == pytest.approx(lat_sse[0] + cfg.longitudinal_weight
+                                             * lon_sse[0], rel=1e-12)
+            assert tuple(lat_coeff[0]) == pytest.approx(tuple(c_lat), rel=1e-9)
+            assert tuple(lon_coeff[0, 1:]) == pytest.approx(tuple(c_lon[1:]), rel=1e-9)
 
-    def test_grid_minimum_is_the_best_single_placement(self, episode):
+    def test_grid_rows_are_single_placements(self, episode):
         t, x, y = episode
         objective = _SeparableObjective(t, x, y, 15.7, FitConfig())
         grid = t[::7]
-        values = [objective(t0, 5.0)[0] for t0 in grid]
-        best, best_t0 = objective.grid_minimum(grid, 5.0)
-        assert best == pytest.approx(min(values), rel=1e-7)
-        assert best_t0 == grid[int(np.argmin(values))]
+        rows = objective(grid, 5.0)
+        for i, t0 in enumerate(grid):
+            single = objective(np.array([t0]), 5.0)
+            for column, one in zip(rows, single):
+                assert column[i] == pytest.approx(one[0], rel=1e-12, abs=1e-12)
 
     def test_placement_after_the_samples_is_singular(self, episode):
         t, x, y = episode
         objective = _SeparableObjective(t, x, y, 15.7, FitConfig())
-        assert objective(float(t[-1]) + 1.0, 3.0) == (np.inf, None)
-        assert objective.grid_minimum(t[-1] + np.array([1.0, 2.0]), 3.0) == (np.inf, None)
+        assert objective(np.array([float(t[-1]) + 1.0]), 3.0)[0][0] == np.inf
+        assert list(objective(t[-1] + np.array([1.0, 2.0]), 3.0)[0]) == [np.inf, np.inf]
+
+    @pytest.mark.parametrize("T", [4.0, 5.0, 6.0])
+    def test_noise_free_grid_is_never_negative(self, T):
+        # a sum of squares is >= 0; a quadratic-form SSE went to -1.5e-9 here
+        t, x, y = synth_episode(params(T=T))
+        objective = _SeparableObjective(t, x, y, 15.7, FitConfig())
+        for duration in np.arange(1.0, 15.25, 0.5):
+            value, lat_sse, lon_sse, _, _ = objective(t, float(duration))
+            assert np.all(value >= 0.0)
+            assert np.all(lat_sse >= 0.0) and np.all(lon_sse >= 0.0)
 
 
 class TestFitLaneChange:
@@ -253,6 +263,23 @@ class TestFitLaneChange:
         trace = fit.objective_trace
         assert len(trace) >= 1
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("budget, iterations, converged, passes, t0, duration", [
+        (0, 0, False, 1, 2.0, 5.0),
+        (1, 1, False, 1, 2.0, 5.0),
+        (5, 5, False, 1, 2.0, 5.0),
+        (13, 13, False, 1, 2.0036987406599627, 5.0),
+        (40, 40, False, 2, 2.0259446662749205, 4.954321907480441),
+    ])
+    def test_refinement_budget(self, budget, iterations, converged, passes, t0, duration):
+        # an exhausted budget stops the search mid-pass; only whole passes
+        # are traced, and the fit is not converged
+        times, xs, ys = synth_episode(params(), noise=0.05, rng=np.random.default_rng(3))
+        fit = fit_lane_change(times, xs, ys, marking_y=15.7,
+                              cfg=FitConfig(max_refine_iterations=budget))
+        assert (fit.iterations, fit.converged, len(fit.objective_trace)) == (
+            iterations, converged, passes)
+        assert (fit.t0, fit.params.duration) == (t0, duration)
 
     def test_mirror_symmetry(self):
         rng = np.random.default_rng(23)
