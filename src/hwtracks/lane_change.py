@@ -15,10 +15,17 @@ That leaves five free parameters: d_start, d_end, v_start, v_end and the
 duration. Fitting exploits the structure (variable projection, Golub &
 Pereyra 1973): for a fixed placement (t0, T) both polynomials are linear in
 their remaining parameters and solve in closed form, so the search is only
-two-dimensional (coarse grid, then golden-section refinement one variable
-at a time). One evaluator scores every placement, for the grid, the
+two-dimensional. One evaluator scores every placement, for the grid, the
 refinement and the reported fit alike, by the sum of squares of its
-explicit residuals, which is never negative.
+explicit residuals, which is never negative. Each evaluator call scores a
+batch of placements, and the search asks for few, large batches:
+
+* the grid runs coarse to fine: every ``stride``-th sample time as t0 for
+  every duration, then every sample time near the best coarse t0 of the
+  best coarse duration and its two neighbours;
+* the refinement is golden-section search (Kiefer 1953) one variable at a
+  time, and one call scores every point that the next few steps may probe,
+  so the steps walk the same values one call per step would return.
 """
 
 from __future__ import annotations
@@ -156,6 +163,8 @@ class FitConfig:
             raise ValueError("need 0 < duration_min < duration_max")
         if not self.duration_step > 0 or not self.refine_tolerance > 0:
             raise ValueError("duration_step and refine_tolerance must be positive")
+        if self.min_samples < 3:  # two samples make every placement singular
+            raise ValueError(f"min_samples must be >= 3, got {self.min_samples}")
 
 
 @dataclass(frozen=True)
@@ -183,8 +192,9 @@ class _SeparableObjective:
     For a fixed placement both inner problems are linear: the lateral offset
     r = alpha (1 - q) + beta q, with alpha = -sign*d_start and
     beta = sign*d_end, and the position x = x0 + v_start*phi1 + v_end*phi2
-    on a piecewise basis. Both solve in closed form for a whole grid of t0
-    at once; a single placement is a grid of one.
+    on a piecewise basis. Both solve in closed form for a whole batch of
+    placements at once; a single placement is a batch of one. Every row is
+    computed alone, so its bits do not depend on the batch it is in.
     """
 
     def __init__(self, times, xs, ys, marking_y, cfg: FitConfig) -> None:
@@ -193,22 +203,23 @@ class _SeparableObjective:
         self.r = np.asarray(ys, dtype=float) - marking_y
         self.w = cfg.longitudinal_weight
 
-    def __call__(self, t0_grid: np.ndarray, T: float):
+    def __call__(self, t0: np.ndarray, T):
         """(objective, lateral_sse, longitudinal_sse, lat_coeff, lon_coeff),
-        one row per t0 of the grid.
+        one row per placement (t0[i], T[i]); a scalar T holds for every t0.
 
         ``lat_coeff`` is [alpha, beta] and ``lon_coeff`` [x0, v_start, v_end].
         Both sums of squares come from the explicit residual vectors, so they
         are never negative. The objective is ``inf`` where either normal
         matrix is singular; such rows solve a stand-in system.
         """
-        u = self.t[None, :] - t0_grid[:, None]
+        T = np.asarray(T, dtype=float)[..., None]
+        u = self.t[None, :] - t0[:, None]
         before, after = u < 0.0, u > T
         half_sq = u * u / (2.0 * T)
-        lat_basis = np.empty((len(t0_grid), 2, len(self.t)))
+        lat_basis = np.empty((len(t0), 2, len(self.t)))
         lat_basis[:, 1] = q = shape(np.clip(u / T, 0.0, 1.0))
         lat_basis[:, 0] = 1.0 - q
-        lon_basis = np.empty((len(t0_grid), 3, len(self.t)))
+        lon_basis = np.empty((len(t0), 3, len(self.t)))
         lon_basis[:, 0] = 1.0
         lon_basis[:, 1] = np.where(before, u, np.where(after, T / 2.0, u - half_sq))
         lon_basis[:, 2] = np.where(before, 0.0, np.where(after, u - T / 2.0, half_sq))
@@ -237,33 +248,106 @@ class _SeparableObjective:
         return objective, lateral_sse, longitudinal_sse, lat_coeff, lon_coeff
 
 
+def _grid_minimum(objective: _SeparableObjective, cfg: FitConfig):
+    """(objective, t0, T) of the best grid placement: t0 a sample time, T
+    from ``duration_min`` to ``duration_max`` in ``duration_step``s; of equal
+    objectives, the first duration, then the earliest t0.
+
+    Coarse to fine, with ``stride`` the sample count nearest a quarter of
+    the duration step: the coarse pass scores every ``stride``-th sample
+    time for every duration, ``stride`` durations per evaluator call (about
+    one placement per sample, so the temporaries stay small). The fine pass
+    takes the best coarse duration and its two neighbours and, for each of
+    them, every sample time within ``stride - 1`` samples of that duration's
+    own best coarse t0, in one call. It would miss the full grid's minimum
+    if that lay outside those windows; the tests compare it with the full
+    table (every duration by every sample time) on random episodes and on
+    every fit of the benchmark workloads and the 225k-row corpus.
+    """
+    t = objective.t
+    durations = np.arange(
+        cfg.duration_min, cfg.duration_max + cfg.duration_step / 2, cfg.duration_step
+    )
+    spacing = (t[-1] - t[0]) / (len(t) - 1)
+    stride = max(1, round(cfg.duration_step / 4.0 / spacing))
+    coarse = t[::stride]
+    table = np.concatenate([
+        objective(np.tile(coarse, len(group)), np.repeat(group, len(coarse)))[0]
+        for group in np.split(durations, range(stride, len(durations), stride))
+    ]).reshape(len(durations), len(coarse))
+    k = int(np.argmin(table)) // len(coarse)
+    rows = range(max(k - 1, 0), min(k + 2, len(durations)))
+    centres = [stride * int(np.argmin(table[row])) for row in rows]
+    samples = [np.arange(max(c - stride + 1, 0), min(c + stride, len(t))) for c in centres]
+    T = np.concatenate([np.full(len(i), durations[row]) for row, i in zip(rows, samples)])
+    t0 = t[np.concatenate(samples)]
+    fine = objective(t0, T)[0]
+    best = int(np.argmin(fine))
+    return float(fine[best]), float(t0[best]), float(T[best])
+
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Golden-section steps whose possible probes one evaluator call scores.
+_LOOKAHEAD = 3
+
+
+def _golden_step(a: float, b: float, c: float, d: float, keep_left: bool):
+    """The bracket (a, b) and its interior points (c, d) after one step,
+    which keeps [a, d] when ``keep_left`` and [c, b] otherwise."""
+    if keep_left:
+        b, d = d, c
+        return a, b, b - _GOLDEN * (b - a), d
+    a, c = c, d
+    return a, b, c, a + _GOLDEN * (b - a)
 
 
 def _golden_section(f, lo: float, hi: float, tol: float, budget: int):
-    """Golden-section minimum of f on [lo, hi] to width tol.
+    """Golden-section minimum of f on [lo, hi] to width tol, in at most
+    ``budget`` steps.
+
+    ``f`` scores an array of points. Each step probes one point, chosen by
+    the comparison before it, so the next ``_LOOKAHEAD`` steps can probe one
+    of 2**_LOOKAHEAD - 1 points, all known in advance. One call of ``f``
+    scores all of them, plus the midpoint of every bracket at which the
+    search may stop (the first call also scores the two starting interior
+    points, and the points after either outcome of the first comparison).
+    The steps then walk with exactly the values one call per probe would
+    have returned, so the result is the one-probe-per-step search's.
 
     Returns (argmin, fmin, iterations, hit_budget).
     """
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    known: Dict[float, float] = {}
+
+    def stops(bracket, iterations: int) -> bool:
+        return not bracket[1] - bracket[0] > tol or iterations >= budget
+
+    def speculate(bracket, iterations: int, steps: int, points: Dict[float, None]) -> None:
+        """Add to ``points`` every point the next ``steps`` steps may read."""
+        a, b, c, d = bracket
+        points.update({c: None, d: None})
+        if stops(bracket, iterations):
+            points[(a + b) / 2.0] = None
+        elif steps:
+            fc, fd = known.get(c), known.get(d)
+            for keep_left in ((True, False) if fc is None or fd is None else (fc <= fd,)):
+                speculate(_golden_step(*bracket, keep_left), iterations + 1, steps - 1,
+                          points)
+
+    bracket = (lo, hi, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
     iterations = 0
-    while b - a > tol:
-        if iterations >= budget:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        iterations += 1
-    xm = (a + b) / 2.0
-    return xm, f(xm), iterations, b - a > tol
+    while True:
+        points: Dict[float, None] = {}
+        speculate(bracket, iterations, _LOOKAHEAD, points)
+        wanted = [p for p in points if p not in known]
+        if wanted:
+            known.update(zip(wanted, f(np.array(wanted))))
+        for _ in range(_LOOKAHEAD):
+            a, b, c, d = bracket
+            if stops(bracket, iterations):
+                xm = (a + b) / 2.0
+                return xm, float(known[xm]), iterations, b - a > tol
+            bracket = _golden_step(*bracket, known[c] <= known[d])
+            iterations += 1
 
 
 def fit_lane_change(
@@ -277,29 +361,22 @@ def fit_lane_change(
 
     ``times``/``xs``/``ys`` sample the episode (x must increase along the
     travel direction, i.e. already projected for upper-carriageway tracks);
-    ``marking_y`` is the crossed lane marking. Minimizes the lateral SSE
-    plus ``longitudinal_weight`` times the longitudinal SSE over all six
-    quantities; the placement (t0, T) is found by a coarse grid over the
-    episode window and the configured duration range, then refined by
+    ``times`` must be finite and strictly increasing. ``marking_y`` is the
+    crossed lane marking. Minimizes the lateral SSE plus
+    ``longitudinal_weight`` times the longitudinal SSE over all six
+    quantities; the placement (t0, T) is found by a grid over the episode's
+    sample times and the configured duration range, searched coarse to fine
+    with a t0 stride of about ``duration_step / 4``, then refined by
     coordinate golden-section search to ``refine_tolerance`` seconds.
     """
     t = np.asarray(times, dtype=float)
     if t.size < cfg.min_samples:
         raise InsufficientData(f"need >= {cfg.min_samples} samples, got {t.size}")
+    if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)):
+        raise ContractViolation("episode times must be finite and strictly increasing")
     objective = _SeparableObjective(t, xs, ys, marking_y, cfg)
 
-    def at(mid: float, T: float):
-        """The evaluator's one row at midpoint ``mid`` and duration ``T``."""
-        return [column[0] for column in objective(np.array([mid - T / 2.0]), T)]
-
-    # Grid: every sample time as t0 for each duration; argmin over the
-    # (duration, t0) table keeps the first duration, then the earliest t0.
-    durations = np.arange(
-        cfg.duration_min, cfg.duration_max + cfg.duration_step / 2, cfg.duration_step
-    )
-    grid = np.array([objective(t, float(T))[0] for T in durations])
-    best_T, best_t0 = np.unravel_index(np.argmin(grid), grid.shape)
-    j_best = float(grid[best_T, best_t0])
+    j_best, t0_best, T_best = _grid_minimum(objective, cfg)
     if j_best == math.inf:
         raise DegenerateEpisode("inner least squares singular over the whole grid")
 
@@ -310,8 +387,7 @@ def fit_lane_change(
     # searches each coordinate within ``duration_step`` of its best value;
     # passes stop once neither moves by ``refine_tolerance``, or mid-pass
     # when the iteration budget is spent.
-    T_best = float(durations[best_T])
-    placement = [float(t[best_t0]) + T_best / 2.0, T_best]
+    placement = [t0_best + T_best / 2.0, T_best]
     limits = ((float(t[0]), float(t[-1])), (cfg.duration_min, cfg.duration_max))
     trace = [j_best]
     iterations = 0
@@ -323,8 +399,9 @@ def fit_lane_change(
             if budget <= 0:
                 break
 
-            def along(v: float, axis: int = axis) -> float:
-                return float(at(*(placement[:axis] + [v] + placement[axis + 1:]))[0])
+            def along(values: np.ndarray, axis: int = axis) -> np.ndarray:
+                mid, T = (values if i == axis else v for i, v in enumerate(placement))
+                return objective(mid - T / 2.0, T)[0]
 
             value, j, used, hit = _golden_section(
                 along,
@@ -347,7 +424,8 @@ def fit_lane_change(
     mid_best, T_best = placement
     t0_best = mid_best - T_best / 2.0
 
-    value, lateral_sse, longitudinal_sse, lat_coeff, lon_coeff = at(mid_best, T_best)
+    value, lateral_sse, longitudinal_sse, lat_coeff, lon_coeff = (
+        column[0] for column in objective(np.array([t0_best]), T_best))
     if value == math.inf:
         raise DegenerateEpisode("refined placement became singular")
     alpha, beta = map(float, lat_coeff)

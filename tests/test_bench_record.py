@@ -1,0 +1,106 @@
+"""The BENCH_<N>.json writer on canned tool output, not on a live run."""
+
+import json
+
+import pytest
+
+from tools.bench_record import (
+    bench_document,
+    parse_corpus,
+    parse_run,
+    parse_wc,
+    summarize,
+    write_bench,
+)
+
+ENVIRONMENT = {"git_sha": "c0ffee", "nproc": 2, "numpy": "2.4.6", "python": "3.11.7",
+               "src_lines": 4600, "src_sha256": "ab" * 32}
+
+
+def run_stdout(extract_s, correct=True, chain_s=3.0):
+    metrics = {"extract_s": {"value": extract_s, "unit": "s"},
+               "chain_s": {"value": chain_s, "unit": "s"}}
+    return "\n".join([
+        "environment " + json.dumps(ENVIRONMENT, sort_keys=True),
+        "workload " + json.dumps({"name": "lanechange-dense", "jobs": 1}),
+        "sha256 " + "0" * 64 + " ext/01_laneChangeFits.csv",
+        f"extract_s {extract_s:>16.6g} s",
+        "wall 17.8s",
+        json.dumps({"correct": correct, "attempted": 21, "failed": 0 if correct else 1,
+                    "metrics": metrics}),
+    ]) + "\n"
+
+
+CORPUS_STDOUT = """\
+| subcommand | wall | peak RSS | RSS ÷ input |
+|---|---|---|---|
+| `synth` | 2.40 s | 130 MB | — |
+| `track` | 3.71 s | 134 MB | 20.2× |
+| `extract` | 1.07 s | 123 MB | 5.4× |
+34 files in /tmp/out/MANIFEST.sha256
+"""
+
+WC_STDOUT = """\
+  109 /repo/src/hwtracks/__init__.py
+  601 /repo/src/hwtracks/lane_change.py
+  710 total
+"""
+
+
+def test_parse_run():
+    run = parse_run(run_stdout(1.25))
+    assert run == {"environment": ENVIRONMENT, "correct": True, "attempted": 21,
+                   "failed": 0, "metrics": {"extract_s": 1.25, "chain_s": 3.0}}
+
+
+def test_summary_median_and_quartiles():
+    runs = [parse_run(run_stdout(value)) for value in (5.0, 1.0, 4.0, 2.0, 3.0)]
+    summary = summarize(runs)
+    assert summary["extract_s"] == {"median": 3.0, "q1": 2.0, "q3": 4.0,
+                                    "min": 1.0, "max": 5.0, "n": 5}
+    assert summary["chain_s"]["median"] == 3.0
+
+
+def test_summary_of_one_run():
+    summary = summarize([parse_run(run_stdout(1.5))])
+    assert summary["extract_s"] == {"median": 1.5, "q1": 1.5, "q3": 1.5,
+                                    "min": 1.5, "max": 1.5, "n": 1}
+
+
+def test_parse_corpus():
+    corpus = parse_corpus(CORPUS_STDOUT)
+    assert corpus["manifest_files"] == 34
+    assert corpus["subcommands"] == {
+        "synth": {"wall_s": 2.4, "peak_rss_mb": 130.0, "rss_input_ratio": None},
+        "track": {"wall_s": 3.71, "peak_rss_mb": 134.0, "rss_input_ratio": 20.2},
+        "extract": {"wall_s": 1.07, "peak_rss_mb": 123.0, "rss_input_ratio": 5.4},
+    }
+
+
+def test_parse_wc():
+    assert parse_wc(WC_STDOUT) == {"__init__.py": 109, "lane_change.py": 601, "total": 710}
+
+
+def test_written_document(tmp_path):
+    runs = {
+        "lanechange-dense": {
+            "trace0": [parse_run(run_stdout(v)) for v in (1.0, 1.2, 1.1)],
+            "trace1": [parse_run(run_stdout(0.9, correct=False))],
+        },
+        "fleet-8x60": {"trace0": [parse_run(run_stdout(0.7))], "trace1": []},
+    }
+    document = bench_document(16, runs, parse_corpus(CORPUS_STDOUT), parse_wc(WC_STDOUT))
+    path = tmp_path / "BENCH_16.json"
+    write_bench(path, document)
+    written = json.loads(path.read_text(encoding="utf-8"))
+    assert written == json.loads(json.dumps(document))
+    assert written["bench"] == 16
+    assert written["settings"] == {"runs": 5, "seed": 1, "seconds": 12.0}
+    assert written["environment"] == ENVIRONMENT
+    assert written["failed_runs"] == 1
+    dense = written["workloads"]["lanechange-dense"]
+    assert dense["trace0"]["summary"]["extract_s"]["median"] == pytest.approx(1.1)
+    assert [r["metrics"]["extract_s"] for r in dense["trace0"]["runs"]] == [1.0, 1.2, 1.1]
+    assert written["workloads"]["fleet-8x60"]["trace1"] == {"summary": {}, "runs": []}
+    assert written["corpus_225k"]["manifest_files"] == 34
+    assert written["src_lines"]["total"] == 710

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -15,11 +18,17 @@ from hwtracks import (
     extract_cut_ins,
     fit_lane_change,
 )
+import hwtracks.lane_change as lane_change
+from hwtracks.cli import main
 from hwtracks.lane_change import (
     CutInSide,
     FitConfig,
     SHAPE_COEFFICIENTS,
+    _GOLDEN,
+    _LOOKAHEAD,
     _SeparableObjective,
+    _golden_section,
+    _grid_minimum,
     shape,
 )
 from hwtracks.surround import NO_VEHICLE, UNDEFINED
@@ -205,6 +214,18 @@ class TestSeparableObjective:
         assert objective(np.array([float(t[-1]) + 1.0]), 3.0)[0][0] == np.inf
         assert list(objective(t[-1] + np.array([1.0, 2.0]), 3.0)[0]) == [np.inf, np.inf]
 
+    def test_rows_do_not_depend_on_the_batch(self, episode):
+        # one batch of mixed durations, one T per placement, gives the bits
+        # of one call per duration
+        t, x, y = episode
+        objective = _SeparableObjective(t, x, y, 15.7, FitConfig())
+        durations = np.array([1.0, 3.5, 5.0, 14.5])
+        rows = objective(np.tile(t, len(durations)), np.repeat(durations, len(t)))
+        for k, T in enumerate(durations):
+            alone = objective(t, float(T))
+            for column, want in zip(rows, alone):
+                assert np.array_equal(column[k * len(t):(k + 1) * len(t)], want)
+
     @pytest.mark.parametrize("T", [4.0, 5.0, 6.0])
     def test_noise_free_grid_is_never_negative(self, T):
         # a sum of squares is >= 0; a quadratic-form SSE went to -1.5e-9 here
@@ -214,6 +235,184 @@ class TestSeparableObjective:
             value, lat_sse, lon_sse, _, _ = objective(t, float(duration))
             assert np.all(value >= 0.0)
             assert np.all(lat_sse >= 0.0) and np.all(lon_sse >= 0.0)
+
+
+def random_episode(rng):
+    """A seeded random episode: noise up to 0.6 m, window cut at both ends."""
+    p = params(d_start=rng.uniform(0.5, 3.0), d_end=rng.uniform(0.5, 3.0),
+               v_start=rng.uniform(10.0, 40.0), v_end=rng.uniform(10.0, 40.0),
+               T=rng.uniform(2.0, 8.0),
+               side=Side.TO_LEFT if rng.random() < 0.5 else Side.TO_RIGHT)
+    t, x, y = synth_episode(p, t0=rng.uniform(1.0, 4.0), pad=rng.uniform(0.2, 2.0),
+                            noise=rng.uniform(0.0, 0.6), rng=rng)
+    start = int(rng.integers(0, len(t) // 3))
+    stop = len(t) - int(rng.integers(0, len(t) // 3))
+    return t[start:stop], x[start:stop], y[start:stop]
+
+
+def full_table_minimum(objective, cfg):
+    """(objective, t0, T) of the minimum of the full table, every duration by
+    every sample time; of equal objectives, the first duration, then the
+    earliest t0."""
+    durations = np.arange(cfg.duration_min, cfg.duration_max + cfg.duration_step / 2,
+                          cfg.duration_step)
+    table = np.array([objective(objective.t, float(T))[0] for T in durations])
+    row, col = np.unravel_index(np.argmin(table), table.shape)
+    return table[row, col], objective.t[col], durations[row]
+
+
+def benchmark_scripts(name):
+    """The synth scripts of a benchmark workload (seed 1) or of the 225k-row
+    corpus of ``tools/corpus_225k.py``."""
+    from perfbench.scenes import fleet_scripts, lanechange_script
+    from tools.corpus_225k import script
+
+    return {"lanechange-dense": lambda: [lanechange_script(1)],
+            "fleet-8x60": lambda: fleet_scripts(1),
+            "corpus-225k": lambda: [script()]}[name]()
+
+
+class TestGridMinimum:
+    """The coarse-to-fine grid against the full (duration x sample time) table."""
+
+    @pytest.mark.parametrize("duration_step", [0.5, 0.7])
+    def test_full_table_minimum_on_random_episodes(self, duration_step):
+        cfg = FitConfig(duration_step=duration_step)
+        rng = np.random.default_rng(int(duration_step * 10))
+        for _ in range(200):
+            t, x, y = random_episode(rng)
+            objective = _SeparableObjective(t, x, y, 15.7, cfg)
+            want = full_table_minimum(objective, cfg)
+            # the same placement, and the tie rule: first duration, earliest t0
+            assert _grid_minimum(objective, cfg) == want
+            fit = fit_lane_change(t, x, y, 15.7, cfg)
+            assert fit.objective_trace[0] == want[0]
+
+    @pytest.mark.parametrize("name, fits", [
+        ("lanechange-dense", 70), ("fleet-8x60", 32), ("corpus-225k", 5)])
+    def test_full_table_minimum_on_benchmark_fits(self, name, fits, tmp_path, monkeypatch):
+        # every fit that ``extract`` makes on the benchmark workloads and the
+        # 225k-row corpus, after the same synth -> track -> extract chain
+        for index, script in enumerate(benchmark_scripts(name)):
+            path = tmp_path / f"script{index}.json"
+            path.write_text(json.dumps(script), encoding="utf-8")
+            assert main(["synth", "--script", str(path), "--output",
+                         str(tmp_path / "synth")]) == 0
+        assert main(["track", "--input", str(tmp_path / "synth" / "detections"),
+                     "--output", str(tmp_path / "rec"), "--jobs", "1"]) == 0
+        checked = []
+
+        def grid_minimum(objective, cfg):
+            got = _grid_minimum(objective, cfg)
+            assert got == full_table_minimum(objective, cfg)
+            checked.append(got)
+            return got
+
+        monkeypatch.setattr(lane_change, "_grid_minimum", grid_minimum)
+        assert main(["extract", "--input", str(tmp_path / "rec"),
+                     "--output", str(tmp_path / "ext"), "--jobs", "1"]) == 0
+        assert len(checked) == fits
+
+    def test_stride_wider_than_the_episode(self):
+        # a 13 s duration step makes the stride 81 samples, longer than the
+        # 60-sample episode: one coarse t0 per duration, and the fine pass
+        # scores every sample time
+        cfg = FitConfig(duration_step=13.0)
+        t, x, y = (column[:60] for column in synth_episode(params()))
+        objective = _SeparableObjective(t, x, y, 15.7, cfg)
+        durations = np.array([1.0, 14.0])
+        table = np.array([objective(t, float(T))[0] for T in durations])
+        row, col = np.unravel_index(np.argmin(table), table.shape)
+        assert _grid_minimum(objective, cfg) == (table[row, col], t[col], durations[row])
+
+
+def sequential_golden_section(f, lo, hi, tol, budget):
+    """One probe per step: the search the lookahead must reproduce."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    iterations = 0
+    while b - a > tol:
+        if iterations >= budget:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+        iterations += 1
+    xm = (a + b) / 2.0
+    return xm, f(xm), iterations, b - a > tol
+
+
+def golden_test_function(kind, rng):
+    """A scalar function of one float, evaluated in plain Python floats so
+    that one point gives the same bits alone and in a batch."""
+    if kind == "quadratic":
+        centre, scale = rng.uniform(-0.5, 1.5), rng.uniform(0.1, 10.0)
+        return lambda x: scale * (x - centre) ** 2
+    if kind == "multimodal":
+        k, phase = rng.uniform(5.0, 40.0), rng.uniform(0.0, 2.0 * math.pi)
+        return lambda x: math.sin(k * x + phase) + 0.3 * x * x
+    return lambda x: 0.0  # constant: every comparison is a tie
+
+
+class TestGoldenSection:
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3, 7, 200])
+    @pytest.mark.parametrize("kind", ["quadratic", "multimodal", "constant"])
+    def test_lookahead_walks_the_sequential_search(self, kind, budget):
+        rng = np.random.default_rng(budget * 3 + len(kind))
+        for _ in range(10):
+            g = golden_test_function(kind, rng)
+            lo = rng.uniform(-1.0, 0.5)
+            hi = lo + rng.uniform(0.01, 2.0)
+            tol = float(rng.choice([1e-3, 1e-2, 0.1]))
+            probes = []
+            want = sequential_golden_section(lambda x: probes.append(x) or g(x),
+                                             lo, hi, tol, budget)
+            batches = []
+            got = _golden_section(
+                lambda xs: batches.append(list(xs)) or np.array([g(x) for x in xs]),
+                lo, hi, tol, budget)
+            assert got == want
+            # each point the sequential search probes (c, d, one per step,
+            # the final midpoint) is scored by the batch of its step or before
+            iterations = want[2]
+            batch_of_step = [0, 0] + [(k - 1) // _LOOKAHEAD for k in range(1, iterations + 1)]
+            batch_of_step.append(max(iterations - 1, 0) // _LOOKAHEAD)
+            first_batch = {}
+            for index, batch in enumerate(batches):
+                for x in batch:
+                    first_batch.setdefault(x, index)
+            assert len(probes) == len(batch_of_step)
+            for probe, index in zip(probes, batch_of_step):
+                assert first_batch[probe] <= index
+            assert len(batches) <= math.ceil(iterations / _LOOKAHEAD) + 2
+
+
+class TestFitContract:
+    @pytest.mark.parametrize("min_samples", [-1, 0, 1, 2])
+    def test_min_samples_below_three_rejected(self, min_samples):
+        # an empty episode under min_samples=0 crashed in numpy's argmin
+        with pytest.raises(ValueError, match="min_samples must be >= 3"):
+            FitConfig(min_samples=min_samples)
+
+    def test_empty_episode_is_insufficient(self):
+        with pytest.raises(InsufficientData):
+            fit_lane_change([], [], [], marking_y=0.0, cfg=FitConfig(min_samples=3))
+
+    @pytest.mark.parametrize("fault", ["repeated", "decreasing", "nan", "inf"])
+    def test_times_must_be_finite_and_increasing(self, fault):
+        t, x, y = synth_episode(params())
+        i = len(t) // 2
+        t[i] = {"repeated": t[i - 1], "decreasing": t[i - 1] - 0.01,
+                "nan": math.nan, "inf": math.inf}[fault]
+        with pytest.raises(ContractViolation, match="finite and strictly increasing"):
+            fit_lane_change(t, x, y, marking_y=15.7)
 
 
 class TestFitLaneChange:

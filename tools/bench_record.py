@@ -1,0 +1,173 @@
+"""Record the benchmark of this checkout as ``BENCH_<N>.json``.
+
+Usage: ``python3 tools/bench_record.py N``
+
+Refuses to run while ``src/``, ``perfbench/`` or ``tools/`` differ from the
+last commit, so that the ``git_sha`` recorded names the code measured.
+Then runs, each as a child process of this checkout:
+
+- ``perfbench/run.py --seed 1 --seconds 12`` on every workload of
+  ``BENCHMARK.json``, ``RUNS`` times with ``--trace 0`` (end-to-end metrics)
+  and ``RUNS`` times with ``--trace 1`` (per-layer metrics), alternating the
+  workloads;
+- ``tools/corpus_225k.py`` once, in a temporary directory (wall time and
+  peak RSS of each subcommand on the 225k-row corpus);
+- ``wc -l src/hwtracks/*.py``.
+
+Then writes ``BENCH_<N>.json`` at the root of the checkout: the environment
+that ``perfbench/run.py`` reports, the median and quartiles of every metric
+per workload and trace mode, every raw run, the corpus table and the line
+counts. A run that fails its checks stays in the raw runs and is counted in
+``failed_runs``; its metrics still enter the summary.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = "src/hwtracks/*.py"
+#: What must match the last commit for its ``git_sha`` to name the code run.
+CODE = ("src", "perfbench", "tools")
+#: Runs per workload and trace mode, and the ``perfbench/run.py`` settings;
+#: fixed, so that the BENCH_<N>.json of different commits compare.
+RUNS = 5
+SEED = 1
+SECONDS = 12.0
+
+
+def parse_run(stdout: str) -> Dict:
+    """One ``perfbench/run.py`` run: its environment line and its last line
+    (``correct``, ``attempted``, ``failed`` and the metric values)."""
+    lines = stdout.strip().splitlines()
+    environment = next((json.loads(line[len("environment "):]) for line in lines
+                        if line.startswith("environment ")), {})
+    result = json.loads(lines[-1])
+    return {
+        "environment": environment,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def parse_corpus(stdout: str) -> Dict:
+    """The subcommand table of ``tools/corpus_225k.py`` and its manifest size."""
+    table = {}
+    files = None
+    for line in stdout.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            command, wall, rss, ratio = cells
+            table[command.strip("`")] = {
+                "wall_s": float(wall.split()[0]),
+                "peak_rss_mb": float(rss.split()[0]),
+                "rss_input_ratio": float(ratio.rstrip("×")) if ratio != "—" else None,
+            }
+        elif line.split(" files in ")[0].isdigit():
+            files = int(line.split()[0])
+    return {"subcommands": table, "manifest_files": files}
+
+
+def parse_wc(stdout: str) -> Dict[str, int]:
+    """``wc -l`` output as {path: lines}, with the ``total`` line."""
+    counts = {}
+    for line in stdout.strip().splitlines():
+        number, name = line.split(None, 1)
+        counts[Path(name).name if name != "total" else "total"] = int(number)
+    return counts
+
+
+def summarize(runs: Sequence[Dict]) -> Dict[str, Dict]:
+    """Median, quartiles (inclusive method), min, max and count of every
+    metric over ``runs``."""
+    summary = {}
+    for name in runs[0]["metrics"]:
+        values = [run["metrics"][name] for run in runs if name in run["metrics"]]
+        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                          if len(values) > 1 else values * 3)
+        summary[name] = {"median": median, "q1": q1, "q3": q3,
+                         "min": min(values), "max": max(values), "n": len(values)}
+    return summary
+
+
+def bench_document(number: int, runs: Dict[str, Dict[str, List[Dict]]],
+                   corpus: Dict, lines: Dict[str, int]) -> Dict:
+    """The ``BENCH_<N>.json`` content. ``runs`` maps each workload to its
+    ``trace0`` and ``trace1`` lists of parsed runs."""
+    every_run = [run for modes in runs.values() for mode in modes.values() for run in mode]
+    return {
+        "bench": number,
+        "settings": {"runs": RUNS, "seed": SEED, "seconds": SECONDS},
+        "environment": every_run[0]["environment"] if every_run else {},
+        "failed_runs": sum(not run["correct"] for run in every_run),
+        "workloads": {
+            workload: {mode: {"summary": summarize(mode_runs) if mode_runs else {},
+                              "runs": mode_runs}
+                       for mode, mode_runs in modes.items()}
+            for workload, modes in runs.items()
+        },
+        "corpus_225k": corpus,
+        "src_lines": lines,
+    }
+
+
+def write_bench(path: Path, document: Dict) -> None:
+    path.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _perfbench(workload: str, trace: int) -> Dict:
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True)
+    if not result.stdout.strip():
+        raise SystemExit(f"perfbench/run.py --workload {workload} printed nothing:\n"
+                         f"{result.stderr}")
+    return parse_run(result.stdout)
+
+
+def main(argv: Sequence[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("number", type=int, help="the N of BENCH_<N>.json")
+    args = parser.parse_args(argv)
+    changed = subprocess.run(["git", "status", "--porcelain", "--", *CODE],
+                             cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    if changed.strip():
+        raise SystemExit(f"commit {', '.join(CODE)} first; changed:\n{changed}")
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    runs = {w: {"trace0": [], "trace1": []} for w in workloads}
+    for trace in (0, 1):
+        for index in range(RUNS):
+            for workload in workloads:
+                run = _perfbench(workload, trace)
+                runs[workload][f"trace{trace}"].append(run)
+                print(f"trace {trace} run {index + 1}/{RUNS} {workload}: "
+                      f"correct={run['correct']}", flush=True)
+    with tempfile.TemporaryDirectory() as out:
+        result = subprocess.run([sys.executable, "tools/corpus_225k.py", out],
+                                cwd=ROOT, capture_output=True, text=True, check=True)
+    corpus = parse_corpus(result.stdout)
+    wc = subprocess.run(["wc", "-l", *sorted(glob.glob(str(ROOT / SOURCES)))],
+                        capture_output=True, text=True, check=True)
+    path = ROOT / f"BENCH_{args.number}.json"
+    document = bench_document(args.number, runs, corpus, parse_wc(wc.stdout))
+    write_bench(path, document)
+    print(f"wrote {path.name}: {document['failed_runs']} failed runs, "
+          f"src {document['src_lines']['total']} lines")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
