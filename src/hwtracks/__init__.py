@@ -40,9 +40,11 @@ from .lane_change import (
     LaneChangeFitResult,
     LaneChangeParams,
     Side,
+    episode_samples,
     evaluate_model,
     extract_cut_ins,
     fit_episode,
+    fit_episodes,
     fit_lane_change,
 )
 from .maneuvers import (

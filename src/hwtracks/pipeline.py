@@ -25,12 +25,12 @@ from .dataset_io import (
 )
 from .lane_change import (
     CutInScenario,
-    DegenerateEpisode,
     FitConfig,
-    InsufficientData,
     LaneChangeFitResult,
+    episode_samples,
     extract_cut_ins,
-    fit_episode,
+    fit_episode,  # not called here; perfbench/tracing.py wraps it by this name
+    fit_episodes,
 )
 from .maneuvers import ManeuverConfig, ManeuverEpisode, ManeuverKind, detect_all
 from .smoothing import SmootherConfig, smooth_series, smooth_track_with_diagnostics
@@ -193,19 +193,12 @@ def extract_stage(recording: Recording, cfg: PipelineConfig) -> ExtractResult:
     """Episodes, lane-change fits and cut-ins for one loaded recording."""
     result = events_stage(recording, cfg)
     by_id = {t.track_id: t for t in recording.tracks}
-    fits = []
-    failures = 0
-    for episode in result.episodes:
-        if episode.kind is not ManeuverKind.LANE_CHANGE:
-            continue
-        try:
-            fits.append(
-                (episode, fit_episode(by_id[episode.track_id], episode,
-                                      recording.meta, cfg.fit))
-            )
-        except (InsufficientData, DegenerateEpisode):
-            failures += 1
-    return dataclasses.replace(result, fits=tuple(fits), fit_failures=failures)
+    lane_changes = [e for e in result.episodes if e.kind is ManeuverKind.LANE_CHANGE]
+    outcomes = fit_episodes([episode_samples(by_id[e.track_id], e, recording.meta)
+                             for e in lane_changes], cfg.fit)
+    fits = tuple((episode, outcome) for episode, outcome in zip(lane_changes, outcomes)
+                 if isinstance(outcome, LaneChangeFitResult))
+    return dataclasses.replace(result, fits=fits, fit_failures=len(lane_changes) - len(fits))
 
 
 def extract_recording_files(

@@ -6,6 +6,7 @@ import pytest
 
 from tools.bench_record import (
     bench_document,
+    bytecode_state,
     parse_corpus,
     parse_run,
     parse_wc,
@@ -89,13 +90,16 @@ def test_written_document(tmp_path):
         },
         "fleet-8x60": {"trace0": [parse_run(run_stdout(0.7))], "trace1": []},
     }
-    document = bench_document(16, runs, parse_corpus(CORPUS_STDOUT), parse_wc(WC_STDOUT))
+    bytecode = {"dont_write_bytecode": True, "pycache_at_start": False}
+    document = bench_document(16, runs, parse_corpus(CORPUS_STDOUT), parse_wc(WC_STDOUT),
+                              bytecode)
     path = tmp_path / "BENCH_16.json"
     write_bench(path, document)
     written = json.loads(path.read_text(encoding="utf-8"))
     assert written == json.loads(json.dumps(document))
     assert written["bench"] == 16
-    assert written["settings"] == {"runs": 5, "seed": 1, "seconds": 12.0}
+    assert written["settings"] == {"runs": 5, "seed": 1, "seconds": 12.0,
+                                   "dont_write_bytecode": True, "pycache_at_start": False}
     assert written["environment"] == ENVIRONMENT
     assert written["failed_runs"] == 1
     dense = written["workloads"]["lanechange-dense"]
@@ -104,3 +108,14 @@ def test_written_document(tmp_path):
     assert written["workloads"]["fleet-8x60"]["trace1"] == {"summary": {}, "runs": []}
     assert written["corpus_225k"]["manifest_files"] == 34
     assert written["src_lines"]["total"] == 710
+
+
+@pytest.mark.parametrize("value, set_", [(None, False), ("", False), ("1", True), ("x", True)])
+def test_bytecode_state(tmp_path, value, set_):
+    # Python skips writing bytecode when the variable is a non-empty string;
+    # the state of the cache moved the start-up of every child process
+    environ = {} if value is None else {"PYTHONDONTWRITEBYTECODE": value}
+    assert bytecode_state(environ, tmp_path) == {"dont_write_bytecode": set_,
+                                                 "pycache_at_start": False}
+    (tmp_path / "src" / "hwtracks" / "__pycache__").mkdir(parents=True)
+    assert bytecode_state(environ, tmp_path)["pycache_at_start"] is True

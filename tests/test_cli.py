@@ -307,7 +307,7 @@ class TestStatsCommand:
         def no_fit(*args):
             raise AssertionError("stats must not fit lane changes")
 
-        monkeypatch.setattr(hwtracks.pipeline, "fit_episode", no_fit)
+        monkeypatch.setattr(hwtracks.pipeline, "fit_episodes", no_fit)
         out = run_synth(tmp_path)
         capsys.readouterr()
         assert main(["stats", "--input", str(out / "truth"),
@@ -586,6 +586,23 @@ class TestConfigFile:
         errors = json.loads(capsys.readouterr().err)["errors"]
         assert [(e["kind"], e["message"]) for e in errors] == [
             ("ValueError", "smoother.jerk_sigma must be finite, got inf")]
+
+    def test_negative_longitudinal_weight_is_a_reported_error(self, tmp_path, capsys):
+        # the fit's grid bounds the objective by its lateral SSE, which needs
+        # a weight >= 0; a weight of 0 stays valid
+        from hwtracks.pipeline import load_pipeline_config
+
+        out = run_synth(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"fit": {"longitudinal_weight": -1}}))
+        capsys.readouterr()
+        assert main(["extract", "--config", str(cfg_path), "--input", str(out / "truth"),
+                     "--output", str(tmp_path / "e")]) == 1
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert [(e["kind"], e["message"]) for e in errors] == [
+            ("ValueError", "longitudinal_weight must be >= 0, got -1.0")]
+        cfg_path.write_text(json.dumps({"fit": {"longitudinal_weight": 0}}))
+        assert load_pipeline_config(cfg_path).fit.longitudinal_weight == 0.0
 
     def test_defaults_valid(self):
         from hwtracks.pipeline import PipelineConfig

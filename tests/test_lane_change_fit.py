@@ -16,6 +16,7 @@ from hwtracks import (
     compute_surround,
     evaluate_model,
     extract_cut_ins,
+    fit_episodes,
     fit_lane_change,
 )
 import hwtracks.lane_change as lane_change
@@ -29,6 +30,8 @@ from hwtracks.lane_change import (
     _SeparableObjective,
     _golden_section,
     _grid_minimum,
+    _row_minima,
+    _score,
     shape,
 )
 from hwtracks.surround import NO_VEHICLE, UNDEFINED
@@ -225,6 +228,21 @@ class TestSeparableObjective:
             alone = objective(t, float(T))
             for column, want in zip(rows, alone):
                 assert np.array_equal(column[k * len(t):(k + 1) * len(t)], want)
+        # rows of different episodes, stacked in one call per sample count,
+        # give the bits of each episode scored alone
+        rng = np.random.default_rng(8)
+        cfg = FitConfig()
+        episodes = [synth_episode(params(T=T), noise=0.05, rng=rng) for T in (5.0, 5.0, 4.0)]
+        episodes[1] = (episodes[1][0] + 3.0, episodes[1][1] - 40.0, episodes[1][2] + 0.3)
+        objectives = dict(enumerate(_SeparableObjective(t, x, y, 15.7, cfg)
+                                    for t, x, y in episodes))
+        assert len(objectives[0].t) == len(objectives[1].t) != len(objectives[2].t)
+        requests = {i: (o.t[::5] - 0.5, np.linspace(1.0, 14.5, len(o.t[::5])))
+                    for i, o in objectives.items()}
+        stacked = _score(objectives, requests, cfg)
+        for i, objective in objectives.items():
+            for column, want in zip(stacked[i], objective(*requests[i])):
+                assert np.array_equal(column, want)
 
     @pytest.mark.parametrize("T", [4.0, 5.0, 6.0])
     def test_noise_free_grid_is_never_negative(self, T):
@@ -326,6 +344,53 @@ class TestGridMinimum:
         assert _grid_minimum(objective, cfg) == (table[row, col], t[col], durations[row])
 
 
+class TestRowMinima:
+    """The pruned coarse pass against the whole objective table."""
+
+    @staticmethod
+    def unpruned(objective, t0, T):
+        table = objective(t0.ravel(), T.ravel())[0].reshape(t0.shape)
+        columns = np.argmin(table, axis=1)
+        return table[np.arange(len(table)), columns], columns
+
+    @pytest.mark.parametrize("weight", [0.0, 0.1, 5.0])
+    def test_coarse_pass_on_random_episodes(self, weight):
+        cfg = FitConfig(longitudinal_weight=weight)
+        rng = np.random.default_rng(int(weight * 10) + 1)
+        durations = np.arange(1.0, 15.25, 0.5)
+        for _ in range(60):
+            t, x, y = random_episode(rng)
+            objective = _SeparableObjective(t, x, y, 15.7, cfg)
+            t0 = np.tile(t[::3], (len(durations), 1))
+            T = np.repeat(durations[:, None], t0.shape[1], axis=1)
+            got = _row_minima(objective, t0, T, 3)
+            want = self.unpruned(objective, t0, T)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_singular_rows(self):
+        # row 0 lies after the samples, singular at every placement; row 1's
+        # lateral argmin (only the last sample inside the maneuver, a perfect
+        # lateral fit) is longitudinally singular, so its bound rules nothing
+        # out; row 2 is regular
+        t = np.arange(20) * 0.04
+        x = 500.0 + 30.0 * t
+        y = np.zeros(20)
+        y[-1] = 1.0
+        objective = _SeparableObjective(t, x, y, 0.0, FitConfig())
+        t0 = np.array([t[-1] + np.arange(1.0, 6.0),
+                       [t[-1] - 1e-6, t[2], t[8], t[12], t[15]],
+                       t[[0, 4, 8, 12, 16]]])
+        T = np.array([[3.0] * 5, [5.0] * 5, [0.5] * 5])
+        lateral_sse, _, lateral_valid = objective.lateral(t0[1], T[1])
+        assert np.argmin(lateral_sse) == 0 and lateral_valid[0]
+        assert not objective.longitudinal(t0[1], T[1])[2][0]
+        values, columns = _row_minima(objective, t0, T, 2)
+        assert values[0] == math.inf and columns[0] == 0
+        assert columns[1] != 0
+        want = self.unpruned(objective, t0, T)
+        assert np.array_equal(values, want[0]) and np.array_equal(columns, want[1])
+
+
 def sequential_golden_section(f, lo, hi, tol, budget):
     """One probe per step: the search the lookahead must reproduce."""
     a, b = lo, hi
@@ -394,6 +459,35 @@ class TestGoldenSection:
             assert len(batches) <= math.ceil(iterations / _LOOKAHEAD) + 2
 
 
+class TestFitEpisodes:
+    def test_lockstep_equals_fitting_alone(self):
+        # mixed sample counts, several episodes of each, plus members that
+        # raise InsufficientData and DegenerateEpisode
+        rng = np.random.default_rng(12)
+        episodes = []
+        for length in (60, 75, 60, 90, 75, 60, 120, 90):
+            t, x, y = random_episode(rng)
+            while len(t) < length:
+                t, x, y = random_episode(rng)
+            episodes.append((t[:length], x[:length], y[:length], 15.7))
+        straight = np.arange(0, 2.4, DT)
+        episodes.insert(2, (straight, 500 + 30 * straight, np.full_like(straight, 14.5), 15.7))
+        episodes.insert(5, (straight[:5], straight[:5], straight[:5], 15.7))
+        for cfg in (FitConfig(), FitConfig(max_refine_iterations=7)):
+            got = fit_episodes(episodes, cfg)
+            alone = [fit_episodes([episode], cfg)[0] for episode in episodes]
+            assert [repr(g) for g in got] == [repr(a) for a in alone]
+            assert isinstance(got[2], DegenerateEpisode)
+            assert isinstance(got[5], InsufficientData)
+            assert {type(g).__name__ for g in got} == {
+                "LaneChangeFitResult", "DegenerateEpisode", "InsufficientData"}
+
+    def test_contract_violation_is_raised(self):
+        t, x, y = synth_episode(params())
+        with pytest.raises(ContractViolation):
+            fit_episodes([(t, x, y, 15.7), (t, x[:-1], y, 15.7)])
+
+
 class TestFitContract:
     @pytest.mark.parametrize("min_samples", [-1, 0, 1, 2])
     def test_min_samples_below_three_rejected(self, min_samples):
@@ -413,6 +507,40 @@ class TestFitContract:
                 "nan": math.nan, "inf": math.inf}[fault]
         with pytest.raises(ContractViolation, match="finite and strictly increasing"):
             fit_lane_change(t, x, y, marking_y=15.7)
+
+    @pytest.mark.parametrize("column", ["xs", "ys"])
+    def test_positions_need_one_value_per_time(self, column):
+        # one sample short used to raise numpy's bare vecdot ValueError
+        t, x, y = synth_episode(params())
+        x, y = (x[:-1], y) if column == "xs" else (x, y[:-1])
+        with pytest.raises(ContractViolation, match="one value per time"):
+            fit_lane_change(t, x, y, marking_y=15.7)
+
+    @pytest.mark.parametrize("fault", ["nan x", "inf x", "nan y", "-inf y", "nan marking"])
+    def test_positions_must_be_finite(self, fault):
+        # a NaN x used to end as DegenerateEpisode or as LaneChangeParams'
+        # "v_start must be positive, got nan", depending on the data
+        t, x, y = synth_episode(params())
+        marking_y = 15.7
+        value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[fault.split()[0]]
+        if fault.endswith("x"):
+            x[5] = value
+        elif fault.endswith("y"):
+            y[5] = value
+        else:
+            marking_y = value
+        with pytest.raises(ContractViolation, match="must be finite"):
+            fit_lane_change(t, x, y, marking_y)
+
+    @pytest.mark.parametrize("weight", [-1.0, -1e-300, math.nan])
+    def test_negative_longitudinal_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="longitudinal_weight"):
+            FitConfig(longitudinal_weight=weight)
+
+    def test_zero_longitudinal_weight_is_valid(self):
+        t, x, y = synth_episode(params())
+        fit = fit_lane_change(t, x, y, 15.7, FitConfig(longitudinal_weight=0.0))
+        assert fit.params.duration == pytest.approx(5.0, abs=1e-3)
 
 
 class TestFitLaneChange:

@@ -17,7 +17,9 @@ Then runs, each as a child process of this checkout:
 Then writes ``BENCH_<N>.json`` at the root of the checkout: the environment
 that ``perfbench/run.py`` reports, the median and quartiles of every metric
 per workload and trace mode, every raw run, the corpus table and the line
-counts. A run that fails its checks stays in the raw runs and is counted in
+counts. Its ``settings`` also record whether ``PYTHONDONTWRITEBYTECODE`` was
+set and whether ``src/hwtracks/__pycache__`` existed at start: a checkout
+without compiled bytecode starts every child process slower. A run that fails its checks stays in the raw runs and is counted in
 ``failed_runs``; its metrics still enter the summary.
 """
 
@@ -26,12 +28,13 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = "src/hwtracks/*.py"
@@ -100,14 +103,23 @@ def summarize(runs: Sequence[Dict]) -> Dict[str, Dict]:
     return summary
 
 
+def bytecode_state(environ: Mapping[str, str], root: Path) -> Dict[str, bool]:
+    """Whether ``PYTHONDONTWRITEBYTECODE`` is set (to a non-empty string, as
+    Python reads it) and whether the checkout at ``root`` has a compiled
+    ``src/hwtracks/__pycache__``."""
+    return {"dont_write_bytecode": bool(environ.get("PYTHONDONTWRITEBYTECODE")),
+            "pycache_at_start": (root / "src" / "hwtracks" / "__pycache__").is_dir()}
+
+
 def bench_document(number: int, runs: Dict[str, Dict[str, List[Dict]]],
-                   corpus: Dict, lines: Dict[str, int]) -> Dict:
+                   corpus: Dict, lines: Dict[str, int], bytecode: Dict[str, bool]) -> Dict:
     """The ``BENCH_<N>.json`` content. ``runs`` maps each workload to its
-    ``trace0`` and ``trace1`` lists of parsed runs."""
+    ``trace0`` and ``trace1`` lists of parsed runs; ``bytecode`` is the
+    ``bytecode_state`` at start."""
     every_run = [run for modes in runs.values() for mode in modes.values() for run in mode]
     return {
         "bench": number,
-        "settings": {"runs": RUNS, "seed": SEED, "seconds": SECONDS},
+        "settings": {"runs": RUNS, "seed": SEED, "seconds": SECONDS, **bytecode},
         "environment": every_run[0]["environment"] if every_run else {},
         "failed_runs": sum(not run["correct"] for run in every_run),
         "workloads": {
@@ -140,6 +152,7 @@ def main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("number", type=int, help="the N of BENCH_<N>.json")
     args = parser.parse_args(argv)
+    bytecode = bytecode_state(os.environ, ROOT)
     changed = subprocess.run(["git", "status", "--porcelain", "--", *CODE],
                              cwd=ROOT, capture_output=True, text=True, check=True).stdout
     if changed.strip():
@@ -162,7 +175,7 @@ def main(argv: Sequence[str]) -> int:
     wc = subprocess.run(["wc", "-l", *sorted(glob.glob(str(ROOT / SOURCES)))],
                         capture_output=True, text=True, check=True)
     path = ROOT / f"BENCH_{args.number}.json"
-    document = bench_document(args.number, runs, corpus, parse_wc(wc.stdout))
+    document = bench_document(args.number, runs, corpus, parse_wc(wc.stdout), bytecode)
     write_bench(path, document)
     print(f"wrote {path.name}: {document['failed_runs']} failed runs, "
           f"src {document['src_lines']['total']} lines")
