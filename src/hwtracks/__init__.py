@@ -59,13 +59,10 @@ from .maneuvers import (
 )
 from .pipeline import PipelineConfig, StatsConfig, extract_stage, track_stage
 from .smoothing import (
-    FilteredSeries,
     NumericalFailure,
     SmootherConfig,
     SmoothedSeries,
     SmoothingDiagnostics,
-    forward_filter,
-    rts_smooth,
     smooth_series,
     smooth_track,
     smooth_track_with_diagnostics,

@@ -11,19 +11,25 @@ Frames flagged as predicted (coasted by the tracker) contribute no
 measurement: the filter runs predict-only across them, and the backward
 pass fills them with smoothed estimates informed by both sides of the gap.
 
-All tracks of a recording run in lockstep (``smooth_series``): step k of
-the forward and of the backward pass updates frame k of every track that
-has one, as stacked (m, 3, 2) means and (m, 3, 3) covariances. Stacked
-matrix products and solves run the same kernel per item as a single
-track's would, so every track gets the same bits as when it runs alone.
+``smooth_series`` is the one entry point of the filter and smoother. It
+runs all tracks of a recording in lockstep: step k of the forward and of
+the backward pass updates frame k of every track that has one, as stacked
+(m, 3, 2) means and (m, 3, 3) covariances. Stacked matrix products and
+solves run the same kernel per item as a single track's would, so every
+track gets the same bits as when it runs alone. The forward pass stores
+only the filtered moments; the backward pass recomputes each frame's
+one-step prediction from the still-filtered moments of the frame before
+it, with the same operands and batch shapes as the forward pass, so the
+predicted moments it uses are the same bits.
 ``smooth_track_with_diagnostics(raw, smoothed, meta)`` then turns one
 track's series into a ``Track``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,24 +48,19 @@ PSD_TOLERANCE = 1e-9
 
 
 class NumericalFailure(Exception):
-    """Covariance lost positive semi-definiteness beyond tolerance.
+    """A covariance lost positive semi-definiteness beyond tolerance, or
+    overflowed.
 
-    ``index`` is the failing position in the track's series. Raised by
-    ``smooth_series``, the error also names the track and the recording
-    ``frame`` at that position.
+    ``index`` is the failing position in the track's series, ``track_id``
+    the track and ``frame`` the recording frame at that position.
     """
 
-    def __init__(
-        self, index: int, detail: str,
-        track_id: Optional[int] = None, frame: Optional[int] = None,
-    ) -> None:
+    def __init__(self, index: int, detail: str, track_id: int, frame: int) -> None:
         self.index = index
         self.detail = detail
         self.track_id = track_id
         self.frame = frame
-        where = (f"index {index}" if track_id is None
-                 else f"track {track_id}, frame {frame}")
-        super().__init__(f"{where}: {detail}")
+        super().__init__(f"track {track_id}, frame {frame}: {detail}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,8 @@ class SmootherConfig:
 
     The initial sigmas keep the zero-velocity/zero-acceleration start from
     biasing the smoothed estimates near the track head: they are wide enough
-    that the first measurements dominate within a few frames.
+    that the first measurements dominate within a few frames. Each sigma
+    must be positive and have a finite square.
     """
 
     measurement_sigma: float = 0.10
@@ -79,8 +81,11 @@ class SmootherConfig:
     def __post_init__(self) -> None:
         for name in ("measurement_sigma", "jerk_sigma",
                      "initial_velocity_sigma", "initial_accel_sigma"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if not math.isfinite(value * value):
+                raise ValueError(f"{name} squared overflows, got {value}")
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -94,23 +99,6 @@ def process_noise(dt: float, jerk_sigma: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FilteredSeries:
-    """Per-frame filtered and one-step-predicted moments of a track, or of
-    several tracks in the packed layout of ``_schedule``.
-
-    The state of a frame is a (3, 2) array whose rows are position,
-    velocity and acceleration and whose columns are the x and y axes; the
-    covariance is shared by both columns.
-    """
-
-    means: np.ndarray       # (N, 3, 2) filtered
-    covs: np.ndarray        # (N, 3, 3) filtered covariances
-    pred_means: np.ndarray  # (N, 3, 2) predicted prior to the update
-    pred_covs: np.ndarray   # (N, 3, 3)
-    dt: float
-
-
-@dataclass(frozen=True)
 class SmoothedSeries:
     """Smoothed 6-vector states (x, vx, ax, y, vy, ay) and covariances."""
 
@@ -120,20 +108,23 @@ class SmoothedSeries:
 
 
 def _worst_eigenvalues(covs: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the symmetric part of every covariance."""
+    """Smallest eigenvalue of the symmetric part of every covariance, and
+    ``-inf`` where that part overflows (has a non-finite entry), which
+    ``eigvalsh`` never sees."""
     sym = (covs + np.swapaxes(covs, -1, -2)) / 2.0
-    return np.linalg.eigvalsh(sym).min(axis=-1)
+    finite = np.isfinite(sym).all(axis=(-2, -1))
+    sym[~finite] = 0.0
+    return np.where(finite, np.linalg.eigvalsh(sym).min(axis=-1), -np.inf)
 
 
-def _check_psd(worst: np.ndarray, what: str, raw: Optional[RawTrack] = None) -> None:
-    """Raise at the first frame whose smallest eigenvalue ``worst`` is below
-    tolerance, naming ``raw``'s track and recording frame if given."""
+def _check_psd(worst: np.ndarray, what: str, raw: RawTrack) -> None:
+    """Raise at the first frame of ``raw`` whose smallest eigenvalue
+    ``worst`` is below tolerance."""
     bad = np.flatnonzero(worst < -PSD_TOLERANCE)
     if bad.size:
         index = int(bad[0])
-        detail = f"{what} covariance eigenvalue {worst[index]:.3e} < -{PSD_TOLERANCE}"
-        if raw is None:
-            raise NumericalFailure(index, detail)
+        detail = (f"{what} covariance eigenvalue {worst[index]:.3e} < -{PSD_TOLERANCE}"
+                  if np.isfinite(worst[index]) else f"{what} covariance overflows")
         raise NumericalFailure(index, detail, raw.track_id, raw.first_frame + index)
 
 
@@ -159,11 +150,14 @@ def _schedule(lengths: np.ndarray) -> Tuple[np.ndarray, List[int], List[int]]:
 def _forward(
     z: np.ndarray, measured: np.ndarray, counts: List[int], offsets: List[int],
     cfg: SmootherConfig, dt: float,
-) -> FilteredSeries:
-    """Kalman filter over packed rows (``_schedule``), one step per frame
-    index for all tracks at once. Each track starts at its first
-    observation with zero velocity and acceleration under the prior sigmas;
-    unmeasured frames keep their prediction."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Filtered (means, covs) over packed rows (``_schedule``), one step per
+    frame index for all tracks at once. The state of a row is a (3, 2)
+    array whose rows are position, velocity and acceleration and whose
+    columns are the x and y axes; the covariance is shared by both columns.
+    Each track starts at its first observation with zero velocity and
+    acceleration under the prior sigmas; unmeasured frames keep their
+    prediction."""
     F = transition_matrix(dt)
     Q = process_noise(dt, cfg.jerk_sigma)
     R = cfg.measurement_sigma**2
@@ -171,8 +165,6 @@ def _forward(
     n = len(z)
     means = np.empty((n, 3, 2))
     covs = np.empty((n, 3, 3))
-    pred_means = np.empty((n, 3, 2))
-    pred_covs = np.empty((n, 3, 3))
 
     head = slice(0, counts[0])
     means[head] = 0.0
@@ -181,14 +173,12 @@ def _forward(
         [cfg.measurement_sigma**2, cfg.initial_velocity_sigma**2,
          cfg.initial_accel_sigma**2]
     )
-    pred_means[head], pred_covs[head] = means[head], covs[head]
 
     for k in range(1, len(counts)):
         prev = slice(offsets[k - 1], offsets[k - 1] + counts[k])
         cur = slice(offsets[k], offsets[k] + counts[k])
         x = F @ means[prev]
         P = F @ covs[prev] @ F.T + Q
-        pred_means[cur], pred_covs[cur] = x, P
         # Scalar measurement of the position row; Joseph-form update, kept
         # on the measured rows only.
         K = P[:, :, 0] / (P[:, 0, 0] + R)[:, None]
@@ -199,23 +189,21 @@ def _forward(
         covs[cur] = np.where(
             update, A @ P @ A.swapaxes(1, 2) + R * (K[:, :, None] * K[:, None, :]), P)
 
-    return FilteredSeries(
-        means=means, covs=covs, pred_means=pred_means, pred_covs=pred_covs, dt=dt,
-    )
+    return means, covs
 
 
 def _transposed_gains(
-    pred_covs: np.ndarray, a: np.ndarray, used_pinv: np.ndarray
+    predicted: np.ndarray, a: np.ndarray, used_pinv: np.ndarray
 ) -> np.ndarray:
-    """``pred_covs⁻¹ aᵀ`` per row, the transposed RTS smoother gains. When
+    """``predicted⁻¹ aᵀ`` per row, the transposed RTS smoother gains. When
     the batched solve meets a singular matrix, every row solves alone and a
     singular row falls back to the pseudo-inverse, flagged in ``used_pinv``."""
     try:
-        return np.linalg.solve(pred_covs, a.swapaxes(1, 2))
+        return np.linalg.solve(predicted, a.swapaxes(1, 2))
     except np.linalg.LinAlgError:
         pass
     gains_t = np.empty_like(a)
-    for i, (pp, ai) in enumerate(zip(pred_covs, a)):
+    for i, (pp, ai) in enumerate(zip(predicted, a)):
         try:
             gains_t[i] = np.linalg.solve(pp, ai.T)
         except np.linalg.LinAlgError:
@@ -224,69 +212,30 @@ def _transposed_gains(
     return gains_t
 
 
-def _backward(filtered: FilteredSeries, counts: List[int], offsets: List[int]) -> np.ndarray:
-    """RTS pass in place over ``filtered``'s means and covs, laid out as in
-    ``_forward``; returns ``used_pinv`` per track rank.
+def _backward(
+    xs: np.ndarray, ps: np.ndarray, counts: List[int], offsets: List[int],
+    cfg: SmootherConfig, dt: float,
+) -> np.ndarray:
+    """RTS pass in place over ``_forward``'s means ``xs`` and covs ``ps``;
+    returns ``used_pinv`` per track rank.
 
     The last frame of a track keeps its filtered state; earlier frames are
-    corrected with the smoother gain, which both axes share."""
-    F = transition_matrix(filtered.dt)
-    xs, ps = filtered.means, filtered.covs
+    corrected with the smoother gain, which both axes share. The predicted
+    moments of frame k + 1 are recomputed from frame k's filtered rows
+    before they are overwritten, as ``_forward`` computed them."""
+    F = transition_matrix(dt)
+    Q = process_noise(dt, cfg.jerk_sigma)
     used_pinv = np.zeros(counts[0], dtype=bool)
     for k in range(len(counts) - 2, -1, -1):
         cur = slice(offsets[k], offsets[k] + counts[k + 1])
         nxt = slice(offsets[k + 1], offsets[k + 1] + counts[k + 1])
-        pp = filtered.pred_covs[nxt]
+        x = F @ xs[cur]
+        pp = F @ ps[cur] @ F.T + Q
         gain = _transposed_gains(pp, ps[cur] @ F.T, used_pinv).swapaxes(1, 2)
-        xs[cur] += gain @ (xs[nxt] - filtered.pred_means[nxt])
+        xs[cur] += gain @ (xs[nxt] - x)
         cov = ps[cur] + gain @ (ps[nxt] - pp) @ gain.swapaxes(1, 2)
         ps[cur] = (cov + cov.swapaxes(1, 2)) / 2.0
     return used_pinv
-
-
-def forward_filter(
-    positions: Sequence[Tuple[float, float]],
-    predicted: Optional[Sequence[bool]],
-    cfg: SmootherConfig,
-    dt: float,
-) -> FilteredSeries:
-    """Run the constant-acceleration Kalman filter over both axes.
-
-    ``positions`` are the per-frame (x, y) observations at a fixed frame
-    interval ``dt``; ``predicted`` flags frames whose value is a tracker
-    prediction rather than a measurement (those frames skip the update).
-    The state initializes at the first observation with zero velocity and
-    acceleration under the configured prior sigmas.
-    """
-    z = np.asarray(positions, dtype=float)
-    if z.ndim != 2 or z.shape[1] != 2 or z.shape[0] < 1:
-        raise ValueError("positions must be a non-empty sequence of (x, y)")
-    n = len(z)
-    if predicted is None:
-        flags = np.zeros(n, dtype=bool)
-    else:
-        flags = np.asarray(predicted, dtype=bool)
-        if flags.shape != (n,):
-            raise ValueError("predicted flags must align with positions")
-    _, counts, offsets = _schedule(np.array([n]))
-    filtered = _forward(z, ~flags, counts, offsets, cfg, dt)
-    _check_psd(_worst_eigenvalues(filtered.covs), "filtered")
-    return filtered
-
-
-def rts_smooth(filtered: FilteredSeries) -> SmoothedSeries:
-    """Backward RTS pass over a filtered series, which stays unchanged.
-
-    A singular predicted covariance falls back to the pseudo-inverse and is
-    flagged via ``used_pinv``.
-    """
-    n = len(filtered.means)
-    smoothed = replace(filtered, means=filtered.means.copy(), covs=filtered.covs.copy())
-    _, counts, offsets = _schedule(np.array([n]))
-    used_pinv = _backward(smoothed, counts, offsets)
-    _check_psd(_worst_eigenvalues(smoothed.covs), "smoothed")
-    return SmoothedSeries(states=smoothed.means.transpose(0, 2, 1).reshape(n, 6),
-                          covariances=smoothed.covs, used_pinv=bool(used_pinv[0]))
 
 
 def smooth_series(
@@ -294,11 +243,11 @@ def smooth_series(
 ) -> List[SmoothedSeries]:
     """Forward filter and RTS pass of every raw track, all in lockstep.
 
-    Gives each track the series that ``rts_smooth(forward_filter(...))``
-    gives it alone, bit for bit. A covariance that loses positive
-    semi-definiteness raises ``NumericalFailure`` for the first failing
-    track in ``raws`` order, at its first failing frame, its filtered
-    series checked before its smoothed one.
+    Gives each track the series that it gets when smoothed alone, bit for
+    bit. A covariance that loses positive semi-definiteness, or overflows,
+    raises ``NumericalFailure`` for the first failing track in ``raws``
+    order, at its first failing frame, its filtered series checked before
+    its smoothed one.
     """
     if not raws:
         return []
@@ -311,11 +260,9 @@ def smooth_series(
     measured = np.empty(n, dtype=bool)
     measured[rows] = np.concatenate([raw.measured for raw in raws])
 
-    series = _forward(z, measured, counts, offsets, cfg, dt)
-    worst = [_worst_eigenvalues(series.covs)[rows]]
-    used_pinv = _backward(series, counts, offsets)
-    means, covs = series.means, series.covs
-    del series  # frees the predicted moments
+    means, covs = _forward(z, measured, counts, offsets, cfg, dt)
+    worst = [_worst_eigenvalues(covs)[rows]]
+    used_pinv = _backward(means, covs, counts, offsets, cfg, dt)
     worst.append(_worst_eigenvalues(covs)[rows])
     ends = np.cumsum(lengths).tolist()
     for raw, lo, hi in zip(raws, [0] + ends, ends):

@@ -587,6 +587,28 @@ class TestConfigFile:
         assert [(e["kind"], e["message"]) for e in errors] == [
             ("ValueError", "smoother.jerk_sigma must be finite, got inf")]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("smoother, kind, message", [
+        # its square in the process noise overflows
+        ({"jerk_sigma": 1e160}, "ValueError", "jerk_sigma squared overflows, got 1e+160"),
+        # the smoothed covariances overflow, and eigvalsh does not converge
+        # on them
+        ({"initial_accel_sigma": 1e152}, "NumericalFailure",
+         "track 1, frame 1: filtered covariance eigenvalue"),
+    ])
+    def test_overflowing_smoother_sigma_is_a_reported_error(
+        self, tmp_path, capsys, smoother, kind, message
+    ):
+        out = run_synth(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"smoother": smoother}))
+        capsys.readouterr()
+        assert main(["track", "--config", str(cfg_path), "--input",
+                     str(out / "detections"), "--output", str(tmp_path / "t")]) == 1
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert [e["kind"] for e in errors] == [kind]
+        assert errors[0]["message"].startswith(message)
+
     def test_negative_longitudinal_weight_is_a_reported_error(self, tmp_path, capsys):
         # the fit's grid bounds the objective by its lateral SSE, which needs
         # a weight >= 0; a weight of 0 stays valid

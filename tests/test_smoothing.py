@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hwtracks import (
     SmootherConfig,
     TrackerConfig,
     build_tracks,
-    forward_filter,
-    rts_smooth,
     smooth_series,
     smooth_track,
 )
 from hwtracks.core import DrivingDirection, VehicleClass
-from hwtracks.smoothing import process_noise, transition_matrix
+from hwtracks.smoothing import (
+    _forward, _schedule, _worst_eigenvalues, process_noise, transition_matrix,
+)
 from hwtracks.tracking import RawTrack
 from conftest import det, detection_table
 
@@ -25,34 +26,51 @@ def cfg(**kwargs):
     return SmootherConfig(**kwargs)
 
 
+def measured_mask(n, predicted):
+    return np.ones(n, dtype=bool) if predicted is None else ~np.asarray(predicted, dtype=bool)
+
+
+def forward_filter(positions, predicted=None, c=None):
+    """Filtered (means, covs) of one track from the forward pass that
+    ``smooth_series`` runs; one track's packed rows are its frames."""
+    z = np.asarray(positions, dtype=float)
+    _, counts, offsets = _schedule(np.array([len(z)]))
+    return _forward(z, measured_mask(len(z), predicted), counts, offsets, c or cfg(), DT)
+
+
 def filter_smooth(positions, predicted=None, **kwargs):
-    c = cfg(**kwargs)
-    return rts_smooth(forward_filter(positions, predicted, c, DT))
+    """``smooth_series`` of a one-track batch."""
+    z = np.asarray(positions, dtype=float)
+    measured = measured_mask(len(z), predicted)
+    raw = RawTrack(1, 0, z[:, 0], z[:, 1], measured, 4.5, 2.0, VehicleClass.CAR,
+                   int(measured.sum()))
+    smoothed, = smooth_series([raw], cfg(**kwargs), DT)
+    return smoothed
 
 
 class TestForwardFilter:
     def test_single_observation_initialization(self):
-        series = forward_filter([(12.5, -3.0)], None, cfg(), DT)
-        assert series.means[0, :, 0] == pytest.approx([12.5, 0.0, 0.0])
-        assert series.means[0, :, 1] == pytest.approx([-3.0, 0.0, 0.0])
+        means, _ = forward_filter([(12.5, -3.0)])
+        assert means[0, :, 0] == pytest.approx([12.5, 0.0, 0.0])
+        assert means[0, :, 1] == pytest.approx([-3.0, 0.0, 0.0])
 
     def test_constant_position_converges(self):
         # Derived oracle: run the recursion long enough and the filtered
         # position must approach the constant (steady state of this model).
         n = 200
         positions = [(5.0, 7.0)] * n
-        series = forward_filter(positions, None, cfg(), DT)
-        assert abs(series.means[-1, 0, 0] - 5.0) < 1e-6
-        assert abs(series.means[-1, 0, 1] - 7.0) < 1e-6
+        means, _ = forward_filter(positions)
+        assert abs(means[-1, 0, 0] - 5.0) < 1e-6
+        assert abs(means[-1, 0, 1] - 7.0) < 1e-6
 
     def test_predict_only_after_first_frame(self):
         n = 30
         positions = [(10.0, 2.0)] * n
         predicted = [False] + [True] * (n - 1)
-        series = forward_filter(positions, predicted, cfg(), DT)
+        means, covs = forward_filter(positions, predicted)
         # position never moves, covariance trace strictly grows
-        assert series.means[-1, 0, 0] == pytest.approx(10.0)
-        traces = [np.trace(P) for P in series.covs]
+        assert means[-1, 0, 0] == pytest.approx(10.0)
+        traces = [np.trace(P) for P in covs]
         assert all(b > a for a, b in zip(traces, traces[1:]))
 
 
@@ -80,10 +98,9 @@ class TestRtsSmooth:
         n = 50
         t = np.arange(n) * DT
         positions = np.column_stack([10 + 20 * t, np.full(n, 4.0)])
-        c = cfg()
-        filtered = forward_filter(positions, None, c, DT)
-        smoothed = rts_smooth(filtered)
-        assert smoothed.states[-1, :3] == pytest.approx(filtered.means[-1, :, 0])
+        means, _ = forward_filter(positions)
+        smoothed = filter_smooth(positions)
+        assert smoothed.states[-1, :3] == pytest.approx(means[-1, :, 0])
 
     def test_monotone_trace_improvement(self):
         rng = np.random.default_rng(5)
@@ -91,11 +108,11 @@ class TestRtsSmooth:
         t = np.arange(n) * DT
         x = 30 * t + rng.normal(0, 0.1, n)
         y = 14.0 + rng.normal(0, 0.1, n)
-        c = cfg()
-        filtered = forward_filter(np.column_stack([x, y]), None, c, DT)
-        smoothed = rts_smooth(filtered)
+        positions = np.column_stack([x, y])
+        _, covs = forward_filter(positions)
+        smoothed = filter_smooth(positions)
         for k in range(n):
-            t_filt = np.trace(filtered.covs[k])
+            t_filt = np.trace(covs[k])
             t_smooth = np.trace(smoothed.covariances[k])
             assert t_smooth <= t_filt + 1e-12
 
@@ -111,15 +128,14 @@ class TestRtsSmooth:
         positions += rng.normal(0, 0.1, (n, 2))
         predicted = np.zeros(n, dtype=bool)
         predicted[30:36] = True
-        c = cfg(initial_velocity_sigma=10.0, initial_accel_sigma=1.0)
-        filtered = forward_filter(positions, predicted, c, DT)
-        reference = rts_smooth(filtered)
+        priors = dict(initial_velocity_sigma=10.0, initial_accel_sigma=1.0)
+        reference = filter_smooth(positions, predicted, **priors)
 
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        fallback = rts_smooth(filtered)
+        fallback = filter_smooth(positions, predicted, **priors)
         assert not reference.used_pinv
         assert fallback.used_pinv
         assert np.abs(fallback.states - reference.states).max() < 1e-9
@@ -384,6 +400,54 @@ class TestSmoothSeries:
         assert failure(["2s", "3f", "4s"], raws) == (2, 25, 15, "smoothed")
         assert failure(failing, [raws[0], raws[2], raws[3]]) == (3, 5, 5, "filtered")
         assert failure(["4s"], raws) == (4, 50, 45, "smoothed")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("priors, index, detail", [
+        # a finite, indefinite filtered covariance; the smoothed ones
+        # overflow, and eigvalsh does not converge on them
+        (dict(initial_accel_sigma=1e152), 1, "filtered covariance eigenvalue"),
+        # the symmetric part of the prior covariance overflows
+        (dict(initial_velocity_sigma=1.3e154), 0, "filtered covariance overflows"),
+    ])
+    def test_overflow_names_the_first_track_and_frame(self, priors, index, detail):
+        raws = [raw_track(1, 0, 60), raw_track(2, 10, 80, ((20, 26),))]
+        for tracks in (raws, raws[::-1]):
+            with pytest.raises(NumericalFailure) as info:
+                smooth_series(tracks, cfg(**priors), DT)
+            exc = info.value
+            assert (exc.track_id, exc.frame, exc.index) \
+                == (tracks[0].track_id, tracks[0].first_frame + index, index)
+            assert exc.detail.startswith(detail)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_eigvalsh_never_sees_an_overflowed_covariance(self, monkeypatch):
+        covs = np.stack([np.diag([1.0, 2.0, 3.0])] * 4)
+        covs[1, 0, 2] = np.inf
+        covs[2, 1, 1] = np.nan
+        covs[3, 2, 2] = 1e308  # finite, but twice it is not
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def eigvalsh(a):
+            assert np.isfinite(a).all()
+            return real_eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert _worst_eigenvalues(covs).tolist() == [1.0, -np.inf, -np.inf, -np.inf]
+
+    def test_traced_peak_per_smoothed_row(self):
+        # Only the filtered moments are stored (48 + 72 B per row), and the
+        # backward pass overwrites them in place; a stored copy of the
+        # predicted moments as well puts the peak near 370 B per row.
+        raws = [raw_track(i + 1, i, 900 + 10 * i, ((50 + i, 60 + i), (400, 430)))
+                for i in range(20)]
+        rows = sum(len(raw.x) for raw in raws)
+        tracemalloc.start()
+        try:
+            smooth_series(raws, cfg(), DT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 300 * rows, peak / rows
 
     def test_no_tracks(self):
         assert smooth_series([], cfg(), DT) == []
