@@ -30,12 +30,12 @@ def measured_mask(n, predicted):
     return np.ones(n, dtype=bool) if predicted is None else ~np.asarray(predicted, dtype=bool)
 
 
-def forward_filter(positions, predicted=None, c=None):
+def filtered_moments(positions, predicted=None):
     """Filtered (means, covs) of one track from the forward pass that
     ``smooth_series`` runs; one track's packed rows are its frames."""
     z = np.asarray(positions, dtype=float)
     _, counts, offsets = _schedule(np.array([len(z)]))
-    return _forward(z, measured_mask(len(z), predicted), counts, offsets, c or cfg(), DT)
+    return _forward(z, measured_mask(len(z), predicted), counts, offsets, cfg(), DT)
 
 
 def filter_smooth(positions, predicted=None, **kwargs):
@@ -50,7 +50,7 @@ def filter_smooth(positions, predicted=None, **kwargs):
 
 class TestForwardFilter:
     def test_single_observation_initialization(self):
-        means, _ = forward_filter([(12.5, -3.0)])
+        means, _ = filtered_moments([(12.5, -3.0)])
         assert means[0, :, 0] == pytest.approx([12.5, 0.0, 0.0])
         assert means[0, :, 1] == pytest.approx([-3.0, 0.0, 0.0])
 
@@ -59,7 +59,7 @@ class TestForwardFilter:
         # position must approach the constant (steady state of this model).
         n = 200
         positions = [(5.0, 7.0)] * n
-        means, _ = forward_filter(positions)
+        means, _ = filtered_moments(positions)
         assert abs(means[-1, 0, 0] - 5.0) < 1e-6
         assert abs(means[-1, 0, 1] - 7.0) < 1e-6
 
@@ -67,7 +67,7 @@ class TestForwardFilter:
         n = 30
         positions = [(10.0, 2.0)] * n
         predicted = [False] + [True] * (n - 1)
-        means, covs = forward_filter(positions, predicted)
+        means, covs = filtered_moments(positions, predicted)
         # position never moves, covariance trace strictly grows
         assert means[-1, 0, 0] == pytest.approx(10.0)
         traces = [np.trace(P) for P in covs]
@@ -98,7 +98,7 @@ class TestRtsSmooth:
         n = 50
         t = np.arange(n) * DT
         positions = np.column_stack([10 + 20 * t, np.full(n, 4.0)])
-        means, _ = forward_filter(positions)
+        means, _ = filtered_moments(positions)
         smoothed = filter_smooth(positions)
         assert smoothed.states[-1, :3] == pytest.approx(means[-1, :, 0])
 
@@ -109,7 +109,7 @@ class TestRtsSmooth:
         x = 30 * t + rng.normal(0, 0.1, n)
         y = 14.0 + rng.normal(0, 0.1, n)
         positions = np.column_stack([x, y])
-        _, covs = forward_filter(positions)
+        _, covs = filtered_moments(positions)
         smoothed = filter_smooth(positions)
         for k in range(n):
             t_filt = np.trace(covs[k])
