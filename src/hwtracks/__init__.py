@@ -26,9 +26,11 @@ from .dataset_io import (
     RecordingFileSet,
     ValidationIssue,
     ValidationReport,
+    read_detections,
     read_recording,
     read_recording_meta,
     validate,
+    write_detections,
     write_recording,
 )
 from .lane_change import (
@@ -101,8 +103,6 @@ from .tracking import (
     TrackerConfig,
     associate_frame,
     build_tracks,
-    read_detections,
-    write_detections,
 )
 
 __version__ = "0.1.0"

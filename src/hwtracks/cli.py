@@ -30,6 +30,7 @@ from .dataset_io import (
     discover_recordings,
     recording_prefixes,
     validate,
+    write_detections,
     write_recording,
     write_recording_meta,
 )
@@ -43,9 +44,10 @@ from .pipeline import (
     load_pipeline_config,
     track_stage,
 )
-from .surround import compute_surround
+from .surround import (
+    compute_surround,  # not called here; perfbench/tracing.py wraps it by this name
+)
 from .synth import ScriptError, corrupt, generate_truth, load_script
-from .tracking import write_detections
 
 
 def _error_dict(kind: str, message: str, file: Optional[str] = None,
@@ -159,8 +161,7 @@ def cmd_synth(args) -> int:
         write_detections(detections, detections_dir / f"{rid:02d}_detections.csv")
         write_recording_meta(truth.meta, detections_dir / f"{rid:02d}_recordingMeta.csv")
 
-        surround = compute_surround(truth.tracks, truth.meta)
-        write_recording(truth.meta, truth.tracks, surround, truth_dir)
+        write_recording(truth.meta, truth.tracks, truth.surround, truth_dir)
         write_episodes_csv(truth.episodes, rid, truth_dir / f"{rid:02d}_episodes.csv")
         write_episodes_json(truth.episodes, rid, truth_dir / f"{rid:02d}_episodes.json")
         write_cut_ins_csv(truth.cut_ins, rid, truth_dir / f"{rid:02d}_cutIns.csv")

@@ -1,4 +1,5 @@
-"""Reader, writer and validator for the recording file set.
+"""Reader, writer and validator for the recording file set and the
+tracker's detections table.
 
 A recording is stored as three CSV tables:
 
@@ -7,6 +8,10 @@ A recording is stored as three CSV tables:
   direction, mean speed, frame span, lane-change count.
 * ``*_tracks.csv``        - one row per vehicle per frame: kinematics, lane,
   surrounding-vehicle ids and DHW/THW/TTC.
+
+``*_detections.csv``, the tracker's input, holds one row per detection:
+frame, centre, extents and an optional class hint (``write_detections``,
+``read_detections``).
 
 Formatting is canonical (fixed column order, comma delimiter, dot decimal
 separator, floats at 6 significant digits, LF line endings, UTF-8) so that
@@ -17,15 +22,18 @@ id 0 = none; dhw/thw/ttc -1 = undefined; speed limit -1 = unlimited.
 Reading is one columnar scan, shared by ``read_recording`` (which raises the
 first issue) and ``validate`` (which lists them all). ``_parse_table`` checks
 a table's header in Python and reads the body of tracksMeta, tracks and the
-tracker's detections with one C-parsed ``np.loadtxt``: one int64, float64 or
-class column per field. That fast path stands only where it reads what the
+detections with one C-parsed ``np.loadtxt``: one int64, float64 or class
+column per field. That fast path stands only where it reads what the
 per-cell parsers would: every line one row (no blank line, no lone CR), no
 NUL, no class longer than its text field, and no cell a parser would flag
 (a non-finite float, an unknown class or direction). Otherwise, and for the
 one-row recordingMeta with its ';' lists, ``csv`` reads the table again and
 every cell is parsed on its own, so the accepted cells and the issues are
 always those of the per-cell parsers, each bad cell named by row and column.
-Checks are row masks. Issues come by file (recordingMeta, tracksMeta,
+
+Every stage reports through row masks: a check flags entries (file rows, or
+tracks that name their file row) and ``_report`` issues them by entry and
+then in check order. Issues come by file (recordingMeta, tracksMeta,
 tracks); within the tracks table, each stage below runs only if the ones
 before it found nothing:
 
@@ -46,13 +54,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
+    DETECTION_COLUMNS,
     KINEMATIC_COLUMNS,
+    DetectionTable,
     DrivingDirection,
     RecordingMeta,
     Track,
@@ -110,6 +121,7 @@ TRACKS_COLUMNS = [
     "thw",
     "ttc",
 ]
+DETECTIONS_COLUMNS = ["frame", *DETECTION_COLUMNS, "class"]
 
 # Issue kinds reported by the validator / raised by the reader.
 MISSING_FILE = "MissingFile"
@@ -277,6 +289,14 @@ def write_recording(
     return paths
 
 
+def write_detections(detections: DetectionTable, path: Path) -> None:
+    write_table(path, DETECTIONS_COLUMNS, "dggggs", [(
+        detections.frame,
+        *(getattr(detections, c) for c in DETECTION_COLUMNS),
+        ["" if hint is None else hint.value for hint in detections.class_hint],
+    )])
+
+
 # ---------------------------------------------------------------------------
 # Reading / validation
 #
@@ -284,9 +304,10 @@ def write_recording(
 # empty report" and "read_recording succeeds" are the same predicate by
 # construction. In strict mode the scanner raises at the first issue.
 
-#: A row check: the rows it flags, the issue kind and column, and the
-#: message for a flagged row (0-based index).
-Check = Tuple[np.ndarray, str, Optional[str], Callable[[int], str]]
+#: A row check: the entries it flags, the issue kind and column, the message
+#: for a flagged entry (0-based index) and, where an entry is not the data
+#: row of its index, an optional fifth item: the 0-based data row per entry.
+Check = Tuple[Any, ...]
 #: A column parser: the cells' values plus a message per cell that is not one.
 Parser = Callable[[Sequence[str]], Tuple[Any, Dict[int, str]]]
 
@@ -491,15 +512,17 @@ def _parsed(type_checks: Sequence[Check]) -> np.ndarray:
 
 
 def _report(scanner: _Scanner, path: Path, checks: Sequence[Check]) -> bool:
-    """Issue every flagged row, by row and then in the order of ``checks``;
-    True when no row is flagged."""
+    """Issue every flagged entry, by entry and then in the order of
+    ``checks``; True when no entry is flagged. An entry names its own index
+    as the data row, or ``rows[index]`` for a check that ends with ``rows``."""
     hits = sorted(
-        (row, k) for k, check in enumerate(checks)
-        for row in np.flatnonzero(check[0]).tolist()
+        (i, k) for k, check in enumerate(checks)
+        for i in np.flatnonzero(check[0]).tolist()
     )
-    for row, k in hits:
-        _, kind, column, message = checks[k]
-        scanner.issue(kind, path, message(row), row=row + 1, column=column)
+    for i, k in hits:
+        _, kind, column, message, *rows = checks[k]
+        row = int(rows[0][i]) if rows else i
+        scanner.issue(kind, path, message(i), row=row + 1, column=column)
     return not hits
 
 
@@ -635,30 +658,24 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
     breaks = np.append(np.flatnonzero(gap) + 1, len(ids))
     first_break = breaks[np.searchsorted(breaks, begins)]
     meta_ids = metas["id"]
-    known = np.isin(track_ids, meta_ids)
-    usable = True
-    for g in np.argsort(first_rows).tolist():  # tracks in order of appearance
-        if not known[g]:
-            scanner.issue(
-                DANGLING_REFERENCE, tracks_path,
-                f"track id {track_ids[g]} has no tracksMeta entry",
-                row=int(first_rows[g]) + 1, column="id",
-            )
-            usable = False
-        elif first_break[g] < ends[g]:
-            k = first_break[g]
-            scanner.issue(
-                NON_MONOTONE_FRAMES, tracks_path,
-                f"track {track_ids[g]}: frame {frames_sorted[k]} follows "
-                f"{frames_sorted[k - 1]} (frames must be consecutive)",
-                row=int(order[k]) + 1, column="frame",
-            )
-            usable = False
-    usable &= _report(scanner, tracks_meta_path, [(
+    # Entry j is the j-th track to appear in the file, group seen[j]; a
+    # dangling id hides its track's gap.
+    seen = np.argsort(first_rows)
+    seen_ids = track_ids[seen]
+    known = np.isin(seen_ids, meta_ids)
+    gap_at = np.minimum(first_break, len(ids) - 1)[seen]  # first gap, in sorted rows
+    linked = _report(scanner, tracks_path, [
+        (~known, DANGLING_REFERENCE, "id",
+         lambda j: f"track id {seen_ids[j]} has no tracksMeta entry", first_rows[seen]),
+        (known & (first_break < ends)[seen], NON_MONOTONE_FRAMES, "frame",
+         lambda j: f"track {seen_ids[j]}: frame {frames_sorted[gap_at[j]]} follows "
+                   f"{frames_sorted[gap_at[j] - 1]} (frames must be consecutive)",
+         order[gap_at]),
+    ])
+    if not _report(scanner, tracks_meta_path, [(
         ~np.isin(meta_ids, track_ids), DANGLING_REFERENCE, "id",
         lambda i: f"track id {meta_ids[i]} has no rows in the tracks table",
-    )])
-    if not usable:
+    )]) or not linked:
         return scanner, None
 
     # Per-row checks; every track id now has one tracksMeta row.
@@ -710,70 +727,51 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
     if not _report(scanner, tracks_path, checks):
         return scanner, None
 
-    # Per-track summaries against tracksMeta, building the tracks in id order
-    # from the sorted columns: track g is rows begins[g]:ends[g].
+    # Per-track summaries against tracksMeta, by track id: entry g is track
+    # g, rows begins[g]:ends[g] of the sorted columns and tracksMeta row
+    # meta_rows[g]. A meanSpeed issue hides the track's later checks, and a
+    # frame-summary issue its lane-change check.
     kinematics = {name: cols[c][order] for name, c in _TABLE_COLUMN_OF.items()}
+    spans = list(zip(begins.tolist(), ends.tolist()))
+    stored_speed = metas["meanSpeed"][meta_rows]
+    speed = np.array([compute_mean_speed(kinematics["vx"][a:b]) for a, b in spans])
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as in Python floats
+        scale = np.maximum(np.maximum(np.abs(stored_speed), np.abs(speed)), 1e-12)
+        speed_off = np.abs(stored_speed - speed) / scale > MEAN_SPEED_REL_TOL
+    summary = {"numFrames": counts, "initialFrame": first_frame, "finalFrame": last_frame,
+               "numLaneChanges": np.array([lane_change_count(kinematics["lane"][a:b])
+                                           for a, b in spans])}
+    stored = {c: metas[c][meta_rows] for c in summary}
+    off = {c: ~speed_off & (stored[c] != actual) for c, actual in summary.items()}
+    off["numLaneChanges"] &= ~(off["numFrames"] | off["initialFrame"] | off["finalFrame"])
+    checks = [(speed_off, INVARIANT_VIOLATION, "meanSpeed",
+               lambda g: f"track {track_ids[g]}: meanSpeed {format_float(stored_speed[g])} "
+                         f"does not match recomputed {format_float(speed[g])}",
+               meta_rows)]
+    checks += [(off[c], INVARIANT_VIOLATION, c,
+                lambda g, c=c: f"track {track_ids[g]}: {c}={stored[c][g]} does not match "
+                               f"the tracks table ({summary[c][g]})",
+                meta_rows) for c in summary]
+    if not _report(scanner, tracks_meta_path, checks):
+        return scanner, None
+
+    cells = {c: metas[c].tolist() for c in ("drivingDirection", "length", "width", "meanSpeed")}
+    tracks = tuple(Track(
+        track_id=track_id,
+        vehicle_class=metas["class"][m],
+        direction=DrivingDirection(cells["drivingDirection"][m]),
+        length=cells["length"][m],
+        width=cells["width"][m],
+        mean_speed=cells["meanSpeed"][m],
+        initial_frame=int(frames_sorted[a]),
+        **{c: column[a:b] for c, column in kinematics.items()},
+    ) for track_id, m, (a, b) in zip(track_ids.tolist(), meta_rows.tolist(), spans))
     surround_cols = Surround.read_only(
         [cols[c][order] for c in (*_NEIGHBOR_COLUMNS, *_SENTINEL_COLUMNS)]
     )
-    meta_cells = {c: metas[c].tolist() for c in TRACKS_META_COLUMNS if c != "class"}
-    tracks: List[Track] = []
-    surround: Dict[int, Surround] = {}
-    for track_id, m, a, b in zip(track_ids.tolist(), meta_rows.tolist(),
-                                 begins.tolist(), ends.tolist()):
-        recomputed = compute_mean_speed(kinematics["vx"][a:b])
-        stored = meta_cells["meanSpeed"][m]
-        scale = max(abs(stored), abs(recomputed), 1e-12)
-        if abs(stored - recomputed) / scale > MEAN_SPEED_REL_TOL:
-            scanner.issue(
-                INVARIANT_VIOLATION, tracks_meta_path,
-                f"track {track_id}: meanSpeed {format_float(stored)} does not match "
-                f"recomputed {format_float(recomputed)}",
-                row=m + 1, column="meanSpeed",
-            )
-            usable = False
-            continue
-        summary = {
-            "numFrames": b - a,
-            "initialFrame": int(frames_sorted[a]),
-            "finalFrame": int(frames_sorted[b - 1]),
-        }
-        mismatched = [(c, actual) for c, actual in summary.items()
-                      if meta_cells[c][m] != actual]
-        for column, actual in mismatched:
-            scanner.issue(
-                INVARIANT_VIOLATION, tracks_meta_path,
-                f"track {track_id}: {column}={meta_cells[column][m]} does not match "
-                f"the tracks table ({actual})",
-                row=m + 1, column=column,
-            )
-        if mismatched:
-            usable = False
-            continue
-        changes = lane_change_count(kinematics["lane"][a:b])
-        if meta_cells["numLaneChanges"][m] != changes:
-            scanner.issue(
-                INVARIANT_VIOLATION, tracks_meta_path,
-                f"track {track_id}: numLaneChanges={meta_cells['numLaneChanges'][m]} "
-                f"does not match the tracks table ({changes})",
-                row=m + 1, column="numLaneChanges",
-            )
-            usable = False
-            continue
-        tracks.append(Track(
-            track_id=track_id,
-            vehicle_class=metas["class"][m],
-            direction=DrivingDirection(meta_cells["drivingDirection"][m]),
-            length=meta_cells["length"][m],
-            width=meta_cells["width"][m],
-            mean_speed=stored,
-            initial_frame=summary["initialFrame"],
-            **{c: column[a:b] for c, column in kinematics.items()},
-        ))
-        surround[track_id] = surround_cols.rows(a, b)
-    if not usable:
-        return scanner, None
-    return scanner, Recording(meta=meta, tracks=tuple(tracks), surround=surround)
+    surround = {track_id: surround_cols.rows(a, b)
+                for track_id, (a, b) in zip(track_ids.tolist(), spans)}
+    return scanner, Recording(meta=meta, tracks=tracks, surround=surround)
 
 
 def read_recording(paths: RecordingFileSet) -> Recording:
@@ -795,6 +793,43 @@ def validate(paths: RecordingFileSet) -> ValidationReport:
     """Every violated invariant with its location; empty iff read would succeed."""
     scanner, _ = _scan(paths, strict=False)
     return ValidationReport(issues=scanner.issues)
+
+
+_DETECTIONS_PARSERS = {
+    "frame": _ints, "cx": _floats, "cy": _floats, "length": _floats,
+    "width": _floats, "class": partial(_classes, optional=True),
+}
+
+
+def read_detections(path: Path, max_frame: float) -> DetectionTable:
+    """The detections of a file as a table sorted by frame (stable, so rows
+    of one frame keep their file order).
+
+    Frames outside [0, ``max_frame``] (the recording meta's) are rejected.
+    The first problem raises a DatasetError naming the row and column.
+    """
+    path = Path(path)
+    scanner = _Scanner(strict=True)
+    parsed = _parse_table(scanner, path, DETECTIONS_COLUMNS, _DETECTIONS_PARSERS)
+    assert parsed is not None  # a strict scanner raises instead
+    cols, checks = parsed
+    frames = cols["frame"]
+    typed = _parsed(checks)
+    unparsed_frames = checks[0][0]
+    checks.insert(1, (  # a parsed frame's bound right after its type
+        ~unparsed_frames & _frames_outside(frames, max_frame), INVARIANT_VIOLATION,
+        "frame", lambda i: f"frame {frames[i]} outside [0, {format_float(max_frame)}]",
+    ))
+    for column in ("length", "width"):
+        checks.append((
+            typed & (cols[column] <= 0), TYPE_MISMATCH, column,
+            lambda i, c=column: f"{c} must be positive, got {format_float(cols[c][i])}",
+        ))
+    _report(scanner, path, checks)
+    order = np.argsort(frames, kind="stable")
+    hints = cols["class"]
+    return DetectionTable(frames[order], *(cols[c][order] for c in DETECTION_COLUMNS),
+                          [hints[i] for i in order.tolist()])
 
 
 def recording_prefixes(directory: Path, suffix: str) -> List[str]:

@@ -19,6 +19,7 @@ from .core import write_json
 from .dataset_io import (
     Recording,
     RecordingFileSet,
+    read_detections,
     read_recording,
     read_recording_meta,
     write_recording,
@@ -35,7 +36,7 @@ from .lane_change import (
 from .maneuvers import ManeuverConfig, ManeuverEpisode, ManeuverKind, detect_all
 from .smoothing import SmootherConfig, smooth_series, smooth_track_with_diagnostics
 from .surround import compute_surround
-from .tracking import TrackerConfig, build_tracks, read_detections
+from .tracking import TrackerConfig, build_tracks
 
 
 @dataclass(frozen=True)

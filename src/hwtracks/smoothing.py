@@ -107,6 +107,12 @@ class SmoothedSeries:
     used_pinv: bool = False
 
 
+#: An overflowing covariance is not a warning: ``_check_psd`` reports it as a
+#: ``NumericalFailure``. The passes that make and read covariances run under it.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_OVERFLOW
 def _worst_eigenvalues(covs: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the symmetric part of every covariance, and
     ``-inf`` where that part overflows (has a non-finite entry), which
@@ -147,6 +153,7 @@ def _schedule(lengths: np.ndarray) -> Tuple[np.ndarray, List[int], List[int]]:
     return rows, counts.tolist(), offsets.tolist()
 
 
+@_QUIET_OVERFLOW
 def _forward(
     z: np.ndarray, measured: np.ndarray, counts: List[int], offsets: List[int],
     cfg: SmootherConfig, dt: float,
@@ -212,6 +219,7 @@ def _transposed_gains(
     return gains_t
 
 
+@_QUIET_OVERFLOW
 def _backward(
     xs: np.ndarray, ps: np.ndarray, counts: List[int], offsets: List[int],
     cfg: SmootherConfig, dt: float,

@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
+    DETECTION_COLUMNS,
     DetectionTable,
     DrivingDirection,
     RecordingMeta,
@@ -44,7 +46,7 @@ from .lane_change import (
     extract_cut_ins,
 )
 from .maneuvers import ManeuverConfig, ManeuverEpisode, ManeuverKind, lane_change_extents
-from .surround import compute_surround
+from .surround import Surround, compute_surround
 
 DEFAULT_UPPER_BOUNDARIES = (0.0, 3.7, 7.4)
 DEFAULT_LOWER_BOUNDARIES = (12.0, 15.7, 19.4)
@@ -167,6 +169,7 @@ class LaneChangeTruth:
 class GroundTruth:
     meta: RecordingMeta
     tracks: Tuple[Track, ...]
+    surround: Mapping[int, Surround]
     lane_changes: Tuple[LaneChangeTruth, ...]
     episodes: Tuple[ManeuverEpisode, ...]
     cut_ins: Tuple[CutInScenario, ...]
@@ -464,10 +467,12 @@ def generate_truth(script: ScenarioScript) -> GroundTruth:
     _validate_no_overlap(tracks)
     lane_changes.sort(key=lambda lc: (lc.track_id, lc.crossing_frame))
     episodes = tuple(lc.episode() for lc in lane_changes)
-    cut_ins = extract_cut_ins(episodes, tracks, compute_surround(tracks, meta), meta)
+    surround = compute_surround(tracks, meta)
+    cut_ins = extract_cut_ins(episodes, tracks, surround, meta)
     return GroundTruth(
         meta=meta,
         tracks=tuple(tracks),
+        surround=surround,
         lane_changes=tuple(lane_changes),
         episodes=episodes,
         cut_ins=tuple(cut_ins),
@@ -498,7 +503,9 @@ def corrupt(
     rng = np.random.default_rng(seed)
     scripted = scripted_dropouts or {}
     burst_left: Dict[int, int] = {t.track_id: 0 for t in tracks}
-    columns: List[list] = [[] for _ in fields(DetectionTable)]
+    # frame and the four float columns packed, not as Python numbers: the
+    # caller's truth, surround included, is alive while this runs
+    columns: List = [array("q"), *(array("d") for _ in DETECTION_COLUMNS), []]
 
     def emit(*row) -> None:  # frame, cx, cy, length, width, class hint
         for column, value in zip(columns, row):

@@ -18,33 +18,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
-from pathlib import Path
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    DETECTION_COLUMNS,
-    DetectionTable,
-    VehicleClass,
-    format_float,
-    write_table,
-)
-from .dataset_io import (
-    INVARIANT_VIOLATION,
-    TYPE_MISMATCH,
-    _classes,
-    _floats,
-    _frames_outside,
-    _ints,
-    _parse_table,
-    _parsed,
-    _report,
-    _Scanner,
-)
-
-DETECTIONS_COLUMNS = ["frame", *DETECTION_COLUMNS, "class"]
+from .core import DetectionTable, VehicleClass
 
 
 @dataclass(frozen=True)
@@ -213,52 +191,3 @@ def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrac
             measured_count=int(hits[i]),
         ))
     return tracks
-
-
-# ---------------------------------------------------------------------------
-# Detection CSV interface (same formatting rules as the recording tables)
-
-
-def write_detections(detections: DetectionTable, path: Path) -> None:
-    write_table(path, DETECTIONS_COLUMNS, "dggggs", [(
-        detections.frame,
-        *(getattr(detections, c) for c in DETECTION_COLUMNS),
-        ["" if hint is None else hint.value for hint in detections.class_hint],
-    )])
-
-
-_DETECTIONS_PARSERS = {
-    "frame": _ints, "cx": _floats, "cy": _floats, "length": _floats,
-    "width": _floats, "class": partial(_classes, optional=True),
-}
-
-
-def read_detections(path: Path, max_frame: float) -> DetectionTable:
-    """The detections of a file as a table sorted by frame (stable, so rows
-    of one frame keep their file order).
-
-    Frames outside [0, ``max_frame``] (the recording meta's) are rejected.
-    The first problem raises a DatasetError naming the row and column.
-    """
-    path = Path(path)
-    scanner = _Scanner(strict=True)
-    parsed = _parse_table(scanner, path, DETECTIONS_COLUMNS, _DETECTIONS_PARSERS)
-    assert parsed is not None  # a strict scanner raises instead
-    cols, checks = parsed
-    frames = cols["frame"]
-    typed = _parsed(checks)
-    unparsed_frames = checks[0][0]
-    checks.insert(1, (  # a parsed frame's bound right after its type
-        ~unparsed_frames & _frames_outside(frames, max_frame), INVARIANT_VIOLATION,
-        "frame", lambda i: f"frame {frames[i]} outside [0, {format_float(max_frame)}]",
-    ))
-    for column in ("length", "width"):
-        checks.append((
-            typed & (cols[column] <= 0), TYPE_MISMATCH, column,
-            lambda i, c=column: f"{c} must be positive, got {format_float(cols[c][i])}",
-        ))
-    _report(scanner, path, checks)
-    order = np.argsort(frames, kind="stable")
-    hints = cols["class"]
-    return DetectionTable(frames[order], *(cols[c][order] for c in DETECTION_COLUMNS),
-                          [hints[i] for i in order.tolist()])

@@ -587,7 +587,7 @@ class TestConfigFile:
         assert [(e["kind"], e["message"]) for e in errors] == [
             ("ValueError", "smoother.jerk_sigma must be finite, got inf")]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("smoother, kind, message", [
         # its square in the process noise overflows
         ({"jerk_sigma": 1e160}, "ValueError", "jerk_sigma squared overflows, got 1e+160"),
@@ -749,7 +749,7 @@ class TestSmoothingReport:
         self, tmp_path, monkeypatch, capsys
     ):
         import hwtracks.smoothing
-        from hwtracks.tracking import write_detections
+        from hwtracks.dataset_io import write_detections
         from conftest import det, detection_table
 
         out = run_synth(tmp_path)

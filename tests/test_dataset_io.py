@@ -224,6 +224,13 @@ def _patch_cells(path, edits):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _sort_rows(path, key):
+    """Sort the data rows of a table, stably, by ``key`` of their cells."""
+    header, *rows = path.read_text().splitlines()
+    rows.sort(key=lambda line: key(line.split(",")))
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
 class TestErrors:
     @pytest.fixture
     def written(self, tmp_path):
@@ -458,6 +465,63 @@ class TestMutationCorpus:
              "numLaneChanges"),
             ("InvariantViolation", "01_tracksMeta.csv",
              "track 3: meanSpeed 1 does not match recomputed 20.527", 3, "meanSpeed"),
+        ]
+        with pytest.raises(DatasetError) as err:
+            read_recording(paths)
+        assert err.value.issue == issues[0]
+
+    def test_summary_issues_come_by_track_id_from_a_descending_tracks_meta(
+        self, tmp_path
+    ):
+        meta, tracks, surround = random_recording(seed=4, n_tracks=4)
+        paths = write_recording(meta, tracks, surround, tmp_path)
+        _sort_rows(paths.tracks_meta_path, lambda cells: -int(cells[0]))
+        # tracksMeta rows 1-4 now hold tracks 4, 3, 2, 1; a meanSpeed issue
+        # hides its track's later checks, a numFrames issue its lane changes
+        _patch_cells(paths.tracks_meta_path, [
+            (1, "initialFrame", "139"),
+            (2, "meanSpeed", "1"), (2, "numFrames", "1"),
+            (3, "numLaneChanges", "2"),
+            (4, "numFrames", "25"), (4, "numLaneChanges", "3"),
+        ])
+        issues = validate(paths).issues
+        assert _issue_tuples(issues, tmp_path) == [
+            ("InvariantViolation", "01_tracksMeta.csv",
+             "track 1: numFrames=25 does not match the tracks table (24)", 4, "numFrames"),
+            ("InvariantViolation", "01_tracksMeta.csv",
+             "track 2: numLaneChanges=2 does not match the tracks table (0)", 3,
+             "numLaneChanges"),
+            ("InvariantViolation", "01_tracksMeta.csv",
+             "track 3: meanSpeed 1 does not match recomputed 22.7462", 2, "meanSpeed"),
+            ("InvariantViolation", "01_tracksMeta.csv",
+             "track 4: initialFrame=139 does not match the tracks table (140)", 1,
+             "initialFrame"),
+        ]
+        with pytest.raises(DatasetError) as err:
+            read_recording(paths)
+        assert err.value.issue == issues[0]
+
+    def test_cross_reference_issues_come_in_order_of_first_appearance(self, tmp_path):
+        meta, tracks, surround = random_recording(seed=4, n_tracks=4)
+        paths = write_recording(meta, tracks, surround, tmp_path)
+        _sort_rows(paths.tracks_path, lambda cells: -int(cells[1]))
+        # rows 1-77 are track 4, 78-173 track 3, 174-218 track 2 and 219-242
+        # track 1; tracks 4 and 2 lose a frame, track 3 is renamed 9
+        lines = paths.tracks_path.read_text().splitlines()
+        lines[78:174] = [",".join([line.split(",")[0], "9", *line.split(",")[2:]])
+                         for line in lines[78:174]]
+        del lines[200], lines[10]
+        paths.tracks_path.write_text("\n".join(lines) + "\n")
+        issues = validate(paths).issues
+        assert _issue_tuples(issues, tmp_path) == [
+            ("NonMonotoneFrames", "01_tracks.csv",
+             "track 4: frame 150 follows 148 (frames must be consecutive)", 10, "frame"),
+            ("DanglingReference", "01_tracks.csv",
+             "track id 9 has no tracksMeta entry", 77, "id"),
+            ("NonMonotoneFrames", "01_tracks.csv",
+             "track 2: frame 226 follows 224 (frames must be consecutive)", 199, "frame"),
+            ("DanglingReference", "01_tracksMeta.csv",
+             "track id 3 has no rows in the tracks table", 3, "id"),
         ]
         with pytest.raises(DatasetError) as err:
             read_recording(paths)

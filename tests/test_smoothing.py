@@ -401,7 +401,7 @@ class TestSmoothSeries:
         assert failure(failing, [raws[0], raws[2], raws[3]]) == (3, 5, 5, "filtered")
         assert failure(["4s"], raws) == (4, 50, 45, "smoothed")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("priors, index, detail", [
         # a finite, indefinite filtered covariance; the smoothed ones
         # overflow, and eigvalsh does not converge on them
@@ -419,7 +419,7 @@ class TestSmoothSeries:
                 == (tracks[0].track_id, tracks[0].first_frame + index, index)
             assert exc.detail.startswith(detail)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_eigvalsh_never_sees_an_overflowed_covariance(self, monkeypatch):
         covs = np.stack([np.diag([1.0, 2.0, 3.0])] * 4)
         covs[1, 0, 2] = np.inf
