@@ -167,10 +167,13 @@ def bumper_gap(x_a, length_a, x_b, length_b):
 
 
 def compute_mean_speed(vx) -> float:
-    """Mean of per-frame longitudinal speed magnitudes, summed left to right."""
+    """Mean of per-frame longitudinal speed magnitudes, summed left to right
+    in plain float64 adds (Python's ``sum`` compensates from 3.12 on), with
+    an overflow to inf left silent."""
     if not len(vx):
         raise ValueError("mean speed of an empty state list is undefined")
-    return sum(map(abs, np.asarray(vx, dtype=float).tolist())) / len(vx)
+    with np.errstate(over="ignore"):
+        return float(np.add.accumulate(np.abs(np.asarray(vx, dtype=float)))[-1]) / len(vx)
 
 
 #: The float64 columns of a Track, in file order; ``lane`` is the int64 one.

@@ -735,9 +735,12 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
     spans = list(zip(begins.tolist(), ends.tolist()))
     stored_speed = metas["meanSpeed"][meta_rows]
     speed = np.array([compute_mean_speed(kinematics["vx"][a:b]) for a, b in spans])
+    # a stored meanSpeed is finite, so a recomputed mean that overflowed to
+    # inf never matches it (the relative difference would be NaN)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as in Python floats
         scale = np.maximum(np.maximum(np.abs(stored_speed), np.abs(speed)), 1e-12)
-        speed_off = np.abs(stored_speed - speed) / scale > MEAN_SPEED_REL_TOL
+        speed_off = ~np.isfinite(speed) | (
+            np.abs(stored_speed - speed) / scale > MEAN_SPEED_REL_TOL)
     summary = {"numFrames": counts, "initialFrame": first_frame, "finalFrame": last_frame,
                "numLaneChanges": np.array([lane_change_count(kinematics["lane"][a:b])
                                            for a, b in spans])}

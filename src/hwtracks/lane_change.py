@@ -28,9 +28,9 @@ large batches:
   best coarse duration and its two neighbours. The coarse pass scores the
   lateral half everywhere and the longitudinal half only where the lateral
   SSE, as a lower bound, does not rule the placement out, which is exact;
-* the refinement is golden-section search (Kiefer 1953) one variable at a
-  time, and one call scores every point that the next few steps may probe,
-  so the steps walk the same values one call per step would return;
+* the refinement is a section search one variable at a time: each round
+  scores evenly spaced points of the bracket in one call and keeps the
+  bracket between the neighbours of the best;
 * ``fit_episodes`` runs the refinements of many episodes in lockstep, one
   evaluator call per round for all episodes of the same sample count, their
   samples stacked one row per placement. Rows are computed alone, so every
@@ -356,81 +356,50 @@ def _grid_minimum(objective: _SeparableObjective, cfg: FitConfig):
     return float(fine[best]), float(t0[best]), float(T[best])
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: Golden-section steps whose possible probes one evaluator call scores.
-_LOOKAHEAD = 3
+#: Evenly spaced points of the bracket that one round of ``_section_search``
+#: scores.
+_SECTION_POINTS = 11
 
 
-def _golden_step(a: float, b: float, c: float, d: float, keep_left: bool):
-    """The bracket (a, b) and its interior points (c, d) after one step,
-    which keeps [a, d] when ``keep_left`` and [c, b] otherwise."""
-    if keep_left:
-        b, d = d, c
-        return a, b, b - _GOLDEN * (b - a), d
-    a, c = c, d
-    return a, b, c, a + _GOLDEN * (b - a)
+def _section_search(lo: float, hi: float, tol: float, budget: int, request):
+    """Minimum on [lo, hi] to width tol, in at most ``budget`` (>= 1) rounds,
+    as a generator: for each batch of points it needs scored it yields
+    ``request(points)`` and is sent their values.
 
+    Each round scores ``_SECTION_POINTS`` evenly spaced points of the bracket,
+    ends included, in one batch, and keeps the bracket between the neighbours
+    of the best point (of equal values, the first). The next round's ends
+    are those neighbours and, when the best point was not an end, its centre
+    is the best point itself, so a later batch holds only the points not yet
+    scored. The search stops once the bracket is at most tol wide, or after
+    ``budget`` rounds.
 
-def _golden_search(lo: float, hi: float, tol: float, budget: int, request):
-    """Golden-section minimum on [lo, hi] to width tol, in at most
-    ``budget`` steps, as a generator: for each batch of points it needs
-    scored it yields ``request(points)`` and is sent their values.
-
-    Each step probes one point, chosen by the comparison before it, so the
-    next ``_LOOKAHEAD`` steps can probe one of 2**_LOOKAHEAD - 1 points, all
-    known in advance. One batch holds all of them, plus the midpoint of
-    every bracket at which the search may stop (the first batch also holds
-    the two starting interior points, and the points after either outcome
-    of the first comparison). The steps then walk with exactly the values
-    one batch per probe would have returned, so the result is the
-    one-probe-per-step search's.
-
-    Returns (argmin, fmin, iterations, hit_budget).
+    Returns (argmin, fmin, rounds, hit_budget): the best scored point.
     """
-    known: Dict[float, float] = {}
-
-    def stops(bracket, iterations: int) -> bool:
-        return not bracket[1] - bracket[0] > tol or iterations >= budget
-
-    def speculate(bracket, iterations: int, steps: int, points: Dict[float, None]) -> None:
-        """Add to ``points`` every point the next ``steps`` steps may read."""
-        a, b, c, d = bracket
-        points.update({c: None, d: None})
-        if stops(bracket, iterations):
-            points[(a + b) / 2.0] = None
-        elif steps:
-            fc, fd = known.get(c), known.get(d)
-            for keep_left in ((True, False) if fc is None or fd is None else (fc <= fd,)):
-                speculate(_golden_step(*bracket, keep_left), iterations + 1, steps - 1,
-                          points)
-
-    bracket = (lo, hi, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
-    iterations = 0
+    last = _SECTION_POINTS - 1
+    points = np.linspace(lo, hi, _SECTION_POINTS)
+    values = yield request(points)
+    rounds = 1
     while True:
-        points: Dict[float, None] = {}
-        speculate(bracket, iterations, _LOOKAHEAD, points)
-        wanted = [p for p in points if p not in known]
-        if wanted:
-            known.update(zip(wanted, (yield request(np.array(wanted)))))
-        for _ in range(_LOOKAHEAD):
-            a, b, c, d = bracket
-            if stops(bracket, iterations):
-                xm = (a + b) / 2.0
-                return xm, float(known[xm]), iterations, b - a > tol
-            bracket = _golden_step(*bracket, known[c] <= known[d])
-            iterations += 1
-
-
-def _golden_section(f, lo: float, hi: float, tol: float, budget: int):
-    """``_golden_search`` of ``f``, which scores an array of points: one
-    call of ``f`` per batch. Returns (argmin, fmin, iterations, hit_budget)."""
-    search = _golden_search(lo, hi, tol, budget, lambda points: points)
-    try:
-        points = next(search)
-        while True:
-            points = search.send(f(points))
-    except StopIteration as stop:
-        return stop.value
+        best = int(np.argmin(values))
+        left, right = max(best - 1, 0), min(best + 1, last)
+        wide = bool(points[right] - points[left] > tol)
+        if not wide or rounds >= budget:
+            return float(points[best]), float(values[best]), rounds, wide
+        # the scored points the next round keeps: indices there and here
+        into, of = [0, last], [left, right]
+        if left < best < right:
+            into.append(last // 2)
+            of.append(best)
+        grid = np.linspace(points[left], points[right], _SECTION_POINTS)
+        grid[into] = points[of]
+        scored = np.empty(_SECTION_POINTS)
+        scored[into] = values[of]
+        fresh = np.ones(_SECTION_POINTS, dtype=bool)
+        fresh[into] = False
+        scored[fresh] = yield request(grid[fresh])
+        points, values = grid, scored
+        rounds += 1
 
 
 def _refine(grid: Tuple[float, float, float], t_span: Tuple[float, float], cfg: FitConfig):
@@ -441,11 +410,13 @@ def _refine(grid: Tuple[float, float, float], t_span: Tuple[float, float], cfg: 
 
     Refinement is in (midpoint, duration) coordinates: stretching T around a
     fixed maneuver midpoint leaves the crossing in place, so the two
-    variables decouple and coordinate-wise golden-section search converges
-    in a few passes (in (t0, T) the valley is strongly correlated). A pass
-    searches each coordinate within ``duration_step`` of its best value;
-    passes stop once neither moves by ``refine_tolerance``, or mid-pass
-    when the iteration budget is spent.
+    variables decouple and a coordinate-wise section search converges in a
+    few passes (in (t0, T) the valley is strongly correlated). A pass
+    searches each coordinate within ``duration_step`` of its best value, and
+    ``iterations`` counts the search rounds (``max_refine_iterations`` is
+    their budget). Passes stop once neither coordinate moves by
+    ``refine_tolerance``, after 8 passes, or mid-pass when the budget is
+    spent. Only the first stop is converged.
     """
     j_best, t0_best, T_best = grid
     placement = [t0_best + T_best / 2.0, T_best]
@@ -465,7 +436,7 @@ def _refine(grid: Tuple[float, float, float], t_span: Tuple[float, float], cfg: 
                           for i, v in enumerate(placement))
                 return mid - T / 2.0, T
 
-            value, j, used, hit = yield from _golden_search(
+            value, j, used, hit = yield from _section_search(
                 max(lo, placement[axis] - cfg.duration_step),
                 min(hi, placement[axis] + cfg.duration_step),
                 cfg.refine_tolerance,
@@ -483,6 +454,8 @@ def _refine(grid: Tuple[float, float, float], t_span: Tuple[float, float], cfg: 
         trace.append(j_best)
         if max(changes) < cfg.refine_tolerance:
             break
+    else:
+        converged_by_tol = False
     mid_best, T_best = placement
     return mid_best - T_best / 2.0, T_best, iterations, converged_by_tol, tuple(trace)
 
@@ -642,7 +615,7 @@ def fit_lane_change(
     quantities; the placement (t0, T) is found by a grid over the episode's
     sample times and the configured duration range, searched coarse to fine
     with a t0 stride of about ``duration_step / 4``, then refined by
-    coordinate golden-section search to ``refine_tolerance`` seconds. The
+    coordinate section search to ``refine_tolerance`` seconds. The
     one-episode case of ``fit_episodes``.
     """
     return _only(fit_episodes([(times, xs, ys, marking_y)], cfg))

@@ -673,7 +673,7 @@ class TestBundledDemoScript:
         "extract/01_episodes.json":
             "90eb55edf272c468391f2056747cbcb6c3e7114970917b0605af7e0d20c7b6c7",
         "extract/01_laneChangeFits.csv":
-            "93d748dece8b5126f03e6042b54e6653747ebf59bbf8589f45751e9aa046e608",
+            "c098aa2042afb55d8a65c85e1274c0b6bdd37d3344df366dc533cece00b47896",
         "extract/01_truckRatio.csv":
             "be9642643fbafd6d80312e1b2f5c376654ebc6197ff383dd364b4bf504e42f8b",
         "extract/cutInThwBand.csv":

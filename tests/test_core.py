@@ -183,6 +183,12 @@ class TestTypes:
         recomputed = compute_mean_speed(track.vx)
         assert abs(recomputed - track.mean_speed) <= 1e-9 * abs(track.mean_speed)
 
+    def test_mean_speed_adds_left_to_right(self):
+        # 1e16 + 1 rounds back to 1e16, twice; a compensated sum (Python's
+        # ``sum`` from 3.12 on) keeps the 2 and divides 1e16 + 2
+        assert compute_mean_speed([1e16, 1.0, 1.0]) == 1e16 / 3
+        assert compute_mean_speed([-1e16, 1.0, -1.0]) == 1e16 / 3
+
     def test_mean_speed_uses_magnitudes(self):
         track = straight_track(direction=DrivingDirection.UPPER, x0=400.0,
                                y=1.85, speed=20.0)

@@ -470,6 +470,23 @@ class TestMutationCorpus:
             read_recording(paths)
         assert err.value.issue == issues[0]
 
+    def test_overflowing_mean_speed_never_matches(self, tmp_path):
+        # 24 speeds of 1.7e308 add up to inf: the relative difference to the
+        # stored meanSpeed is NaN, which once passed as a match
+        meta, tracks, surround = random_recording(seed=4, n_tracks=1)
+        paths = write_recording(meta, tracks, surround, tmp_path)
+        assert tracks[0].num_frames == 24
+        _patch_cells(paths.tracks_path,
+                     [(row, "xVelocity", "1.7e+308") for row in range(1, 25)])
+        issues = validate(paths).issues
+        assert _issue_tuples(issues, tmp_path) == [
+            ("InvariantViolation", "01_tracksMeta.csv",
+             "track 1: meanSpeed 24.9015 does not match recomputed inf", 1, "meanSpeed"),
+        ]
+        with pytest.raises(DatasetError) as err:
+            read_recording(paths)
+        assert err.value.issue == issues[0]
+
     def test_summary_issues_come_by_track_id_from_a_descending_tracks_meta(
         self, tmp_path
     ):

@@ -25,10 +25,9 @@ from hwtracks.lane_change import (
     CutInSide,
     FitConfig,
     SHAPE_COEFFICIENTS,
-    _GOLDEN,
-    _LOOKAHEAD,
+    _SECTION_POINTS,
     _SeparableObjective,
-    _golden_section,
+    _section_search,
     _grid_minimum,
     _row_minima,
     _score,
@@ -306,11 +305,17 @@ class TestGridMinimum:
             fit = fit_lane_change(t, x, y, 15.7, cfg)
             assert fit.objective_trace[0] == want[0]
 
+    #: Evaluator calls (grid, refinement and final scoring) of ``extract`` on
+    #: each input with the golden-section refinement that preceded the
+    #: section search: a bound that a change may lower, not raise.
+    EVALUATOR_CALLS = {"lanechange-dense": 295, "fleet-8x60": 676, "corpus-225k": 134}
+
     @pytest.mark.parametrize("name, fits", [
         ("lanechange-dense", 70), ("fleet-8x60", 32), ("corpus-225k", 5)])
     def test_full_table_minimum_on_benchmark_fits(self, name, fits, tmp_path, monkeypatch):
         # every fit that ``extract`` makes on the benchmark workloads and the
-        # 225k-row corpus, after the same synth -> track -> extract chain
+        # 225k-row corpus, after the same synth -> track -> extract chain,
+        # and the number of evaluator calls it makes
         for index, script in enumerate(benchmark_scripts(name)):
             path = tmp_path / f"script{index}.json"
             path.write_text(json.dumps(script), encoding="utf-8")
@@ -319,17 +324,27 @@ class TestGridMinimum:
         assert main(["track", "--input", str(tmp_path / "synth" / "detections"),
                      "--output", str(tmp_path / "rec"), "--jobs", "1"]) == 0
         checked = []
+        counted = []
+        evaluate = _SeparableObjective.__call__
+
+        def counting(objective, t0, T):
+            counted.append(len(t0))
+            return evaluate(objective, t0, T)
 
         def grid_minimum(objective, cfg):
             got = _grid_minimum(objective, cfg)
+            before = len(counted)
             assert got == full_table_minimum(objective, cfg)
+            del counted[before:]  # the test's own calls
             checked.append(got)
             return got
 
+        monkeypatch.setattr(_SeparableObjective, "__call__", counting)
         monkeypatch.setattr(lane_change, "_grid_minimum", grid_minimum)
         assert main(["extract", "--input", str(tmp_path / "rec"),
                      "--output", str(tmp_path / "ext"), "--jobs", "1"]) == 0
         assert len(checked) == fits
+        assert len(counted) <= self.EVALUATOR_CALLS[name]
 
     def test_stride_wider_than_the_episode(self):
         # a 13 s duration step makes the stride 81 samples, longer than the
@@ -391,72 +406,93 @@ class TestRowMinima:
         assert np.array_equal(values, want[0]) and np.array_equal(columns, want[1])
 
 
-def sequential_golden_section(f, lo, hi, tol, budget):
-    """One probe per step: the search the lookahead must reproduce."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while b - a > tol:
-        if iterations >= budget:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        iterations += 1
-    xm = (a + b) / 2.0
-    return xm, f(xm), iterations, b - a > tol
+def section_search(f, lo, hi, tol, budget):
+    """``_section_search`` of ``f``, which scores an array of points: its
+    result and the batches of points it requested, in order."""
+    batches = []
+    search = _section_search(lo, hi, tol, budget,
+                             lambda points: batches.append(points) or f(points))
+    try:
+        values = next(search)
+        while True:
+            values = search.send(values)
+    except StopIteration as stop:
+        return stop.value, batches
 
 
-def golden_test_function(kind, rng):
-    """A scalar function of one float, evaluated in plain Python floats so
-    that one point gives the same bits alone and in a batch."""
-    if kind == "quadratic":
-        centre, scale = rng.uniform(-0.5, 1.5), rng.uniform(0.1, 10.0)
-        return lambda x: scale * (x - centre) ** 2
-    if kind == "multimodal":
-        k, phase = rng.uniform(5.0, 40.0), rng.uniform(0.0, 2.0 * math.pi)
-        return lambda x: math.sin(k * x + phase) + 0.3 * x * x
-    return lambda x: 0.0  # constant: every comparison is a tie
+def rounds_to_tolerance(width, tol):
+    """Section-search rounds that narrow a bracket of ``width`` to ``tol``
+    when every round's best point is interior: each keeps 2 of the 10
+    intervals between its scored points, and there is at least one."""
+    rounds = 1
+    width *= 2 / (_SECTION_POINTS - 1)
+    while width > tol:
+        width *= 2 / (_SECTION_POINTS - 1)
+        rounds += 1
+    return rounds
 
 
-class TestGoldenSection:
-    @pytest.mark.parametrize("budget", [0, 1, 2, 3, 7, 200])
-    @pytest.mark.parametrize("kind", ["quadratic", "multimodal", "constant"])
-    def test_lookahead_walks_the_sequential_search(self, kind, budget):
-        rng = np.random.default_rng(budget * 3 + len(kind))
-        for _ in range(10):
-            g = golden_test_function(kind, rng)
+class TestSectionSearch:
+    @pytest.mark.parametrize("tol", [1e-3, 1e-2, 0.1])
+    def test_quadratic_minimum_within_tolerance(self, tol):
+        rng = np.random.default_rng(int(1 / tol))
+        for _ in range(50):
             lo = rng.uniform(-1.0, 0.5)
             hi = lo + rng.uniform(0.01, 2.0)
-            tol = float(rng.choice([1e-3, 1e-2, 0.1]))
-            probes = []
-            want = sequential_golden_section(lambda x: probes.append(x) or g(x),
-                                             lo, hi, tol, budget)
-            batches = []
-            got = _golden_section(
-                lambda xs: batches.append(list(xs)) or np.array([g(x) for x in xs]),
-                lo, hi, tol, budget)
-            assert got == want
-            # each point the sequential search probes (c, d, one per step,
-            # the final midpoint) is scored by the batch of its step or before
-            iterations = want[2]
-            batch_of_step = [0, 0] + [(k - 1) // _LOOKAHEAD for k in range(1, iterations + 1)]
-            batch_of_step.append(max(iterations - 1, 0) // _LOOKAHEAD)
-            first_batch = {}
-            for index, batch in enumerate(batches):
-                for x in batch:
-                    first_batch.setdefault(x, index)
-            assert len(probes) == len(batch_of_step)
-            for probe, index in zip(probes, batch_of_step):
-                assert first_batch[probe] <= index
-            assert len(batches) <= math.ceil(iterations / _LOOKAHEAD) + 2
+            centre, scale = rng.uniform(lo, hi), rng.uniform(0.1, 10.0)
+            (argmin, fmin, rounds, hit), _ = section_search(
+                lambda x: scale * (x - centre) ** 2, lo, hi, tol, 200)
+            assert abs(argmin - centre) <= tol
+            assert fmin == scale * (argmin - centre) ** 2
+            assert not hit and rounds <= rounds_to_tolerance(hi - lo, tol)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "multimodal"])
+    def test_batches_score_each_point_once(self, kind):
+        # the first batch is the whole bracket; a later one leaves out the
+        # points kept from the round before: its two ends, and its centre
+        # too when the best point was not an end
+        rng = np.random.default_rng(len(kind))
+        for _ in range(20):
+            a, b = rng.uniform(0.0, 1.0), rng.uniform(0.1, 10.0)
+            if kind == "quadratic":
+                def f(x):
+                    return b * (x - a) ** 2
+            else:
+                def f(x):
+                    return np.sin(5.0 + 35.0 * a * x + b) + 0.3 * x * x
+            (argmin, _, rounds, _), batches = section_search(f, 0.0, 1.0, 1e-3, 200)
+            assert len(batches) == rounds
+            assert len(batches[0]) == _SECTION_POINTS
+            points = np.concatenate(batches)
+            assert len(set(points.tolist())) == len(points)
+            assert argmin in points
+            scored = batches[0]
+            for batch in batches[1:]:
+                best = int(np.argmin(f(scored)))
+                end = best in (0, _SECTION_POINTS - 1)
+                assert len(batch) == _SECTION_POINTS - (2 if end else 3)
+                left = scored[max(best - 1, 0)]
+                right = scored[min(best + 1, _SECTION_POINTS - 1)]
+                kept = [left, right] if end else [left, scored[best], right]
+                scored = np.sort(np.concatenate([batch, kept]))
+                assert np.diff(scored) == pytest.approx(
+                    np.full(_SECTION_POINTS - 1, (right - left) / (_SECTION_POINTS - 1)))
+
+    def test_constant_resolves_to_the_lower_end(self):
+        # every round ties, the first point wins, and the bracket shrinks to
+        # its first interval, a tenth of its width: 1 -> 0.1 -> 0.01 -> 0.001
+        (argmin, fmin, rounds, hit), batches = section_search(
+            lambda x: np.zeros(len(x)), -0.3, 0.7, 2e-3, 200)
+        assert (argmin, fmin, hit) == (-0.3, 0.0, False)
+        assert rounds == 3 == len(batches)
+        assert [len(b) for b in batches] == [_SECTION_POINTS] + [_SECTION_POINTS - 2] * 2
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_budget_stops_the_search(self, budget):
+        (argmin, fmin, rounds, hit), batches = section_search(
+            lambda x: (x - 0.123456789) ** 2, 0.0, 1.0, 1e-12, budget)
+        assert rounds == budget == len(batches) and hit
+        assert fmin == min(float(np.min((b - 0.123456789) ** 2)) for b in batches)
 
 
 class TestFitEpisodes:
@@ -591,22 +627,60 @@ class TestFitLaneChange:
         assert len(trace) >= 1
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
-    @pytest.mark.parametrize("budget, iterations, converged, passes, t0, duration", [
-        (0, 0, False, 1, 2.0, 5.0),
-        (1, 1, False, 1, 2.0, 5.0),
-        (5, 5, False, 1, 2.0, 5.0),
-        (13, 13, False, 1, 2.0036987406599627, 5.0),
-        (40, 40, False, 2, 2.0259446662749205, 4.954321907480441),
-    ])
-    def test_refinement_budget(self, budget, iterations, converged, passes, t0, duration):
-        # an exhausted budget stops the search mid-pass; only whole passes
-        # are traced, and the fit is not converged
+    # the budget is searches * R + extra, with R the rounds of one search
+    @pytest.mark.parametrize("searches, extra, passes, converged", [
+        (0, 0, 1, False),   # no round: the grid placement
+        (0, 1, 1, False),   # cut in the first pass's midpoint search
+        (1, -1, 1, False),
+        (2, 0, 2, False),   # one whole pass; the second cannot start
+        (3, 1, 3, False),   # cut in the second pass's duration search
+        (4, 0, 3, True),    # two whole passes, the second moves < tolerance
+    ], ids=["0", "1", "R-1", "2R", "3R+1", "4R"])
+    def test_refinement_budget(self, searches, extra, passes, converged):
+        # max_refine_iterations counts section-search rounds. Away from the
+        # limits a search brackets its coordinate within duration_step, and
+        # on this episode every best point is interior, so each search takes
+        # `rounds` rounds. An exhausted budget stops the search mid-pass: a
+        # pass is traced once both its searches ran, and the fit is not
+        # converged
+        cfg = FitConfig()
+        rounds = rounds_to_tolerance(2 * cfg.duration_step, cfg.refine_tolerance)
+        budget = searches * rounds + extra
         times, xs, ys = synth_episode(params(), noise=0.05, rng=np.random.default_rng(3))
         fit = fit_lane_change(times, xs, ys, marking_y=15.7,
                               cfg=FitConfig(max_refine_iterations=budget))
         assert (fit.iterations, fit.converged, len(fit.objective_trace)) == (
-            iterations, converged, passes)
-        assert (fit.t0, fit.params.duration) == (t0, duration)
+            budget, converged, passes)
+        grid_objective, grid_t0, grid_T = _grid_minimum(
+            _SeparableObjective(times, xs, ys, 15.7, cfg), cfg)
+        assert fit.objective_trace[0] == grid_objective >= fit.objective
+        full = fit_lane_change(times, xs, ys, marking_y=15.7)
+        assert (full.iterations, full.converged, len(full.objective_trace)) == (
+            4 * rounds, True, 3)
+        if searches == 0 or extra < 0:
+            # the duration is never searched, and the midpoint within
+            # duration_step of the grid's
+            assert fit.params.duration == grid_T
+            assert abs(fit.t0 + grid_T / 2 - (grid_t0 + grid_T / 2)) <= cfg.duration_step
+            if budget == 0:
+                assert fit.t0 == grid_t0
+        else:
+            # after one whole pass, the next moves neither coordinate by the
+            # tolerance
+            assert abs(fit.t0 - full.t0) < cfg.refine_tolerance
+            assert abs(fit.params.duration - full.params.duration) < cfg.refine_tolerance
+
+    def test_pass_cap_is_not_converged(self):
+        # a random window whose refinement runs all 8 passes with rounds to
+        # spare and an amplitude above min_amplitude: the last pass still
+        # moved a coordinate, so the fit is not converged
+        cfg = FitConfig()
+        t, x, y = random_episode(np.random.default_rng(0))
+        fit = fit_lane_change(t, x, y, 15.7, cfg)
+        assert len(fit.objective_trace) == 1 + 8
+        assert fit.iterations < cfg.max_refine_iterations
+        assert fit.params.d_start + fit.params.d_end >= cfg.min_amplitude
+        assert not fit.converged
 
     def test_mirror_symmetry(self):
         rng = np.random.default_rng(23)
