@@ -118,8 +118,14 @@ def _extract_one(item: Tuple[RecordingFileSet, PipelineConfig, Path, bool]):
 
 
 def _worker_count(jobs: int, n_items: int) -> int:
-    """Processes worth starting: no more than the items or the CPUs."""
-    return min(jobs, n_items, os.cpu_count() or 1)
+    """Processes worth starting: no more than the items or the CPUs this
+    process may run on (its affinity mask where the platform has one; the
+    host's CPU count counts CPUs the process cannot use)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, n_items, cpus)
 
 
 def _run_parallel(worker, items: Sequence, jobs: int) -> List:

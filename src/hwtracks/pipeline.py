@@ -131,13 +131,16 @@ def track_stage(
     health).
     """
     meta = read_recording_meta(meta_path)
-    detections = read_detections(detections_path, meta.max_frame)
-    raw_tracks = build_tracks(detections, cfg.tracker)
+    # No name holds the detections: they are freed when build_tracks returns.
+    raw_tracks = build_tracks(read_detections(detections_path, meta.max_frame),
+                              cfg.tracker)
     # The smoothed series, covariances included, are dropped with the
-    # comprehension, before surround and writing.
+    # comprehension, and the raw tracks right after it: neither is alive
+    # during surround and writing.
     assembled = [smooth_track_with_diagnostics(raw, smoothed, meta)
                  for raw, smoothed in zip(raw_tracks, smooth_series(
                      raw_tracks, cfg.smoother, 1.0 / meta.frame_rate))]
+    del raw_tracks
     tracks = [track for track, _ in assembled]
     report = [
         {

@@ -13,16 +13,23 @@ pass fills them with smoothed estimates informed by both sides of the gap.
 
 ``smooth_series`` is the one entry point of the filter and smoother. It
 runs all tracks of a recording in lockstep: step k of the forward and of
-the backward pass updates frame k of every track that has one, as stacked
-(m, 3, 2) means and (m, 3, 3) covariances. Stacked matrix products and
-solves run the same kernel per item as a single track's would, so every
-track gets the same bits as when it runs alone. The forward pass stores
-only the filtered moments; the backward pass recomputes each frame's
-one-step prediction from the still-filtered moments of the frame before
-it, with the same operands and batch shapes as the forward pass, so the
-predicted moments it uses are the same bits.
+the backward pass gathers frame k of every track that has one into stacked
+(m, 3, 2) means and (m, 3, 3) covariances, and scatters the results back.
+Stacked matrix products and solves run the same kernel per item as a
+single track's would, so every track gets the same bits as when it runs
+alone. The moments are stored track after track, the means in the layout
+of the output states, so the result needs no reordering copy. The forward
+pass stores only the filtered moments; the backward pass recomputes each
+frame's one-step prediction from the still-filtered moments of the frame
+before it, with the same operands and batch shapes as the forward pass, so
+the predicted moments it uses are the same bits.
 ``smooth_track_with_diagnostics(raw, smoothed, meta)`` then turns one
 track's series into a ``Track``.
+
+Every filtered and smoothed covariance is checked for positive
+semi-definiteness. A certificate (``_cleared``) clears almost every row
+with a few vectorised products; only the rows it cannot clear reach
+``eigvalsh``, which names a failing row's eigenvalue.
 """
 
 from __future__ import annotations
@@ -107,61 +114,146 @@ class SmoothedSeries:
     used_pinv: bool = False
 
 
-#: An overflowing covariance is not a warning: ``_check_psd`` reports it as a
+#: An overflowing covariance is not a warning: the PSD check reports it as a
 #: ``NumericalFailure``. The passes that make and read covariances run under it.
 _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+#: Unit roundoff of float64.
+_U = 2.0**-53
+#: ``eigvalsh``'s eigenvalues of a symmetric S are exact for S + E with
+#: ||E||_2 <= p(n) u ||S||_2, p modest (backward stability; LAPACK Users'
+#: Guide, section 4.7). The certificate proves lambda_min(S) above
+#: -PSD_TOLERANCE by this share of PSD_TOLERANCE + max|S_ij|: over
+#: 1000 u ||S||_2, so a cleared row also passes ``eigvalsh``'s check.
+_EIGVALSH_SLACK = 2.0**-40
+#: Entries up to ``_MAX_ENTRY`` keep every product of three from
+#: overflowing, and keep what gradual underflow adds to a minor (a few
+#: 2**-1074, times at most one entry) far below ``_UNDERFLOW``, which the
+#: margins add.
+_MAX_ENTRY = 1e100
+_UNDERFLOW = 1e-200
+#: Rows per block of the PSD check, which bounds its temporaries.
+_BLOCK = 2048
+
+
+@_QUIET_OVERFLOW
+def _cleared(sym: np.ndarray) -> np.ndarray:
+    """Rows of the symmetric (m, 3, 3) ``sym`` whose smallest eigenvalue is
+    proven above ``-PSD_TOLERANCE`` (and above what ``eigvalsh`` could
+    compute as below it).
+
+    Sylvester's criterion: M = S + sI is positive definite, so
+    lambda_min(S) > -s, iff its leading minors m00, d2 = m00 m11 - m01^2
+    and d3 = det M are positive. The shift s is PSD_TOLERANCE less the
+    ``eigvalsh`` slack. Rounding keeps the sign of m00 = S_00 + s. d2 and d3 are
+    sums of products t_j, each passing at most k roundings into the
+    computed sum (k = 4 for d2 and 8 for d3, counting the rounding of
+    m_ii = S_ii + s), so |fl(d) - d| <= gamma_k sum|t_j|, gamma_k =
+    k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Lemma 3.1). The same sum of |t_j|, computed as p,
+    bounds it: sum|t_j| <= p / (1 - gamma_k). So fl(d) > 2 k u p, the
+    margin's own rounding included, proves d > 0. Entries above
+    ``_MAX_ENTRY``, and non-finite ones, are never cleared.
+    """
+    scale = np.abs(sym).max(axis=(1, 2))
+    shift = PSD_TOLERANCE - _EIGVALSH_SLACK * (PSD_TOLERANCE + scale)
+    a = sym[:, 0, 0] + shift
+    b = sym[:, 1, 1] + shift
+    c = sym[:, 2, 2] + shift
+    d, e, f = sym[:, 0, 1], sym[:, 0, 2], sym[:, 1, 2]
+    ab, dd = a * b, d * d
+    bc, ff, dc, fe, df, be = b * c, f * f, d * c, f * e, d * f, b * e
+    minor3 = a * (bc - ff) - d * (dc - fe) + e * (df - be)
+    bound3 = (np.abs(a) * (np.abs(bc) + ff) + np.abs(d) * (np.abs(dc) + np.abs(fe))
+              + np.abs(e) * (np.abs(df) + np.abs(be)))
+    return ((scale <= _MAX_ENTRY) & (a > 0)
+            & (ab - dd > 8 * _U * (np.abs(ab) + dd) + _UNDERFLOW)
+            & (minor3 > 16 * _U * bound3 + _UNDERFLOW))
 
 
 @_QUIET_OVERFLOW
 def _worst_eigenvalues(covs: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the symmetric part of every covariance, and
-    ``-inf`` where that part overflows (has a non-finite entry), which
-    ``eigvalsh`` never sees."""
+    """Per covariance, a value below ``-PSD_TOLERANCE`` exactly when the
+    smallest eigenvalue of its symmetric part is: 0.0 where ``_cleared``
+    clears the row, else that eigenvalue from ``eigvalsh``, and ``-inf``
+    where that part overflows (has a non-finite entry), which ``eigvalsh``
+    never sees."""
     sym = (covs + np.swapaxes(covs, -1, -2)) / 2.0
-    finite = np.isfinite(sym).all(axis=(-2, -1))
-    sym[~finite] = 0.0
-    return np.where(finite, np.linalg.eigvalsh(sym).min(axis=-1), -np.inf)
+    worst = np.zeros(len(sym))
+    rest = np.flatnonzero(~_cleared(sym))
+    if rest.size:
+        sym = sym[rest]
+        finite = np.isfinite(sym).all(axis=(-2, -1))
+        sym[~finite] = 0.0
+        worst[rest] = np.where(finite, np.linalg.eigvalsh(sym).min(axis=-1), -np.inf)
+    return worst
 
 
-def _check_psd(worst: np.ndarray, what: str, raw: RawTrack) -> None:
-    """Raise at the first frame of ``raw`` whose smallest eigenvalue
-    ``worst`` is below tolerance."""
-    bad = np.flatnonzero(worst < -PSD_TOLERANCE)
-    if bad.size:
-        index = int(bad[0])
-        detail = (f"{what} covariance eigenvalue {worst[index]:.3e} < -{PSD_TOLERANCE}"
-                  if np.isfinite(worst[index]) else f"{what} covariance overflows")
-        raise NumericalFailure(index, detail, raw.track_id, raw.first_frame + index)
+def _failures(covs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of ``covs`` that fail the PSD check, ascending, with their
+    ``_worst_eigenvalues``; checked in blocks of rows."""
+    rows, worst = [], []
+    for lo in range(0, len(covs), _BLOCK):
+        w = _worst_eigenvalues(covs[lo:lo + _BLOCK])
+        bad = np.flatnonzero(w < -PSD_TOLERANCE)
+        rows.append(bad + lo)
+        worst.append(w[bad])
+    return np.concatenate(rows), np.concatenate(worst)
 
 
-def _schedule(lengths: np.ndarray) -> Tuple[np.ndarray, List[int], List[int]]:
-    """Lockstep layout of tracks with the given frame counts.
+def _raise_first_failure(
+    failed: Sequence[Tuple[np.ndarray, np.ndarray]], raws: Sequence[RawTrack],
+    ends: List[int],
+) -> None:
+    """Given the ``_failures`` of the filtered and of the smoothed
+    covariances, stored track after track (track i ends at row
+    ``ends[i]``), raise for the first track of ``raws`` with one, at its
+    first failing frame, the filtered series before the smoothed one."""
+    firsts = [(int(np.searchsorted(ends, rows[0], side="right")), kind, int(rows[0]),
+               float(worst[0]))
+              for kind, (rows, worst) in enumerate(failed) if rows.size]
+    if not firsts:
+        return
+    track, kind, row, worst = min(firsts)
+    raw = raws[track]
+    index = row - (ends[track - 1] if track else 0)
+    what = ("filtered", "smoothed")[kind]
+    detail = (f"{what} covariance eigenvalue {worst:.3e} < -{PSD_TOLERANCE}"
+              if math.isfinite(worst) else f"{what} covariance overflows")
+    raise NumericalFailure(index, detail, raw.track_id, raw.first_frame + index)
+
+
+def _schedule(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """Lockstep layout of tracks with the given frame counts, stored one
+    after another in input order.
 
     The tracks are ranked by decreasing length (ties in input order), so
-    the ones that have a frame k are the first ``counts[k]`` of the ranking,
-    and frame k of all of them occupies the packed rows ``offsets[k]`` to
-    ``offsets[k] + counts[k]`` in rank order. Returns the packed row of
-    every frame of every track, tracks in input order, with the two lists.
+    the ones that have a frame k are the first ``counts[k]`` of the
+    ranking, and frame k of the ranked track r is row ``first[r] + k``.
+    Returns the ranking (input indices), ``first`` and ``counts``.
     """
-    rank = np.empty(len(lengths), dtype=np.intp)
-    rank[np.argsort(-lengths, kind="stable")] = np.arange(len(lengths))
+    order = np.argsort(-lengths, kind="stable")
+    first = (np.cumsum(lengths) - lengths)[order]
     counts = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]
-    offsets = np.cumsum(counts) - counts
-    starts = np.cumsum(lengths) - lengths
-    frame = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
-    rows = offsets[frame] + np.repeat(rank, lengths)
-    return rows, counts.tolist(), offsets.tolist()
+    return order, first, counts.tolist()
+
+
+def _gather(means: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows of ``_forward``'s strided means view in C order, the layout
+    every product of the passes takes its operands in."""
+    return np.ascontiguousarray(means[rows])
 
 
 @_QUIET_OVERFLOW
 def _forward(
-    z: np.ndarray, measured: np.ndarray, counts: List[int], offsets: List[int],
+    z: np.ndarray, measured: np.ndarray, first: np.ndarray, counts: List[int],
     cfg: SmootherConfig, dt: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Filtered (means, covs) over packed rows (``_schedule``), one step per
+    """Filtered (means, covs) over the rows of ``_schedule``, one step per
     frame index for all tracks at once. The state of a row is a (3, 2)
     array whose rows are position, velocity and acceleration and whose
     columns are the x and y axes; the covariance is shared by both columns.
+    ``means`` is a view of an (n, 6) array of (x, vx, ax, y, vy, ay) rows.
     Each track starts at its first observation with zero velocity and
     acceleration under the prior sigmas; unmeasured frames keep their
     prediction."""
@@ -170,22 +262,20 @@ def _forward(
     R = cfg.measurement_sigma**2
     I = np.eye(3)
     n = len(z)
-    means = np.empty((n, 3, 2))
+    means = np.empty((n, 6)).reshape(n, 2, 3).transpose(0, 2, 1)
     covs = np.empty((n, 3, 3))
 
-    head = slice(0, counts[0])
-    means[head] = 0.0
-    means[head, 0] = z[head]
-    covs[head] = np.diag(
+    means[first] = 0.0
+    means[first, 0] = z[first]
+    covs[first] = np.diag(
         [cfg.measurement_sigma**2, cfg.initial_velocity_sigma**2,
          cfg.initial_accel_sigma**2]
     )
 
     for k in range(1, len(counts)):
-        prev = slice(offsets[k - 1], offsets[k - 1] + counts[k])
-        cur = slice(offsets[k], offsets[k] + counts[k])
-        x = F @ means[prev]
-        P = F @ covs[prev] @ F.T + Q
+        cur = first[:counts[k]] + k
+        x = F @ _gather(means, cur - 1)
+        P = F @ covs[cur - 1] @ F.T + Q
         # Scalar measurement of the position row; Joseph-form update, kept
         # on the measured rows only.
         K = P[:, :, 0] / (P[:, 0, 0] + R)[:, None]
@@ -221,7 +311,7 @@ def _transposed_gains(
 
 @_QUIET_OVERFLOW
 def _backward(
-    xs: np.ndarray, ps: np.ndarray, counts: List[int], offsets: List[int],
+    xs: np.ndarray, ps: np.ndarray, first: np.ndarray, counts: List[int],
     cfg: SmootherConfig, dt: float,
 ) -> np.ndarray:
     """RTS pass in place over ``_forward``'s means ``xs`` and covs ``ps``;
@@ -235,13 +325,13 @@ def _backward(
     Q = process_noise(dt, cfg.jerk_sigma)
     used_pinv = np.zeros(counts[0], dtype=bool)
     for k in range(len(counts) - 2, -1, -1):
-        cur = slice(offsets[k], offsets[k] + counts[k + 1])
-        nxt = slice(offsets[k + 1], offsets[k + 1] + counts[k + 1])
-        x = F @ xs[cur]
-        pp = F @ ps[cur] @ F.T + Q
-        gain = _transposed_gains(pp, ps[cur] @ F.T, used_pinv).swapaxes(1, 2)
-        xs[cur] += gain @ (xs[nxt] - x)
-        cov = ps[cur] + gain @ (ps[nxt] - pp) @ gain.swapaxes(1, 2)
+        cur = first[:counts[k + 1]] + k
+        xc, pc = _gather(xs, cur), ps[cur]
+        x = F @ xc
+        pp = F @ pc @ F.T + Q
+        gain = _transposed_gains(pp, pc @ F.T, used_pinv).swapaxes(1, 2)
+        xs[cur] = xc + gain @ (_gather(xs, cur + 1) - x)
+        cov = pc + gain @ (ps[cur + 1] - pp) @ gain.swapaxes(1, 2)
         ps[cur] = (cov + cov.swapaxes(1, 2)) / 2.0
     return used_pinv
 
@@ -260,29 +350,25 @@ def smooth_series(
     if not raws:
         return []
     lengths = np.array([len(raw.x) for raw in raws], dtype=np.intp)
-    rows, counts, offsets = _schedule(lengths)
-    n = len(rows)
-    z = np.empty((n, 2))
-    z[rows, 0] = np.concatenate([raw.x for raw in raws])
-    z[rows, 1] = np.concatenate([raw.y for raw in raws])
-    measured = np.empty(n, dtype=bool)
-    measured[rows] = np.concatenate([raw.measured for raw in raws])
+    order, first, counts = _schedule(lengths)
+    z = np.empty((int(lengths.sum()), 2))
+    z[:, 0] = np.concatenate([raw.x for raw in raws])
+    z[:, 1] = np.concatenate([raw.y for raw in raws])
+    measured = np.concatenate([raw.measured for raw in raws])
 
-    means, covs = _forward(z, measured, counts, offsets, cfg, dt)
-    worst = [_worst_eigenvalues(covs)[rows]]
-    used_pinv = _backward(means, covs, counts, offsets, cfg, dt)
-    worst.append(_worst_eigenvalues(covs)[rows])
+    means, covs = _forward(z, measured, first, counts, cfg, dt)
+    del z, measured
+    failed = [_failures(covs)]
+    used_pinv = np.empty(len(raws), dtype=bool)
+    used_pinv[order] = _backward(means, covs, first, counts, cfg, dt)
+    failed.append(_failures(covs))
     ends = np.cumsum(lengths).tolist()
-    for raw, lo, hi in zip(raws, [0] + ends, ends):
-        for what, w in zip(("filtered", "smoothed"), worst):
-            _check_psd(w[lo:hi], what, raw)
+    _raise_first_failure(failed, raws, ends)
 
-    states = means.transpose(0, 2, 1)[rows].reshape(n, 6)
-    del means
-    covs = covs[rows]
+    states = means.transpose(0, 2, 1).reshape(-1, 6)  # a view of _forward's rows
     return [SmoothedSeries(states=states[lo:hi], covariances=covs[lo:hi],
-                           used_pinv=bool(used_pinv[rows[lo]]))
-            for lo, hi in zip([0] + ends, ends)]
+                           used_pinv=bool(pinv))
+            for lo, hi, pinv in zip([0] + ends, ends, used_pinv.tolist())]
 
 
 def carriageway_of(y_values: Sequence[float], meta: RecordingMeta) -> DrivingDirection:

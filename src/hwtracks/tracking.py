@@ -9,13 +9,15 @@ terminated at their last measured frame.
 
 The frame walk keeps each active track's last two positions and coast count
 and logs one (track id, x, y, detection row) entry per active track and
-frame; the log is then grouped by track once for confirmation, the trim of
-coasted tails, class votes and extents.
+frame into typed ``array`` columns, 8 bytes an entry; the log is then
+grouped by track once for confirmation, the trim of coasted tails, class
+votes and extents.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -99,9 +101,6 @@ def associate_frame(
     return matches
 
 
-_VOTES = {VehicleClass.TRUCK: 1, VehicleClass.CAR: -1, None: 0}
-
-
 def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrack]:
     """Assemble confirmed tracks from a detection table.
 
@@ -121,10 +120,8 @@ def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrac
     # (id, x, y, previous x, previous y, coasted frames) per active track in
     # id order; the previous position is None while a track has one frame.
     active: List[tuple] = []
-    log_id: List[int] = []
-    log_x: List[float] = []
-    log_y: List[float] = []
-    log_row: List[int] = []  # the detection row, -1 for a coasted frame
+    log_id, log_row = array("q"), array("q")  # log_row: -1 for a coasted frame
+    log_x, log_y = array("d"), array("d")
     next_id, k, frame = 1, 0, 0
     while k < len(frame_values):
         if not active:  # nothing coasts: go straight to the next detection
@@ -159,15 +156,15 @@ def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrac
             log_x.append(cx[r])
             log_y.append(cy[r])
             next_id += 1
-        log_row += rows + spawned
+        log_row.extend(rows + spawned)
         active = still_active
         frame += 1
 
     # Group the log by track id; each group is one track's frames in order.
-    ids = np.array(log_id)
+    ids = np.frombuffer(log_id, dtype=np.int64)
     order = np.argsort(ids, kind="stable")
-    row = np.array(log_row)[order]
-    x, y = np.array(log_x)[order], np.array(log_y)[order]
+    row = np.frombuffer(log_row, dtype=np.int64)[order]
+    x, y = np.frombuffer(log_x)[order], np.frombuffer(log_y)[order]
     measured = row >= 0
     for column in (x, y, measured):
         column.flags.writeable = False
@@ -176,7 +173,9 @@ def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrac
     # Coasted tails are dropped: each track ends at its last measured row.
     ends = np.maximum.reduceat(np.where(measured, np.arange(len(row)), -1), begins) + 1
     # +1 per Truck hint, -1 per Car hint: Truck needs a strict majority.
-    votes = np.array([_VOTES[hint] for hint in detections.class_hint])
+    # Object arrays compare enum members by identity, without hashing them.
+    hints = np.array(detections.class_hint, dtype=object)
+    votes = (hints == VehicleClass.TRUCK).view(np.int8) - (hints == VehicleClass.CAR)
     tracks = []
     for i in np.flatnonzero(hits >= cfg.min_hits_to_confirm).tolist():
         b, e = int(begins[i]), int(ends[i])

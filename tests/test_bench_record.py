@@ -5,8 +5,11 @@ import json
 import pytest
 
 from tools.bench_record import (
+    PAIRS,
     bench_document,
     bytecode_state,
+    pair_summary,
+    pairs_section,
     parse_corpus,
     parse_run,
     parse_wc,
@@ -108,6 +111,7 @@ def test_written_document(tmp_path):
     assert written["workloads"]["fleet-8x60"]["trace1"] == {"summary": {}, "runs": []}
     assert written["corpus_225k"]["manifest_files"] == 34
     assert written["src_lines"]["total"] == 710
+    assert "pairs" not in written
 
 
 @pytest.mark.parametrize("value, set_", [(None, False), ("", False), ("1", True), ("x", True)])
@@ -119,3 +123,60 @@ def test_bytecode_state(tmp_path, value, set_):
                                                  "pycache_at_start": False}
     (tmp_path / "src" / "hwtracks" / "__pycache__").mkdir(parents=True)
     assert bytecode_state(environ, tmp_path)["pycache_at_start"] is True
+
+
+def canned_pairs():
+    """Four pairs: (parent, change) extract_s and chain_s per pair."""
+    parent = [parse_run(run_stdout(v, chain_s=c))
+              for v, c in ((1.0, 3.0), (1.2, 3.2), (1.1, 2.9), (1.3, 3.1))]
+    change = [parse_run(run_stdout(v, chain_s=c, correct=v != 1.2))
+              for v, c in ((0.9, 3.1), (1.0, 3.2), (1.2, 2.8), (1.0, 3.0))]
+    return parent, change
+
+
+def test_pair_summary():
+    parent, change = canned_pairs()
+    summary = pair_summary(parent, change, {"extract_s": "lower", "chain_s": "lower",
+                                            "rows_per_s": "higher"})
+    assert set(summary) == {"extract_s", "chain_s"}  # no run has rows_per_s
+    extract = summary["extract_s"]
+    assert extract["better"] == "lower"
+    assert extract["parent"] == pytest.approx({"median": 1.15, "q1": 1.075, "q3": 1.225})
+    assert extract["change"] == pytest.approx({"median": 1.0, "q1": 0.975, "q3": 1.05})
+    assert (extract["change_wins"], extract["pairs"]) == (3, 4)
+    # a tie is not a win
+    assert summary["chain_s"]["change_wins"] == 2
+
+
+def test_pair_summary_higher_is_better():
+    parent, change = canned_pairs()
+    summary = pair_summary(parent, change, {"extract_s": "higher"})
+    assert (summary["extract_s"]["change_wins"], summary["extract_s"]["pairs"]) == (1, 4)
+
+
+def test_pair_summary_skips_pairs_without_the_metric():
+    parent, change = canned_pairs()
+    del change[0]["metrics"]["chain_s"]
+    chain = pair_summary(parent, change, {"chain_s": "lower"})["chain_s"]
+    assert (chain["change_wins"], chain["pairs"]) == (2, 3)
+
+
+def test_written_pairs_section(tmp_path):
+    parent, change = canned_pairs()
+    section = pairs_section("p" * 40, "c" * 40,
+                            {"lanechange-dense": {"parent": parent, "change": change}},
+                            {"extract_s": "lower"})
+    runs = {"lanechange-dense": {"trace0": parent, "trace1": []}}
+    bytecode = {"dont_write_bytecode": False, "pycache_at_start": True}
+    document = bench_document(22, runs, parse_corpus(CORPUS_STDOUT), parse_wc(WC_STDOUT),
+                              bytecode, section)
+    path = tmp_path / "BENCH_22.json"
+    write_bench(path, document)
+    pairs = json.loads(path.read_text(encoding="utf-8"))["pairs"]
+    assert (pairs["parent"], pairs["change"]) == ("p" * 40, "c" * 40)
+    assert pairs["settings"] == {"pairs": PAIRS, "seed": 1, "seconds": 12.0, "trace": 0,
+                                 "dont_write_bytecode": True, "pycache": False}
+    assert pairs["failed_runs"] == 1
+    dense = pairs["workloads"]["lanechange-dense"]
+    assert dense["summary"]["extract_s"]["change_wins"] == 3
+    assert [r["metrics"]["extract_s"] for r in dense["runs"]["change"]] == [0.9, 1.0, 1.2, 1.0]

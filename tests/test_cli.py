@@ -460,7 +460,26 @@ class TestWorkerCount:
     def test_clamped_to_items_and_cpus(self, monkeypatch, jobs, items, cpus, want):
         import hwtracks.cli
 
+        # Without an affinity call the host's CPU count is the bound.
+        monkeypatch.delattr(hwtracks.cli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(hwtracks.cli.os, "cpu_count", lambda: cpus)
+        assert hwtracks.cli._worker_count(jobs, items) == want
+
+    @pytest.mark.parametrize("jobs, items, allowed, want", [
+        (1, 8, 2, 1),
+        (8, 1, 2, 1),
+        (8, 3, 16, 3),
+        (64, 8, 2, 2),
+        (2, 8, 1, 1),
+    ])
+    def test_clamped_to_the_cpus_this_process_may_use(self, monkeypatch, jobs, items,
+                                                      allowed, want):
+        import hwtracks.cli
+
+        # A host of 64 CPUs of which the affinity mask allows ``allowed``.
+        monkeypatch.setattr(hwtracks.cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(hwtracks.cli.os, "sched_getaffinity",
+                            lambda pid: set(range(allowed)), raising=False)
         assert hwtracks.cli._worker_count(jobs, items) == want
 
 

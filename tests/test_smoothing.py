@@ -13,8 +13,10 @@ from hwtracks import (
     smooth_track,
 )
 from hwtracks.core import DrivingDirection, VehicleClass
+from hwtracks import smoothing
 from hwtracks.smoothing import (
-    _forward, _schedule, _worst_eigenvalues, process_noise, transition_matrix,
+    PSD_TOLERANCE, _cleared, _forward, _schedule, _worst_eigenvalues, process_noise,
+    transition_matrix,
 )
 from hwtracks.tracking import RawTrack
 from conftest import det, detection_table
@@ -32,10 +34,10 @@ def measured_mask(n, predicted):
 
 def filtered_moments(positions, predicted=None):
     """Filtered (means, covs) of one track from the forward pass that
-    ``smooth_series`` runs; one track's packed rows are its frames."""
+    ``smooth_series`` runs; one track's rows are its frames."""
     z = np.asarray(positions, dtype=float)
-    _, counts, offsets = _schedule(np.array([len(z)]))
-    return _forward(z, measured_mask(len(z), predicted), counts, offsets, cfg(), DT)
+    _, first, counts = _schedule(np.array([len(z)]))
+    return _forward(z, measured_mask(len(z), predicted), first, counts, cfg(), DT)
 
 
 def filter_smooth(positions, predicted=None, **kwargs):
@@ -379,17 +381,20 @@ class TestSmoothSeries:
             # track 4: smoothed at recording frame 50
             "4s": sym(ref[4].covariances[45]),
         }
-        real_eigvalsh = np.linalg.eigvalsh
+        real_worst = smoothing._worst_eigenvalues
 
         def failure(chosen, tracks):
-            def eigvalsh(a):
-                w = real_eigvalsh(a)
+            # Every row passes _worst_eigenvalues, cleared by the
+            # certificate or not; the chosen ones are made to fail there.
+            def worst_eigenvalues(covs):
+                w = real_worst(covs)
                 bad = np.stack([failing[key] for key in chosen])
-                w[(a[:, None] == bad).all(axis=(2, 3)).any(axis=1), 0] = -1.0
+                sym = (covs + covs.swapaxes(1, 2)) / 2.0
+                w[(sym[:, None] == bad).all(axis=(2, 3)).any(axis=1)] = -1.0
                 return w
 
             with monkeypatch.context() as m:
-                m.setattr(np.linalg, "eigvalsh", eigvalsh)
+                m.setattr(smoothing, "_worst_eigenvalues", worst_eigenvalues)
                 with pytest.raises(NumericalFailure) as info:
                     smooth_series(tracks, cfg(), DT)
             exc = info.value
@@ -421,23 +426,30 @@ class TestSmoothSeries:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_eigvalsh_never_sees_an_overflowed_covariance(self, monkeypatch):
-        covs = np.stack([np.diag([1.0, 2.0, 3.0])] * 4)
+        # row 0 is cleared by the certificate, row 4 is indefinite
+        covs = np.stack([np.diag([1.0, 2.0, 3.0])] * 4 + [np.diag([1.0, -0.5, 3.0])])
         covs[1, 0, 2] = np.inf
         covs[2, 1, 1] = np.nan
         covs[3, 2, 2] = 1e308  # finite, but twice it is not
         real_eigvalsh = np.linalg.eigvalsh
+        seen = []
 
         def eigvalsh(a):
             assert np.isfinite(a).all()
+            seen.append(len(a))
             return real_eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        assert _worst_eigenvalues(covs).tolist() == [1.0, -np.inf, -np.inf, -np.inf]
+        assert _worst_eigenvalues(covs).tolist() == [0.0, -np.inf, -np.inf, -np.inf, -0.5]
+        assert seen == [4]  # the rows the certificate leaves, overflowed ones zeroed
 
     def test_traced_peak_per_smoothed_row(self):
-        # Only the filtered moments are stored (48 + 72 B per row), and the
-        # backward pass overwrites them in place; a stored copy of the
-        # predicted moments as well puts the peak near 370 B per row.
+        # Only the filtered moments are stored (48 + 72 B per row), in track
+        # order, and the backward pass overwrites them in place; with the
+        # measurements (25 B per row while the forward pass runs) the peak
+        # measured 146 B per row. The PSD check runs in blocks of rows. A
+        # packed copy reordered at the end measured 261 B, a stored copy of
+        # the predicted moments as well near 370 B.
         raws = [raw_track(i + 1, i, 900 + 10 * i, ((50 + i, 60 + i), (400, 430)))
                 for i in range(20)]
         rows = sum(len(raw.x) for raw in raws)
@@ -447,7 +459,83 @@ class TestSmoothSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 300 * rows, peak / rows
+        assert peak <= 160 * rows, peak / rows
 
     def test_no_tracks(self):
         assert smooth_series([], cfg(), DT) == []
+
+
+def eigvalsh_worst(covs):
+    """The smallest eigenvalue of each symmetric part, as the PSD check
+    computed it before the certificate: ``eigvalsh`` on every row."""
+    return np.linalg.eigvalsh((covs + covs.swapaxes(1, 2)) / 2.0).min(axis=1)
+
+
+def near_boundary_covariances():
+    """Symmetric matrices whose smallest eigenvalue lies at and around
+    -PSD_TOLERANCE: well and badly scaled spectra, real filtered and
+    smoothed covariances (the head ones carry the 1e8 and 1e6 prior
+    variances) shifted onto the boundary, and both scaled like the prior."""
+    rng = np.random.default_rng(3)
+    ratios = (0.0, 0.5, 0.99, 1 - 1e-6, 1.0, 1 + 1e-6, 1.01, 2.0)
+    covs = []
+    for spectrum in ([1.0, 2.0], [1e-3, 1.0], [1e-6, 1e-3], [1e6, 1e8], [1e-3, 1e8]):
+        for ratio in ratios:
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            covs.append(q @ np.diag([-ratio * PSD_TOLERANCE, *spectrum]) @ q.T)
+    raw = raw_track(1, 0, 120, ((40, 52),))
+    filtered = reference_smooth(raw, cfg(), DT).filtered_covs
+    smoothed, = smooth_series([raw], cfg(), DT)
+    for P in [*filtered[[0, 1, 2, 45, 119]], *smoothed.covariances[[0, 1, 45, 119]]]:
+        lowest = eigvalsh_worst(P[None])[0]
+        covs += [P - (lowest + ratio * PSD_TOLERANCE) * np.eye(3) for ratio in ratios]
+    prior = np.diag([0.1, 1e4, 1e3])
+    covs += [prior @ P @ prior for P in covs]
+    return np.array(covs)
+
+
+class TestPsdCertificate:
+    def test_never_clears_what_eigvalsh_fails(self):
+        covs = near_boundary_covariances()
+        cleared = _cleared((covs + covs.swapaxes(1, 2)) / 2.0)
+        worst = eigvalsh_worst(covs)
+        assert (worst[cleared] >= -PSD_TOLERANCE).all()
+        # the check decides as eigvalsh alone did, and names its eigenvalue
+        got = _worst_eigenvalues(covs)
+        fails = worst < -PSD_TOLERANCE
+        assert np.array_equal(got < -PSD_TOLERANCE, fails)
+        assert np.array_equal(got[fails], worst[fails])
+        assert 0 < fails.sum() < len(covs)
+
+    def test_random_symmetric_matrices(self):
+        rng = np.random.default_rng(11)
+        n = 4000
+        q, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+        spectra = 10.0 ** rng.uniform(-12, 9, size=(n, 3))
+        spectra[:, 0] *= rng.choice([-1.0, 1.0], n)
+        covs = q @ (spectra[:, :, None] * q.swapaxes(1, 2))
+        covs *= 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
+        cleared = _cleared((covs + covs.swapaxes(1, 2)) / 2.0)
+        assert (eigvalsh_worst(covs)[cleared] >= -PSD_TOLERANCE).all()
+        assert cleared.sum() > n / 4
+
+    def test_clears_the_covariances_of_a_run(self):
+        # the filter's and the smoother's covariances, prior head included:
+        # none of them needs eigvalsh
+        raw = raw_track(2, 0, 300, ((100, 112),))
+        filtered = reference_smooth(raw, cfg(), DT).filtered_covs
+        smoothed, = smooth_series([raw], cfg(), DT)
+        for covs in (filtered, smoothed.covariances):
+            assert _cleared((covs + covs.swapaxes(1, 2)) / 2.0).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_and_huge_rows_are_not_cleared(self):
+        covs = np.stack([np.diag([1.0, 2.0, 3.0])] * 5)
+        covs[0, 0, 1] = covs[0, 1, 0] = np.inf
+        covs[1, 2, 2] = np.nan
+        covs[2, 1, 1] = 1e304  # an initial_accel_sigma of 1e152, squared
+        covs[3] *= 1e101
+        assert _worst_eigenvalues(covs)[:2].tolist() == [-np.inf, -np.inf]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = (covs + covs.swapaxes(1, 2)) / 2.0
+        assert _cleared(sym).tolist() == [False, False, False, False, True]

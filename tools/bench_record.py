@@ -1,6 +1,6 @@
 """Record the benchmark of this checkout as ``BENCH_<N>.json``.
 
-Usage: ``python3 tools/bench_record.py N``
+Usage: ``python3 tools/bench_record.py N [--pair PARENT]``
 
 Refuses to run while ``src/``, ``perfbench/`` or ``tools/`` differ from the
 last commit, so that the ``git_sha`` recorded names the code measured.
@@ -21,6 +21,17 @@ counts. Its ``settings`` also record whether ``PYTHONDONTWRITEBYTECODE`` was
 set and whether ``src/hwtracks/__pycache__`` existed at start: a checkout
 without compiled bytecode starts every child process slower. A run that fails its checks stays in the raw runs and is counted in
 ``failed_runs``; its metrics still enter the summary.
+
+With ``--pair PARENT`` it then compares HEAD with the commit ``PARENT``:
+both are exported (``git archive``) into fresh scratch directories, and
+``perfbench/run.py --seed 1 --seconds 12 --trace 0`` runs on each workload
+``PAIRS`` times per side, the sides alternating within each pair and
+leading in turn. Every such run has ``PYTHONDONTWRITEBYTECODE=1`` and no
+``__pycache__`` in its checkout, so cache state cannot favour a side. The
+``pairs`` section of ``BENCH_<N>.json`` gives, per workload and end-to-end
+metric, the parent's and the change's median and quartiles and the number
+of pairs in which the change is better (in the metric's direction in
+``BENCHMARK.json``), with every raw run.
 """
 
 from __future__ import annotations
@@ -29,12 +40,13 @@ import argparse
 import glob
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = "src/hwtracks/*.py"
@@ -45,6 +57,8 @@ CODE = ("src", "perfbench", "tools")
 RUNS = 5
 SEED = 1
 SECONDS = 12.0
+#: Parent/change pairs per workload with ``--pair``.
+PAIRS = 10
 
 
 def parse_run(stdout: str) -> Dict:
@@ -90,17 +104,62 @@ def parse_wc(stdout: str) -> Dict[str, int]:
     return counts
 
 
+def quartiles(values: Sequence[float]) -> Dict[str, float]:
+    """Median and quartiles (inclusive method) of ``values``."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else list(values) * 3)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def summarize(runs: Sequence[Dict]) -> Dict[str, Dict]:
     """Median, quartiles (inclusive method), min, max and count of every
     metric over ``runs``."""
     summary = {}
     for name in runs[0]["metrics"]:
         values = [run["metrics"][name] for run in runs if name in run["metrics"]]
-        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                          if len(values) > 1 else values * 3)
-        summary[name] = {"median": median, "q1": q1, "q3": q3,
-                         "min": min(values), "max": max(values), "n": len(values)}
+        summary[name] = {**quartiles(values), "min": min(values), "max": max(values),
+                         "n": len(values)}
     return summary
+
+
+def pair_summary(parent: Sequence[Dict], change: Sequence[Dict],
+                 better: Mapping[str, str]) -> Dict[str, Dict]:
+    """Per metric of ``better`` (name -> ``"lower"`` or ``"higher"``): the
+    median and quartiles of the parent's and of the change's runs, and in
+    how many pairs (``parent[i]``, ``change[i]``) the change is strictly
+    better. Metrics that a run of a pair lacks skip that pair."""
+    summary = {}
+    for name, direction in better.items():
+        pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(parent, change)
+                 if name in p["metrics"] and name in c["metrics"]]
+        if not pairs:
+            continue
+        sign = 1 if direction == "lower" else -1
+        summary[name] = {
+            "better": direction,
+            "parent": quartiles([p for p, _ in pairs]),
+            "change": quartiles([c for _, c in pairs]),
+            "change_wins": sum(sign * (c - p) < 0 for p, c in pairs),
+            "pairs": len(pairs),
+        }
+    return summary
+
+
+def pairs_section(parent_sha: str, change_sha: str, runs: Dict[str, Dict[str, List[Dict]]],
+                  better: Mapping[str, str]) -> Dict:
+    """The ``pairs`` section: ``runs`` maps each workload to its ``parent``
+    and ``change`` lists of parsed runs, pair i being the i-th of each."""
+    return {
+        "parent": parent_sha, "change": change_sha,
+        "settings": {"pairs": PAIRS, "seed": SEED, "seconds": SECONDS, "trace": 0,
+                     "dont_write_bytecode": True, "pycache": False},
+        "failed_runs": sum(not run["correct"] for sides in runs.values()
+                           for side in sides.values() for run in side),
+        "workloads": {workload: {"summary": pair_summary(sides["parent"], sides["change"],
+                                                         better),
+                                 "runs": sides}
+                      for workload, sides in runs.items()},
+    }
 
 
 def bytecode_state(environ: Mapping[str, str], root: Path) -> Dict[str, bool]:
@@ -112,10 +171,11 @@ def bytecode_state(environ: Mapping[str, str], root: Path) -> Dict[str, bool]:
 
 
 def bench_document(number: int, runs: Dict[str, Dict[str, List[Dict]]],
-                   corpus: Dict, lines: Dict[str, int], bytecode: Dict[str, bool]) -> Dict:
+                   corpus: Dict, lines: Dict[str, int], bytecode: Dict[str, bool],
+                   pairs: Optional[Dict] = None) -> Dict:
     """The ``BENCH_<N>.json`` content. ``runs`` maps each workload to its
     ``trace0`` and ``trace1`` lists of parsed runs; ``bytecode`` is the
-    ``bytecode_state`` at start."""
+    ``bytecode_state`` at start; ``pairs`` is the ``pairs_section``, if any."""
     every_run = [run for modes in runs.values() for mode in modes.values() for run in mode]
     return {
         "bench": number,
@@ -130,6 +190,7 @@ def bench_document(number: int, runs: Dict[str, Dict[str, List[Dict]]],
         },
         "corpus_225k": corpus,
         "src_lines": lines,
+        **({"pairs": pairs} if pairs is not None else {}),
     }
 
 
@@ -137,26 +198,66 @@ def write_bench(path: Path, document: Dict) -> None:
     path.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _perfbench(workload: str, trace: int) -> Dict:
+def _perfbench(workload: str, trace: int, root: Path = ROOT,
+               env: Optional[Mapping[str, str]] = None) -> Dict:
     result = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(SECONDS), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True)
+        cwd=root, env=env, capture_output=True, text=True)
     if not result.stdout.strip():
         raise SystemExit(f"perfbench/run.py --workload {workload} printed nothing:\n"
                          f"{result.stderr}")
     return parse_run(result.stdout)
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def _export(sha: str, directory: Path) -> None:
+    """The committed tree of ``sha`` in ``directory``, without a ``.git``."""
+    directory.mkdir()
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True,
+                             check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
+
+
+def run_pairs(parent_sha: str, workloads: Sequence[str], better: Mapping[str, str]) -> Dict:
+    """``PAIRS`` alternated runs of the commit ``parent_sha`` and of HEAD per
+    workload (``--trace 0``), as the ``pairs_section``."""
+    shas = {"parent": parent_sha, "change": _git("rev-parse", "HEAD")}
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as scratch:
+        roots = {side: Path(scratch) / side for side in shas}
+        for side, sha in shas.items():
+            _export(sha, roots[side])
+        for index in range(PAIRS):
+            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            for workload in workloads:
+                for side in order:
+                    for cache in roots[side].rglob("__pycache__"):
+                        shutil.rmtree(cache)
+                    run = _perfbench(workload, 0, roots[side], env)
+                    runs[workload][side].append(run)
+                    print(f"pair {index + 1}/{PAIRS} {workload} {side}: "
+                          f"correct={run['correct']}", flush=True)
+    return pairs_section(shas["parent"], shas["change"], runs, better)
+
+
 def main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("number", type=int, help="the N of BENCH_<N>.json")
+    parser.add_argument("--pair", metavar="PARENT",
+                        help="also compare HEAD with this commit in alternated pairs")
     args = parser.parse_args(argv)
     bytecode = bytecode_state(os.environ, ROOT)
     changed = subprocess.run(["git", "status", "--porcelain", "--", *CODE],
                              cwd=ROOT, capture_output=True, text=True, check=True).stdout
     if changed.strip():
         raise SystemExit(f"commit {', '.join(CODE)} first; changed:\n{changed}")
+    parent_sha = _git("rev-parse", "--verify", f"{args.pair}^{{commit}}") if args.pair else None
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in benchmark["workloads"]]
@@ -174,8 +275,11 @@ def main(argv: Sequence[str]) -> int:
     corpus = parse_corpus(result.stdout)
     wc = subprocess.run(["wc", "-l", *sorted(glob.glob(str(ROOT / SOURCES)))],
                         capture_output=True, text=True, check=True)
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    pairs = run_pairs(parent_sha, workloads, better) if parent_sha else None
     path = ROOT / f"BENCH_{args.number}.json"
-    document = bench_document(args.number, runs, corpus, parse_wc(wc.stdout), bytecode)
+    document = bench_document(args.number, runs, corpus, parse_wc(wc.stdout), bytecode,
+                              pairs)
     write_bench(path, document)
     print(f"wrote {path.name}: {document['failed_runs']} failed runs, "
           f"src {document['src_lines']['total']} lines")
