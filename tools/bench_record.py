@@ -26,8 +26,9 @@ With ``--pair PARENT`` it then compares HEAD with the commit ``PARENT``:
 both are exported (``git archive``) into fresh scratch directories, and
 ``perfbench/run.py --seed 1 --seconds 12 --trace 0`` runs on each workload
 ``PAIRS`` times per side, the sides alternating within each pair and
-leading in turn. Every such run has ``PYTHONDONTWRITEBYTECODE=1`` and no
-``__pycache__`` in its checkout, so cache state cannot favour a side. The
+leading in turn. Every such run has ``PYTHONDONTWRITEBYTECODE=1``, so no
+``__pycache__`` is ever written into the fresh exports and cache state
+cannot favour a side. The
 ``pairs`` section of ``BENCH_<N>.json`` gives, per workload and end-to-end
 metric, the parent's and the change's median and quartiles and the number
 of pairs in which the change is better (in the metric's direction in
@@ -40,7 +41,6 @@ import argparse
 import glob
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -237,8 +237,6 @@ def run_pairs(parent_sha: str, workloads: Sequence[str], better: Mapping[str, st
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for side in order:
-                    for cache in roots[side].rglob("__pycache__"):
-                        shutil.rmtree(cache)
                     run = _perfbench(workload, 0, roots[side], env)
                     runs[workload][side].append(run)
                     print(f"pair {index + 1}/{PAIRS} {workload} {side}: "
