@@ -145,8 +145,8 @@ def _cleared(sym: np.ndarray) -> np.ndarray:
     Sylvester's criterion: M = S + sI is positive definite, so
     lambda_min(S) > -s, iff its leading minors m00, d2 = m00 m11 - m01^2
     and d3 = det M are positive. The shift s is PSD_TOLERANCE less the
-    ``eigvalsh`` slack. Rounding keeps the sign of m00 = S_00 + s. d2 and d3 are
-    sums of products t_j, each passing at most k roundings into the
+    ``eigvalsh`` slack. Rounding keeps the sign of m00 = S_00 + s. d2 and
+    d3 are sums of products t_j, each passing at most k roundings into the
     computed sum (k = 4 for d2 and 8 for d3, counting the rounding of
     m_ii = S_ii + s), so |fl(d) - d| <= gamma_k sum|t_j|, gamma_k =
     k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
