@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import os
 import sys
 import traceback
@@ -47,7 +46,7 @@ from .pipeline import (
 from .surround import (
     compute_surround,  # not called here; perfbench/tracing.py wraps it by this name
 )
-from .synth import ScriptError, corrupt, generate_truth, load_script
+from .synth import corrupt, generate_truth, load_script
 
 
 def _error_dict(kind: str, message: str, file: Optional[str] = None,
@@ -74,15 +73,7 @@ def _report_errors(errors: List[Dict]) -> None:
 def _exception_error(exc: Exception) -> Dict:
     if isinstance(exc, DatasetError):
         return _issue_dict(exc.issue)
-    if isinstance(exc, ScriptError):
-        return _error_dict("ScriptError", str(exc))
     return _error_dict(type(exc).__name__, str(exc))
-
-
-def _load_config(args) -> PipelineConfig:
-    return load_pipeline_config(getattr(args, "config", None),
-                                jobs=getattr(args, "jobs", None),
-                                seed_override=getattr(args, "seed_override", None))
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +135,7 @@ def _run_parallel(worker, items: Sequence, jobs: int) -> List:
 def cmd_synth(args) -> int:
     errors: List[Dict] = []
     try:
-        cfg = _load_config(args)
-        script = load_script(args.script)
-        if cfg.seed_override is not None:
-            script = dataclasses.replace(script, seed=cfg.seed_override)
+        script = load_script(args.script, args.seed_override)
         truth = generate_truth(script)
         output = Path(args.output)
         detections_dir = output / "detections"
@@ -186,7 +174,7 @@ def cmd_track(args) -> int:
     input_dir = Path(args.input)
     output_dir = Path(args.output)
     try:
-        cfg = _load_config(args)
+        cfg = load_pipeline_config(args.config, jobs=args.jobs)
         prefixes = recording_prefixes(input_dir, "detections.csv")
     except Exception as exc:
         _report_errors([_exception_error(exc)])
@@ -231,7 +219,7 @@ def _run_extract(args, write_per_recording: bool) -> int:
     input_dir = Path(args.input)
     output_dir = Path(args.output)
     try:
-        cfg = _load_config(args)
+        cfg = load_pipeline_config(args.config, jobs=args.jobs)
         filesets = discover_recordings(input_dir)
     except Exception as exc:
         _report_errors([_exception_error(exc)])
@@ -307,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic scene from a script")
     p_synth.add_argument("--script", type=Path, required=True)
     p_synth.add_argument("--output", type=Path, required=True)
-    p_synth.add_argument("--config", type=Path, default=None)
     p_synth.add_argument("--seed-override", type=int, default=None, dest="seed_override")
     p_synth.set_defaults(func=cmd_synth)
 

@@ -7,8 +7,8 @@ carriageway travel toward decreasing x, vehicles on the lower carriageway
 toward increasing x.
 
 Every type here is an immutable value; instances can be shared freely
-between workers. The canonical number format and the one CSV and one JSON
-writer that every output file goes through live here as well.
+between workers. The canonical number format, the CSV and JSON writers of
+every output file and the typed reader of every JSON input live here as well.
 """
 
 from __future__ import annotations
@@ -387,3 +387,80 @@ def dump_json(payload: Any, fh: TextIO) -> None:
 def write_json(path: Path, payload: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         dump_json(payload, fh)
+
+
+# ---------------------------------------------------------------------------
+# JSON input
+
+
+_REQUIRED = object()
+
+
+class JsonObject:
+    """Typed reads from one object of a JSON input, a scenario script or a
+    pipeline config, that may hold only ``keys``. Errors are ValueErrors that
+    name the object as ``path`` (``root`` where it has none) and a key as
+    ``path.key``. An integer key takes a JSON integer only, a number key an
+    integer or a float whose float value is finite; neither takes a bool."""
+
+    def __init__(self, data, keys: Iterable[str], path: str = "", root: str = "root") -> None:
+        if not isinstance(data, abc.Mapping):
+            raise ValueError(f"{path or root} must be a JSON object")
+        if set(data) - set(keys):
+            raise ValueError(f"{path or root}: unknown key(s) {sorted(set(data) - set(keys))}")
+        self.data, self.prefix = data, f"{path}." if path else ""
+
+    def value(self, key: str, default=_REQUIRED):
+        if key not in self.data and default is _REQUIRED:
+            raise ValueError(f"missing required key {self.prefix}{key}")
+        return self.data.get(key, default)
+
+    def integer(self, key: str, default=_REQUIRED) -> int:
+        return self.check_integer(self.prefix + key, self.value(key, default))
+
+    def index(self, key: str, default=_REQUIRED) -> int:
+        """An integer in [0, 2**63): a seed, or an id that files store as int64."""
+        value = self.integer(key, default)
+        if not 0 <= value < 2**63:
+            raise ValueError(f"{self.prefix}{key} must lie in [0, 2**63), got {value!r}")
+        return value
+
+    def number(self, key: str, default=_REQUIRED, positive: bool = False) -> Optional[float]:
+        """A float; None for null or absent where the default is None."""
+        value = self.value(key, default)
+        return None if value is None and default is None else \
+            self.check_number(self.prefix + key, value, positive)
+
+    def items(self, key: str, default=()) -> List[Tuple[str, Any]]:
+        """``(name, entry)`` per entry of a list key; null is an empty list."""
+        value = self.value(key, default)
+        if not isinstance(value, (list, tuple, type(None))):
+            raise ValueError(f"{self.prefix}{key} must be a list, got {value!r}")
+        return [(f"{self.prefix}{key}[{k}]", entry) for k, entry in enumerate(value or ())]
+
+    def numbers(self, key: str, default=()) -> Tuple[float, ...]:
+        return tuple(self.check_number(name, entry) for name, entry in self.items(key, default))
+
+    def objects(self, key: str, keys: Iterable[str]) -> List["JsonObject"]:
+        return [JsonObject(entry, keys, name) for name, entry in self.items(key)]
+
+    @staticmethod
+    def check_integer(name: str, value) -> int:
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return value
+
+    @staticmethod
+    def check_number(name: str, value, positive: bool = False) -> float:
+        """``value`` as a float; ``positive`` also rejects <= 0."""
+        if type(value) is bool or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if positive and not number > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+        return number

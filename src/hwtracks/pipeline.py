@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
 
 from . import stats as statsmod
-from .core import write_json
+from .core import JsonObject, write_json
 from .dataset_io import (
     Recording,
     RecordingFileSet,
@@ -62,44 +61,24 @@ class PipelineConfig:
     fit: FitConfig = field(default_factory=FitConfig)
     stats: StatsConfig = field(default_factory=StatsConfig)
     jobs: int = 1
-    seed_override: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
 
-def _merge(defaults, data, prefix: str = ""):
-    """``defaults`` with the keys of the JSON object ``data`` replaced. A key
-    that holds a section merges key by key, an ``int`` field takes an int
-    only, not a bool or a float, and a ``float`` field takes an int or a
-    float, not a bool, whose float value is finite, and stores that float.
-    Errors name the key as ``section.key``."""
-    where = f"config section {prefix[:-1]!r}" if prefix else "config root"
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be a JSON object")
+def _merge(defaults, data, path: str = ""):
+    """``defaults`` with the keys of the JSON object ``data`` replaced: a key
+    that holds a section merges key by key, and ``JsonObject`` reads an
+    ``int`` field as an integer and a ``float`` field as a number."""
     types = {f.name: f.type for f in dataclasses.fields(defaults)}
-    unknown = set(data) - types.keys()
-    if unknown:
-        raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}")
+    fields = JsonObject(data, types, path, "config root")
     changes = {}
-    for key, value in data.items():
+    for key in data:
         if dataclasses.is_dataclass(getattr(defaults, key)):
-            value = _merge(getattr(defaults, key), value, f"{prefix}{key}.")
-        elif types[key] in ("int", "Optional[int]") and value is not None \
-                and type(value) is not int:
-            raise ValueError(f"{prefix}{key} must be an integer, got {value!r}")
-        elif types[key] == "float":
-            if type(value) is bool or not isinstance(value, (int, float)):
-                raise ValueError(f"{prefix}{key} must be a number, got {value!r}")
-            try:
-                number = float(value)
-            except OverflowError:  # an int beyond the float range
-                number = math.inf
-            if not math.isfinite(number):
-                raise ValueError(f"{prefix}{key} must be finite, got {value!r}")
-            value = number
-        changes[key] = value
+            changes[key] = _merge(getattr(defaults, key), data[key], fields.prefix + key)
+        else:
+            changes[key] = fields.integer(key) if types[key] == "int" else fields.number(key)
     return dataclasses.replace(defaults, **changes)
 
 
@@ -107,8 +86,8 @@ def load_pipeline_config(path: Optional[Path] = None, **overrides) -> PipelineCo
     """PipelineConfig from an optional JSON file plus keyword overrides.
 
     The file may set any subset of the sections ``tracker``, ``smoother``,
-    ``maneuvers``, ``fit``, ``stats`` and the scalars ``jobs`` and
-    ``seed_override``; overrides that are not None win over the file.
+    ``maneuvers``, ``fit``, ``stats`` and the scalar ``jobs``; overrides
+    that are not None win over the file.
     """
     cfg = PipelineConfig()
     if path is not None:

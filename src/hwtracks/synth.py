@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,6 +32,7 @@ from .core import (
     DETECTION_COLUMNS,
     DetectionTable,
     DrivingDirection,
+    JsonObject,
     RecordingMeta,
     Track,
     UNLIMITED_SPEED,
@@ -67,9 +68,9 @@ class NoiseSpec:
         if self.position_sigma < 0 or self.false_positive_rate < 0:
             raise ValueError("noise magnitudes must be >= 0")
         if not 0.0 <= self.dropout_probability <= 1.0:
-            raise ValueError("dropout_probability must lie in [0, 1]")
+            raise ValueError("noise.dropout_probability must lie in [0, 1]")
         if self.dropout_burst_length < 1:
-            raise ValueError("dropout_burst_length must be >= 1")
+            raise ValueError("noise.dropout_burst_length must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -542,71 +543,26 @@ def corrupt(
 # Script files (JSON)
 
 
-_REQUIRED = object()
+def _keys(spec) -> List[str]:
+    """The script keys of a spec class: its field names, ``class`` for ``vehicle_class``."""
+    return ["class" if f.name == "vehicle_class" else f.name for f in fields(spec)]
 
 
-def _number(value, name: str, positive: bool = False) -> float:
-    """A finite JSON number, not a bool; ``positive`` also rejects <= 0."""
-    if (type(value) is bool or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (positive and value <= 0)):
-        raise ScriptError(f"{name} must be a finite{' positive' * positive} number, got {value!r}")
-    return float(value)
-
-
-class _Fields:
-    """Typed reads from one JSON object of a script: an int key takes a JSON
-    integer only, a number key a finite int or float, neither takes a bool."""
-
-    def __init__(self, data, prefix: str = "") -> None:
-        if not isinstance(data, Mapping):
-            raise ScriptError(f"{prefix[:-1] or 'script root'} must be an object")
-        self.data, self.prefix = data, prefix
-
-    def value(self, key: str, default=_REQUIRED):
-        if key not in self.data and default is _REQUIRED:
-            raise ScriptError(f"missing required key {self.prefix}{key}")
-        return self.data.get(key, default)
-
-    def integer(self, key: str, default=_REQUIRED) -> int:
-        value = self.value(key, default)
-        if type(value) is not int:
-            raise ScriptError(f"{self.prefix}{key} must be an integer, got {value!r}")
-        return value
-
-    def number(self, key: str, default=_REQUIRED, positive: bool = False):
-        """A float; None for null or absent where the default is None."""
-        value = self.value(key, default)
-        if value is None and default is None:
-            return None
-        return _number(value, self.prefix + key, positive)
-
-    def items(self, key: str, default=()) -> List[Tuple[str, object]]:
-        """``(name, entry)`` per entry of a list key; null is an empty list."""
-        value = self.value(key, default)
-        if not isinstance(value, (list, tuple, type(None))):
-            raise ScriptError(f"{self.prefix}{key} must be a list, got {value!r}")
-        return [(f"{self.prefix}{key}[{k}]", entry) for k, entry in enumerate(value or ())]
-
-    def objects(self, key: str) -> List["_Fields"]:
-        return [_Fields(entry, name + ".") for name, entry in self.items(key)]
-
-    def numbers(self, key: str, default=()) -> Tuple[float, ...]:
-        return tuple(_number(entry, name) for name, entry in self.items(key, default))
-
-    def speed_limits(self, key: str) -> Optional[Tuple[float, ...]]:
-        """-1 stands for no limit; none given, for no limit on any lane."""
-        return tuple(UNLIMITED_SPEED if v == -1.0 else v for v in self.numbers(key)) or None
+def _speed_limits(root: JsonObject, key: str) -> Optional[Tuple[float, ...]]:
+    """-1 stands for no limit; none given, for no limit on any lane."""
+    return tuple(UNLIMITED_SPEED if v == -1.0 else v for v in root.numbers(key)) or None
 
 
 def _window(name: str, pair) -> Tuple[int, int]:
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(type(frame) is int for frame in pair)) or pair[0] > pair[1]:
-        raise ScriptError(f"{name} must be a [first, last] pair of integer frames with "
-                          f"first <= last, got {pair!r}")
-    return pair[0], pair[1]
+    if isinstance(pair, list) and len(pair) == 2:
+        first, last = (JsonObject.check_integer(f"{name}[{k}]", f) for k, f in enumerate(pair))
+        if first <= last:
+            return first, last
+    raise ValueError(f"{name} must be a [first, last] pair of integer frames with "
+                     f"first <= last, got {pair!r}")
 
 
-def _vehicle_spec(v: _Fields) -> VehicleSpec:
+def _vehicle_spec(v: JsonObject) -> VehicleSpec:
     direction = str(v.value("direction")).upper()
     if direction not in ("UPPER", "LOWER"):
         raise ScriptError(f"{v.prefix}direction must be 'upper' or 'lower'")
@@ -626,7 +582,7 @@ def _vehicle_spec(v: _Fields) -> VehicleSpec:
         width=v.number("width", 2.0, positive=True),
         speed_segments=tuple(
             SpeedSegment(duration=s.number("duration"), acceleration=s.number("acceleration"))
-            for s in v.objects("speed_segments")
+            for s in v.objects("speed_segments", _keys(SpeedSegment))
         ),
         lane_changes=tuple(
             ScriptedLaneChange(
@@ -636,50 +592,50 @@ def _vehicle_spec(v: _Fields) -> VehicleSpec:
                 d_start=lc.number("d_start", None),
                 d_end=lc.number("d_end", None),
             )
-            for lc in v.objects("lane_changes")
+            for lc in v.objects("lane_changes", _keys(ScriptedLaneChange))
         ),
         dropout_windows=tuple(_window(*item) for item in v.items("dropout_windows")),
     )
 
 
 def script_from_dict(data: Mapping) -> ScenarioScript:
-    root = _Fields(data)
-    noise = _Fields(root.value("noise", {}), "noise.")
+    """The script in the JSON object ``data``; a bad key or value is a ScriptError."""
     try:
-        noise_spec = NoiseSpec(
-            position_sigma=noise.number("position_sigma", 0.0),
-            dropout_probability=noise.number("dropout_probability", 0.0),
-            dropout_burst_length=noise.integer("dropout_burst_length", 1),
-            false_positive_rate=noise.number("false_positive_rate", 0.0),
+        root = JsonObject(data, _keys(ScenarioScript), root="script root")
+        noise = JsonObject(root.value("noise", {}), _keys(NoiseSpec), "noise")
+        script = ScenarioScript(
+            seed=root.index("seed"),
+            duration=root.number("duration"),
+            frame_rate=root.number("frame_rate", 25.0),
+            road_length=root.number("road_length", 420.0, positive=True),
+            recording_id=root.index("recording_id", 1),
+            location_id=root.index("location_id", 1),
+            upper_lane_boundaries=root.numbers("upper_lane_boundaries", DEFAULT_UPPER_BOUNDARIES),
+            lower_lane_boundaries=root.numbers("lower_lane_boundaries", DEFAULT_LOWER_BOUNDARIES),
+            upper_speed_limits=_speed_limits(root, "upper_speed_limits"),
+            lower_speed_limits=_speed_limits(root, "lower_speed_limits"),
+            vehicles=tuple(_vehicle_spec(v) for v in root.objects("vehicles", _keys(VehicleSpec))),
+            noise=NoiseSpec(
+                position_sigma=noise.number("position_sigma", 0.0),
+                dropout_probability=noise.number("dropout_probability", 0.0),
+                dropout_burst_length=noise.integer("dropout_burst_length", 1),
+                false_positive_rate=noise.number("false_positive_rate", 0.0),
+            ),
         )
-    except ValueError as exc:
-        raise ScriptError(f"noise: {exc}") from exc
-    script = ScenarioScript(
-        seed=root.integer("seed"),
-        duration=root.number("duration"),
-        frame_rate=root.number("frame_rate", 25.0),
-        road_length=root.number("road_length", 420.0, positive=True),
-        recording_id=root.integer("recording_id", 1),
-        location_id=root.integer("location_id", 1),
-        upper_lane_boundaries=root.numbers("upper_lane_boundaries", DEFAULT_UPPER_BOUNDARIES),
-        lower_lane_boundaries=root.numbers("lower_lane_boundaries", DEFAULT_LOWER_BOUNDARIES),
-        upper_speed_limits=root.speed_limits("upper_speed_limits"),
-        lower_speed_limits=root.speed_limits("lower_speed_limits"),
-        vehicles=tuple(_vehicle_spec(v) for v in root.objects("vehicles")),
-        noise=noise_spec,
-    )
-    try:
         script.meta()  # lane layout and speed limits must form a valid site
     except ValueError as exc:
-        raise ScriptError(f"script: {exc}") from exc
+        raise ScriptError(str(exc)) from exc
     return script
 
 
-def load_script(path: Path) -> ScenarioScript:
-    path = Path(path)
+def load_script(path: Path, seed: Optional[int] = None) -> ScenarioScript:
+    """The scenario script in the JSON file ``path``; ``seed``, unless None,
+    replaces the script's seed and is checked as it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScriptError(f"{path}: invalid JSON ({exc})") from exc
+    if seed is not None and isinstance(data, dict):
+        data["seed"] = seed
     return script_from_dict(data)

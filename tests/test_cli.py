@@ -170,6 +170,15 @@ class TestTrackCommand:
                   "--seed-override", "7"])
         assert exc.value.code == 2
 
+    def test_config_is_not_a_synth_flag(self, tmp_path):
+        # synth reads no pipeline config; --seed-override sets the seed
+        script = write_script(tmp_path / "scene.json")
+        (tmp_path / "x.json").write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--script", str(script), "--output", str(tmp_path / "o"),
+                  "--config", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+
 
 class TestExtractCommand:
     def test_outputs(self, tmp_path, capsys):
@@ -523,20 +532,21 @@ class TestConfigFile:
     @pytest.mark.parametrize("data, key", [
         ({"jobs": 1.5}, "jobs"),
         ({"jobs": True}, "jobs"),
-        ({"seed_override": 2.0}, "seed_override"),
+        ({"jobs": None}, "jobs"),
         ({"tracker": {"min_hits_to_confirm": True}}, "tracker.min_hits_to_confirm"),
         ({"tracker": {"max_coast": 2.5}}, "tracker.max_coast"),
         ({"maneuvers": {"lane_change_min_dwell": 25.0}},
          "maneuvers.lane_change_min_dwell"),
         ({"fit": {"max_refine_iterations": 200.5}}, "fit.max_refine_iterations"),
         ({"fit": {"min_samples": True}}, "fit.min_samples"),
+        ({"tracker": {"max_coast": None}}, "tracker.max_coast"),
     ])
     def test_non_integer_rejected(self, tmp_path, data, key):
         from hwtracks.pipeline import load_pipeline_config
 
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
             load_pipeline_config(cfg_path)
 
     @pytest.mark.parametrize("data, key", [
@@ -649,6 +659,16 @@ class TestConfigFile:
         from hwtracks.pipeline import PipelineConfig
 
         PipelineConfig()  # must not raise
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        # a README key that was removed or renamed fails here
+        from hwtracks.pipeline import load_pipeline_config
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme[readme.index("```json\n{\n  \"tracker\""):].split("\n", 1)[1]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(block[:block.index("```")])
+        assert load_pipeline_config(cfg_path) == PipelineConfig()
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -841,20 +861,20 @@ class TestScriptValueErrors:
     """Bad script values exit 1 with one ScriptError that names the key."""
 
     @pytest.mark.parametrize("script, message", [
-        ({"noise": 3}, "noise must be an object"),
-        ({"noise": []}, "noise must be an object"),
+        ({"noise": 3}, "noise must be a JSON object"),
+        ({"noise": []}, "noise must be a JSON object"),
         ({"vehicles": [vehicle(length=0)]},
-         "vehicles[0].length must be a finite positive number, got 0"),
+         "vehicles[0].length must be positive, got 0"),
         ({"vehicles": [vehicle(length=float("nan"))]},
-         "vehicles[0].length must be a finite positive number, got nan"),
+         "vehicles[0].length must be finite, got nan"),
         ({"vehicles": [vehicle(initial_speed=float("nan"))]},
-         "vehicles[0].initial_speed must be a finite number, got nan"),
+         "vehicles[0].initial_speed must be finite, got nan"),
         ({"vehicles": [vehicle(entry_x=float("inf"))]},
-         "vehicles[0].entry_x must be a finite number, got inf"),
+         "vehicles[0].entry_x must be finite, got inf"),
         ({"vehicles": [vehicle(speed_segments=[{"duration": float("nan"),
                                                 "acceleration": 0.0}])]},
-         "vehicles[0].speed_segments[0].duration must be a finite number, got nan"),
-        ({"road_length": -1}, "road_length must be a finite positive number, got -1"),
+         "vehicles[0].speed_segments[0].duration must be finite, got nan"),
+        ({"road_length": -1}, "road_length must be positive, got -1"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"seed": True}, "seed must be an integer, got True"),
         ({"noise": {"dropout_burst_length": 2.7}},
@@ -877,14 +897,45 @@ class TestScriptValueErrors:
                                               "to_lane": 2}])]},
          "vehicles[0].lane_changes[0].duration must be at most 2**53 frames, "
          "got 1e+308 s at 25.0 fps"),
+        ({"nosie": {}}, "script root: unknown key(s) ['nosie']"),
+        ({"noise": {"sigma": 0.1}}, "noise: unknown key(s) ['sigma']"),
+        ({"vehicles": [vehicle(lane_change=[])]},
+         "vehicles[0]: unknown key(s) ['lane_change']"),
+        ({"vehicles": [vehicle(speed_segments=[{"duration": 1.0, "acceleration": 0.0,
+                                                "accel": 1.0}])]},
+         "vehicles[0].speed_segments[0]: unknown key(s) ['accel']"),
+        ({"vehicles": [vehicle(lane_changes=[{"start_time": 1, "duration": 4,
+                                              "to_lane": 2, "lane": 2}])]},
+         "vehicles[0].lane_changes[0]: unknown key(s) ['lane']"),
+        ({"duration": 10**350}, f"duration must be finite, got {10**350}"),
+        ({"vehicles": [vehicle(dropout_windows=[[10, 20.0]])]},
+         "vehicles[0].dropout_windows[0][1] must be an integer, got 20.0"),
+        ({"seed": -1}, "seed must lie in [0, 2**63), got -1"),
+        ({"recording_id": -3}, "recording_id must lie in [0, 2**63), got -3"),
+        ({"recording_id": 2**63},
+         f"recording_id must lie in [0, 2**63), got {2**63}"),
+        ({"location_id": 2**63}, f"location_id must lie in [0, 2**63), got {2**63}"),
     ], ids=["noise-int", "noise-list", "length-zero", "length-nan", "speed-nan",
             "entry-x-inf", "segment-duration-nan", "road-length-negative", "seed-float",
             "seed-bool", "burst-float", "entry-lane-float", "window-reversed",
             "duration-huge", "entry-time-huge", "exit-time-huge", "segment-duration-huge",
-            "lane-change-duration-huge"])
+            "lane-change-duration-huge", "unknown-root-key", "unknown-noise-key",
+            "unknown-vehicle-key", "unknown-segment-key", "unknown-lane-change-key",
+            "duration-350-digits", "window-float-frame", "seed-negative",
+            "recording-id-negative", "recording-id-2**63", "location-id-2**63"])
     def test_exit_1_with_script_error(self, tmp_path, capsys, script, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"seed": 1, "duration": 10.0, **script}))
         assert main(["synth", "--script", str(path), "--output", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().err) == {
             "errors": [{"kind": "ScriptError", "message": message}]}
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"seed": 1, "duration": 10.0, "vehicles": [vehicle()]}))
+        assert main(["synth", "--script", str(path), "--output", str(tmp_path / "o"),
+                     "--seed-override", "-5"]) == 1
+        assert json.loads(capsys.readouterr().err) == {"errors": [
+            {"kind": "ScriptError", "message": "seed must lie in [0, 2**63), got -5"}]}
+        assert not (tmp_path / "o").exists()

@@ -27,7 +27,7 @@ from hwtracks import (
 )
 from hwtracks.lane_change import CutInScenario
 from hwtracks.synth import script_from_dict
-from conftest import cut_in_oracle, row_at, settle_extents_oracle
+from conftest import ROOT, cut_in_oracle, row_at, settle_extents_oracle
 
 
 def car(**kwargs):
@@ -535,3 +535,29 @@ class TestScriptFiles:
         path.write_text("{not json")
         with pytest.raises(ScriptError):
             load_script(path)
+
+
+
+
+def assert_reads(data):
+    # the reader rejects unknown keys, so a stray key would fail synth
+    script = script_from_dict(json.loads(json.dumps(data)))
+    assert (script.seed, len(script.vehicles)) == (data["seed"], len(data["vehicles"]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_benchmark_script_reads(seed):
+    from perfbench.scenes import fleet_scripts, lanechange_script
+
+    for data in [lanechange_script(seed), *fleet_scripts(seed)]:
+        assert_reads(data)
+
+
+def test_the_corpus_demo_and_readme_scripts_read():
+    from tools.corpus_225k import script
+
+    assert_reads(script())
+    assert_reads(json.loads((ROOT / "demos" / "demo_scene.json").read_text()))
+    readme = (ROOT / "README.md").read_text()
+    block = readme[readme.index("```json\n{\n  \"seed\""):].split("\n", 1)[1]
+    assert_reads(json.loads(block[:block.index("```")]))
