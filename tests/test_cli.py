@@ -94,6 +94,15 @@ class TestSynthCommand:
             != (out2 / "detections" / "01_detections.csv").read_bytes()
         )
 
+    def test_config_is_not_a_synth_flag(self, tmp_path):
+        # synth reads no pipeline config; --seed-override sets the seed
+        script = write_script(tmp_path / "scene.json")
+        (tmp_path / "x.json").write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--script", str(script), "--output", str(tmp_path / "o"),
+                  "--config", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+
     def test_invalid_script_exit_1(self, tmp_path, capsys):
         script = tmp_path / "bad.json"
         script.write_text(json.dumps({"seed": 1, "duration": 10.0,
@@ -168,15 +177,6 @@ class TestTrackCommand:
         with pytest.raises(SystemExit) as exc:
             main([command, "--input", str(tmp_path), "--output", str(tmp_path / "o"),
                   "--seed-override", "7"])
-        assert exc.value.code == 2
-
-    def test_config_is_not_a_synth_flag(self, tmp_path):
-        # synth reads no pipeline config; --seed-override sets the seed
-        script = write_script(tmp_path / "scene.json")
-        (tmp_path / "x.json").write_text("{}")
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--script", str(script), "--output", str(tmp_path / "o"),
-                  "--config", str(tmp_path / "x.json")])
         assert exc.value.code == 2
 
 

@@ -537,8 +537,6 @@ class TestScriptFiles:
             load_script(path)
 
 
-
-
 def assert_reads(data):
     # the reader rejects unknown keys, so a stray key would fail synth
     script = script_from_dict(json.loads(json.dumps(data)))
