@@ -29,6 +29,17 @@ import numpy as np
 UNLIMITED_SPEED = math.inf
 
 
+def speed_limit_from_file(value: float) -> float:
+    """A speed limit as scripts and recordingMeta files give it, -1 for no
+    limit, as ``RecordingMeta`` holds it, ``UNLIMITED_SPEED`` for no limit."""
+    return UNLIMITED_SPEED if value == -1.0 else value
+
+
+def speed_limit_to_file(value: float) -> float:
+    """The inverse of ``speed_limit_from_file``."""
+    return -1.0 if value == UNLIMITED_SPEED else value
+
+
 class ContractViolation(Exception):
     """An operation was invoked outside its documented precondition."""
 
@@ -357,7 +368,7 @@ _KINDS = {
     "s": ("%s", list),
 }
 #: Rows that ``write_table`` formats with one ``%``; bounds the cells held at once.
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 1024
 
 
 def write_table(

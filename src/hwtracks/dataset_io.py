@@ -67,13 +67,14 @@ from .core import (
     DrivingDirection,
     RecordingMeta,
     Track,
-    UNLIMITED_SPEED,
     VehicleClass,
     compute_mean_speed,
     format_float,
     format_floats,
     lane_change_count,
     nearest_lane_id,
+    speed_limit_from_file,
+    speed_limit_to_file,
     write_table,
 )
 from .surround import NO_VEHICLE, UNDEFINED, Surround, check_rows
@@ -204,22 +205,13 @@ def _format_list(values: Sequence[float]) -> str:
     return ";".join(format_float(v) for v in values)
 
 
-def _format_limit(value: float) -> float:
-    return -1.0 if value == UNLIMITED_SPEED else value
-
-
-def _parse_limit(value: float) -> float:
-    return UNLIMITED_SPEED if value == -1.0 else value
-
-
 # ---------------------------------------------------------------------------
 # Writing
 
 
 def write_recording_meta(meta: RecordingMeta, path: Path) -> None:
-    limits = [_format_limit(v) for v in meta.upper_speed_limits] + [
-        _format_limit(v) for v in meta.lower_speed_limits
-    ]
+    limits = [speed_limit_to_file(v)
+              for v in (*meta.upper_speed_limits, *meta.lower_speed_limits)]
     write_table(path, RECORDING_META_COLUMNS, "ddggsss", [[
         [meta.recording_id],
         [meta.location_id],
@@ -576,8 +568,8 @@ def _scan_recording_meta(scanner: _Scanner, path: Path) -> Optional[RecordingMet
             duration=float(row["duration"]),
             upper_lane_boundaries=upper,
             lower_lane_boundaries=lower,
-            upper_speed_limits=tuple(_parse_limit(v) for v in limits[:n_upper]),
-            lower_speed_limits=tuple(_parse_limit(v) for v in limits[n_upper:]),
+            upper_speed_limits=tuple(speed_limit_from_file(v) for v in limits[:n_upper]),
+            lower_speed_limits=tuple(speed_limit_from_file(v) for v in limits[n_upper:]),
         )
     except ValueError as exc:
         scanner.issue(INVARIANT_VIOLATION, path, str(exc), row=1)

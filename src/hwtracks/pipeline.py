@@ -87,12 +87,17 @@ def load_pipeline_config(path: Optional[Path] = None, **overrides) -> PipelineCo
 
     The file may set any subset of the sections ``tracker``, ``smoother``,
     ``maneuvers``, ``fit``, ``stats`` and the scalar ``jobs``; overrides
-    that are not None win over the file.
+    that are not None win over the file. A file that ``json`` cannot read
+    is a ValueError that names it.
     """
     cfg = PipelineConfig()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = _merge(cfg, json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+                raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+        cfg = _merge(cfg, data)
     return _merge(cfg, {k: v for k, v in overrides.items() if v is not None})
 
 

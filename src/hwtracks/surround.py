@@ -5,10 +5,12 @@ vehicle's own travel direction, so their mapping to +y/-y flips between the
 carriageways. DHW is measured bumper to bumper, so dhw == 0 coincides with
 contact and TTC keeps collision semantics.
 
-One sorted search serves one frame and a whole recording alike: the rows are
-sorted once by (frame, direction, lane, x, id), and every slot is found with
+One sorted search serves one frame and many frames alike: the rows are sorted
+once by (frame, direction, lane, x, id), and every slot is found with
 ``searchsorted`` in that order. Only vehicles of the same frame and
-carriageway interact. Ties resolve as follows:
+carriageway interact, so ``compute_surround`` runs the search over blocks of
+whole frames, about ``_BLOCK_ROWS`` rows each, and its temporaries are bounded
+by a block, not by the recording. Ties resolve as follows:
 
 - preceding and following are the nearest vehicles strictly ahead and
   strictly behind in x, so a vehicle at the ego's own x is neither; of
@@ -36,6 +38,10 @@ UNDEFINED = -1.0
 #: Speeds below this magnitude make THW undefined; closing speeds below it
 #: make TTC undefined (avoids division blow-ups near standstill).
 SPEED_FLOOR = 0.1
+
+#: Rows that ``compute_surround`` searches at once; a frame with more rows is
+#: searched alone.
+_BLOCK_ROWS = 4096
 
 
 class Surround(NamedTuple):
@@ -119,7 +125,11 @@ def _search(frame, ids, direction, lane, x, vx, length, lane_count):
     key = group * nx + x_rank
     order = np.lexsort((ids, key))
     key = key[order]
-    reach = (length.max(initial=0.0) + length) / 2.0
+    # The alongside window only skips pairs; the overlap test alone decides.
+    # It is wide enough that no rounding of its bounds drops a pair, so the
+    # result does not depend on which other rows share the search.
+    longest = length.max(initial=0.0)
+    reach = (longest + length) / 2.0 + (np.abs(x) + longest) * 2**-50
     sign = np.where(direction == DrivingDirection.LOWER.value, 1, -1)
 
     def lane_slots(k):
@@ -219,16 +229,52 @@ def assign_neighbors(
     )
 
 
+def _frame_blocks(first, counts):
+    """``(start, stop)`` frame ranges, in order, that cover the frames of
+    tracks whose rows span frames ``first`` to ``first + counts - 1``: each
+    a run of whole frames of fewer than ``_BLOCK_ROWS`` rows plus the rows of
+    one frame."""
+    edges, at = np.unique(np.concatenate([first, first + counts]), return_inverse=True)
+    n = len(first)
+    alive = np.cumsum(np.bincount(at[:n], minlength=len(edges))
+                      - np.bincount(at[n:], minlength=len(edges)))[:-1]
+    before = np.concatenate(([0], np.cumsum(alive * np.diff(edges))))  # rows before each edge
+    # Cut at the frame that holds the rows at each multiple of _BLOCK_ROWS.
+    targets = np.arange(_BLOCK_ROWS, before[-1], _BLOCK_ROWS)
+    k = np.searchsorted(before, targets, "right") - 1
+    cuts = np.concatenate([edges[:1], edges[k] + (targets - before[k]) // alive[k], edges[-1:]])
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]  # they ascend; frames are >= 0
+    return zip(cuts[:-1].tolist(), cuts[1:].tolist())
+
+
 def compute_surround(tracks: Sequence[Track], meta: RecordingMeta) -> Dict[int, Surround]:
-    """Surround columns of every track, aligned with its rows, from one
-    search over the whole recording."""
+    """Surround columns of every track, aligned with its rows. Neighbors never
+    cross frames, so the search runs over blocks of whole frames and each
+    block's rows are scattered into the output columns."""
     if not tracks:
         return {}
-    counts = [t.num_frames for t in tracks]
-    columns = _search_tracks(
-        tracks, counts, *(np.concatenate([getattr(t, name) for t in tracks])
-                          for name in ("frames", "lane", "x", "vx")), meta,
-    )
-    ends = np.cumsum(counts).tolist()
+    first = np.array([t.initial_frame for t in tracks], np.int64)
+    counts = np.array([t.num_frames for t in tracks], np.int64)
+    ends = np.cumsum(counts)
+    offsets = ends - counts
+    n = int(ends[-1])
+    out = [np.empty(n, np.int64) for _ in range(8)] + [np.empty(n) for _ in range(3)]
+    for start, stop in _frame_blocks(first, counts):
+        alive = np.flatnonzero((first < stop) & (first + counts > start))
+        lo = np.maximum(start - first[alive], 0)
+        size = np.minimum(stop - first[alive], counts[alive]) - lo
+        # The block's rows as positions in the output columns, track by track.
+        rows = np.arange(size.sum()) + np.repeat(offsets[alive] + lo - np.cumsum(size) + size,
+                                                 size)
+        block = [tracks[i] for i in alive.tolist()]
+        found = _search_tracks(
+            block, size, rows + np.repeat(first[alive] - offsets[alive], size),
+            *(np.concatenate([getattr(t, name)[a:a + m]
+                              for t, a, m in zip(block, lo.tolist(), size.tolist())])
+              for name in ("lane", "x", "vx")), meta,
+        )
+        for column, values in zip(out, found):
+            column[rows] = values
+    columns = Surround.read_only(out)
     return {t.track_id: columns.rows(a, b)
-            for t, a, b in zip(tracks, [0, *ends], ends)}
+            for t, a, b in zip(tracks, offsets.tolist(), ends.tolist())}

@@ -38,6 +38,7 @@ from .core import (
     UNLIMITED_SPEED,
     VehicleClass,
     compute_mean_speed,
+    speed_limit_from_file,
 )
 from .lane_change import (
     CutInScenario,
@@ -417,33 +418,57 @@ def _frame_rows(
 ) -> Iterator[Tuple[int, List[Tuple[Track, float, float]]]]:
     """Yield ``(frame, [(track, x, y), ...])`` for every frame from 0 to the
     last frame of any track, with the tracks present at that frame in
-    track-id order: one walk over all rows sorted by (frame, track id)."""
+    track-id order: one walk over all rows sorted by (frame, track id), each
+    frame's rows boxed as Python objects only when it is yielded."""
     if not tracks:
         return
     owner = np.repeat(np.arange(len(tracks)), [t.num_frames for t in tracks])
     frame = np.concatenate([t.frames for t in tracks])
     order = np.lexsort((np.array([t.track_id for t in tracks])[owner], frame))
-    frame, owner = frame[order], owner[order].tolist()
-    x, y = (np.concatenate([getattr(t, c) for t in tracks])[order].tolist() for c in "xy")
+    frame, owner = frame[order], owner[order]
+    x, y = (np.concatenate([getattr(t, c) for t in tracks])[order] for c in "xy")
     bounds = np.searchsorted(frame, np.arange(frame[-1] + 2)).tolist()
     for f, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        yield f, [(tracks[owner[k]], x[k], y[k]) for k in range(a, b)]
+        yield f, list(zip(map(tracks.__getitem__, owner[a:b].tolist()),
+                          x[a:b].tolist(), y[a:b].tolist()))
 
 
 def _validate_no_overlap(tracks: Sequence[Track]) -> None:
+    """Raise a ScriptError naming the first pair of vehicles whose boxes
+    overlap: in the earliest frame, with each frame's boxes sorted by (x, y,
+    length, width, id), the pair (A, B), A before B, of the first A and then
+    the first B. Boxes overlap when their centres lie less than half their
+    summed lengths apart in x and half their summed widths apart in y."""
     if not tracks:
         return
-    max_length = max(t.length for t in tracks)
-    for frame, present in _frame_rows(tracks):
-        boxes = sorted((x, y, t.length, t.width, t.track_id) for t, x, y in present)
-        for i, (x1, y1, l1, w1, id1) in enumerate(boxes):
-            for x2, y2, l2, w2, id2 in boxes[i + 1 :]:
-                if x2 - x1 >= (l1 + max_length) / 2.0:
-                    break
-                if x2 - x1 < (l1 + l2) / 2.0 and abs(y2 - y1) < (w1 + w2) / 2.0:
-                    raise ScriptError(
-                        f"vehicles {id1} and {id2} overlap at frame {frame}"
-                    )
+    # lexsort is stable, so rows at one (frame, x, y) keep the tracks' order.
+    tracks = sorted(tracks, key=lambda t: (t.length, t.width, t.track_id))
+    owner = np.repeat(np.arange(len(tracks)), [t.num_frames for t in tracks])
+    frame, x, y = (np.concatenate([getattr(t, c) for t in tracks])
+                   for c in ("frames", "x", "y"))
+    order = np.lexsort((y, x, frame))
+    frame, x, y, owner = frame[order], x[order], y[order], owner[order]
+    del order
+    length, width = (np.array([getattr(t, c) for t in tracks]) for c in ("length", "width"))
+    # Each row's candidates follow it in its frame up to an x window that
+    # only skips pairs: no rounding of its bound drops an overlapping one.
+    longest = length.max()
+    reach = x + (length[owner] + longest) / 2.0 + (np.abs(x) + longest) * 2**-50
+    xs, cell = np.unique(x, return_inverse=True)
+    base = np.cumsum(np.diff(frame, prepend=frame[0]) != 0) * len(xs)
+    cell += base  # ascending: the rows are sorted by frame, then x
+    after = np.arange(1, len(x) + 1)
+    counts = np.searchsorted(cell, base + np.searchsorted(xs, reach, "left")) - after
+    del reach, cell, base
+    a = np.repeat(after - 1, counts)
+    b = np.arange(len(a)) + np.repeat(after - (np.cumsum(counts) - counts), counts)
+    ta, tb = owner[a], owner[b]
+    hit = np.flatnonzero((x[b] - x[a] < (length[ta] + length[tb]) / 2.0)
+                         & (np.abs(y[b] - y[a]) < (width[ta] + width[tb]) / 2.0))
+    if hit.size:
+        i, j = a[hit[0]], b[hit[0]]
+        raise ScriptError(f"vehicles {tracks[owner[i]].track_id} and "
+                          f"{tracks[owner[j]].track_id} overlap at frame {frame[i]}")
 
 
 def generate_truth(script: ScenarioScript) -> GroundTruth:
@@ -550,7 +575,7 @@ def _keys(spec) -> List[str]:
 
 def _speed_limits(root: JsonObject, key: str) -> Optional[Tuple[float, ...]]:
     """-1 stands for no limit; none given, for no limit on any lane."""
-    return tuple(UNLIMITED_SPEED if v == -1.0 else v for v in root.numbers(key)) or None
+    return tuple(map(speed_limit_from_file, root.numbers(key))) or None
 
 
 def _window(name: str, pair) -> Tuple[int, int]:
@@ -634,7 +659,7 @@ def load_script(path: Path, seed: Optional[int] = None) -> ScenarioScript:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ScriptError(f"{path}: invalid JSON ({exc})") from exc
     if seed is not None and isinstance(data, dict):
         data["seed"] = seed

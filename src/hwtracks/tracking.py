@@ -7,8 +7,8 @@ collect a minimum number of measured hits before they count as confirmed
 constant-velocity prediction for a bounded number of frames before they are
 terminated at their last measured frame.
 
-The frame walk keeps each active track's last two positions and coast count
-and logs one (track id, x, y, detection row) entry per active track and
+The frame walk boxes only the current frame's detection centres as Python
+floats, keeps each active track's last two positions and coast count and logs one (track id, x, y, detection row) entry per active track and
 frame into typed ``array`` columns, 8 bytes an entry; the log is then
 grouped by track once for confirmation, the trim of coasted tails, class
 votes and extents.
@@ -116,7 +116,6 @@ def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrac
     frame_values, starts = np.unique(detections.frame, return_index=True)
     frame_values = frame_values.tolist()
     bounds = [*starts.tolist(), len(detections)]
-    cx, cy = detections.cx.tolist(), detections.cy.tolist()
     # (id, x, y, previous x, previous y, coasted frames) per active track in
     # id order; the previous position is None while a track has one frame.
     active: List[tuple] = []
@@ -130,13 +129,15 @@ def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrac
         if frame_values[k] == frame:
             stop = bounds[k + 1]
             k += 1
+        # This frame's centres, boxed only while the frame is walked.
+        cx, cy = detections.cx[start:stop].tolist(), detections.cy[start:stop].tolist()
         # One position predicts itself: 2 * x - x is not exact near overflow.
         predicted = [(x, y) if ox is None else (2 * x - ox, 2 * y - oy)
                      for _, x, y, ox, oy, _ in active]
-        rows = [-1] * len(active)
-        for t, d in associate_frame(predicted, [a[0] for a in active], cx[start:stop],
-                                    cy[start:stop], cfg.gate_radius):
-            rows[t] = start + d
+        rows = [-1] * len(active)  # each active track's detection in this frame
+        for t, d in associate_frame(predicted, [a[0] for a in active], cx, cy,
+                                    cfg.gate_radius):
+            rows[t] = d
         still_active = []
         for (track_id, x, y, _, _, coast), (px, py), r in zip(active, predicted, rows):
             if r < 0:
@@ -149,14 +150,14 @@ def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrac
             log_x.append(px)
             log_y.append(py)
         claimed = set(rows)
-        spawned = [r for r in range(start, stop) if r not in claimed]
-        for r in spawned:
-            still_active.append((next_id, cx[r], cy[r], None, None, 0))
+        spawned = [d for d in range(stop - start) if d not in claimed]
+        for d in spawned:
+            still_active.append((next_id, cx[d], cy[d], None, None, 0))
             log_id.append(next_id)
-            log_x.append(cx[r])
-            log_y.append(cy[r])
+            log_x.append(cx[d])
+            log_y.append(cy[d])
             next_id += 1
-        log_row.extend(rows + spawned)
+        log_row.extend([-1 if d < 0 else start + d for d in rows + spawned])
         active = still_active
         frame += 1
 

@@ -81,6 +81,18 @@ def test_parse_corpus():
     }
 
 
+def test_parse_corpus_track_steps():
+    corpus = parse_corpus(CORPUS_STDOUT + (
+        "\n| step of `track` | time | RSS after the step | peak so far |\n|---|---|---|---|\n"
+        "| `import` | 0.22 s | 32.8 MB | 32.6 MB |\n"
+        "| `compute_surround` | 0.25 s | 95.1 MB | 99.0 MB |\n"))
+    assert set(corpus["subcommands"]) == {"synth", "track", "extract"}
+    assert corpus["track_steps"] == {
+        "import": {"wall_s": 0.22, "rss_mb": 32.8, "peak_rss_mb": 32.6},
+        "compute_surround": {"wall_s": 0.25, "rss_mb": 95.1, "peak_rss_mb": 99.0},
+    }
+
+
 def test_parse_wc():
     assert parse_wc(WC_STDOUT) == {"__init__.py": 109, "lane_change.py": 601, "total": 710}
 

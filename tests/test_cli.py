@@ -2,6 +2,7 @@ import io
 import json
 import math
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -582,6 +583,16 @@ class TestConfigFile:
         cfg_path.write_text(json.dumps({section: {key: value}}))
         with pytest.raises(ValueError,
                            match=f"^{section}.{key} must be finite, got {value!r}$"):
+            load_pipeline_config(cfg_path)
+
+    def test_integer_beyond_the_digit_limit_names_the_file(self, tmp_path):
+        # json cannot turn an integer literal of more than 4,300 digits into an int
+        from hwtracks.pipeline import load_pipeline_config
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"jobs": ' + "9" * 5000 + '}')
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(cfg_path))}: invalid JSON .*4300"):
             load_pipeline_config(cfg_path)
 
     def test_integer_accepted_as_number(self, tmp_path):

@@ -209,8 +209,7 @@ class TestTypes:
 
 
 class TestSweepFrames:
-    """The (frame, track id)-sorted walk that synth's corruption and overlap
-    check share."""
+    """The (frame, track id)-sorted walk of synth's corruption."""
 
     def test_matches_state_at_on_every_frame(self):
         tracks = [

@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from hwtracks import (
     assign_neighbors,
     compute_surround,
 )
+from hwtracks import surround as surround_module
 from hwtracks.surround import NO_VEHICLE, UNDEFINED, left_lane_id, right_lane_id
 from conftest import (
     LOWER, UPPER, make_meta, make_state, row_at, straight_track, surround_rows,
@@ -320,46 +323,103 @@ class TestAssignNeighbors:
                     assert sf.preceding_id == lead.track_id
 
 
+def assert_every_frame_matches_oracle():
+    """compute_surround on 60 random tracks against the oracle, frame by
+    frame; returns the tracks."""
+    # Both carriageways with three lanes each share lane numbers and x
+    # values, so any leak between frames or carriageways shows.
+    meta3 = make_meta(
+        upper_lane_boundaries=(0.0, 3.7, 7.4, 11.1),
+        lower_lane_boundaries=(16.0, 19.7, 23.4, 27.1),
+        upper_speed_limits=(math.inf,) * 3, lower_speed_limits=(math.inf,) * 3,
+    )
+    rng = random.Random(2024)
+    tracks = []
+    for track_id in range(1, 61):
+        direction = rng.choice(list(DrivingDirection))
+        lane = rng.randint(1, 3)
+        to_lane = rng.choice([k for k in (lane - 1, lane + 1) if 1 <= k <= 3])
+        change_at = rng.randint(0, 40)
+        x0, step = 2.5 * rng.randint(0, 40), rng.choice([0.0, 0.5, 1.0])
+        sign = direction.travel_sign
+        states = [
+            make_state(frame=frame, x=x0 + sign * step * i, vx=sign * step * 25,
+                       lane_id=lane if i < change_at else to_lane)
+            for i, frame in enumerate(range(rng.randint(0, 30), rng.randint(35, 70)))
+        ]
+        tracks.append(track_from_states(
+            states, track_id=track_id, direction=direction,
+            length=rng.choice([4.5, 5.0, 10.0]), mean_speed=step * 25,
+        ))
+    surround = compute_surround(tracks, meta3)
+    assert list(surround) == [t.track_id for t in tracks]
+    rows = {t.track_id: surround_rows(surround[t.track_id], [t.track_id] * t.num_frames)
+            for t in tracks}
+    by_id = sorted(tracks, key=lambda t: t.track_id)
+    for frame in range(max(t.final_frame for t in tracks) + 1):
+        present = [(t, row_at(t, frame)) for t in by_id
+                   if row_at(t, frame) is not None]
+        got = [rows[t.track_id][frame - t.initial_frame] for t, _ in present]
+        assert oracle_mismatches(got, present, meta3) == [], frame
+    return tracks
+
+
 class TestComputeSurround:
     def test_no_tracks(self, meta):
         assert compute_surround([], meta) == {}
 
     def test_every_frame_matches_oracle(self):
-        # Both carriageways with three lanes each share lane numbers and x
-        # values, so any leak between frames or carriageways shows.
-        meta3 = make_meta(
-            upper_lane_boundaries=(0.0, 3.7, 7.4, 11.1),
-            lower_lane_boundaries=(16.0, 19.7, 23.4, 27.1),
-            upper_speed_limits=(math.inf,) * 3, lower_speed_limits=(math.inf,) * 3,
-        )
-        rng = random.Random(2024)
-        tracks = []
-        for track_id in range(1, 61):
-            direction = rng.choice(list(DrivingDirection))
-            lane = rng.randint(1, 3)
-            to_lane = rng.choice([k for k in (lane - 1, lane + 1) if 1 <= k <= 3])
-            change_at = rng.randint(0, 40)
-            x0, step = 2.5 * rng.randint(0, 40), rng.choice([0.0, 0.5, 1.0])
-            sign = direction.travel_sign
-            states = [
-                make_state(frame=frame, x=x0 + sign * step * i, vx=sign * step * 25,
-                           lane_id=lane if i < change_at else to_lane)
-                for i, frame in enumerate(range(rng.randint(0, 30), rng.randint(35, 70)))
-            ]
-            tracks.append(track_from_states(
-                states, track_id=track_id, direction=direction,
-                length=rng.choice([4.5, 5.0, 10.0]), mean_speed=step * 25,
-            ))
-        surround = compute_surround(tracks, meta3)
-        assert list(surround) == [t.track_id for t in tracks]
-        rows = {t.track_id: surround_rows(surround[t.track_id], [t.track_id] * t.num_frames)
-                for t in tracks}
-        by_id = sorted(tracks, key=lambda t: t.track_id)
-        for frame in range(max(t.final_frame for t in tracks) + 1):
-            present = [(t, row_at(t, frame)) for t in by_id
-                       if row_at(t, frame) is not None]
-            got = [rows[t.track_id][frame - t.initial_frame] for t, _ in present]
-            assert oracle_mismatches(got, present, meta3) == [], frame
+        assert_every_frame_matches_oracle()
+
+    def test_frame_blocks_match_oracle(self, monkeypatch):
+        # Blocks of a few rows: the scene's frames hold up to about 40 rows,
+        # so most frames are searched alone, each larger than one block.
+        searched = []
+
+        def search_tracks(tracks, counts, *columns):
+            searched.append(int(np.sum(counts)))
+            return real_search_tracks(tracks, counts, *columns)
+
+        real_search_tracks = surround_module._search_tracks
+        monkeypatch.setattr(surround_module, "_BLOCK_ROWS", 5)
+        monkeypatch.setattr(surround_module, "_search_tracks", search_tracks)
+        tracks = assert_every_frame_matches_oracle()
+        assert sum(searched) == sum(t.num_frames for t in tracks)  # each row once
+        assert len(searched) > 50 and max(searched) > 5
+
+    def test_traced_peak_per_row(self):
+        # 48,000 rows in 600 frames. The eleven output columns take 88 B per
+        # row and the search runs in blocks of about 4,096 rows, so its
+        # temporaries do not grow with the recording: the peak measured
+        # 123 B per row, and the bound leaves 14 % slack. One search over
+        # all rows measured 298 B.
+        tracks = [straight_track(track_id=i + 1, x0=6.0 * i, n_frames=600,
+                                 lane_id=i % 2 + 1, y=13.85 + 3.7 * (i % 2))
+                  for i in range(80)]
+        meta = make_meta()
+        compute_surround(tracks[:2], meta)  # numpy's lazy imports happen untraced
+        tracemalloc.start()
+        try:
+            compute_surround(tracks, meta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 140 * 48000, peak / 48000
+
+    def test_alongside_at_the_rounding_edge_of_the_window(self, meta):
+        # The centres lie (4.4962... + 11.6072...) / 2 apart to within
+        # rounding: the overlap test holds, while the unrounded window bound
+        # x + reach rounds to just below the other centre.
+        vehicles = [
+            vehicle_at(1, DrivingDirection.LOWER, 1, -0.17380179845947685,
+                       length=4.496219824652468),
+            vehicle_at(2, DrivingDirection.LOWER, 2, 7.87793418885057,
+                       length=11.607252149967625),
+        ]
+        surround = compute_surround([t for t, _ in vehicles], meta)
+        got = [surround_rows(surround[t.track_id], [t.track_id])[0] for t, _ in vehicles]
+        assert got[0].left_alongside_id == 2
+        assert oracle_mismatches(got, vehicles, meta) == []
 
     def test_aligned_with_states(self, meta):
         a = straight_track(track_id=1, x0=0.0, n_frames=50)

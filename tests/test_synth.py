@@ -1,5 +1,6 @@
 import bisect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hwtracks import (
     Side,
     SmootherConfig,
     SpeedSegment,
+    Track,
     TrackerConfig,
     VehicleClass,
     VehicleSpec,
@@ -26,7 +28,7 @@ from hwtracks import (
     smooth_track,
 )
 from hwtracks.lane_change import CutInScenario
-from hwtracks.synth import script_from_dict
+from hwtracks.synth import _validate_no_overlap, script_from_dict
 from conftest import ROOT, cut_in_oracle, row_at, settle_extents_oracle
 
 
@@ -70,6 +72,46 @@ def dense_lane_change_script():
         "lower_lane_boundaries": [16.0, 19.7, 23.4, 27.1],
         "vehicles": vehicles,
     }
+
+
+def overlap_scene(rng):
+    """8 random one-lane-wide boxes over a few frames, x and y on coarse
+    grids, few extents and a start shared by about a third of them, so that
+    boxes that touch exactly and boxes at the same centre are common; the
+    ids come in random order."""
+    tracks = []
+    shared = 0.25 * rng.integers(0, 1600)
+    for track_id in rng.permutation(np.arange(1, 9)).tolist():
+        n = int(rng.integers(1, 25))
+        x0 = shared if rng.random() < 0.3 else 0.25 * rng.integers(0, 1600)
+        tracks.append(Track(
+            track_id=track_id, vehicle_class=VehicleClass.CAR,
+            direction=DrivingDirection.LOWER, length=float(rng.choice([4.0, 4.5, 12.0])),
+            width=float(rng.choice([1.75, 2.0])), mean_speed=1.0,
+            initial_frame=int(rng.integers(0, 8)),
+            x=np.cumsum(rng.choice([0.0, 0.25, 0.5], n)) + x0,
+            y=np.full(n, 1.75 * rng.integers(0, 5)), vx=np.zeros(n), vy=np.zeros(n),
+            ax=np.zeros(n), ay=np.zeros(n), lane=np.ones(n, np.int64)))
+    return tracks
+
+
+def overlap_loop(tracks):
+    """The message of the first overlap that the per-frame pair loop, which
+    the vectorised check replaced, raises; None where it raises none."""
+    max_length = max(t.length for t in tracks)
+    present = {}
+    for t in tracks:
+        for frame, x, y in zip(t.frames.tolist(), t.x.tolist(), t.y.tolist()):
+            present.setdefault(frame, []).append((x, y, t.length, t.width, t.track_id))
+    for frame in sorted(present):
+        boxes = sorted(present[frame])
+        for i, (x1, y1, l1, w1, id1) in enumerate(boxes):
+            for x2, y2, l2, w2, id2 in boxes[i + 1:]:
+                if x2 - x1 >= (l1 + max_length) / 2.0:
+                    break
+                if x2 - x1 < (l1 + l2) / 2.0 and abs(y2 - y1) < (w1 + w2) / 2.0:
+                    return f"vehicles {id1} and {id2} overlap at frame {frame}"
+    return None
 
 
 class TestGenerateTruth:
@@ -133,6 +175,32 @@ class TestGenerateTruth:
         with pytest.raises(ScriptError) as err:
             generate_truth(script)
         assert "overlap" in str(err.value)
+
+    def test_overlap_at_the_rounding_edge_of_the_window(self):
+        # 30.788 + 8.25 rounds down to B's centre, so the candidate window's
+        # computed bound equals it, while B lies 8.249999999999996 m ahead:
+        # less than the 8.25 m of half the summed lengths
+        a, b = (Track(track_id=i, vehicle_class=VehicleClass.CAR,
+                      direction=DrivingDirection.LOWER, length=length, width=2.0,
+                      mean_speed=1.0, initial_frame=0, x=[x], y=[13.85], vx=[0.0],
+                      vy=[0.0], ax=[0.0], ay=[0.0], lane=[1])
+                for i, x, length in ((1, 30.788, 4.5), (2, 30.788 + 8.25, 12.0)))
+        assert overlap_loop([a, b]) == "vehicles 1 and 2 overlap at frame 0"
+        with pytest.raises(ScriptError, match="^vehicles 1 and 2 overlap at frame 0$"):
+            _validate_no_overlap([a, b])
+
+    def test_overlap_check_matches_the_pair_loop(self):
+        outcomes = []
+        for seed in range(200):
+            tracks = overlap_scene(np.random.default_rng(seed))
+            want = overlap_loop(tracks)
+            outcomes.append(want is not None)
+            if want is None:
+                _validate_no_overlap(tracks)
+            else:
+                with pytest.raises(ScriptError, match=f"^{want}$"):
+                    _validate_no_overlap(tracks)
+        assert 50 < sum(outcomes) < 150, sum(outcomes)
 
     def test_accel_change_inside_maneuver_rejected(self):
         script = ScenarioScript(
@@ -534,6 +602,13 @@ class TestScriptFiles:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ScriptError):
+            load_script(path)
+
+    def test_integer_beyond_the_digit_limit_is_script_error(self, tmp_path):
+        # json cannot turn an integer literal of more than 4,300 digits into an int
+        path = tmp_path / "big.json"
+        path.write_text('{"seed": ' + "9" * 5000 + ', "duration": 10.0}')
+        with pytest.raises(ScriptError, match=f"^{re.escape(str(path))}: invalid JSON .*4300"):
             load_script(path)
 
 

@@ -11,7 +11,8 @@ Then runs, each as a child process of this checkout:
   and ``RUNS`` times with ``--trace 1`` (per-layer metrics), alternating the
   workloads;
 - ``tools/corpus_225k.py`` once, in a temporary directory (wall time and
-  peak RSS of each subcommand on the 225k-row corpus);
+  peak RSS of each subcommand on the 225k-row corpus, and the time and RSS
+  after each step of ``track``);
 - ``wc -l src/hwtracks/*.py``.
 
 Then writes ``BENCH_<N>.json`` at the root of the checkout: the environment
@@ -78,21 +79,27 @@ def parse_run(stdout: str) -> Dict:
 
 
 def parse_corpus(stdout: str) -> Dict:
-    """The subcommand table of ``tools/corpus_225k.py`` and its manifest size."""
-    table = {}
+    """The subcommand table of ``tools/corpus_225k.py``, its manifest size and
+    the ``track`` step table that follows the manifest line."""
+    table, steps = {}, {}
     files = None
     for line in stdout.splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if len(cells) == 4 and cells[0].startswith("`"):
+        if len(cells) == 4 and cells[0].startswith("`") and files is None:
             command, wall, rss, ratio = cells
             table[command.strip("`")] = {
                 "wall_s": float(wall.split()[0]),
                 "peak_rss_mb": float(rss.split()[0]),
                 "rss_input_ratio": float(ratio.rstrip("×")) if ratio != "—" else None,
             }
+        elif len(cells) == 4 and cells[0].startswith("`"):
+            name, wall, rss, peak = cells
+            steps[name.strip("`")] = {"wall_s": float(wall.split()[0]),
+                                      "rss_mb": float(rss.split()[0]),
+                                      "peak_rss_mb": float(peak.split()[0])}
         elif line.split(" files in ")[0].isdigit():
             files = int(line.split()[0])
-    return {"subcommands": table, "manifest_files": files}
+    return {"subcommands": table, "manifest_files": files, "track_steps": steps}
 
 
 def parse_wc(stdout: str) -> Dict[str, int]:

@@ -12,6 +12,13 @@ RSS (from ``os.wait4``) and that RSS over the size of its input files.
 ``OUT/MANIFEST.sha256`` lists every file below ``OUT`` as
 ``tools/output_digests.py`` does, so the manifests of two checkouts compare
 with ``diff``.
+
+Then it prints the step table of ``track``: the steps of
+``pipeline.track_stage`` run on the corpus detections in one fresh child
+process, with the wall time of each step and, after it, the process's
+current RSS and high-water mark (``VmRSS`` and ``VmHWM`` of
+``/proc/self/status``). Its recording goes to a directory that is removed
+at the end, so the manifest does not see it.
 """
 
 from __future__ import annotations
@@ -21,13 +28,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src"), str(ROOT / "tests")]
-
-from tools.output_digests import write_manifest  # noqa: E402
 
 VEHICLES = 300
 NOISE = {"position_sigma": 0.1, "dropout_probability": 0.01,
@@ -67,15 +73,62 @@ def script() -> dict:
     }
 
 
+def _env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def track_steps(detections: str, meta_path: str, output: str) -> None:
+    """Run the steps of ``pipeline.track_stage`` with its default config and
+    print one table row per step: its wall time, then this process's current
+    RSS and high-water mark after it. The names that ``track_stage`` drops
+    after a step are dropped here too. Meant for a fresh process, whose
+    high-water mark is then this run's."""
+    clock = [time.perf_counter()]
+
+    def step(name: str) -> None:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            status = dict(line.split(":", 1) for line in fh)
+        rss, hwm = (int(status[key].split()[0]) / 1024.0 for key in ("VmRSS", "VmHWM"))
+        now = time.perf_counter()
+        print(f"| `{name}` | {now - clock[0]:.2f} s | {rss:.1f} MB | {hwm:.1f} MB |",
+              flush=True)
+        clock[0] = now
+
+    from hwtracks.dataset_io import read_detections, read_recording_meta, write_recording
+    from hwtracks.pipeline import PipelineConfig
+    from hwtracks.smoothing import smooth_series, smooth_track_with_diagnostics
+    from hwtracks.surround import compute_surround
+    from hwtracks.tracking import build_tracks
+
+    step("import")
+    cfg = PipelineConfig()
+    meta = read_recording_meta(Path(meta_path))
+    table = read_detections(Path(detections), meta.max_frame)
+    step("read_detections")
+    raw_tracks = build_tracks(table, cfg.tracker)
+    del table
+    step("build_tracks")
+    smoothed = smooth_series(raw_tracks, cfg.smoother, 1.0 / meta.frame_rate)
+    step("smooth_series")
+    assembled = [smooth_track_with_diagnostics(raw, series, meta)
+                 for raw, series in zip(raw_tracks, smoothed)]
+    del raw_tracks, smoothed
+    tracks = [track for track, _ in assembled]
+    step("assembly")
+    surround = compute_surround(tracks, meta)
+    step("compute_surround")
+    write_recording(meta, tracks, surround, Path(output))
+    step("write_recording")
+
+
 def _run(out: Path, command: str, args) -> tuple:
     """One CLI call in ``out``, its stdout kept as ``<command>.stdout``:
     its wall time in seconds and its peak RSS in MB."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
-           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     with open(out / f"{command}.stdout", "w", encoding="utf-8") as stdout:
         start = time.perf_counter()
         child = subprocess.Popen([sys.executable, "-m", "hwtracks", command, *args],
-                                 cwd=out, env=env, stdout=stdout)
+                                 cwd=out, env=_env(), stdout=stdout)
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
@@ -102,8 +155,20 @@ def main(argv) -> int:
             size = sum(p.stat().st_size for p in (out / inputs).glob("*.csv"))
             ratio = f"{rss * 2**20 / size:.1f}×"
         print(f"| `{command}` | {wall:.2f} s | {rss:.0f} MB | {ratio} |", flush=True)
+    from tools.output_digests import write_manifest
+
     manifest = write_manifest(out)
     print(f"{sum(1 for _ in manifest.open(encoding='utf-8'))} files in {manifest}")
+    detections, = (out / "synth" / "detections").glob("*_detections.csv")
+    meta_path = detections.with_name(detections.name.replace("detections", "recordingMeta"))
+    print("\n| step of `track` | time | RSS after the step | peak so far |\n|---|---|---|---|",
+          flush=True)
+    with tempfile.TemporaryDirectory(dir=out) as scratch:
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from tools.corpus_225k import track_steps; "
+                        "track_steps(*sys.argv[1:])", str(detections), str(meta_path), scratch],
+                       cwd=ROOT, env={**_env(), "PYTHONPATH": f"{ROOT}:{ROOT / 'src'}"},
+                       check=True)
     return 0
 
 
