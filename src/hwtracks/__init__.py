@@ -73,7 +73,6 @@ from .stats import (
     DecileBand,
     Histogram,
     build_decile_band,
-    build_histogram,
     cut_in_thw_stats,
     maneuver_summary,
     mean_speed_histogram,
@@ -83,7 +82,6 @@ from .surround import (
     NO_VEHICLE,
     Surround,
     UNDEFINED,
-    assign_neighbors,
     compute_surround,
 )
 from .synth import (

@@ -79,51 +79,6 @@ from .core import (
 )
 from .surround import NO_VEHICLE, UNDEFINED, Surround, check_rows
 
-RECORDING_META_COLUMNS = [
-    "id",
-    "locationId",
-    "frameRate",
-    "duration",
-    "upperLaneMarkings",
-    "lowerLaneMarkings",
-    "speedLimits",
-]
-TRACKS_META_COLUMNS = [
-    "id",
-    "length",
-    "width",
-    "class",
-    "drivingDirection",
-    "meanSpeed",
-    "numFrames",
-    "initialFrame",
-    "finalFrame",
-    "numLaneChanges",
-]
-TRACKS_COLUMNS = [
-    "frame",
-    "id",
-    "x",
-    "y",
-    "xVelocity",
-    "yVelocity",
-    "xAcceleration",
-    "yAcceleration",
-    "laneId",
-    "precedingId",
-    "followingId",
-    "leftPrecedingId",
-    "leftAlongsideId",
-    "leftFollowingId",
-    "rightPrecedingId",
-    "rightAlongsideId",
-    "rightFollowingId",
-    "dhw",
-    "thw",
-    "ttc",
-]
-DETECTIONS_COLUMNS = ["frame", *DETECTION_COLUMNS, "class"]
-
 # Issue kinds reported by the validator / raised by the reader.
 MISSING_FILE = "MissingFile"
 MISSING_COLUMN = "MissingColumn"
@@ -212,7 +167,7 @@ def _format_list(values: Sequence[float]) -> str:
 def write_recording_meta(meta: RecordingMeta, path: Path) -> None:
     limits = [speed_limit_to_file(v)
               for v in (*meta.upper_speed_limits, *meta.lower_speed_limits)]
-    write_table(path, RECORDING_META_COLUMNS, "ddggsss", [[
+    write_table(path, _RECORDING_META_PARSERS, "ddggsss", [[
         [meta.recording_id],
         [meta.location_id],
         [meta.frame_rate],
@@ -261,9 +216,9 @@ def write_recording(
             *surround[track.track_id],
         )
 
-    write_table(paths.tracks_path, TRACKS_COLUMNS, "ddgs" + "g" * 4 + "d" * 9 + "ggg",
+    write_table(paths.tracks_path, _TRACKS_PARSERS, "ddgs" + "g" * 4 + "d" * 9 + "ggg",
                 map(block, ordered))
-    write_table(paths.tracks_meta_path, TRACKS_META_COLUMNS, "dggsdgdddd", [list(zip(*(
+    write_table(paths.tracks_meta_path, _TRACKS_META_PARSERS, "dggsdgdddd", [list(zip(*(
         (
             track.track_id,
             track.length,
@@ -282,7 +237,7 @@ def write_recording(
 
 
 def write_detections(detections: DetectionTable, path: Path) -> None:
-    write_table(path, DETECTIONS_COLUMNS, "dggggs", [(
+    write_table(path, _DETECTIONS_PARSERS, "dggggs", [(
         detections.frame,
         *(getattr(detections, c) for c in DETECTION_COLUMNS),
         ["" if hint is None else hint.value for hint in detections.class_hint],
@@ -422,9 +377,7 @@ def _loaded_values(parse: Parser, column: np.ndarray) -> Optional[Any]:
     return column
 
 
-def _load_table(
-    path: Path, columns: Sequence[str], parsers: Mapping[str, Parser]
-) -> Optional[Dict[str, Any]]:
+def _load_table(path: Path, parsers: Mapping[str, Parser]) -> Optional[Dict[str, Any]]:
     """The typed columns of a table from one C-parsed ``np.loadtxt``; None
     unless it reads every line as one row and no cell would be flagged, in
     which case the per-cell parsers give the same values."""
@@ -439,7 +392,7 @@ def _load_table(
     del data
     try:
         table = np.loadtxt(
-            path, dtype=[(c, fields[c]) for c in columns], delimiter=",",
+            path, dtype=list(fields.items()), delimiter=",",
             comments=None, quotechar='"', encoding="utf-8", skiprows=1, ndmin=1,
         )
     except ValueError:
@@ -451,12 +404,13 @@ def _load_table(
 
 
 def _parse_table(
-    scanner: _Scanner, path: Path, columns: Sequence[str], parsers: Mapping[str, Parser]
+    scanner: _Scanner, path: Path, parsers: Mapping[str, Parser]
 ) -> Optional[Tuple[Dict[str, Any], List[Check]]]:
-    """The typed columns of a table and one type check per column, in the
-    order of ``parsers``; None when the file is unusable. Nothing is issued
-    for the type checks: the caller reports them, with its own checks. The
-    body comes from ``_load_table`` where it can, else from each cell's parse."""
+    """The typed columns of a table whose columns are the keys of
+    ``parsers``, in file order, and one type check per column, in that order;
+    None when the file is unusable. Nothing is issued for the type checks: the
+    caller reports them, with its own checks. The body comes from
+    ``_load_table`` where it can, else from each cell's parse."""
     if not Path(path).is_file():
         scanner.issue(MISSING_FILE, path, "file does not exist")
         return None
@@ -466,7 +420,8 @@ def _parse_table(
         if header is None:
             scanner.issue(MISSING_COLUMN, path, "empty file, header row required")
             return None
-        if header != list(columns):
+        columns = list(parsers)
+        if header != columns:
             missing = [c for c in columns if c not in header]
             extra = [c for c in header if c not in columns]
             if missing or extra:
@@ -474,10 +429,10 @@ def _parse_table(
                 scanner.issue(MISSING_COLUMN, path, f"{word} column(s) {names}", row=0,
                               column=names[0])
             else:
-                scanner.issue(MISSING_COLUMN, path, f"column order must be {list(columns)}",
+                scanner.issue(MISSING_COLUMN, path, f"column order must be {columns}",
                               row=0)
             return None
-        loaded = _load_table(path, columns, parsers)
+        loaded = _load_table(path, parsers)
         if loaded is not None:
             parsed = {c: (values, {}) for c, values in loaded.items()}
         else:
@@ -525,6 +480,8 @@ def _frames_outside(frames: np.ndarray, max_frame: float) -> np.ndarray:
     return (frames < 0) | (frames > last)
 
 
+#: The columns of each table in file order, each with its cell parser; the
+#: writers take the keys as the header.
 _RECORDING_META_PARSERS: Dict[str, Parser] = {
     "id": _ints, "locationId": _ints, "frameRate": _floats, "duration": _floats,
     "upperLaneMarkings": _float_lists, "lowerLaneMarkings": _float_lists,
@@ -533,7 +490,7 @@ _RECORDING_META_PARSERS: Dict[str, Parser] = {
 
 
 def _scan_recording_meta(scanner: _Scanner, path: Path) -> Optional[RecordingMeta]:
-    parsed = _parse_table(scanner, path, RECORDING_META_COLUMNS, _RECORDING_META_PARSERS)
+    parsed = _parse_table(scanner, path, _RECORDING_META_PARSERS)
     if parsed is None:
         return None
     values, checks = parsed
@@ -586,7 +543,7 @@ _TRACKS_META_PARSERS: Dict[str, Parser] = {
 def _scan_tracks_meta(scanner: _Scanner, path: Path) -> Optional[Dict[str, Any]]:
     """The tracksMeta columns; None unless every row parses, no id repeats
     and every extent is positive."""
-    parsed = _parse_table(scanner, path, TRACKS_META_COLUMNS, _TRACKS_META_PARSERS)
+    parsed = _parse_table(scanner, path, _TRACKS_META_PARSERS)
     if parsed is None:
         return None
     values, checks = parsed
@@ -618,9 +575,11 @@ _TABLE_COLUMN_OF = dict(zip(
     ("x", "y", "xVelocity", "yVelocity", "xAcceleration", "yAcceleration", "laneId"),
 ))
 _TRACKS_PARSERS: Dict[str, Parser] = {
-    **{c: _ints for c in ("frame", "id", "laneId", *_NEIGHBOR_COLUMNS)},
+    "frame": _ints, "id": _ints,
     **{c: _floats for c in ("x", "y", "xVelocity", "yVelocity", "xAcceleration",
-                            "yAcceleration", *_SENTINEL_COLUMNS)},
+                            "yAcceleration")},
+    **{c: _ints for c in ("laneId", *_NEIGHBOR_COLUMNS)},
+    **{c: _floats for c in _SENTINEL_COLUMNS},
 }
 
 
@@ -628,7 +587,7 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
     scanner = _Scanner(strict)
     meta = _scan_recording_meta(scanner, paths.recording_meta_path)
     metas = _scan_tracks_meta(scanner, paths.tracks_meta_path)
-    parsed = _parse_table(scanner, paths.tracks_path, TRACKS_COLUMNS, _TRACKS_PARSERS)
+    parsed = _parse_table(scanner, paths.tracks_path, _TRACKS_PARSERS)
     if meta is None or metas is None or parsed is None:
         return scanner, None
     tracks_path, tracks_meta_path = paths.tracks_path, paths.tracks_meta_path
@@ -790,7 +749,7 @@ def validate(paths: RecordingFileSet) -> ValidationReport:
     return ValidationReport(issues=scanner.issues)
 
 
-_DETECTIONS_PARSERS = {
+_DETECTIONS_PARSERS: Dict[str, Parser] = {
     "frame": _ints, "cx": _floats, "cy": _floats, "length": _floats,
     "width": _floats, "class": partial(_classes, optional=True),
 }
@@ -805,7 +764,7 @@ def read_detections(path: Path, max_frame: float) -> DetectionTable:
     """
     path = Path(path)
     scanner = _Scanner(strict=True)
-    parsed = _parse_table(scanner, path, DETECTIONS_COLUMNS, _DETECTIONS_PARSERS)
+    parsed = _parse_table(scanner, path, _DETECTIONS_PARSERS)
     assert parsed is not None  # a strict scanner raises instead
     cols, checks = parsed
     frames = cols["frame"]

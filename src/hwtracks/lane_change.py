@@ -163,7 +163,6 @@ class FitConfig:
     duration_max: float = 15.0
     duration_step: float = 0.5
     refine_tolerance: float = 1e-3
-    max_refine_iterations: int = 200
     min_samples: int = 10
     min_amplitude: float = 0.1  # fits with d_start + d_end below this never converge
 
@@ -359,6 +358,12 @@ def _grid_minimum(objective: _SeparableObjective, cfg: FitConfig):
 #: Evenly spaced points of the bracket that one round of ``_section_search``
 #: scores.
 _SECTION_POINTS = 11
+#: Section-search rounds one refinement may run. A search's bracket of at
+#: most 2 * duration_step shrinks by 2 / (_SECTION_POINTS - 1) per round, so
+#: at the defaults a search takes at most 5 rounds and a refinement at most
+#: 8 passes * 2 searches * 5 = 80: the budget only ends refinements with a
+#: far smaller refine_tolerance.
+_MAX_REFINE_ROUNDS = 200
 
 
 def _section_search(lo: float, hi: float, tol: float, budget: int, request):
@@ -413,8 +418,8 @@ def _refine(grid: Tuple[float, float, float], t_span: Tuple[float, float], cfg: 
     variables decouple and a coordinate-wise section search converges in a
     few passes (in (t0, T) the valley is strongly correlated). A pass
     searches each coordinate within ``duration_step`` of its best value, and
-    ``iterations`` counts the search rounds (``max_refine_iterations`` is
-    their budget). Passes stop once neither coordinate moves by
+    ``iterations`` counts the search rounds (``_MAX_REFINE_ROUNDS`` is their
+    budget). Passes stop once neither coordinate moves by
     ``refine_tolerance``, after 8 passes, or mid-pass when the budget is
     spent. Only the first stop is converged.
     """
@@ -427,7 +432,7 @@ def _refine(grid: Tuple[float, float, float], t_span: Tuple[float, float], cfg: 
     for _ in range(8):
         changes = []
         for axis, (lo, hi) in enumerate(limits):
-            budget = cfg.max_refine_iterations - iterations
+            budget = _MAX_REFINE_ROUNDS - iterations
             if budget <= 0:
                 break
 

@@ -29,12 +29,10 @@ SPARSE_BIN_THRESHOLD = 10
 class Histogram:
     bin_edges: Tuple[float, ...]   # len = bins + 1, strictly increasing
     counts: Tuple[int, ...]        # per half-open bin [edge[i], edge[i+1])
-    underflow: int = 0
-    overflow: int = 0
 
     @property
     def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
+        return sum(self.counts)
 
     def __post_init__(self) -> None:
         if self.bin_edges and len(self.bin_edges) != len(self.counts) + 1:
@@ -42,27 +40,6 @@ class Histogram:
         for a, b in zip(self.bin_edges, self.bin_edges[1:]):
             if not b > a:
                 raise ValueError("bin edges must be strictly increasing")
-
-
-def build_histogram(values: Sequence[float], bin_edges: Sequence[float]) -> Histogram:
-    """Count values into half-open bins; out-of-range samples go to under/overflow."""
-    edges = tuple(float(e) for e in bin_edges)
-    if not edges:
-        if len(values):
-            raise ValueError("cannot bin samples without edges")
-        return Histogram(bin_edges=(), counts=())
-    arr = np.asarray(values, dtype=float)
-    underflow = int(np.count_nonzero(arr < edges[0]))
-    overflow = int(np.count_nonzero(arr >= edges[-1]))
-    inside = arr[(arr >= edges[0]) & (arr < edges[-1])]
-    idx = np.searchsorted(edges, inside, side="right") - 1
-    counts = np.bincount(idx, minlength=len(edges) - 1)
-    return Histogram(
-        bin_edges=edges,
-        counts=tuple(int(c) for c in counts),
-        underflow=underflow,
-        overflow=overflow,
-    )
 
 
 def _width_histogram(values: Sequence[float], bin_width: float) -> Histogram:
@@ -160,9 +137,6 @@ class DecileBand:
     deciles: Tuple[Tuple[float, ...], ...]  # per bin, levels 0.1 .. 1.0
     counts: Tuple[int, ...]
     sparse: Tuple[bool, ...]                # fewer than SPARSE_BIN_THRESHOLD samples
-
-    def medians(self) -> Tuple[float, ...]:
-        return tuple(d[4] for d in self.deciles)
 
 
 def build_decile_band(

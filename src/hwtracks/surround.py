@@ -5,12 +5,12 @@ vehicle's own travel direction, so their mapping to +y/-y flips between the
 carriageways. DHW is measured bumper to bumper, so dhw == 0 coincides with
 contact and TTC keeps collision semantics.
 
-One sorted search serves one frame and many frames alike: the rows are sorted
-once by (frame, direction, lane, x, id), and every slot is found with
-``searchsorted`` in that order. Only vehicles of the same frame and
-carriageway interact, so ``compute_surround`` runs the search over blocks of
-whole frames, about ``_BLOCK_ROWS`` rows each, and its temporaries are bounded
-by a block, not by the recording. Ties resolve as follows:
+``compute_surround`` fills every track's rows with one sorted search: the
+rows are sorted by (frame, direction, lane, x, id), and every slot is found
+with ``searchsorted`` in that order. Only vehicles of the same frame and
+carriageway interact, so the search runs over blocks of whole frames, about
+``_BLOCK_ROWS`` rows each, and its temporaries are bounded by a block, not by
+the recording. Ties resolve as follows:
 
 - preceding and following are the nearest vehicles strictly ahead and
   strictly behind in x, so a vehicle at the ego's own x is neither; of
@@ -194,41 +194,6 @@ def _search(frame, ids, direction, lane, x, vx, length, lane_count):
                                dhw, thw, ttc])
 
 
-def _search_tracks(tracks: Sequence[Track], counts, frame, lane, x, vx,
-                   meta: RecordingMeta) -> Surround:
-    """``_search`` over rows given as columns, ``counts[i]`` of them from
-    ``tracks[i]``, in track order."""
-    def per_row(values, dtype):
-        return np.repeat(np.array(values, dtype), counts)
-
-    direction = per_row([t.direction.value for t in tracks], np.int64)
-    lanes_of = np.array([0, meta.lane_count(DrivingDirection.UPPER),
-                         meta.lane_count(DrivingDirection.LOWER)])
-    return _search(frame, per_row([t.track_id for t in tracks], np.int64), direction,
-                   lane, x, vx, per_row([t.length for t in tracks], np.float64),
-                   lanes_of[direction])
-
-
-def assign_neighbors(
-    tracks: Sequence[Track], frame: int, meta: RecordingMeta
-) -> Surround:
-    """Neighbor set and headway metrics of every track at one frame.
-
-    Every track must be alive at ``frame``. Only vehicles of the same
-    carriageway interact. Returns one row per track, in input order.
-    """
-    rows = [frame - t.initial_frame for t in tracks]
-    for track, i in zip(tracks, rows):
-        if not 0 <= i < track.num_frames:
-            raise ContractViolation(f"track {track.track_id} is not alive at frame {frame}")
-    return _search_tracks(
-        tracks, 1, np.full(len(tracks), frame),
-        np.array([t.lane[i] for t, i in zip(tracks, rows)], np.int64),
-        np.array([t.x[i] for t, i in zip(tracks, rows)], np.float64),
-        np.array([t.vx[i] for t, i in zip(tracks, rows)], np.float64), meta,
-    )
-
-
 def _frame_blocks(first, counts):
     """``(start, stop)`` frame ranges, in order, that cover the frames of
     tracks whose rows span frames ``first`` to ``first + counts - 1``: each
@@ -255,6 +220,10 @@ def compute_surround(tracks: Sequence[Track], meta: RecordingMeta) -> Dict[int, 
         return {}
     first = np.array([t.initial_frame for t in tracks], np.int64)
     counts = np.array([t.num_frames for t in tracks], np.int64)
+    ids = np.array([t.track_id for t in tracks], np.int64)
+    directions = np.array([t.direction.value for t in tracks], np.int64)
+    lengths = np.array([t.length for t in tracks], np.float64)
+    lane_counts = np.array([meta.lane_count(t.direction) for t in tracks], np.int64)
     ends = np.cumsum(counts)
     offsets = ends - counts
     n = int(ends[-1])
@@ -267,12 +236,13 @@ def compute_surround(tracks: Sequence[Track], meta: RecordingMeta) -> Dict[int, 
         rows = np.arange(size.sum()) + np.repeat(offsets[alive] + lo - np.cumsum(size) + size,
                                                  size)
         block = [tracks[i] for i in alive.tolist()]
-        found = _search_tracks(
-            block, size, rows + np.repeat(first[alive] - offsets[alive], size),
-            *(np.concatenate([getattr(t, name)[a:a + m]
-                              for t, a, m in zip(block, lo.tolist(), size.tolist())])
-              for name in ("lane", "x", "vx")), meta,
-        )
+        lane, x, vx = (np.concatenate([getattr(t, name)[a:a + m]
+                                       for t, a, m in zip(block, lo.tolist(), size.tolist())])
+                       for name in ("lane", "x", "vx"))
+        track_id, direction, length, lane_count = (
+            np.repeat(column[alive], size) for column in (ids, directions, lengths, lane_counts))
+        found = _search(rows + np.repeat(first[alive] - offsets[alive], size), track_id,
+                        direction, lane, x, vx, length, lane_count)
         for column, values in zip(out, found):
             column[rows] = values
     columns = Surround.read_only(out)

@@ -8,10 +8,11 @@ constant-velocity prediction for a bounded number of frames before they are
 terminated at their last measured frame.
 
 The frame walk boxes only the current frame's detection centres as Python
-floats, keeps each active track's last two positions and coast count and logs one (track id, x, y, detection row) entry per active track and
-frame into typed ``array`` columns, 8 bytes an entry; the log is then
-grouped by track once for confirmation, the trim of coasted tails, class
-votes and extents.
+floats, keeps each active track's last two positions and coast count and
+logs one (track id, x, y, detection row) entry per active track and frame
+into typed ``array`` columns, 8 bytes an entry; the log is then grouped by
+track once for confirmation, the trim of coasted tails, class votes and
+extents.
 """
 
 from __future__ import annotations

@@ -490,13 +490,12 @@ def test_criterion_8_round_trip(tmp_path):
 @criterion(9, "statistics conserve counts, deciles are monotone, linear "
               "THW-speed trend is recovered")
 def test_criterion_9_statistics_sanity():
-    from hwtracks import build_histogram, cut_in_thw_stats
+    from hwtracks import cut_in_thw_stats, mean_speed_histogram
     from test_stats import scenario
 
     rng = np.random.default_rng(99)
     values = rng.normal(10.0, 4.0, 20_000)
-    edges = [k * 1.0 for k in range(-10, 41)]
-    hist = build_histogram(values, edges)
+    hist = mean_speed_histogram(values, bin_width=1.0)
     assert hist.total == 20_000
 
     a, b = 0.5, 0.04

@@ -530,6 +530,16 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"unknown key\(s\) \['dt'\]"):
             load_pipeline_config(cfg_path)
 
+    def test_refinement_budget_is_not_a_key(self, tmp_path):
+        # the budget of refinement rounds never binds at the default tolerance
+        from hwtracks.pipeline import load_pipeline_config
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"fit": {"max_refine_iterations": 200}}))
+        with pytest.raises(ValueError, match=r"^fit: unknown key\(s\) "
+                                             r"\['max_refine_iterations'\]$"):
+            load_pipeline_config(cfg_path)
+
     @pytest.mark.parametrize("data, key", [
         ({"jobs": 1.5}, "jobs"),
         ({"jobs": True}, "jobs"),
@@ -538,7 +548,7 @@ class TestConfigFile:
         ({"tracker": {"max_coast": 2.5}}, "tracker.max_coast"),
         ({"maneuvers": {"lane_change_min_dwell": 25.0}},
          "maneuvers.lane_change_min_dwell"),
-        ({"fit": {"max_refine_iterations": 200.5}}, "fit.max_refine_iterations"),
+        ({"fit": {"min_samples": 10.5}}, "fit.min_samples"),
         ({"fit": {"min_samples": True}}, "fit.min_samples"),
         ({"tracker": {"max_coast": None}}, "tracker.max_coast"),
     ])

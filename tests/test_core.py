@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hwtracks import (
-    ContractViolation,
     DetectionTable,
     DrivingDirection,
     Track,
@@ -80,11 +79,11 @@ class TestLaneIdOf:
 
 class TestAheadOf:
     """Which vehicle is ahead along the travel direction, as the preceding and
-    following slots of assign_neighbors see it."""
+    following slots of compute_surround see it."""
 
-    def pair(self, direction, x_a, x_b, frame_b=0):
+    def pair(self, direction, x_a, x_b):
         a = vehicle_at(1, direction, 1, x_a)
-        b = vehicle_at(2, direction, 1, x_b, frame=frame_b)
+        b = vehicle_at(2, direction, 1, x_b)
         return neighbors([a, b], make_meta())
 
     def test_lower_carriageway_larger_x_is_ahead(self):
@@ -101,10 +100,6 @@ class TestAheadOf:
         for sf in self.pair(DrivingDirection.LOWER, 100.0, 100.0):
             assert sf.preceding_id == sf.following_id == NO_VEHICLE
             assert sf.dhw == UNDEFINED
-
-    def test_frame_mismatch_is_contract_violation(self):
-        with pytest.raises(ContractViolation):
-            self.pair(DrivingDirection.LOWER, 100.0, 90.0, frame_b=1)
 
 
 class TestTypes:

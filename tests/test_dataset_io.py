@@ -296,6 +296,17 @@ class TestErrors:
         assert issue.row == 2
         assert issue.column == "x"
 
+    def test_type_errors_of_a_row_come_in_column_order(self, written):
+        _patch_cells(written.tracks_path, [(2, "x", "abc"), (2, "laneId", "zz"),
+                                           (2, "dhw", "q")])
+        issues = validate(written).issues
+        assert [(i.kind, i.row, i.column) for i in issues] == [
+            ("TypeMismatch", 2, "x"), ("TypeMismatch", 2, "laneId"),
+            ("TypeMismatch", 2, "dhw")]
+        with pytest.raises(DatasetError) as raised:
+            read_recording(written)
+        assert raised.value.issue == issues[0]
+
     def test_lane_inconsistency(self, written):
         columns = written.tracks_path.read_text().splitlines()[0].split(",")
         idx = columns.index("laneId")

@@ -496,7 +496,7 @@ class TestSectionSearch:
 
 
 class TestFitEpisodes:
-    def test_lockstep_equals_fitting_alone(self):
+    def test_lockstep_equals_fitting_alone(self, monkeypatch):
         # mixed sample counts, several episodes of each, plus members that
         # raise InsufficientData and DegenerateEpisode
         rng = np.random.default_rng(12)
@@ -509,9 +509,10 @@ class TestFitEpisodes:
         straight = np.arange(0, 2.4, DT)
         episodes.insert(2, (straight, 500 + 30 * straight, np.full_like(straight, 14.5), 15.7))
         episodes.insert(5, (straight[:5], straight[:5], straight[:5], 15.7))
-        for cfg in (FitConfig(), FitConfig(max_refine_iterations=7)):
-            got = fit_episodes(episodes, cfg)
-            alone = [fit_episodes([episode], cfg)[0] for episode in episodes]
+        for budget in (200, 7):
+            monkeypatch.setattr(lane_change, "_MAX_REFINE_ROUNDS", budget)
+            got = fit_episodes(episodes)
+            alone = [fit_episodes([episode])[0] for episode in episodes]
             assert [repr(g) for g in got] == [repr(a) for a in alone]
             assert isinstance(got[2], DegenerateEpisode)
             assert isinstance(got[5], InsufficientData)
@@ -636,8 +637,8 @@ class TestFitLaneChange:
         (3, 1, 3, False),   # cut in the second pass's duration search
         (4, 0, 3, True),    # two whole passes, the second moves < tolerance
     ], ids=["0", "1", "R-1", "2R", "3R+1", "4R"])
-    def test_refinement_budget(self, searches, extra, passes, converged):
-        # max_refine_iterations counts section-search rounds. Away from the
+    def test_refinement_budget(self, searches, extra, passes, converged, monkeypatch):
+        # _MAX_REFINE_ROUNDS counts section-search rounds. Away from the
         # limits a search brackets its coordinate within duration_step, and
         # on this episode every best point is interior, so each search takes
         # `rounds` rounds. An exhausted budget stops the search mid-pass: a
@@ -647,8 +648,9 @@ class TestFitLaneChange:
         rounds = rounds_to_tolerance(2 * cfg.duration_step, cfg.refine_tolerance)
         budget = searches * rounds + extra
         times, xs, ys = synth_episode(params(), noise=0.05, rng=np.random.default_rng(3))
-        fit = fit_lane_change(times, xs, ys, marking_y=15.7,
-                              cfg=FitConfig(max_refine_iterations=budget))
+        with monkeypatch.context() as patch:
+            patch.setattr(lane_change, "_MAX_REFINE_ROUNDS", budget)
+            fit = fit_lane_change(times, xs, ys, marking_y=15.7)
         assert (fit.iterations, fit.converged, len(fit.objective_trace)) == (
             budget, converged, passes)
         grid_objective, grid_t0, grid_T = _grid_minimum(
@@ -678,7 +680,7 @@ class TestFitLaneChange:
         t, x, y = random_episode(np.random.default_rng(0))
         fit = fit_lane_change(t, x, y, 15.7, cfg)
         assert len(fit.objective_trace) == 1 + 8
-        assert fit.iterations < cfg.max_refine_iterations
+        assert fit.iterations < lane_change._MAX_REFINE_ROUNDS
         assert fit.params.d_start + fit.params.d_end >= cfg.min_amplitude
         assert not fit.converged
 

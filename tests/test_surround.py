@@ -2,15 +2,10 @@ import math
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hwtracks import (
-    DrivingDirection,
-    assign_neighbors,
-    compute_surround,
-)
+from hwtracks import DrivingDirection, compute_surround
 from hwtracks import surround as surround_module
 from hwtracks.surround import NO_VEHICLE, UNDEFINED, left_lane_id, right_lane_id
 from conftest import (
@@ -30,12 +25,11 @@ def vehicle_at(track_id, direction, lane, x, vx=25.0, length=4.5, frame=0):
     return track, state
 
 
-def neighbors(vehicles, meta, frame=0):
-    """assign_neighbors over the tracks of ``(track, state)`` pairs at
-    ``frame``, as one record per vehicle in input order."""
-    tracks = [t for t, _ in vehicles]
-    return surround_rows(assign_neighbors(tracks, frame, meta),
-                         [t.track_id for t in tracks])
+def neighbors(vehicles, meta):
+    """compute_surround over the one-frame tracks of ``(track, state)``
+    pairs, as one record per vehicle in input order."""
+    surround = compute_surround([t for t, _ in vehicles], meta)
+    return [surround_rows(surround[t.track_id], [t.track_id])[0] for t, _ in vehicles]
 
 
 def brute_force_neighbors(vehicles, meta):
@@ -142,7 +136,7 @@ def random_scene(rng, n_vehicles, frame=0):
 
 def headway_pair(gap, v_ego, v_lead, len_ego=4.5, len_lead=4.5,
                  direction=DrivingDirection.LOWER, x_ego=100.0):
-    """(dhw, thw, ttc) that assign_neighbors gives an ego with a lead vehicle
+    """(dhw, thw, ttc) that compute_surround gives an ego with a lead vehicle
     ``gap`` metres ahead, bumper to bumper, in the same lane."""
     x_lead = x_ego + direction.travel_sign * (gap + (len_ego + len_lead) / 2)
     ego = vehicle_at(1, direction, 1, x_ego, v_ego, len_ego)
@@ -376,13 +370,13 @@ class TestComputeSurround:
         # so most frames are searched alone, each larger than one block.
         searched = []
 
-        def search_tracks(tracks, counts, *columns):
-            searched.append(int(np.sum(counts)))
-            return real_search_tracks(tracks, counts, *columns)
+        def search(frame, *columns):
+            searched.append(len(frame))
+            return real_search(frame, *columns)
 
-        real_search_tracks = surround_module._search_tracks
+        real_search = surround_module._search
         monkeypatch.setattr(surround_module, "_BLOCK_ROWS", 5)
-        monkeypatch.setattr(surround_module, "_search_tracks", search_tracks)
+        monkeypatch.setattr(surround_module, "_search", search)
         tracks = assert_every_frame_matches_oracle()
         assert sum(searched) == sum(t.num_frames for t in tracks)  # each row once
         assert len(searched) > 50 and max(searched) > 5

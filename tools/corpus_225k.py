@@ -73,11 +73,6 @@ def script() -> dict:
     }
 
 
-def _env() -> dict:
-    return {**os.environ, "PYTHONPATH": str(ROOT / "src"),
-            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-
-
 def track_steps(detections: str, meta_path: str, output: str) -> None:
     """Run the steps of ``pipeline.track_stage`` with its default config and
     print one table row per step: its wall time, then this process's current
@@ -122,13 +117,13 @@ def track_steps(detections: str, meta_path: str, output: str) -> None:
     step("write_recording")
 
 
-def _run(out: Path, command: str, args) -> tuple:
-    """One CLI call in ``out``, its stdout kept as ``<command>.stdout``:
-    its wall time in seconds and its peak RSS in MB."""
+def _run(out: Path, command: str, args, env: dict) -> tuple:
+    """One CLI call in ``out`` under ``env``, its stdout kept as
+    ``<command>.stdout``: its wall time in seconds and its peak RSS in MB."""
     with open(out / f"{command}.stdout", "w", encoding="utf-8") as stdout:
         start = time.perf_counter()
         child = subprocess.Popen([sys.executable, "-m", "hwtracks", command, *args],
-                                 cwd=out, env=_env(), stdout=stdout)
+                                 cwd=out, env=env, stdout=stdout)
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
@@ -146,17 +141,18 @@ def main(argv) -> int:
         print(f"{out} is not empty", file=sys.stderr)
         return 2
     out.mkdir(parents=True, exist_ok=True)
+    from tools.output_digests import child_env, write_manifest
+
+    env = child_env()
     (out / "script.json").write_text(json.dumps(script()), encoding="utf-8")
     print("| subcommand | wall | peak RSS | RSS ÷ input |\n|---|---|---|---|")
     for command, args, inputs in STEPS:
-        wall, rss = _run(out, command, args)
+        wall, rss = _run(out, command, args, env)
         ratio = "—"
         if inputs is not None:
             size = sum(p.stat().st_size for p in (out / inputs).glob("*.csv"))
             ratio = f"{rss * 2**20 / size:.1f}×"
         print(f"| `{command}` | {wall:.2f} s | {rss:.0f} MB | {ratio} |", flush=True)
-    from tools.output_digests import write_manifest
-
     manifest = write_manifest(out)
     print(f"{sum(1 for _ in manifest.open(encoding='utf-8'))} files in {manifest}")
     detections, = (out / "synth" / "detections").glob("*_detections.csv")
@@ -167,7 +163,7 @@ def main(argv) -> int:
         subprocess.run([sys.executable, "-c",
                         "import sys; from tools.corpus_225k import track_steps; "
                         "track_steps(*sys.argv[1:])", str(detections), str(meta_path), scratch],
-                       cwd=ROOT, env={**_env(), "PYTHONPATH": f"{ROOT}:{ROOT / 'src'}"},
+                       cwd=ROOT, env={**env, "PYTHONPATH": f"{ROOT}:{ROOT / 'src'}"},
                        check=True)
     return 0
 

@@ -41,13 +41,18 @@ def _inputs():
     }
 
 
+def child_env() -> dict:
+    """The environment of a CLI child: this checkout's ``src`` on the path and
+    one BLAS thread."""
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def _run(out: Path, stdout_name: str, *args: str) -> None:
     """One CLI call with ``out`` as working directory, so every path it
     prints is relative; its stdout goes to ``stdout_name``."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
-           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     result = subprocess.run([sys.executable, "-m", "hwtracks", *args], cwd=out,
-                            env=env, capture_output=True, text=True)
+                            env=child_env(), capture_output=True, text=True)
     (out / stdout_name).write_text(result.stdout, encoding="utf-8")
     if result.returncode != 0:
         raise SystemExit(f"hwtracks {' '.join(args)} exited {result.returncode}:\n"
