@@ -314,9 +314,9 @@ class DetectionTable:
         _store_columns(self, "detections", len(self), DETECTION_COLUMNS, "frame")
         if len(self) and self.frame[0] < 0:
             raise ValueError(f"detections: frame must be >= 0, got {self.frame[0]}")
-        if (np.diff(self.frame) < 0).any():
+        if (self.frame[1:] < self.frame[:-1]).any():
             raise ValueError("detections: frames must be in ascending order")
-        if not np.isfinite(np.stack([getattr(self, c) for c in DETECTION_COLUMNS])).all():
+        if not all(np.isfinite(getattr(self, c)).all() for c in DETECTION_COLUMNS):
             raise ValueError("detections: cx, cy, length and width must be finite")
         if not ((self.length > 0) & (self.width > 0)).all():
             raise ValueError("detections: extents must be positive")

@@ -26,16 +26,26 @@ detections with one C-parsed ``np.loadtxt``: one int64, float64 or class
 column per field. That fast path stands only where it reads what the
 per-cell parsers would: every line one row (no blank line, no lone CR), no
 NUL, no class longer than its text field, and no cell a parser would flag
-(a non-finite float, an unknown class or direction). Otherwise, and for the
-one-row recordingMeta with its ';' lists, ``csv`` reads the table again and
-every cell is parsed on its own, so the accepted cells and the issues are
-always those of the per-cell parsers, each bad cell named by row and column.
+(a non-finite float, an unknown class or direction). Line ends, lone CRs
+and NULs are found by a scan of the file in chunks of ``_CHUNK_BYTES``, so
+the file is never held whole as bytes; a class column is read by one
+equality mask per class text. Otherwise, and for the one-row recordingMeta
+with its ';' lists, ``csv`` reads the table again and every cell is parsed
+on its own, so the accepted cells and the issues are always those of the
+per-cell parsers, each bad cell named by row and column.
 
-Every stage reports through row masks: a check flags entries (file rows, or
-tracks that name their file row) and ``_report`` issues them by entry and
-then in check order. Issues come by file (recordingMeta, tracksMeta,
-tracks); within the tracks table, each stage below runs only if the ones
-before it found nothing:
+The number columns of a loaded table are views of it. One
+indexer, ``_order``, puts the rows in the order the result needs (tracks by
+id, detections by frame): ``slice(None)`` where they already come in that
+order, as every hwtracks writer and highD write them, so that the result's
+columns are views of the loaded table and no second copy is made;
+otherwise the stable argsort, whose gather copies them.
+
+Every stage reports through ``_report``: a check hands it the indices of
+the entries it flags (file rows, or tracks that name their file row), and
+``_report`` issues them by entry and then in check order. Issues come by
+file (recordingMeta, tracksMeta, tracks); within the tracks table, each
+stage below runs only if the ones before it found nothing:
 
 1. header and cell-count problems;
 2. type errors, by row and then by column;
@@ -251,9 +261,10 @@ def write_detections(detections: DetectionTable, path: Path) -> None:
 # empty report" and "read_recording succeeds" are the same predicate by
 # construction. In strict mode the scanner raises at the first issue.
 
-#: A row check: the entries it flags, the issue kind and column, the message
-#: for a flagged entry (0-based index) and, where an entry is not the data
-#: row of its index, an optional fifth item: the 0-based data row per entry.
+#: A row check: the 0-based indices of the entries it flags, the issue kind
+#: and column, the message for a flagged entry and, where an entry is not the
+#: data row of its index, an optional fifth item: the 0-based data row per
+#: entry.
 Check = Tuple[Any, ...]
 #: A column parser: the cells' values plus a message per cell that is not one.
 Parser = Callable[[Sequence[str]], Tuple[Any, Dict[int, str]]]
@@ -338,16 +349,20 @@ def _directions(texts: Sequence[str]) -> Tuple[np.ndarray, Dict[int, str]]:
     return values, bad
 
 
-def _classes(texts: Sequence[str], optional: bool = False) -> Tuple[List, Dict[int, str]]:
-    """VehicleClass per cell; an empty cell is None where the class is optional."""
+def _classes(texts: Sequence[str], optional: bool = False) -> Tuple[np.ndarray, Dict[int, str]]:
+    """VehicleClass per cell, as an object column; an empty cell is None where
+    the class is optional."""
     known: Dict[str, Any] = {"": None} if optional else {}
+    unknown: Dict[str, str] = {}
     for text in set(texts) - known.keys():
         try:
             known[text] = VehicleClass.parse(text)
         except ValueError as exc:
-            known[text] = exc
-    values = [known[text] for text in texts]
-    bad = {i: str(v) for i, v in enumerate(values) if isinstance(v, ValueError)}
+            # Its message only: gc does not traverse an object array, so an
+            # exception kept in one would keep its traceback's frames alive.
+            unknown[text] = str(exc)
+    values = np.array([known.get(text) for text in texts], object)
+    bad = {i: unknown[text] for i, text in enumerate(texts) if text in unknown}
     return values, bad
 
 
@@ -358,6 +373,8 @@ _FIELD_OF_PARSER: Dict[Parser, Any] = {
     _ints: np.int64, _directions: np.int64, _floats: np.float64,
     _classes: f"U{_CLASS_CHARS}",
 }
+#: Bytes of a table read at a time while its line ends are counted.
+_CHUNK_BYTES = 1 << 16
 
 
 def _loaded_values(parse: Parser, column: np.ndarray) -> Optional[Any]:
@@ -365,11 +382,18 @@ def _loaded_values(parse: Parser, column: np.ndarray) -> Optional[Any]:
     ``parse`` would flag a cell or the text field may have cut a class."""
     kind = getattr(parse, "func", parse)
     if kind is _classes:
-        texts, rows = np.unique(column, return_inverse=True)
-        classes, bad = parse(texts.tolist())
-        if bad or (np.char.str_len(texts) >= _CLASS_CHARS).any():
-            return None
-        return [classes[i] for i in rows.tolist()]
+        # One equality mask per text the parser accepts; a text that fills
+        # the field may have been cut, so it is not matched.
+        texts = ["", *(member.value for member in VehicleClass)]
+        classes, bad = parse(texts)
+        values = np.empty(len(column), object)
+        matched = np.zeros(len(column), bool)
+        for i, text in enumerate(texts):
+            if i not in bad and len(text) < _CLASS_CHARS:
+                hit = column == text
+                values[hit] = classes[i]
+                matched |= hit
+        return values if matched.all() else None
     if kind is _floats and not np.isfinite(column).all():
         return None
     if kind is _directions and not ((column == 1) | (column == 2)).all():
@@ -377,19 +401,35 @@ def _loaded_values(parse: Parser, column: np.ndarray) -> Optional[Any]:
     return column
 
 
+def _plain_rows(path: Path) -> Optional[int]:
+    """The data rows of a table that holds no NUL and no CR outside a CRLF,
+    counted by line ends in chunks of ``_CHUNK_BYTES``; None otherwise."""
+    line_ends = crs = crlfs = 0
+    last = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_CHUNK_BYTES):
+            if b"\0" in chunk:
+                return None
+            line_ends += chunk.count(b"\n")
+            crs += chunk.count(b"\r")
+            crlfs += chunk.count(b"\r\n") + (last == b"\r" and chunk[:1] == b"\n")
+            last = chunk[-1:]
+    return line_ends + (last != b"\n") - 1 if crs == crlfs else None
+
+
 def _load_table(path: Path, parsers: Mapping[str, Parser]) -> Optional[Dict[str, Any]]:
     """The typed columns of a table from one C-parsed ``np.loadtxt``; None
     unless it reads every line as one row and no cell would be flagged, in
-    which case the per-cell parsers give the same values."""
+    which case the per-cell parsers give the same values. Number columns are
+    views of the loaded table."""
     fields = {c: _FIELD_OF_PARSER.get(getattr(p, "func", p)) for c, p in parsers.items()}
-    data = Path(path).read_bytes()
+    if None in fields.values():
+        return None
     # loadtxt skips blank lines, reads a lone CR as a line end and drops the
     # NULs that end a text field; csv does none of these.
-    rows = data.count(b"\n") + (not data.endswith(b"\n")) - 1
-    if (None in fields.values() or rows < 1 or b"\0" in data
-            or data.count(b"\r") != data.count(b"\r\n")):
+    rows = _plain_rows(path)
+    if rows is None or rows < 1:
         return None
-    del data
     try:
         table = np.loadtxt(
             path, dtype=list(fields.items()), delimiter=",",
@@ -447,25 +487,31 @@ def _parse_table(
     values: Dict[str, Any] = {}
     checks: List[Check] = []
     for column, (values[column], bad) in parsed.items():
-        flagged = np.zeros(len(values[column]), bool)
-        flagged[list(bad)] = True
-        checks.append((flagged, TYPE_MISMATCH, column, bad.__getitem__))
+        checks.append((np.fromiter(bad, np.int64, len(bad)), TYPE_MISMATCH, column,
+                       bad.__getitem__))
     return values, checks
 
 
-def _parsed(type_checks: Sequence[Check]) -> np.ndarray:
-    """Rows in which every cell parsed."""
-    return ~np.any([check[0] for check in type_checks], axis=0)
+def _parsed(n: int, type_checks: Sequence[Check]) -> np.ndarray:
+    """Which of ``n`` rows parsed in every cell."""
+    typed = np.ones(n, bool)
+    for check in type_checks:
+        typed[check[0]] = False
+    return typed
+
+
+def _order(keys: np.ndarray) -> Any:
+    """The stable order of rows by ``keys``: ``slice(None)`` where the keys
+    do not decrease, so that indexing a column gives a view, else the
+    argsort."""
+    return slice(None) if (keys[1:] >= keys[:-1]).all() else np.argsort(keys, kind="stable")
 
 
 def _report(scanner: _Scanner, path: Path, checks: Sequence[Check]) -> bool:
     """Issue every flagged entry, by entry and then in the order of
     ``checks``; True when no entry is flagged. An entry names its own index
     as the data row, or ``rows[index]`` for a check that ends with ``rows``."""
-    hits = sorted(
-        (i, k) for k, check in enumerate(checks)
-        for i in np.flatnonzero(check[0]).tolist()
-    )
+    hits = sorted((i, k) for k, check in enumerate(checks) for i in check[0].tolist())
     for i, k in hits:
         _, kind, column, message, *rows = checks[k]
         row = int(rows[0][i]) if rows else i
@@ -548,7 +594,7 @@ def _scan_tracks_meta(scanner: _Scanner, path: Path) -> Optional[Dict[str, Any]]
         return None
     values, checks = parsed
     ids = values["id"]
-    typed = _parsed(checks)
+    typed = _parsed(len(ids), checks)
     kept = typed & (values["length"] > 0) & (values["width"] > 0)
     # A parsed row repeats an id that an earlier kept row holds.
     keys, key_of_row = np.unique(ids, return_inverse=True)
@@ -556,9 +602,9 @@ def _scan_tracks_meta(scanner: _Scanner, path: Path) -> Optional[Dict[str, Any]]
     np.minimum.at(first_kept, key_of_row[kept], np.flatnonzero(kept))
     repeated = typed & (first_kept[key_of_row] < np.arange(len(ids)))
     checks += [
-        (repeated, DUPLICATE_ID, "id",
+        (np.flatnonzero(repeated), DUPLICATE_ID, "id",
          lambda i: f"track id {ids[i]} appears more than once"),
-        (typed & ~repeated & ~kept, INVARIANT_VIOLATION, None,
+        (np.flatnonzero(typed & ~repeated & ~kept), INVARIANT_VIOLATION, None,
          lambda i: f"track {ids[i]}: extents must be positive"),
     ]
     return values if _report(scanner, path, checks) else None
@@ -583,6 +629,59 @@ _TRACKS_PARSERS: Dict[str, Parser] = {
 }
 
 
+def _row_checks(cols: Mapping[str, np.ndarray], meta: RecordingMeta,
+                directions: np.ndarray, track_ids: np.ndarray, first_frame: np.ndarray,
+                last_frame: np.ndarray) -> List[Check]:
+    """The per-row checks of a tracks table in which every track id has a
+    tracksMeta row: track ``track_ids[g]`` drives in direction
+    ``directions[g]`` from frame ``first_frame[g]`` to ``last_frame[g]``."""
+    ids, frames, y, lanes = cols["id"], cols["frame"], cols["y"], cols["laneId"]
+    group = np.searchsorted(track_ids, ids)
+    expected_lane = np.zeros(len(ids), np.int64)
+    for direction in DrivingDirection:
+        rows = directions[group] == direction.value
+        expected_lane[rows] = nearest_lane_id(y[rows], meta, direction)
+    del group, rows
+    checks = [
+        (np.flatnonzero(_frames_outside(frames, meta.max_frame)), INVARIANT_VIOLATION,
+         "frame",
+         lambda i: f"frame {frames[i]} outside [0, {format_float(meta.max_frame)}]"),
+        (np.flatnonzero(lanes != expected_lane), INVARIANT_VIOLATION, "laneId",
+         lambda i: f"laneId {lanes[i]} inconsistent with y={format_float(y[i])} "
+                   f"(expected {expected_lane[i]})"),
+    ]
+    for column in _NEIGHBOR_COLUMNS:
+        neighbor = cols[column]
+        at = np.minimum(np.searchsorted(track_ids, neighbor), len(track_ids) - 1)
+        present = track_ids[at] == neighbor
+        alive = present & (first_frame[at] <= frames) & (frames <= last_frame[at])
+        other = (neighbor != NO_VEHICLE) & (neighbor != ids)
+        checks += [
+            (np.flatnonzero((neighbor != NO_VEHICLE) & (neighbor == ids)),
+             INVARIANT_VIOLATION, column,
+             lambda i, c=column: f"{c} equals the row's own track id {ids[i]}"),
+            (np.flatnonzero(other & ~present), DANGLING_REFERENCE, column,
+             lambda i, c=column, n=neighbor: f"{c}={n[i]} refers to an unknown track"),
+            (np.flatnonzero(other & present & ~alive), DANGLING_REFERENCE, column,
+             lambda i, c=column, n=neighbor:
+                 f"{c}={n[i]} is not alive at frame {frames[i]}"),
+        ]
+    for column in _SENTINEL_COLUMNS:
+        value = cols[column]
+        checks.append((
+            np.flatnonzero((value != UNDEFINED) & (value < 0)), INVARIANT_VIOLATION, column,
+            lambda i, c=column, v=value:
+                f"{c} must be >= 0 or the -1 sentinel, got {format_float(v[i])}",
+        ))
+    no_leader = cols["precedingId"] == NO_VEHICLE
+    for column in _SENTINEL_COLUMNS:
+        checks.append((
+            np.flatnonzero(no_leader & (cols[column] != UNDEFINED)), INVARIANT_VIOLATION,
+            column, lambda i, c=column: f"{c} defined without a preceding vehicle",
+        ))
+    return checks
+
+
 def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Recording]]:
     scanner = _Scanner(strict)
     meta = _scan_recording_meta(scanner, paths.recording_meta_path)
@@ -596,17 +695,18 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
         return scanner, None
 
     # Cross-references: ids both ways and consecutive frames per track.
-    # Rows are grouped by track id in file order; group g spans
-    # order[begins[g]:ends[g]].
+    # Rows are grouped by track id in file order: ``order`` sorts them, and
+    # group g spans rows begins[g]:ends[g] of the sorted columns.
     ids, frames = cols["id"], cols["frame"]
     track_ids, first_rows, counts = np.unique(ids, return_index=True, return_counts=True)
     ends = np.cumsum(counts)
     begins = ends - counts
-    order = np.argsort(ids, kind="stable")
+    order = _order(ids)
     ids_sorted, frames_sorted = ids[order], frames[order]
     prev, cur = frames_sorted[:-1], frames_sorted[1:]
     gap = (ids_sorted[1:] == ids_sorted[:-1]) & ~((cur > prev) & (cur - prev == 1))
     breaks = np.append(np.flatnonzero(gap) + 1, len(ids))
+    del ids_sorted, gap
     first_break = breaks[np.searchsorted(breaks, begins)]
     meta_ids = metas["id"]
     # Entry j is the j-th track to appear in the file, group seen[j]; a
@@ -616,15 +716,15 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
     known = np.isin(seen_ids, meta_ids)
     gap_at = np.minimum(first_break, len(ids) - 1)[seen]  # first gap, in sorted rows
     linked = _report(scanner, tracks_path, [
-        (~known, DANGLING_REFERENCE, "id",
+        (np.flatnonzero(~known), DANGLING_REFERENCE, "id",
          lambda j: f"track id {seen_ids[j]} has no tracksMeta entry", first_rows[seen]),
-        (known & (first_break < ends)[seen], NON_MONOTONE_FRAMES, "frame",
+        (np.flatnonzero(known & (first_break < ends)[seen]), NON_MONOTONE_FRAMES, "frame",
          lambda j: f"track {seen_ids[j]}: frame {frames_sorted[gap_at[j]]} follows "
                    f"{frames_sorted[gap_at[j] - 1]} (frames must be consecutive)",
-         order[gap_at]),
+         gap_at if isinstance(order, slice) else order[gap_at]),
     ])
     if not _report(scanner, tracks_meta_path, [(
-        ~np.isin(meta_ids, track_ids), DANGLING_REFERENCE, "id",
+        np.flatnonzero(~np.isin(meta_ids, track_ids)), DANGLING_REFERENCE, "id",
         lambda i: f"track id {meta_ids[i]} has no rows in the tracks table",
     )]) or not linked:
         return scanner, None
@@ -632,50 +732,10 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
     # Per-row checks; every track id now has one tracksMeta row.
     by_id = np.argsort(meta_ids)
     meta_rows = by_id[np.searchsorted(meta_ids, track_ids, sorter=by_id)]
-    group = np.searchsorted(track_ids, ids)
-    directions = metas["drivingDirection"][meta_rows][group]
-    y, lanes = cols["y"], cols["laneId"]
-    expected_lane = np.zeros(len(ids), np.int64)
-    for direction in DrivingDirection:
-        rows = directions == direction.value
-        expected_lane[rows] = nearest_lane_id(y[rows], meta, direction)
     first_frame, last_frame = frames_sorted[begins], frames_sorted[ends - 1]
-    checks = [
-        (_frames_outside(frames, meta.max_frame), INVARIANT_VIOLATION, "frame",
-         lambda i: f"frame {frames[i]} outside [0, {format_float(meta.max_frame)}]"),
-        (lanes != expected_lane, INVARIANT_VIOLATION, "laneId",
-         lambda i: f"laneId {lanes[i]} inconsistent with y={format_float(y[i])} "
-                   f"(expected {expected_lane[i]})"),
-    ]
-    for column in _NEIGHBOR_COLUMNS:
-        neighbor = cols[column]
-        at = np.minimum(np.searchsorted(track_ids, neighbor), len(track_ids) - 1)
-        present = track_ids[at] == neighbor
-        alive = present & (first_frame[at] <= frames) & (frames <= last_frame[at])
-        other = (neighbor != NO_VEHICLE) & (neighbor != ids)
-        checks += [
-            ((neighbor != NO_VEHICLE) & (neighbor == ids), INVARIANT_VIOLATION, column,
-             lambda i, c=column: f"{c} equals the row's own track id {ids[i]}"),
-            (other & ~present, DANGLING_REFERENCE, column,
-             lambda i, c=column, n=neighbor: f"{c}={n[i]} refers to an unknown track"),
-            (other & present & ~alive, DANGLING_REFERENCE, column,
-             lambda i, c=column, n=neighbor:
-                 f"{c}={n[i]} is not alive at frame {frames[i]}"),
-        ]
-    for column in _SENTINEL_COLUMNS:
-        value = cols[column]
-        checks.append((
-            (value != UNDEFINED) & (value < 0), INVARIANT_VIOLATION, column,
-            lambda i, c=column, v=value:
-                f"{c} must be >= 0 or the -1 sentinel, got {format_float(v[i])}",
-        ))
-    no_leader = cols["precedingId"] == NO_VEHICLE
-    for column in _SENTINEL_COLUMNS:
-        checks.append((
-            no_leader & (cols[column] != UNDEFINED), INVARIANT_VIOLATION, column,
-            lambda i, c=column: f"{c} defined without a preceding vehicle",
-        ))
-    if not _report(scanner, tracks_path, checks):
+    if not _report(scanner, tracks_path, _row_checks(
+            cols, meta, metas["drivingDirection"][meta_rows], track_ids, first_frame,
+            last_frame)):
         return scanner, None
 
     # Per-track summaries against tracksMeta, by track id: entry g is track
@@ -698,11 +758,11 @@ def _scan(paths: RecordingFileSet, strict: bool) -> Tuple[_Scanner, Optional[Rec
     stored = {c: metas[c][meta_rows] for c in summary}
     off = {c: ~speed_off & (stored[c] != actual) for c, actual in summary.items()}
     off["numLaneChanges"] &= ~(off["numFrames"] | off["initialFrame"] | off["finalFrame"])
-    checks = [(speed_off, INVARIANT_VIOLATION, "meanSpeed",
+    checks = [(np.flatnonzero(speed_off), INVARIANT_VIOLATION, "meanSpeed",
                lambda g: f"track {track_ids[g]}: meanSpeed {format_float(stored_speed[g])} "
                          f"does not match recomputed {format_float(speed[g])}",
                meta_rows)]
-    checks += [(off[c], INVARIANT_VIOLATION, c,
+    checks += [(np.flatnonzero(off[c]), INVARIANT_VIOLATION, c,
                 lambda g, c=c: f"track {track_ids[g]}: {c}={stored[c][g]} does not match "
                                f"the tracks table ({summary[c][g]})",
                 meta_rows) for c in summary]
@@ -768,22 +828,22 @@ def read_detections(path: Path, max_frame: float) -> DetectionTable:
     assert parsed is not None  # a strict scanner raises instead
     cols, checks = parsed
     frames = cols["frame"]
-    typed = _parsed(checks)
-    unparsed_frames = checks[0][0]
+    typed = _parsed(len(frames), checks)
+    outside = _frames_outside(frames, max_frame)
+    outside[checks[0][0]] = False
     checks.insert(1, (  # a parsed frame's bound right after its type
-        ~unparsed_frames & _frames_outside(frames, max_frame), INVARIANT_VIOLATION,
+        np.flatnonzero(outside), INVARIANT_VIOLATION,
         "frame", lambda i: f"frame {frames[i]} outside [0, {format_float(max_frame)}]",
     ))
     for column in ("length", "width"):
         checks.append((
-            typed & (cols[column] <= 0), TYPE_MISMATCH, column,
+            np.flatnonzero(typed & (cols[column] <= 0)), TYPE_MISMATCH, column,
             lambda i, c=column: f"{c} must be positive, got {format_float(cols[c][i])}",
         ))
     _report(scanner, path, checks)
-    order = np.argsort(frames, kind="stable")
-    hints = cols["class"]
+    order = _order(frames)
     return DetectionTable(frames[order], *(cols[c][order] for c in DETECTION_COLUMNS),
-                          [hints[i] for i in order.tolist()])
+                          cols["class"][order])
 
 
 def recording_prefixes(directory: Path, suffix: str) -> List[str]:

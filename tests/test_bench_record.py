@@ -93,6 +93,21 @@ def test_parse_corpus_track_steps():
     }
 
 
+def test_parse_corpus_extract_steps():
+    corpus = parse_corpus(CORPUS_STDOUT + (
+        "\n| step of `track` | time | RSS after the step | peak so far |\n|---|---|---|---|\n"
+        "| `import` | 0.22 s | 32.8 MB | 32.6 MB |\n"
+        "\n| step of `extract` | time | RSS after the step | peak so far |\n|---|---|---|---|\n"
+        "| `import` | 0.25 s | 33.1 MB | 33.1 MB |\n"
+        "| `read_recording` | 0.70 s | 80.4 MB | 86.9 MB |\n"))
+    assert corpus["track_steps"] == {
+        "import": {"wall_s": 0.22, "rss_mb": 32.8, "peak_rss_mb": 32.6}}
+    assert corpus["extract_steps"] == {
+        "import": {"wall_s": 0.25, "rss_mb": 33.1, "peak_rss_mb": 33.1},
+        "read_recording": {"wall_s": 0.7, "rss_mb": 80.4, "peak_rss_mb": 86.9},
+    }
+
+
 def test_parse_wc():
     assert parse_wc(WC_STDOUT) == {"__init__.py": 109, "lane_change.py": 601, "total": 710}
 

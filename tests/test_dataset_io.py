@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hwtracks import (
     validate,
     write_recording,
 )
+from hwtracks import dataset_io
 from hwtracks.dataset_io import (
     DANGLING_REFERENCE,
     DUPLICATE_ID,
@@ -363,6 +365,83 @@ class TestThroughput:
         assert calls(large) <= 1.2 * size_ratio * calls(small)
 
 
+class TestTracedPeak:
+    @pytest.mark.parametrize("read", [read_recording, validate])
+    def test_traced_peak_per_tracks_row(self, tmp_path, read):
+        # 23,894 rows of 320 tracks. The loaded table takes 152 B per row and
+        # the columns read are views of it; with the Track and Surround
+        # objects and the per-track slices, read_recording's result takes
+        # 196 B per row. The peak measured 201 B per row for both reads, and
+        # the bound leaves 19 % slack; the reader that copied the columns
+        # into track order beside the table measured 428 B.
+        meta, tracks, surround = random_recording(seed=3, n_tracks=320)
+        paths = write_recording(meta, tracks, surround, tmp_path / "large")
+        rows = sum(t.num_frames for t in tracks)
+        assert rows >= 20000
+        # numpy's lazy imports happen untraced
+        read(write_recording(*random_recording(seed=4, n_tracks=3), tmp_path / "small"))
+        tracemalloc.start()
+        try:
+            read(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 240 * rows, peak / rows
+
+
+def _shuffle_tracks_rows(path, seed):
+    """Shuffle the data rows of a tracks table, keeping each track's rows in
+    frame order."""
+    header, *rows = path.read_text().splitlines()
+    random.Random(seed).shuffle(rows)
+    of_track = {}
+    for row in sorted(rows, key=lambda row: int(row.split(",")[0])):
+        of_track.setdefault(row.split(",")[1], []).append(row)
+    of_track = {track: iter(track_rows) for track, track_rows in of_track.items()}
+    rows = [next(of_track[row.split(",")[1]]) for row in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+def _columns(recording):
+    """Every value of a recording's tracks and surround, by track."""
+    return [(t.vehicle_class, t.direction, t.length, t.width, t.mean_speed,
+             t.initial_frame, [getattr(t, c).tolist() for c in ("x", "y", "vx", "vy", "ax",
+                                                                 "ay", "lane")],
+             [c.tolist() for c in recording.surround[t.track_id]])
+            for t in recording.tracks]
+
+
+class TestRowOrder:
+    def test_shuffled_tracks_table_reads_as_the_canonical_one(self, tmp_path):
+        meta, tracks, surround = random_recording(seed=5, n_tracks=6)
+        canonical = write_recording(meta, tracks, surround, tmp_path / "canonical")
+        shuffled = write_recording(meta, tracks, surround, tmp_path / "shuffled")
+        _shuffle_tracks_rows(shuffled.tracks_path, seed=5)
+        assert _columns(read_recording(shuffled)) == _columns(read_recording(canonical))
+        assert validate(shuffled).ok
+        # Per-track summaries name tracksMeta rows, so both tables give one report.
+        reports = []
+        for paths in (canonical, shuffled):
+            _patch_cells(paths.tracks_meta_path, [(2, "numLaneChanges", "5"),
+                                                  (4, "meanSpeed", "1"),
+                                                  (5, "initialFrame", "0")])
+            reports.append(_issue_tuples(validate(paths).issues, paths.tracks_path.parent))
+        assert reports[0] == reports[1]
+        assert [(kind, row, column) for kind, _, _, row, column in reports[0]] == [
+            ("InvariantViolation", 2, "numLaneChanges"),
+            ("InvariantViolation", 4, "meanSpeed"),
+            ("InvariantViolation", 5, "initialFrame"),
+        ]
+
+    def test_canonical_columns_are_read_only_views(self, tmp_path):
+        meta, tracks, surround = random_recording(seed=5, n_tracks=2)
+        recording = read_recording(write_recording(meta, tracks, surround, tmp_path))
+        track = recording.tracks[0]
+        for column in (track.x, track.lane, recording.surround[track.track_id].dhw):
+            assert not column.flags.writeable
+            assert not column.flags.c_contiguous  # a field of the loaded table
+
+
 # Cells a mutation may write: malformed numbers, sentinels, small ids,
 # class names and an integer beyond 64 bits.
 MUTANT_CELLS = ["", "x", "nan", "inf", "-1", "0", "1", "2", "3", "99", "-2.5",
@@ -666,19 +745,64 @@ LOADTXT_GUARD_CASES = {
 }
 
 
+def assert_guard_case(tmp_path, table, edit, want):
+    """The seed-7 recording with ``edit`` applied to ``table`` reports
+    ``want``, or reads as written where ``want`` is None."""
+    meta, tracks, surround = random_recording(seed=7, n_tracks=3)
+    paths = write_recording(meta, tracks, surround, tmp_path)
+    path = getattr(paths, table)
+    path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
+    issues = validate(paths).issues
+    assert _issue_tuples(issues, tmp_path) == (want or [])
+    if want:
+        with pytest.raises(DatasetError) as err:
+            read_recording(paths)
+        assert err.value.issue == issues[0]
+    else:
+        assert_recordings_equal(read_recording(paths), meta, tracks, surround)
+
+
 class TestLoadtxtGuards:
     @pytest.mark.parametrize("table, edit, want", LOADTXT_GUARD_CASES.values(),
                              ids=list(LOADTXT_GUARD_CASES))
     def test_report_is_the_per_cell_parsers(self, tmp_path, table, edit, want):
+        assert_guard_case(tmp_path, table, edit, want)
+
+
+class TestChunkedScan:
+    """``_plain_rows`` counts line ends in chunks; a small chunk puts every
+    kind of line end and NUL across chunk boundaries."""
+
+    TABLE = b"frame,cx\r\n0,1\r\n1,2\r\n2,3\n3,4"
+
+    @pytest.mark.parametrize("chunk", range(1, 12))
+    def test_crlf_across_a_chunk_boundary_is_one_line_end(self, monkeypatch, tmp_path,
+                                                           chunk):
+        path = tmp_path / "table.csv"
+        path.write_bytes(self.TABLE)
+        monkeypatch.setattr(dataset_io, "_CHUNK_BYTES", chunk)
+        assert dataset_io._plain_rows(path) == 4
+
+    @pytest.mark.parametrize("edit", [b"2,3\r4", b"2,\x003"], ids=["lone-cr", "nul"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8])
+    def test_lone_cr_or_nul_in_a_later_chunk_is_not_plain(self, monkeypatch, tmp_path,
+                                                          edit, chunk):
+        path = tmp_path / "table.csv"
+        path.write_bytes(self.TABLE.replace(b"2,3", edit))
+        monkeypatch.setattr(dataset_io, "_CHUNK_BYTES", chunk)
+        assert dataset_io._plain_rows(path) is None
+
+    @pytest.mark.parametrize("case", ["nul-in-class", "cr-line-ends", "no-final-newline",
+                                      "inf", "blank-line-end"])
+    def test_small_chunks_give_the_per_cell_report(self, monkeypatch, tmp_path, case):
+        monkeypatch.setattr(dataset_io, "_CHUNK_BYTES", 7)
+        assert_guard_case(tmp_path, *LOADTXT_GUARD_CASES[case])
+
+    def test_crlf_table_takes_the_loaded_path_in_small_chunks(self, monkeypatch, tmp_path):
         meta, tracks, surround = random_recording(seed=7, n_tracks=3)
         paths = write_recording(meta, tracks, surround, tmp_path)
-        path = getattr(paths, table)
-        path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
-        issues = validate(paths).issues
-        assert _issue_tuples(issues, tmp_path) == (want or [])
-        if want:
-            with pytest.raises(DatasetError) as err:
-                read_recording(paths)
-            assert err.value.issue == issues[0]
-        else:
-            assert_recordings_equal(read_recording(paths), meta, tracks, surround)
+        path = paths.tracks_path
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        monkeypatch.setattr(dataset_io, "_CHUNK_BYTES", 7)
+        assert dataset_io._load_table(path, dataset_io._TRACKS_PARSERS) is not None
+        assert_recordings_equal(read_recording(paths), meta, tracks, surround)

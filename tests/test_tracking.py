@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hwtracks import (
+    DetectionTable,
     TrackerConfig,
     VehicleClass,
     associate_frame,
@@ -455,6 +456,48 @@ class TestDetectionsCsv:
         path = tmp_path / "01_detections.csv"
         path.write_text("frame,cx,cy,length,width,class\n0,1,2,4,2,Car\n750,1,2,4,2,Car\n")
         assert read_detections(path, max_frame=750).frame.tolist() == [0, 750]
+
+    def test_frames_out_of_order_read_as_the_sorted_file(self, tmp_path):
+        # The frames run backwards, each frame's rows in canonical order: the
+        # stable sort by frame gives the canonical table back.
+        canonical = tmp_path / "01_detections.csv"
+        write_detections(random_detections(600), canonical)
+        header, *lines = canonical.read_text().splitlines()
+        lines.sort(key=lambda line: -int(line.split(",")[0]))
+        backwards = tmp_path / "02_detections.csv"
+        backwards.write_text("\n".join([header, *lines]) + "\n")
+        assert read_outcome(backwards) == read_outcome(canonical)
+
+    def test_traced_peak_per_row(self, tmp_path):
+        # 24,000 rows. The loaded table takes 72 B per row (32 B of it the
+        # class text field) and stays alive under the columns, which are
+        # views of it, beside 8 B per row of class hints. The peak measured
+        # 93 B per row, and the bound leaves 13 % slack; the reader that
+        # copied the columns into frame order measured 191 B.
+        path = tmp_path / "01_detections.csv"
+        write_detections(random_detections(24000), path)
+        warm = tmp_path / "02_detections.csv"
+        write_detections(random_detections(10), warm)
+        read_detections(warm, max_frame=1000)  # numpy's lazy imports happen untraced
+        tracemalloc.start()
+        try:
+            read_detections(path, max_frame=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 105 * 24000, peak / 24000
+
+
+def random_detections(n):
+    """``n`` detections in frames 0..999 with 2-decimal centres and extents
+    and every class hint."""
+    rng = np.random.default_rng(n)
+    hints = (None, VehicleClass.CAR, VehicleClass.TRUCK)
+    return DetectionTable(
+        np.sort(rng.integers(0, 1000, n)),
+        *(rng.uniform(low, high, n).round(2)
+          for low, high in ((0, 400), (0, 30), (3.5, 16), (1.8, 2.6))),
+        [hints[h] for h in rng.integers(0, 3, n).tolist()])
 
 
 DETECTIONS_CSV = ("frame,cx,cy,length,width,class\n"

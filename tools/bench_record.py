@@ -12,7 +12,7 @@ Then runs, each as a child process of this checkout:
   workloads;
 - ``tools/corpus_225k.py`` once, in a temporary directory (wall time and
   peak RSS of each subcommand on the 225k-row corpus, and the time and RSS
-  after each step of ``track``);
+  after each step of ``track`` and of ``extract``);
 - ``wc -l src/hwtracks/*.py``.
 
 Then writes ``BENCH_<N>.json`` at the root of the checkout: the environment
@@ -80,9 +80,11 @@ def parse_run(stdout: str) -> Dict:
 
 def parse_corpus(stdout: str) -> Dict:
     """The subcommand table of ``tools/corpus_225k.py``, its manifest size and
-    the ``track`` step table that follows the manifest line."""
-    table, steps = {}, {}
-    files = None
+    the ``track`` and ``extract`` step tables that follow the manifest line,
+    each under the name its header gives."""
+    table: Dict = {}
+    steps: Dict[str, Dict] = {"track_steps": {}, "extract_steps": {}}
+    files = rows = None
     for line in stdout.splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if len(cells) == 4 and cells[0].startswith("`") and files is None:
@@ -92,14 +94,16 @@ def parse_corpus(stdout: str) -> Dict:
                 "peak_rss_mb": float(rss.split()[0]),
                 "rss_input_ratio": float(ratio.rstrip("×")) if ratio != "—" else None,
             }
-        elif len(cells) == 4 and cells[0].startswith("`"):
+        elif len(cells) == 4 and cells[0].startswith("step of `"):
+            rows = steps.setdefault(f"{cells[0][len('step of `'):-1]}_steps", {})
+        elif len(cells) == 4 and cells[0].startswith("`") and rows is not None:
             name, wall, rss, peak = cells
-            steps[name.strip("`")] = {"wall_s": float(wall.split()[0]),
-                                      "rss_mb": float(rss.split()[0]),
-                                      "peak_rss_mb": float(peak.split()[0])}
+            rows[name.strip("`")] = {"wall_s": float(wall.split()[0]),
+                                     "rss_mb": float(rss.split()[0]),
+                                     "peak_rss_mb": float(peak.split()[0])}
         elif line.split(" files in ")[0].isdigit():
             files = int(line.split()[0])
-    return {"subcommands": table, "manifest_files": files, "track_steps": steps}
+    return {"subcommands": table, "manifest_files": files, **steps}
 
 
 def parse_wc(stdout: str) -> Dict[str, int]:

@@ -13,12 +13,13 @@ RSS (from ``os.wait4``) and that RSS over the size of its input files.
 ``tools/output_digests.py`` does, so the manifests of two checkouts compare
 with ``diff``.
 
-Then it prints the step table of ``track``: the steps of
-``pipeline.track_stage`` run on the corpus detections in one fresh child
-process, with the wall time of each step and, after it, the process's
-current RSS and high-water mark (``VmRSS`` and ``VmHWM`` of
-``/proc/self/status``). Its recording goes to a directory that is removed
-at the end, so the manifest does not see it.
+Then it prints the step tables of ``track`` and ``extract``: the steps of
+``pipeline.track_stage`` run on the corpus detections, and those of
+``extract`` on the tracked recording, each in one fresh child process, with
+the wall time of each step and, after it, the process's current RSS and
+high-water mark (``VmRSS`` and ``VmHWM`` of ``/proc/self/status``). Their
+outputs go to a directory that is removed at the end, so the manifest does
+not see them.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src"), str(ROOT / "tests")]
@@ -73,12 +75,10 @@ def script() -> dict:
     }
 
 
-def track_steps(detections: str, meta_path: str, output: str) -> None:
-    """Run the steps of ``pipeline.track_stage`` with its default config and
-    print one table row per step: its wall time, then this process's current
-    RSS and high-water mark after it. The names that ``track_stage`` drops
-    after a step are dropped here too. Meant for a fresh process, whose
-    high-water mark is then this run's."""
+def _stepper() -> Callable[[str], None]:
+    """A ``step(name)`` that prints one table row: the wall time since the
+    last step (the first since this call), then this process's current RSS
+    and high-water mark."""
     clock = [time.perf_counter()]
 
     def step(name: str) -> None:
@@ -90,6 +90,16 @@ def track_steps(detections: str, meta_path: str, output: str) -> None:
               flush=True)
         clock[0] = now
 
+    return step
+
+
+def track_steps(detections: str, meta_path: str, output: str) -> None:
+    """Run the steps of ``pipeline.track_stage`` with its default config and
+    print one table row per step: its wall time, then this process's current
+    RSS and high-water mark after it. The names that ``track_stage`` drops
+    after a step are dropped here too. Meant for a fresh process, whose
+    high-water mark is then this run's."""
+    step = _stepper()
     from hwtracks.dataset_io import read_detections, read_recording_meta, write_recording
     from hwtracks.pipeline import PipelineConfig
     from hwtracks.smoothing import smooth_series, smooth_track_with_diagnostics
@@ -115,6 +125,32 @@ def track_steps(detections: str, meta_path: str, output: str) -> None:
     step("compute_surround")
     write_recording(meta, tracks, surround, Path(output))
     step("write_recording")
+
+
+def extract_steps(recording: str, output: str) -> None:
+    """Run what ``hwtracks extract`` does for the one recording in the
+    directory ``recording``, with the default config, and print a table row
+    per step as ``track_steps`` does: reading it, ``extract_stage`` and the
+    per-recording files written to ``output``."""
+    step = _stepper()
+    from hwtracks.dataset_io import discover_recordings, read_recording
+    from hwtracks.lane_change import write_cut_ins_csv, write_cut_ins_json, write_fits_csv
+    from hwtracks.maneuvers import write_episodes_csv, write_episodes_json
+    from hwtracks.pipeline import PipelineConfig, extract_stage
+
+    step("import")
+    paths, = discover_recordings(Path(recording))
+    loaded = read_recording(paths)
+    step("read_recording")
+    result = extract_stage(loaded, PipelineConfig())
+    step("extract_stage")
+    out, rid = Path(output), result.recording_id
+    write_episodes_csv(result.episodes, rid, out / f"{rid:02d}_episodes.csv")
+    write_episodes_json(result.episodes, rid, out / f"{rid:02d}_episodes.json")
+    write_fits_csv(result.fits, rid, out / f"{rid:02d}_laneChangeFits.csv")
+    write_cut_ins_csv(result.cut_ins, rid, out / f"{rid:02d}_cutIns.csv")
+    write_cut_ins_json(result.cut_ins, rid, out / f"{rid:02d}_cutIns.json")
+    step("writes")
 
 
 def _run(out: Path, command: str, args, env: dict) -> tuple:
@@ -157,14 +193,16 @@ def main(argv) -> int:
     print(f"{sum(1 for _ in manifest.open(encoding='utf-8'))} files in {manifest}")
     detections, = (out / "synth" / "detections").glob("*_detections.csv")
     meta_path = detections.with_name(detections.name.replace("detections", "recordingMeta"))
-    print("\n| step of `track` | time | RSS after the step | peak so far |\n|---|---|---|---|",
-          flush=True)
     with tempfile.TemporaryDirectory(dir=out) as scratch:
-        subprocess.run([sys.executable, "-c",
-                        "import sys; from tools.corpus_225k import track_steps; "
-                        "track_steps(*sys.argv[1:])", str(detections), str(meta_path), scratch],
-                       cwd=ROOT, env={**env, "PYTHONPATH": f"{ROOT}:{ROOT / 'src'}"},
-                       check=True)
+        for name, args in (("track", (detections, meta_path, scratch)),
+                           ("extract", (out / "rec", scratch))):
+            print(f"\n| step of `{name}` | time | RSS after the step | peak so far |\n"
+                  "|---|---|---|---|", flush=True)
+            subprocess.run([sys.executable, "-c",
+                            f"import sys; from tools.corpus_225k import {name}_steps; "
+                            f"{name}_steps(*sys.argv[1:])", *map(str, args)],
+                           cwd=ROOT, env={**env, "PYTHONPATH": f"{ROOT}:{ROOT / 'src'}"},
+                           check=True)
     return 0
 
 
