@@ -9,44 +9,73 @@ Exit codes: 0 success, 1 failure, 2 usage. Failures are reported as a JSON
 object on stderr; the validate subcommand writes its report as JSON on
 stdout. Recording-level parallelism (--jobs) never changes any output byte:
 workers own disjoint files and merged statistics are reduced in input order.
+
+Importing this module loads neither numpy nor any pipeline module. A
+subcommand loads only the modules it runs (``_SUBCOMMAND_MODULES``) and binds
+the names it calls from them (``_NAMES``) as attributes of this module, in
+``main`` before any pool starts, so forked workers inherit them; the pool
+workers bind them again, since a worker started by spawn or forkserver
+imports this module afresh. The names stay module attributes, not imports
+inside the functions, because perfbench/tracing.py wraps them by ``setattr``
+on this module: binding never overwrites a name already bound, so a wrapper
+set before ``main`` runs stays in place, and a name read from outside before
+any subcommand bound it is loaded by the module's ``__getattr__``.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import importlib
 import os
 import sys
 import traceback
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import stats as statsmod
-from .core import dump_json
-from .dataset_io import (
-    DatasetError,
-    RecordingFileSet,
-    discover_recordings,
-    recording_prefixes,
-    validate,
-    write_detections,
-    write_recording,
-    write_recording_meta,
-)
-from .lane_change import write_cut_ins_csv, write_cut_ins_json, write_fits_csv
-from .maneuvers import write_episodes_csv, write_episodes_json
-from .pipeline import (
-    ExtractResult,
-    PipelineConfig,
-    events_recording_files,
-    extract_recording_files,
-    load_pipeline_config,
-    track_stage,
-)
-from .surround import (
-    compute_surround,  # not called here; perfbench/tracing.py wraps it by this name
-)
-from .synth import corrupt, generate_truth, load_script
+if TYPE_CHECKING:
+    from .dataset_io import RecordingFileSet
+    from .pipeline import ExtractResult, PipelineConfig
+
+#: The names this module calls from the package's modules, by module.
+_NAMES = {
+    "core": ("dump_json",),
+    "dataset_io": ("DatasetError", "discover_recordings", "recording_prefixes", "validate",
+                   "write_detections", "write_recording", "write_recording_meta"),
+    "lane_change": ("write_cut_ins_csv", "write_cut_ins_json", "write_fits_csv"),
+    "maneuvers": ("write_episodes_csv", "write_episodes_json"),
+    "pipeline": ("events_recording_files", "extract_recording_files",
+                 "load_pipeline_config", "track_stage"),
+    # not called here; perfbench/tracing.py wraps it by this name
+    "surround": ("compute_surround",),
+    "synth": ("corrupt", "generate_truth", "load_script"),
+}
+#: The modules each subcommand runs.
+_SUBCOMMAND_MODULES = {
+    "synth": ("core", "dataset_io", "lane_change", "maneuvers", "synth"),
+    "track": ("core", "dataset_io", "pipeline"),
+    "extract": ("core", "dataset_io", "lane_change", "maneuvers", "pipeline"),
+    "stats": ("core", "dataset_io", "lane_change", "maneuvers", "pipeline"),
+    "validate": ("core", "dataset_io"),
+}
+
+
+def _bind(command: str) -> None:
+    """Load the modules ``command`` runs and bind the names it calls from
+    them. A name already bound stays: it may be a wrapper set from outside."""
+    namespace = globals()
+    for module_name in _SUBCOMMAND_MODULES[command]:
+        module = importlib.import_module(f".{module_name}", __package__)
+        for name in _NAMES[module_name]:
+            namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    """A name of ``_NAMES`` read from outside before a subcommand bound it."""
+    for module_name, names in _NAMES.items():
+        if name in names:
+            value = getattr(importlib.import_module(f".{module_name}", __package__), name)
+            return globals().setdefault(name, value)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _error_dict(kind: str, message: str, file: Optional[str] = None,
@@ -81,6 +110,7 @@ def _exception_error(exc: Exception) -> Dict:
 
 
 def _track_one(item: Tuple[Path, Path, PipelineConfig, Path]):
+    _bind("track")  # a worker started by spawn or forkserver has bound nothing
     detections_path, meta_path, cfg, output_dir = item
     try:
         track_stage(detections_path, meta_path, cfg, output_dir)
@@ -92,6 +122,7 @@ def _track_one(item: Tuple[Path, Path, PipelineConfig, Path]):
 def _extract_one(item: Tuple[RecordingFileSet, PipelineConfig, Path, bool]):
     """``extract`` fits lane changes and writes the per-recording files,
     ``stats`` (no ``write_files``) does neither; both return the summary."""
+    _bind("extract")
     paths, cfg, output_dir, write_files = item
     try:
         if not write_files:
@@ -124,6 +155,8 @@ def _run_parallel(worker, items: Sequence, jobs: int) -> List:
     workers = _worker_count(jobs, len(items))
     if workers <= 1:
         return [worker(item) for item in items]
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items))
 
@@ -196,6 +229,8 @@ def cmd_track(args) -> int:
 def _write_corpus_stats(
     results: Sequence[ExtractResult], cfg: PipelineConfig, output_dir: Path
 ) -> None:
+    from . import stats as statsmod
+
     all_episodes = [e for r in results for e in r.episodes]
     all_cut_ins = [c for r in results for c in r.cut_ins]
     mean_speeds = [v for r in results for v in r.mean_speeds]
@@ -322,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _bind(args.command)
     try:
         return args.func(args)
     except Exception as exc:  # last-resort structured report, never a bare crash

@@ -69,6 +69,26 @@ class ManeuverEpisode:
                 raise ValueError("lane change must change the lane")
 
 
+def _following(surround: Surround, cfg: ManeuverConfig) -> np.ndarray:
+    """Per row, whether the vehicle follows (see ``label_longitudinal``): the
+    label of the last row that sets or resets it, carried forward. A row sets
+    it when a preceding vehicle exists with THW below ``following_thw_max``,
+    and resets it when there is none, the THW is undefined, or the THW
+    exceeds the threshold plus the hysteresis band; other rows hold the
+    label, which starts as free driving. The band is positive, so no row both
+    sets and resets."""
+    thw = surround.thw
+    has_thw = (surround.preceding_id != NO_VEHICLE) & (thw != UNDEFINED)
+    sets = has_thw & (thw < cfg.following_thw_max)
+    resets = ~has_thw | (thw > cfg.following_thw_max + cfg.following_hysteresis)
+    rows = np.arange(len(thw))
+    last = np.maximum.accumulate(np.where(sets | resets, rows, -1))
+    return (last >= 0) & sets[last]
+
+
+_KINDS = np.array([ManeuverKind.FREE_DRIVING, ManeuverKind.VEHICLE_FOLLOWING], dtype=object)
+
+
 def label_longitudinal(
     track: Track, surround: Surround, cfg: ManeuverConfig
 ) -> List[ManeuverKind]:
@@ -81,34 +101,22 @@ def label_longitudinal(
     the THW rides the threshold.
     """
     check_rows(track, surround)
-    labels: List[ManeuverKind] = []
-    following = False
-    for preceding, thw in zip(surround.preceding_id.tolist(), surround.thw.tolist()):
-        if preceding == NO_VEHICLE or thw == UNDEFINED:
-            following = False
-        elif not following:
-            following = thw < cfg.following_thw_max
-        else:
-            following = not thw > cfg.following_thw_max + cfg.following_hysteresis
-        labels.append(
-            ManeuverKind.VEHICLE_FOLLOWING if following else ManeuverKind.FREE_DRIVING
-        )
-    return labels
+    return _KINDS[_following(surround, cfg).astype(np.intp)].tolist()
 
 
 def longitudinal_episodes(
     track: Track, surround: Surround, cfg: ManeuverConfig
 ) -> List[ManeuverEpisode]:
     """Maximal runs of the two longitudinal labels as episodes."""
-    labels = label_longitudinal(track, surround, cfg)
-    following = np.array([label is ManeuverKind.VEHICLE_FOLLOWING for label in labels])
+    check_rows(track, surround)
+    following = _following(surround, cfg)
     # Runs start at 0 and wherever the label changes.
-    bounds = [0, *(np.flatnonzero(np.diff(following)) + 1).tolist(), len(labels)]
+    bounds = [0, *(np.flatnonzero(np.diff(following)) + 1).tolist(), len(following)]
     first = track.initial_frame
     return [
         ManeuverEpisode(
             track_id=track.track_id,
-            kind=labels[start],
+            kind=_KINDS[int(following[start])],
             start_frame=first + start,
             end_frame=first + stop - 1,
         )

@@ -175,6 +175,25 @@ def test_pair_summary():
     assert summary["chain_s"]["change_wins"] == 2
 
 
+@pytest.mark.parametrize("direction, shifts, resolved", [
+    # the parent reads 1.0 .. 1.9: median 1.45, interquartile distance 0.45
+    ("lower", [-0.5] * 9 + [0.1], True),  # 9 of 10 pairs, median 0.95
+    ("lower", [-0.4] * 10, False),  # 10 of 10 pairs, but within the spread
+    ("lower", [-0.5] * 8 + [0.1] * 2, False),  # 8 of 10 pairs
+    ("higher", [0.6] * 9 + [-0.1], True),  # 9 of 10 pairs, median 1.95
+    ("higher", [-0.5] * 9 + [0.1], False),
+])
+def test_pair_summary_resolved(direction, shifts, resolved):
+    values = [1.0 + i / 10 for i in range(10)]
+    parent = [parse_run(run_stdout(v)) for v in values]
+    change = [parse_run(run_stdout(v + s)) for v, s in zip(values, shifts)]
+    extract = pair_summary(parent, change, {"extract_s": direction})["extract_s"]
+    assert extract["parent"]["q3"] - extract["parent"]["q1"] == pytest.approx(0.45)
+    assert extract["resolved"] is resolved
+    # the canned pairs win 3 of 4
+    assert not pair_summary(*canned_pairs(), {"extract_s": "lower"})["extract_s"]["resolved"]
+
+
 def test_pair_summary_higher_is_better():
     parent, change = canned_pairs()
     summary = pair_summary(parent, change, {"extract_s": "higher"})

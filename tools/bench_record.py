@@ -33,7 +33,9 @@ cannot favour a side. The
 ``pairs`` section of ``BENCH_<N>.json`` gives, per workload and end-to-end
 metric, the parent's and the change's median and quartiles and the number
 of pairs in which the change is better (in the metric's direction in
-``BENCHMARK.json``), with every raw run.
+``BENCHMARK.json``) and whether a gain in it may be claimed (``resolved``:
+better in at least nine tenths of the pairs, by more in the median than
+the parent's interquartile distance), with every raw run.
 """
 
 from __future__ import annotations
@@ -136,9 +138,12 @@ def summarize(runs: Sequence[Dict]) -> Dict[str, Dict]:
 def pair_summary(parent: Sequence[Dict], change: Sequence[Dict],
                  better: Mapping[str, str]) -> Dict[str, Dict]:
     """Per metric of ``better`` (name -> ``"lower"`` or ``"higher"``): the
-    median and quartiles of the parent's and of the change's runs, and in
-    how many pairs (``parent[i]``, ``change[i]``) the change is strictly
-    better. Metrics that a run of a pair lacks skip that pair."""
+    median and quartiles of the parent's and of the change's runs, in how
+    many pairs (``parent[i]``, ``change[i]``) the change is strictly better,
+    and whether that clears the rule for claiming a gain (``resolved``): the
+    change wins at least nine tenths of the pairs, and its median is better
+    than the parent's by more than the parent's interquartile distance.
+    Metrics that a run of a pair lacks skip that pair."""
     summary = {}
     for name, direction in better.items():
         pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(parent, change)
@@ -146,12 +151,17 @@ def pair_summary(parent: Sequence[Dict], change: Sequence[Dict],
         if not pairs:
             continue
         sign = 1 if direction == "lower" else -1
+        before, after = quartiles([p for p, _ in pairs]), quartiles([c for _, c in pairs])
+        wins = sum(sign * (c - p) < 0 for p, c in pairs)
         summary[name] = {
             "better": direction,
-            "parent": quartiles([p for p, _ in pairs]),
-            "change": quartiles([c for _, c in pairs]),
-            "change_wins": sum(sign * (c - p) < 0 for p, c in pairs),
+            "parent": before,
+            "change": after,
+            "change_wins": wins,
             "pairs": len(pairs),
+            "resolved": (10 * wins >= 9 * len(pairs)
+                         and sign * (before["median"] - after["median"])
+                         > before["q3"] - before["q1"]),
         }
     return summary
 
