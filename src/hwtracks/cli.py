@@ -166,6 +166,8 @@ def _run_parallel(worker, items: Sequence, jobs: int) -> List:
 
 
 def cmd_synth(args) -> int:
+    """Write the truth recording, episodes and cut-ins, then drop the truth's
+    surround before ``corrupt`` runs, and write the detections last."""
     errors: List[Dict] = []
     try:
         script = load_script(args.script, args.seed_override)
@@ -176,25 +178,22 @@ def cmd_synth(args) -> int:
         detections_dir.mkdir(parents=True, exist_ok=True)
         truth_dir.mkdir(parents=True, exist_ok=True)
 
-        rid = truth.meta.recording_id
-        detections = corrupt(
-            truth.tracks,
-            script.noise,
-            script.seed,
-            meta=truth.meta,
-            road_length=truth.road_length,
-            scripted_dropouts=truth.scripted_dropouts,
-        )
-        write_detections(detections, detections_dir / f"{rid:02d}_detections.csv")
-        write_recording_meta(truth.meta, detections_dir / f"{rid:02d}_recordingMeta.csv")
-
-        write_recording(truth.meta, truth.tracks, truth.surround, truth_dir)
+        meta, tracks, dropouts = truth.meta, truth.tracks, truth.scripted_dropouts
+        rid = meta.recording_id
+        write_recording(meta, tracks, truth.surround, truth_dir)
         write_episodes_csv(truth.episodes, rid, truth_dir / f"{rid:02d}_episodes.csv")
         write_episodes_json(truth.episodes, rid, truth_dir / f"{rid:02d}_episodes.json")
         write_cut_ins_csv(truth.cut_ins, rid, truth_dir / f"{rid:02d}_cutIns.csv")
         write_cut_ins_json(truth.cut_ins, rid, truth_dir / f"{rid:02d}_cutIns.json")
-        print(f"recording {rid}: {len(truth.tracks)} vehicles, "
-              f"{len(truth.episodes)} lane changes, {len(truth.cut_ins)} cut-ins")
+        done = (f"recording {rid}: {len(tracks)} vehicles, "
+                f"{len(truth.episodes)} lane changes, {len(truth.cut_ins)} cut-ins")
+        del truth
+
+        detections = corrupt(tracks, script.noise, script.seed, meta=meta,
+                             road_length=script.road_length, scripted_dropouts=dropouts)
+        write_detections(detections, detections_dir / f"{rid:02d}_detections.csv")
+        write_recording_meta(meta, detections_dir / f"{rid:02d}_recordingMeta.csv")
+        print(done)
         return 0
     except Exception as exc:
         errors.append(_exception_error(exc))

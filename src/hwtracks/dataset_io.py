@@ -17,13 +17,17 @@ Formatting is canonical (fixed column order, comma delimiter, dot decimal
 separator, floats at 6 significant digits, LF line endings, UTF-8) so that
 write -> read -> write is byte identical. List-valued recordingMeta cells
 (lane markings, speed limits) are semicolon separated. Sentinels: neighbor
-id 0 = none; dhw/thw/ttc -1 = undefined; speed limit -1 = unlimited.
+id 0 = none; dhw/thw/ttc -1 = undefined; speed limit -1 = unlimited. Track
+ids, a track's own and its neighbors', are int32: a cell outside
+[-2**31, 2**31) is a type error. Frames, lane ids and the recording id are
+int64. Each table declares a column once, by its cell parser, which also
+gives the column's writer kind and its ``np.loadtxt`` field.
 
 Reading is one columnar scan, shared by ``read_recording`` (which raises the
 first issue) and ``validate`` (which lists them all). ``_parse_table`` checks
 a table's header in Python and reads the body of tracksMeta, tracks and the
-detections with one C-parsed ``np.loadtxt``: one int64, float64 or class
-column per field. That fast path stands only where it reads what the
+detections with one C-parsed ``np.loadtxt``: one int64, int32, float64 or
+class column per field. That fast path stands only where it reads what the
 per-cell parsers would: every line one row (no blank line, no lone CR), no
 NUL, no class longer than its text field, and no cell a parser would flag
 (a non-finite float, an unknown class or direction). Line ends, lone CRs
@@ -177,7 +181,7 @@ def _format_list(values: Sequence[float]) -> str:
 def write_recording_meta(meta: RecordingMeta, path: Path) -> None:
     limits = [speed_limit_to_file(v)
               for v in (*meta.upper_speed_limits, *meta.lower_speed_limits)]
-    write_table(path, _RECORDING_META_PARSERS, "ddggsss", [[
+    write_table(path, _RECORDING_META_PARSERS, _kinds(_RECORDING_META_PARSERS), [[
         [meta.recording_id],
         [meta.location_id],
         [meta.frame_rate],
@@ -226,28 +230,19 @@ def write_recording(
             *surround[track.track_id],
         )
 
-    write_table(paths.tracks_path, _TRACKS_PARSERS, "ddgs" + "g" * 4 + "d" * 9 + "ggg",
+    write_table(paths.tracks_path, _TRACKS_PARSERS, _kinds(_TRACKS_PARSERS, text=("y",)),
                 map(block, ordered))
-    write_table(paths.tracks_meta_path, _TRACKS_META_PARSERS, "dggsdgdddd", [list(zip(*(
-        (
-            track.track_id,
-            track.length,
-            track.width,
-            track.vehicle_class.value,
-            track.direction.value,
-            track.mean_speed,
-            track.num_frames,
-            track.initial_frame,
-            track.final_frame,
-            changes,
-        )
-        for track, changes in zip(ordered, lane_changes)
-    )))])
+    rows = [(track.track_id, track.length, track.width, track.vehicle_class.value,
+             track.direction.value, track.mean_speed, track.num_frames, track.initial_frame,
+             track.final_frame, changes)
+            for track, changes in zip(ordered, lane_changes)]
+    write_table(paths.tracks_meta_path, _TRACKS_META_PARSERS, _kinds(_TRACKS_META_PARSERS),
+                [list(zip(*rows))])
     return paths
 
 
 def write_detections(detections: DetectionTable, path: Path) -> None:
-    write_table(path, _DETECTIONS_PARSERS, "dggggs", [(
+    write_table(path, _DETECTIONS_PARSERS, _kinds(_DETECTIONS_PARSERS), [(
         detections.frame,
         *(getattr(detections, c) for c in DETECTION_COLUMNS),
         ["" if hint is None else hint.value for hint in detections.class_hint],
@@ -291,8 +286,9 @@ class _Scanner:
         self.issues.append(item)
 
 
-def _ints(texts: Sequence[str]) -> Tuple[np.ndarray, Dict[int, str]]:
-    values = np.zeros(len(texts), np.int64)
+def _ints(texts: Sequence[str], dtype=np.int64) -> Tuple[np.ndarray, Dict[int, str]]:
+    limits = np.iinfo(dtype)
+    values = np.zeros(len(texts), dtype)
     bad: Dict[int, str] = {}
     for i, text in enumerate(texts):
         try:
@@ -300,11 +296,16 @@ def _ints(texts: Sequence[str]) -> Tuple[np.ndarray, Dict[int, str]]:
         except ValueError:
             bad[i] = f"expected integer, got {text!r}"
             continue
-        if _INT64.min <= value <= _INT64.max:
+        if limits.min <= value <= limits.max:
             values[i] = value
         else:
-            bad[i] = f"integer {text!r} does not fit in 64 bits"
+            bad[i] = f"integer {text!r} does not fit in {limits.bits} bits"
     return values, bad
+
+
+def _ids(texts: Sequence[str]) -> Tuple[np.ndarray, Dict[int, str]]:
+    """Track ids, own and neighbor: integers that fit in 32 bits."""
+    return _ints(texts, np.int32)
 
 
 def _floats(texts: Sequence[str]) -> Tuple[np.ndarray, Dict[int, str]]:
@@ -368,11 +369,26 @@ def _classes(texts: Sequence[str], optional: bool = False) -> Tuple[np.ndarray, 
 
 #: Characters of the ``np.loadtxt`` text field of a class column.
 _CLASS_CHARS = 8
-#: The ``np.loadtxt`` field of each column parser that has one.
-_FIELD_OF_PARSER: Dict[Parser, Any] = {
-    _ints: np.int64, _directions: np.int64, _floats: np.float64,
-    _classes: f"U{_CLASS_CHARS}",
+#: Per column parser: the ``write_table`` kind of its column and its
+#: ``np.loadtxt`` field, None where it has none.
+_FORM_OF_PARSER: Dict[Parser, Tuple[str, Any]] = {
+    _ints: ("d", np.int64), _ids: ("d", np.int32), _directions: ("d", np.int64),
+    _floats: ("g", np.float64), _classes: ("s", f"U{_CLASS_CHARS}"),
+    _float_lists: ("s", None),
 }
+
+
+def _form(parse: Parser) -> Tuple[str, Any]:
+    """The writer kind and ``np.loadtxt`` field of a column parser."""
+    return _FORM_OF_PARSER[getattr(parse, "func", parse)]
+
+
+def _kinds(parsers: Mapping[str, Parser], text: Sequence[str] = ()) -> str:
+    """The ``write_table`` kinds of a table's columns, from their parsers;
+    the columns ``text`` are handed over already formatted (kind ``s``)."""
+    return "".join("s" if c in text else _form(p)[0] for c, p in parsers.items())
+
+
 #: Bytes of a table read at a time while its line ends are counted.
 _CHUNK_BYTES = 1 << 16
 
@@ -411,8 +427,10 @@ def _plain_rows(path: Path) -> Optional[int]:
             if b"\0" in chunk:
                 return None
             line_ends += chunk.count(b"\n")
-            crs += chunk.count(b"\r")
-            crlfs += chunk.count(b"\r\n") + (last == b"\r" and chunk[:1] == b"\n")
+            if b"\r" in chunk:  # an LF-only chunk skips both CR counts
+                crs += chunk.count(b"\r")
+                crlfs += chunk.count(b"\r\n")
+            crlfs += last == b"\r" and chunk[:1] == b"\n"
             last = chunk[-1:]
     return line_ends + (last != b"\n") - 1 if crs == crlfs else None
 
@@ -422,7 +440,7 @@ def _load_table(path: Path, parsers: Mapping[str, Parser]) -> Optional[Dict[str,
     unless it reads every line as one row and no cell would be flagged, in
     which case the per-cell parsers give the same values. Number columns are
     views of the loaded table."""
-    fields = {c: _FIELD_OF_PARSER.get(getattr(p, "func", p)) for c, p in parsers.items()}
+    fields = {c: _form(p)[1] for c, p in parsers.items()}
     if None in fields.values():
         return None
     # loadtxt skips blank lines, reads a lone CR as a line end and drops the
@@ -580,7 +598,7 @@ def _scan_recording_meta(scanner: _Scanner, path: Path) -> Optional[RecordingMet
 
 
 _TRACKS_META_PARSERS: Dict[str, Parser] = {
-    "id": _ints, "length": _floats, "width": _floats, "class": _classes,
+    "id": _ids, "length": _floats, "width": _floats, "class": _classes,
     "drivingDirection": _directions, "meanSpeed": _floats, "numFrames": _ints,
     "initialFrame": _ints, "finalFrame": _ints, "numLaneChanges": _ints,
 }
@@ -621,10 +639,10 @@ _TABLE_COLUMN_OF = dict(zip(
     ("x", "y", "xVelocity", "yVelocity", "xAcceleration", "yAcceleration", "laneId"),
 ))
 _TRACKS_PARSERS: Dict[str, Parser] = {
-    "frame": _ints, "id": _ints,
+    "frame": _ints, "id": _ids,
     **{c: _floats for c in ("x", "y", "xVelocity", "yVelocity", "xAcceleration",
                             "yAcceleration")},
-    **{c: _ints for c in ("laneId", *_NEIGHBOR_COLUMNS)},
+    "laneId": _ints, **{c: _ids for c in _NEIGHBOR_COLUMNS},
     **{c: _floats for c in _SENTINEL_COLUMNS},
 }
 

@@ -47,7 +47,7 @@ _BLOCK_ROWS = 4096
 class Surround(NamedTuple):
     """Neighbor ids and headway metrics as columns, one row per vehicle row:
     per track, row i is the track's frame ``initial_frame + i``. The ids
-    are read-only int64 and the metrics read-only float64 arrays."""
+    are read-only int32 and the metrics read-only float64 arrays."""
 
     preceding_id: np.ndarray
     following_id: np.ndarray
@@ -220,14 +220,14 @@ def compute_surround(tracks: Sequence[Track], meta: RecordingMeta) -> Dict[int, 
         return {}
     first = np.array([t.initial_frame for t in tracks], np.int64)
     counts = np.array([t.num_frames for t in tracks], np.int64)
-    ids = np.array([t.track_id for t in tracks], np.int64)
+    ids = np.array([t.track_id for t in tracks], np.int32)
     directions = np.array([t.direction.value for t in tracks], np.int64)
     lengths = np.array([t.length for t in tracks], np.float64)
     lane_counts = np.array([meta.lane_count(t.direction) for t in tracks], np.int64)
     ends = np.cumsum(counts)
     offsets = ends - counts
     n = int(ends[-1])
-    out = [np.empty(n, np.int64) for _ in range(8)] + [np.empty(n) for _ in range(3)]
+    out = [np.empty(n, np.int32) for _ in range(8)] + [np.empty(n) for _ in range(3)]
     for start, stop in _frame_blocks(first, counts):
         alive = np.flatnonzero((first < stop) & (first + counts > start))
         lo = np.maximum(start - first[alive], 0)

@@ -23,6 +23,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -418,19 +419,30 @@ def _frame_rows(
 ) -> Iterator[Tuple[int, List[Tuple[Track, float, float]]]]:
     """Yield ``(frame, [(track, x, y), ...])`` for every frame from 0 to the
     last frame of any track, with the tracks present at that frame in
-    track-id order: one walk over all rows sorted by (frame, track id), each
-    frame's rows boxed as Python objects only when it is yielded."""
+    track-id order (tracks of one id in their order in ``tracks``). One sweep
+    over the frames: a track joins at its first frame and leaves after its
+    last, and its x and y are read through memoryviews of its own columns,
+    so no row is copied."""
     if not tracks:
         return
-    owner = np.repeat(np.arange(len(tracks)), [t.num_frames for t in tracks])
-    frame = np.concatenate([t.frames for t in tracks])
-    order = np.lexsort((np.array([t.track_id for t in tracks])[owner], frame))
-    frame, owner = frame[order], owner[order]
-    x, y = (np.concatenate([getattr(t, c) for t in tracks])[order] for c in "xy")
-    bounds = np.searchsorted(frame, np.arange(frame[-1] + 2)).tolist()
-    for f, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        yield f, list(zip(map(tracks.__getitem__, owner[a:b].tolist()),
-                          x[a:b].tolist(), y[a:b].tolist()))
+    joining = sorted(range(len(tracks)), key=lambda i: tracks[i].initial_frame)
+    leaving = {t.final_frame for t in tracks}
+    # (sort key, track, first frame, x, y) of each present track
+    present: List[Tuple[Tuple[int, int], Track, int, memoryview, memoryview]] = []
+    k = 0
+    for frame in range(max(leaving) + 1):
+        joined = k
+        while k < len(joining) and tracks[joining[k]].initial_frame == frame:
+            t = tracks[joining[k]]
+            present.append(((t.track_id, joining[k]), t, frame,
+                            memoryview(t.x), memoryview(t.y)))
+            k += 1
+        if k > joined:
+            present.sort(key=itemgetter(0))
+        yield frame, [(t, x[frame - first], y[frame - first])
+                      for _, t, first, x, y in present]
+        if frame in leaving:
+            present = [entry for entry in present if entry[1].final_frame > frame]
 
 
 def _validate_no_overlap(tracks: Sequence[Track]) -> None:
@@ -530,7 +542,7 @@ def corrupt(
     scripted = scripted_dropouts or {}
     burst_left: Dict[int, int] = {t.track_id: 0 for t in tracks}
     # frame and the four float columns packed, not as Python numbers: the
-    # caller's truth, surround included, is alive while this runs
+    # caller's truth tracks are alive while this runs
     columns: List = [array("q"), *(array("d") for _ in DETECTION_COLUMNS), []]
 
     def emit(*row) -> None:  # frame, cx, cy, length, width, class hint

@@ -8,6 +8,7 @@ from tools.bench_record import (
     PAIRS,
     bench_document,
     bytecode_state,
+    corpus_section,
     pair_summary,
     pairs_section,
     parse_corpus,
@@ -43,6 +44,11 @@ CORPUS_STDOUT = """\
 | `extract` | 1.07 s | 123 MB | 5.4× |
 34 files in /tmp/out/MANIFEST.sha256
 """
+
+def corpus_stdout(synth_s, track_mb):
+    return CORPUS_STDOUT.replace("2.40 s", f"{synth_s:.2f} s").replace(
+        "134 MB", f"{track_mb} MB")
+
 
 WC_STDOUT = """\
   109 /repo/src/hwtracks/__init__.py
@@ -108,6 +114,25 @@ def test_parse_corpus_extract_steps():
     }
 
 
+def test_corpus_section_keeps_every_run_and_the_medians():
+    runs = [parse_corpus(corpus_stdout(s, mb)) for s, mb in ((2.4, 134), (3.1, 131),
+                                                              (2.2, 140))]
+    section = corpus_section(runs)
+    assert section["runs"] == runs
+    assert section["median"] == {
+        "synth": {"wall_s": 2.4, "peak_rss_mb": 130.0, "rss_input_ratio": None},
+        "track": {"wall_s": 3.71, "peak_rss_mb": 134.0, "rss_input_ratio": 20.2},
+        "extract": {"wall_s": 1.07, "peak_rss_mb": 123.0, "rss_input_ratio": 5.4},
+    }
+    assert [run["manifest_files"] for run in section["runs"]] == [34] * 3
+
+
+def test_corpus_section_of_an_even_number_of_runs():
+    runs = [parse_corpus(corpus_stdout(s, mb)) for s, mb in ((2.4, 134), (3.0, 131))]
+    assert corpus_section(runs)["median"]["synth"]["wall_s"] == pytest.approx(2.7)
+    assert corpus_section(runs)["median"]["track"]["peak_rss_mb"] == 132.5
+
+
 def test_parse_wc():
     assert parse_wc(WC_STDOUT) == {"__init__.py": 109, "lane_change.py": 601, "total": 710}
 
@@ -121,14 +146,14 @@ def test_written_document(tmp_path):
         "fleet-8x60": {"trace0": [parse_run(run_stdout(0.7))], "trace1": []},
     }
     bytecode = {"dont_write_bytecode": True, "pycache_at_start": False}
-    document = bench_document(16, runs, parse_corpus(CORPUS_STDOUT), parse_wc(WC_STDOUT),
-                              bytecode)
+    corpus = corpus_section([parse_corpus(corpus_stdout(s, 134)) for s in (2.4, 2.6, 2.5)])
+    document = bench_document(16, runs, corpus, parse_wc(WC_STDOUT), bytecode)
     path = tmp_path / "BENCH_16.json"
     write_bench(path, document)
     written = json.loads(path.read_text(encoding="utf-8"))
     assert written == json.loads(json.dumps(document))
     assert written["bench"] == 16
-    assert written["settings"] == {"runs": 5, "seed": 1, "seconds": 12.0,
+    assert written["settings"] == {"runs": 5, "seed": 1, "seconds": 12.0, "corpus_runs": 3,
                                    "dont_write_bytecode": True, "pycache_at_start": False}
     assert written["environment"] == ENVIRONMENT
     assert written["failed_runs"] == 1
@@ -136,7 +161,10 @@ def test_written_document(tmp_path):
     assert dense["trace0"]["summary"]["extract_s"]["median"] == pytest.approx(1.1)
     assert [r["metrics"]["extract_s"] for r in dense["trace0"]["runs"]] == [1.0, 1.2, 1.1]
     assert written["workloads"]["fleet-8x60"]["trace1"] == {"summary": {}, "runs": []}
-    assert written["corpus_225k"]["manifest_files"] == 34
+    assert len(written["corpus_225k"]["runs"]) == 3
+    assert [run["subcommands"]["synth"]["wall_s"]
+            for run in written["corpus_225k"]["runs"]] == [2.4, 2.6, 2.5]
+    assert written["corpus_225k"]["median"]["synth"]["wall_s"] == 2.5
     assert written["src_lines"]["total"] == 710
     assert "pairs" not in written
 
@@ -214,8 +242,8 @@ def test_written_pairs_section(tmp_path):
                             {"extract_s": "lower"})
     runs = {"lanechange-dense": {"trace0": parent, "trace1": []}}
     bytecode = {"dont_write_bytecode": False, "pycache_at_start": True}
-    document = bench_document(22, runs, parse_corpus(CORPUS_STDOUT), parse_wc(WC_STDOUT),
-                              bytecode, section)
+    document = bench_document(22, runs, corpus_section([parse_corpus(CORPUS_STDOUT)]),
+                              parse_wc(WC_STDOUT), bytecode, section)
     path = tmp_path / "BENCH_22.json"
     write_bench(path, document)
     pairs = json.loads(path.read_text(encoding="utf-8"))["pairs"]

@@ -1,9 +1,10 @@
 import random
 import sys
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hwtracks import (
@@ -161,6 +162,36 @@ class TestRoundTrip:
         surround = compute_surround(truth.tracks, truth.meta)
         first = write_recording(truth.meta, truth.tracks, surround, tmp_path / "a")
         recording = read_recording(first)
+        second = write_recording(
+            recording.meta, recording.tracks, recording.surround, tmp_path / "b"
+        )
+        for a, b in zip(astuple(first), astuple(second)):
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_computed_and_read_surrounds_share_their_dtypes(self, tmp_path):
+        from perfbench.scenes import lanechange_script
+
+        truth = generate_truth(script_from_dict(lanechange_script(1)))
+        recording = read_recording(write_recording(truth.meta, truth.tracks, truth.surround,
+                                                   tmp_path))
+        for track in truth.tracks:
+            computed = truth.surround[track.track_id]
+            read = recording.surround[track.track_id]
+            assert [c.dtype for c in read] == [c.dtype for c in computed]
+        assert {c.dtype for c in computed[:8]} == {np.dtype(np.int32)}
+        assert {c.dtype for c in computed[8:]} == {np.dtype(np.float64)}
+
+    def test_largest_int32_track_id_round_trips(self, tmp_path):
+        from perfbench.scenes import lanechange_script
+
+        truth = generate_truth(script_from_dict(lanechange_script(1)))
+        top = 2**31 - 1  # the last vehicle's new id, still the largest
+        tracks = [*truth.tracks[:-1], replace(truth.tracks[-1], track_id=top)]
+        surround = compute_surround(tracks, truth.meta)
+        assert any((column == top).any() for s in surround.values() for column in s[:8])
+        first = write_recording(truth.meta, tracks, surround, tmp_path / "a")
+        recording = read_recording(first)
+        assert recording.tracks[-1].track_id == top
         second = write_recording(
             recording.meta, recording.tracks, recording.surround, tmp_path / "b"
         )
@@ -368,12 +399,13 @@ class TestThroughput:
 class TestTracedPeak:
     @pytest.mark.parametrize("read", [read_recording, validate])
     def test_traced_peak_per_tracks_row(self, tmp_path, read):
-        # 23,894 rows of 320 tracks. The loaded table takes 152 B per row and
-        # the columns read are views of it; with the Track and Surround
-        # objects and the per-track slices, read_recording's result takes
-        # 196 B per row. The peak measured 201 B per row for both reads, and
-        # the bound leaves 19 % slack; the reader that copied the columns
-        # into track order beside the table measured 428 B.
+        # 23,894 rows of 320 tracks. The loaded table takes 116 B per row
+        # (int32 track ids) and the columns read are views of it; with the
+        # Track and Surround objects and the per-track slices,
+        # read_recording's result takes 160 B per row. The peak measured
+        # 165 B per row for both reads, and the bound leaves 15 % slack;
+        # int64 ids measured 201 B, and the reader that copied the columns
+        # into track order beside the table 428 B.
         meta, tracks, surround = random_recording(seed=3, n_tracks=320)
         paths = write_recording(meta, tracks, surround, tmp_path / "large")
         rows = sum(t.num_frames for t in tracks)
@@ -386,7 +418,7 @@ class TestTracedPeak:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 240 * rows, peak / rows
+        assert peak <= 190 * rows, peak / rows
 
 
 def _shuffle_tracks_rows(path, seed):
@@ -733,12 +765,35 @@ LOADTXT_GUARD_CASES = {
                          set_cell(1, "frame", "137".translate(FULLWIDTH_DIGITS)), None),
     "int-beyond-int64": ("tracks_path", set_cell(3, "precedingId", str(2**63)), [
         ("TypeMismatch", "01_tracks.csv",
-         "integer '9223372036854775808' does not fit in 64 bits", 3, "precedingId")]),
+         "integer '9223372036854775808' does not fit in 32 bits", 3, "precedingId")]),
     "inf": ("tracks_path", set_cell(3, "x", "inf"), [
         ("TypeMismatch", "01_tracks.csv", "expected finite number, got 'inf'", 3, "x")]),
     "nan": ("tracks_meta_path", set_cell(2, "length", "nan"), [
         ("TypeMismatch", "01_tracksMeta.csv", "expected finite number, got 'nan'", 2,
          "length")]),
+    # Track ids are int32: 2**31 is a type error, 2**31 - 1 is read and
+    # reaches the cross-reference checks.
+    "id-beyond-int32": ("tracks_path", set_cell(3, "id", str(2**31)), [
+        ("TypeMismatch", "01_tracks.csv", "integer '2147483648' does not fit in 32 bits", 3,
+         "id")]),
+    "id-int32-max": ("tracks_path", set_cell(3, "id", str(2**31 - 1)), [
+        ("NonMonotoneFrames", "01_tracks.csv",
+         "track 1: frame 140 follows 138 (frames must be consecutive)", 4, "frame"),
+        ("DanglingReference", "01_tracks.csv", "track id 2147483647 has no tracksMeta entry",
+         3, "id")]),
+    "neighbor-beyond-int32": ("tracks_path", set_cell(3, "followingId", str(2**31)), [
+        ("TypeMismatch", "01_tracks.csv", "integer '2147483648' does not fit in 32 bits", 3,
+         "followingId")]),
+    "neighbor-int32-max": ("tracks_path", set_cell(3, "followingId", str(2**31 - 1)), [
+        ("DanglingReference", "01_tracks.csv",
+         "followingId=2147483647 refers to an unknown track", 3, "followingId")]),
+    "meta-id-beyond-int32": ("tracks_meta_path", set_cell(2, "id", str(2**31)), [
+        ("TypeMismatch", "01_tracksMeta.csv", "integer '2147483648' does not fit in 32 bits",
+         2, "id")]),
+    "meta-id-int32-max": ("tracks_meta_path", set_cell(2, "id", str(2**31 - 1)), [
+        ("DanglingReference", "01_tracks.csv", "track id 2 has no tracksMeta entry", 26, "id"),
+        ("DanglingReference", "01_tracksMeta.csv",
+         "track id 2147483647 has no rows in the tracks table", 2, "id")]),
     "cr-line-ends": ("tracks_path", lambda table: table.replace("\n", "\r"), None),
     "quoted-newline": ("tracks_path", set_cell(3, "x", '"1147.57\n"'), None),
     "no-final-newline": ("tracks_path", lambda table: table[:-1], None),
@@ -766,6 +821,12 @@ class TestLoadtxtGuards:
     @pytest.mark.parametrize("table, edit, want", LOADTXT_GUARD_CASES.values(),
                              ids=list(LOADTXT_GUARD_CASES))
     def test_report_is_the_per_cell_parsers(self, tmp_path, table, edit, want):
+        assert_guard_case(tmp_path, table, edit, want)
+
+    @pytest.mark.parametrize("table, edit, want", LOADTXT_GUARD_CASES.values(),
+                             ids=list(LOADTXT_GUARD_CASES))
+    def test_per_cell_path_reports_the_same(self, monkeypatch, tmp_path, table, edit, want):
+        monkeypatch.setattr(dataset_io, "_load_table", lambda path, parsers: None)
         assert_guard_case(tmp_path, table, edit, want)
 
 

@@ -382,11 +382,11 @@ class TestComputeSurround:
         assert len(searched) > 50 and max(searched) > 5
 
     def test_traced_peak_per_row(self):
-        # 48,000 rows in 600 frames. The eleven output columns take 88 B per
-        # row and the search runs in blocks of about 4,096 rows, so its
-        # temporaries do not grow with the recording: the peak measured
-        # 123 B per row, and the bound leaves 14 % slack. One search over
-        # all rows measured 298 B.
+        # 48,000 rows in 600 frames. The eleven output columns take 56 B per
+        # row (int32 ids) and the search runs in blocks of about 4,096 rows,
+        # so its temporaries do not grow with the recording: the peak
+        # measured 88 B per row, and the bound leaves 14 % slack. int64 ids
+        # measured 123 B, and one search over all rows 298 B.
         tracks = [straight_track(track_id=i + 1, x0=6.0 * i, n_frames=600,
                                  lane_id=i % 2 + 1, y=13.85 + 3.7 * (i % 2))
                   for i in range(80)]
@@ -398,7 +398,7 @@ class TestComputeSurround:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 140 * 48000, peak / 48000
+        assert peak <= 100 * 48000, peak / 48000
 
     def test_alongside_at_the_rounding_edge_of_the_window(self, meta):
         # The centres lie (4.4962... + 11.6072...) / 2 apart to within

@@ -10,15 +10,16 @@ Then runs, each as a child process of this checkout:
   ``BENCHMARK.json``, ``RUNS`` times with ``--trace 0`` (end-to-end metrics)
   and ``RUNS`` times with ``--trace 1`` (per-layer metrics), alternating the
   workloads;
-- ``tools/corpus_225k.py`` once, in a temporary directory (wall time and
-  peak RSS of each subcommand on the 225k-row corpus, and the time and RSS
-  after each step of ``track`` and of ``extract``);
+- ``tools/corpus_225k.py`` ``CORPUS_RUNS`` times, each in a fresh temporary
+  directory (wall time and peak RSS of each subcommand on the 225k-row
+  corpus, and the time and RSS after each step of ``track`` and of
+  ``extract``);
 - ``wc -l src/hwtracks/*.py``.
 
 Then writes ``BENCH_<N>.json`` at the root of the checkout: the environment
 that ``perfbench/run.py`` reports, the median and quartiles of every metric
-per workload and trace mode, every raw run, the corpus table and the line
-counts. Its ``settings`` also record whether ``PYTHONDONTWRITEBYTECODE`` was
+per workload and trace mode, every raw run, every corpus run with the
+median of each subcommand's figures over them, and the line counts. Its ``settings`` also record whether ``PYTHONDONTWRITEBYTECODE`` was
 set and whether ``src/hwtracks/__pycache__`` existed at start: a checkout
 without compiled bytecode starts every child process slower. A run that fails its checks stays in the raw runs and is counted in
 ``failed_runs``; its metrics still enter the summary.
@@ -62,6 +63,9 @@ SEED = 1
 SECONDS = 12.0
 #: Parent/change pairs per workload with ``--pair``.
 PAIRS = 10
+#: Runs of ``tools/corpus_225k.py``: one run's wall times on a shared host
+#: cannot decide the corpus time target.
+CORPUS_RUNS = 3
 
 
 def parse_run(stdout: str) -> Dict:
@@ -106,6 +110,19 @@ def parse_corpus(stdout: str) -> Dict:
         elif line.split(" files in ")[0].isdigit():
             files = int(line.split()[0])
     return {"subcommands": table, "manifest_files": files, **steps}
+
+
+def corpus_section(runs: Sequence[Dict]) -> Dict:
+    """The ``corpus_225k`` section: every ``parse_corpus`` run and, per
+    subcommand, the median of each figure over the runs (None where a run
+    has none, as ``synth``'s input ratio)."""
+    median = {}
+    for command, figures in runs[0]["subcommands"].items():
+        values = {name: [run["subcommands"][command][name] for run in runs]
+                  for name in figures}
+        median[command] = {name: None if None in v else statistics.median(v)
+                           for name, v in values.items()}
+    return {"runs": list(runs), "median": median}
 
 
 def parse_wc(stdout: str) -> Dict[str, int]:
@@ -195,12 +212,14 @@ def bench_document(number: int, runs: Dict[str, Dict[str, List[Dict]]],
                    corpus: Dict, lines: Dict[str, int], bytecode: Dict[str, bool],
                    pairs: Optional[Dict] = None) -> Dict:
     """The ``BENCH_<N>.json`` content. ``runs`` maps each workload to its
-    ``trace0`` and ``trace1`` lists of parsed runs; ``bytecode`` is the
-    ``bytecode_state`` at start; ``pairs`` is the ``pairs_section``, if any."""
+    ``trace0`` and ``trace1`` lists of parsed runs; ``corpus`` is the
+    ``corpus_section``; ``bytecode`` is the ``bytecode_state`` at start;
+    ``pairs`` is the ``pairs_section``, if any."""
     every_run = [run for modes in runs.values() for mode in modes.values() for run in mode]
     return {
         "bench": number,
-        "settings": {"runs": RUNS, "seed": SEED, "seconds": SECONDS, **bytecode},
+        "settings": {"runs": RUNS, "seed": SEED, "seconds": SECONDS,
+                     "corpus_runs": CORPUS_RUNS, **bytecode},
         "environment": every_run[0]["environment"] if every_run else {},
         "failed_runs": sum(not run["correct"] for run in every_run),
         "workloads": {
@@ -288,17 +307,20 @@ def main(argv: Sequence[str]) -> int:
                 runs[workload][f"trace{trace}"].append(run)
                 print(f"trace {trace} run {index + 1}/{RUNS} {workload}: "
                       f"correct={run['correct']}", flush=True)
-    with tempfile.TemporaryDirectory() as out:
-        result = subprocess.run([sys.executable, "tools/corpus_225k.py", out],
-                                cwd=ROOT, capture_output=True, text=True, check=True)
-    corpus = parse_corpus(result.stdout)
+    corpus_runs = []
+    for index in range(CORPUS_RUNS):
+        with tempfile.TemporaryDirectory() as out:
+            result = subprocess.run([sys.executable, "tools/corpus_225k.py", out],
+                                    cwd=ROOT, capture_output=True, text=True, check=True)
+        corpus_runs.append(parse_corpus(result.stdout))
+        print(f"corpus run {index + 1}/{CORPUS_RUNS}", flush=True)
     wc = subprocess.run(["wc", "-l", *sorted(glob.glob(str(ROOT / SOURCES)))],
                         capture_output=True, text=True, check=True)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     pairs = run_pairs(parent_sha, workloads, better) if parent_sha else None
     path = ROOT / f"BENCH_{args.number}.json"
-    document = bench_document(args.number, runs, corpus, parse_wc(wc.stdout), bytecode,
-                              pairs)
+    document = bench_document(args.number, runs, corpus_section(corpus_runs),
+                              parse_wc(wc.stdout), bytecode, pairs)
     write_bench(path, document)
     print(f"wrote {path.name}: {document['failed_runs']} failed runs, "
           f"src {document['src_lines']['total']} lines")
