@@ -87,7 +87,7 @@ for name, got, want in rows:
 print(f"  lateral rmse {fit.lateral_rmse * 100:.1f} cm, "
       f"converged={fit.converged} after {fit.iterations} refinement steps")
 
-cut_ins = extract_cut_ins(episodes, tracks, surround, truth.meta)
+cut_ins = extract_cut_ins(episodes, tracks, surround)
 for cut in cut_ins:
     print(f"\ncut-in: track {cut.track_id} enters in front of "
           f"track {cut.tailing_id} ({cut.side.value}), entry THW "

@@ -110,7 +110,7 @@ cfg = ManeuverConfig()
 episodes = []
 for track in truth.tracks:
     episodes.extend(detect_all(track, surround[track.track_id], cfg))
-cut_ins = extract_cut_ins(episodes, truth.tracks, surround, truth.meta)
+cut_ins = extract_cut_ins(episodes, truth.tracks, surround)
 
 print(f"corpus: {len(truth.tracks)} vehicles, {len(episodes)} episodes, "
       f"{len(cut_ins)} cut-ins\n")

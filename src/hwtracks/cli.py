@@ -41,8 +41,7 @@ _NAMES = {
     "core": ("dump_json",),
     "dataset_io": ("DatasetError", "discover_recordings", "recording_prefixes", "validate",
                    "write_detections", "write_recording", "write_recording_meta"),
-    "lane_change": ("write_cut_ins_csv", "write_cut_ins_json", "write_fits_csv"),
-    "maneuvers": ("write_episodes_csv", "write_episodes_json"),
+    "lane_change": ("write_events",),
     "pipeline": ("events_recording_files", "extract_recording_files",
                  "load_pipeline_config", "track_stage"),
     # not called here; perfbench/tracing.py wraps it by this name
@@ -51,10 +50,10 @@ _NAMES = {
 }
 #: The modules each subcommand runs.
 _SUBCOMMAND_MODULES = {
-    "synth": ("core", "dataset_io", "lane_change", "maneuvers", "synth"),
+    "synth": ("core", "dataset_io", "lane_change", "synth"),
     "track": ("core", "dataset_io", "pipeline"),
-    "extract": ("core", "dataset_io", "lane_change", "maneuvers", "pipeline"),
-    "stats": ("core", "dataset_io", "lane_change", "maneuvers", "pipeline"),
+    "extract": ("core", "dataset_io", "lane_change", "pipeline"),
+    "stats": ("core", "dataset_io", "lane_change", "pipeline"),
     "validate": ("core", "dataset_io"),
 }
 
@@ -128,12 +127,8 @@ def _extract_one(item: Tuple[RecordingFileSet, PipelineConfig, Path, bool]):
         if not write_files:
             return None, events_recording_files(paths, cfg)
         result = extract_recording_files(paths, cfg)
-        rid = result.recording_id
-        write_episodes_csv(result.episodes, rid, output_dir / f"{rid:02d}_episodes.csv")
-        write_episodes_json(result.episodes, rid, output_dir / f"{rid:02d}_episodes.json")
-        write_fits_csv(result.fits, rid, output_dir / f"{rid:02d}_laneChangeFits.csv")
-        write_cut_ins_csv(result.cut_ins, rid, output_dir / f"{rid:02d}_cutIns.csv")
-        write_cut_ins_json(result.cut_ins, rid, output_dir / f"{rid:02d}_cutIns.json")
+        write_events(output_dir, result.recording_id, result.episodes, result.cut_ins,
+                     result.fits)
         return None, result
     except Exception as exc:
         return _exception_error(exc), None
@@ -181,10 +176,7 @@ def cmd_synth(args) -> int:
         meta, tracks, dropouts = truth.meta, truth.tracks, truth.scripted_dropouts
         rid = meta.recording_id
         write_recording(meta, tracks, truth.surround, truth_dir)
-        write_episodes_csv(truth.episodes, rid, truth_dir / f"{rid:02d}_episodes.csv")
-        write_episodes_json(truth.episodes, rid, truth_dir / f"{rid:02d}_episodes.json")
-        write_cut_ins_csv(truth.cut_ins, rid, truth_dir / f"{rid:02d}_cutIns.csv")
-        write_cut_ins_json(truth.cut_ins, rid, truth_dir / f"{rid:02d}_cutIns.json")
+        write_events(truth_dir, rid, truth.episodes, truth.cut_ins)
         done = (f"recording {rid}: {len(tracks)} vehicles, "
                 f"{len(truth.episodes)} lane changes, {len(truth.cut_ins)} cut-ins")
         del truth
@@ -258,10 +250,10 @@ def _run_extract(args, write_per_recording: bool) -> int:
     except Exception as exc:
         _report_errors([_exception_error(exc)])
         return 1
-    output_dir.mkdir(parents=True, exist_ok=True)
     if not filesets:
         _report_errors([_error_dict("EmptyInput", f"no recordings in {input_dir}")])
         return 1
+    output_dir.mkdir(parents=True, exist_ok=True)
     items = [(paths, cfg, output_dir, write_per_recording) for paths in filesets]
     results: List[ExtractResult] = []
     for outcome, result in _run_parallel(_extract_one, items, cfg.jobs):

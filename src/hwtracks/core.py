@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -346,21 +346,6 @@ def canonical_float(value: float) -> float:
     return float(format_float(value))
 
 
-def csv_cells(record: Mapping[str, Any]) -> List:
-    """A JSON-ready record as CSV cells: None is empty, bools are 1/0 and
-    floats take the canonical form."""
-    cells: List = []
-    for value in record.values():
-        if value is None:
-            value = ""
-        elif isinstance(value, bool):
-            value = int(value)
-        elif isinstance(value, float):
-            value = format_float(value)
-        cells.append(value)
-    return cells
-
-
 #: Per column kind of ``write_table``: its row-template field and its cells.
 _KINDS = {
     "d": ("%d", lambda column: np.asarray(column, np.int64).tolist()),
@@ -389,6 +374,29 @@ def write_table(
                 fh.write(template * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
+def _plain(value):
+    """A numpy scalar as the Python value it holds; any other value as is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _cell(value) -> str:
+    value = _plain(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def write_rows(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """``write_table`` of rows of plain values, one per column: None is an
+    empty cell, a bool 1 or 0 and a float the canonical form."""
+    write_table(path, columns, "s" * len(columns),
+                [list(zip(*([_cell(value) for value in row] for row in rows)))])
+
+
 def dump_json(payload: Any, fh: TextIO) -> None:
     """``payload`` as JSON indented by 2, followed by a newline."""
     json.dump(payload, fh, indent=2)
@@ -398,6 +406,15 @@ def dump_json(payload: Any, fh: TextIO) -> None:
 def write_json(path: Path, payload: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         dump_json(payload, fh)
+
+
+def write_json_rows(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Rows of plain values as JSON records keyed by ``columns``, each float
+    the one a reader of the CSV gets back."""
+    write_json(path, [
+        {column: canonical_float(value) if isinstance(value, float) else value
+         for column, value in zip(columns, map(_plain, row))}
+        for row in rows])
 
 
 # ---------------------------------------------------------------------------

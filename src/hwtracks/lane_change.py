@@ -52,10 +52,8 @@ from .core import (
     RecordingMeta,
     Track,
     bumper_gap,
-    canonical_float,
-    csv_cells,
-    write_json,
-    write_table,
+    write_json_rows,
+    write_rows,
 )
 from .maneuvers import ManeuverEpisode, ManeuverKind
 from .surround import NO_VEHICLE, UNDEFINED, Surround, left_lane_id, thw_ttc
@@ -685,7 +683,6 @@ def extract_cut_ins(
     episodes: Sequence[ManeuverEpisode],
     tracks: Sequence[Track],
     surround: Mapping[int, Surround],
-    meta: RecordingMeta,
 ) -> List[CutInScenario]:
     """One scenario per lane change with a tailing vehicle on the new lane.
 
@@ -758,6 +755,18 @@ def extract_cut_ins(
 # ---------------------------------------------------------------------------
 # Export (canonical CSV and JSON)
 
+EPISODE_COLUMNS = [
+    "recordingId",
+    "trackId",
+    "kind",
+    "startFrame",
+    "endFrame",
+    "fromLane",
+    "toLane",
+    "crossingFrame",
+    "complete",
+]
+
 FIT_COLUMNS = [
     "recordingId",
     "trackId",
@@ -791,64 +800,38 @@ CUT_IN_COLUMNS = [
 ]
 
 
-def write_fits_csv(
-    fits: Sequence[Tuple[ManeuverEpisode, LaneChangeFitResult]],
+def write_events(
+    directory: Path,
     recording_id: int,
-    path: Path,
+    episodes: Sequence[ManeuverEpisode],
+    cut_ins: Sequence[CutInScenario],
+    fits: Optional[Sequence[Tuple[ManeuverEpisode, LaneChangeFitResult]]] = None,
 ) -> None:
-    write_table(path, FIT_COLUMNS, "dddggggggsggdd", [list(zip(*(
-        (
-            recording_id,
-            episode.track_id,
-            episode.crossing_frame,
-            fit.t0,
-            fit.params.duration,
-            fit.params.d_start,
-            fit.params.d_end,
-            fit.params.v_start,
-            fit.params.v_end,
-            fit.params.side.value,
-            fit.lateral_rmse,
-            fit.longitudinal_rmse,
-            fit.converged,
-            fit.iterations,
-        )
-        for episode, fit in fits
-    )))])
-
-
-def _cut_in_records(
-    scenarios: Sequence[CutInScenario], recording_id: int
-) -> List[Dict]:
-    """One JSON-ready record per scenario, keyed by CUT_IN_COLUMNS, with the
-    metrics in canonical precision."""
-    return [
-        dict(zip(CUT_IN_COLUMNS, (
-            recording_id,
-            s.track_id,
-            s.tailing_id,
-            s.preceding_id,
-            s.crossing_frame,
-            canonical_float(s.entry_thw),
-            canonical_float(s.tail_speed_at_entry),
-            canonical_float(s.min_dhw),
-            canonical_float(s.min_thw),
-            canonical_float(s.min_ttc),
-            canonical_float(s.gap_size),
-            s.side.value,
-        )))
-        for s in scenarios
+    """A recording's ``NN_episodes.csv/.json`` and ``NN_cutIns.csv/.json`` in
+    ``directory``, and its ``NN_laneChangeFits.csv`` when given ``fits``. The
+    lane-change fields of an episode of another kind are None."""
+    prefix = f"{recording_id:02d}_"
+    episode_rows = [
+        (recording_id, ep.track_id, ep.kind.value, ep.start_frame, ep.end_frame,
+         *((ep.from_lane, ep.to_lane, ep.crossing_frame, ep.complete)
+           if ep.kind is ManeuverKind.LANE_CHANGE else (None,) * 4))
+        for ep in episodes
     ]
-
-
-def write_cut_ins_csv(
-    scenarios: Sequence[CutInScenario], recording_id: int, path: Path
-) -> None:
-    write_table(path, CUT_IN_COLUMNS, "s" * len(CUT_IN_COLUMNS),
-                [list(zip(*map(csv_cells, _cut_in_records(scenarios, recording_id))))])
-
-
-def write_cut_ins_json(
-    scenarios: Sequence[CutInScenario], recording_id: int, path: Path
-) -> None:
-    write_json(path, _cut_in_records(scenarios, recording_id))
+    cut_in_rows = [
+        (recording_id, s.track_id, s.tailing_id, s.preceding_id, s.crossing_frame,
+         s.entry_thw, s.tail_speed_at_entry, s.min_dhw, s.min_thw, s.min_ttc, s.gap_size,
+         s.side.value)
+        for s in cut_ins
+    ]
+    for name, columns, rows in (("episodes", EPISODE_COLUMNS, episode_rows),
+                                ("cutIns", CUT_IN_COLUMNS, cut_in_rows)):
+        write_rows(Path(directory, f"{prefix}{name}.csv"), columns, rows)
+        write_json_rows(Path(directory, f"{prefix}{name}.json"), columns, rows)
+    if fits is not None:
+        write_rows(Path(directory, f"{prefix}laneChangeFits.csv"), FIT_COLUMNS, [
+            (recording_id, ep.track_id, ep.crossing_frame, fit.t0, fit.params.duration,
+             fit.params.d_start, fit.params.d_end, fit.params.v_start, fit.params.v_end,
+             fit.params.side.value, fit.lateral_rmse, fit.longitudinal_rmse,
+             fit.converged, fit.iterations)
+            for ep, fit in fits
+        ])

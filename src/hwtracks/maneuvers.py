@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Track, csv_cells, write_json, write_table
+from .core import Track
 from .surround import NO_VEHICLE, UNDEFINED, Surround, check_rows
 
 
@@ -214,54 +213,3 @@ def detect_all(
     episodes += detect_lane_changes(track, cfg)
     episodes.sort(key=lambda e: (e.kind.value, e.start_frame))
     return episodes
-
-
-# ---------------------------------------------------------------------------
-# Episode export (canonical CSV and JSON)
-
-EPISODE_COLUMNS = [
-    "recordingId",
-    "trackId",
-    "kind",
-    "startFrame",
-    "endFrame",
-    "fromLane",
-    "toLane",
-    "crossingFrame",
-    "complete",
-]
-
-
-def _episode_records(
-    episodes: Sequence[ManeuverEpisode], recording_id: int
-) -> List[Dict]:
-    """One JSON-ready record per episode, keyed by EPISODE_COLUMNS; the
-    lane-change fields are None for other kinds."""
-    records = []
-    for ep in episodes:
-        is_lc = ep.kind is ManeuverKind.LANE_CHANGE
-        records.append(dict(zip(EPISODE_COLUMNS, (
-            recording_id,
-            ep.track_id,
-            ep.kind.value,
-            ep.start_frame,
-            ep.end_frame,
-            ep.from_lane if is_lc else None,
-            ep.to_lane if is_lc else None,
-            ep.crossing_frame if is_lc else None,
-            ep.complete if is_lc else None,
-        ))))
-    return records
-
-
-def write_episodes_csv(
-    episodes: Sequence[ManeuverEpisode], recording_id: int, path: Path
-) -> None:
-    write_table(path, EPISODE_COLUMNS, "s" * len(EPISODE_COLUMNS),
-                [list(zip(*map(csv_cells, _episode_records(episodes, recording_id))))])
-
-
-def write_episodes_json(
-    episodes: Sequence[ManeuverEpisode], recording_id: int, path: Path
-) -> None:
-    write_json(path, _episode_records(episodes, recording_id))

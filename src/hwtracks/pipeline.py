@@ -163,8 +163,7 @@ def events_stage(recording: Recording, cfg: PipelineConfig) -> ExtractResult:
     episodes = [e for track in recording.tracks
                 for e in detect_all(track, recording.surround[track.track_id], cfg.maneuvers)]
     episodes.sort(key=lambda e: (e.track_id, e.kind.value, e.start_frame))
-    cut_ins = extract_cut_ins(episodes, recording.tracks, recording.surround,
-                              recording.meta)
+    cut_ins = extract_cut_ins(episodes, recording.tracks, recording.surround)
     return ExtractResult(
         recording_id=recording.meta.recording_id,
         mean_speeds=tuple(float(t.mean_speed) for t in recording.tracks),

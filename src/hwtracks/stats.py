@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Track, VehicleClass, format_float, write_json, write_table
+from .core import Track, VehicleClass, write_json, write_rows
 from .lane_change import CutInScenario
 from .maneuvers import ManeuverEpisode, ManeuverKind
 from .surround import UNDEFINED
@@ -200,25 +200,22 @@ def cut_in_thw_stats(
 
 def write_histogram_csv(histogram: Histogram, path: Path) -> None:
     edges = histogram.bin_edges
-    write_table(path, ["binStart", "binEnd", "count"], "ggd",
-                [(edges[:-1], edges[1:], histogram.counts)])
+    write_rows(path, ["binStart", "binEnd", "count"],
+               zip(edges[:-1], edges[1:], histogram.counts))
 
 
 def write_truck_ratio_csv(series: TruckRatioSeries, path: Path) -> None:
-    write_table(path, ["windowStart", "entries", "truckRatio"], "gds", [(
+    write_rows(path, ["windowStart", "entries", "truckRatio"], zip(
         series.window_starts, series.entries,
-        ["" if math.isnan(ratio) else format_float(ratio) for ratio in series.ratios],
-    )])
+        [None if math.isnan(ratio) else ratio for ratio in series.ratios]))
 
 
 def write_decile_band_csv(band: DecileBand, path: Path) -> None:
     columns = ["binCenter", "count", "sparse"] + [f"d{k + 1}" for k in range(10)]
-    write_table(path, columns, "gdd" + "g" * 10, [list(zip(*(
+    write_rows(path, columns, (
         (center, count, is_sparse, *deciles)
         for center, count, is_sparse, deciles in zip(
-            band.x_bin_centers, band.counts, band.sparse, band.deciles
-        )
-    )))])
+            band.x_bin_centers, band.counts, band.sparse, band.deciles)))
 
 
 def write_summary_json(

@@ -506,7 +506,7 @@ def generate_truth(script: ScenarioScript) -> GroundTruth:
     lane_changes.sort(key=lambda lc: (lc.track_id, lc.crossing_frame))
     episodes = tuple(lc.episode() for lc in lane_changes)
     surround = compute_surround(tracks, meta)
-    cut_ins = extract_cut_ins(episodes, tracks, surround, meta)
+    cut_ins = extract_cut_ins(episodes, tracks, surround)
     return GroundTruth(
         meta=meta,
         tracks=tuple(tracks),

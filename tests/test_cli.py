@@ -134,13 +134,15 @@ class TestTrackCommand:
                 assert abs(a.x - b.x) < 1e-3
                 assert abs(a.y - b.y) < 0.03
 
-    def test_empty_input_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["track", "extract", "stats"])
+    def test_empty_input_exit_1(self, tmp_path, capsys, command):
         empty = tmp_path / "empty"
         empty.mkdir()
-        assert main(["track", "--input", str(empty),
+        assert main([command, "--input", str(empty),
                      "--output", str(tmp_path / "o")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["errors"][0]["kind"] == "EmptyInput"
+        assert not (tmp_path / "o").exists()
 
     def test_corrupt_detections_named_in_error(self, tmp_path, capsys):
         out = run_synth(tmp_path)

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hwtracks import (
     nearest_lane_id,
     write_detections,
 )
-from hwtracks.core import format_float, format_floats, write_table
+from hwtracks.core import format_float, format_floats, write_json_rows, write_rows, write_table
 from hwtracks.surround import NO_VEHICLE, UNDEFINED
 from hwtracks.synth import _frame_rows
 from conftest import det, detection_table, make_meta, row_at, straight_track
@@ -281,3 +282,31 @@ class TestWriteTable:
         assert path.read_bytes() == csv_writer_bytes(
             ["frame", "cx", "cy", "length", "width", "class"],
             [[0, "0", "1e-07", "4.5", "2", "Truck"], [3, "1.23457e+06", "-1", "4.5", "2", ""]])
+
+
+class TestWriteRows:
+    COLUMNS = ["id", "v", "ok", "side"]
+    ROWS = [(1, None, True, "toLeft"), (2, -0.0, False, "toRight"),
+            (np.int64(3), 1 / 3, np.bool_(True), "")]
+
+    def test_csv_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_rows(path, self.COLUMNS, iter(self.ROWS))
+        assert path.read_text() == \
+            "id,v,ok,side\n1,,1,toLeft\n2,0,0,toRight\n3,0.333333,1,\n"
+
+    def test_json_records(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_json_rows(path, self.COLUMNS, iter(self.ROWS))
+        assert json.loads(path.read_text()) == [
+            {"id": 1, "v": None, "ok": True, "side": "toLeft"},
+            {"id": 2, "v": 0.0, "ok": False, "side": "toRight"},
+            {"id": 3, "v": 0.333333, "ok": True, "side": ""},
+        ]
+        assert '"v": 0.0,' in path.read_text()  # 0.0, not -0.0
+
+    def test_no_rows(self, tmp_path):
+        write_rows(tmp_path / "t.csv", self.COLUMNS, [])
+        write_json_rows(tmp_path / "t.json", self.COLUMNS, [])
+        assert (tmp_path / "t.csv").read_text() == "id,v,ok,side\n"
+        assert (tmp_path / "t.json").read_text() == "[]\n"

@@ -742,7 +742,7 @@ class TestExtractCutIns:
             end_frame=80, from_lane=1, to_lane=2, crossing_frame=50,
             complete=True,
         )
-        assert extract_cut_ins([episode], [changer], surround, meta) == []
+        assert extract_cut_ins([episode], [changer], surround) == []
 
     def test_entry_thw_hand_computed(self, meta):
         # tailing vehicle 40 m behind the crossing point at 20 m/s, both
@@ -760,7 +760,7 @@ class TestExtractCutIns:
             end_frame=80, from_lane=1, to_lane=2, crossing_frame=crossing,
             complete=True,
         )
-        [scenario] = extract_cut_ins([episode], [changer, tail], surround, meta)
+        [scenario] = extract_cut_ins([episode], [changer, tail], surround)
         assert scenario.tailing_id == 2
         assert scenario.entry_thw == pytest.approx((40.0 - 5.0) / 20.0)
         assert scenario.tail_speed_at_entry == pytest.approx(20.0)
@@ -795,7 +795,7 @@ class TestExtractCutIns:
                 from_lane=1, to_lane=2, crossing_frame=crossing, complete=True,
             )
             surround = compute_surround(tracks, meta)
-            got = extract_cut_ins([episode], tracks, surround, meta)
+            got = extract_cut_ins([episode], tracks, surround)
             want = cut_in_oracle(episode, tracks, meta)
             if want is None:
                 assert got == []

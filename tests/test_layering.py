@@ -39,3 +39,33 @@ def test_a_private_import_is_found(tmp_path):
                     "from os import _exit\n")
     assert private_imports(path) == [(1, ".dataset_io", "_Scanner"),
                                      (5, "hwtracks.core", "_store_columns")]
+
+
+#: The modules that may call ``write_table``: ``core``, whose ``write_rows``
+#: writes every event and statistics table, and ``dataset_io``, whose large
+#: tables take their kinds from their parsers.
+WRITE_TABLE_CALLERS = {"core.py", "dataset_io.py"}
+
+
+def write_table_calls(path):
+    """Lines of the file that call ``write_table``, by name or attribute."""
+    return [node.lineno
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "write_table"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name not in WRITE_TABLE_CALLERS),
+                         ids=lambda p: p.name)
+def test_no_other_module_writes_a_table_by_kinds(path):
+    assert write_table_calls(path) == []
+
+
+def test_a_write_table_call_is_found(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from . import core\nfrom .core import write_table\n"
+                    "write_table(p, ['a'], 'g', [])\n"
+                    "core.write_table(p, ['a'], 'd', [])\n"
+                    "write_rows(p, ['a'], [])\n")
+    assert write_table_calls(path) == [3, 4]

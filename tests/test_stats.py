@@ -16,6 +16,7 @@ from hwtracks import (
     mean_speed_histogram,
     truck_ratio_over_time,
 )
+from hwtracks.stats import write_truck_ratio_csv
 from hwtracks.surround import UNDEFINED
 from conftest import straight_track
 
@@ -127,6 +128,17 @@ class TestTruckRatio:
         assert len(series.ratios) == 4
         assert math.isnan(series.ratios[1])
         assert math.isnan(series.ratios[2])
+
+    def test_empty_window_is_an_empty_cell(self, tmp_path):
+        tracks = [
+            straight_track(track_id=1, n_frames=3, first_frame=0,
+                           vehicle_class=VehicleClass.TRUCK),
+            straight_track(track_id=2, n_frames=3, first_frame=45 * 25),
+        ]
+        path = tmp_path / "01_truckRatio.csv"
+        write_truck_ratio_csv(truck_ratio_over_time(tracks, window=20.0, frame_rate=25.0),
+                              path)
+        assert path.read_text() == "windowStart,entries,truckRatio\n0,1,1\n20,0,\n40,1,0\n"
 
     def test_permutation_invariance(self):
         rng = random.Random(1)

@@ -134,8 +134,7 @@ def extract_steps(recording: str, output: str) -> None:
     per-recording files written to ``output``."""
     step = _stepper()
     from hwtracks.dataset_io import discover_recordings, read_recording
-    from hwtracks.lane_change import write_cut_ins_csv, write_cut_ins_json, write_fits_csv
-    from hwtracks.maneuvers import write_episodes_csv, write_episodes_json
+    from hwtracks.lane_change import write_events
     from hwtracks.pipeline import PipelineConfig, extract_stage
 
     step("import")
@@ -144,12 +143,8 @@ def extract_steps(recording: str, output: str) -> None:
     step("read_recording")
     result = extract_stage(loaded, PipelineConfig())
     step("extract_stage")
-    out, rid = Path(output), result.recording_id
-    write_episodes_csv(result.episodes, rid, out / f"{rid:02d}_episodes.csv")
-    write_episodes_json(result.episodes, rid, out / f"{rid:02d}_episodes.json")
-    write_fits_csv(result.fits, rid, out / f"{rid:02d}_laneChangeFits.csv")
-    write_cut_ins_csv(result.cut_ins, rid, out / f"{rid:02d}_cutIns.csv")
-    write_cut_ins_json(result.cut_ins, rid, out / f"{rid:02d}_cutIns.json")
+    write_events(Path(output), result.recording_id, result.episodes, result.cut_ins,
+                 result.fits)
     step("writes")
 
 
