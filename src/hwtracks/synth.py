@@ -14,18 +14,17 @@ over the exact tracks, their surround and the truth episodes.
 ``corrupt`` turns truth tracks into a detection table by adding
 Gaussian position noise, dropping detections (randomly, in bursts, or in
 scripted windows) and injecting single-frame false positives uniformly over
-the road. Everything is a pure function of (script, seed).
+the road. Everything is a pure function of (script, seed), and a vehicle's
+detections of the seed, its track id and its own truth alone (see ``corrupt``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass, fields
-from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,8 +66,9 @@ class NoiseSpec:
     false_positive_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.position_sigma < 0 or self.false_positive_rate < 0:
-            raise ValueError("noise magnitudes must be >= 0")
+        for name in ("position_sigma", "false_positive_rate"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"noise.{name} must be finite and >= 0")
         if not 0.0 <= self.dropout_probability <= 1.0:
             raise ValueError("noise.dropout_probability must lie in [0, 1]")
         if self.dropout_burst_length < 1:
@@ -414,37 +414,6 @@ def _truth_lane_changes(timeline: _VehicleTimeline, track: Track) -> List[LaneCh
     ]
 
 
-def _frame_rows(
-    tracks: Sequence[Track],
-) -> Iterator[Tuple[int, List[Tuple[Track, float, float]]]]:
-    """Yield ``(frame, [(track, x, y), ...])`` for every frame from 0 to the
-    last frame of any track, with the tracks present at that frame in
-    track-id order (tracks of one id in their order in ``tracks``). One sweep
-    over the frames: a track joins at its first frame and leaves after its
-    last, and its x and y are read through memoryviews of its own columns,
-    so no row is copied."""
-    if not tracks:
-        return
-    joining = sorted(range(len(tracks)), key=lambda i: tracks[i].initial_frame)
-    leaving = {t.final_frame for t in tracks}
-    # (sort key, track, first frame, x, y) of each present track
-    present: List[Tuple[Tuple[int, int], Track, int, memoryview, memoryview]] = []
-    k = 0
-    for frame in range(max(leaving) + 1):
-        joined = k
-        while k < len(joining) and tracks[joining[k]].initial_frame == frame:
-            t = tracks[joining[k]]
-            present.append(((t.track_id, joining[k]), t, frame,
-                            memoryview(t.x), memoryview(t.y)))
-            k += 1
-        if k > joined:
-            present.sort(key=itemgetter(0))
-        yield frame, [(t, x[frame - first], y[frame - first])
-                      for _, t, first, x, y in present]
-        if frame in leaving:
-            present = [entry for entry in present if entry[1].final_frame > frame]
-
-
 def _validate_no_overlap(tracks: Sequence[Track]) -> None:
     """Raise a ScriptError naming the first pair of vehicles whose boxes
     overlap: in the earliest frame, with each frame's boxes sorted by (x, y,
@@ -529,51 +498,81 @@ def corrupt(
 ) -> DetectionTable:
     """Corrupt truth tracks into a detection table.
 
-    Per frame, vehicles are visited in track-id order: a vehicle inside a
-    scripted dropout window or an active random burst emits nothing; others
-    start a burst with the configured probability or emit their center plus
-    Gaussian noise and their true extents. False positives are then drawn
-    (Poisson count per frame) uniformly over the road area. The RNG draw
-    order is fixed, so the output is a pure function of the inputs and seed.
+    Vehicle ``i`` draws from ``default_rng(SeedSequence(seed, spawn_key=(1,
+    i)))``: one uniform per truth row, then one (x, y) normal pair per truth
+    row, each skipped when its magnitude is 0. A row in a scripted window is
+    dropped; any other row outside a running burst starts one when its
+    uniform is below the dropout probability, and the burst drops it and the
+    next ``dropout_burst_length - 1`` unscripted rows. A kept row is the true
+    centre plus its pair. False positives draw from ``spawn_key=(0,)``: a
+    Poisson count per frame up to the last truth frame, then their x and
+    their across-road uniforms. Rows come by frame, vehicles in id order,
+    false positives last. So a vehicle's rows depend only on the noise, the
+    seed, its id and its truth. Ids must be distinct and >= 0. (Entropy
+    ``[seed, 1, i]`` would not do: it is zero-padded, so ``[s, 1, 0]`` and
+    ``[s, 1]`` give one stream.)
     """
     if noise.false_positive_rate > 0 and meta is None:
         raise ValueError("false positives need `meta` for the road geometry")
-    rng = np.random.default_rng(seed)
+    tracks = sorted(tracks, key=lambda t: t.track_id)
+    repeated = [a.track_id for a, b in zip(tracks, tracks[1:]) if a.track_id == b.track_id]
+    if repeated:
+        raise ValueError(f"track id {repeated[0]} is repeated: each vehicle needs its own stream")
     scripted = scripted_dropouts or {}
-    burst_left: Dict[int, int] = {t.track_id: 0 for t in tracks}
-    # frame and the four float columns packed, not as Python numbers: the
-    # caller's truth tracks are alive while this runs
-    columns: List = [array("q"), *(array("d") for _ in DETECTION_COLUMNS), []]
+    n_frames = max((t.final_frame + 1 for t in tracks), default=0)
 
-    def emit(*row) -> None:  # frame, cx, cy, length, width, class hint
-        for column, value in zip(columns, row):
-            column.append(value)
+    # Pass 1: each vehicle's kept rows, and the rows of each frame.
+    per_frame = np.zeros(n_frames, np.int64)
+    vehicles = []
+    for track in tracks:
+        first, n = track.initial_frame, track.num_frames
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, track.track_id)))
+        keep = np.ones(n, bool)
+        for a, b in scripted.get(track.track_id, ()):
+            keep[max(a - first, 0) : max(b - first + 1, 0)] = False
+        if noise.dropout_probability > 0:
+            free = np.flatnonzero(keep)
+            end = 0  # the running burst ends before free row ``end``
+            for k in np.flatnonzero(rng.random(n)[free] < noise.dropout_probability).tolist():
+                if k >= end:
+                    end = k + noise.dropout_burst_length
+                    keep[free[k:end]] = False
+        per_frame[first : first + n] += keep
+        vehicles.append((track, keep, rng))
+    fp_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    fp_per_frame = fp_rng.poisson(noise.false_positive_rate, n_frames)
+    per_frame += fp_per_frame
 
-    for frame, present in _frame_rows(tracks):
-        for track, cx, cy in present:
-            if any(a <= frame <= b for a, b in scripted.get(track.track_id, ())):
-                continue
-            if burst_left[track.track_id] > 0:
-                burst_left[track.track_id] -= 1
-                continue
-            if noise.dropout_probability > 0 and rng.random() < noise.dropout_probability:
-                burst_left[track.track_id] = noise.dropout_burst_length - 1
-                continue
-            if noise.position_sigma > 0:
-                cx += rng.normal(0.0, noise.position_sigma)
-                cy += rng.normal(0.0, noise.position_sigma)
-            emit(frame, cx, cy, track.length, track.width, track.vehicle_class)
-        if noise.false_positive_rate > 0:
-            upper = meta.upper_lane_boundaries
-            lower = meta.lower_lane_boundaries
-            width_upper = upper[-1] - upper[0]
-            width_lower = lower[-1] - lower[0]
-            for _ in range(int(rng.poisson(noise.false_positive_rate))):
-                x = rng.uniform(0.0, road_length)
-                r = rng.uniform(0.0, width_upper + width_lower)
-                y = upper[0] + r if r < width_upper else lower[0] + (r - width_upper)
-                emit(frame, x, y, 4.5, 2.0, VehicleClass.CAR)
-    return DetectionTable(*columns)
+    # Pass 2: every row written once, at its frame's cursor.
+    frame = np.repeat(np.arange(n_frames), per_frame)
+    columns = [np.empty(len(frame)) for _ in DETECTION_COLUMNS] + [np.empty(len(frame), object)]
+    cursor = np.cumsum(per_frame) - per_frame
+    del per_frame
+    for track, keep, rng in vehicles:
+        rows = np.flatnonzero(keep)
+        at = cursor[rows + track.initial_frame]
+        cursor[rows + track.initial_frame] += 1
+        x, y = track.x[rows], track.y[rows]
+        if noise.position_sigma > 0:
+            pairs = rng.normal(0.0, noise.position_sigma, (track.num_frames, 2))[rows]
+            x += pairs[:, 0]
+            y += pairs[:, 1]
+        for column, values in zip(columns, (x, y, track.length, track.width,
+                                            track.vehicle_class)):
+            column[at] = values
+    if noise.false_positive_rate > 0:
+        n_fp = int(fp_per_frame.sum())
+        upper, lower = meta.upper_lane_boundaries, meta.lower_lane_boundaries
+        width_upper, width_lower = upper[-1] - upper[0], lower[-1] - lower[0]
+        x = fp_rng.uniform(0.0, road_length, n_fp)
+        r = fp_rng.uniform(0.0, width_upper + width_lower, n_fp)
+        y = np.where(r < width_upper, upper[0] + r, lower[0] + (r - width_upper))
+        # a frame's false positives fill its slots from its cursor on
+        at = (np.repeat(cursor - np.cumsum(fp_per_frame) + fp_per_frame, fp_per_frame)
+              + np.arange(n_fp))
+        for column, values in zip(columns, (x, y, 4.5, 2.0, VehicleClass.CAR)):
+            column[at] = values
+    return DetectionTable(frame, *columns)
 
 
 # ---------------------------------------------------------------------------

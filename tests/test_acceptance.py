@@ -354,9 +354,10 @@ def test_corpus_225k_tool_writes_this_corpus_with_the_readme_noise():
 
 def test_track_identity_on_the_corpus():
     """Identity counts of the tracked 120-vehicle corpus with the README
-    noise block. Six vehicles are split in two tracks each; no track is
-    spurious and no vehicle is missed. ``tracks_per_vehicle`` (126 / 120)
-    shows the splits only as a ratio."""
+    noise block at seed 1. Nine vehicles are split in two tracks each; no
+    track is spurious and no vehicle is missed. ``tracks_per_vehicle``
+    (129 / 120) shows the splits only as a ratio. Over seeds 1-17 the
+    fragmented vehicles number 3-12, mean 7.2."""
     script = dataclasses.replace(_corpus_script(120), noise=NoiseSpec(
         position_sigma=0.1, dropout_probability=0.01, dropout_burst_length=3,
         false_positive_rate=0.2))
@@ -367,7 +368,7 @@ def test_track_identity_on_the_corpus():
     tracks = [smooth_track(raw, SmootherConfig(), truth.meta)
               for raw in build_tracks(detections, TrackerConfig())]
     assert track_identity_oracle(tracks, truth.tracks) == dict(
-        tracks=126, vehicles=120, fragmented=6, extra=6, spurious=0, missed=0)
+        tracks=129, vehicles=120, fragmented=9, extra=9, spurious=0, missed=0)
 
 
 @criterion(6, "maneuver episodes equal the brute-force labeler on a "

@@ -702,7 +702,7 @@ class TestConfigFile:
 class TestBundledDemoScript:
     GOLDEN_SHA256 = {
         "detections/01_detections.csv":
-            "5bc784ca674ad5f34c0121bac6c645067a36757ee912d3f52525e5d41221edac",
+            "2d1fd29ed61f5640fd5639a65e02f2ae9f868a3c3fb6e1db5a1c0557b5cc4d82",
         "truth/01_tracks.csv":
             "a2002f41b312db3e7c63d61d1ae670690330e1913fd928ef4b098f6418c838fe",
         "truth/01_tracksMeta.csv":
@@ -721,41 +721,41 @@ class TestBundledDemoScript:
         "rec/01_recordingMeta.csv":
             "3a73b7f2966c264c09a1b5b1912d90c675dfcabec8b3f5be35acee28e0c5747b",
         "rec/01_smoothingReport.json":
-            "473d9bf75a3b7d2bdb4e8b42eb6f6c00b83a171ddcf3f403685d27b831813400",
+            "196785547d853778126553fe7176b32dc2bb630f795fd1c5957f5c0e5c0f66aa",
         "rec/01_tracks.csv":
-            "558dddba579089d27f57411fb3b0fac3480e49ee05c0656eb60e8b4dcee5d774",
+            "66325ddf75c2c492723bdc05086d766c5f808ad7953d19519bbf914d531ecf3b",
         "rec/01_tracksMeta.csv":
-            "6a52a25f2b105404b32563c631b32a673bfd098be92742ceab1b047cc3fd93ed",
+            "a4211c21a67f48d892966441094c148173bbe6b75206c5c4c70c2c7a2b827061",
         "extract/01_cutIns.csv":
-            "28dc02fd032ed5871214a1cdb746f254887b73776146c7f944721a07a2912f90",
+            "6b4bc98619642625972f6ff84b654a1b3262f30696d2c1c71249cdd3bf575f10",
         "extract/01_cutIns.json":
-            "3a7e49307d80822ade662854220a9dcac1595049b2d2e9ec1d5343c657a127a4",
+            "6268195d78a36010bfb4a829c71965eee61467f2a034351fd88b5b2a9645cf68",
         "extract/01_episodes.csv":
-            "ebd9970e83b26c30135d52b4f5b0ab4a6e4d1b9b9c4d24c6a73aa4084327cc1c",
+            "ca7a49aa45880e029db1ee2e51a1bb5d8d9c5d6b884ac5495017dda358ec33e6",
         "extract/01_episodes.json":
-            "90eb55edf272c468391f2056747cbcb6c3e7114970917b0605af7e0d20c7b6c7",
+            "fed7e60b084c9e650a079238a1f79fbdfa85bc1263d3a6154ab07a1caf966f53",
         "extract/01_laneChangeFits.csv":
-            "c098aa2042afb55d8a65c85e1274c0b6bdd37d3344df366dc533cece00b47896",
+            "e7842a1f2576fc23861b4a7cd3f5920b7d1edd8414c8232335df7b1e359e7788",
         "extract/01_truckRatio.csv":
-            "be9642643fbafd6d80312e1b2f5c376654ebc6197ff383dd364b4bf504e42f8b",
+            "b52dd807cced2697078ce0034773ddb312030180fa1da00567bd25f021abb900",
         "extract/cutInThwBand.csv":
-            "d60a7ae4c51821060f1ab06a719fc37a879f6ffa2eb85e8c2789583a21e6076f",
+            "e6527646f553e7ac50f2dc482b35ce221d0a1cf9f866a84cbf12685af49aba97",
         "extract/cutInThwHistogram.csv":
             "22cb16dda11a4e80fbe2011f53e14fa06f40ce98bb836329a54fc5a18e6e87ee",
         "extract/meanSpeedHistogram.csv":
-            "02c6c0137db47c35de6b858ba3e51cf731e5f8d9cb0086c96eece3276191acc8",
+            "6af32c4ff91881fa4d5c091194ed03bfb46b1b36f5878501818623aa240b0202",
         "extract/summary.json":
-            "7f96c135ac675c640b0a75ca7de2e465ed463f9cc3131f3e3f24af2a846aa1b1",
+            "8d5e3d022c741dc0749068dd163d7519e0fc63dc7c97fc04e9ce05f4b3f102ad",
         "stats/01_truckRatio.csv":
-            "be9642643fbafd6d80312e1b2f5c376654ebc6197ff383dd364b4bf504e42f8b",
+            "b52dd807cced2697078ce0034773ddb312030180fa1da00567bd25f021abb900",
         "stats/cutInThwBand.csv":
-            "d60a7ae4c51821060f1ab06a719fc37a879f6ffa2eb85e8c2789583a21e6076f",
+            "e6527646f553e7ac50f2dc482b35ce221d0a1cf9f866a84cbf12685af49aba97",
         "stats/cutInThwHistogram.csv":
             "22cb16dda11a4e80fbe2011f53e14fa06f40ce98bb836329a54fc5a18e6e87ee",
         "stats/meanSpeedHistogram.csv":
-            "02c6c0137db47c35de6b858ba3e51cf731e5f8d9cb0086c96eece3276191acc8",
+            "6af32c4ff91881fa4d5c091194ed03bfb46b1b36f5878501818623aa240b0202",
         "stats/summary.json":
-            "7f96c135ac675c640b0a75ca7de2e465ed463f9cc3131f3e3f24af2a846aa1b1",
+            "8d5e3d022c741dc0749068dd163d7519e0fc63dc7c97fc04e9ce05f4b3f102ad",
     }
 
     def test_golden_output(self, tmp_path):

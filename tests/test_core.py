@@ -19,8 +19,7 @@ from hwtracks import (
 )
 from hwtracks.core import format_float, format_floats, write_json_rows, write_rows, write_table
 from hwtracks.surround import NO_VEHICLE, UNDEFINED
-from hwtracks.synth import _frame_rows
-from conftest import det, detection_table, make_meta, row_at, straight_track
+from conftest import det, detection_table, make_meta, straight_track
 from test_surround import neighbors, vehicle_at
 
 
@@ -202,26 +201,6 @@ class TestTypes:
         assert lane_change_count(np.array([1, 1, 1, 2])) == 1
         assert lane_change_count(np.array([1, 2, 2, 1, 2])) == 3
         assert lane_change_count(np.array([2])) == 0
-
-
-class TestSweepFrames:
-    """The (frame, track id)-sorted walk of synth's corruption."""
-
-    def test_matches_state_at_on_every_frame(self):
-        tracks = [
-            straight_track(track_id=7, first_frame=3, n_frames=4),
-            straight_track(track_id=2, first_frame=5, n_frames=6, x0=50.0),
-            straight_track(track_id=4, first_frame=3, n_frames=1, x0=90.0),
-        ]
-        swept = list(_frame_rows(tracks))
-        assert [frame for frame, _ in swept] == list(range(11))
-        by_id = sorted(tracks, key=lambda t: t.track_id)
-        for frame, present in swept:
-            assert present == [(t, row_at(t, frame).x, row_at(t, frame).y)
-                               for t in by_id if row_at(t, frame) is not None]
-
-    def test_no_tracks_no_frames(self):
-        assert list(_frame_rows([])) == []
 
 
 class TestCanonicalFormat:

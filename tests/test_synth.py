@@ -1,5 +1,6 @@
 import bisect
 import json
+import math
 import re
 import tracemalloc
 
@@ -528,13 +529,77 @@ class TestCorrupt:
         c = columns(corrupt(truth.tracks, spec, seed=100, meta=truth.meta))
         assert a != c
 
+    def test_rows_match_the_row_loop_on_the_vehicle_stream(self):
+        # The vehicle's stream: one uniform per truth row, then one normal
+        # pair per truth row. Row by row, a scripted row is dropped and
+        # counts for no burst; any other row continues a running burst, or
+        # starts one when its uniform is below the dropout probability, or
+        # is kept with its pair added.
+        track = straight_track(track_id=6, first_frame=5, n_frames=3000)
+        windows = ((0, 2), (4, 9), (40, 60), (61, 61), (900, 1200), (3004, 4000))
+        spec = NoiseSpec(position_sigma=0.1, dropout_probability=0.05,
+                         dropout_burst_length=4)
+        table = corrupt([track], spec, seed=3, scripted_dropouts={6: windows})
+        rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(1, 6)))
+        u = rng.random(3000)
+        pairs = rng.normal(0.0, 0.1, (3000, 2))
+        kept, left = [], 0
+        for i, frame in enumerate(track.frames.tolist()):
+            if any(a <= frame <= b for a, b in windows):
+                continue
+            if left > 0:
+                left -= 1
+            elif u[i] < spec.dropout_probability:
+                left = spec.dropout_burst_length - 1
+            else:
+                kept.append(i)
+        assert table.frame.tolist() == (track.frames[kept]).tolist()
+        assert table.cx.tolist() == (track.x[kept] + pairs[kept, 0]).tolist()
+        assert table.cy.tolist() == (track.y[kept] + pairs[kept, 1]).tolist()
+
+    def test_removing_a_vehicle_leaves_the_other_rows(self):
+        # Each vehicle has its own length, so its rows are the rows of that
+        # length; false positives are 4.5 m long. Vehicle 2 leaves before
+        # the others, so the false positives cover the same frames.
+        script = ScenarioScript(seed=4, duration=20.0, vehicles=(
+            car(entry_x=0.0, length=4.0),
+            car(entry_x=60.0, entry_lane=2, length=5.0, entry_time=2.0, exit_time=15.0,
+                dropout_windows=((100, 140),)),
+            car(direction=DrivingDirection.UPPER, entry_x=420.0, length=6.0),
+        ))
+        truth = generate_truth(script)
+        spec = NoiseSpec(position_sigma=0.1, dropout_probability=0.05,
+                         dropout_burst_length=3, false_positive_rate=0.3)
+        kwargs = dict(seed=8, meta=truth.meta, scripted_dropouts=truth.scripted_dropouts)
+        full = corrupt(truth.tracks, spec, **kwargs)
+        rest = corrupt(truth.tracks[::2], spec, **kwargs)
+        others = full.length != 5.0
+        assert 0 < others.sum() < len(full) and (full.length == 4.5).any()
+        for name in ("frame", "cx", "cy", "length", "width"):
+            assert getattr(full, name)[others].tobytes() == getattr(rest, name).tobytes()
+        assert [h for h, o in zip(full.class_hint, others) if o] == list(rest.class_hint)
+        assert columns(corrupt(truth.tracks[::-1], spec, **kwargs)) == columns(full)
+
+    def test_identical_vehicles_get_different_noise(self):
+        tracks = [straight_track(track_id=track_id, n_frames=100) for track_id in (3, 4)]
+        table = corrupt(tracks, NoiseSpec(position_sigma=0.1), seed=1)
+        assert len(table) == 200
+        # per frame, vehicle 3's row and then vehicle 4's
+        assert (table.cx[0::2] != table.cx[1::2]).all()
+        assert (table.cy[0::2] != table.cy[1::2]).all()
+
+    def test_repeated_track_id_is_an_error(self):
+        tracks = [straight_track(track_id=2), straight_track(track_id=2, y=17.55, lane_id=2)]
+        with pytest.raises(ValueError, match="track id 2 is repeated"):
+            corrupt(tracks, NoiseSpec(), seed=1)
+
     def test_traced_peak_per_truth_row(self):
         # 48,000 rows of 200 vehicles passing through, 20 at a time. The
-        # detections take 48 B per row (five packed columns and the class
-        # hints) and the walk reads each present track's own columns, so the
-        # peak measured 61 B per truth row, and the bound leaves 15 % slack.
-        # Four sorted copies of every row held for the whole walk measured
-        # 92 B.
+        # detections take 56 B per row (five columns, the class hints and
+        # the table's tuple of them), the keep masks 1 B per truth row, and
+        # each vehicle's draws live only while its rows are written, so the
+        # peak measured 63.7 B per truth row; the bound leaves 10 % slack.
+        # Four sorted copies of every row held at once measured 92 B.
         tracks = [straight_track(track_id=i + 1, first_frame=12 * i, n_frames=240,
                                  y=13.85 + 3.7 * (i % 2), lane_id=i % 2 + 1)
                   for i in range(200)]
@@ -548,6 +613,13 @@ class TestCorrupt:
         finally:
             tracemalloc.stop()
         assert peak <= 70 * 48000, peak / 48000
+
+
+@pytest.mark.parametrize("field", ["position_sigma", "false_positive_rate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+def test_noise_magnitude_must_be_finite_and_non_negative(field, value):
+    with pytest.raises(ValueError, match=f"noise.{field} must be finite and >= 0"):
+        NoiseSpec(**{field: value})
 
 
 class TestPipelineClosure:
