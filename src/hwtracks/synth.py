@@ -14,8 +14,9 @@ over the exact tracks, their surround and the truth episodes.
 ``corrupt`` turns truth tracks into a detection table by adding
 Gaussian position noise, dropping detections (randomly, in bursts, or in
 scripted windows) and injecting single-frame false positives uniformly over
-the road. Everything is a pure function of (script, seed), and a vehicle's
-detections of the seed, its track id and its own truth alone (see ``corrupt``).
+the road. Everything is a pure function of (script, seed): vehicle ``i``
+draws burst uniforms, then noise normals, from the seed's stream of spawn key
+``(1, i)``, so its detections depend on no other vehicle (see ``corrupt``).
 """
 
 from __future__ import annotations
@@ -555,8 +556,7 @@ def corrupt(
         x, y = track.x[rows], track.y[rows]
         if noise.position_sigma > 0:
             pairs = rng.normal(0.0, noise.position_sigma, (track.num_frames, 2))[rows]
-            x += pairs[:, 0]
-            y += pairs[:, 1]
+            x, y = x + pairs[:, 0], y + pairs[:, 1]
         for column, values in zip(columns, (x, y, track.length, track.width,
                                             track.vehicle_class)):
             column[at] = values
