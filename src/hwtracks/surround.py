@@ -88,11 +88,6 @@ def left_lane_id(lane_id: int, direction: DrivingDirection) -> int:
     return lane_id + 1 if direction is DrivingDirection.LOWER else lane_id - 1
 
 
-def right_lane_id(lane_id: int, direction: DrivingDirection) -> int:
-    """Lane id to the driver's right. May fall outside the carriageway."""
-    return lane_id - 1 if direction is DrivingDirection.LOWER else lane_id + 1
-
-
 def thw_ttc(dhw, v_ego, v_lead):
     """(thw, ttc) of an ego at bumper gap ``dhw`` behind a lead vehicle.
 

@@ -194,9 +194,11 @@ def _frames(seconds: float, fps: float, key: str) -> int:
 
 
 class _VehicleTimeline:
-    """Exact kinematics of one scripted vehicle as per-frame columns."""
+    """Exact kinematics of one scripted vehicle as per-frame columns, on the
+    lane ``boundaries`` of its carriageway."""
 
-    def __init__(self, index: int, spec: VehicleSpec, script: ScenarioScript) -> None:
+    def __init__(self, index: int, spec: VehicleSpec, script: ScenarioScript,
+                 boundaries: Sequence[float]) -> None:
         self.spec = spec
         fps = script.frame_rate
         dt = 1.0 / fps
@@ -204,11 +206,6 @@ class _VehicleTimeline:
         total_frames = _frames(script.duration, fps, "duration")
         name = f"vehicles[{index}]"
 
-        boundaries = (
-            script.upper_lane_boundaries
-            if spec.direction is DrivingDirection.UPPER
-            else script.lower_lane_boundaries
-        )
         if not 1 <= spec.entry_lane <= len(boundaries) - 1:
             raise ScriptError(f"{name}: entry_lane {spec.entry_lane} does not exist")
 
@@ -466,7 +463,7 @@ def generate_truth(script: ScenarioScript) -> GroundTruth:
     lane_changes: List[LaneChangeTruth] = []
     dropouts: Dict[int, Tuple[Tuple[int, int], ...]] = {}
     for index, spec in enumerate(script.vehicles):
-        timeline = _VehicleTimeline(index, spec, script)
+        timeline = _VehicleTimeline(index, spec, script, meta.boundaries(spec.direction))
         track = timeline.track(track_id=index + 1)
         tracks.append(track)
         lane_changes.extend(_truth_lane_changes(timeline, track))

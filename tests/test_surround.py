@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from hwtracks import DrivingDirection, compute_surround
 from hwtracks import surround as surround_module
-from hwtracks.surround import NO_VEHICLE, UNDEFINED, left_lane_id, right_lane_id
+from hwtracks.surround import NO_VEHICLE, UNDEFINED, left_lane_id
 from conftest import (
     LOWER, UPPER, make_meta, make_state, row_at, straight_track, surround_rows,
     track_from_states,
@@ -77,7 +77,7 @@ def brute_force_neighbors(vehicles, meta):
             return nearest(rest, True), alongside, nearest(rest, False)
 
         lp, la, lf = side_slots(left_lane_id(state.lane_id, direction))
-        rp, ra, rf = side_slots(right_lane_id(state.lane_id, direction))
+        rp, ra, rf = side_slots(2 * state.lane_id - left_lane_id(state.lane_id, direction))
 
         dhw = thw = ttc = UNDEFINED
         if preceding != NO_VEHICLE:
@@ -234,9 +234,7 @@ class TestAssignNeighbors:
         # lane 1 -> lane 2 is the driver's left on the lower carriageway,
         # the driver's right on the upper one.
         assert left_lane_id(1, DrivingDirection.LOWER) == 2
-        assert right_lane_id(2, DrivingDirection.LOWER) == 1
         assert left_lane_id(2, DrivingDirection.UPPER) == 1
-        assert right_lane_id(1, DrivingDirection.UPPER) == 2
 
         ego = vehicle_at(1, DrivingDirection.LOWER, 1, 100.0)
         other = vehicle_at(2, DrivingDirection.LOWER, 2, 130.0)

@@ -12,8 +12,9 @@ Then runs, each as a child process of this checkout:
   workloads;
 - ``tools/corpus_225k.py`` ``CORPUS_RUNS`` times, each in a fresh temporary
   directory (wall time and peak RSS of each subcommand on the 225k-row
-  corpus, and the time and RSS after each step of ``track`` and of
-  ``extract``);
+  corpus, and the step tables of ``track`` and of ``extract``: per tracer
+  span, its self time and the RSS and high-water mark after its last
+  call);
 - ``wc -l src/hwtracks/*.py``.
 
 Then writes ``BENCH_<N>.json`` at the root of the checkout: the environment
@@ -87,7 +88,9 @@ def parse_run(stdout: str) -> Dict:
 def parse_corpus(stdout: str) -> Dict:
     """The subcommand table of ``tools/corpus_225k.py``, its manifest size and
     the ``track`` and ``extract`` step tables that follow the manifest line,
-    each under the name its header gives."""
+    each under the name its header gives. A step row is a tracer span:
+    ``wall_s`` is its self time, ``rss_mb`` and ``peak_rss_mb`` the RSS and
+    high-water mark after its last call."""
     table: Dict = {}
     steps: Dict[str, Dict] = {"track_steps": {}, "extract_steps": {}}
     files = rows = None

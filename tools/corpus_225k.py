@@ -5,50 +5,52 @@ Usage: ``python3 tools/corpus_225k.py OUT``
 Writes ``OUT/script.json``: the 300-vehicle ``_corpus_script`` of
 ``tests/test_acceptance.py`` with the README noise block (position sigma
 0.1 m, 1 % dropout in bursts of 3, 0.2 false positives per frame), which
-``synth`` turns into 224,887 detection rows. Then runs ``synth -> track ->
-extract -> stats -> validate`` on it, each as a child process at
-``--jobs 1``, and prints a table of each subcommand's wall time, its peak
-RSS (from ``os.wait4``) and that RSS over the size of its input files.
-``OUT/MANIFEST.sha256`` lists every file below ``OUT`` as
+``synth`` turns into 224,887 detection rows. Then runs the benchmark's chain
+on it (``perfbench.chain.run_chain``: ``synth -> track -> extract -> stats
+-> validate``, each a child process at ``--jobs 1``, its stdout and stderr
+kept in ``OUT/logs``) and prints a table of each subcommand's wall time,
+its peak RSS (from ``os.wait4``) and that RSS over the size of its input
+files. ``OUT/MANIFEST.sha256`` lists every file below ``OUT`` as
 ``tools/output_digests.py`` does, so the manifests of two checkouts compare
 with ``diff``.
 
-Then it prints the step tables of ``track`` and ``extract``: the steps of
-``pipeline.track_stage`` run on the corpus detections, and those of
-``extract`` on the tracked recording, each in one fresh child process, with
-the wall time of each step and, after it, the process's current RSS and
-high-water mark (``VmRSS`` and ``VmHWM`` of ``/proc/self/status``). Their
-outputs go to a directory that is removed at the end, so the manifest does
-not see them.
+Then it prints the step tables of ``track`` (on the corpus detections) and
+``extract`` (on the tracked recording), each from ``steps`` in one fresh
+child process: the CLI runs in-process under perfbench's tracer
+(``perfbench.tracing``), with one more span around
+``pipeline.smooth_series``, and each row is a span name with its summed
+self time, then the process's current RSS and high-water mark after its
+last call. ``trace.count`` is the tracer's own counting. The tracer imports
+every module it wraps, so the rows start from a larger process than a
+plain ``track`` child. Its wrappers hold a layer's arguments until the
+span has closed, so a row's RSS can still include an input that the
+caller drops as soon as the layer returns: after
+``tracking.build_tracks`` it includes the detections table. The
+high-water marks are not raised by this, but they move with heap
+placement, so compare them only between runs on one host. The step
+tables' outputs go to a directory that is removed at the end, so the
+manifest does not see them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
-import os
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Dict, Iterator, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src"), str(ROOT / "tests")]
 
+from perfbench.tracing import Tracer  # noqa: E402
+
 VEHICLES = 300
 NOISE = {"position_sigma": 0.1, "dropout_probability": 0.01,
          "dropout_burst_length": 3, "false_positive_rate": 0.2}
-#: Each subcommand, its arguments and the directory of its input files.
-STEPS = (
-    ("synth", ("--script", "script.json", "--output", "synth"), None),
-    ("track", ("--input", "synth/detections", "--output", "rec", "--jobs", "1"),
-     "synth/detections"),
-    ("extract", ("--input", "rec", "--output", "ext", "--jobs", "1"), "rec"),
-    ("stats", ("--input", "rec", "--output", "st", "--jobs", "1"), "rec"),
-    ("validate", ("--input", "rec"), "rec"),
-)
 
 
 def script() -> dict:
@@ -75,92 +77,60 @@ def script() -> dict:
     }
 
 
-def _stepper() -> Callable[[str], None]:
-    """A ``step(name)`` that prints one table row: the wall time since the
-    last step (the first since this call), then this process's current RSS
-    and high-water mark."""
-    clock = [time.perf_counter()]
+@dataclasses.dataclass
+class _MemoryTracer(Tracer):
+    """A ``Tracer`` that also reads this process's current RSS and
+    high-water mark (``VmRSS`` and ``VmHWM`` of ``/proc/self/status``, in MB)
+    as each span ends, keeping the last reading per span name."""
 
-    def step(name: str) -> None:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            status = dict(line.split(":", 1) for line in fh)
-        rss, hwm = (int(status[key].split()[0]) / 1024.0 for key in ("VmRSS", "VmHWM"))
-        now = time.perf_counter()
-        print(f"| `{name}` | {now - clock[0]:.2f} s | {rss:.1f} MB | {hwm:.1f} MB |",
-              flush=True)
-        clock[0] = now
+    memory: Dict[str, Tuple[float, float]] = dataclasses.field(default_factory=dict)
 
-    return step
-
-
-def track_steps(detections: str, meta_path: str, output: str) -> None:
-    """Run the steps of ``pipeline.track_stage`` with its default config and
-    print one table row per step: its wall time, then this process's current
-    RSS and high-water mark after it. The names that ``track_stage`` drops
-    after a step are dropped here too. Meant for a fresh process, whose
-    high-water mark is then this run's."""
-    step = _stepper()
-    from hwtracks.dataset_io import read_detections, read_recording_meta, write_recording
-    from hwtracks.pipeline import PipelineConfig
-    from hwtracks.smoothing import smooth_series, smooth_track_with_diagnostics
-    from hwtracks.surround import compute_surround
-    from hwtracks.tracking import build_tracks
-
-    step("import")
-    cfg = PipelineConfig()
-    meta = read_recording_meta(Path(meta_path))
-    table = read_detections(Path(detections), meta.max_frame)
-    step("read_detections")
-    raw_tracks = build_tracks(table, cfg.tracker)
-    del table
-    step("build_tracks")
-    smoothed = smooth_series(raw_tracks, cfg.smoother, 1.0 / meta.frame_rate)
-    step("smooth_series")
-    assembled = [smooth_track_with_diagnostics(raw, series, meta)
-                 for raw, series in zip(raw_tracks, smoothed)]
-    del raw_tracks, smoothed
-    tracks = [track for track, _ in assembled]
-    step("assembly")
-    surround = compute_surround(tracks, meta)
-    step("compute_surround")
-    write_recording(meta, tracks, surround, Path(output))
-    step("write_recording")
+    @contextlib.contextmanager
+    def span(self, name: str) -> Iterator[None]:
+        try:
+            with super().span(name):
+                yield
+        finally:
+            with open("/proc/self/status", encoding="ascii") as fh:
+                status = dict(line.split(":", 1) for line in fh)
+            self.memory[name] = tuple(int(status[key].split()[0]) / 1024.0
+                                      for key in ("VmRSS", "VmHWM"))
 
 
-def extract_steps(recording: str, output: str) -> None:
-    """Run what ``hwtracks extract`` does for the one recording in the
-    directory ``recording``, with the default config, and print a table row
-    per step as ``track_steps`` does: reading it, ``extract_stage`` and the
-    per-recording files written to ``output``."""
-    step = _stepper()
-    from hwtracks.dataset_io import discover_recordings, read_recording
-    from hwtracks.lane_change import write_events
-    from hwtracks.pipeline import PipelineConfig, extract_stage
+def steps(command: str, *argv: str) -> None:
+    """Run ``hwtracks command *argv`` in this process under perfbench's
+    tracer, with one more span around ``pipeline.smooth_series``, and print
+    its step table: one row per span name, in the order of first call, with
+    the summed self time, then this process's RSS and high-water mark after
+    the last call. Meant for a fresh process, whose high-water mark is then
+    this run's."""
+    from hwtracks import pipeline
+    from perfbench.tracing import run_cli, self_times, traced_layers
 
-    step("import")
-    paths, = discover_recordings(Path(recording))
-    loaded = read_recording(paths)
-    step("read_recording")
-    result = extract_stage(loaded, PipelineConfig())
-    step("extract_stage")
-    write_events(Path(output), result.recording_id, result.episodes, result.cut_ins,
-                 result.fits)
-    step("writes")
+    tracer = _MemoryTracer()
+    smooth_series = pipeline.smooth_series
 
+    def traced_smooth_series(*args, **kwargs):
+        with tracer.span("smoothing.smooth_series"):
+            return smooth_series(*args, **kwargs)
 
-def _run(out: Path, command: str, args, env: dict) -> tuple:
-    """One CLI call in ``out`` under ``env``, its stdout kept as
-    ``<command>.stdout``: its wall time in seconds and its peak RSS in MB."""
-    with open(out / f"{command}.stdout", "w", encoding="utf-8") as stdout:
-        start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-m", "hwtracks", command, *args],
-                                 cwd=out, env=env, stdout=stdout)
-        _, status, usage = os.wait4(child.pid, 0)
-        wall = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)
-    if child.returncode != 0:
-        raise SystemExit(f"hwtracks {command} exited {child.returncode}")
-    return wall, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+    pipeline.smooth_series = traced_smooth_series
+    try:
+        with traced_layers(tracer):
+            code, _ = run_cli(tracer, [command, *argv], command)
+    finally:
+        pipeline.smooth_series = smooth_series
+    if code != 0:
+        raise SystemExit(f"hwtracks {command} exited {code}")
+    seconds: Dict[str, float] = {}
+    for span_id, self_s in self_times(tracer.spans).items():
+        name = tracer.spans[span_id].name
+        seconds[name] = seconds.get(name, 0.0) + self_s
+    print(f"\n| step of `{command}` | self time | RSS after the last call | peak so far |\n"
+          "|---|---|---|---|")
+    for name, self_s in seconds.items():
+        rss, hwm = tracer.memory[name]
+        print(f"| `{name}` | {self_s:.3f} s | {rss:.1f} MB | {hwm:.1f} MB |", flush=True)
 
 
 def main(argv) -> int:
@@ -172,32 +142,33 @@ def main(argv) -> int:
         print(f"{out} is not empty", file=sys.stderr)
         return 2
     out.mkdir(parents=True, exist_ok=True)
-    from tools.output_digests import child_env, write_manifest
+    from perfbench.chain import SUBCOMMANDS, run_child
+    from tools.output_digests import DEADLINE_S, run_checked, write_manifest
 
-    env = child_env()
     (out / "script.json").write_text(json.dumps(script()), encoding="utf-8")
+    chain = run_checked([out / "script.json"], out, 1)
+    detections = chain.synth_dir / "detections"
+    inputs = {"track": detections, "extract": chain.rec_dir, "stats": chain.rec_dir,
+              "validate": chain.rec_dir}
     print("| subcommand | wall | peak RSS | RSS ÷ input |\n|---|---|---|---|")
-    for command, args, inputs in STEPS:
-        wall, rss = _run(out, command, args, env)
+    for command in SUBCOMMANDS:
+        rss = chain.max_rss_mb(command)
         ratio = "—"
-        if inputs is not None:
-            size = sum(p.stat().st_size for p in (out / inputs).glob("*.csv"))
+        if command in inputs:
+            size = sum(p.stat().st_size for p in inputs[command].glob("*.csv"))
             ratio = f"{rss * 2**20 / size:.1f}×"
-        print(f"| `{command}` | {wall:.2f} s | {rss:.0f} MB | {ratio} |", flush=True)
+        print(f"| `{command}` | {chain.seconds(command):.2f} s | {rss:.0f} MB | {ratio} |")
     manifest = write_manifest(out)
-    print(f"{sum(1 for _ in manifest.open(encoding='utf-8'))} files in {manifest}")
-    detections, = (out / "synth" / "detections").glob("*_detections.csv")
-    meta_path = detections.with_name(detections.name.replace("detections", "recordingMeta"))
+    print(f"{sum(1 for _ in manifest.open(encoding='utf-8'))} files in {manifest}", flush=True)
     with tempfile.TemporaryDirectory(dir=out) as scratch:
-        for name, args in (("track", (detections, meta_path, scratch)),
-                           ("extract", (out / "rec", scratch))):
-            print(f"\n| step of `{name}` | time | RSS after the step | peak so far |\n"
-                  "|---|---|---|---|", flush=True)
-            subprocess.run([sys.executable, "-c",
-                            f"import sys; from tools.corpus_225k import {name}_steps; "
-                            f"{name}_steps(*sys.argv[1:])", *map(str, args)],
-                           cwd=ROOT, env={**env, "PYTHONPATH": f"{ROOT}:{ROOT / 'src'}"},
-                           check=True)
+        for command, source in (("track", detections), ("extract", chain.rec_dir)):
+            run = run_child([sys.executable, "-c", "import sys; from tools.corpus_225k "
+                             "import steps; steps(*sys.argv[1:])", command, "--input",
+                             str(source), "--output", scratch, "--jobs", "1"],
+                            Path(scratch) / command, time.perf_counter() + DEADLINE_S)
+            if run.returncode != 0:
+                raise SystemExit(f"steps of {command} exited {run.returncode}:\n{run.stderr}")
+            print(run.stdout, end="", flush=True)
     return 0
 
 

@@ -2,33 +2,37 @@
 
 Usage: ``python3 tools/output_digests.py OUT``
 
-Runs ``synth -> track -> extract / stats / validate`` of the checkout this
+Runs the benchmark's chain (``perfbench.chain.run_chain``: ``synth -> track
+-> extract / stats / validate``, each a child process) of the checkout this
 file belongs to on three inputs, each at seed 1: ``demos/demo_scene.json``
-and the ``perfbench.scenes`` lanechange-dense and fleet-8x60 scripts. Synth
-runs once per input; track, extract, stats and validate run at ``--jobs 1``
-and at ``--jobs 2``. Every subcommand's stdout is kept next to its outputs.
-The manifest ``OUT/MANIFEST.sha256`` lists every file below ``OUT`` by its
-path relative to ``OUT``, so the manifests of two checkouts compare with
-``diff``.
+and the ``perfbench.scenes`` lanechange-dense and fleet-8x60 scripts. Each
+input's scripts go to ``OUT/<input>/scripts``, and the chain runs once at
+``--jobs 1`` and once at ``--jobs 2``, in ``OUT/<input>/jobs<N>``, with every
+child's stdout and stderr kept in its ``logs``. The manifest
+``OUT/MANIFEST.sha256`` lists every file below ``OUT`` by its path relative
+to ``OUT``, so the manifests of two checkouts compare with ``diff``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import subprocess
 import sys
+import time
 from pathlib import Path
+from typing import Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
+from perfbench.chain import ChainRun, run_chain, write_scripts  # noqa: E402
 from perfbench.scenes import fleet_scripts, lanechange_script  # noqa: E402
 
 SEED = 1
 JOBS = (1, 2)
 MANIFEST = "MANIFEST.sha256"
+#: A chain still running this long after it started is killed and fails.
+DEADLINE_S = 1800.0
 
 
 def _inputs():
@@ -41,43 +45,20 @@ def _inputs():
     }
 
 
-def child_env() -> dict:
-    """The environment of a CLI child: this checkout's ``src`` on the path and
-    one BLAS thread."""
-    return {**os.environ, "PYTHONPATH": str(ROOT / "src"),
-            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-
-
-def _run(out: Path, stdout_name: str, *args: str) -> None:
-    """One CLI call with ``out`` as working directory, so every path it
-    prints is relative; its stdout goes to ``stdout_name``."""
-    result = subprocess.run([sys.executable, "-m", "hwtracks", *args], cwd=out,
-                            env=child_env(), capture_output=True, text=True)
-    (out / stdout_name).write_text(result.stdout, encoding="utf-8")
-    if result.returncode != 0:
-        raise SystemExit(f"hwtracks {' '.join(args)} exited {result.returncode}:\n"
-                         f"{result.stderr}")
+def run_checked(script_paths: Sequence[Path], workdir: Path, jobs: int) -> ChainRun:
+    """``run_chain`` in ``workdir``; SystemExit if any child exited nonzero."""
+    chain = run_chain(script_paths, workdir, jobs, time.perf_counter() + DEADLINE_S)
+    for run in chain.all_runs():
+        if run.returncode != 0:
+            raise SystemExit(f"{' '.join(run.argv)} exited {run.returncode}:\n{run.stderr}")
+    return chain
 
 
 def run_all(out: Path) -> None:
     for name, scripts in _inputs().items():
-        work = Path(name)
-        (out / work / "scripts").mkdir(parents=True, exist_ok=True)
-        for script in scripts:
-            path = work / "scripts" / f"{script['recording_id']:02d}_script.json"
-            (out / path).write_text(json.dumps(script), encoding="utf-8")
-            _run(out, f"{path.parent.parent}/synth-{script['recording_id']:02d}.stdout",
-                 "synth", "--script", str(path), "--output", str(work / "synth"))
+        paths = write_scripts(scripts, out / name / "scripts")
         for jobs in JOBS:
-            run = work / f"jobs{jobs}"
-            (out / run).mkdir(parents=True, exist_ok=True)
-            flag = ("--jobs", str(jobs))
-            _run(out, f"{run}/track.stdout", "track", "--input",
-                 str(work / "synth" / "detections"), "--output", str(run / "rec"), *flag)
-            for command, target in (("extract", "ext"), ("stats", "st")):
-                _run(out, f"{run}/{command}.stdout", command, "--input",
-                     str(run / "rec"), "--output", str(run / target), *flag)
-            _run(out, f"{run}/validate.stdout", "validate", "--input", str(run / "rec"))
+            run_checked(paths, out / name / f"jobs{jobs}", jobs)
 
 
 def write_manifest(out: Path) -> Path:
