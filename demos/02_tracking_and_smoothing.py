@@ -3,8 +3,8 @@
 Corrupts an exact scene with pixel-level position noise, detection dropouts
 and single-frame false positives, rebuilds tracks with the gated
 nearest-neighbor tracker, and smooths them with the forward Kalman filter
-plus the backward RTS pass. The printout compares raw detection error
-against the smoothed error per track.
+plus the backward RTS pass. The printout compares the raw detection error
+on measured frames against the smoothed error on every frame, per track.
 """
 
 import math
@@ -67,7 +67,8 @@ for raw, want in zip(raw_tracks, truth.tracks):
                  track.final_frame - want.initial_frame + 1)
     exp_x, exp_y = want.x[rows], want.y[rows]
     coasted = len(raw.x) - raw.measured_count
-    raw_rmse = math.sqrt(np.mean((raw.x - exp_x) ** 2 + (raw.y - exp_y) ** 2))
+    m = raw.measured  # a coasted frame has no raw position (NaN)
+    raw_rmse = math.sqrt(np.mean((raw.x[m] - exp_x[m]) ** 2 + (raw.y[m] - exp_y[m]) ** 2))
     smooth_rmse = math.sqrt(np.mean((track.x - exp_x) ** 2 + (track.y - exp_y) ** 2))
     print(f"  {track.track_id:>4}  {track.num_frames:>7}  {coasted:>7}"
           f"  {raw_rmse:>8.3f} m  {smooth_rmse:>10.3f} m")

@@ -200,13 +200,14 @@ def cmd_track(args) -> int:
     try:
         cfg = load_pipeline_config(args.config, jobs=args.jobs)
         prefixes = recording_prefixes(input_dir, "detections.csv")
+        if prefixes:
+            output_dir.mkdir(parents=True, exist_ok=True)
     except Exception as exc:
         _report_errors([_exception_error(exc)])
         return 1
     if not prefixes:
         _report_errors([_error_dict("EmptyInput", f"no *_detections.csv in {input_dir}")])
         return 1
-    output_dir.mkdir(parents=True, exist_ok=True)
     items = [(input_dir / f"{prefix}_detections.csv",
               input_dir / f"{prefix}_recordingMeta.csv", cfg, output_dir)
              for prefix in prefixes]
@@ -247,13 +248,14 @@ def _run_extract(args, write_per_recording: bool) -> int:
     try:
         cfg = load_pipeline_config(args.config, jobs=args.jobs)
         filesets = discover_recordings(input_dir)
+        if filesets:
+            output_dir.mkdir(parents=True, exist_ok=True)
     except Exception as exc:
         _report_errors([_exception_error(exc)])
         return 1
     if not filesets:
         _report_errors([_error_dict("EmptyInput", f"no recordings in {input_dir}")])
         return 1
-    output_dir.mkdir(parents=True, exist_ok=True)
     items = [(paths, cfg, output_dir, write_per_recording) for paths in filesets]
     results: List[ExtractResult] = []
     for outcome, result in _run_parallel(_extract_one, items, cfg.jobs):

@@ -7,9 +7,10 @@ which frames were measured, so both axes share them: each track runs one
 3-state (position, velocity, acceleration) recursion whose state carries the
 two axes as columns. This gives the same result as a joint 6-state filter.
 
-Frames flagged as predicted (coasted by the tracker) contribute no
-measurement: the filter runs predict-only across them, and the backward
-pass fills them with smoothed estimates informed by both sides of the gap.
+Frames not flagged as measured (coasted by the tracker, with NaN raw
+positions) contribute no measurement: the filter runs predict-only across
+them, and the backward pass fills them with smoothed estimates informed by
+both sides of the gap.
 
 ``smooth_series`` is the one entry point of the filter and smoother. It
 runs all tracks of a recording in lockstep: step k of the forward and of
@@ -342,10 +343,13 @@ def smooth_series(
     """Forward filter and RTS pass of every raw track, all in lockstep.
 
     Gives each track the series that it gets when smoothed alone, bit for
-    bit. A covariance that loses positive semi-definiteness, or overflows,
-    raises ``NumericalFailure`` for the first failing track in ``raws``
-    order, at its first failing frame, its filtered series checked before
-    its smoothed one.
+    bit. A coasted frame's ``x`` and ``y`` never reach a state, so they may
+    hold anything (``build_tracks`` leaves NaN): ``_forward`` keeps the
+    prediction there and drops the update computed from them. A covariance
+    that loses positive semi-definiteness, or overflows, raises
+    ``NumericalFailure`` for the first failing track in ``raws`` order, at
+    its first failing frame, its filtered series checked before its
+    smoothed one.
     """
     if not raws:
         return []

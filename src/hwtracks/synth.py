@@ -87,7 +87,6 @@ class ScriptedLaneChange:
     start_time: float     # seconds on the recording clock
     duration: float
     to_lane: int
-    d_start: Optional[float] = None  # default: distance from the settled offset
     d_end: Optional[float] = None    # default: ends at the target lane center
 
 
@@ -302,16 +301,9 @@ class _VehicleTimeline:
                 )
             lane_sign = 1 if lc.to_lane > current_lane else -1
             marking = boundaries[max(current_lane, lc.to_lane) - 1]
-            default_d_start = lane_sign * (marking - settled_y)
-            d_start = lc.d_start if lc.d_start is not None else default_d_start
+            d_start = lane_sign * (marking - settled_y)  # starts from the settled offset
             if d_start <= 0:
                 raise ScriptError(f"{lc_name}: d_start must be positive, got {d_start}")
-            start_y = marking - lane_sign * d_start
-            if abs(start_y - settled_y) > 1e-9:
-                raise ScriptError(
-                    f"{lc_name}: d_start={d_start} starts the maneuver at y={start_y:.3f} "
-                    f"but the vehicle is settled at y={settled_y:.3f}"
-                )
             target_center = _lane_center(boundaries, lc.to_lane)
             d_end = (
                 lc.d_end if lc.d_end is not None else lane_sign * (target_center - marking)
@@ -622,7 +614,6 @@ def _vehicle_spec(v: JsonObject) -> VehicleSpec:
                 start_time=lc.number("start_time"),
                 duration=lc.number("duration"),
                 to_lane=lc.integer("to_lane"),
-                d_start=lc.number("d_start", None),
                 d_end=lc.number("d_end", None),
             )
             for lc in v.objects("lane_changes", _keys(ScriptedLaneChange))

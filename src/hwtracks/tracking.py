@@ -8,11 +8,12 @@ constant-velocity prediction for a bounded number of frames before they are
 terminated at their last measured frame.
 
 The frame walk boxes only the current frame's detection centres as Python
-floats, keeps each active track's last two positions and coast count and
-logs one (track id, x, y, detection row) entry per active track and frame
-into typed ``array`` columns, 8 bytes an entry; the log is then grouped by
-track once for confirmation, the trim of coasted tails, class votes and
-extents.
+floats and keeps each active track's last two positions and coast count,
+which give its constant-velocity prediction. Each detection row either joins
+an active track or starts a new one, so the walk records one owner track id
+per row, in an 8-byte ``array`` column. A track is then its detection rows:
+a stable argsort of the owners groups them in frame order, once, for
+confirmation, class votes, extents and the track's columns.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ class RawTrack:
     """A confirmed track before smoothing.
 
     ``x``, ``y`` and ``measured`` are read-only arrays with one entry per
-    frame from ``first_frame`` on, the first and last frames measured.
-    Coasted frames hold constant-velocity predictions and ``measured``
-    False. ``length`` and ``width`` are the medians of the detected extents
-    and ``vehicle_class`` the majority of the class hints (a tie or no hint
-    gives Car).
+    frame from ``first_frame`` on, the first and last frames measured. On a
+    measured frame ``x`` and ``y`` are the detection's centre; coasted frames
+    have ``measured`` False and NaN ``x`` and ``y``. ``length`` and ``width``
+    are the medians of the detected extents and ``vehicle_class`` the
+    majority of the class hints (a tie or no hint gives Car).
     """
 
     track_id: int
@@ -105,11 +106,11 @@ def associate_frame(
 def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrack]:
     """Assemble confirmed tracks from a detection table.
 
-    The table is walked frame by frame. Tracks that never reach
-    ``min_hits_to_confirm`` measured observations are dropped, detection
-    gaps up to ``max_coast`` frames are filled with constant-velocity
-    predictions, and a track coasting longer than that is terminated at its
-    last measured frame. Output is sorted by track id; identical input
+    The table is walked frame by frame. Unmatched tracks coast on their
+    constant-velocity prediction; a track coasting longer than
+    ``max_coast`` frames is terminated, and a track runs from its first to
+    its last detection. Tracks with fewer than ``min_hits_to_confirm``
+    detections are dropped. Output is sorted by track id; identical input
     yields identical output.
     """
     if not len(detections):
@@ -120,8 +121,7 @@ def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrac
     # (id, x, y, previous x, previous y, coasted frames) per active track in
     # id order; the previous position is None while a track has one frame.
     active: List[tuple] = []
-    log_id, log_row = array("q"), array("q")  # log_row: -1 for a coasted frame
-    log_x, log_y = array("d"), array("d")
+    owner = array("q")  # the id of the track each detection row belongs to
     next_id, k, frame = 1, 0, 0
     while k < len(frame_values):
         if not active:  # nothing coasts: go straight to the next detection
@@ -139,52 +139,49 @@ def build_tracks(detections: DetectionTable, cfg: TrackerConfig) -> List[RawTrac
         for t, d in associate_frame(predicted, [a[0] for a in active], cx, cy,
                                     cfg.gate_radius):
             rows[t] = d
+        owners = [0] * (stop - start)  # this frame's owner ids; 0 until claimed
         still_active = []
         for (track_id, x, y, _, _, coast), (px, py), r in zip(active, predicted, rows):
             if r < 0:
                 coast += 1
             else:
                 px, py, coast = cx[r], cy[r], 0
+                owners[r] = track_id
             if coast <= cfg.max_coast:
                 still_active.append((track_id, px, py, x, y, coast))
-            log_id.append(track_id)
-            log_x.append(px)
-            log_y.append(py)
-        claimed = set(rows)
-        spawned = [d for d in range(stop - start) if d not in claimed]
-        for d in spawned:
-            still_active.append((next_id, cx[d], cy[d], None, None, 0))
-            log_id.append(next_id)
-            log_x.append(cx[d])
-            log_y.append(cy[d])
-            next_id += 1
-        log_row.extend([-1 if d < 0 else start + d for d in rows + spawned])
+        for d in range(stop - start):
+            if not owners[d]:
+                owners[d] = next_id
+                still_active.append((next_id, cx[d], cy[d], None, None, 0))
+                next_id += 1
+        owner.extend(owners)
         active = still_active
         frame += 1
 
-    # Group the log by track id; each group is one track's frames in order.
-    ids = np.frombuffer(log_id, dtype=np.int64)
+    # Group the rows by owner; each group is one track's detections in frame
+    # order, and the track runs from the first to the last of them.
+    ids = np.frombuffer(owner, dtype=np.int64)
     order = np.argsort(ids, kind="stable")
-    row = np.frombuffer(log_row, dtype=np.int64)[order]
-    x, y = np.frombuffer(log_x)[order], np.frombuffer(log_y)[order]
-    measured = row >= 0
-    for column in (x, y, measured):
-        column.flags.writeable = False
-    begins = np.cumsum(np.bincount(ids)[:-1])  # ids run from 1 to next_id - 1
-    hits = np.add.reduceat(measured, begins)
-    # Coasted tails are dropped: each track ends at its last measured row.
-    ends = np.maximum.reduceat(np.where(measured, np.arange(len(row)), -1), begins) + 1
+    hits = np.bincount(ids)[1:]  # ids run from 1 to next_id - 1
+    del ids, owner
+    ends = np.cumsum(hits)
     # +1 per Truck hint, -1 per Car hint: Truck needs a strict majority.
     # Object arrays compare enum members by identity, without hashing them.
     hints = np.array(detections.class_hint, dtype=object)
     votes = (hints == VehicleClass.TRUCK).view(np.int8) - (hints == VehicleClass.CAR)
     tracks = []
     for i in np.flatnonzero(hits >= cfg.min_hits_to_confirm).tolist():
-        b, e = int(begins[i]), int(ends[i])
-        own = row[b:e][measured[b:e]]
+        own = order[ends[i] - hits[i]:ends[i]]
+        frames = detections.frame[own]
+        at = frames - frames[0]
+        x, y = np.full((2, int(at[-1]) + 1), np.nan)
+        x[at], y[at] = detections.cx[own], detections.cy[own]
+        measured = np.zeros(len(x), dtype=bool)
+        measured[at] = True
+        for column in (x, y, measured):
+            column.flags.writeable = False
         tracks.append(RawTrack(
-            track_id=i + 1, first_frame=int(detections.frame[own[0]]),
-            x=x[b:e], y=y[b:e], measured=measured[b:e],
+            track_id=i + 1, first_frame=int(frames[0]), x=x, y=y, measured=measured,
             # the medians are statistics.median's: (a + b) / 2 for an even count
             length=float(np.median(detections.length[own])),
             width=float(np.median(detections.width[own])),

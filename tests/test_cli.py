@@ -144,6 +144,20 @@ class TestTrackCommand:
         assert err["errors"][0]["kind"] == "EmptyInput"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, source", [
+        ("track", "detections"), ("extract", "truth"), ("stats", "truth")])
+    def test_output_that_is_a_file_is_one_reported_error(self, tmp_path, capsys, command,
+                                                         source):
+        out = run_synth(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        capsys.readouterr()
+        assert main([command, "--input", str(out / source), "--output", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [entry] = json.loads(err)["errors"]  # the whole of stderr is one JSON object
+        assert entry["kind"] == "FileExistsError" and str(taken) in entry["message"]
+
     def test_corrupt_detections_named_in_error(self, tmp_path, capsys):
         out = run_synth(tmp_path)
         det = out / "detections" / "01_detections.csv"

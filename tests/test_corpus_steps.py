@@ -1,5 +1,6 @@
 """The step tables of ``tools/corpus_225k.py``: the CLI itself, traced."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,17 @@ def test_steps_trace_track_and_extract_and_write_their_bytes(tmp_path):
     assert set(TRACK_SPANS) <= set(tables["track_steps"])
     assert set(EXTRACT_SPANS) <= set(tables["extract_steps"])
     assert files(traced) == files(plain)
+
+
+def test_steps_show_the_cli_error(tmp_path):
+    missing = tmp_path / "missing"
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from tools.corpus_225k import steps; "
+         "steps('track', '--input', sys.argv[1], '--output', sys.argv[2], '--jobs', '1')",
+         str(missing), str(tmp_path / "rec")],
+        cwd=ROOT, capture_output=True, text=True)
+    assert result.returncode == 1
+    error, end = json.JSONDecoder().raw_decode(result.stderr)
+    assert error == {"errors": [{"kind": "EmptyInput",
+                                 "message": f"no *_detections.csv in {missing}"}]}
+    assert result.stderr[end:].strip() == "hwtracks track exited 1"

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 import tracemalloc
 
@@ -463,6 +464,17 @@ class TestSmoothSeries:
 
     def test_no_tracks(self):
         assert smooth_series([], cfg(), DT) == []
+
+    def test_coasted_positions_never_reach_a_state(self):
+        # build_tracks leaves NaN on coasted frames; any other value there
+        # gives the same bits.
+        raws = batch_tracks()
+        blanked = [dataclasses.replace(raw, x=np.where(raw.measured, raw.x, np.nan),
+                                       y=np.where(raw.measured, raw.y, -1e300))
+                   for raw in raws]
+        for got, want in zip(smooth_series(blanked, cfg(), DT), smooth_series(raws, cfg(), DT)):
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.covariances, want.covariances)
 
 
 def eigvalsh_worst(covs):

@@ -103,7 +103,8 @@ def steps(command: str, *argv: str) -> None:
     its step table: one row per span name, in the order of first call, with
     the summed self time, then this process's RSS and high-water mark after
     the last call. Meant for a fresh process, whose high-water mark is then
-    this run's."""
+    this run's. If the CLI fails, it runs once more untraced, so that its
+    error object reaches stderr, and the process exits with a message."""
     from hwtracks import pipeline
     from perfbench.tracing import run_cli, self_times, traced_layers
 
@@ -120,7 +121,10 @@ def steps(command: str, *argv: str) -> None:
             code, _ = run_cli(tracer, [command, *argv], command)
     finally:
         pipeline.smooth_series = smooth_series
-    if code != 0:
+    if code != 0:  # run_cli discarded the error object: run again to print it
+        from hwtracks.cli import main
+
+        main([command, *argv])
         raise SystemExit(f"hwtracks {command} exited {code}")
     seconds: Dict[str, float] = {}
     for span_id, self_s in self_times(tracer.spans).items():
