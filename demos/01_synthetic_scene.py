@@ -68,10 +68,10 @@ for track in truth.tracks:
 
 print("\nscripted lane changes (analytic ground truth):")
 for lc in truth.lane_changes:
-    p = lc.params
-    print(f"  track {lc.track_id}: lane {lc.from_lane}->{lc.to_lane} "
-          f"crossing frame {lc.crossing_frame}, episode frames "
-          f"[{lc.start_frame}, {lc.end_frame}], complete={lc.complete}")
+    p, ep = lc.params, lc.episode
+    print(f"  track {ep.track_id}: lane {ep.from_lane}->{ep.to_lane} "
+          f"crossing frame {ep.crossing_frame}, episode frames "
+          f"[{ep.start_frame}, {ep.end_frame}], complete={ep.complete}")
     print(f"    d_start={p.d_start:.2f} m d_end={p.d_end:.2f} m "
           f"v_start={p.v_start:.1f} m/s v_end={p.v_end:.1f} m/s "
           f"T={p.duration:.1f} s side={p.side.value}")

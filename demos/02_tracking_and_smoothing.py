@@ -3,8 +3,10 @@
 Corrupts an exact scene with pixel-level position noise, detection dropouts
 and single-frame false positives, rebuilds tracks with the gated
 nearest-neighbor tracker, and smooths them with the forward Kalman filter
-plus the backward RTS pass. The printout compares the raw detection error
-on measured frames against the smoothed error on every frame, per track.
+plus the backward RTS pass. Each track is scored against the vehicle
+nearest its first detection, at that frame: the printout compares the raw
+detection error on measured frames against the smoothed error on every
+frame, per track.
 """
 
 import math
@@ -57,9 +59,19 @@ raw_tracks = build_tracks(detections, TrackerConfig())
 print(f"tracker produced {len(raw_tracks)} confirmed tracks "
       f"(false positives never reach the confirmation threshold)")
 
+
+def nearest_vehicle(raw):
+    """The truth track nearest the raw track's first detection, at its frame."""
+    frame = raw.first_frame
+    alive = [t for t in truth.tracks if t.initial_frame <= frame <= t.final_frame]
+    return min(alive, key=lambda t: math.hypot(t.x[frame - t.initial_frame] - raw.x[0],
+                                               t.y[frame - t.initial_frame] - raw.y[0]))
+
+
 cfg = SmootherConfig()
-print("\n track   frames  coasted   raw RMSE   smoothed RMSE")
-for raw, want in zip(raw_tracks, truth.tracks):
+print("\n track  vehicle  frames  coasted   raw RMSE   smoothed RMSE")
+for raw in raw_tracks:
+    want = nearest_vehicle(raw)
     track = smooth_track(raw, cfg, truth.meta)
     # Track rows are consecutive frames, so the truth rows of the same
     # frames are one slice of its columns.
@@ -70,6 +82,6 @@ for raw, want in zip(raw_tracks, truth.tracks):
     m = raw.measured  # a coasted frame has no raw position (NaN)
     raw_rmse = math.sqrt(np.mean((raw.x[m] - exp_x[m]) ** 2 + (raw.y[m] - exp_y[m]) ** 2))
     smooth_rmse = math.sqrt(np.mean((track.x - exp_x) ** 2 + (track.y - exp_y) ** 2))
-    print(f"  {track.track_id:>4}  {track.num_frames:>7}  {coasted:>7}"
+    print(f"  {track.track_id:>4}  {want.track_id:>7}  {track.num_frames:>6}  {coasted:>7}"
           f"  {raw_rmse:>8.3f} m  {smooth_rmse:>10.3f} m")
 print("\nsmoothing cuts the positioning error well below the pixel size")

@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "maneuvers": (
         "ManeuverConfig", "ManeuverEpisode", "ManeuverKind", "detect_all",
-        "detect_critical", "detect_lane_changes", "label_longitudinal",
+        "detect_critical", "detect_lane_changes", "lane_change_episodes",
         "longitudinal_episodes",
     ),
     "pipeline": ("PipelineConfig", "StatsConfig", "extract_stage", "track_stage"),

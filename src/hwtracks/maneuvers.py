@@ -3,9 +3,9 @@
 Four maneuver kinds are mined from each track: free driving and vehicle
 following (mutually exclusive, decided by a THW threshold with hysteresis),
 critical maneuvers (low TTC or THW to the preceding vehicle), and lane
-changes (a lane-id crossing that sticks on the new lane). The extents of a
-lane-change episode, and whether it counts as complete, follow one rule,
-``lane_change_extents``, which the synthetic ground truth uses as well.
+changes (a lane-id crossing that sticks on the new lane). Lane-change
+episodes are built by one function, ``lane_change_episodes``, from their
+crossing rows; the synthetic ground truth builds its own with it as well.
 """
 
 from __future__ import annotations
@@ -69,13 +69,13 @@ class ManeuverEpisode:
 
 
 def _following(surround: Surround, cfg: ManeuverConfig) -> np.ndarray:
-    """Per row, whether the vehicle follows (see ``label_longitudinal``): the
-    label of the last row that sets or resets it, carried forward. A row sets
-    it when a preceding vehicle exists with THW below ``following_thw_max``,
-    and resets it when there is none, the THW is undefined, or the THW
-    exceeds the threshold plus the hysteresis band; other rows hold the
-    label, which starts as free driving. The band is positive, so no row both
-    sets and resets."""
+    """Per row, whether the vehicle follows: the label of the last row that
+    sets or resets it, carried forward. A row sets it when a preceding
+    vehicle exists with THW below ``following_thw_max``, and resets it when
+    there is none, the THW is undefined, or the THW exceeds the threshold
+    plus the hysteresis band; other rows hold the label, which starts as free
+    driving. The band is positive, so no row both sets and resets, and the
+    label does not chatter when the THW rides the threshold."""
     thw = surround.thw
     has_thw = (surround.preceding_id != NO_VEHICLE) & (thw != UNDEFINED)
     sets = has_thw & (thw < cfg.following_thw_max)
@@ -85,42 +85,29 @@ def _following(surround: Surround, cfg: ManeuverConfig) -> np.ndarray:
     return (last >= 0) & sets[last]
 
 
-_KINDS = np.array([ManeuverKind.FREE_DRIVING, ManeuverKind.VEHICLE_FOLLOWING], dtype=object)
-
-
-def label_longitudinal(
-    track: Track, surround: Surround, cfg: ManeuverConfig
-) -> List[ManeuverKind]:
-    """FreeDriving / VehicleFollowing label for every frame of the track.
-
-    Following starts when a preceding vehicle exists with THW below
-    ``following_thw_max`` and ends only when the THW exceeds the threshold
-    plus the hysteresis band, the preceding vehicle disappears, or the THW
-    becomes undefined. The hysteresis keeps the label from chattering when
-    the THW rides the threshold.
-    """
-    check_rows(track, surround)
-    return _KINDS[_following(surround, cfg).astype(np.intp)].tolist()
+def _run_episodes(
+    track: Track, flags: np.ndarray, kinds: Tuple[Optional[ManeuverKind], ManeuverKind]
+) -> List[ManeuverEpisode]:
+    """One episode per maximal run of the bool column ``flags``: of kind
+    ``kinds[1]`` for a run of True and ``kinds[0]`` for a run of False,
+    none for a run whose kind is None."""
+    # Runs start at row 0 (unlike the prepended flag) and wherever the flag changes.
+    starts = np.flatnonzero(np.diff(flags, prepend=~flags[:1]))
+    stops = np.append(starts[1:], len(flags))
+    first = track.initial_frame
+    return [ManeuverEpisode(track_id=track.track_id, kind=kinds[flag],
+                            start_frame=first + start, end_frame=first + stop - 1)
+            for start, stop, flag in zip(starts.tolist(), stops.tolist(), flags[starts].tolist())
+            if kinds[flag] is not None]
 
 
 def longitudinal_episodes(
     track: Track, surround: Surround, cfg: ManeuverConfig
 ) -> List[ManeuverEpisode]:
-    """Maximal runs of the two longitudinal labels as episodes."""
+    """Maximal runs of free driving and of vehicle following (``_following``)."""
     check_rows(track, surround)
-    following = _following(surround, cfg)
-    # Runs start at 0 and wherever the label changes.
-    bounds = [0, *(np.flatnonzero(np.diff(following)) + 1).tolist(), len(following)]
-    first = track.initial_frame
-    return [
-        ManeuverEpisode(
-            track_id=track.track_id,
-            kind=_KINDS[int(following[start])],
-            start_frame=first + start,
-            end_frame=first + stop - 1,
-        )
-        for start, stop in zip(bounds, bounds[1:])
-    ]
+    return _run_episodes(track, _following(surround, cfg),
+                         (ManeuverKind.FREE_DRIVING, ManeuverKind.VEHICLE_FOLLOWING))
 
 
 def detect_critical(
@@ -131,18 +118,7 @@ def detect_critical(
     ttc, thw = surround.ttc, surround.thw
     critical = (((0.0 < ttc) & (ttc < cfg.critical_ttc_max))
                 | ((0.0 < thw) & (thw < cfg.critical_thw_max)))
-    # Runs of True start and end where the padded flags change.
-    edges = np.flatnonzero(np.diff(critical, prepend=False, append=False))
-    first = track.initial_frame
-    return [
-        ManeuverEpisode(
-            track_id=track.track_id,
-            kind=ManeuverKind.CRITICAL,
-            start_frame=first + start,
-            end_frame=first + stop - 1,
-        )
-        for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist())
-    ]
+    return _run_episodes(track, critical, (None, ManeuverKind.CRITICAL))
 
 
 def lane_change_extents(
@@ -174,19 +150,15 @@ def lane_change_extents(
     return list(zip(starts, ends, complete))
 
 
-def detect_lane_changes(track: Track, cfg: ManeuverConfig) -> List[ManeuverEpisode]:
-    """Lane-change episodes of one track. A stay is a lane run after the
-    first that lasts at least ``lane_change_min_dwell`` rows (shorter runs
-    are discarded bounces). A stay whose lane differs from the previous
-    stay's (the first row's, for the first stay) is a lane change, so the
-    return of a bounce is none. Its first row is the crossing, and
-    ``lane_change_extents`` at ``lateral_settle_speed`` gives the extents.
-    """
-    lanes = track.lane.tolist()
-    runs = np.flatnonzero(np.diff(track.lane)) + 1
-    stays = runs[np.diff(runs, append=track.num_frames) >= cfg.lane_change_min_dwell]
-    stay_lanes = track.lane[stays]
-    crossings = stays[stay_lanes != np.append(track.lane[0], stay_lanes[:-1])].tolist()
+def lane_change_episodes(
+    track: Track, crossings: Sequence[int], settle: float
+) -> List[ManeuverEpisode]:
+    """The lane-change episode of the track at each crossing row, crossings
+    increasing: from the lane of the row before the crossing to the lane of
+    the crossing row, with the extents of ``lane_change_extents`` at
+    ``settle``. The detector and the synthetic ground truth find their
+    crossings each by their own rule and build the episodes here."""
+    rows = np.asarray(crossings, dtype=np.intp)
     first = track.initial_frame
     return [
         ManeuverEpisode(
@@ -194,14 +166,30 @@ def detect_lane_changes(track: Track, cfg: ManeuverConfig) -> List[ManeuverEpiso
             kind=ManeuverKind.LANE_CHANGE,
             start_frame=first + start,
             end_frame=first + end,
-            from_lane=lanes[crossing - 1],
-            to_lane=lanes[crossing],
+            from_lane=from_lane,
+            to_lane=to_lane,
             crossing_frame=first + crossing,
             complete=complete,
         )
-        for crossing, (start, end, complete) in zip(
-            crossings, lane_change_extents(track.vy, crossings, cfg.lateral_settle_speed))
+        for crossing, from_lane, to_lane, (start, end, complete) in zip(
+            rows.tolist(), track.lane[rows - 1].tolist(), track.lane[rows].tolist(),
+            lane_change_extents(track.vy, crossings, settle))
     ]
+
+
+def detect_lane_changes(track: Track, cfg: ManeuverConfig) -> List[ManeuverEpisode]:
+    """Lane-change episodes of one track. A stay is a lane run after the
+    first that lasts at least ``lane_change_min_dwell`` rows (shorter runs
+    are discarded bounces). A stay whose lane differs from the previous
+    stay's (the first row's, for the first stay) is a lane change, so the
+    return of a bounce is none. Its first row is the crossing, and
+    ``lane_change_episodes`` at ``lateral_settle_speed`` builds the episodes.
+    """
+    runs = np.flatnonzero(np.diff(track.lane)) + 1
+    stays = runs[np.diff(runs, append=track.num_frames) >= cfg.lane_change_min_dwell]
+    stay_lanes = track.lane[stays]
+    crossings = stays[stay_lanes != np.append(track.lane[0], stay_lanes[:-1])].tolist()
+    return lane_change_episodes(track, crossings, cfg.lateral_settle_speed)
 
 
 def detect_all(

@@ -5,10 +5,10 @@ a piecewise-constant-acceleration speed profile (segment boundaries snap to
 the frame grid so the sampled trajectory is exactly realizable by the
 smoother's motion model) and scripted lane changes that reuse the quintic
 lane-change model for the lateral motion. The generator derives trajectories
-analytically from the script, and each lane change's crossing frame and
-lanes from its scripted maneuver. The episode extents come from the
-detector's rule, ``maneuvers.lane_change_extents``, at ``ManeuverConfig``'s
-default settle speed; the cut-in scenarios come from ``extract_cut_ins``
+analytically from the script, and each lane change's crossing frame from
+its scripted maneuver. The episodes come from the detector's builder,
+``maneuvers.lane_change_episodes``, at ``ManeuverConfig``'s default settle
+speed; the cut-in scenarios come from ``extract_cut_ins``
 over the exact tracks, their surround and the truth episodes.
 
 ``corrupt`` turns truth tracks into a detection table by adding
@@ -48,7 +48,7 @@ from .lane_change import (
     evaluate_model,
     extract_cut_ins,
 )
-from .maneuvers import ManeuverConfig, ManeuverEpisode, ManeuverKind, lane_change_extents
+from .maneuvers import ManeuverConfig, ManeuverEpisode, lane_change_episodes
 from .surround import Surround, compute_surround
 
 DEFAULT_UPPER_BOUNDARIES = (0.0, 3.7, 7.4)
@@ -142,30 +142,13 @@ class ScenarioScript:
 
 @dataclass(frozen=True)
 class LaneChangeTruth:
-    """Scripted lane change with its analytically derived episode."""
+    """Scripted lane change: its episode, and the quintic that drives it
+    from ``t0`` on, relative to the lane marking at ``marking_y``."""
 
-    track_id: int
+    episode: ManeuverEpisode
     params: LaneChangeParams
     t0: float
     marking_y: float
-    from_lane: int
-    to_lane: int
-    crossing_frame: int
-    start_frame: int
-    end_frame: int
-    complete: bool
-
-    def episode(self) -> ManeuverEpisode:
-        return ManeuverEpisode(
-            track_id=self.track_id,
-            kind=ManeuverKind.LANE_CHANGE,
-            start_frame=self.start_frame,
-            end_frame=self.end_frame,
-            from_lane=self.from_lane,
-            to_lane=self.to_lane,
-            crossing_frame=self.crossing_frame,
-            complete=self.complete,
-        )
 
 
 @dataclass(frozen=True)
@@ -325,7 +308,6 @@ class _VehicleTimeline:
                     "params": params,
                     "t0": lc.start_time,
                     "marking": marking,
-                    "from_lane": current_lane,
                     "to_lane": lc.to_lane,
                 }
             )
@@ -373,35 +355,22 @@ class _VehicleTimeline:
 def _truth_lane_changes(timeline: _VehicleTimeline, track: Track) -> List[LaneChangeTruth]:
     """One truth lane change per scripted maneuver that crosses into its
     target lane; the crossing is the first frame in that lane inside the
-    maneuver's window, and the extents are ``lane_change_extents``."""
+    maneuver's window, and ``lane_change_episodes`` builds the episodes."""
     lanes = timeline.lanes
     fps = 1.0 / timeline.dt
-    observed: List[Tuple[Dict, int]] = []
+    observed: List[Dict] = []
+    crossings: List[int] = []
     for m in timeline.maneuvers:
         t0, T = m["t0"], m["params"].duration
         lo = max(int(math.floor(t0 * fps)) - timeline.first - 1, 1)
         hi = min(int(math.ceil((t0 + T) * fps)) - timeline.first + 1, track.num_frames - 1)
         enters = (lanes[lo : hi + 1] == m["to_lane"]) & (lanes[lo - 1 : hi] != m["to_lane"])
         if enters.any():  # else truncated before the marking: no lane change observed
-            observed.append((m, lo + int(np.argmax(enters))))
-    crossings = [crossing for _, crossing in observed]
-    extents = lane_change_extents(track.vy, crossings, ManeuverConfig().lateral_settle_speed)
-    first = track.initial_frame
-    return [
-        LaneChangeTruth(
-            track_id=track.track_id,
-            params=m["params"],
-            t0=m["t0"],
-            marking_y=m["marking"],
-            from_lane=m["from_lane"],
-            to_lane=m["to_lane"],
-            crossing_frame=first + crossing,
-            start_frame=first + start,
-            end_frame=first + end,
-            complete=complete,
-        )
-        for (m, crossing), (start, end, complete) in zip(observed, extents)
-    ]
+            observed.append(m)
+            crossings.append(lo + int(np.argmax(enters)))
+    episodes = lane_change_episodes(track, crossings, ManeuverConfig().lateral_settle_speed)
+    return [LaneChangeTruth(episode, m["params"], m["t0"], m["marking"])
+            for m, episode in zip(observed, episodes)]
 
 
 def _validate_no_overlap(tracks: Sequence[Track]) -> None:
@@ -445,9 +414,9 @@ def _validate_no_overlap(tracks: Sequence[Track]) -> None:
 def generate_truth(script: ScenarioScript) -> GroundTruth:
     """Exact tracks, lane-change episodes and cut-ins for a scenario script.
 
-    The crossings and lanes of the lane changes come from the script; their
-    extents come from the detector's rule, ``maneuvers.lane_change_extents``,
-    at ``ManeuverConfig``'s default ``lateral_settle_speed``. Raises
+    The crossings of the lane changes come from the script; their episodes
+    come from the detector's builder, ``maneuvers.lane_change_episodes``, at
+    ``ManeuverConfig``'s default ``lateral_settle_speed``. Raises
     ScriptError when the script is inconsistent or makes vehicles overlap.
     """
     meta = script.meta()
@@ -462,8 +431,8 @@ def generate_truth(script: ScenarioScript) -> GroundTruth:
         if spec.dropout_windows:
             dropouts[track.track_id] = spec.dropout_windows
     _validate_no_overlap(tracks)
-    lane_changes.sort(key=lambda lc: (lc.track_id, lc.crossing_frame))
-    episodes = tuple(lc.episode() for lc in lane_changes)
+    # by track id, then crossing: vehicles come in id order, their crossings in time
+    episodes = tuple(lc.episode for lc in lane_changes)
     surround = compute_surround(tracks, meta)
     cut_ins = extract_cut_ins(episodes, tracks, surround)
     return GroundTruth(

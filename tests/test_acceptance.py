@@ -35,7 +35,6 @@ from hwtracks import (
     evaluate_model,
     fit_lane_change,
     generate_truth,
-    label_longitudinal,
     read_recording,
     smooth_track,
     validate,
@@ -48,7 +47,7 @@ from hwtracks.surround import UNDEFINED
 
 from conftest import lane_change_oracle, make_meta, row_at, track_identity_oracle
 from test_dataset_io import random_recording
-from test_maneuvers import hysteresis_oracle, critical_oracle
+from test_maneuvers import critical_oracle, hysteresis_oracle, longitudinal_labels
 from test_surround import brute_force_neighbors, neighbors, random_scene
 
 
@@ -387,7 +386,7 @@ def test_criterion_6_maneuver_oracle_equivalence():
     for track in truth.tracks:
         frames = surround[track.track_id]
 
-        got = label_longitudinal(track, frames, cfg)
+        got = longitudinal_labels(track, frames, cfg)
         want = hysteresis_oracle(frames, cfg)
         assert got == want, f"longitudinal labels differ on track {track.track_id}"
         total_following += sum(
@@ -418,9 +417,9 @@ def test_criterion_6_maneuver_oracle_equivalence():
     assert total_lc > 100
     # detector lane changes must also match the scripted ground truth
     truth_lc = {
-        (lc.track_id, lc.start_frame, lc.end_frame, lc.from_lane, lc.to_lane,
-         lc.crossing_frame, lc.complete)
-        for lc in truth.lane_changes
+        (e.track_id, e.start_frame, e.end_frame, e.from_lane, e.to_lane,
+         e.crossing_frame, e.complete)
+        for e in (lc.episode for lc in truth.lane_changes)
     }
     detected = set()
     for track in truth.tracks:

@@ -317,6 +317,49 @@ class TestValidateCommand:
         assert report["issues"][0]["kind"] == "EmptyInput"
 
 
+def swap_first_two_columns(text):
+    header, rest = text.split("\n", 1)
+    first, second, *others = header.split(",")
+    return ",".join([second, first, *others]) + "\n" + rest
+
+
+def set_cell(column, value):
+    """An edit that sets ``column`` of the first data row to ``value``."""
+    def edit(text):
+        header, row, rest = text.split("\n", 2)
+        cells = row.split(",")
+        cells[header.split(",").index(column)] = value
+        return "\n".join([header, ",".join(cells), rest])
+    return edit
+
+
+class TestValidateReaderChecks:
+    """A malformed table gives one issue with its kind, file, row and column."""
+
+    @pytest.mark.parametrize("name, edit, issue", [
+        ("01_tracksMeta.csv", lambda text: "",
+         {"kind": "MissingColumn", "message": "empty file, header row required"}),
+        ("01_recordingMeta.csv", swap_first_two_columns,
+         {"kind": "MissingColumn", "row": 0, "message":
+          "column order must be ['id', 'locationId', 'frameRate', 'duration', "
+          "'upperLaneMarkings', 'lowerLaneMarkings', 'speedLimits']"}),
+        ("01_recordingMeta.csv", set_cell("upperLaneMarkings", "0;inf;7.4"),
+         {"kind": "TypeMismatch", "row": 1, "column": "upperLaneMarkings",
+          "message": "expected finite numbers, got '0;inf;7.4'"}),
+        ("01_recordingMeta.csv", set_cell("frameRate", "0"),
+         {"kind": "InvariantViolation", "row": 1,
+          "message": "frame_rate must be > 0, got 0.0"}),
+    ], ids=["empty-file", "header-order", "non-finite-marking", "frame-rate-0"])
+    def test_one_issue_with_its_location(self, tmp_path, capsys, name, edit, issue):
+        truth = run_synth(tmp_path) / "truth"
+        path = truth / name
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        assert main(["validate", "--input", str(truth)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "issues": [{**issue, "file": str(path)}]}
+
+
 class TestStatsCommand:
     def test_stats_only_outputs(self, tmp_path):
         out = run_synth(tmp_path)
@@ -975,4 +1018,58 @@ class TestScriptValueErrors:
                      "--seed-override", "-5"]) == 1
         assert json.loads(capsys.readouterr().err) == {"errors": [
             {"kind": "ScriptError", "message": "seed must lie in [0, 2**63), got -5"}]}
+        assert not (tmp_path / "o").exists()
+
+
+class TestScriptChecks:
+    """Scripts that read well but describe no valid scene exit 1 with one
+    ScriptError that names the key path, and write no output."""
+
+    @pytest.mark.parametrize("script, message", [
+        ({"vehicles": [vehicle(entry_lane=3)]}, "vehicles[0]: entry_lane 3 does not exist"),
+        ({"vehicles": [vehicle(entry_time=5, exit_time=3)]},
+         "vehicles[0]: empty lifetime (entry 5.0s, exit 3.0s)"),
+        ({"vehicles": [vehicle(speed_segments=[{"duration": -1, "acceleration": 0}])]},
+         "vehicles[0].speed_segments[0]: negative duration"),
+        ({"vehicles": [vehicle(initial_speed=2, speed_segments=[
+            {"duration": 5, "acceleration": -1}])]},
+         "vehicles[0]: speed profile goes negative"),
+        ({"vehicles": [vehicle(lane_changes=[{"start_time": 1, "duration": 0, "to_lane": 2}])]},
+         "vehicles[0].lane_changes[0]: duration must be positive"),
+        ({"vehicles": [vehicle(lane_changes=[{"start_time": 1, "duration": 4, "to_lane": 2},
+                                             {"start_time": 3, "duration": 4, "to_lane": 1}])]},
+         "vehicles[0].lane_changes[1]: overlaps the previous lane change"),
+        ({"vehicles": [vehicle(lane_changes=[{"start_time": 50, "duration": 4, "to_lane": 2}])]},
+         "vehicles[0].lane_changes[0]: start_time 50.0s outside the vehicle's lifetime "
+         "[0.0, 9.96]s"),
+        ({"vehicles": [vehicle(lane_changes=[{"start_time": 1, "duration": 4, "to_lane": 3}])]},
+         "vehicles[0].lane_changes[0]: to_lane 3 does not exist"),
+        # on three lanes, the first change ends 4 m past its marking, 0.3 m
+        # past the next one, so the second starts beyond its own marking
+        ({"lower_lane_boundaries": [16.0, 19.7, 23.4, 27.1],
+          "vehicles": [vehicle(lane_changes=[
+              {"start_time": 1, "duration": 3, "to_lane": 2, "d_end": 4.0},
+              {"start_time": 5, "duration": 3, "to_lane": 3}])]},
+         "vehicles[0].lane_changes[1]: d_start must be positive, got -0.3000000000000007"),
+        ({"vehicles": [vehicle(lane_changes=[{"start_time": 1, "duration": 4, "to_lane": 2,
+                                              "d_end": 0}])]},
+         "vehicles[0].lane_changes[0]: d_end must be positive, got 0.0"),
+        ({"vehicles": [vehicle(initial_speed=0, lane_changes=[
+            {"start_time": 1, "duration": 4, "to_lane": 2}])]},
+         "vehicles[0].lane_changes[0]: maneuver speeds must be positive"),
+        ({"vehicles": [vehicle(**{"class": "Bus"})]},
+         "vehicles[0].class: unknown vehicle class 'Bus' (expected 'Car' or 'Truck')"),
+        ({"noise": {"dropout_probability": 1.5}},
+         "noise.dropout_probability must lie in [0, 1]"),
+        ({"noise": {"dropout_burst_length": 0}}, "noise.dropout_burst_length must be >= 1"),
+    ], ids=["entry-lane", "empty-lifetime", "segment-duration-negative",
+            "speed-negative", "lane-change-duration-0", "lane-change-overlap",
+            "lane-change-start-outside", "to-lane", "d-start", "d-end",
+            "maneuver-speed-0", "class", "dropout-probability", "burst-length"])
+    def test_exit_1_with_script_error(self, tmp_path, capsys, script, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"seed": 1, "duration": 10.0, **script}))
+        assert main(["synth", "--script", str(path), "--output", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "errors": [{"kind": "ScriptError", "message": message}]}
         assert not (tmp_path / "o").exists()

@@ -47,12 +47,16 @@ def test_a_private_import_is_found(tmp_path):
 WRITE_TABLE_CALLERS = {"core.py", "dataset_io.py"}
 
 
-def write_table_calls(path):
-    """Lines of the file that call ``write_table``, by name or attribute."""
+def calls(path, name):
+    """Lines of the file that call ``name``, by name or attribute."""
     return [node.lineno
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
             if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "write_table"]
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+def write_table_calls(path):
+    return calls(path, "write_table")
 
 
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
@@ -69,3 +73,24 @@ def test_a_write_table_call_is_found(tmp_path):
                     "core.write_table(p, ['a'], 'd', [])\n"
                     "write_rows(p, ['a'], [])\n")
     assert write_table_calls(path) == [3, 4]
+
+
+#: The one module that builds maneuver episodes: ``maneuvers``, whose
+#: ``lane_change_episodes`` the synthetic ground truth calls as well.
+EPISODE_BUILDERS = {"maneuvers.py"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name not in EPISODE_BUILDERS),
+                         ids=lambda p: p.name)
+def test_no_other_module_builds_an_episode(path):
+    assert calls(path, "ManeuverEpisode") == []
+
+
+def test_an_episode_construction_is_found(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from . import maneuvers\n"
+                    "e = ManeuverEpisode(track_id=1, kind=k, start_frame=0, end_frame=1)\n"
+                    "f = maneuvers.ManeuverEpisode(1, k, 0, 1)\n"
+                    "g: ManeuverEpisode = e\n")
+    assert calls(path, "ManeuverEpisode") == [2, 3]

@@ -19,7 +19,6 @@ from hwtracks import (
     detect_critical,
     detect_lane_changes,
     evaluate_model,
-    label_longitudinal,
     lane_change_count,
     longitudinal_episodes,
     nearest_lane_id,
@@ -84,17 +83,31 @@ def hysteresis_oracle(surround, cfg):
     return labels
 
 
+def longitudinal_labels(track, surround, cfg):
+    """The kind of the ``longitudinal_episodes`` episode at each frame of the
+    track; the episodes must tile the track in order, each of the other kind
+    than the one before (maximal runs)."""
+    labels = []
+    for episode in longitudinal_episodes(track, surround, cfg):
+        assert episode.track_id == track.track_id
+        assert episode.start_frame == track.initial_frame + len(labels)
+        assert not labels or episode.kind is not labels[-1]
+        labels += [episode.kind] * (episode.end_frame - episode.start_frame + 1)
+    assert len(labels) == track.num_frames
+    return labels
+
+
 class TestLabelLongitudinal:
     def test_no_preceding_all_free(self, meta):
         track = constant_track(50, meta)
         frames = surround_with_thw(track, [None] * 50)
-        labels = label_longitudinal(track, frames, ManeuverConfig())
+        labels = longitudinal_labels(track, frames, ManeuverConfig())
         assert all(l is ManeuverKind.FREE_DRIVING for l in labels)
 
     def test_constant_small_thw_all_following(self, meta):
         track = constant_track(50, meta)
         frames = surround_with_thw(track, [1.5] * 50)
-        labels = label_longitudinal(track, frames, ManeuverConfig())
+        labels = longitudinal_labels(track, frames, ManeuverConfig())
         assert all(l is ManeuverKind.VEHICLE_FOLLOWING for l in labels)
 
     def test_hysteresis_ramp(self, meta):
@@ -105,7 +118,7 @@ class TestLabelLongitudinal:
         track = constant_track(n, meta)
         frames = surround_with_thw(track, ramp)
         cfg = ManeuverConfig()
-        labels = label_longitudinal(track, frames, cfg)
+        labels = longitudinal_labels(track, frames, cfg)
         assert labels == hysteresis_oracle(frames, cfg)
         episodes = [
             e for e in longitudinal_episodes(track, frames, cfg)
@@ -122,7 +135,7 @@ class TestLabelLongitudinal:
                 for _ in range(n)]
         track = constant_track(n, meta)
         frames = surround_with_thw(track, thws)
-        labels = label_longitudinal(track, frames, ManeuverConfig())
+        labels = longitudinal_labels(track, frames, ManeuverConfig())
         assert len(labels) == n
         assert all(
             l in (ManeuverKind.FREE_DRIVING, ManeuverKind.VEHICLE_FOLLOWING)
@@ -139,13 +152,13 @@ class TestLabelLongitudinal:
         track = constant_track(n, meta)
         frames = surround_with_thw(track, thws)
         cfg = ManeuverConfig()
-        assert label_longitudinal(track, frames, cfg) == hysteresis_oracle(frames, cfg)
+        assert longitudinal_labels(track, frames, cfg) == hysteresis_oracle(frames, cfg)
 
     def test_misaligned_surround_rejected(self, meta):
         track = constant_track(10, meta)
         frames = surround_with_thw(track, [None] * 9)
         with pytest.raises(ContractViolation):
-            label_longitudinal(track, frames, ManeuverConfig())
+            longitudinal_labels(track, frames, ManeuverConfig())
 
 
 def critical_oracle(surround, cfg):

@@ -76,6 +76,22 @@ def dense_lane_change_script():
     }
 
 
+def corpus_script_300():
+    from test_acceptance import _corpus_script
+    return _corpus_script(300)
+
+
+def four_lane_changes_the_last_cut_off():
+    """One vehicle on three lanes: lanes 1 -> 2 -> 3 -> 2, then a change to
+    lane 1 that the end of the recording cuts off before its marking."""
+    return ScenarioScript(
+        seed=1, duration=20.0, lower_lane_boundaries=(16.0, 19.7, 23.4, 27.1),
+        vehicles=(car(entry_x=20.0, lane_changes=tuple(
+            ScriptedLaneChange(start_time=t0, duration=4.0, to_lane=lane)
+            for t0, lane in ((2.0, 2), (7.0, 3), (12.0, 2), (18.5, 1)))),),
+    )
+
+
 def overlap_scene(rng):
     """8 random one-lane-wide boxes over a few frames, x and y on coarse
     grids, few extents and a start shared by about a third of them, so that
@@ -136,17 +152,17 @@ class TestGenerateTruth:
         truth = generate_truth(script)
         assert len(truth.lane_changes) == 1
         lc = truth.lane_changes[0]
-        assert (lc.from_lane, lc.to_lane) == (1, 2)
+        assert (lc.episode.from_lane, lc.episode.to_lane) == (1, 2)
         assert lc.params.d_start == pytest.approx(1.85)
         assert lc.params.d_end == pytest.approx(1.85)
         assert lc.params.v_start == pytest.approx(25.0)
         assert lc.params.duration == 5.0
-        assert lc.complete is True
+        assert lc.episode.complete is True
         assert lc.t0 == 6.0
         # crossing where the trajectory passes the marking
         track = truth.tracks[0]
-        state = row_at(track, lc.crossing_frame)
-        previous = row_at(track, lc.crossing_frame - 1)
+        state = row_at(track, lc.episode.crossing_frame)
+        previous = row_at(track, lc.episode.crossing_frame - 1)
         assert state.lane_id == 2 and previous.lane_id == 1
 
     def test_speed_profile_segments(self):
@@ -243,8 +259,8 @@ class TestGenerateTruth:
         )
         truth = generate_truth(script)
         [lc] = truth.lane_changes
-        assert lc.complete is False
-        assert lc.end_frame == truth.tracks[0].final_frame
+        assert lc.episode.complete is False
+        assert lc.episode.end_frame == truth.tracks[0].final_frame
 
     def test_cut_in_truth(self):
         script = ScenarioScript(
@@ -285,16 +301,35 @@ class TestGenerateTruth:
         truth = generate_truth(script_from_dict(dense_lane_change_script()))
         by_id = {track.track_id: track for track in truth.tracks}
         settle = ManeuverConfig().lateral_settle_speed
-        for track_id in sorted({lc.track_id for lc in truth.lane_changes}):
+        for track_id in sorted({lc.episode.track_id for lc in truth.lane_changes}):
             track = by_id[track_id]
             first = track.initial_frame
-            mine = [lc for lc in truth.lane_changes if lc.track_id == track_id]
+            mine = [lc.episode for lc in truth.lane_changes if lc.episode.track_id == track_id]
             want = settle_extents_oracle(
                 track.vy.tolist(), [lc.crossing_frame - first for lc in mine], settle)
             got = [(lc.start_frame - first, lc.end_frame - first, lc.complete)
                    for lc in mine]
             assert got == want, f"track {track_id}"
         assert len(truth.lane_changes) == 70
+
+    @pytest.mark.parametrize("make_script, observed", [
+        (lambda: script_from_dict(dense_lane_change_script()), 70),
+        (corpus_script_300, 5),
+        (four_lane_changes_the_last_cut_off, 3),
+    ], ids=["lanechange-dense", "corpus-300", "four-the-last-cut-off"])
+    def test_episodes_run_lane_to_lane_as_scripted(self, make_script, observed):
+        # Each vehicle's episodes start in its entry lane and each starts in
+        # the lane the one before ended in; their target lanes are the
+        # script's, up to a last maneuver cut off before its marking.
+        script = make_script()
+        truth = generate_truth(script)
+        for spec, track in zip(script.vehicles, truth.tracks):
+            episodes = [lc.episode for lc in truth.lane_changes
+                        if lc.episode.track_id == track.track_id]
+            to_lanes = [e.to_lane for e in episodes]
+            assert to_lanes == [lc.to_lane for lc in spec.lane_changes][:len(episodes)]
+            assert [e.from_lane for e in episodes] == [spec.entry_lane, *to_lanes][:-1]
+        assert len(truth.lane_changes) == observed
 
     def test_mean_speed_matches_definition(self):
         script = ScenarioScript(
@@ -331,7 +366,7 @@ class TestGenerateTruth:
         assert len(truth.lane_changes) == 3
         for spec, track in zip(script.vehicles, truth.tracks):
             lane_changes = [lc for lc in truth.lane_changes
-                            if lc.track_id == track.track_id]
+                            if lc.episode.track_id == track.track_id]
             want = stepped_reference(script, spec, lane_changes)
             for column in ("x", "vx", "ax", "vy", "ay", "lane"):
                 np.testing.assert_array_equal(getattr(track, column), want[column],
