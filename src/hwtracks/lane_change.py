@@ -28,9 +28,9 @@ large batches:
   best coarse duration and its two neighbours. The coarse pass scores the
   lateral half everywhere and the longitudinal half only where the lateral
   SSE, as a lower bound, does not rule the placement out, which is exact;
-* the refinement is a section search one variable at a time: each round
-  scores evenly spaced points of the bracket in one call and keeps the
-  bracket between the neighbours of the best;
+* the refinement is a trust-region Newton iteration: each round scores a
+  candidate placement and its 3x3 stencil in one call, and the stencil's
+  central differences give the next step;
 * ``fit_episodes`` runs the refinements of many episodes in lockstep, one
   evaluator call per round for all episodes of the same sample count, their
   samples stacked one row per placement. Rows are computed alone, so every
@@ -186,7 +186,7 @@ class LaneChangeFitResult:
     converged: bool
     iterations: int
     objective: float
-    #: Objective value after the grid stage and after each refinement pass.
+    #: Objective after the grid stage and at each accepted refinement step.
     objective_trace: Tuple[float, ...] = ()
 
 
@@ -353,56 +353,49 @@ def _grid_minimum(objective: _SeparableObjective, cfg: FitConfig):
     return float(fine[best]), float(t0[best]), float(T[best])
 
 
-#: Evenly spaced points of the bracket that one round of ``_section_search``
-#: scores.
-_SECTION_POINTS = 11
-#: Section-search rounds one refinement may run. A search's bracket of at
-#: most 2 * duration_step shrinks by 2 / (_SECTION_POINTS - 1) per round, so
-#: at the defaults a search takes at most 5 rounds and a refinement at most
-#: 8 passes * 2 searches * 5 = 80: the budget only ends refinements with a
-#: far smaller refine_tolerance.
+#: Offsets of the 3x3 stencil in (midpoint, duration), midpoint-major:
+#: row 3i + j is (i - 1, j - 1), so row 4 is the centre.
+_STENCIL = np.array([(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)])
+#: Least stencil width (s). Second differences shrink with the square of
+#: the width while the objective's rounding does not, so a narrower stencil
+#: would keep too few of their digits.
+_MIN_WIDTH = 1e-5
+#: Rounds one refinement may run. At the defaults the benchmark fits take 4
+#: or 5 rounds and the tests' truncated random windows 3 to 12, so the
+#: budget ends refinements whose ``refine_tolerance`` is below
+#: ``_MIN_WIDTH``, which never converge.
 _MAX_REFINE_ROUNDS = 200
 
 
-def _section_search(lo: float, hi: float, tol: float, budget: int, request):
-    """Minimum on [lo, hi] to width tol, in at most ``budget`` (>= 1) rounds,
-    as a generator: for each batch of points it needs scored it yields
-    ``request(points)`` and is sent their values.
-
-    Each round scores ``_SECTION_POINTS`` evenly spaced points of the bracket,
-    ends included, in one batch, and keeps the bracket between the neighbours
-    of the best point (of equal values, the first). The next round's ends
-    are those neighbours and, when the best point was not an end, its centre
-    is the best point itself, so a later batch holds only the points not yet
-    scored. The search stops once the bracket is at most tol wide, or after
-    ``budget`` rounds.
-
-    Returns (argmin, fmin, rounds, hit_budget): the best scored point.
-    """
-    last = _SECTION_POINTS - 1
-    points = np.linspace(lo, hi, _SECTION_POINTS)
-    values = yield request(points)
-    rounds = 1
-    while True:
-        best = int(np.argmin(values))
-        left, right = max(best - 1, 0), min(best + 1, last)
-        wide = bool(points[right] - points[left] > tol)
-        if not wide or rounds >= budget:
-            return float(points[best]), float(values[best]), rounds, wide
-        # the scored points the next round keeps: indices there and here
-        into, of = [0, last], [left, right]
-        if left < best < right:
-            into.append(last // 2)
-            of.append(best)
-        grid = np.linspace(points[left], points[right], _SECTION_POINTS)
-        grid[into] = points[of]
-        scored = np.empty(_SECTION_POINTS)
-        scored[into] = values[of]
-        fresh = np.ones(_SECTION_POINTS, dtype=bool)
-        fresh[into] = False
-        scored[fresh] = yield request(grid[fresh])
-        points, values = grid, scored
-        rounds += 1
+def _step(values: np.ndarray, width: float, radius: float,
+          low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The step from the centre of a 3x3 stencil of objective values
+    (``_STENCIL`` times ``width``): the Newton step of its central
+    differences if their Hessian is positive definite, else ``radius``
+    toward the best stencil point. Scaled to at most ``radius`` and clipped
+    to [``low``, ``high``] in each coordinate; a Newton step with one
+    coordinate clipped takes the model's best step in the other."""
+    f = values.tolist()  # Python floats: inf - inf is nan without a warning
+    g = ((f[7] - f[1]) / (2.0 * width), (f[5] - f[3]) / (2.0 * width))
+    area = width * width
+    h = ((f[7] - 2.0 * f[4] + f[1]) / area, (f[5] - 2.0 * f[4] + f[3]) / area)
+    cross = (f[8] - f[6] - f[2] + f[0]) / (4.0 * area)
+    det = h[0] * h[1] - cross * cross
+    newton = h[0] > 0.0 and det > 0.0
+    if newton:
+        step = np.array([cross * g[1] - h[1] * g[0], cross * g[0] - h[0] * g[1]]) / det
+        newton = bool(np.all(np.isfinite(step)))
+    if not newton:
+        step = _STENCIL[int(np.argmin(values))] * radius
+    length = float(np.max(np.abs(step)))
+    step = step * (radius / length) if length > radius else step
+    clipped = np.clip(step, low, high)
+    held = np.flatnonzero(clipped != step)
+    if newton and len(held) == 1:
+        i, j = int(held[0]), 1 - int(held[0])
+        clipped[j] = min(max(-(g[j] + cross * clipped[i]) / h[j], low[j], -radius),
+                         high[j], radius)
+    return clipped
 
 
 def _refine(grid: Tuple[float, float, float], t_span: Tuple[float, float], cfg: FitConfig):
@@ -411,56 +404,62 @@ def _refine(grid: Tuple[float, float, float], t_span: Tuple[float, float], cfg: 
     of placements (t0, T), two arrays, and is sent their objective values.
     Returns (t0, T, iterations, converged_by_tol, trace).
 
-    Refinement is in (midpoint, duration) coordinates: stretching T around a
-    fixed maneuver midpoint leaves the crossing in place, so the two
-    variables decouple and a coordinate-wise section search converges in a
-    few passes (in (t0, T) the valley is strongly correlated). A pass
-    searches each coordinate within ``duration_step`` of its best value, and
-    ``iterations`` counts the search rounds (``_MAX_REFINE_ROUNDS`` is their
-    budget). Passes stop once neither coordinate moves by
-    ``refine_tolerance``, after 8 passes, or mid-pass when the budget is
-    spent. Only the first stop is converged.
+    A trust-region Newton iteration in (midpoint, duration), where the
+    valley is far less correlated than in (t0, T). Each round scores a
+    candidate placement and the 8 other points of its 3x3 stencil in one
+    batch. The first candidate is the grid placement, each later one the
+    current placement plus the ``_step`` of its stencil within the trust
+    radius (at first ``duration_step``), the midpoint within ``t_span`` and
+    the duration within [``duration_min``, ``duration_max``]. A lower
+    candidate is accepted and the radius grows to at least twice its step;
+    otherwise the radius shrinks to a quarter of the step and the next
+    round rescores the current placement's stencil, as does a round with no
+    step to take. A stencil is a quarter as wide as the smaller of its step
+    and the stencil that step comes from (at first, of ``min(duration_step,
+    duration_min)``, so durations stay positive), and at least
+    ``_MIN_WIDTH``. The fit has converged when an accepted step and its
+    stencil are below ``refine_tolerance``, or when such a step from such a
+    stencil finds nothing lower or is no step at all. ``iterations`` counts
+    the rounds (at most ``_MAX_REFINE_ROUNDS``), and ``trace`` holds the
+    grid's objective and each accepted candidate's.
     """
+    tol = cfg.refine_tolerance
     j_best, t0_best, T_best = grid
-    placement = [t0_best + T_best / 2.0, T_best]
-    limits = (t_span, (cfg.duration_min, cfg.duration_max))
+    lo, hi = np.array([t_span, (cfg.duration_min, cfg.duration_max)]).T
+    centre = np.array([t0_best + T_best / 2.0, T_best])
+    width, radius = min(cfg.duration_step, cfg.duration_min), cfg.duration_step
     trace = [j_best]
-    iterations = 0
-    converged_by_tol = True
-    for _ in range(8):
-        changes = []
-        for axis, (lo, hi) in enumerate(limits):
-            budget = _MAX_REFINE_ROUNDS - iterations
-            if budget <= 0:
+    values = None  # the stencil of ``centre``, ``width`` wide, once scored
+    rounds = 0
+    while True:
+        step, moves, last = np.zeros(2), 0.0, False
+        if values is not None:
+            step = _step(values, width, radius, lo - centre, hi - centre)
+            moves = float(np.max(np.abs(step)))
+            last = moves < tol and width < tol
+            if last and not moves:
                 break
-
-            def along(values: np.ndarray, axis: int = axis):
-                mid, T = (values if i == axis else np.full(len(values), v)
-                          for i, v in enumerate(placement))
-                return mid - T / 2.0, T
-
-            value, j, used, hit = yield from _section_search(
-                max(lo, placement[axis] - cfg.duration_step),
-                min(hi, placement[axis] + cfg.duration_step),
-                cfg.refine_tolerance,
-                budget,
-                along,
-            )
-            iterations += used
-            converged_by_tol &= not hit
-            changes.append(abs(value - placement[axis]))
-            if j < j_best:
-                j_best, placement[axis] = j, value
-        if len(changes) < len(limits):
-            converged_by_tol = False
+        if rounds == _MAX_REFINE_ROUNDS:
+            last = False
             break
-        trace.append(j_best)
-        if max(changes) < cfg.refine_tolerance:
+        trial = max(min(width, moves or width) / 4.0, _MIN_WIDTH)
+        points = centre + step + trial * _STENCIL
+        scored = yield points[:, 0] - points[:, 1] / 2.0, points[:, 1]
+        rounds += 1
+        if not moves:
+            values, width = scored, trial
+        elif scored[4] < trace[-1]:
+            centre = centre + step
+            values, width = scored, trial
+            radius = max(radius, 2.0 * moves)
+            trace.append(float(scored[4]))
+            last = moves < tol and trial < tol
+        else:
+            radius, values = moves / 4.0, None
+        if last:
             break
-    else:
-        converged_by_tol = False
-    mid_best, T_best = placement
-    return mid_best - T_best / 2.0, T_best, iterations, converged_by_tol, tuple(trace)
+    mid_best, T_best = centre
+    return mid_best - T_best / 2.0, T_best, rounds, last, tuple(trace)
 
 
 def _checked_objective(times, xs, ys, marking_y, cfg: FitConfig) -> _SeparableObjective:
@@ -618,8 +617,8 @@ def fit_lane_change(
     quantities; the placement (t0, T) is found by a grid over the episode's
     sample times and the configured duration range, searched coarse to fine
     with a t0 stride of about ``duration_step / 4``, then refined by
-    coordinate section search to ``refine_tolerance`` seconds. The
-    one-episode case of ``fit_episodes``.
+    trust-region Newton steps on the maneuver midpoint and duration to
+    ``refine_tolerance`` seconds. The one-episode case of ``fit_episodes``.
     """
     return _only(fit_episodes([(times, xs, ys, marking_y)], cfg))
 

@@ -792,7 +792,7 @@ class TestBundledDemoScript:
         "extract/01_episodes.json":
             "fed7e60b084c9e650a079238a1f79fbdfa85bc1263d3a6154ab07a1caf966f53",
         "extract/01_laneChangeFits.csv":
-            "e7842a1f2576fc23861b4a7cd3f5920b7d1edd8414c8232335df7b1e359e7788",
+            "265d687784bd2e81654d736bfda226ff9f53ed7038428526672abbc4b19139b8",
         "extract/01_truckRatio.csv":
             "b52dd807cced2697078ce0034773ddb312030180fa1da00567bd25f021abb900",
         "extract/cutInThwBand.csv":
